@@ -23,6 +23,24 @@ from .errors import (
 from .spin_algebra import HalfInt, _require_spin, two_step_coupling_squared
 
 
+_DIGIT_CHUNK = 500  # below 640, the smallest int-to-str limit Python accepts
+
+
+def decimal_text(value: int) -> str:
+    """Decimal text of an integer of any length, split on powers of ten.
+
+    str() alone refuses more digits than the int-to-str limit (4300 by
+    default), which discriminants pass from j = 22 on.
+    """
+    if value < 0:
+        return "-" + decimal_text(-value)
+    if value < 10**_DIGIT_CHUNK:
+        return str(value)
+    half = value.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(value, 10**half)
+    return decimal_text(high) + decimal_text(low).zfill(half)
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Dense polynomial with arbitrary-precision integer coefficients.
@@ -108,10 +126,10 @@ class IntPolynomial:
                 continue
             mag = abs(c)
             if k == 0:
-                body = str(mag)
+                body = decimal_text(mag)
             else:
                 var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == 1 else f"{decimal_text(mag)}*{var}"
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
         sign0, body0 = parts[0]
@@ -181,72 +199,49 @@ def block_decompose(j: HalfInt) -> BlockDecomposition:
     )
 
 
-def _chain_char_poly(couplings: tuple[Fraction, ...]) -> list[Fraction]:
-    """det(lambda*I - T) for a zero-diagonal tridiagonal chain, ascending coeffs.
+def _chain_polynomial(couplings: tuple[Fraction, ...], size: int) -> IntPolynomial:
+    """det(lambda*I - T) for a zero-diagonal tridiagonal chain of ``size`` sites.
 
     Three-term recurrence p_0 = 1, p_1 = lambda,
-    p_k = lambda*p_(k-1) - w_(k-1)*p_(k-2), over exact rationals.
+    p_k = lambda*p_(k-1) - w_(k-1)*p_(k-2), over exact rationals; the
+    coefficients must come out integral.
     """
-    prev = [Fraction(1)]
-    if not couplings:
-        # A single-site chain (or empty when the chain itself is empty).
-        return [Fraction(0), Fraction(1)]
-    cur = [Fraction(0), Fraction(1)]
+    if size == 0:
+        return IntPolynomial((1,))
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
     for w in couplings:
-        shifted = [Fraction(0)] + cur
-        nxt = shifted.copy()
+        nxt = [Fraction(0)] + cur
         for i, c in enumerate(prev):
             nxt[i] -= w * c
         prev, cur = cur, nxt
-    return cur
-
-
-def _block_polynomial(couplings: tuple[Fraction, ...], size: int) -> list[Fraction]:
-    if size == 0:
-        return [Fraction(1)]
-    if size == 1:
-        return [Fraction(0), Fraction(1)]
-    poly = _chain_char_poly(couplings)
-    if len(poly) != size + 1:
+    if len(cur) != size + 1:
         raise InternalConsistencyError("chain polynomial degree does not match size")
-    return poly
-
-
-def _to_int_polynomial(rational_coeffs) -> IntPolynomial:
-    ints = []
-    for c in rational_coeffs:
+    for c in cur:
         if c.denominator != 1:
             raise InternalConsistencyError(
                 f"expected integer coefficient, got {c} (non-integral denominator)"
             )
-        ints.append(int(c))
-    return IntPolynomial.from_coefficients(ints)
+    return IntPolynomial.from_coefficients(int(c) for c in cur)
 
 
 def block_polynomials(j: HalfInt) -> tuple[IntPolynomial, IntPolynomial]:
     """Monic characteristic polynomials det(lambda*I - T) of the two chains."""
     decomp = block_decompose(j)
-    pa = _block_polynomial(decomp.block_a, len(decomp.labels_a))
-    pb = _block_polynomial(decomp.block_b, len(decomp.labels_b))
-    return _to_int_polynomial(pa), _to_int_polynomial(pb)
+    return (
+        _chain_polynomial(decomp.block_a, len(decomp.labels_a)),
+        _chain_polynomial(decomp.block_b, len(decomp.labels_b)),
+    )
 
 
 def char_poly_exact(j: HalfInt) -> IntPolynomial:
     """Exact det(H/chi - lambda*I) with integer coefficients.
 
     Product of the two chain polynomials with the (-1)^(2j+1) leading-sign
-    convention; integrality of the final coefficients is asserted.
+    convention.
     """
-    decomp = block_decompose(j)
-    pa = _block_polynomial(decomp.block_a, len(decomp.labels_a))
-    pb = _block_polynomial(decomp.block_b, len(decomp.labels_b))
-    out = [Fraction(0)] * (len(pa) + len(pb) - 1)
-    for i, ca in enumerate(pa):
-        if ca:
-            for k, cb in enumerate(pb):
-                out[i + k] += ca * cb
+    pa, pb = block_polynomials(j)
     sign = -1 if (j.twice_value + 1) % 2 else 1
-    return _to_int_polynomial(c * sign for c in out)
+    return (pa * pb).scaled(sign)
 
 
 # ------------------------------------------------------------------ resultants
@@ -333,11 +328,17 @@ class DegeneracyReport:
 
 
 def degeneracy_report(j: HalfInt) -> DegeneracyReport:
-    """Degeneracy decided by the exact full discriminant (never by clustering)."""
+    """Degeneracy decided by the exact full discriminant (never by clustering).
+
+    disc(pa*pb) = disc(pa) * disc(pb) * Res(pa, pb)^2 for the monic chain
+    polynomials, and the overall sign of char_poly_exact leaves the
+    discriminant unchanged, so the full discriminant needs no resultant of
+    degree 2j+1.
+    """
     _require_spin(j)
-    full = discriminant(char_poly_exact(j))
     pa, pb = block_polynomials(j)
     block = discriminant(pa) * discriminant(pb)
+    full = block * _sylvester_resultant(pa, pb) ** 2
     return DegeneracyReport(
         j=j, discriminant_full=full, discriminant_block=block, degenerate=full == 0
     )

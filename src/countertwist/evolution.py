@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
@@ -71,6 +71,11 @@ TIME_SERIES_COLUMNS = (
 )
 
 
+#: Largest |chi_t| a propagator accepts: both routes take float() of |chi_t|
+#: times the spectral span (guard digits, squaring count), which must be finite.
+MAX_ABS_CHI_T = 10**300
+
+
 def _as_dimensionless_time(chi_t, precision: int):
     """Convert chi_t to a finite real mpf at the working precision."""
     with mp.workdps(precision):
@@ -86,6 +91,17 @@ def _as_dimensionless_time(chi_t, precision: int):
         if not mp.isfinite(value):
             raise InvalidInputError(f"chi_t must be finite, got {chi_t!r}")
         return value
+
+
+def _propagation_time(chi_t, precision: int):
+    """Like _as_dimensionless_time, also rejecting |chi_t| > MAX_ABS_CHI_T."""
+    value = _as_dimensionless_time(chi_t, precision)
+    if abs(value) > MAX_ABS_CHI_T:
+        raise InvalidInputError(
+            f"|chi_t| must be at most {float(MAX_ABS_CHI_T):g}, "
+            f"got {mp.nstr(value, 5)}"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +156,7 @@ class Propagator:
     :param matrix: the dense unitary matrix.
     :param chi_t: dimensionless time (coupling times physical time).
     :param method: construction route.
+    :ivar unitarity_defect: the achieved ||U†U - I||_max, set at construction.
 
     Invariant: ||U†U - I||_max < 10^(-p+5) at the matrix precision p
     (checked at construction; violation raises NumericFailureError).
@@ -148,6 +165,7 @@ class Propagator:
     matrix: DenseOperator
     chi_t: object
     method: PropagatorMethod
+    unitarity_defect: object = field(init=False)
 
     def __post_init__(self) -> None:
         p = self.matrix.precision
@@ -164,6 +182,7 @@ class Propagator:
                     f"propagator fails unitarity: ||U†U - I||_max = "
                     f"{mp.nstr(worst, 5)} at precision {p}"
                 )
+        object.__setattr__(self, "unitarity_defect", worst)
 
     @property
     def dim(self) -> int:
@@ -442,6 +461,7 @@ def propagator_spectral(
     :param report: spectrum of the dimensionless Hamiltonian for the same j.
     :param h: the Hamiltonian matrix for the same j.
     :param precision: decimal digits of the result.
+    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T.
     :raises IllConditionedError: distinct eigenvalues closer than
         10^(-precision/2), where the interpolation weights blow up.
     :raises NumericFailureError: the assembled matrix fails the unitarity
@@ -461,7 +481,7 @@ def propagator_spectral(
         raise InvalidInputError(
             "spectrum report multiplicities do not sum to 2j+1"
         )
-    tau = _as_dimensionless_time(chi_t, precision + 15)
+    tau = _propagation_time(chi_t, precision + 15)
 
     distinct = [ev.value for ev in report.eigenvalues]
     n_nodes = len(distinct)
@@ -569,9 +589,10 @@ def propagator_taylor(
 
     :param h: Hamiltonian matrix; reduced by its recorded scale as in the
         spectral route, so chi_t carries the full dimensionless time.
+    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T.
     """
     _require_precision(precision)
-    tau = _as_dimensionless_time(chi_t, precision + 15)
+    tau = _propagation_time(chi_t, precision + 15)
     n = h.dim
 
     with mp.workdps(precision + 15):

@@ -1,15 +1,13 @@
 """Exact-structure matrix representations of angular momentum operators.
 
 Builds ladder and Cartesian spin operators, the two-axis countertwisting
-Hamiltonian (and its external-field variant), rotation operators about the
-y axis, and the chiral symmetry operator, all in the |j, m> basis with m
+Hamiltonian, and the chiral symmetry operator, all in the |j, m> basis with m
 ordered from +j down to -j. Matrix entries are arbitrary-precision complex
 scalars; structural zeros are exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -403,128 +401,21 @@ def build_h_ta(
     )
 
 
-def build_h_f(
-    j: HalfInt,
-    chi: float = 1.0,
-    omega: float = 0.0,
-    precision: int = DEFAULT_PRECISION,
-) -> DenseOperator:
-    """Countertwisting Hamiltonian with an external field along z.
-
-    Equals build_h_ta(j, chi) + omega * Jz; still anticommutes with the
-    chiral operator.
-    """
-    h_ta = build_h_ta(j, chi, precision)
-    _, _, jz = build_cartesian(j, precision)
-    with mp.workdps(precision):
-        omega_mp = mp.mpf(omega)
-        if not mp.isfinite(omega_mp):
-            raise InvalidInputError(f"omega must be finite, got {omega!r}")
-        combined = h_ta.add(jz.scaled(omega_mp))
-    return DenseOperator(
-        basis=h_ta.basis,
-        entries=combined.entries,
-        precision=precision,
-        scale=h_ta.scale,
-        hermitian=True,
-    )
-
-
-def _factorial_of(twice_value: int) -> int:
-    if twice_value % 2 != 0 or twice_value < 0:
-        raise InternalConsistencyError("factorial argument must be a non-negative integer")
-    return math.factorial(twice_value // 2)
-
-
-def _half_angle_values(theta: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    """cos(theta/2), sin(theta/2) with exact values at quarter-turn thetas.
-
-    Angles within one working-precision ulp of a quarter turn use the exact
-    0 / ±1 / ±sqrt(1/2) half-angle values, so rotations by multiples of pi/2
-    (given at working precision) produce exact structural zeros.
-    """
-    quarter = theta / (mp.pi / 2)
-    nearest = mp.nint(quarter)
-    if abs(quarter - nearest) < mp.mpf(10) ** (-mp.dps + 8):
-        idx = int(nearest) % 8
-        root_half = mp.sqrt(mp.mpf(1) / 2)
-        cos_table = [1, root_half, 0, -root_half, -1, -root_half, 0, root_half]
-        sin_table = [0, root_half, 1, root_half, 0, -root_half, -1, -root_half]
-        return mp.mpf(cos_table[idx]), mp.mpf(sin_table[idx])
-    return mp.cos(theta / 2), mp.sin(theta / 2)
-
-
-def wigner_rotation_y(
-    j: HalfInt, beta: float, precision: int = DEFAULT_PRECISION
-) -> DenseOperator:
-    """Rotation operator about the y axis evaluated via the explicit d-matrix sum.
-
-    Real orthogonal matrix; beta = 0 gives the identity, beta = -pi gives the
-    antidiagonal (-1)^(j-m) map m -> -m, and beta = -pi/2 rotates the
-    stretched state |j, j> into the coherent state with all-positive binomial
-    amplitudes sqrt(C(2j, j-m))/2^j.
-
-    :param j: spin magnitude.
-    :param beta: rotation angle in radians.
-    :param precision: decimal digits for entries.
-    """
-    _require_spin(j)
-    _require_precision(precision)
-    basis = BasisOrdering.for_spin(j)
-    n = j.n_states
-    tj = j.twice_value
-    with mp.workdps(precision + 10):
-        beta_mp = mp.mpf(beta)
-        if not mp.isfinite(beta_mp):
-            raise InvalidInputError(f"beta must be finite, got {beta!r}")
-        cos_half, sin_half = _half_angle_values(-beta_mp)
-        rows = []
-        for a in range(n):
-            tmp_row = []
-            tmp = basis.labels[a].twice_value  # 2*m_row
-            for b in range(n):
-                tmc = basis.labels[b].twice_value  # 2*m_col
-                # k range of the d-matrix sum: factorial arguments must be >= 0.
-                k_min = max(0, (tmc - tmp) // 2)
-                k_max = min((tj + tmc) // 2, (tj - tmp) // 2)
-                total = mp.mpf(0)
-                norm = mp.sqrt(
-                    mp.mpf(
-                        _factorial_of(tj + tmc)
-                        * _factorial_of(tj - tmc)
-                        * _factorial_of(tj + tmp)
-                        * _factorial_of(tj - tmp)
-                    )
-                )
-                for k in range(k_min, k_max + 1):
-                    denom = (
-                        _factorial_of(tj + tmc - 2 * k)
-                        * _factorial_of(2 * k)
-                        * _factorial_of(tj - 2 * k - tmp)
-                        * _factorial_of(2 * k - tmc + tmp)
-                    )
-                    sign = -1 if (k + (tmp - tmc) // 2) % 2 else 1
-                    # exponents: cos^(2j - 2k + m_col - m_row), sin^(2k - m_col + m_row)
-                    ce = tj - 2 * k + (tmc - tmp) // 2
-                    se = 2 * k - (tmc - tmp) // 2
-                    term = sign * norm / denom
-                    term *= cos_half**ce if ce else mp.mpf(1)
-                    term *= sin_half**se if se else mp.mpf(1)
-                    total += term
-                tmp_row.append(total)
-            rows.append(tmp_row)
-    with mp.workdps(precision):
-        entries = tuple(tuple(mp.mpc(x) for x in row) for row in rows)
-    return DenseOperator(basis=basis, entries=entries, precision=precision)
-
-
 def chiral_operator(j: HalfInt, precision: int = DEFAULT_PRECISION) -> DenseOperator:
     """Antidiagonal symmetry operator that anticommutes with the Hamiltonian.
 
-    Equals wigner_rotation_y(j, -pi): maps |j, m> to (-1)^(j-m) |j, -m>.
-    Squares to +identity for integer j and -identity for half-integer j.
+    The d-matrix rotation about y by beta = -pi, written directly as the
+    signed antidiagonal: maps |j, m> to (-1)^(j-m) |j, -m>, so column c holds
+    (-1)^c at row 2j-c. Squares to +identity for integer j and -identity for
+    half-integer j.
     """
     _require_precision(precision)
-    with mp.workdps(precision + 10):
-        beta = -mp.pi
-    return wigner_rotation_y(j, beta, precision)
+    _require_spin(j)
+    basis = BasisOrdering.for_spin(j)
+    n = j.n_states
+    with mp.workdps(precision):
+        rows = [[mp.mpc(0)] * n for _ in range(n)]
+        for col in range(n):
+            rows[n - 1 - col][col] = mp.mpc((-1) ** col)
+    entries = tuple(tuple(row) for row in rows)
+    return DenseOperator(basis=basis, entries=entries, precision=precision)

@@ -14,6 +14,7 @@ from countertwist.charpoly import (
     block_polynomials,
     char_poly_exact,
     classify_solvability,
+    decimal_text,
     degeneracy_report,
     discriminant,
     strip_lambda_power,
@@ -21,7 +22,7 @@ from countertwist.charpoly import (
     table1_spins,
     to_mu_polynomial,
 )
-from _oracles import numpy_h_ta
+from _oracles import numpy_h_ta, unlimited_str
 
 
 def eigenvalue_reconstructed_coefficients(twoj):
@@ -65,6 +66,18 @@ def test_polynomial_arithmetic():
     assert p.evaluate(2) == 1
     assert p.evaluate(Fraction(1, 2)) == Fraction(-11, 4)
     assert str(IntPolynomial((0, 1, 0, -1))) == "-x^3 + x"
+
+
+BIG_INTEGERS = [0, 7, -7, 10**499, 10**500, -(10**500) + 1, 3**20000, -(7**9000) * 10**600]
+
+
+@pytest.mark.parametrize(
+    "value",
+    BIG_INTEGERS,
+    ids=[f"{'-' if v < 0 else ''}{v.bit_length()}bit" for v in BIG_INTEGERS],
+)
+def test_decimal_text_matches_str(value):
+    assert decimal_text(value) == unlimited_str(value)
 
 
 def test_parity_and_mu_helpers():
@@ -241,12 +254,15 @@ def test_char_poly_discriminant_matches_sympy(twoj):
     assert discriminant(p) == expected
 
 
-@pytest.mark.parametrize("twoj", range(1, 23))
+@pytest.mark.parametrize("twoj", range(1, 25))
 def test_degeneracy_matches_spin_parity(twoj):
     report = degeneracy_report(HalfInt(twoj))
     assert report.degenerate == (twoj % 2 == 1)
     if twoj % 2 == 1:
         assert report.discriminant_block != 0  # simple within each chain
+    # The block factorization agrees with the Sylvester route on the full
+    # polynomial.
+    assert report.discriminant_full == discriminant(char_poly_exact(HalfInt(twoj)))
 
 
 def test_degeneracy_report_examples():

@@ -6,7 +6,13 @@ import re
 import pytest
 from mpmath import mp
 
-from countertwist import HalfInt, InvalidInputError, char_poly_exact, spectrum
+from countertwist import (
+    HalfInt,
+    InvalidInputError,
+    char_poly_exact,
+    degeneracy_report,
+    spectrum,
+)
 from countertwist.cli import (
     Command,
     RunConfig,
@@ -16,6 +22,7 @@ from countertwist.cli import (
     spectrum_from_json,
     spectrum_to_json,
 )
+from _oracles import unlimited_str
 
 CSV_HEADER = "chi_t,jx_mean,var_jy,var_jz,xi_y,xi_z,corr_xz,xi_opt,opt_angle"
 
@@ -60,19 +67,6 @@ class TestRunConfig:
     def test_format_restricted_per_command(self):
         with pytest.raises(InvalidInputError):
             RunConfig(command=Command.EVOLVE, j=HalfInt(4), format="json")
-
-    def test_nonzero_omega_rejected(self):
-        from fractions import Fraction
-
-        with pytest.raises(InvalidInputError):
-            RunConfig(
-                command=Command.EVOLVE,
-                j=HalfInt(4),
-                omega=Fraction(1),
-                t_max=Fraction(1),
-                steps=5,
-                format="csv",
-            )
 
     def test_evolve_needs_grid(self):
         with pytest.raises(InvalidInputError):
@@ -161,6 +155,18 @@ class TestCharpolyCommand:
         assert payload["coefficients"] == [str(c) for c in poly.coefficients]
         assert payload["degree"] == poly.degree
         assert int(payload["leading_coefficient"]) == poly.leading_coefficient
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_discriminant_past_digit_limit(self, capsys, fmt):
+        # The j = 22 discriminant has more digits than str() converts by default.
+        code, out, err = _run(capsys, "charpoly", "--j", "22", "--format", fmt)
+        assert code == 0
+        assert err == ""
+        expected = unlimited_str(degeneracy_report(HalfInt(44)).discriminant_full)
+        if fmt == "json":
+            assert json.loads(out)["discriminant"] == expected
+        else:
+            assert f"discriminant = {expected}\n" in out
 
     def test_half_integer_rows_report_degeneracy(self, capsys):
         code, out, _ = _run(capsys, "charpoly", "--j", "9/2", "--format", "json")
@@ -396,6 +402,16 @@ class TestEvolveCommand:
             "--omega", "1",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "grid", [("--t-max", "1e400"), ("--chi", "1e400", "--t-max", "1")]
+    )
+    def test_huge_time_rejected(self, capsys, grid):
+        code, out, err = _run(capsys, "evolve", "--j", "2", *grid, "--steps", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "chi_t" in err
 
     def test_low_precision_rejected(self, capsys):
         code, _, _ = _run(

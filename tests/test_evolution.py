@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -22,7 +23,6 @@ from countertwist import (
     PropagatorMethod,
     StateVector,
     TimeSeries,
-    build_h_f,
     build_h_ta,
     chiral_operator,
     coherent_initial_state,
@@ -33,10 +33,10 @@ from countertwist import (
     propagator_taylor,
     spectrum,
     time_series,
-    wigner_rotation_y,
     xi_y,
     xi_z,
 )
+from _oracles import build_h_f, wigner_rotation_y
 
 SEED = 20260825
 
@@ -190,6 +190,16 @@ class TestPropagatorType:
         assert u.dim == 5
         assert u.method is PropagatorMethod.SPECTRAL
 
+    @pytest.mark.parametrize("route", ["spectral", "taylor"])
+    def test_unitarity_defect_is_the_certificate(self, route):
+        if route == "spectral":
+            u = _spectral(9, 1.3)
+        else:
+            u = propagator_taylor(build_h_ta(HalfInt(9), 1.0), 1.3)
+        recomputed = _unitarity_dev(u)
+        assert recomputed > 0
+        assert abs(u.unitarity_defect - recomputed) < mp.mpf("1e-3") * recomputed
+
 
 class TestTimeSeriesType:
     def _base(self, **overrides):
@@ -313,6 +323,12 @@ class TestPropagatorSpectral:
         with pytest.raises(InvalidInputError):
             propagator_spectral(j, bad, report, h)
 
+    @pytest.mark.parametrize("huge", [mp.mpf("1e400"), Fraction(-(10**301))])
+    def test_huge_time_rejected(self, huge):
+        j = HalfInt(4)
+        with pytest.raises(InvalidInputError, match="chi_t"):
+            propagator_spectral(j, huge, spectrum(j), build_h_ta(j, 1.0))
+
     def test_near_degenerate_report_rejected(self):
         j = HalfInt(2)
         report = spectrum(j)
@@ -376,6 +392,11 @@ class TestPropagatorTaylor:
         u_doubled = propagator_taylor(doubled, 0.9)
         u_plain = propagator_taylor(plain, 0.9)
         assert u_doubled.matrix.max_abs_diff(u_plain.matrix) < mp.mpf("1e-32")
+
+    @pytest.mark.parametrize("huge", [mp.mpf("1e400"), Fraction(-(10**301))])
+    def test_huge_time_rejected(self, huge):
+        with pytest.raises(InvalidInputError, match="chi_t"):
+            propagator_taylor(build_h_ta(HalfInt(4), 1.0), huge)
 
 
 ORACLE_TIME_COUNTS = {twoj: 20 for twoj in range(1, 11)}

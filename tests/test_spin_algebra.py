@@ -13,13 +13,18 @@ from countertwist import (
     InternalConsistencyError,
     InvalidInputError,
     build_cartesian,
-    build_h_f,
     build_h_ta,
     build_ladder,
     chiral_operator,
+)
+from _oracles import (
+    build_h_f,
+    numpy_h_ta,
+    numpy_rotation_y,
+    numpy_spin_ops,
+    to_numpy,
     wigner_rotation_y,
 )
-from _oracles import numpy_h_ta, numpy_rotation_y, numpy_spin_ops, to_numpy
 
 
 def max_abs(array):
@@ -280,6 +285,16 @@ def test_chiral_j1_pattern():
     r = to_numpy(chiral_operator(HalfInt(2)))
     expected = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=float)
     assert max_abs(r - expected) < 1e-30
+
+
+@pytest.mark.parametrize("twoj", [2, 21, 60])
+def test_chiral_is_signed_antidiagonal_exactly(twoj):
+    r = chiral_operator(HalfInt(twoj), precision=50)
+    n = twoj + 1
+    for row in range(n):
+        for col in range(n):
+            expected = mp.mpc((-1) ** col if row + col == n - 1 else 0)
+            assert r.entry(row, col) == expected
 
 
 @pytest.mark.parametrize("twoj", [1, 2, 3, 4, 5, 8, 11, 16, 21, 30, 60])

@@ -333,11 +333,12 @@ def degeneracy_report(j: HalfInt) -> DegeneracyReport:
     disc(pa*pb) = disc(pa) * disc(pb) * Res(pa, pb)^2 for the monic chain
     polynomials, and the overall sign of char_poly_exact leaves the
     discriminant unchanged, so the full discriminant needs no resultant of
-    degree 2j+1.
+    degree 2j+1.  At j = 0 the second chain is empty: its polynomial is the
+    constant 1 and its discriminant the empty product 1.
     """
     _require_spin(j)
     pa, pb = block_polynomials(j)
-    block = discriminant(pa) * discriminant(pb)
+    block = discriminant(pa) * (discriminant(pb) if pb.degree else 1)
     full = block * _sylvester_resultant(pa, pb) ** 2
     return DegeneracyReport(
         j=j, discriminant_full=full, discriminant_block=block, degenerate=full == 0

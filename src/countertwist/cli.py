@@ -805,6 +805,14 @@ _DISPATCH: dict[Command, Callable[[RunConfig], int]] = {
 }
 
 
+def _rational(text: str) -> Fraction:
+    """Exact rational argument; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
 def _add_common_arguments(
     parser: argparse.ArgumentParser, command: Command, require_j: bool
 ) -> None:
@@ -871,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(verify, Command.VERIFY, require_j=True)
     verify.add_argument(
         "--chi",
-        type=Fraction,
+        type=_rational,
         default=Fraction(1),
         help="coupling strength as exact rational text (default 1)",
     )
@@ -887,13 +895,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(evolve, Command.EVOLVE, require_j=True)
     evolve.add_argument(
         "--chi",
-        type=Fraction,
+        type=_rational,
         default=Fraction(1),
         help="coupling strength as exact rational text (default 1)",
     )
     evolve.add_argument(
         "--t-max",
-        type=Fraction,
+        type=_rational,
         required=True,
         help="grid endpoint (exact rational text, e.g. 3 or 5/2)",
     )

@@ -32,11 +32,11 @@ from .spin_algebra import (
     BasisOrdering,
     DenseOperator,
     HalfInt,
+    _ladder_amplitude_squared,
     _require_precision,
     _require_spin,
-    build_cartesian,
+    _two_step_entries,
     build_h_ta,
-    two_step_coupling_squared,
 )
 
 __all__ = [
@@ -160,6 +160,9 @@ class Propagator:
 
     Invariant: ||U†U - I||_max < 10^(-p+5) at the matrix precision p
     (checked at construction; violation raises NumericFailureError).
+
+    Each Gram entry (U†U)[a][b] is an exactly rounded sum at precision p over
+    the rows k where U[k][a] and U[k][b] are both nonzero.
     """
 
     matrix: DenseOperator
@@ -169,13 +172,23 @@ class Propagator:
 
     def __post_init__(self) -> None:
         p = self.matrix.precision
-        n = self.matrix.dim
+        support = [
+            {k: row[a] for k, row in enumerate(self.matrix.entries) if row[a] != 0}
+            for a in range(self.matrix.dim)
+        ]
+        with mp.workdps(p):
+            gram = [
+                [
+                    mp.fsum(mp.conj(x) * cb[k] for k, x in ca.items() if k in cb)
+                    for cb in support
+                ]
+                for ca in support
+            ]
         with mp.workdps(p + 10):
-            gram = self.matrix.dagger().matmul(self.matrix)
             worst = max(
-                abs(gram.entries[a][b] - (1 if a == b else 0))
-                for a in range(n)
-                for b in range(n)
+                abs(x - (1 if a == b else 0))
+                for a, row in enumerate(gram)
+                for b, x in enumerate(row)
             )
             if worst > mp.mpf(10) ** (-p + 5):
                 raise NumericFailureError(
@@ -293,37 +306,6 @@ def _dimensionless_hamiltonian(h: DenseOperator, precision: int):
                 "carry the physics in chi_t (zero coupling means chi_t = 0)"
             )
         return [[x / scale for x in row] for row in h.entries]
-
-
-def _exact_dimensionless_rows(j: HalfInt, basis: BasisOrdering):
-    """Scale-1 Hamiltonian rows, square roots taken at the ambient precision.
-
-    The propagator is far more sensitive to coupling error than its target
-    tolerance, so the couplings are re-evaluated from their exact integer
-    squares at full working precision instead of reusing the (rounded)
-    entries of the matrix passed in.
-    """
-    n = j.n_states
-    zero = mp.mpc(0)
-    rows = [[zero] * n for _ in range(n)]
-    for col in range(2, n):
-        m = basis.labels[col]
-        coupling = mp.sqrt(mp.mpf(two_step_coupling_squared(j, m)))
-        upper = mp.mpc(0, -1) * coupling / 2
-        rows[col - 2][col] = upper
-        rows[col][col - 2] = mp.conj(upper)
-    return rows
-
-
-def _offdiagonal_nonzeros(rows, n: int):
-    """Per-row (column, value) lists of the nonzero off-diagonal entries."""
-    nz = []
-    for a in range(n):
-        row = rows[a]
-        nz.append(
-            [(b, row[b]) for b in range(n) if b != a and row[b] != 0]
-        )
-    return nz
 
 
 def _leja_order(values):
@@ -450,7 +432,8 @@ def propagator_spectral(
     Writes exp as the unique polynomial agreeing with it on the distinct
     eigenvalues (the confluent reduction valid for any Hermitian matrix),
     evaluated in Newton form with Leja-ordered nodes and a cancellation guard,
-    exploiting the two-superdiagonal sparsity of the Hamiltonian.  The
+    separately on the two chains (even and odd basis index) that the
+    Hamiltonian's Delta m = 2 couplings never connect.  The
     report's eigenvalues seed a Newton refinement on the exact chain
     polynomials at working precision, so the report's own precision does not
     limit the result.
@@ -506,20 +489,23 @@ def propagator_spectral(
     n = j.n_states
 
     with mp.workdps(wp):
-        a_rows = _exact_dimensionless_rows(j, h.basis)
+        # The propagator is far more sensitive to coupling error than to any
+        # other rounding: the couplings come from their exact integer squares.
+        upper = _two_step_entries(j, 1)
+        exact = {(a, a + 2): x for a, x in enumerate(upper)}
+        exact.update({(a + 2, a): mp.conj(x) for a, x in enumerate(upper)})
         given_rows = _dimensionless_hamiltonian(h, wp)
         h_tol = mp.mpf(10) ** (-h.precision + 3)
         mismatch = max(
-            abs(given_rows[a][b] - a_rows[a][b])
+            abs(given_rows[a][b] - exact.get((a, b), 0))
             for a in range(n)
             for b in range(n)
         )
-        if mismatch > h_tol * (1 + max(abs(x) for row in a_rows for x in row)):
+        if mismatch > h_tol * (1 + max((abs(x) for x in upper), default=0)):
             raise InvalidInputError(
                 "h is not the countertwisting Hamiltonian this spectrum "
                 f"describes (max coupling deviation {mp.nstr(mismatch, 5)})"
             )
-        nz = _offdiagonal_nonzeros(a_rows, n)
         polished = _polish_nodes(
             j, distinct, precision, mp.mpf(10) ** (-(precision // 2))
         )
@@ -536,35 +522,34 @@ def propagator_spectral(
                     nodes[i] - nodes[i - k]
                 )
 
-        # Horner evaluation: M <- (A - x_k) M + c_k I, sparse left factor.
+        # Horner evaluation M <- (A - x_k) M + c_k I on each chain block; the
+        # entries between the chains are exact zeros.  A missing neighbour at
+        # a chain end enters as an exact zero, which changes no rounding.
         zero = mp.mpc(0)
-        m_rows = [
-            [coeffs[n_nodes - 1] if a == b else zero for b in range(n)]
-            for a in range(n)
-        ]
-        for k in range(n_nodes - 2, -1, -1):
-            shift = nodes[k]
-            c_k = coeffs[k]
-            new_rows = []
-            for a in range(n):
-                row_a = m_rows[a]
-                parts = [(v, m_rows[b]) for b, v in nz[a]]
-                if len(parts) == 2:
-                    (v1, r1), (v2, r2) = parts
+        m_rows = [[zero] * n for _ in range(n)]
+        for chain in (range(0, n, 2), range(1, n, 2)):
+            size = len(chain)
+            downs = [zero] + [mp.conj(upper[a - 2]) for a in chain[1:]]
+            ups = [upper[a] for a in chain[:-1]] + [zero]
+            pad = [[zero] * size]
+            block = [
+                [coeffs[-1] if i == c else zero for c in range(size)]
+                for i in range(size)
+            ]
+            for k in range(n_nodes - 2, -1, -1):
+                shift, c_k = nodes[k], coeffs[k]
+                padded = pad + block + pad
+                new_block = []
+                for i, (row, down, up) in enumerate(zip(block, downs, ups)):
                     new_row = [
-                        v1 * x1 + v2 * x2 - shift * xa
-                        for x1, x2, xa in zip(r1, r2, row_a)
+                        down * x1 + up * x2 - shift * xa
+                        for x1, x2, xa in zip(padded[i], padded[i + 2], row)
                     ]
-                elif len(parts) == 1:
-                    (v1, r1), = parts
-                    new_row = [
-                        v1 * x1 - shift * xa for x1, xa in zip(r1, row_a)
-                    ]
-                else:
-                    new_row = [-shift * xa for xa in row_a]
-                new_row[a] += c_k
-                new_rows.append(new_row)
-            m_rows = new_rows
+                    new_row[i] += c_k
+                    new_block.append(new_row)
+                block = new_block
+            for a, row in zip(chain, block):
+                m_rows[a][chain.start :: 2] = row
 
     with mp.workdps(precision):
         entries = tuple(tuple(+x for x in row) for row in m_rows)
@@ -606,7 +591,8 @@ def propagator_taylor(
     with mp.workdps(wp):
         factor = mp.mpc(0, -1) * mp.mpf(tau) / (1 << squarings)
         b_rows = [[factor * x for x in row] for row in a_rows]
-        nz = _offdiagonal_nonzeros(b_rows, n)
+        # Nonzero generator entries per row (diagonal included), in column order.
+        nz = [[(b, v) for b, v in enumerate(row) if v != 0] for row in b_rows]
         tol = mp.mpf(10) ** (-wp - 3)
 
         zero = mp.mpc(0)
@@ -618,18 +604,14 @@ def propagator_taylor(
             k += 1
             new_term = []
             for a in range(n):
-                parts = [(v, term[b]) for b, v in nz[a]]
-                if len(parts) == 2:
-                    (v1, r1), (v2, r2) = parts
-                    new_row = [
-                        (v1 * x1 + v2 * x2) / k for x1, x2 in zip(r1, r2)
-                    ]
-                elif len(parts) == 1:
-                    (v1, r1), = parts
-                    new_row = [v1 * x1 / k for x1 in r1]
-                else:
-                    new_row = [zero] * n
-                new_term.append(new_row)
+                if not nz[a]:
+                    new_term.append([zero] * n)
+                    continue
+                (b, v), *rest = nz[a]
+                acc = [v * x for x in term[b]]
+                for b, v in rest:
+                    acc = [s + v * x for s, x in zip(acc, term[b])]
+                new_term.append([s / k for s in acc])
             term = new_term
             term_max = max(abs(x) for row in term for x in row)
             for a in range(n):
@@ -713,27 +695,27 @@ def heisenberg_expectations(
             f"propagator is for j={u.matrix.basis.j}, not j={j}"
         )
     n = j.n_states
+    labels = state.basis.labels
     wp = precision + 10
-    jx, jy, jz = build_cartesian(j, wp)
     with mp.workdps(wp):
-        phi = [
-            mp.fdot(zip(u.matrix.entries[a], state.amplitudes))
+        # Jx and Jy couple neighbouring labels through the halved ladder
+        # amplitudes w (Jy: -iw above the diagonal, +iw below); Jz is the
+        # diagonal of m.  Each fdot takes one row's nonzero entries in order.
+        squares = (_ladder_amplitude_squared(j, m) for m in labels[1:])
+        halves = [mp.sqrt(mp.mpf(x)) / 2 for x in squares]
+        phi = [mp.fdot(zip(row, state.amplitudes)) for row in u.matrix.entries]
+        links = [
+            [(halves[min(a, b)], phi[b], b - a) for b in (a - 1, a + 1) if 0 <= b < n]
             for a in range(n)
         ]
-        vx = [mp.fdot(zip(jx.entries[a], phi)) for a in range(n)]
-        vy = [mp.fdot(zip(jy.entries[a], phi)) for a in range(n)]
-        vz = [mp.fdot(zip(jz.entries[a], phi)) for a in range(n)]
+        vx = [mp.fdot((w, x) for w, x, _ in row) for row in links]
+        vy = [mp.fdot((mp.mpc(0, -d * w), x) for w, x, d in row) for row in links]
+        vz = [mp.fdot([(mp.mpf(m.twice_value) / 2, x)]) for m, x in zip(labels, phi)]
         phi_c = [mp.conj(x) for x in phi]
-
-        def _inner(bra_conj, ket):
-            return mp.fdot(zip(bra_conj, ket))
-
-        means = [_inner(phi_c, v) for v in (vx, vy, vz)]
-        seconds = [
-            mp.fsum(abs(x) ** 2 for x in v) for v in (vx, vy, vz)
-        ]
-        cross_yz = _inner([mp.conj(x) for x in vy], vz)
-        cross_xz = _inner([mp.conj(x) for x in vx], vz)
+        means = [mp.fdot(zip(phi_c, v)) for v in (vx, vy, vz)]
+        seconds = [mp.fsum(abs(x) ** 2 for x in v) for v in (vx, vy, vz)]
+        cross_yz = mp.fdot(zip(map(mp.conj, vy), vz))
+        cross_xz = mp.fdot(zip(map(mp.conj, vx), vz))
 
         tol = mp.mpf(10) ** (-precision + 5) * (1 + mp.mpf(j.twice_value) / 2)
         for label, value in zip("xyz", means):

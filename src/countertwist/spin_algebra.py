@@ -366,6 +366,17 @@ def two_step_coupling_squared(j: HalfInt, m: HalfInt) -> int:
     )
 
 
+def _two_step_entries(j: HalfInt, chi) -> list:
+    """H[a][a+2] = -i chi w/2 for a = 0 .. 2j-2 at the ambient precision.
+
+    w² is :func:`two_step_coupling_squared` at the label of column a+2.
+    """
+    return [
+        mp.mpc(0, -1) * chi * mp.sqrt(mp.mpf(two_step_coupling_squared(j, m))) / 2
+        for m in BasisOrdering.for_spin(j).labels[2:]
+    ]
+
+
 def build_h_ta(
     j: HalfInt, chi: float = 1.0, precision: int = DEFAULT_PRECISION
 ) -> DenseOperator:
@@ -388,12 +399,9 @@ def build_h_ta(
             raise InvalidInputError(f"chi must be finite, got {chi!r}")
         zero = mp.mpc(0)
         rows = [[zero] * n for _ in range(n)]
-        for col in range(2, n):
-            m = basis.labels[col]
-            coupling = mp.sqrt(mp.mpf(two_step_coupling_squared(j, m)))
-            upper = mp.mpc(0, -1) * chi_mp * coupling / 2
-            rows[col - 2][col] = upper
-            rows[col][col - 2] = mp.conj(upper)
+        for a, upper in enumerate(_two_step_entries(j, chi_mp)):
+            rows[a][a + 2] = upper
+            rows[a + 2][a] = mp.conj(upper)
         entries = tuple(tuple(row) for row in rows)
         scale = chi_mp
     return DenseOperator(

@@ -254,7 +254,7 @@ def test_char_poly_discriminant_matches_sympy(twoj):
     assert discriminant(p) == expected
 
 
-@pytest.mark.parametrize("twoj", range(1, 25))
+@pytest.mark.parametrize("twoj", range(0, 25))
 def test_degeneracy_matches_spin_parity(twoj):
     report = degeneracy_report(HalfInt(twoj))
     assert report.degenerate == (twoj % 2 == 1)

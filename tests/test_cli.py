@@ -168,6 +168,32 @@ class TestCharpolyCommand:
         else:
             assert f"discriminant = {expected}\n" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_spin_zero(self, capsys, fmt):
+        # The second chain is empty; its discriminant is the empty product.
+        code, out, err = _run(capsys, "charpoly", "--j", "0", "--format", fmt)
+        assert code == 0
+        assert err == ""
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["coefficients"] == ["0", "-1"]
+            assert payload["discriminant"] == "1"
+            assert payload["degenerate"] is False
+        else:
+            assert "discriminant = 1\n" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--j", "0"),
+            ("classify", "--j", "0"),
+            ("evolve", "--j", "0", "--t-max", "1", "--steps", "2"),
+        ],
+    )
+    def test_spin_zero_elsewhere_exits_invalid(self, capsys, argv):
+        code, _, _ = _run(capsys, *argv)
+        assert code == 2
+
     def test_half_integer_rows_report_degeneracy(self, capsys):
         code, out, _ = _run(capsys, "charpoly", "--j", "9/2", "--format", "json")
         assert code == 0
@@ -488,6 +514,20 @@ class TestVerifyCommand:
 
 
 class TestDispatch:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evolve", "--j", "2", "--t-max", "1/0", "--steps", "3"),
+            ("evolve", "--j", "2", "--chi", "1/0", "--t-max", "1", "--steps", "3"),
+            ("verify", "--j", "2", "--chi", "3/0"),
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "invalid rational value" in err
+
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = _run(capsys)
         assert code == 2

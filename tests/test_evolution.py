@@ -23,6 +23,7 @@ from countertwist import (
     PropagatorMethod,
     StateVector,
     TimeSeries,
+    build_cartesian,
     build_h_ta,
     chiral_operator,
     coherent_initial_state,
@@ -199,6 +200,25 @@ class TestPropagatorType:
         recomputed = _unitarity_dev(u)
         assert recomputed > 0
         assert abs(u.unitarity_defect - recomputed) < mp.mpf("1e-3") * recomputed
+
+    @pytest.mark.parametrize("route", ["spectral", "taylor"])
+    def test_unitarity_defect_equals_dense_gram(self, route):
+        # The certificate skips exact-zero products; the dense Gram at the
+        # matrix precision, compared with I ten digits higher, is the same.
+        if route == "spectral":
+            u = _spectral(11, 0.83)
+        else:
+            u = propagator_taylor(build_h_ta(HalfInt(11), 1.0), 0.83)
+        p = u.matrix.precision
+        gram = u.matrix.dagger().matmul(u.matrix)
+        with mp.workdps(p + 10):
+            dense = max(
+                abs(gram.entries[a][b] - (1 if a == b else 0))
+                for a in range(u.dim)
+                for b in range(u.dim)
+            )
+        assert dense > 0
+        assert u.unitarity_defect == dense
 
 
 class TestTimeSeriesType:
@@ -398,6 +418,32 @@ class TestPropagatorTaylor:
         with pytest.raises(InvalidInputError, match="chi_t"):
             propagator_taylor(build_h_ta(HalfInt(4), 1.0), huge)
 
+    def test_diagonal_generator(self):
+        j = HalfInt(5)
+        _, _, jz = build_cartesian(j)
+        tau = mp.mpf("0.7")
+        u = propagator_taylor(jz, tau)
+        for a, m in enumerate(jz.basis.labels):
+            for b in range(u.dim):
+                expected = (
+                    mp.exp(mp.mpc(0, -1) * mp.mpf(m.twice_value) / 2 * tau)
+                    if a == b
+                    else 0
+                )
+                assert abs(u.matrix.entries[a][b] - expected) < mp.mpf("1e-30")
+
+    def test_field_hamiltonian_matches_expm(self):
+        h = build_h_f(HalfInt(5), 1.0, 0.8)
+        tau = mp.mpf("0.7")
+        u = propagator_taylor(h, tau)
+        reference = mp.expm(mp.mpc(0, -1) * tau * mp.matrix(h.entries))
+        dev = max(
+            abs(u.matrix.entries[a][b] - reference[a, b])
+            for a in range(u.dim)
+            for b in range(u.dim)
+        )
+        assert dev < mp.mpf("1e-30")
+
 
 ORACLE_TIME_COUNTS = {twoj: 20 for twoj in range(1, 11)}
 ORACLE_TIME_COUNTS.update({twoj: 8 for twoj in range(11, 17)})
@@ -584,6 +630,51 @@ class TestHeisenbergExpectations:
         state = coherent_initial_state(j)
         obs = heisenberg_expectations(state, _spectral(4, 0), j)
         assert obs.var_jx >= 0
+
+    @pytest.mark.parametrize("twoj", range(1, 21))
+    def test_equals_dense_cartesian_moments(self, twoj):
+        j = _spin(twoj)
+        state = coherent_initial_state(j)
+        u = _spectral(twoj, 0.61)
+        obs = heisenberg_expectations(state, u, j)
+        assert obs == _dense_moments(state, u, j)
+
+
+def _dense_moments(state, u, j, precision=DEFAULT_PRECISION):
+    """Spin moments formed from the dense build_cartesian rows."""
+    n = j.n_states
+    wp = precision + 10
+    operators = build_cartesian(j, wp)
+    with mp.workdps(wp):
+        phi = [
+            mp.fdot(zip(u.matrix.entries[a], state.amplitudes))
+            for a in range(n)
+        ]
+        vx, vy, vz = (
+            [mp.fdot(zip(op.entries[a], phi)) for a in range(n)]
+            for op in operators
+        )
+        phi_c = [mp.conj(x) for x in phi]
+        mean_x, mean_y, mean_z = (
+            mp.re(mp.fdot(zip(phi_c, v))) for v in (vx, vy, vz)
+        )
+        seconds = [mp.fsum(abs(x) ** 2 for x in v) for v in (vx, vy, vz)]
+        cov_yz = mp.re(mp.fdot(zip([mp.conj(x) for x in vy], vz))) - mean_y * mean_z
+        corr_xz = 2 * mp.re(mp.fdot(zip([mp.conj(x) for x in vx], vz)))
+    with mp.workdps(precision):
+        return ObservableSet(
+            j=j,
+            chi_t=+mp.mpf(u.chi_t),
+            precision=precision,
+            mean_jx=+mean_x,
+            mean_jy=+mean_y,
+            mean_jz=+mean_z,
+            second_jx=+seconds[0],
+            second_jy=+seconds[1],
+            second_jz=+seconds[2],
+            cov_yz=+cov_yz,
+            corr_xz=+corr_xz,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each entry is one cheap ``main([...])`` call with the exit code and the
 SHA-256 of the stdout it produced at commit 4004fcc, before the charpoly,
-chiral-operator and unitarity-certificate code was shortened.  A refactor
+chiral-operator and unitarity-certificate code was shortened; the entries
+marked below were recorded at commit def4508, before the propagator, its
+certificate and the spin moments moved onto the two chains.  A refactor
 that keeps the numbers must keep these bytes; a change that means to alter
 output updates the digests here on purpose.
 """
@@ -47,6 +49,22 @@ GOLDEN = [
     # Exit 1: the J=2 reference row is a misprint in the paper.
     (("table1",), 1,
      "6cb77796bc21b4554fcab0ffa2bae61b56b10d72ac0cbc6765f40cfda6eee353"),
+    # Recorded at def4508.  Both chains have one site and no coupling.
+    (("evolve", "--j", "1/2", "--t-max", "2", "--steps", "3"), 0,
+     "65ca305b9bb6adf7623bb4bd5bbf218b40dd496f9e6d438f626d2a0affbbbbb6"),
+    # Chains of two sites and one site.
+    (("evolve", "--j", "1", "--t-max", "2", "--steps", "3"), 0,
+     "b00be17ffd48e6b9f1099866903d436432092d0b31ef501b4246e19041dbe544"),
+    (("evolve", "--j", "5", "--chi=-2/3", "--t-max", "3", "--steps", "3",
+      "--precision", "50"), 0,
+     "2533d2eeb3cdfd071eacbceaf914ced2f37a6a52ce22568bad83a0acbe6dfcca"),
+    (("verify", "--j", "1/2"), 0,
+     "3bfdc99cabdf12c21f6bfa5b9764cb97fd490d1acd17d967b943f0fde21d5850"),
+    (("verify", "--j", "1"), 0,
+     "6fdd3cb23807a0533437bae91c2e25450b7de4041de5bf46fbdb1ac7a37ad3c6"),
+    # Prints the certificate's defect 66.425 for the faulted Taylor propagator.
+    (("verify", "--j", "9/2", "--inject-fault"), 1,
+     "c31803a8b764e7b26abe1174573049afa11e00e0ba54f1b67cdc0934274c928f"),
 ]
 
 

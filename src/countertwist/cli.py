@@ -169,6 +169,10 @@ class RunConfig:
                 )
         if self.command is not Command.TABLE1 and self.j is None:
             raise InvalidInputError(f"{self.command.value} requires --j")
+        if self.j == HalfInt(0) and self.command not in (
+            Command.CHARPOLY, Command.TABLE1
+        ):
+            raise InvalidInputError(f"{self.command.value} needs j >= 1/2")
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +684,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     u = None
     try:
         if report is not None:
-            u = propagator_spectral(j, VERIFY_SAMPLE_TIME, report, h, precision)
+            u = propagator_spectral(report, VERIFY_SAMPLE_TIME, precision)
         else:
             u = propagator_taylor(h, VERIFY_SAMPLE_TIME, precision)
         results.append(
@@ -697,7 +701,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # Conserved quantities along the evolution.
     if u is not None:
         state = coherent_initial_state(j, precision)
-        observables = heisenberg_expectations(state, u, j, precision)
+        observables = heisenberg_expectations(state, u, precision)
         with mp.workdps(precision + 10):
             casimir_ref = mp.mpf(j.twice_value) * (j.twice_value + 2) / 4
             casimir_dev = abs(observables.casimir - casimir_ref)

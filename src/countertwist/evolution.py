@@ -36,7 +36,6 @@ from .spin_algebra import (
     _require_precision,
     _require_spin,
     _two_step_entries,
-    build_h_ta,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "TimeSeries",
     "TIME_SERIES_COLUMNS",
     "coherent_initial_state",
-    "correlation_xz",
     "heisenberg_expectations",
     "optimal_xi",
     "propagator_spectral",
@@ -421,11 +419,7 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
 
 
 def propagator_spectral(
-    j,
-    chi_t,
-    report: SpectrumReport,
-    h: DenseOperator,
-    precision: int = DEFAULT_PRECISION,
+    report: SpectrumReport, chi_t, precision: int = DEFAULT_PRECISION
 ) -> Propagator:
     """Propagator U = exp(-i H t) by interpolation over the exact spectrum.
 
@@ -433,33 +427,25 @@ def propagator_spectral(
     eigenvalues (the confluent reduction valid for any Hermitian matrix),
     evaluated in Newton form with Leja-ordered nodes and a cancellation guard,
     separately on the two chains (even and odd basis index) that the
-    Hamiltonian's Delta m = 2 couplings never connect.  The
-    report's eigenvalues seed a Newton refinement on the exact chain
-    polynomials at working precision, so the report's own precision does not
-    limit the result.
+    Hamiltonian's Delta m = 2 couplings never connect.  The report is the
+    whole input: its spin fixes the couplings, rebuilt from their exact
+    integer squares, and its eigenvalues seed a Newton refinement on the
+    exact chain polynomials at working precision, so the report's own
+    precision does not limit the result.
 
-    :param j: spin magnitude.
-    :param chi_t: dimensionless time; ``h`` is reduced by its recorded scale,
-        so chi_t must carry the full product of coupling and physical time.
-    :param report: spectrum of the dimensionless Hamiltonian for the same j.
-    :param h: the Hamiltonian matrix for the same j.
+    :param report: spectrum of the dimensionless Hamiltonian H/chi.
+    :param chi_t: dimensionless time, the full product of coupling and
+        physical time.
     :param precision: decimal digits of the result.
-    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T.
+    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, or the report's
+        values are not the eigenvalues of the Hamiltonian for its spin.
     :raises IllConditionedError: distinct eigenvalues closer than
         10^(-precision/2), where the interpolation weights blow up.
     :raises NumericFailureError: the assembled matrix fails the unitarity
-        certificate (never expected when report and h are consistent).
+        certificate.
     """
-    j = _require_spin(j)
     _require_precision(precision)
-    if report.j != j:
-        raise InvalidInputError(
-            f"spectrum report is for j={report.j}, not j={j}"
-        )
-    if h.basis.j != j:
-        raise InvalidInputError(
-            f"Hamiltonian is for j={h.basis.j}, not j={j}"
-        )
+    j = report.j
     if report.dimension != j.n_states:
         raise InvalidInputError(
             "spectrum report multiplicities do not sum to 2j+1"
@@ -492,20 +478,6 @@ def propagator_spectral(
         # The propagator is far more sensitive to coupling error than to any
         # other rounding: the couplings come from their exact integer squares.
         upper = _two_step_entries(j, 1)
-        exact = {(a, a + 2): x for a, x in enumerate(upper)}
-        exact.update({(a + 2, a): mp.conj(x) for a, x in enumerate(upper)})
-        given_rows = _dimensionless_hamiltonian(h, wp)
-        h_tol = mp.mpf(10) ** (-h.precision + 3)
-        mismatch = max(
-            abs(given_rows[a][b] - exact.get((a, b), 0))
-            for a in range(n)
-            for b in range(n)
-        )
-        if mismatch > h_tol * (1 + max((abs(x) for x in upper), default=0)):
-            raise InvalidInputError(
-                "h is not the countertwisting Hamiltonian this spectrum "
-                f"describes (max coupling deviation {mp.nstr(mismatch, 5)})"
-            )
         polished = _polish_nodes(
             j, distinct, precision, mp.mpf(10) ** (-(precision // 2))
         )
@@ -555,7 +527,7 @@ def propagator_spectral(
         entries = tuple(tuple(+x for x in row) for row in m_rows)
         tau_out = +tau
     matrix = DenseOperator(
-        basis=h.basis, entries=entries, precision=precision
+        basis=BasisOrdering.for_spin(j), entries=entries, precision=precision
     )
     return Propagator(
         matrix=matrix, chi_t=tau_out, method=PropagatorMethod.SPECTRAL
@@ -572,9 +544,10 @@ def propagator_taylor(
     convergence at guarded precision, then squares back up.  Kept as a
     cross-validation oracle for :func:`propagator_spectral`.
 
-    :param h: Hamiltonian matrix; reduced by its recorded scale as in the
-        spectral route, so chi_t carries the full dimensionless time.
-    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T.
+    :param h: Hamiltonian matrix; divided by its recorded scale, so chi_t
+        carries the full dimensionless time.
+    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, or h has zero
+        scale.
     """
     _require_precision(precision)
     tau = _propagation_time(chi_t, precision + 15)
@@ -624,12 +597,13 @@ def propagator_taylor(
                     "exponential series failed to converge"
                 )
 
-        cols_cache = None
+        # fdot skips exact zeros: summing each squared entry over the nonzero
+        # entries of its left row only changes no bit.
         for _ in range(squarings):
-            cols_cache = [[total[a][b] for a in range(n)] for b in range(n)]
+            cols = list(zip(*total))
+            support = [[(k, x) for k, x in enumerate(row) if x != 0] for row in total]
             total = [
-                [mp.fdot(zip(total[a], cols_cache[b])) for b in range(n)]
-                for a in range(n)
+                [mp.fdot((x, col[k]) for k, x in nz) for col in cols] for nz in support
             ]
 
     with mp.workdps(precision):
@@ -673,7 +647,6 @@ def coherent_initial_state(j, precision: int = DEFAULT_PRECISION) -> StateVector
 def heisenberg_expectations(
     state: StateVector,
     u: Propagator,
-    j,
     precision: int = DEFAULT_PRECISION,
 ) -> ObservableSet:
     """First and second spin moments of the evolved state.
@@ -682,17 +655,15 @@ def heisenberg_expectations(
     evaluated as moments of φ = U·state.  All means are certified real to
     10^(-precision+5) scaled by the spin magnitude.
 
-    :raises InvalidInputError: state, propagator, and j disagree in dimension.
+    :raises InvalidInputError: state and propagator are for different spins.
     :raises InternalConsistencyError: a mean develops a non-negligible
         imaginary part (would indicate a broken propagator or operator).
     """
-    j = _require_spin(j)
     _require_precision(precision)
-    if state.basis.j != j:
-        raise InvalidInputError(f"state is for j={state.basis.j}, not j={j}")
+    j = state.basis.j
     if u.matrix.basis.j != j:
         raise InvalidInputError(
-            f"propagator is for j={u.matrix.basis.j}, not j={j}"
+            f"propagator is for j={u.matrix.basis.j}, state for j={j}"
         )
     n = j.n_states
     labels = state.basis.labels
@@ -744,15 +715,6 @@ def heisenberg_expectations(
         )
 
 
-def _check_same_spin(obs: ObservableSet, j) -> HalfInt:
-    j = _require_spin(j)
-    if obs.j != j:
-        raise InvalidInputError(
-            f"observables are for j={obs.j}, not j={j}"
-        )
-    return j
-
-
 def _mean_spin_defined(obs: ObservableSet):
     """|⟨Jx⟩| if above the definedness threshold, else None."""
     with mp.workdps(obs.precision):
@@ -762,36 +724,29 @@ def _mean_spin_defined(obs: ObservableSet):
         return magnitude
 
 
-def _xi_from_variance(obs: ObservableSet, j: HalfInt, variance):
+def _xi_from_variance(obs: ObservableSet, variance):
     """Wineland parameter sqrt(2j · variance) / |⟨Jx⟩|, None when undefined."""
     mean = _mean_spin_defined(obs)
     if mean is None:
         return None
     with mp.workdps(obs.precision):
-        return +(mp.sqrt(mp.mpf(j.twice_value) * variance) / mean)
+        return +(mp.sqrt(mp.mpf(obs.j.twice_value) * variance) / mean)
 
 
-def xi_y(obs: ObservableSet, j):
+def xi_y(obs: ObservableSet):
     """Squeezing parameter of the y quadrature; None when ⟨Jx⟩ vanishes.
 
     Values below 1 certify squeezing.
     """
-    j = _check_same_spin(obs, j)
-    return _xi_from_variance(obs, j, obs.var_jy)
+    return _xi_from_variance(obs, obs.var_jy)
 
 
-def xi_z(obs: ObservableSet, j):
+def xi_z(obs: ObservableSet):
     """Squeezing parameter of the z quadrature; None when ⟨Jx⟩ vanishes."""
-    j = _check_same_spin(obs, j)
-    return _xi_from_variance(obs, j, obs.var_jz)
+    return _xi_from_variance(obs, obs.var_jz)
 
 
-def correlation_xz(obs: ObservableSet):
-    """The symmetrized cross moment ⟨JxJz + JzJx⟩ at the sampled time."""
-    return obs.corr_xz
-
-
-def optimal_xi(obs: ObservableSet, j):
+def optimal_xi(obs: ObservableSet):
     """Minimum squeezing over all transverse quadratures, with its angle.
 
     The variance of cos(φ)Jy + sin(φ)Jz traces a circle in (cos 2φ, sin 2φ);
@@ -800,7 +755,6 @@ def optimal_xi(obs: ObservableSet, j):
     when ⟨Jx⟩ vanishes.  An isotropic covariance leaves the angle free and is
     reported as 0.
     """
-    j = _check_same_spin(obs, j)
     mean = _mean_spin_defined(obs)
     if mean is None:
         return None
@@ -816,7 +770,7 @@ def optimal_xi(obs: ObservableSet, j):
             angle = mp.mpf(0)
         else:
             angle = mp.atan2(-c, -half_diff) / 2
-        xi_min = mp.sqrt(mp.mpf(j.twice_value) * v_min) / mean
+        xi_min = mp.sqrt(mp.mpf(obs.j.twice_value) * v_min) / mean
         return (+xi_min, +angle)
 
 
@@ -830,21 +784,19 @@ def time_series(
     chi,
     t_max,
     steps: int,
-    observables=None,
     precision: int = DEFAULT_PRECISION,
 ) -> TimeSeries:
     """Squeezing observables on a uniform time grid from a fresh start point.
 
     Evolves the coherent +x state; every grid point rebuilds its propagator
     directly at that time from the exact spectrum (no stepping, no error
-    accumulation), so rows are independent and order-insensitive.
+    accumulation), so rows are independent and order-insensitive.  Every
+    column of TIME_SERIES_COLUMNS is filled.
 
     :param chi: coupling strength; the grid reports chi·t (or t itself when
         chi = 0, where the dynamics is constant).
     :param t_max: endpoint of the grid, > 0; the grid includes 0 and t_max.
     :param steps: number of grid points, at least 2.
-    :param observables: iterable of column names to keep (default: all of
-        TIME_SERIES_COLUMNS).
     """
     j = _require_spin(j)
     _require_precision(precision)
@@ -857,57 +809,37 @@ def time_series(
         raise InvalidInputError(f"t_max must be positive, got {t_max!r}")
     chi_value = _as_dimensionless_time(chi, precision)
 
-    if observables is None:
-        selected = TIME_SERIES_COLUMNS
-    else:
-        selected = tuple(observables)
-        unknown = [name for name in selected if name not in TIME_SERIES_COLUMNS]
-        if unknown:
-            raise InvalidInputError(
-                f"unknown observable columns {unknown!r}; choose from "
-                f"{TIME_SERIES_COLUMNS}"
-            )
-
     report = spectrum(j, precision)
-    h = build_h_ta(j, 1.0, precision)
     state = coherent_initial_state(j, precision)
 
     grid = []
-    rows = {name: [] for name in selected}
+    rows = []
     for i in range(steps):
         with mp.workdps(precision + 10):
             t_i = t_end * i / (steps - 1)
             chi_t_i = chi_value * t_i
         with mp.workdps(precision):
             grid.append(+(chi_t_i if chi_value != 0 else t_i))
-        u = propagator_spectral(j, chi_t_i, report, h, precision)
-        obs = heisenberg_expectations(state, u, j, precision)
-        opt = None
-        if "xi_opt" in rows or "opt_angle" in rows:
-            opt = optimal_xi(obs, j)
-        for name in selected:
-            if name == "jx_mean":
-                value = obs.mean_jx
-            elif name == "var_jy":
-                value = obs.var_jy
-            elif name == "var_jz":
-                value = obs.var_jz
-            elif name == "xi_y":
-                value = xi_y(obs, j)
-            elif name == "xi_z":
-                value = xi_z(obs, j)
-            elif name == "corr_xz":
-                value = obs.corr_xz
-            elif name == "xi_opt":
-                value = None if opt is None else opt[0]
-            else:
-                value = None if opt is None else opt[1]
-            rows[name].append(value)
+        u = propagator_spectral(report, chi_t_i, precision)
+        obs = heisenberg_expectations(state, u, precision)
+        xi_opt, opt_angle = optimal_xi(obs) or (None, None)
+        rows.append(
+            (
+                obs.mean_jx,
+                obs.var_jy,
+                obs.var_jz,
+                xi_y(obs),
+                xi_z(obs),
+                obs.corr_xz,
+                xi_opt,
+                opt_angle,
+            )
+        )
 
     return TimeSeries(
         j=j,
         chi=chi_value,
         precision=precision,
         grid=tuple(grid),
-        columns={name: tuple(values) for name, values in rows.items()},
+        columns=dict(zip(TIME_SERIES_COLUMNS, zip(*rows))),
     )

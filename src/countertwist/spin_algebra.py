@@ -223,12 +223,17 @@ class DenseOperator:
             raise InvalidInputError("operator dimensions do not match")
         n = self.dim
         with mp.workdps(max(self.precision, other.precision)):
+            # fsum skips exact zeros: summing over each left row's nonzero
+            # entries changes no bit (an all-zero row still gives mpc zeros).
+            zero = mp.mpc(0)
             rows = []
-            for a in range(n):
-                left = self.entries[a]
+            for left in self.entries:
+                nonzero = [(k, x) for k, x in enumerate(left) if x != 0]
                 rows.append(
                     tuple(
-                        mp.fsum(left[k] * other.entries[k][b] for k in range(n))
+                        mp.fsum(x * other.entries[k][b] for k, x in nonzero)
+                        if nonzero
+                        else zero
                         for b in range(n)
                     )
                 )

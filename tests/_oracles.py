@@ -7,6 +7,8 @@ general mpmath d-matrix rotation about y; the package only needs its
 beta = -pi case (the chiral operator) and builds that directly.
 ``build_h_f`` adds a z field to the countertwisting Hamiltonian, a variant
 the package does not model; the chiral operator still anticommutes with it.
+``dense_matmul`` is the product summed over every term, exact zeros
+included, against which the package's sparse-aware product is checked.
 """
 
 import math
@@ -187,3 +189,16 @@ def build_h_f(
         scale=h_ta.scale,
         hermitian=True,
     )
+
+
+def dense_matmul(a: DenseOperator, b: DenseOperator) -> tuple:
+    """Entries of a·b, each one fsum over all n products of its row and column."""
+    n = a.dim
+    with mp.workdps(max(a.precision, b.precision)):
+        return tuple(
+            tuple(
+                mp.fsum(row[k] * b.entries[k][col] for k in range(n))
+                for col in range(n)
+            )
+            for row in a.entries
+        )

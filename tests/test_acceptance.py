@@ -26,7 +26,6 @@ from countertwist import (
     chiral_operator,
     classify_solvability,
     coherent_initial_state,
-    correlation_xz,
     degeneracy_report,
     heisenberg_expectations,
     propagator_spectral,
@@ -169,17 +168,16 @@ def _printed_corr(s):
 def _spin2_pipeline_grid():
     """Pipeline observables for spin 2 on the shared (0, 3] grid."""
     report = spectrum(SPIN2, PRECISION)
-    h = build_h_ta(SPIN2, 1.0, PRECISION)
     state = coherent_initial_state(SPIN2, PRECISION)
     rows = []
     for k in range(1, GRID_POINTS + 1):
         s = mp.mpf(GRID_END) * k / GRID_POINTS
-        u = propagator_spectral(SPIN2, s, report, h, PRECISION)
-        obs = heisenberg_expectations(state, u, SPIN2, PRECISION)
-        rows.append((s, xi_y(obs, SPIN2), xi_z(obs, SPIN2), correlation_xz(obs)))
-    u0 = propagator_spectral(SPIN2, 0, report, h, PRECISION)
-    obs0 = heisenberg_expectations(state, u0, SPIN2, PRECISION)
-    at_zero = (xi_y(obs0, SPIN2), xi_z(obs0, SPIN2), correlation_xz(obs0))
+        u = propagator_spectral(report, s, PRECISION)
+        obs = heisenberg_expectations(state, u, PRECISION)
+        rows.append((s, xi_y(obs), xi_z(obs), obs.corr_xz))
+    u0 = propagator_spectral(report, 0, PRECISION)
+    obs0 = heisenberg_expectations(state, u0, PRECISION)
+    at_zero = (xi_y(obs0), xi_z(obs0), obs0.corr_xz)
     return tuple(rows), at_zero
 
 
@@ -304,11 +302,10 @@ def test_criterion_05_spin_two_propagator_closed_form():
     uniformly random dimensionless times in [0, 5] to 1e-12."""
     rng = random.Random(SEED)
     report = spectrum(SPIN2, PRECISION)
-    h = build_h_ta(SPIN2, 1.0, PRECISION)
     worst = mp.mpf(0)
     for _ in range(100):
         s = mp.mpf(rng.uniform(0.0, 5.0))
-        u = propagator_spectral(SPIN2, s, report, h, PRECISION)
+        u = propagator_spectral(report, s, PRECISION)
         reference = _closed_u_spin2(s)
         for a in range(5):
             for b in range(5):
@@ -426,7 +423,7 @@ def test_criterion_09_property_suites():
         if not (pair_gap < pair_tol and report.pairing_verified):
             failures.append(f"{label}: pairing gap {mp.nstr(pair_gap, 3)}")
 
-        u = propagator_spectral(j, sample_time, report, h, precision)
+        u = propagator_spectral(report, sample_time, precision)
         with mp.workdps(precision + 10):
             gram = u.matrix.dagger().matmul(u.matrix)
             unitarity = max(
@@ -438,7 +435,7 @@ def test_criterion_09_property_suites():
             failures.append(f"{label}: unitarity {mp.nstr(unitarity, 3)}")
 
         state = coherent_initial_state(j, precision)
-        observables = heisenberg_expectations(state, u, j, precision)
+        observables = heisenberg_expectations(state, u, precision)
         casimir_ref = mp.mpf(j.twice_value) * (j.twice_value + 2) / 4
         casimir_gap = abs(observables.casimir - casimir_ref)
         if not casimir_gap < tol_conserved:

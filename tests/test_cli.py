@@ -188,11 +188,14 @@ class TestCharpolyCommand:
             ("spectrum", "--j", "0"),
             ("classify", "--j", "0"),
             ("evolve", "--j", "0", "--t-max", "1", "--steps", "2"),
+            ("verify", "--j", "0"),
         ],
     )
     def test_spin_zero_elsewhere_exits_invalid(self, capsys, argv):
-        code, _, _ = _run(capsys, *argv)
+        code, out, err = _run(capsys, *argv)
         assert code == 2
+        assert out == ""
+        assert err == f"error: {argv[0]} needs j >= 1/2\n"
 
     def test_half_integer_rows_report_degeneracy(self, capsys):
         code, out, _ = _run(capsys, "charpoly", "--j", "9/2", "--format", "json")

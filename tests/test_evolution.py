@@ -27,7 +27,6 @@ from countertwist import (
     build_h_ta,
     chiral_operator,
     coherent_initial_state,
-    correlation_xz,
     heisenberg_expectations,
     optimal_xi,
     propagator_spectral,
@@ -37,6 +36,7 @@ from countertwist import (
     xi_y,
     xi_z,
 )
+from countertwist.cli import spectrum_from_json, spectrum_to_json
 from _oracles import build_h_f, wigner_rotation_y
 
 SEED = 20260825
@@ -71,9 +71,7 @@ def _unitarity_dev(u: Propagator) -> mp.mpf:
 
 def _spectral(twoj: int, tau, precision: int = DEFAULT_PRECISION) -> Propagator:
     j = _spin(twoj)
-    report = spectrum(j, precision)
-    h = build_h_ta(j, 1.0, precision)
-    return propagator_spectral(j, tau, report, h, precision)
+    return propagator_spectral(spectrum(j, precision), tau, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +263,12 @@ class TestPropagatorSpectral:
         assert u.chi_t == 0
 
     def test_j2_closed_form(self):
-        j = _spin(4)
-        report = spectrum(j)
-        h = build_h_ta(j, 1.0)
+        report = spectrum(_spin(4))
         rng = random.Random(SEED)
         times = [mp.mpf(k) / 8 for k in range(-4, 20)]
         times += [mp.mpf(rng.uniform(0.0, 5.0)) for _ in range(16)]
         for s in times:
-            u = propagator_spectral(j, s, report, h)
+            u = propagator_spectral(report, s)
             closed = _u_closed_j2(s)
             dev = max(
                 abs(u.matrix.entries[a][b] - closed[a][b])
@@ -295,7 +291,7 @@ class TestPropagatorSpectral:
         report = spectrum(j)
         h = build_h_ta(j, 1.0)
         tau = mp.mpf("0.37")
-        u = propagator_spectral(j, tau, report, h)
+        u = propagator_spectral(report, tau)
         oracle = propagator_taylor(h, tau)
         assert u.matrix.max_abs_diff(oracle.matrix) < mp.mpf("1e-28")
 
@@ -303,10 +299,9 @@ class TestPropagatorSpectral:
     def test_group_inverse(self, twoj):
         j = _spin(twoj)
         report = spectrum(j)
-        h = build_h_ta(j, 1.0)
         tau = mp.mpf("0.77")
-        forward = propagator_spectral(j, tau, report, h)
-        backward = propagator_spectral(j, -tau, report, h)
+        forward = propagator_spectral(report, tau)
+        backward = propagator_spectral(report, -tau)
         prod = forward.matrix.matmul(backward.matrix)
         ident = DenseOperator.identity(prod.basis, prod.precision)
         assert prod.max_abs_diff(ident) < mp.mpf("1e-31")
@@ -316,43 +311,25 @@ class TestPropagatorSpectral:
         assert _unitarity_dev(u) < mp.mpf("1e-12")
         assert _unitarity_dev(u) < mp.mpf("1e-29")
 
-    def test_report_spin_mismatch(self):
-        report = spectrum(HalfInt(2))
-        h = build_h_ta(HalfInt(4), 1.0)
-        with pytest.raises(InvalidInputError):
-            propagator_spectral(HalfInt(4), 0.1, report, h)
-
-    def test_hamiltonian_spin_mismatch(self):
-        report = spectrum(HalfInt(4))
-        h = build_h_ta(HalfInt(2), 1.0)
-        with pytest.raises(InvalidInputError):
-            propagator_spectral(HalfInt(4), 0.1, report, h)
-
     def test_zero_scale_rejected(self):
-        j = HalfInt(4)
-        report = spectrum(j)
-        h = build_h_ta(j, 0.0)
+        # The spectral route reads no Hamiltonian; the Taylor route divides
+        # h by its recorded scale and must refuse a zero coupling.
+        h = build_h_ta(HalfInt(4), 0.0)
         with pytest.raises(InvalidInputError):
-            propagator_spectral(j, 0.1, report, h)
+            propagator_taylor(h, 0.1)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), "later"])
     def test_bad_time_rejected(self, bad):
-        j = HalfInt(4)
-        report = spectrum(j)
-        h = build_h_ta(j, 1.0)
         with pytest.raises(InvalidInputError):
-            propagator_spectral(j, bad, report, h)
+            propagator_spectral(spectrum(HalfInt(4)), bad)
 
     @pytest.mark.parametrize("huge", [mp.mpf("1e400"), Fraction(-(10**301))])
     def test_huge_time_rejected(self, huge):
-        j = HalfInt(4)
         with pytest.raises(InvalidInputError, match="chi_t"):
-            propagator_spectral(j, huge, spectrum(j), build_h_ta(j, 1.0))
+            propagator_spectral(spectrum(HalfInt(4)), huge)
 
     def test_near_degenerate_report_rejected(self):
-        j = HalfInt(2)
-        report = spectrum(j)
-        h = build_h_ta(j, 1.0)
+        report = spectrum(HalfInt(2))
         squeezed = dataclasses.replace(
             report.eigenvalues[-1], value=mp.mpf("1e-21")
         )
@@ -362,26 +339,29 @@ class TestPropagatorSpectral:
             pairing_verified=False,
         )
         with pytest.raises(IllConditionedError):
-            propagator_spectral(j, 0.1, tight, h)
+            propagator_spectral(tight, 0.1)
 
     def test_large_spin_needs_higher_precision(self):
-        j = HalfInt(60)
-        report = spectrum(j)
-        h = build_h_ta(j, 1.0)
+        report = spectrum(HalfInt(60))
         with pytest.raises(IllConditionedError):
-            propagator_spectral(j, 0.3, report, h)
+            propagator_spectral(report, 0.3)
 
     def test_large_spin_succeeds_at_higher_precision(self):
-        j = HalfInt(60)
-        report = spectrum(j, precision=50)
-        h = build_h_ta(j, 1.0, precision=50)
-        u = propagator_spectral(j, 0.3, report, h, precision=50)
+        report = spectrum(HalfInt(60), precision=50)
+        u = propagator_spectral(report, 0.3, precision=50)
         assert _unitarity_dev(u) < mp.mpf("1e-44")
 
     def test_deterministic(self):
         first = _spectral(9, 1.234)
         second = _spectral(9, 1.234)
         assert first.matrix.entries == second.matrix.entries
+
+    @pytest.mark.parametrize("twoj", [4, 7, 20])
+    def test_report_is_the_whole_input(self, twoj):
+        report = spectrum(_spin(twoj))
+        parsed = spectrum_from_json(spectrum_to_json(report, DEFAULT_PRECISION))
+        direct = propagator_spectral(report, 0.83).matrix.entries
+        assert propagator_spectral(parsed, 0.83).matrix.entries == direct
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +440,7 @@ def test_spectral_agrees_with_taylor(twoj):
     worst = mp.mpf(0)
     for _ in range(ORACLE_TIME_COUNTS[twoj]):
         tau = mp.mpf(rng.uniform(0.01, 1.8))
-        u = propagator_spectral(j, tau, report, h)
+        u = propagator_spectral(report, tau)
         oracle = propagator_taylor(h, tau)
         worst = max(worst, u.matrix.max_abs_diff(oracle.matrix))
     assert worst < mp.mpf("1e-10")
@@ -495,10 +475,9 @@ def test_unitarity_large_spins(twoj):
 def test_chiral_conjugation_reverses_time(twoj):
     j = _spin(twoj)
     report = spectrum(j)
-    h = build_h_ta(j, 1.0)
     tau = mp.mpf("0.61")
-    forward = propagator_spectral(j, tau, report, h)
-    backward = propagator_spectral(j, -tau, report, h)
+    forward = propagator_spectral(report, tau)
+    backward = propagator_spectral(report, -tau)
     r = chiral_operator(j)
     conjugated = r.matmul(forward.matrix).matmul(r.dagger())
     assert conjugated.max_abs_diff(backward.matrix) < mp.mpf("1e-10")
@@ -550,7 +529,7 @@ class TestCoherentInitialState:
         j = _spin(twoj)
         state = coherent_initial_state(j)
         u = _spectral(twoj, 0)
-        obs = heisenberg_expectations(state, u, j)
+        obs = heisenberg_expectations(state, u)
         half = mp.mpf(twoj) / 2
         assert abs(obs.mean_jx - half) < mp.mpf("1e-32")
         assert abs(obs.mean_jy) < mp.mpf("1e-32")
@@ -575,7 +554,7 @@ class TestHeisenbergExpectations:
     def test_t0_reference_values(self):
         j = HalfInt(4)
         state = coherent_initial_state(j)
-        obs = heisenberg_expectations(state, _spectral(4, 0), j)
+        obs = heisenberg_expectations(state, _spectral(4, 0))
         assert abs(obs.mean_jx - 2) < mp.mpf("1e-32")
         assert abs(obs.var_jy - 1) < mp.mpf("1e-32")
         assert abs(obs.var_jz - 1) < mp.mpf("1e-32")
@@ -585,7 +564,7 @@ class TestHeisenbergExpectations:
         j = HalfInt(4)
         state = coherent_initial_state(j)
         s = mp.mpf("0.4")
-        obs = heisenberg_expectations(state, _spectral(4, s), j)
+        obs = heisenberg_expectations(state, _spectral(4, s))
         assert abs(obs.mean_jx - _jx_closed_j2(s)) < mp.mpf("1e-30")
 
     @pytest.mark.parametrize("twoj", [1, 2, 3, 4, 5, 7, 9, 12])
@@ -598,8 +577,8 @@ class TestHeisenbergExpectations:
         rng = random.Random(SEED + 100 + twoj)
         for _ in range(4):
             tau = mp.mpf(rng.uniform(0.0, 3.0))
-            u = propagator_spectral(j, tau, report, h)
-            obs = heisenberg_expectations(state, u, j)
+            u = propagator_spectral(report, tau)
+            obs = heisenberg_expectations(state, u)
             assert abs(obs.casimir - casimir_ref) < mp.mpf("1e-30")
             phi = u.matrix.matvec(state.amplitudes)
             energy = mp.fsum(
@@ -612,23 +591,19 @@ class TestHeisenbergExpectations:
         state = coherent_initial_state(HalfInt(2))
         u = _spectral(4, 0.5)
         with pytest.raises(InvalidInputError):
-            heisenberg_expectations(state, u, HalfInt(4))
-        with pytest.raises(InvalidInputError):
-            heisenberg_expectations(
-                coherent_initial_state(HalfInt(4)), u, HalfInt(2)
-            )
+            heisenberg_expectations(state, u)
 
     def test_means_are_real_scalars(self):
         j = HalfInt(5)
         state = coherent_initial_state(j)
-        obs = heisenberg_expectations(state, _spectral(5, 0.9), j)
+        obs = heisenberg_expectations(state, _spectral(5, 0.9))
         for value in (obs.mean_jx, obs.mean_jy, obs.mean_jz, obs.corr_xz):
             assert isinstance(value, mp.mpf)
 
     def test_variance_clamp_nonnegative(self):
         j = HalfInt(4)
         state = coherent_initial_state(j)
-        obs = heisenberg_expectations(state, _spectral(4, 0), j)
+        obs = heisenberg_expectations(state, _spectral(4, 0))
         assert obs.var_jx >= 0
 
     @pytest.mark.parametrize("twoj", range(1, 21))
@@ -636,7 +611,7 @@ class TestHeisenbergExpectations:
         j = _spin(twoj)
         state = coherent_initial_state(j)
         u = _spectral(twoj, 0.61)
-        obs = heisenberg_expectations(state, u, j)
+        obs = heisenberg_expectations(state, u)
         assert obs == _dense_moments(state, u, j)
 
 
@@ -685,34 +660,32 @@ def _dense_moments(state, u, j, precision=DEFAULT_PRECISION):
 def _j2_observables(s):
     j = HalfInt(4)
     state = coherent_initial_state(j)
-    return heisenberg_expectations(state, _spectral(4, s), j)
+    return heisenberg_expectations(state, _spectral(4, s))
 
 
 class TestSqueezingClosedForms:
     def test_unity_at_zero(self):
-        j = HalfInt(4)
         obs = _j2_observables(mp.mpf(0))
-        assert abs(xi_y(obs, j) - 1) < mp.mpf("1e-32")
-        assert abs(xi_z(obs, j) - 1) < mp.mpf("1e-32")
+        assert abs(xi_y(obs) - 1) < mp.mpf("1e-32")
+        assert abs(xi_z(obs) - 1) < mp.mpf("1e-32")
         assert abs(_xi_y_closed_j2(mp.mpf(0)) - 1) < mp.mpf("1e-40")
         assert abs(_xi_z_closed_j2(mp.mpf(0)) - 1) < mp.mpf("1e-40")
 
     def test_closed_forms_on_grid(self):
         j = HalfInt(4)
         report = spectrum(j)
-        h = build_h_ta(j, 1.0)
         state = coherent_initial_state(j)
         worst_y = worst_z = worst_c = mp.mpf(0)
         for k in range(1, 81):
             s = mp.mpf(3) * k / 80
-            u = propagator_spectral(j, s, report, h)
-            obs = heisenberg_expectations(state, u, j)
-            value_y, value_z = xi_y(obs, j), xi_z(obs, j)
+            u = propagator_spectral(report, s)
+            obs = heisenberg_expectations(state, u)
+            value_y, value_z = xi_y(obs), xi_z(obs)
             assert value_y is not None and value_z is not None
             worst_y = max(worst_y, abs(value_y - _xi_y_closed_j2(s)))
             worst_z = max(worst_z, abs(value_z - _xi_z_closed_j2(s)))
             worst_c = max(
-                worst_c, abs(correlation_xz(obs) - _corr_closed_j2(s))
+                worst_c, abs(obs.corr_xz - _corr_closed_j2(s))
             )
         assert worst_y < mp.mpf("1e-28")
         assert worst_z < mp.mpf("1e-28")
@@ -720,7 +693,7 @@ class TestSqueezingClosedForms:
 
     def test_correlation_zero_at_start(self):
         obs = _j2_observables(mp.mpf(0))
-        assert abs(correlation_xz(obs)) < mp.mpf("1e-32")
+        assert abs(obs.corr_xz) < mp.mpf("1e-32")
 
     def test_variances_match_closed_forms(self):
         s = mp.mpf("1.234")
@@ -748,23 +721,14 @@ def _fake_obs_with_mean(mean_jx):
 class TestUndefinedSqueezing:
     def test_vanishing_mean_spin_gives_none(self):
         obs = _fake_obs_with_mean("1e-20")
-        j = HalfInt(4)
-        assert xi_y(obs, j) is None
-        assert xi_z(obs, j) is None
-        assert optimal_xi(obs, j) is None
+        assert xi_y(obs) is None
+        assert xi_z(obs) is None
+        assert optimal_xi(obs) is None
 
     def test_above_threshold_defined(self):
         obs = _fake_obs_with_mean("1e-10")
-        j = HalfInt(4)
-        assert xi_y(obs, j) is not None
-        assert optimal_xi(obs, j) is not None
-
-    def test_spin_mismatch_rejected(self):
-        obs = _fake_obs_with_mean(2)
-        with pytest.raises(InvalidInputError):
-            xi_y(obs, HalfInt(2))
-        with pytest.raises(InvalidInputError):
-            optimal_xi(obs, HalfInt(2))
+        assert xi_y(obs) is not None
+        assert optimal_xi(obs) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -788,21 +752,19 @@ def _scan_min_variance(obs, points=10**4):
 
 class TestOptimalXi:
     def test_isotropic_start(self):
-        j = HalfInt(4)
         obs = _j2_observables(mp.mpf(0))
-        xi_min, angle = optimal_xi(obs, j)
+        xi_min, angle = optimal_xi(obs)
         assert abs(xi_min - 1) < mp.mpf("1e-32")
         assert angle == 0
 
     def test_brute_force_scan_example(self):
-        j = HalfInt(4)
         obs = _j2_observables(mp.mpf("0.25"))
-        xi_min, angle = optimal_xi(obs, j)
+        xi_min, angle = optimal_xi(obs)
         scan = mp.sqrt(4 * _scan_min_variance(obs)) / abs(obs.mean_jx)
         assert abs(xi_min - scan) < mp.mpf("1e-8")
         assert xi_min <= scan + mp.mpf("1e-30")
-        assert xi_min <= xi_y(obs, j) + mp.mpf("1e-30")
-        assert xi_min <= xi_z(obs, j) + mp.mpf("1e-30")
+        assert xi_min <= xi_y(obs) + mp.mpf("1e-30")
+        assert xi_min <= xi_z(obs) + mp.mpf("1e-30")
         variance_at_angle = (
             mp.cos(angle) ** 2 * obs.var_jy
             + mp.sin(angle) ** 2 * obs.var_jz
@@ -819,8 +781,8 @@ class TestOptimalXi:
             j = _spin(twoj)
             state = coherent_initial_state(j)
             tau = mp.mpf(rng.uniform(0.05, 3.0))
-            obs = heisenberg_expectations(state, _spectral(twoj, tau), j)
-            result = optimal_xi(obs, j)
+            obs = heisenberg_expectations(state, _spectral(twoj, tau))
+            result = optimal_xi(obs)
             if result is None:
                 continue
             xi_min, _ = result
@@ -833,17 +795,16 @@ class TestOptimalXi:
     def test_bounded_by_axis_parameters_on_grid(self):
         j = HalfInt(4)
         report = spectrum(j)
-        h = build_h_ta(j, 1.0)
         state = coherent_initial_state(j)
         for k in range(1, 41):
             s = mp.mpf(3) * k / 40
-            u = propagator_spectral(j, s, report, h)
-            obs = heisenberg_expectations(state, u, j)
-            result = optimal_xi(obs, j)
+            u = propagator_spectral(report, s)
+            obs = heisenberg_expectations(state, u)
+            result = optimal_xi(obs)
             assert result is not None
             xi_min, _ = result
-            assert xi_min <= xi_y(obs, j) + mp.mpf("1e-30")
-            assert xi_min <= xi_z(obs, j) + mp.mpf("1e-30")
+            assert xi_min <= xi_y(obs) + mp.mpf("1e-30")
+            assert xi_min <= xi_z(obs) + mp.mpf("1e-30")
 
 
 # ---------------------------------------------------------------------------
@@ -863,13 +824,27 @@ class TestTimeSeries:
         assert all(abs(d - mp.mpf(1) / 2) < mp.mpf("1e-33") for d in steps)
         assert set(series.columns) == set(TIME_SERIES_COLUMNS)
 
-    def test_column_subset(self):
-        series = time_series(HalfInt(4), 1.0, 1.0, 3, observables=("xi_z",))
-        assert set(series.columns) == {"xi_z"}
-
-    def test_unknown_observable_rejected(self):
-        with pytest.raises(InvalidInputError):
-            time_series(HalfInt(4), 1.0, 1.0, 3, observables=("vorticity",))
+    @pytest.mark.parametrize("twoj", [1, 4, 5])
+    def test_columns_equal_per_point_calls(self, twoj):
+        j = _spin(twoj)
+        # chi·t on this grid (0, 1/2, 1, 3/2) is exact at every precision.
+        series = time_series(j, 1, Fraction(3, 2), 4)
+        assert list(series.columns) == list(TIME_SERIES_COLUMNS)
+        report = spectrum(j)
+        state = coherent_initial_state(j)
+        for i, chi_t in enumerate(series.grid):
+            obs = heisenberg_expectations(state, propagator_spectral(report, chi_t))
+            expected = (
+                obs.mean_jx,
+                obs.var_jy,
+                obs.var_jz,
+                xi_y(obs),
+                xi_z(obs),
+                obs.corr_xz,
+                *(optimal_xi(obs) or (None, None)),
+            )
+            row = tuple(series.columns[name][i] for name in TIME_SERIES_COLUMNS)
+            assert row == expected
 
     @pytest.mark.parametrize("steps", [1, 0, -2, True, 2.0])
     def test_bad_steps_rejected(self, steps):

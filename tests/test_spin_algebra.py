@@ -16,9 +16,13 @@ from countertwist import (
     build_h_ta,
     build_ladder,
     chiral_operator,
+    propagator_spectral,
+    propagator_taylor,
+    spectrum,
 )
 from _oracles import (
     build_h_f,
+    dense_matmul,
     numpy_h_ta,
     numpy_rotation_y,
     numpy_spin_ops,
@@ -332,6 +336,28 @@ def test_hermitian_flag_verified():
             basis, [[0, 1j], [1j, 0]], precision=20, hermitian=True
         )
     DenseOperator.from_rows(basis, [[0, 1j], [-1j, 0]], precision=20, hermitian=True)
+
+
+@pytest.mark.parametrize("twoj", [1, 4, 21])
+def test_matmul_equals_all_terms_product(twoj):
+    # Skipping the exact zeros of each left row keeps every value and type,
+    # down to the complex zeros between the chains.
+    j = HalfInt(twoj)
+    h = build_h_ta(j, 1.0)
+    operands = [
+        h,
+        chiral_operator(j),
+        *build_cartesian(j),
+        propagator_spectral(spectrum(j), 0.7).matrix,
+        propagator_taylor(h, 0.7).matrix,
+    ]
+    for a in operands:
+        for b in operands:
+            got, want = a.matmul(b).entries, dense_matmul(a, b)
+            assert got == want
+            assert [list(map(type, row)) for row in got] == [
+                list(map(type, row)) for row in want
+            ]
 
 
 def test_matmul_dimension_mismatch():

@@ -91,6 +91,15 @@ from .spin_algebra import (
 
 MIN_PRECISION = 15
 
+# Resource caps, checked before any arithmetic.  The cheapest run,
+# ``evolve --j 1/2 --t-max 1 --steps 2``, took 0.19 s at 12 800 digits,
+# 0.44 s at 25 600 and 1.9 s at 51 200 (about 4x per doubling; 4.8 s for
+# j = 1), so 10^5 digits keeps it near ten seconds.  A grid point at j = 1/2
+# and 34 digits takes about 0.46 ms and keeps eight values, so 10^5 points
+# take under a minute and some hundred megabytes.
+MAX_PRECISION = 100_000
+MAX_STEPS = 100_000
+
 # Verification tolerances: structural identities at 1e-12, conserved
 # quantities at 1e-10 (scaled by the magnitude of the reference value).
 TOL_STRUCTURE = "1e-12"
@@ -131,8 +140,8 @@ class RunConfig:
     :param j: spin magnitude (None only for the all-rows table report).
     :param chi: coupling strength, exact rational.
     :param t_max: grid endpoint for the time series.
-    :param steps: number of grid points (>= 2 for ``evolve``).
-    :param precision: working decimal digits (>= 15).
+    :param steps: number of grid points (2 .. MAX_STEPS for ``evolve``).
+    :param precision: working decimal digits (MIN_PRECISION .. MAX_PRECISION).
     :param format: output format, restricted per command.
     :param output: destination path, or None for stdout.
     :param inject_fault: flip one coupling sign before verifying — a
@@ -154,6 +163,10 @@ class RunConfig:
             raise InvalidInputError(
                 f"precision must be at least {MIN_PRECISION}, got {self.precision}"
             )
+        if self.precision > MAX_PRECISION:
+            raise InvalidInputError(
+                f"precision must be at most {MAX_PRECISION}, got {self.precision}"
+            )
         if self.format not in _ALLOWED_FORMATS[self.command]:
             raise InvalidInputError(
                 f"format {self.format!r} is not available for "
@@ -166,6 +179,10 @@ class RunConfig:
             if self.steps is None or self.steps < 2:
                 raise InvalidInputError(
                     f"evolve requires at least 2 grid points, got {self.steps}"
+                )
+            if self.steps > MAX_STEPS:
+                raise InvalidInputError(
+                    f"evolve allows at most {MAX_STEPS} grid points, got {self.steps}"
                 )
         if self.command is not Command.TABLE1 and self.j is None:
             raise InvalidInputError(f"{self.command.value} requires --j")
@@ -831,7 +848,7 @@ def _add_common_arguments(
         "--precision",
         type=int,
         default=DEFAULT_PRECISION,
-        help=f"working decimal digits, at least {MIN_PRECISION} "
+        help=f"working decimal digits, {MIN_PRECISION} to {MAX_PRECISION} "
         f"(default {DEFAULT_PRECISION})",
     )
     formats = _ALLOWED_FORMATS[command]
@@ -913,7 +930,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps",
         type=int,
         required=True,
-        help="number of grid points including both endpoints (at least 2)",
+        help="number of grid points including both endpoints "
+        f"(2 to {MAX_STEPS})",
     )
 
     table1 = subparsers.add_parser(

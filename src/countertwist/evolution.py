@@ -13,12 +13,15 @@ precision; every propagator is certified unitary at construction.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import fone, from_int, fzero, mpc_exp, mpc_pos, mpf_mul, mpf_neg, mpf_sub
 
+from . import _kernels
 from .charpoly import block_polynomials
 from .errors import (
     IllConditionedError,
@@ -36,6 +39,7 @@ from .spin_algebra import (
     _require_precision,
     _require_spin,
     _two_step_entries,
+    two_step_coupling_squared,
 )
 
 __all__ = [
@@ -102,6 +106,11 @@ def _propagation_time(chi_t, precision: int):
     return value
 
 
+def _as_pair(x):
+    """The raw (re, im) pair of an mpmath complex or real scalar."""
+    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -160,7 +169,8 @@ class Propagator:
     (checked at construction; violation raises NumericFailureError).
 
     Each Gram entry (U†U)[a][b] is an exactly rounded sum at precision p over
-    the rows k where U[k][a] and U[k][b] are both nonzero.
+    the rows k where U[k][a] and U[k][b] are both nonzero; it is formed for
+    a <= b only, (U†U)[b][a] being its bitwise conjugate.
     """
 
     matrix: DenseOperator
@@ -170,24 +180,16 @@ class Propagator:
 
     def __post_init__(self) -> None:
         p = self.matrix.precision
-        support = [
-            {k: row[a] for k, row in enumerate(self.matrix.entries) if row[a] != 0}
-            for a in range(self.matrix.dim)
-        ]
+        columns = [[] for _ in range(self.matrix.dim)]
+        for k, row in enumerate(self.matrix.entries):
+            for a, pair in enumerate(map(_as_pair, row)):
+                if pair != _kernels.ZERO:
+                    columns[a].append((k, pair))
         with mp.workdps(p):
-            gram = [
-                [
-                    mp.fsum(mp.conj(x) * cb[k] for k, x in ca.items() if k in cb)
-                    for cb in support
-                ]
-                for ca in support
-            ]
+            prec, rnd = mp._prec_rounding
         with mp.workdps(p + 10):
-            worst = max(
-                abs(x - (1 if a == b else 0))
-                for a, row in enumerate(gram)
-                for b, x in enumerate(row)
-            )
+            check_prec = mp.prec
+            worst = mp.make_mpf(_kernels.gram_defect(columns, prec, check_prec, rnd))
             if worst > mp.mpf(10) ** (-p + 5):
                 raise NumericFailureError(
                     f"propagator fails unitarity: ||U†U - I||_max = "
@@ -375,19 +377,28 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
     (each distinct eigenvalue is a simple root of one of them).
     """
     chain_a, chain_b = block_polynomials(j)
-    pairs = [(chain_a, chain_a.derivative())]
+    polys = [chain_a]
     if chain_b.coefficients != chain_a.coefficients:
-        pairs.append((chain_b, chain_b.derivative()))
+        polys.append(chain_b)
+    pairs = [
+        tuple([from_int(c) for c in q.coefficients] for q in (poly, poly.derivative()))
+        for poly in polys
+    ]
+    prec, rnd = mp._prec_rounding
+
+    def evaluate(coefficients, x):
+        return mp.make_mpf(_kernels.int_horner(coefficients, x._mpf_, prec, rnd))
+
     polished = []
     tol = mp.mpf(10) ** (-precision + 2)
     for seed in seeds:
         x = mp.mpf(seed)
         best = None
         for poly, deriv in pairs:
-            slope = deriv.evaluate(x)
+            slope = evaluate(deriv, x)
             if slope == 0:
                 continue
-            step = poly.evaluate(x) / slope
+            step = evaluate(poly, x) / slope
             if best is None or abs(step) < abs(best[2]):
                 best = (poly, deriv, step)
         if best is None:
@@ -398,10 +409,10 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
         poly, deriv, step = best
         for _ in range(3):
             x = x - step
-            slope = deriv.evaluate(x)
+            slope = evaluate(deriv, x)
             if slope == 0:
                 break
-            step = poly.evaluate(x) / slope
+            step = evaluate(poly, x) / slope
         if abs(step) > tol * (1 + abs(x)):
             raise InvalidInputError(
                 "spectrum report values are not eigenvalues of this "
@@ -416,6 +427,74 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
             "spectrum report values collapse onto the same eigenvalue"
         )
     return polished
+
+
+def _chain_coupling_squares(j: HalfInt) -> tuple[list, list]:
+    """Exact integer coupling squares of the even-index and odd-index chains."""
+    squares = [
+        two_step_coupling_squared(j, m) for m in BasisOrdering.for_spin(j).labels[2:]
+    ]
+    return squares[0::2], squares[1::2]
+
+
+def _twin_chains(j: HalfInt) -> bool:
+    """True when the odd-index chain is the even-index chain's twin: both
+    have the same length and the odd chain's coupling squares are the even
+    chain's in reverse order."""
+    n = j.n_states
+    even, odd = _chain_coupling_squares(j)
+    return len(range(0, n, 2)) == len(range(1, n, 2)) and odd == even[::-1]
+
+
+@dataclass(frozen=True)
+class _SeriesSetup:
+    """What every grid point of one spectral series shares at one working
+    precision: the polished nodes in Leja order, the rounded node gaps
+    ``gaps[k][i] = nodes[i] - nodes[i - k]``, the imaginary parts of the
+    two chains' couplings (their real parts are exact zeros), whether the
+    odd chain is the even one's twin, and whether each chain is its own
+    twin (its coupling squares a palindrome)."""
+
+    nodes: tuple
+    gaps: tuple
+    ups: tuple
+    twin: bool
+    palindromes: tuple
+
+
+@functools.lru_cache(maxsize=32)
+def _series_setup(j: HalfInt, seeds: tuple, precision: int, wp: int) -> _SeriesSetup:
+    """The wp-dependent set-up of :func:`propagator_spectral`, once per key.
+
+    A function of its arguments alone (seeds are the report's eigenvalues),
+    so a cached value is the one a fresh computation would give.
+    """
+    n = j.n_states
+    with mp.workdps(wp):
+        prec, rnd = mp._prec_rounding
+        # The propagator is far more sensitive to coupling error than to any
+        # other rounding: the couplings come from their exact integer squares.
+        upper = [z._mpc_ for z in _two_step_entries(j, 1)]
+        if any(re != fzero for re, _ in upper):
+            raise InternalConsistencyError("chain couplings must be imaginary")
+        polished = _polish_nodes(
+            j, seeds, precision, mp.mpf(10) ** (-(precision // 2))
+        )
+        nodes = tuple(polished[i]._mpf_ for i in _leja_order(seeds))
+        gaps = tuple(
+            tuple(
+                mpf_sub(nodes[i], nodes[i - k], prec, rnd) if i >= k else None
+                for i in range(len(nodes))
+            )
+            for k in range(len(nodes))
+        )
+    return _SeriesSetup(
+        nodes=nodes,
+        gaps=gaps,
+        ups=tuple(tuple(im for _, im in upper[start : n - 2 : 2]) for start in (0, 1)),
+        twin=_twin_chains(j),
+        palindromes=tuple(sq == sq[::-1] for sq in _chain_coupling_squares(j)),
+    )
 
 
 def propagator_spectral(
@@ -472,59 +551,40 @@ def propagator_spectral(
     span = float(distinct[-1] - distinct[0]) if n_nodes >= 2 else 0.0
     guard = _interpolation_guard_digits(span, float(tau), n_nodes, min_gap)
     wp = precision + guard
-    n = j.n_states
+    setup = _series_setup(j, tuple(distinct), precision, wp)
 
     with mp.workdps(wp):
-        # The propagator is far more sensitive to coupling error than to any
-        # other rounding: the couplings come from their exact integer squares.
-        upper = _two_step_entries(j, 1)
-        polished = _polish_nodes(
-            j, distinct, precision, mp.mpf(10) ** (-(precision // 2))
-        )
-        order = _leja_order(distinct)
-        nodes = [polished[i] for i in order]
-        tau_w = mp.mpf(tau)
-        values = [mp.exp(mp.mpc(0, -1) * x * tau_w) for x in nodes]
-
-        # Newton divided differences on the Leja-ordered nodes.
-        coeffs = list(values)
-        for k in range(1, n_nodes):
-            for i in range(n_nodes - 1, k - 1, -1):
-                coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (
-                    nodes[i] - nodes[i - k]
-                )
-
+        prec, rnd = mp._prec_rounding
+        tau_w = mp.mpf(tau)._mpf_
+        # exp(-i x tau) at each node, in Newton form on the Leja-ordered nodes.
+        values = [
+            mpc_exp((fzero, mpf_mul(mpf_neg(x), tau_w, prec, rnd)), prec, rnd)
+            for x in setup.nodes
+        ]
+        coeffs = _kernels.newton_coefficients(values, setup.gaps, prec, rnd)
         # Horner evaluation M <- (A - x_k) M + c_k I on each chain block; the
-        # entries between the chains are exact zeros.  A missing neighbour at
-        # a chain end enters as an exact zero, which changes no rounding.
-        zero = mp.mpc(0)
-        m_rows = [[zero] * n for _ in range(n)]
-        for chain in (range(0, n, 2), range(1, n, 2)):
-            size = len(chain)
-            downs = [zero] + [mp.conj(upper[a - 2]) for a in chain[1:]]
-            ups = [upper[a] for a in chain[:-1]] + [zero]
-            pad = [[zero] * size]
-            block = [
-                [coeffs[-1] if i == c else zero for c in range(size)]
-                for i in range(size)
-            ]
-            for k in range(n_nodes - 2, -1, -1):
-                shift, c_k = nodes[k], coeffs[k]
-                padded = pad + block + pad
-                new_block = []
-                for i, (row, down, up) in enumerate(zip(block, downs, ups)):
-                    new_row = [
-                        down * x1 + up * x2 - shift * xa
-                        for x1, x2, xa in zip(padded[i], padded[i + 2], row)
-                    ]
-                    new_row[i] += c_k
-                    new_block.append(new_row)
-                block = new_block
-            for a, row in zip(chain, block):
-                m_rows[a][chain.start :: 2] = row
+        # entries between the chains are exact zeros.
+        planes_a = _kernels.chain_horner(
+            coeffs, setup.nodes, setup.ups[0], prec, rnd, setup.palindromes[0]
+        )
+        if setup.twin:
+            planes_b = tuple(map(_kernels.mirror, planes_a))
+        else:
+            planes_b = _kernels.chain_horner(
+                coeffs, setup.nodes, setup.ups[1], prec, rnd, setup.palindromes[1]
+            )
 
+    n = j.n_states
     with mp.workdps(precision):
-        entries = tuple(tuple(+x for x in row) for row in m_rows)
+        prec, rnd = mp._prec_rounding
+        zero = mp.mpc(0)
+        rows = [[zero] * n for _ in range(n)]
+        for start, (re, im) in enumerate((planes_a, planes_b)):
+            for a, row_re, row_im in zip(range(start, n, 2), re, im):
+                rows[a][start::2] = [
+                    mp.make_mpc(mpc_pos(x, prec, rnd)) for x in zip(row_re, row_im)
+                ]
+        entries = tuple(map(tuple, rows))
         tau_out = +tau
     matrix = DenseOperator(
         basis=BasisOrdering.for_spin(j), entries=entries, precision=precision
@@ -562,35 +622,25 @@ def propagator_taylor(
     wp = precision + 10 + squarings
 
     with mp.workdps(wp):
+        prec, rnd = mp._prec_rounding
         factor = mp.mpc(0, -1) * mp.mpf(tau) / (1 << squarings)
-        b_rows = [[factor * x for x in row] for row in a_rows]
+        b_rows = [[(factor * x)._mpc_ for x in row] for row in a_rows]
         # Nonzero generator entries per row (diagonal included), in column order.
-        nz = [[(b, v) for b, v in enumerate(row) if v != 0] for row in b_rows]
-        tol = mp.mpf(10) ** (-wp - 3)
+        nz = [[(b, v) for b, v in enumerate(row) if v != _kernels.ZERO] for row in b_rows]
+        tol = (mp.mpf(10) ** (-wp - 3))._mpf_
 
-        zero = mp.mpc(0)
-        one = mp.mpc(1)
-        total = [[one if a == b else zero for b in range(n)] for a in range(n)]
-        term = [row[:] for row in total]
+        total = [
+            [(fone, fzero) if a == b else _kernels.ZERO for b in range(n)]
+            for a in range(n)
+        ]
+        term = total
         k = 0
         while True:
             k += 1
-            new_term = []
-            for a in range(n):
-                if not nz[a]:
-                    new_term.append([zero] * n)
-                    continue
-                (b, v), *rest = nz[a]
-                acc = [v * x for x in term[b]]
-                for b, v in rest:
-                    acc = [s + v * x for s, x in zip(acc, term[b])]
-                new_term.append([s / k for s in acc])
-            term = new_term
-            term_max = max(abs(x) for row in term for x in row)
-            for a in range(n):
-                ta, sa = term[a], total[a]
-                total[a] = [x + y for x, y in zip(sa, ta)]
-            if term_max < tol:
+            term = _kernels.series_term(nz, term, k, prec, rnd)
+            converged = _kernels.all_below(term, tol, prec, rnd)
+            total = _kernels.added(total, term, prec, rnd)
+            if converged:
                 break
             if k > 40 * wp:
                 raise NumericFailureError(
@@ -600,14 +650,16 @@ def propagator_taylor(
         # fdot skips exact zeros: summing each squared entry over the nonzero
         # entries of its left row only changes no bit.
         for _ in range(squarings):
-            cols = list(zip(*total))
-            support = [[(k, x) for k, x in enumerate(row) if x != 0] for row in total]
-            total = [
-                [mp.fdot((x, col[k]) for k, x in nz) for col in cols] for nz in support
-            ]
+            total = _kernels.squared(total, prec, rnd)
 
     with mp.workdps(precision):
-        entries = tuple(tuple(+x for x in row) for row in total)
+        prec, rnd = mp._prec_rounding
+        # A None row holds the mpf zeros fdot returns for a sum of no terms.
+        entries = tuple(
+            (mp.mpf(0),) * n if row is None
+            else tuple(mp.make_mpc(mpc_pos(x, prec, rnd)) for x in row)
+            for row in total
+        )
         tau_out = +tau
     matrix = DenseOperator(
         basis=h.basis, entries=entries, precision=precision
@@ -644,6 +696,16 @@ def coherent_initial_state(j, precision: int = DEFAULT_PRECISION) -> StateVector
     return StateVector(basis=basis, amplitudes=amplitudes, precision=precision)
 
 
+@functools.lru_cache(maxsize=32)
+def _ladder_halves(j: HalfInt, wp: int) -> tuple:
+    """The halved ladder amplitudes sqrt((j-m)(j+m+1))/2 at wp, m = j-1 .. -j."""
+    with mp.workdps(wp):
+        return tuple(
+            mp.sqrt(mp.mpf(_ladder_amplitude_squared(j, m))) / 2
+            for m in BasisOrdering.for_spin(j).labels[1:]
+        )
+
+
 def heisenberg_expectations(
     state: StateVector,
     u: Propagator,
@@ -672,9 +734,14 @@ def heisenberg_expectations(
         # Jx and Jy couple neighbouring labels through the halved ladder
         # amplitudes w (Jy: -iw above the diagonal, +iw below); Jz is the
         # diagonal of m.  Each fdot takes one row's nonzero entries in order.
-        squares = (_ladder_amplitude_squared(j, m) for m in labels[1:])
-        halves = [mp.sqrt(mp.mpf(x)) / 2 for x in squares]
-        phi = [mp.fdot(zip(row, state.amplitudes)) for row in u.matrix.entries]
+        halves = _ladder_halves(j, wp)
+        # fdot skips exact zeros, so φ = U·ψ₀ sums each row's nonzero entries
+        # only; a row without any keeps its terms, and so fdot's result type.
+        amplitudes = state.amplitudes
+        phi = [
+            mp.fdot([(x, s) for x, s in zip(row, amplitudes) if x] or zip(row, amplitudes))
+            for row in u.matrix.entries
+        ]
         links = [
             [(halves[min(a, b)], phi[b], b - a) for b in (a - 1, a + 1) if 0 <= b < n]
             for a in range(n)

@@ -9,6 +9,8 @@ beta = -pi case (the chiral operator) and builds that directly.
 the package does not model; the chiral operator still anticommutes with it.
 ``dense_matmul`` is the product summed over every term, exact zeros
 included, against which the package's sparse-aware product is checked.
+The ``object_*`` functions are the per-point dynamics written with mpmath
+number objects, the references for the raw-libmp kernels.
 """
 
 import math
@@ -25,8 +27,26 @@ from countertwist import (
     build_cartesian,
     build_h_ta,
 )
-from countertwist.errors import InternalConsistencyError, InvalidInputError
-from countertwist.spin_algebra import _require_precision, _require_spin
+from countertwist.errors import (
+    IllConditionedError,
+    InternalConsistencyError,
+    InvalidInputError,
+    NumericFailureError,
+)
+from countertwist.evolution import (
+    ObservableSet,
+    _dimensionless_hamiltonian,
+    _interpolation_guard_digits,
+    _leja_order,
+    _polish_nodes,
+    _propagation_time,
+)
+from countertwist.spin_algebra import (
+    _ladder_amplitude_squared,
+    _require_precision,
+    _require_spin,
+    _two_step_entries,
+)
 
 
 def unlimited_str(value):
@@ -201,4 +221,252 @@ def dense_matmul(a: DenseOperator, b: DenseOperator) -> tuple:
                 for col in range(n)
             )
             for row in a.entries
+        )
+
+
+# ---------------------------------------------------------------------------
+# mpc-object references for the raw-libmp kernels
+# ---------------------------------------------------------------------------
+#
+# The bodies below are the package's per-point dynamics as they were written
+# with mpmath number objects, before countertwist._kernels replaced their
+# inner loops; the kernels must reproduce them bit for bit.
+
+
+def object_gram_defect(matrix):
+    """||U†U - I||_max of a DenseOperator as the certificate formed it."""
+    p = matrix.precision
+    support = [
+        {k: row[a] for k, row in enumerate(matrix.entries) if row[a] != 0}
+        for a in range(matrix.dim)
+    ]
+    with mp.workdps(p):
+        gram = [
+            [
+                mp.fsum(mp.conj(x) * cb[k] for k, x in ca.items() if k in cb)
+                for cb in support
+            ]
+            for ca in support
+        ]
+    with mp.workdps(p + 10):
+        worst = max(
+            abs(x - (1 if a == b else 0))
+            for a, row in enumerate(gram)
+            for b, x in enumerate(row)
+        )
+        if worst > mp.mpf(10) ** (-p + 5):
+            raise NumericFailureError(
+                f"propagator fails unitarity: ||U†U - I||_max = "
+                f"{mp.nstr(worst, 5)} at precision {p}"
+            )
+    return worst
+
+
+def object_spectral_entries(report, chi_t, precision=DEFAULT_PRECISION):
+    """(entries, chi_t) of propagator_spectral formed with mpc objects."""
+    _require_precision(precision)
+    j = report.j
+    if report.dimension != j.n_states:
+        raise InvalidInputError(
+            "spectrum report multiplicities do not sum to 2j+1"
+        )
+    tau = _propagation_time(chi_t, precision + 15)
+
+    distinct = [ev.value for ev in report.eigenvalues]
+    n_nodes = len(distinct)
+    min_gap = 1.0
+    if n_nodes >= 2:
+        with mp.workdps(precision + 15):
+            gap_floor = mp.mpf(10) ** (-(precision // 2))
+            smallest = min(
+                distinct[i + 1] - distinct[i] for i in range(n_nodes - 1)
+            )
+            if smallest < gap_floor:
+                raise IllConditionedError(
+                    f"distinct eigenvalues only {mp.nstr(smallest, 5)} apart; "
+                    f"interpolation needs them separated by at least "
+                    f"{mp.nstr(gap_floor, 5)} — retry at higher precision"
+                )
+            min_gap = float(smallest)
+
+    span = float(distinct[-1] - distinct[0]) if n_nodes >= 2 else 0.0
+    guard = _interpolation_guard_digits(span, float(tau), n_nodes, min_gap)
+    wp = precision + guard
+    n = j.n_states
+
+    with mp.workdps(wp):
+        # The propagator is far more sensitive to coupling error than to any
+        # other rounding: the couplings come from their exact integer squares.
+        upper = _two_step_entries(j, 1)
+        polished = _polish_nodes(
+            j, distinct, precision, mp.mpf(10) ** (-(precision // 2))
+        )
+        order = _leja_order(distinct)
+        nodes = [polished[i] for i in order]
+        tau_w = mp.mpf(tau)
+        values = [mp.exp(mp.mpc(0, -1) * x * tau_w) for x in nodes]
+
+        # Newton divided differences on the Leja-ordered nodes.
+        coeffs = list(values)
+        for k in range(1, n_nodes):
+            for i in range(n_nodes - 1, k - 1, -1):
+                coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (
+                    nodes[i] - nodes[i - k]
+                )
+
+        # Horner evaluation M <- (A - x_k) M + c_k I on each chain block; the
+        # entries between the chains are exact zeros.  A missing neighbour at
+        # a chain end enters as an exact zero, which changes no rounding.
+        zero = mp.mpc(0)
+        m_rows = [[zero] * n for _ in range(n)]
+        for chain in (range(0, n, 2), range(1, n, 2)):
+            size = len(chain)
+            downs = [zero] + [mp.conj(upper[a - 2]) for a in chain[1:]]
+            ups = [upper[a] for a in chain[:-1]] + [zero]
+            pad = [[zero] * size]
+            block = [
+                [coeffs[-1] if i == c else zero for c in range(size)]
+                for i in range(size)
+            ]
+            for k in range(n_nodes - 2, -1, -1):
+                shift, c_k = nodes[k], coeffs[k]
+                padded = pad + block + pad
+                new_block = []
+                for i, (row, down, up) in enumerate(zip(block, downs, ups)):
+                    new_row = [
+                        down * x1 + up * x2 - shift * xa
+                        for x1, x2, xa in zip(padded[i], padded[i + 2], row)
+                    ]
+                    new_row[i] += c_k
+                    new_block.append(new_row)
+                block = new_block
+            for a, row in zip(chain, block):
+                m_rows[a][chain.start :: 2] = row
+
+    with mp.workdps(precision):
+        entries = tuple(tuple(+x for x in row) for row in m_rows)
+        tau_out = +tau
+    return entries, tau_out
+
+
+def object_taylor_entries(h, chi_t, precision=DEFAULT_PRECISION):
+    """(entries, chi_t) of propagator_taylor formed with mpc objects."""
+    _require_precision(precision)
+    tau = _propagation_time(chi_t, precision + 15)
+    n = h.dim
+
+    with mp.workdps(precision + 15):
+        a_rows = _dimensionless_hamiltonian(h, precision + 15)
+        norm = max(
+            mp.fsum(abs(x) for x in row) for row in a_rows
+        ) * abs(tau)
+    squarings = max(0, int(math.ceil(math.log2(float(norm))))) if norm > 1 else 0
+    wp = precision + 10 + squarings
+
+    with mp.workdps(wp):
+        factor = mp.mpc(0, -1) * mp.mpf(tau) / (1 << squarings)
+        b_rows = [[factor * x for x in row] for row in a_rows]
+        # Nonzero generator entries per row (diagonal included), in column order.
+        nz = [[(b, v) for b, v in enumerate(row) if v != 0] for row in b_rows]
+        tol = mp.mpf(10) ** (-wp - 3)
+
+        zero = mp.mpc(0)
+        one = mp.mpc(1)
+        total = [[one if a == b else zero for b in range(n)] for a in range(n)]
+        term = [row[:] for row in total]
+        k = 0
+        while True:
+            k += 1
+            new_term = []
+            for a in range(n):
+                if not nz[a]:
+                    new_term.append([zero] * n)
+                    continue
+                (b, v), *rest = nz[a]
+                acc = [v * x for x in term[b]]
+                for b, v in rest:
+                    acc = [s + v * x for s, x in zip(acc, term[b])]
+                new_term.append([s / k for s in acc])
+            term = new_term
+            term_max = max(abs(x) for row in term for x in row)
+            for a in range(n):
+                ta, sa = term[a], total[a]
+                total[a] = [x + y for x, y in zip(sa, ta)]
+            if term_max < tol:
+                break
+            if k > 40 * wp:
+                raise NumericFailureError(
+                    "exponential series failed to converge"
+                )
+
+        # fdot skips exact zeros: summing each squared entry over the nonzero
+        # entries of its left row only changes no bit.
+        for _ in range(squarings):
+            cols = list(zip(*total))
+            support = [[(k, x) for k, x in enumerate(row) if x != 0] for row in total]
+            total = [
+                [mp.fdot((x, col[k]) for k, x in nz) for col in cols] for nz in support
+            ]
+
+    with mp.workdps(precision):
+        entries = tuple(tuple(+x for x in row) for row in total)
+        tau_out = +tau
+    return entries, tau_out
+
+
+def object_moments(state, u, precision=DEFAULT_PRECISION):
+    """heisenberg_expectations formed with mpc objects and no set-up cache."""
+    _require_precision(precision)
+    j = state.basis.j
+    if u.matrix.basis.j != j:
+        raise InvalidInputError(
+            f"propagator is for j={u.matrix.basis.j}, state for j={j}"
+        )
+    n = j.n_states
+    labels = state.basis.labels
+    wp = precision + 10
+    with mp.workdps(wp):
+        # Jx and Jy couple neighbouring labels through the halved ladder
+        # amplitudes w (Jy: -iw above the diagonal, +iw below); Jz is the
+        # diagonal of m.  Each fdot takes one row's nonzero entries in order.
+        squares = (_ladder_amplitude_squared(j, m) for m in labels[1:])
+        halves = [mp.sqrt(mp.mpf(x)) / 2 for x in squares]
+        phi = [mp.fdot(zip(row, state.amplitudes)) for row in u.matrix.entries]
+        links = [
+            [(halves[min(a, b)], phi[b], b - a) for b in (a - 1, a + 1) if 0 <= b < n]
+            for a in range(n)
+        ]
+        vx = [mp.fdot((w, x) for w, x, _ in row) for row in links]
+        vy = [mp.fdot((mp.mpc(0, -d * w), x) for w, x, d in row) for row in links]
+        vz = [mp.fdot([(mp.mpf(m.twice_value) / 2, x)]) for m, x in zip(labels, phi)]
+        phi_c = [mp.conj(x) for x in phi]
+        means = [mp.fdot(zip(phi_c, v)) for v in (vx, vy, vz)]
+        seconds = [mp.fsum(abs(x) ** 2 for x in v) for v in (vx, vy, vz)]
+        cross_yz = mp.fdot(zip(map(mp.conj, vy), vz))
+        cross_xz = mp.fdot(zip(map(mp.conj, vx), vz))
+
+        tol = mp.mpf(10) ** (-precision + 5) * (1 + mp.mpf(j.twice_value) / 2)
+        for label, value in zip("xyz", means):
+            if abs(mp.im(value)) > tol:
+                raise InternalConsistencyError(
+                    f"mean of J{label} has imaginary part "
+                    f"{mp.nstr(mp.im(value), 5)}"
+                )
+        mean_x, mean_y, mean_z = (mp.re(v) for v in means)
+        cov_yz = mp.re(cross_yz) - mean_y * mean_z
+        corr_xz = 2 * mp.re(cross_xz)
+
+    with mp.workdps(precision):
+        return ObservableSet(
+            j=j,
+            chi_t=+mp.mpf(u.chi_t),
+            precision=precision,
+            mean_jx=+mean_x,
+            mean_jy=+mean_y,
+            mean_jz=+mean_z,
+            second_jx=+seconds[0],
+            second_jy=+seconds[1],
+            second_jz=+seconds[2],
+            cov_yz=+cov_yz,
+            corr_xz=+corr_xz,
         )

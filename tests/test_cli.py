@@ -13,7 +13,10 @@ from countertwist import (
     degeneracy_report,
     spectrum,
 )
+from countertwist import cli
 from countertwist.cli import (
+    MAX_PRECISION,
+    MAX_STEPS,
     Command,
     RunConfig,
     _format_real,
@@ -88,6 +91,45 @@ class TestRunConfig:
 
     def test_gap_renders_as_empty_field(self):
         assert _format_real(None, 17) == ""
+
+    def test_caps_accepted(self):
+        cfg = RunConfig(command=Command.EVOLVE, j=HalfInt(4), t_max=1, steps=MAX_STEPS,
+                        precision=MAX_PRECISION, format="csv")
+        assert (cfg.steps, cfg.precision) == (MAX_STEPS, MAX_PRECISION)
+
+
+class TestResourceCaps:
+    """One past a cap exits 2 with one error line before any command runs."""
+
+    @pytest.fixture(autouse=True)
+    def _no_command_runs(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError(f"{cfg.command.value} ran")
+
+        for command in Command:
+            monkeypatch.setitem(cli._DISPATCH, command, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--j", "1", "--t-max", "1", "--steps", "2"),
+        ("verify", "--j", "1"),
+        ("spectrum", "--j", "1"),
+        ("charpoly", "--j", "1"),
+    ])
+    def test_precision_past_cap(self, capsys, argv):
+        code, out, err = _run(capsys, *argv, "--precision", str(MAX_PRECISION + 1))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: precision must be at most {MAX_PRECISION}, got {MAX_PRECISION + 1}\n"
+        )
+
+    def test_steps_past_cap(self, capsys):
+        code, out, err = _run(
+            capsys, "evolve", "--j", "1", "--t-max", "1", "--steps", str(MAX_STEPS + 1)
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: evolve allows at most {MAX_STEPS} grid points, got {MAX_STEPS + 1}\n"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,188 @@
+"""The raw-libmp kernels reproduce the mpc-object code bit for bit.
+
+Each package route is compared with its mpmath-object reference in
+``_oracles`` on the raw ``_mpc_``/``_mpf_`` tuples, so a single moved
+rounding anywhere shows up as a mismatch; entry types are compared too.
+"""
+
+import functools
+
+import pytest
+from mpmath import mp
+
+from countertwist import DenseOperator, HalfInt, build_h_ta, spectrum
+from countertwist import _kernels, evolution
+from countertwist.cli import _flip_first_coupling
+from countertwist.errors import NumericFailureError
+from countertwist.evolution import (
+    Propagator,
+    PropagatorMethod,
+    _chain_coupling_squares,
+    _series_setup,
+    _twin_chains,
+    coherent_initial_state,
+    heisenberg_expectations,
+    propagator_spectral,
+    propagator_taylor,
+)
+from _oracles import (
+    build_h_f,
+    object_gram_defect,
+    object_moments,
+    object_spectral_entries,
+    object_taylor_entries,
+)
+
+PRECISIONS = (20, 34, 50)
+TIMES = ("0", "0.013", "0.7", "-2.3", "4.5")
+
+
+@functools.lru_cache(maxsize=None)
+def _report(twoj, precision):
+    return spectrum(HalfInt(twoj), precision)
+
+
+def _raw(entries):
+    return [[(type(x), getattr(x, "_mpc_", None) or x._mpf_) for x in row] for row in entries]
+
+
+def _assert_same_propagator(u, reference_entries, reference_tau):
+    assert _raw(u.matrix.entries) == _raw(reference_entries)
+    assert u.chi_t._mpf_ == reference_tau._mpf_
+    defect = object_gram_defect(u.matrix)
+    assert type(u.unitarity_defect) is type(defect)
+    assert u.unitarity_defect._mpf_ == defect._mpf_
+
+
+@pytest.mark.parametrize("twoj", range(1, 17))
+def test_spectral_propagator_matches_object_code(twoj):
+    for precision in PRECISIONS:
+        report = _report(twoj, precision)
+        for chi_t in TIMES:
+            u = propagator_spectral(report, mp.mpf(chi_t), precision)
+            entries, tau = object_spectral_entries(report, mp.mpf(chi_t), precision)
+            _assert_same_propagator(u, entries, tau)
+
+
+def _taylor_cases():
+    for twoj in (2, 3, 4, 5, 8):
+        for precision, chi_t in zip(PRECISIONS + PRECISIONS[:2], TIMES):
+            yield twoj, precision, chi_t
+
+
+@pytest.mark.parametrize("kind", ["h_ta", "h_f"])
+def test_taylor_propagator_matches_object_code(kind):
+    for twoj, precision, chi_t in _taylor_cases():
+        j = HalfInt(twoj)
+        if kind == "h_ta":
+            h = build_h_ta(j, mp.mpf(2) / 3, precision)
+        else:
+            h = build_h_f(j, 1, mp.mpf("0.8"), precision)
+        u = propagator_taylor(h, mp.mpf(chi_t), precision)
+        entries, tau = object_taylor_entries(h, mp.mpf(chi_t), precision)
+        _assert_same_propagator(u, entries, tau)
+
+
+def test_taylor_propagator_of_a_faulted_h_matches_object_code(monkeypatch):
+    # The flipped coupling makes exp(-i h t) non-unitary: the certificate
+    # raises, so the entries are taken before it runs.
+    monkeypatch.setattr(evolution, "Propagator", lambda matrix, chi_t, method: (matrix, chi_t))
+    for twoj, precision, chi_t in _taylor_cases():
+        h = _flip_first_coupling(build_h_ta(HalfInt(twoj), 1, precision))
+        matrix, tau = propagator_taylor(h, mp.mpf(chi_t), precision)
+        entries, want_tau = object_taylor_entries(h, mp.mpf(chi_t), precision)
+        assert _raw(matrix.entries) == _raw(entries)
+        assert tau._mpf_ == want_tau._mpf_
+        if chi_t != "0":
+            with pytest.raises(NumericFailureError) as got:
+                Propagator(matrix=matrix, chi_t=tau, method=PropagatorMethod.TAYLOR_ORACLE)
+            with pytest.raises(NumericFailureError) as want:
+                object_gram_defect(matrix)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("twoj", [1, 4, 9, 16])
+def test_moments_match_object_code(twoj):
+    for precision, chi_t in zip(PRECISIONS, TIMES[2:]):
+        state = coherent_initial_state(HalfInt(twoj), precision)
+        u = propagator_spectral(_report(twoj, precision), mp.mpf(chi_t), precision)
+        got = heisenberg_expectations(state, u, precision)
+        want = object_moments(state, u, precision)
+        for name in ("chi_t", "mean_jx", "mean_jy", "mean_jz", "second_jx",
+                     "second_jy", "second_jz", "cov_yz", "corr_xz"):
+            assert getattr(got, name)._mpf_ == getattr(want, name)._mpf_, name
+
+
+def _edited(u, edit):
+    rows = [list(row) for row in u.matrix.entries]
+    with mp.workdps(u.matrix.precision):
+        edit(rows)
+    return DenseOperator(
+        basis=u.matrix.basis, entries=tuple(map(tuple, rows)), precision=u.matrix.precision
+    )
+
+
+def test_certificate_of_real_and_perturbed_entries_matches_object_code():
+    def edit(rows):
+        rows[2] = [x.real for x in rows[2]]
+        rows[3][5] += mp.mpf("1e-40")
+
+    matrix = _edited(propagator_spectral(_report(6, 34), mp.mpf("0.7"), 34), edit)
+    u = Propagator(matrix=matrix, chi_t=mp.mpf(0), method=PropagatorMethod.SPECTRAL)
+    assert u.unitarity_defect._mpf_ == object_gram_defect(matrix)._mpf_
+
+
+def test_certificate_failure_matches_object_code():
+    def edit(rows):
+        rows[0] = [mp.mpf(0)] * len(rows)
+
+    matrix = _edited(propagator_spectral(_report(6, 34), mp.mpf("0.7"), 34), edit)
+    with pytest.raises(NumericFailureError) as got:
+        Propagator(matrix=matrix, chi_t=mp.mpf(0), method=PropagatorMethod.SPECTRAL)
+    with pytest.raises(NumericFailureError) as want:
+        object_gram_defect(matrix)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("twoj", range(1, 62, 2))
+def test_half_integer_chains_are_twins(twoj):
+    even, odd = _chain_coupling_squares(HalfInt(twoj))
+    assert odd == even[::-1]
+    assert _twin_chains(HalfInt(twoj))
+
+
+@pytest.mark.parametrize("twoj", range(0, 62, 2))
+def test_integer_chains_are_palindromes_not_twins(twoj):
+    even, odd = _chain_coupling_squares(HalfInt(twoj))
+    assert even == even[::-1] and odd == odd[::-1]
+    assert not _twin_chains(HalfInt(twoj))
+
+
+@pytest.mark.parametrize("twoj", [5, 6, 15, 16])
+def test_twin_path_runs_only_for_twin_chains(twoj, monkeypatch):
+    calls = []
+    original = _kernels.mirror
+    monkeypatch.setattr(_kernels, "mirror", lambda plane: calls.append(1) or original(plane))
+    propagator_spectral(_report(twoj, 34), mp.mpf("0.7"), 34)
+    assert bool(calls) == _twin_chains(HalfInt(twoj))
+
+
+@pytest.mark.parametrize("twoj", [3, 4, 11, 12])
+def test_mirrored_halves_equal_computed_ones(twoj):
+    j = HalfInt(twoj)
+    report = _report(twoj, 34)
+    seeds = tuple(ev.value for ev in report.eigenvalues)
+    setup = _series_setup(j, seeds, 34, 60)
+    with mp.workdps(60):
+        prec, rnd = mp._prec_rounding
+        coeffs = [(mp.mpc(k + 1, -k) / 7)._mpc_ for k in range(len(setup.nodes))]
+        full = [
+            _kernels.chain_horner(coeffs, setup.nodes, ups, prec, rnd)
+            for ups in setup.ups
+        ]
+        for ups, planes, palindrome in zip(setup.ups, full, setup.palindromes):
+            if palindrome:
+                mirrored = _kernels.chain_horner(coeffs, setup.nodes, ups, prec, rnd, True)
+                assert mirrored == planes
+        if setup.twin:
+            assert tuple(map(_kernels.mirror, full[0])) == full[1]

@@ -247,45 +247,38 @@ def char_poly_exact(j: HalfInt) -> IntPolynomial:
 # ------------------------------------------------------------------ resultants
 
 
-def _bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss algorithm)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for col in range(k + 1, n):
-                m[i][col] = (m[i][col] * m[k][k] - m[i][k] * m[k][col]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _resultant(p: IntPolynomial, q: IntPolynomial) -> int:
+    """Res(p, q) by Euclid's algorithm over the rationals.
 
-
-def _sylvester_resultant(p: IntPolynomial, q: IntPolynomial) -> int:
-    """Res(p, q) as the fraction-free determinant of the Sylvester matrix."""
-    n, m = p.degree, q.degree
-    if n == 0:
-        return p.coefficients[0] ** m
-    if m == 0:
-        return q.coefficients[0] ** n
-    size = n + m
-    rows: list[list[int]] = []
-    pc = list(reversed(p.coefficients))
-    qc = list(reversed(q.coefficients))
-    for shift in range(m):
-        rows.append([0] * shift + pc + [0] * (size - n - 1 - shift))
-    for shift in range(n):
-        rows.append([0] * shift + qc + [0] * (size - m - 1 - shift))
-    return _bareiss_determinant(rows)
+    Each step uses Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r)
+    * Res(b, r) with r = a mod b, until b is a constant c, where
+    Res(a, c) = c^(deg a).  Equal to the determinant of the Sylvester
+    matrix, at a fraction of the cost.
+    """
+    a = [Fraction(c) for c in p.coefficients]
+    b = [Fraction(c) for c in q.coefficients]
+    result = Fraction(1)
+    while len(b) > 1:
+        r = a[:]  # becomes a mod b
+        for shift in range(len(a) - len(b), -1, -1):
+            factor = r[shift + len(b) - 1] / b[-1]
+            for i, c in enumerate(b):
+                r[shift + i] -= factor * c
+        del r[len(b) - 1:]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            result = -result
+        result *= b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    result *= b[0] ** (len(a) - 1)
+    if result.denominator != 1:
+        raise InternalConsistencyError(
+            f"resultant of integer polynomials came out as the non-integer {result}"
+        )
+    return result.numerator
 
 
 def discriminant(p: IntPolynomial) -> int:
@@ -300,7 +293,7 @@ def discriminant(p: IntPolynomial) -> int:
         raise InvalidInputError("discriminant requires degree >= 1")
     if n == 1:
         return 1
-    res = _sylvester_resultant(p, p.derivative())
+    res = _resultant(p, p.derivative())
     lc = p.leading_coefficient
     quotient, remainder = divmod(res, lc)
     if remainder != 0:
@@ -339,7 +332,7 @@ def degeneracy_report(j: HalfInt) -> DegeneracyReport:
     _require_spin(j)
     pa, pb = block_polynomials(j)
     block = discriminant(pa) * (discriminant(pb) if pb.degree else 1)
-    full = block * _sylvester_resultant(pa, pb) ** 2
+    full = block * _resultant(pa, pb) ** 2
     return DegeneracyReport(
         j=j, discriminant_full=full, discriminant_block=block, degenerate=full == 0
     )

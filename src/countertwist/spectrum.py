@@ -14,18 +14,22 @@ polynomials into eigenvalues:
 
 Multiplicities are always structural — twin-chain doubling for half-integer
 spins and stripped lambda powers — never inferred from numerical clustering.
+
+Reports round-trip through JSON without loss (:func:`spectrum_to_json`).
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
 from mpmath import mp
 
+from ._version import __version__
 from .charpoly import (
     IntPolynomial,
     SolvabilityCategory,
@@ -58,6 +62,8 @@ __all__ = [
     "roots_even_poly",
     "roots_numeric",
     "spectrum",
+    "spectrum_from_json",
+    "spectrum_to_json",
 ]
 
 # Extra decimal digits used while evaluating expression trees; generous enough
@@ -267,6 +273,122 @@ class SpectrumReport:
     @property
     def dimension(self) -> int:
         return sum(e.multiplicity for e in self.eigenvalues)
+
+
+# --------------------------------------------------- lossless JSON round trip
+
+# The JSON kind of each expression-tree node.  A node's children are its
+# dataclass fields, serialized under the field names in declaration order.
+_RADICAL_NODES: dict[str, type] = {
+    "rational": Rational, "add": Add, "sub": Sub, "mul": Mul,
+    "div": Div, "sqrt": Sqrt, "cbrt": Cbrt,
+}
+_RADICAL_KINDS = {node_type: kind for kind, node_type in _RADICAL_NODES.items()}
+
+
+def _radical_to_obj(expr: RadicalExpr) -> dict:
+    kind = _RADICAL_KINDS.get(type(expr))
+    if kind is None:
+        raise InternalConsistencyError(
+            f"radical node {type(expr).__name__} has no serialized form"
+        )
+    obj = {"kind": kind}
+    for field in fields(expr):
+        child = getattr(expr, field.name)
+        obj[field.name] = (
+            str(child) if isinstance(child, Fraction) else _radical_to_obj(child)
+        )
+    return obj
+
+
+def _radical_from_obj(obj: dict) -> RadicalExpr:
+    kind = obj.get("kind")
+    node_type = _RADICAL_NODES.get(kind)
+    if node_type is None:
+        raise InvalidInputError(f"unknown radical node kind {kind!r}")
+    if node_type is Rational:
+        return Rational(Fraction(obj["value"]))
+    children = (_radical_from_obj(obj[field.name]) for field in fields(node_type))
+    return node_type(*children)
+
+
+def spectrum_to_json(report: SpectrumReport, precision: int) -> str:
+    """Serialize a spectrum report so that parsing recovers it exactly.
+
+    Eigenvalues are printed with enough decimal digits (precision + 6) that
+    re-rounding the text at the same working precision reproduces the
+    original binary values bit for bit.
+    """
+    digits = precision + 6
+    eigenvalues = []
+    for ev in report.eigenvalues:
+        entry: dict = {
+            "value": mp.nstr(ev.value, digits),
+            "multiplicity": ev.multiplicity,
+            "exactness": ev.exactness.name,
+        }
+        if ev.radical_form is not None:
+            entry["radical_form"] = _radical_to_obj(ev.radical_form)
+            entry["radical_text"] = str(ev.radical_form)
+        eigenvalues.append(entry)
+    payload = {
+        "tool": "countertwist",
+        "version": __version__,
+        "kind": "spectrum-report",
+        "j": str(report.j),
+        "precision": precision,
+        "dimension": report.dimension,
+        "degenerate": report.degenerate,
+        "pairing_verified": report.pairing_verified,
+        "solvability": {
+            "category": report.solvability.category.name,
+            "mu_degree": report.solvability.mu_degree,
+        },
+        "eigenvalues": eigenvalues,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def spectrum_from_json(text: str) -> SpectrumReport:
+    """Inverse of :func:`spectrum_to_json` (ignores tool/version metadata)."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"not valid JSON: {exc}") from exc
+    if payload.get("kind") != "spectrum-report":
+        raise InvalidInputError(
+            f"expected a spectrum-report document, got kind={payload.get('kind')!r}"
+        )
+    try:
+        j = HalfInt.from_string(payload["j"])
+        precision = int(payload["precision"])
+        solvability = SolvabilityClass(
+            category=SolvabilityCategory[payload["solvability"]["category"]],
+            mu_degree=int(payload["solvability"]["mu_degree"]),
+        )
+        eigenvalues = []
+        with mp.workdps(precision):
+            for entry in payload["eigenvalues"]:
+                radical = entry.get("radical_form")
+                eigenvalues.append(
+                    Eigenvalue(
+                        value=mp.mpf(entry["value"]),
+                        multiplicity=int(entry["multiplicity"]),
+                        exactness=Exactness[entry["exactness"]],
+                        radical_form=(
+                            _radical_from_obj(radical) if radical is not None else None
+                        ),
+                    )
+                )
+        return SpectrumReport(
+            j=j,
+            eigenvalues=tuple(eigenvalues),
+            degenerate=bool(payload["degenerate"]),
+            solvability=solvability,
+            pairing_verified=bool(payload["pairing_verified"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed spectrum-report document: {exc}") from exc
 
 
 # ------------------------------------------------------------ small helpers

@@ -16,12 +16,14 @@ from mpmath import mp
 from .errors import InternalConsistencyError, InvalidInputError
 
 DEFAULT_PRECISION = 34
+MIN_PRECISION = 15
 
 
 def _require_precision(precision: int) -> int:
-    if not isinstance(precision, int) or precision < 15:
+    if not isinstance(precision, int) or precision < MIN_PRECISION:
         raise InvalidInputError(
-            f"precision must be an integer >= 15 decimal digits, got {precision!r}"
+            f"precision must be an integer >= {MIN_PRECISION} decimal digits, "
+            f"got {precision!r}"
         )
     return precision
 

@@ -9,6 +9,8 @@ beta = -pi case (the chiral operator) and builds that directly.
 the package does not model; the chiral operator still anticommutes with it.
 ``dense_matmul`` is the product summed over every term, exact zeros
 included, against which the package's sparse-aware product is checked.
+``_sylvester_resultant`` is the Bareiss determinant of the Sylvester
+matrix, the reference for the package's Euclidean resultant.
 The ``object_*`` functions are the per-point dynamics written with mpmath
 number objects, the references for the raw-libmp kernels.
 """
@@ -27,6 +29,7 @@ from countertwist import (
     build_cartesian,
     build_h_ta,
 )
+from countertwist.charpoly import IntPolynomial
 from countertwist.errors import (
     IllConditionedError,
     InternalConsistencyError,
@@ -222,6 +225,55 @@ def dense_matmul(a: DenseOperator, b: DenseOperator) -> tuple:
             )
             for row in a.entries
         )
+
+
+# ---------------------------------------------------------------------------
+# Sylvester-determinant resultant
+# ---------------------------------------------------------------------------
+#
+# The determinant route to Res(p, q); the package's Euclidean resultant must
+# give the same integers.
+
+
+def _bareiss_determinant(matrix: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix (Bareiss algorithm)."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for col in range(k + 1, n):
+                m[i][col] = (m[i][col] * m[k][k] - m[i][k] * m[k][col]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _sylvester_resultant(p: IntPolynomial, q: IntPolynomial) -> int:
+    """Res(p, q) as the fraction-free determinant of the Sylvester matrix."""
+    n, m = p.degree, q.degree
+    if n == 0:
+        return p.coefficients[0] ** m
+    if m == 0:
+        return q.coefficients[0] ** n
+    size = n + m
+    rows: list[list[int]] = []
+    pc = list(reversed(p.coefficients))
+    qc = list(reversed(q.coefficients))
+    for shift in range(m):
+        rows.append([0] * shift + pc + [0] * (size - n - 1 - shift))
+    for shift in range(n):
+        rows.append([0] * shift + qc + [0] * (size - m - 1 - shift))
+    return _bareiss_determinant(rows)
 
 
 # ---------------------------------------------------------------------------

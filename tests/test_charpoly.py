@@ -22,7 +22,8 @@ from countertwist.charpoly import (
     table1_spins,
     to_mu_polynomial,
 )
-from _oracles import numpy_h_ta, unlimited_str
+from countertwist.charpoly import _resultant
+from _oracles import _sylvester_resultant, numpy_h_ta, unlimited_str
 
 
 def eigenvalue_reconstructed_coefficients(twoj):
@@ -269,6 +270,35 @@ def test_degeneracy_report_examples():
     assert degeneracy_report(HalfInt(2)).degenerate is False
     assert degeneracy_report(HalfInt(21)).degenerate is True
     assert degeneracy_report(HalfInt(1)).degenerate is True
+
+
+@pytest.mark.parametrize("twoj", range(0, 49))
+def test_resultant_matches_sylvester_determinant(twoj):
+    pa, pb = block_polynomials(HalfInt(twoj))
+    for p, q in ((pa, pa.derivative()), (pb, pb.derivative()), (pa, pb)):
+        assert _resultant(p, q) == _sylvester_resultant(p, q)
+    if twoj % 2 == 1:  # twin chains share every root
+        assert _resultant(pa, pb) == 0
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ((1,), (0,)),  # the empty chain at j = 0 and its derivative
+        ((0, 1), (1,)),
+        ((5,), (1, 0, 1)),
+        ((-2, 0, 0, 1), (3,)),
+        ((0,), (0, 1)),
+        ((0, 1), (0,)),
+        ((7,), (4,)),
+        ((1, 3, 2), (5, -1, 0, 3)),
+        ((5, -1, 0, 3), (1, 3, 2)),
+        ((-1, 0, 1), (1, 2, 1)),
+    ],
+)
+def test_resultant_edge_cases(p, q):
+    p, q = IntPolynomial.from_coefficients(p), IntPolynomial.from_coefficients(q)
+    assert _resultant(p, q) == _sylvester_resultant(p, q)
 
 
 # ---------------------------------------------------------------- solvability

@@ -1,7 +1,9 @@
 """Tests for the command-line front end: formats, exit codes, stability."""
 
+import argparse
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -22,9 +24,8 @@ from countertwist.cli import (
     _format_real,
     main,
     significant_digits,
-    spectrum_from_json,
-    spectrum_to_json,
 )
+from countertwist.spectrum import spectrum_from_json, spectrum_to_json
 from _oracles import unlimited_str
 
 CSV_HEADER = "chi_t,jx_mean,var_jy,var_jz,xi_y,xi_z,corr_xz,xi_opt,opt_angle"
@@ -552,6 +553,12 @@ class TestVerifyCommand:
         code, _, _ = _run(capsys, "verify", "--j", "2", "--chi", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("chi", ["1e45", "1e300", "-1e300"])
+    def test_energy_conserved_at_huge_coupling(self, capsys, chi):
+        code, out, _ = _run(capsys, "verify", "--j", "2", f"--chi={chi}")
+        assert "energy conservation: PASS" in out
+        assert code == 0 and "RESULT: PASS" in out
+
 
 # ---------------------------------------------------------------------------
 # Dispatch and exit codes
@@ -602,3 +609,92 @@ class TestDispatch:
         )
         assert code == 2
         assert "cannot write output" in err
+
+
+# ---------------------------------------------------------------------------
+# Parser shape
+# ---------------------------------------------------------------------------
+
+_HELP = (("-h", "--help"), "help", None, "==SUPPRESS==", False, None, 0,
+         "show this help message and exit")
+_PRECISION = (("--precision",), "precision", "int", 34, False, None, None,
+              "working decimal digits, 15 to 100000 (default 34)")
+_OUTPUT = (("--output",), "output", None, None, False, None, None,
+           "destination file (default: stdout)")
+_CHI = (("--chi",), "chi", "_rational", Fraction(1), False, None, None,
+        "coupling strength as exact rational text (default 1)")
+
+
+def _j(required):
+    return (("--j",), "j", "HalfInt.from_string", None, required, None, None,
+            "spin magnitude as integer or p/q text (e.g. 3 or 21/2)")
+
+
+def _format(*choices):
+    return (("--format",), "format", None, choices[0], False, choices, None,
+            f"output format (default {choices[0]})")
+
+
+# Every subcommand's argparse actions in declaration order: flags, dest, type,
+# default, required, choices, nargs and help.  The rendered --help text is not
+# pinned, because its layout differs between Python versions.
+PARSER_SHAPE = [
+    ("charpoly", "exact characteristic polynomial with parity/degeneracy metadata",
+     [_HELP, _j(True), _PRECISION, _format("text", "json"), _OUTPUT]),
+    ("spectrum", "eigenvalue report (JSON round-trips losslessly)",
+     [_HELP, _j(True), _PRECISION, _format("json", "text"), _OUTPUT]),
+    ("classify", "closed-form reachability class of a spin",
+     [_HELP, _j(True), _PRECISION, _format("text", "json"), _OUTPUT]),
+    ("verify", "property suite with PASS/FAIL per property",
+     [_HELP, _j(True), _PRECISION, _format("text"), _OUTPUT, _CHI,
+      (("--inject-fault",), "inject_fault", None, False, False, None, 0,
+       "flip one coupling sign first; the suite must then fail")]),
+    ("evolve", "squeezing time series as plot-ready CSV",
+     [_HELP, _j(True), _PRECISION, _format("csv"), _OUTPUT, _CHI,
+      (("--t-max",), "t_max", "_rational", None, True, None, None,
+       "grid endpoint (exact rational text, e.g. 3 or 5/2)"),
+      (("--steps",), "steps", "int", None, True, None, None,
+       "number of grid points including both endpoints (2 to 100000)")]),
+    ("table1", "compare computed polynomials against the bundled reference rows",
+     [_HELP, _j(False), _PRECISION, _format("text"), _OUTPUT]),
+]
+
+
+def _action_row(action):
+    return (
+        tuple(action.option_strings),
+        action.dest,
+        getattr(action.type, "__qualname__", action.type),
+        action.default,
+        action.required,
+        None if action.choices is None else tuple(action.choices),
+        action.nargs,
+        action.help,
+    )
+
+
+class TestParserShape:
+    def test_subcommand_actions(self):
+        parser = cli.build_parser()
+        sub = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        helps = {choice.dest: choice.help for choice in sub._choices_actions}
+        shape = [
+            (name, helps[name], [_action_row(a) for a in subparser._actions])
+            for name, subparser in sub.choices.items()
+        ]
+        assert shape == PARSER_SHAPE
+
+    def test_top_level(self):
+        parser = cli.build_parser()
+        assert parser.prog == "countertwist"
+        assert parser.description == (
+            "Exact characteristic polynomials, spectra, and squeezing "
+            "dynamics of the two-axis countertwisting spin Hamiltonian."
+        )
+        version = next(
+            a for a in parser._actions if isinstance(a, argparse._VersionAction)
+        )
+        assert version.option_strings == ["--version"]
+        assert version.version == "countertwist 0.1.0"

@@ -36,7 +36,7 @@ from countertwist import (
     xi_y,
     xi_z,
 )
-from countertwist.cli import spectrum_from_json, spectrum_to_json
+from countertwist.spectrum import spectrum_from_json, spectrum_to_json
 from _oracles import build_h_f, wigner_rotation_y
 
 SEED = 20260825

@@ -6,6 +6,7 @@ couplings, high-precision polynomial root isolation (sympy), or the package's
 own second code path (closed form versus iterative numerics).
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -37,8 +38,11 @@ from countertwist.spectrum import (
     Exactness,
     Mul,
     Rational,
+    SpectrumReport,
     Sqrt,
     Sub,
+    spectrum_from_json,
+    spectrum_to_json,
 )
 from _oracles import numpy_h_ta
 
@@ -553,3 +557,79 @@ def test_spectrum_rejects_bad_spins():
         spectrum(0.3, PRECISION)
     with pytest.raises(InvalidInputError):
         spectrum("7/3", PRECISION)
+
+
+# ------------------------------------------------------------ JSON round trip
+
+
+def _every_kind_report():
+    """A report whose radical form uses each of the seven node kinds."""
+    half = Rational(Fraction(1, 2))
+    tree = Sub(
+        Div(Add(Rational(Fraction(3)), Sqrt(Rational(Fraction(2)))), Cbrt(half)),
+        Mul(Rational(Fraction(-1, 3)), half),
+    )
+    value = tree.evaluate_real(PRECISION)
+    negative = Mul(Rational(Fraction(-1)), tree)
+    return SpectrumReport(
+        j=HalfInt(1),
+        eigenvalues=(
+            Eigenvalue(-value, 1, Exactness.RADICAL, negative),
+            Eigenvalue(value, 1, Exactness.RADICAL, tree),
+        ),
+        degenerate=False,
+        solvability=classify_solvability(HalfInt(1)),
+        pairing_verified=True,
+    )
+
+
+def _radical_kinds(obj):
+    children = [v for v in obj.values() if isinstance(v, dict)]
+    return {obj["kind"]}.union(*(_radical_kinds(child) for child in children))
+
+
+def test_json_round_trip_covers_every_node_kind():
+    report = _every_kind_report()
+    text = spectrum_to_json(report, PRECISION)
+    top = json.loads(text)["eigenvalues"][1]["radical_form"]
+    assert _radical_kinds(top) == {
+        "rational", "add", "sub", "mul", "div", "sqrt", "cbrt"
+    }
+    assert list(top) == ["kind", "left", "right"]
+    assert list(top["right"]["left"]) == ["kind", "value"]
+    assert list(top["left"]["right"]) == ["kind", "operand"]
+    parsed = spectrum_from_json(text)
+    assert parsed == report
+    assert spectrum_to_json(parsed, PRECISION) == text
+
+
+def _edited_first_form(edit):
+    payload = json.loads(spectrum_to_json(_every_kind_report(), PRECISION))
+    edit(payload["eigenvalues"][0]["radical_form"])
+    return json.dumps(payload)
+
+
+def test_json_rejects_unknown_node_kind():
+    def rename(form):
+        form["right"]["kind"] = "root"
+
+    with pytest.raises(InvalidInputError, match="unknown radical node kind 'root'"):
+        spectrum_from_json(_edited_first_form(rename))
+
+
+@pytest.mark.parametrize(
+    "path, child",
+    [
+        ((), "right"),
+        (("left",), "value"),
+        (("right", "left", "left", "right"), "operand"),
+    ],
+)
+def test_json_rejects_missing_child(path, child):
+    def drop(form):
+        for key in path:
+            form = form[key]
+        del form[child]
+
+    with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
+        spectrum_from_json(_edited_first_form(drop))

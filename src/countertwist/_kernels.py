@@ -245,31 +245,35 @@ def squared(rows, prec, rnd):
 
     Repeats ``fdot((x, col[k]) for k, x in nonzero entries of the row)``: the
     exact products re·re, −(im·im) and re·im, im·re of each pair, summed by
-    one ``mpf_sum`` per plane.  fdot over no pairs returns an mpf zero, not
-    an mpc: such a row is returned as None, and a None row stands for a row
-    of those zeros on input too.
+    one ``mpf_sum`` per plane.  A pair whose column entry is an exact zero
+    adds only zero products, which ``mpf_sum`` skips, so each entry sums
+    over the pairs with a nonzero column entry alone, in the same order.
+    fdot over no pairs returns an mpf zero, not an mpc: such a row is
+    returned as None, and a None row stands for a row of those zeros on
+    input too.
     """
     n = len(rows)
     mul = mpf_mul
+    nonzero = [
+        [] if row is None else [(c, y) for c, y in enumerate(row) if y != ZERO]
+        for row in rows
+    ]
     out = []
-    for row in rows:
-        support = [] if row is None else [
-            (rows[k], x_re, x_im)
-            for k, (x_re, x_im) in enumerate(row)
-            if (x_re, x_im) != ZERO
-        ]
+    for support in nonzero:
         if not support:
             out.append(None)
             continue
-        new_row = []
-        for c in range(n):
-            sum_re, sum_im = [], []
-            for src, x_re, x_im in support:
-                y_re, y_im = ZERO if src is None else src[c]
-                sum_re.append(mul(x_re, y_re))
-                sum_re.append(mpf_neg(mul(x_im, y_im)))
-                sum_im.append(mul(x_re, y_im))
-                sum_im.append(mul(x_im, y_re))
-            new_row.append((mpf_sum(sum_re, prec, rnd), mpf_sum(sum_im, prec, rnd)))
-        out.append(new_row)
+        sum_re = [[] for _ in range(n)]
+        sum_im = [[] for _ in range(n)]
+        for k, (x_re, x_im) in support:
+            for c, (y_re, y_im) in nonzero[k]:
+                terms_re, terms_im = sum_re[c], sum_im[c]
+                terms_re.append(mul(x_re, y_re))
+                terms_re.append(mpf_neg(mul(x_im, y_im)))
+                terms_im.append(mul(x_re, y_im))
+                terms_im.append(mul(x_im, y_re))
+        out.append([
+            (mpf_sum(terms_re, prec, rnd), mpf_sum(terms_im, prec, rnd))
+            for terms_re, terms_im in zip(sum_re, sum_im)
+        ])
     return out

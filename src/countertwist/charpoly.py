@@ -12,6 +12,7 @@ solvability is classified by the block degrees in mu = lambda^2.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -224,8 +225,13 @@ def _chain_polynomial(couplings: tuple[Fraction, ...], size: int) -> IntPolynomi
     return IntPolynomial.from_coefficients(int(c) for c in cur)
 
 
+@functools.lru_cache(maxsize=32)
 def block_polynomials(j: HalfInt) -> tuple[IntPolynomial, IntPolynomial]:
-    """Monic characteristic polynomials det(lambda*I - T) of the two chains."""
+    """Monic characteristic polynomials det(lambda*I - T) of the two chains.
+
+    Memoised: the polynomials are frozen, and ``charpoly``, ``spectrum`` and
+    the dynamics set-up each ask for the same spin more than once.
+    """
     decomp = block_decompose(j)
     return (
         _chain_polynomial(decomp.block_a, len(decomp.labels_a)),

@@ -8,9 +8,9 @@ polynomials into eigenvalues:
 * mu-degree <= 4: closed-form radical roots (linear, quadratic, Cardano,
   Ferrari) carried as explicit expression trees alongside certified
   arbitrary-precision values;
-* any mu-degree: a simultaneous Aberth-Ehrlich root finder with a certified
-  residual bound, used both beyond the radical range and as an independent
-  route for cross-checking.
+* any mu-degree: exact Sturm isolation of every real root, then bracketed
+  Newton on the exact polynomial with a certified residual bound, used
+  beyond the radical range and as a second route for cross-checking.
 
 Multiplicities are always structural — twin-chain doubling for half-integer
 spins and stripped lambda powers — never inferred from numerical clustering.
@@ -301,8 +301,14 @@ def _radical_to_obj(expr: RadicalExpr) -> dict:
     return obj
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{what} {value!r} is not an object")
+    return value
+
+
 def _radical_from_obj(obj: dict) -> RadicalExpr:
-    kind = obj.get("kind")
+    kind = _json_object(obj, "radical node").get("kind")
     node_type = _RADICAL_NODES.get(kind)
     if node_type is None:
         raise InvalidInputError(f"unknown radical node kind {kind!r}")
@@ -355,6 +361,11 @@ def spectrum_from_json(text: str) -> SpectrumReport:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InvalidInputError(
+            "malformed spectrum-report document: the top level is a "
+            f"{type(payload).__name__}, not an object"
+        )
     if payload.get("kind") != "spectrum-report":
         raise InvalidInputError(
             f"expected a spectrum-report document, got kind={payload.get('kind')!r}"
@@ -369,7 +380,7 @@ def spectrum_from_json(text: str) -> SpectrumReport:
         eigenvalues = []
         with mp.workdps(precision):
             for entry in payload["eigenvalues"]:
-                radical = entry.get("radical_form")
+                radical = _json_object(entry, "eigenvalue entry").get("radical_form")
                 eigenvalues.append(
                     Eigenvalue(
                         value=mp.mpf(entry["value"]),
@@ -659,6 +670,154 @@ def _closed_mu_roots(mu_poly: IntPolynomial, precision: int) -> list[_ClosedRoot
     return raw
 
 
+# ------------------------------------------------- exact real-root isolation
+#
+# A polynomial here is an ascending list of integer coefficients and a point
+# a Fraction (the bisection points are dyadic).  The sign of p(num/den) is
+# the sign of the integer den^deg * p(num/den), so no rounding enters a
+# root count.
+
+
+def _primitive(coefficients: list[int]) -> list[int]:
+    """Divide out the content; a positive factor keeps every sign."""
+    content = math.gcd(*coefficients)
+    return [c // content for c in coefficients] if content > 1 else coefficients
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of -(m * a mod b) for some integer m > 0.
+
+    Each elimination step scales the running remainder by |lc(b)|, so the
+    result has the signs of -(a mod b) at every point: one step of a Sturm
+    sequence.  Empty when b divides a.
+    """
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    r = a[:]
+    while r and len(r) >= len(b):
+        top = sign * r[-1]
+        shift = len(r) - len(b)
+        r = [scale * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
+        while r and r[-1] == 0:
+            r.pop()
+        if r:
+            r = _primitive(r)
+    return [-c for c in r]
+
+
+def _sturm_sequence(coefficients: list[int]) -> list[list[int]]:
+    """p, p', then negated pseudo-remainders; the last entry is gcd(p, p')
+    up to a nonzero constant factor."""
+    derivative = [k * c for k, c in enumerate(coefficients)][1:]
+    sequence = [coefficients, _primitive(derivative)]
+    while True:
+        remainder = _negated_remainder(sequence[-2], sequence[-1])
+        if not remainder:
+            return sequence
+        sequence.append(remainder)
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a; by Gauss's lemma the
+    quotient has integer coefficients."""
+    r = a[:]
+    quotient = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quotient) - 1, -1, -1):
+        factor, rest = divmod(r[shift + len(b) - 1], b[-1])
+        if rest:
+            raise InternalConsistencyError("polynomial division left a remainder")
+        quotient[shift] = factor
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+    if any(r):
+        raise InternalConsistencyError("polynomial division left a remainder")
+    return quotient
+
+
+def _squarefree_factors(coefficients: list[int], gcd: list[int]) -> list[tuple[list[int], int]]:
+    """(a_k, k) with p = c * prod a_k^k, each a_k square-free of degree >= 1.
+
+    ``gcd`` is gcd(p, p').  With g_0 = p and g_(i+1) = gcd(g_i, g_i'), the
+    quotient s_i = g_i / g_(i+1) holds once each root of multiplicity > i,
+    so a_(i+1) = s_i / s_(i+1) holds those of multiplicity exactly i + 1.
+    """
+    gcds = [coefficients, gcd]
+    while len(gcds[-1]) > 1:
+        gcds.append(_sturm_sequence(gcds[-1])[-1])
+    squarefree = [_exact_quotient(g, h) for g, h in zip(gcds, gcds[1:])] + [[1]]
+    factors = []
+    for k, (s, t) in enumerate(zip(squarefree, squarefree[1:]), start=1):
+        factor = _exact_quotient(s, t)
+        if len(factor) > 1:
+            factors.append((factor, k))
+    return factors
+
+
+def _sign_at(coefficients: list[int], point: Fraction) -> int:
+    """Sign of p(point), from den^deg * p(num/den) by integer Horner."""
+    num, den = point.numerator, point.denominator
+    acc, scale = 0, 1
+    for c in reversed(coefficients):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(sequence: list[list[int]], point: Fraction) -> int:
+    """Sign changes along the Sturm sequence at ``point``, zeros skipped."""
+    changes, last = 0, 0
+    for poly in sequence:
+        sign = _sign_at(poly, point)
+        if sign:
+            changes += last == -sign
+            last = sign
+    return changes
+
+
+def _isolating_intervals(sequence: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
+    """Open intervals, ascending, each holding exactly one real root of the
+    square-free polynomial ``sequence[0]``; no endpoint is a root.
+
+    Sturm's theorem counts the roots in (a, b] as V(a) - V(b).  Bisection
+    starts from +-2^e beyond Fujiwara's bound 2 max_k |c_(d-k) / c_d|^(1/k)
+    and splits every interval holding more than one root.
+
+    :raises SpectralConsistencyError: some roots are not real.
+    """
+    poly = sequence[0]
+    degree = len(poly) - 1
+    lead_bits = abs(poly[-1]).bit_length()
+    exponent = max(
+        -(-(abs(c).bit_length() - lead_bits + 1) // k)
+        for k, c in enumerate(reversed(poly[:-1]), start=1)
+    )
+    bound = Fraction(2) ** (max(exponent, 0) + 2)
+    lo, hi = -bound, bound
+    v_lo, v_hi = _sign_changes(sequence, lo), _sign_changes(sequence, hi)
+    if v_lo - v_hi != degree:
+        raise SpectralConsistencyError(
+            f"{degree - (v_lo - v_hi)} of the {degree} distinct roots are not "
+            "real; the polynomial does not come from a Hermitian matrix"
+        )
+    pending = [(lo, v_lo, hi, v_hi)]
+    intervals = []
+    while pending:
+        lo, v_lo, hi, v_hi = pending.pop()
+        if v_lo - v_hi == 1:
+            intervals.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        while _sign_at(poly, mid) == 0:  # keep every endpoint off the roots
+            mid = (lo + mid) / 2
+        v_mid = _sign_changes(sequence, mid)
+        for part in ((lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)):
+            if part[1] != part[3]:
+                pending.append(part)
+    intervals.sort()
+    return intervals
+
+
 # ------------------------------------------------------- certified numerics
 
 
@@ -680,97 +839,113 @@ def _newton_polish(poly: IntPolynomial, start, precision: int):
         return x
 
 
-def _aberth_iterate(mu_poly: IntPolynomial, digits: int):
-    """One Aberth-Ehrlich run at ``digits`` working digits.
+def _bracketed_newton(poly: IntPolynomial, derivative: IntPolynomial, lo, hi, rising: bool):
+    """A start for :func:`_newton_polish` inside the bracket (lo, hi) of a
+    simple root, at the working precision.
 
-    Returns (roots, converged).  Starting points sit on a circle whose radius
-    is the Fujiwara root bound (scale-aware, unlike the plain coefficient
-    maximum), with an angular offset that breaks real-axis symmetry.
+    Each step narrows the bracket by the sign of poly, then takes the Newton
+    step if it stays inside and at most halves the previous step, and
+    bisects otherwise.  ``rising`` says poly is negative at lo.  Returns once
+    a step falls below 10^(-dps/2) relative, from where Newton's quadratic
+    convergence reaches the working precision in one or two steps.
     """
-    degree = mu_poly.degree
-    coefficients = mu_poly.coefficients
-    derivative = mu_poly.derivative()
-    lead = abs(mp.mpf(coefficients[-1]))
-    ratios = [
-        mp.power(abs(mp.mpf(coefficients[degree - k])) / lead, mp.mpf(1) / k)
-        for k in range(1, degree + 1)
-        if coefficients[degree - k]
+    tolerance = mp.mpf(10) ** (-(mp.dps // 2))
+    x = (lo + hi) / 2
+    previous = hi - lo
+    for _ in range(4 * mp.prec):
+        value = poly.evaluate(x)
+        if value == 0:
+            break
+        if (value < 0) == rising:
+            lo = x
+        else:
+            hi = x
+        slope = derivative.evaluate(x)
+        step = value / slope if slope else None
+        if step is None or not (lo < x - step < hi and 2 * abs(step) <= previous):
+            step = x - (lo + hi) / 2
+        previous = abs(step)
+        x -= step
+        if previous <= tolerance * max(1, abs(x)):
+            break
+    return x
+
+
+def _isolated_roots(mu_poly: IntPolynomial):
+    """(factor, multiplicity, brackets) for each square-free factor of
+    mu_poly; a bracket is (lo, hi, rising) around one real root.
+
+    :raises SpectralConsistencyError: some roots are not real.
+    """
+    coefficients = list(mu_poly.coefficients)
+    sequence = _sturm_sequence(coefficients)
+    if len(sequence[-1]) == 1:
+        factors = [(coefficients, 1, sequence)]
+    else:
+        factors = [
+            (factor, multiplicity, _sturm_sequence(factor))
+            for factor, multiplicity in _squarefree_factors(coefficients, sequence[-1])
+        ]
+    return [
+        (
+            IntPolynomial(tuple(factor)),
+            multiplicity,
+            [
+                (lo, hi, _sign_at(factor, lo) < 0)
+                for lo, hi in _isolating_intervals(factor_sequence)
+            ],
+        )
+        for factor, multiplicity, factor_sequence in factors
     ]
-    radius = max(2 * max(ratios), mp.mpf(1)) if ratios else mp.mpf(1)
-    roots = [
-        radius * mp.exp(mp.mpc(0, 2 * mp.pi * k / degree + mp.mpf(2) / 5))
-        for k in range(degree)
-    ]
-    jitter = mp.mpf(10) ** (-(digits // 2))
-    tolerance = mp.mpf(10) ** (-(digits - 6))
-    for _ in range(160 + 20 * degree):
-        largest_step = mp.mpf(0)
-        for i in range(degree):
-            value = mu_poly.evaluate(roots[i])
-            if value == 0:
-                continue
-            slope = derivative.evaluate(roots[i])
-            if slope == 0:
-                roots[i] += jitter * (1 + abs(roots[i])) * mp.mpc(1, 1)
-                largest_step = mp.inf
-                continue
-            newton = value / slope
-            repulsion = []
-            for k in range(degree):
-                if k == i:
-                    continue
-                gap = roots[i] - roots[k]
-                if gap == 0:
-                    gap = jitter * (1 + abs(roots[i]))
-                repulsion.append(1 / gap)
-            denominator = 1 - newton * mp.fsum(repulsion)
-            step = newton if denominator == 0 else newton / denominator
-            roots[i] -= step
-            scaled = abs(step) / max(mp.mpf(1), abs(roots[i]))
-            largest_step = max(largest_step, scaled)
-        if largest_step < tolerance:
-            return roots, True
-    return roots, False
 
 
 def _numeric_mu_roots(mu_poly: IntPolynomial, precision: int) -> list[_ClosedRoot]:
-    """Certified numeric mu roots; retries at increasing precision until the
-    residual bound |q(mu)| / |q'(mu)| < 10^(5-p) holds for every root."""
-    degree = mu_poly.degree
-    if degree == 0:
+    """Certified real mu roots, each listed as often as its multiplicity.
+
+    The real roots of each square-free factor a of q are isolated exactly
+    (Sturm), then refined by bracketed Newton and :func:`_newton_polish` on
+    a, whose roots are simple.  Every root must meet the residual bound
+    |a(mu)| / |a'(mu)| < 10^(5-p) and lie in its isolating interval widened
+    by that bound; otherwise the refinement is retried with more guard
+    digits.  The polished values are Newton fixed points at the working
+    precision, so they do not depend on where the refinement starts.
+
+    :raises SpectralConsistencyError: q has non-real roots.
+    :raises NumericFailureError: no guard setting met both certificates.
+    """
+    if mu_poly.degree == 0:
         return []
+    isolated = _isolated_roots(mu_poly)
     target = mp.mpf(10) ** (-(precision - 5))
-    derivative = mu_poly.derivative()
     best_residual = None
     for guard in (10, 30, 60, 120):
         digits = precision + guard
         with mp.workdps(digits):
-            roots, converged = _aberth_iterate(mu_poly, digits)
-            if not converged:
+            roots, worst, contained = [], mp.mpf(0), True
+            for poly, multiplicity, brackets in isolated:
+                derivative = poly.derivative()
+                for lo, hi, rising in brackets:
+                    lo_value, hi_value = _mpf_from_fraction(lo), _mpf_from_fraction(hi)
+                    start = _bracketed_newton(poly, derivative, lo_value, hi_value, rising)
+                    root = _newton_polish(poly, start, digits)
+                    slope = derivative.evaluate(root)
+                    residual = mp.inf if slope == 0 else abs(poly.evaluate(root) / slope)
+                    contained &= lo_value - residual <= root <= hi_value + residual
+                    worst = max(worst, residual)
+                    roots.extend([root] * multiplicity)
+            if not contained:
                 continue
-            polished = []
-            for root in roots:
-                real_root = _as_real(root, precision)
-                polished.append(_newton_polish(mu_poly, real_root, digits))
-            residuals = []
-            for root in polished:
-                slope = derivative.evaluate(root)
-                if slope == 0:
-                    residuals.append(mp.inf)
-                else:
-                    residuals.append(abs(mu_poly.evaluate(root) / slope))
-            worst = max(residuals)
             if best_residual is None or worst < best_residual:
                 best_residual = worst
             if worst < target:
-                return [(root, None) for root in polished]
-    detail = "no converged iteration" if best_residual is None else (
+                return [(root, None) for root in roots]
+    detail = "a polished root left its isolating interval" if best_residual is None else (
         f"best residual {mp.nstr(best_residual, 3)}"
     )
     raise NumericFailureError(
         f"root finding did not reach the certified residual bound "
-        f"{mp.nstr(target, 3)} ({detail}); repeated roots or insufficient "
-        "precision are the usual causes"
+        f"{mp.nstr(target, 3)} ({detail}); insufficient precision is the "
+        "usual cause"
     )
 
 
@@ -914,19 +1089,21 @@ def roots_numeric(
 ) -> list[Eigenvalue]:
     """Certified numeric eigenvalues of a lambda^k * (even) integer polynomial.
 
-    Strips lambda factors, reduces to the mu-polynomial, runs a simultaneous
-    Aberth-Ehrlich iteration with Newton polishing on the exact coefficients,
-    and certifies every root with the residual bound |q(mu)|/|q'(mu)| <
-    10^(5-p) before mapping back to lambda = +-sqrt(mu).  Nonzero eigenvalues
-    are tagged NUMERIC; the structurally exact zero keeps EXACT_RATIONAL.
+    Strips lambda factors, reduces to the mu-polynomial q, isolates every
+    real root of each square-free factor a of q by exact Sturm sign counts,
+    refines it by Newton on a, and certifies it with the residual bound
+    |a(mu)|/|a'(mu)| < 10^(5-p) and by containment in its isolating interval
+    before mapping back to lambda = +-sqrt(mu).  A root of multiplicity k
+    in q is listed k times.  Nonzero eigenvalues are tagged NUMERIC; the
+    structurally exact zero keeps EXACT_RATIONAL.
 
     The residual quotient is the Newton step, a proximity certificate for the
-    nearest root; for a root of multiplicity k it understates the distance by
-    the factor k.  Chain factors of the countertwisting matrix always have
-    simple mu roots, so there the bound is sharp.
+    nearest root; the roots of a square-free factor are simple, so the bound
+    is sharp.
 
-    :param p: integer polynomial; 30+ digits recommended beyond dimension 22.
-    :raises NumericFailureError: iteration did not reach the residual bound.
+    :param p: integer polynomial.
+    :raises SpectralConsistencyError: some mu root is non-real or negative.
+    :raises NumericFailureError: refinement did not reach the certificates.
     """
     _require_precision(precision)
     if not isinstance(p, IntPolynomial):

@@ -11,6 +11,8 @@ the package does not model; the chiral operator still anticommutes with it.
 included, against which the package's sparse-aware product is checked.
 ``_sylvester_resultant`` is the Bareiss determinant of the Sylvester
 matrix, the reference for the package's Euclidean resultant.
+``aberth_mu_roots`` is the complex Aberth-Ehrlich root finder, the reference
+for the package's Sturm-isolated real roots.
 The ``object_*`` functions are the per-point dynamics written with mpmath
 number objects, the references for the raw-libmp kernels.
 """
@@ -44,6 +46,7 @@ from countertwist.evolution import (
     _polish_nodes,
     _propagation_time,
 )
+from countertwist.spectrum import _as_real, _newton_polish
 from countertwist.spin_algebra import (
     _ladder_amplitude_squared,
     _require_precision,
@@ -274,6 +277,109 @@ def _sylvester_resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     for shift in range(n):
         rows.append([0] * shift + qc + [0] * (size - m - 1 - shift))
     return _bareiss_determinant(rows)
+
+
+# ---------------------------------------------------------------------------
+# Aberth-Ehrlich mu roots
+# ---------------------------------------------------------------------------
+#
+# The package's numeric mu-root finder before exact Sturm isolation replaced
+# it: a simultaneous complex iteration from a circle of starting points,
+# Newton polishing and the same residual certificate.
+
+
+def _aberth_iterate(mu_poly: IntPolynomial, digits: int):
+    """One Aberth-Ehrlich run at ``digits`` working digits.
+
+    Returns (roots, converged).  Starting points sit on a circle whose radius
+    is the Fujiwara root bound (scale-aware, unlike the plain coefficient
+    maximum), with an angular offset that breaks real-axis symmetry.
+    """
+    degree = mu_poly.degree
+    coefficients = mu_poly.coefficients
+    derivative = mu_poly.derivative()
+    lead = abs(mp.mpf(coefficients[-1]))
+    ratios = [
+        mp.power(abs(mp.mpf(coefficients[degree - k])) / lead, mp.mpf(1) / k)
+        for k in range(1, degree + 1)
+        if coefficients[degree - k]
+    ]
+    radius = max(2 * max(ratios), mp.mpf(1)) if ratios else mp.mpf(1)
+    roots = [
+        radius * mp.exp(mp.mpc(0, 2 * mp.pi * k / degree + mp.mpf(2) / 5))
+        for k in range(degree)
+    ]
+    jitter = mp.mpf(10) ** (-(digits // 2))
+    tolerance = mp.mpf(10) ** (-(digits - 6))
+    for _ in range(160 + 20 * degree):
+        largest_step = mp.mpf(0)
+        for i in range(degree):
+            value = mu_poly.evaluate(roots[i])
+            if value == 0:
+                continue
+            slope = derivative.evaluate(roots[i])
+            if slope == 0:
+                roots[i] += jitter * (1 + abs(roots[i])) * mp.mpc(1, 1)
+                largest_step = mp.inf
+                continue
+            newton = value / slope
+            repulsion = []
+            for k in range(degree):
+                if k == i:
+                    continue
+                gap = roots[i] - roots[k]
+                if gap == 0:
+                    gap = jitter * (1 + abs(roots[i]))
+                repulsion.append(1 / gap)
+            denominator = 1 - newton * mp.fsum(repulsion)
+            step = newton if denominator == 0 else newton / denominator
+            roots[i] -= step
+            scaled = abs(step) / max(mp.mpf(1), abs(roots[i]))
+            largest_step = max(largest_step, scaled)
+        if largest_step < tolerance:
+            return roots, True
+    return roots, False
+
+
+def aberth_mu_roots(mu_poly: IntPolynomial, precision: int):
+    """Certified numeric mu roots; retries at increasing precision until the
+    residual bound |q(mu)| / |q'(mu)| < 10^(5-p) holds for every root."""
+    degree = mu_poly.degree
+    if degree == 0:
+        return []
+    target = mp.mpf(10) ** (-(precision - 5))
+    derivative = mu_poly.derivative()
+    best_residual = None
+    for guard in (10, 30, 60, 120):
+        digits = precision + guard
+        with mp.workdps(digits):
+            roots, converged = _aberth_iterate(mu_poly, digits)
+            if not converged:
+                continue
+            polished = []
+            for root in roots:
+                real_root = _as_real(root, precision)
+                polished.append(_newton_polish(mu_poly, real_root, digits))
+            residuals = []
+            for root in polished:
+                slope = derivative.evaluate(root)
+                if slope == 0:
+                    residuals.append(mp.inf)
+                else:
+                    residuals.append(abs(mu_poly.evaluate(root) / slope))
+            worst = max(residuals)
+            if best_residual is None or worst < best_residual:
+                best_residual = worst
+            if worst < target:
+                return [(root, None) for root in polished]
+    detail = "no converged iteration" if best_residual is None else (
+        f"best residual {mp.nstr(best_residual, 3)}"
+    )
+    raise NumericFailureError(
+        f"root finding did not reach the certified residual bound "
+        f"{mp.nstr(target, 3)} ({detail}); repeated roots or insufficient "
+        "precision are the usual causes"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ GOLDEN = [
     # Radical trees in JSON.
     (("spectrum", "--j", "7", "--format", "json"), 0,
      "8d3261bbacb4f5f48813ae8a2aa2c24f22e432e25013b00f1c5c7fa2f44153d7"),
-    # NUMERIC_ONLY: Aberth roots.
+    # NUMERIC_ONLY: Sturm-isolated numeric roots.
     (("spectrum", "--j", "12", "--format", "text"), 0,
      "ed6c875665d043698314d1e1230670c31ebe456c9ccfdaea49cb9363d3b5a98d"),
     (("classify", "--j", "5"), 0,

@@ -9,6 +9,7 @@ import functools
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import fzero
 
 from countertwist import DenseOperator, HalfInt, build_h_ta, spectrum
 from countertwist import _kernels, evolution
@@ -99,6 +100,33 @@ def test_taylor_propagator_of_a_faulted_h_matches_object_code(monkeypatch):
             with pytest.raises(NumericFailureError) as want:
                 object_gram_defect(matrix)
             assert str(got.value) == str(want.value)
+
+
+def test_taylor_comparison_catches_a_wrong_zero_skip(monkeypatch):
+    # Mutant: the squarings treat every entry with a zero imaginary part as
+    # an exact zero, as a skip test on the wrong component would.  The
+    # generator of h_ta is real, so the mutant drops every product.
+    original = _kernels.squared
+
+    def wrong_skip(rows, prec, rnd):
+        masked = [
+            None if row is None else [y if y[1] != fzero else _kernels.ZERO for y in row]
+            for row in rows
+        ]
+        return original(masked, prec, rnd)
+
+    monkeypatch.setattr(_kernels, "squared", wrong_skip)
+    mismatches = 0
+    for twoj, precision, chi_t in _taylor_cases():
+        h = build_h_ta(HalfInt(twoj), mp.mpf(2) / 3, precision)
+        try:
+            u = propagator_taylor(h, mp.mpf(chi_t), precision)
+        except NumericFailureError:
+            mismatches += 1
+            continue
+        entries, _ = object_taylor_entries(h, mp.mpf(chi_t), precision)
+        mismatches += _raw(u.matrix.entries) != _raw(entries)
+    assert mismatches
 
 
 @pytest.mark.parametrize("twoj", [1, 4, 9, 16])

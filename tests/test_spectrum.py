@@ -633,3 +633,24 @@ def test_json_rejects_missing_child(path, child):
 
     with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
         spectrum_from_json(_edited_first_form(drop))
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"spectrum-report"', "null"])
+def test_json_rejects_a_document_that_is_not_an_object(text):
+    with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
+        spectrum_from_json(text)
+
+
+@pytest.mark.parametrize("form", ["sqrt", 12, ["kind", "sqrt"]])
+def test_json_rejects_a_radical_form_that_is_not_an_object(form):
+    payload = json.loads(spectrum_to_json(_every_kind_report(), PRECISION))
+    payload["eigenvalues"][0]["radical_form"] = form
+    with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
+        spectrum_from_json(json.dumps(payload))
+
+
+def test_json_rejects_an_eigenvalue_entry_that_is_not_an_object():
+    payload = json.loads(spectrum_to_json(_every_kind_report(), PRECISION))
+    payload["eigenvalues"][0] = "1.5"
+    with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
+        spectrum_from_json(json.dumps(payload))

@@ -44,9 +44,9 @@ ZERO = (fzero, fzero)
 
 
 def int_horner(coefficients, x, prec, rnd):
-    """Repeats ``IntPolynomial.evaluate`` at an mpf: ``acc = acc * x + c``
-    from acc = 0, highest coefficient first, each ``c`` given as an exact
-    mpf (``from_int``)."""
+    """Repeats the generic Horner loop of ``IntPolynomial.evaluate`` at an
+    mpf: ``acc = acc * x + c`` from acc = 0, highest coefficient first, each
+    ``c`` given as an exact mpf (``from_int``), as ``mpf + int`` converts it."""
     acc = fzero
     for c in reversed(coefficients):
         acc = mpf_add(mpf_mul(acc, x, prec, rnd), c, prec, rnd)

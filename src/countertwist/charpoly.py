@@ -16,6 +16,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath import mp
+from mpmath.libmp import from_int
+
+from . import _kernels
 from .errors import (
     InternalConsistencyError,
     InvalidInputError,
@@ -104,8 +108,22 @@ class IntPolynomial:
             k * c for k, c in enumerate(self.coefficients) if k > 0
         )
 
+    @functools.cached_property
+    def _mpf_coefficients(self) -> list:
+        """The coefficients as exact raw mpf values, converted once."""
+        return [from_int(c) for c in self.coefficients]
+
     def evaluate(self, x):
-        """Horner evaluation; exact for int/Fraction x, rounded for mpf/mpc."""
+        """Horner evaluation; exact for int/Fraction x, rounded for mpf/mpc.
+
+        At an mpf the libmp kernel runs the same Horner steps on raw values,
+        bit for bit.
+        """
+        if isinstance(x, mp.mpf):
+            prec, rnd = mp._prec_rounding
+            return mp.make_mpf(
+                _kernels.int_horner(self._mpf_coefficients, x._mpf_, prec, rnd)
+            )
         acc = 0 * x if not isinstance(x, (int, Fraction)) else 0
         for c in reversed(self.coefficients):
             acc = acc * x + c

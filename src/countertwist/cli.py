@@ -70,20 +70,19 @@ from .evolution import (
 from .spectrum import SpectrumReport, spectrum, spectrum_to_json
 from .spin_algebra import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     MIN_PRECISION,
     DenseOperator,
     HalfInt,
+    _mpf_from_fraction,
     build_h_ta,
     chiral_operator,
 )
 
-# Resource caps, checked before any arithmetic.  The cheapest run,
-# ``evolve --j 1/2 --t-max 1 --steps 2``, took 0.19 s at 12 800 digits,
-# 0.44 s at 25 600 and 1.9 s at 51 200 (about 4x per doubling; 4.8 s for
-# j = 1), so 10^5 digits keeps it near ten seconds.  A grid point at j = 1/2
-# and 34 digits takes about 0.46 ms and keeps eight values, so 10^5 points
-# take under a minute and some hundred megabytes.
-MAX_PRECISION = 100_000
+# Resource caps, checked before any arithmetic (MAX_PRECISION is set beside
+# MIN_PRECISION in ``spin_algebra``).  A grid point at j = 1/2 and 34 digits
+# takes about 0.46 ms and keeps eight values, so 10^5 points take under a
+# minute and some hundred megabytes.
 MAX_STEPS = 100_000
 
 # Verification tolerances: structural identities at 1e-12, conserved
@@ -469,10 +468,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_to_mpf(value: Fraction):
-    return mp.mpf(value.numerator) / mp.mpf(value.denominator)
-
-
 def _flip_first_coupling(h: DenseOperator) -> DenseOperator:
     """Negate one upper coupling entry only — breaks conjugate symmetry.
 
@@ -539,7 +534,7 @@ def _closed_form_rows_j2(chi_t, precision: int):
     angle 3s, with s the dimensionless time.
     """
     with mp.workdps(precision + 10):
-        s = mp.mpf(chi_t.numerator) / mp.mpf(chi_t.denominator)
+        s = _mpf_from_fraction(chi_t)
         root3 = mp.sqrt(3)
         c = mp.cos(2 * root3 * s)
         sn = mp.sin(2 * root3 * s)
@@ -560,7 +555,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     """Run the property suite; report PASS/FAIL per property."""
     j, precision = cfg.j, cfg.precision
     with mp.workdps(precision):
-        chi_value = _fraction_to_mpf(cfg.chi)
+        chi_value = _mpf_from_fraction(cfg.chi)
     if chi_value == 0:
         raise InvalidInputError("coupling chi must be nonzero for verification")
     h = build_h_ta(j, chi_value, precision)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import fone, from_int, fzero, mpc_exp, mpc_pos, mpf_mul, mpf_neg, mpf_sub
+from mpmath.libmp import fone, fzero, mpc_exp, mpc_pos, mpf_mul, mpf_neg, mpf_sub
 
 from . import _kernels
 from .charpoly import block_polynomials
@@ -36,6 +36,7 @@ from .spin_algebra import (
     DenseOperator,
     HalfInt,
     _ladder_amplitude_squared,
+    _mpf_from_fraction,
     _require_precision,
     _require_spin,
     _two_step_entries,
@@ -82,7 +83,7 @@ def _as_dimensionless_time(chi_t, precision: int):
     """Convert chi_t to a finite real mpf at the working precision."""
     with mp.workdps(precision):
         if isinstance(chi_t, Fraction):
-            value = mp.mpf(chi_t.numerator) / chi_t.denominator
+            value = _mpf_from_fraction(chi_t)
         else:
             try:
                 value = mp.mpf(chi_t)
@@ -380,25 +381,17 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
     polys = [chain_a]
     if chain_b.coefficients != chain_a.coefficients:
         polys.append(chain_b)
-    pairs = [
-        tuple([from_int(c) for c in q.coefficients] for q in (poly, poly.derivative()))
-        for poly in polys
-    ]
-    prec, rnd = mp._prec_rounding
-
-    def evaluate(coefficients, x):
-        return mp.make_mpf(_kernels.int_horner(coefficients, x._mpf_, prec, rnd))
-
+    pairs = [(poly, poly.derivative()) for poly in polys]
     polished = []
     tol = mp.mpf(10) ** (-precision + 2)
     for seed in seeds:
         x = mp.mpf(seed)
         best = None
         for poly, deriv in pairs:
-            slope = evaluate(deriv, x)
+            slope = deriv.evaluate(x)
             if slope == 0:
                 continue
-            step = evaluate(poly, x) / slope
+            step = poly.evaluate(x) / slope
             if best is None or abs(step) < abs(best[2]):
                 best = (poly, deriv, step)
         if best is None:
@@ -409,10 +402,10 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
         poly, deriv, step = best
         for _ in range(3):
             x = x - step
-            slope = evaluate(deriv, x)
+            slope = deriv.evaluate(x)
             if slope == 0:
                 break
-            step = evaluate(poly, x) / slope
+            step = poly.evaluate(x) / slope
         if abs(step) > tol * (1 + abs(x)):
             raise InvalidInputError(
                 "spectrum report values are not eigenvalues of this "

@@ -6,8 +6,8 @@ each a polynomial in mu = lambda^2 after stripping lambda factors
 polynomials into eigenvalues:
 
 * mu-degree <= 4: closed-form radical roots (linear, quadratic, Cardano,
-  Ferrari) carried as explicit expression trees alongside certified
-  arbitrary-precision values;
+  Ferrari) carried as explicit expression trees, whose own evaluations,
+  Newton-polished on the exact polynomial, give the certified values;
 * any mu-degree: exact Sturm isolation of every real root, then bracketed
   Newton on the exact polynomial with a certified residual bound, used
   beyond the radical range and as a second route for cross-checking.
@@ -45,7 +45,15 @@ from .errors import (
     NumericFailureError,
     SpectralConsistencyError,
 )
-from .spin_algebra import DEFAULT_PRECISION, HalfInt, _require_precision, _require_spin
+from .spin_algebra import (
+    DEFAULT_PRECISION,
+    MAX_PRECISION,
+    MIN_PRECISION,
+    HalfInt,
+    _mpf_from_fraction,
+    _require_precision,
+    _require_spin,
+)
 
 __all__ = [
     "RadicalExpr",
@@ -86,7 +94,7 @@ class RadicalExpr:
         """Value at ``precision`` digits; an ``mpc`` when genuinely complex."""
         _require_precision(precision)
         with mp.workdps(precision + _EVAL_GUARD):
-            raw = self._eval()
+            raw = self._value({})
         with mp.workdps(precision):
             if isinstance(raw, mp.mpc):
                 if raw.imag == 0:
@@ -99,7 +107,7 @@ class RadicalExpr:
         principal-branch arithmetic are certified negligible and dropped."""
         _require_precision(precision)
         with mp.workdps(precision + _EVAL_GUARD):
-            raw = self._eval()
+            raw = self._value({})
             if isinstance(raw, mp.mpc):
                 scale = max(mp.mpf(1), abs(raw))
                 if abs(raw.imag) > scale * mp.mpf(10) ** (-(precision + 5)):
@@ -110,7 +118,16 @@ class RadicalExpr:
         with mp.workdps(precision):
             return +raw
 
-    def _eval(self):  # pragma: no cover - overridden by every node type
+    def _value(self, memo: dict):
+        """Value at the working precision.  ``memo`` maps id(node) to
+        (node, value), so a subtree shared by several trees is evaluated once
+        per memo; holding the node keeps its id from being reused."""
+        hit = memo.get(id(self))
+        if hit is None:
+            hit = memo[id(self)] = (self, self._eval(memo))
+        return hit[1]
+
+    def _eval(self, memo: dict):  # pragma: no cover - overridden by every node type
         raise NotImplementedError
 
 
@@ -120,8 +137,8 @@ class Rational(RadicalExpr):
 
     value: Fraction
 
-    def _eval(self):
-        return mp.mpf(self.value.numerator) / mp.mpf(self.value.denominator)
+    def _eval(self, memo: dict):
+        return _mpf_from_fraction(self.value)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -132,8 +149,8 @@ class Add(RadicalExpr):
     left: RadicalExpr
     right: RadicalExpr
 
-    def _eval(self):
-        return self.left._eval() + self.right._eval()
+    def _eval(self, memo: dict):
+        return self.left._value(memo) + self.right._value(memo)
 
     def __str__(self) -> str:
         return f"({self.left} + {self.right})"
@@ -144,8 +161,8 @@ class Sub(RadicalExpr):
     left: RadicalExpr
     right: RadicalExpr
 
-    def _eval(self):
-        return self.left._eval() - self.right._eval()
+    def _eval(self, memo: dict):
+        return self.left._value(memo) - self.right._value(memo)
 
     def __str__(self) -> str:
         return f"({self.left} - {self.right})"
@@ -156,8 +173,8 @@ class Mul(RadicalExpr):
     left: RadicalExpr
     right: RadicalExpr
 
-    def _eval(self):
-        return self.left._eval() * self.right._eval()
+    def _eval(self, memo: dict):
+        return self.left._value(memo) * self.right._value(memo)
 
     def __str__(self) -> str:
         if self.left == Rational(Fraction(-1)):
@@ -170,11 +187,11 @@ class Div(RadicalExpr):
     left: RadicalExpr
     right: RadicalExpr
 
-    def _eval(self):
-        denominator = self.right._eval()
+    def _eval(self, memo: dict):
+        denominator = self.right._value(memo)
         if denominator == 0:
             raise InternalConsistencyError("division by zero in an expression tree")
-        return self.left._eval() / denominator
+        return self.left._value(memo) / denominator
 
     def __str__(self) -> str:
         return f"({self.left} / {self.right})"
@@ -184,8 +201,8 @@ class Div(RadicalExpr):
 class Sqrt(RadicalExpr):
     operand: RadicalExpr
 
-    def _eval(self):
-        value = self.operand._eval()
+    def _eval(self, memo: dict):
+        value = self.operand._value(memo)
         if not isinstance(value, mp.mpc) and value < 0:
             value = mp.mpc(value)
         return mp.sqrt(value)
@@ -198,8 +215,8 @@ class Sqrt(RadicalExpr):
 class Cbrt(RadicalExpr):
     operand: RadicalExpr
 
-    def _eval(self):
-        value = self.operand._eval()
+    def _eval(self, memo: dict):
+        value = self.operand._value(memo)
         if isinstance(value, mp.mpc) or value < 0:
             return mp.power(mp.mpc(value), mp.mpf(1) / 3)
         return mp.cbrt(value)
@@ -356,7 +373,14 @@ def spectrum_to_json(report: SpectrumReport, precision: int) -> str:
 
 
 def spectrum_from_json(text: str) -> SpectrumReport:
-    """Inverse of :func:`spectrum_to_json` (ignores tool/version metadata)."""
+    """Inverse of :func:`spectrum_to_json` (ignores tool/version metadata).
+
+    :raises InvalidInputError: the text is not a document that
+        :func:`spectrum_to_json` writes; among the checks, j must be text
+        naming a half-integer >= 1/2, the precision an integer from
+        MIN_PRECISION to MAX_PRECISION (checked before any parsing at it),
+        every value finite, and the multiplicities must sum to 2j + 1.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -371,8 +395,18 @@ def spectrum_from_json(text: str) -> SpectrumReport:
             f"expected a spectrum-report document, got kind={payload.get('kind')!r}"
         )
     try:
-        j = HalfInt.from_string(payload["j"])
-        precision = int(payload["precision"])
+        j = payload["j"]
+        if not isinstance(j, str):
+            raise ValueError(f"j {j!r} is not a string")
+        j = HalfInt.from_string(j)
+        if j.twice_value < 1:
+            raise ValueError(f"j = {j} is below 1/2")
+        precision = payload["precision"]
+        if type(precision) is not int or not MIN_PRECISION <= precision <= MAX_PRECISION:
+            raise ValueError(
+                f"precision {precision!r} is not an integer from {MIN_PRECISION} "
+                f"to {MAX_PRECISION}"
+            )
         solvability = SolvabilityClass(
             category=SolvabilityCategory[payload["solvability"]["category"]],
             mu_degree=int(payload["solvability"]["mu_degree"]),
@@ -381,9 +415,12 @@ def spectrum_from_json(text: str) -> SpectrumReport:
         with mp.workdps(precision):
             for entry in payload["eigenvalues"]:
                 radical = _json_object(entry, "eigenvalue entry").get("radical_form")
+                value = mp.mpf(entry["value"])
+                if not mp.isfinite(value):
+                    raise ValueError(f"eigenvalue {entry['value']!r} is not finite")
                 eigenvalues.append(
                     Eigenvalue(
-                        value=mp.mpf(entry["value"]),
+                        value=value,
                         multiplicity=int(entry["multiplicity"]),
                         exactness=Exactness[entry["exactness"]],
                         radical_form=(
@@ -391,6 +428,11 @@ def spectrum_from_json(text: str) -> SpectrumReport:
                         ),
                     )
                 )
+        total = sum(ev.multiplicity for ev in eigenvalues)
+        if total != j.n_states:
+            raise ValueError(
+                f"multiplicities sum to {total}, not 2j + 1 = {j.n_states}"
+            )
         return SpectrumReport(
             j=j,
             eigenvalues=tuple(eigenvalues),
@@ -403,10 +445,6 @@ def spectrum_from_json(text: str) -> SpectrumReport:
 
 
 # ------------------------------------------------------------ small helpers
-
-
-def _mpf_from_fraction(fr: Fraction):
-    return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
 
 
 def _sqrt_fraction(fr: Fraction) -> Optional[Fraction]:
@@ -444,20 +482,21 @@ def _as_real(value, precision: int):
 
 # ------------------------------------------------- closed-form mu-root solvers
 #
-# Each solver takes ascending Fraction coefficients, assumes the caller has
-# set a guarded working precision, and returns (numeric value, form) pairs
-# where the form is either an exact Fraction or a RadicalExpr tree.  Values
-# may be complex mid-flight; realness is certified by the caller.
+# Each solver takes ascending Fraction coefficients and returns the exact
+# form of every root: a Fraction or a RadicalExpr tree.  Intermediate values
+# may be complex; realness is certified by the caller.  Where a solver needs
+# a number to choose a form, it evaluates the candidate tree through
+# ``memo`` at the caller's guarded working precision.
 
-_ClosedRoot = tuple[object, Union[Fraction, RadicalExpr]]
-
-
-def _solve_linear(c0: Fraction, c1: Fraction) -> list[_ClosedRoot]:
-    root = -c0 / c1
-    return [(_mpf_from_fraction(root), root)]
+_Form = Union[Fraction, RadicalExpr]
+_ClosedRoot = tuple[object, _Form]
 
 
-def _solve_quadratic(c0: Fraction, c1: Fraction, c2: Fraction) -> list[_ClosedRoot]:
+def _solve_linear(c0: Fraction, c1: Fraction) -> list[_Form]:
+    return [-c0 / c1]
+
+
+def _solve_quadratic(c0: Fraction, c1: Fraction, c2: Fraction) -> list[_Form]:
     disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         raise SpectralConsistencyError(
@@ -465,20 +504,17 @@ def _solve_quadratic(c0: Fraction, c1: Fraction, c2: Fraction) -> list[_ClosedRo
         )
     exact = _sqrt_fraction(disc)
     if exact is not None:
-        roots = sorted(((-c1 - exact) / (2 * c2), (-c1 + exact) / (2 * c2)))
-        return [(_mpf_from_fraction(r), r) for r in roots]
-    sqrt_num = mp.sqrt(_mpf_from_fraction(disc))
-    base = _mpf_from_fraction(-c1)
-    denom = _mpf_from_fraction(2 * c2)
+        return sorted(((-c1 - exact) / (2 * c2), (-c1 + exact) / (2 * c2)))
     sqrt_tree = Sqrt(Rational(disc))
-    minus = ((base - sqrt_num) / denom, Div(Sub(_rat(-c1), sqrt_tree), _rat(2 * c2)))
-    plus = ((base + sqrt_num) / denom, Div(Add(_rat(-c1), sqrt_tree), _rat(2 * c2)))
-    return [minus, plus]
+    return [
+        Div(Sub(_rat(-c1), sqrt_tree), _rat(2 * c2)),
+        Div(Add(_rat(-c1), sqrt_tree), _rat(2 * c2)),
+    ]
 
 
 def _solve_cubic(
-    c0: Fraction, c1: Fraction, c2: Fraction, c3: Fraction
-) -> list[_ClosedRoot]:
+    c0: Fraction, c1: Fraction, c2: Fraction, c3: Fraction, memo: dict
+) -> list[_Form]:
     """Cardano's formula; complex intermediates when all roots are real."""
     b = c2 / c3
     c = c1 / c3
@@ -486,55 +522,34 @@ def _solve_cubic(
     delta0 = b * b - 3 * c
     delta1 = 2 * b**3 - 9 * b * c + 27 * d
     if delta0 == 0 and delta1 == 0:
-        root = -b / 3
-        return [(_mpf_from_fraction(root), root)] * 3
-    inner = delta1 * delta1 - 4 * delta0**3
-    inner_tree = Sqrt(Rational(inner))
-    if inner < 0:
-        sqrt_inner = mp.sqrt(mp.mpc(_mpf_from_fraction(inner)))
-    else:
-        sqrt_inner = mp.sqrt(_mpf_from_fraction(inner))
-    half = (_mpf_from_fraction(delta1) + sqrt_inner) / 2
-    if half == 0:
+        return [-b / 3] * 3
+    # Leaves shared between the roots are single nodes, evaluated once.
+    two, minus_one, delta1_tree = _rat(2), _rat(-1), Rational(delta1)
+    inner_tree = Sqrt(Rational(delta1 * delta1 - 4 * delta0**3))
+    half = Div(Add(delta1_tree, inner_tree), two)
+    if half._value(memo) == 0:
         # Happens only for delta0 == 0, delta1 < 0; the other branch is safe.
-        big_c_tree = Cbrt(Div(Sub(Rational(delta1), inner_tree), _rat(2)))
-        half = (_mpf_from_fraction(delta1) - sqrt_inner) / 2
-    else:
-        big_c_tree = Cbrt(Div(Add(Rational(delta1), inner_tree), _rat(2)))
-    if isinstance(half, mp.mpc) or half < 0:
-        big_c = mp.power(mp.mpc(half), mp.mpf(1) / 3)
-    else:
-        big_c = mp.cbrt(half)
-
-    sqrt3_half = mp.sqrt(mp.mpf(3)) / 2
+        half = Div(Sub(delta1_tree, inner_tree), two)
+    big_c_tree = Cbrt(half)
+    sqrt_minus_three = Sqrt(_rat(-3))
     unit_trees = (
         None,
-        Div(Add(_rat(-1), Sqrt(_rat(-3))), _rat(2)),
-        Div(Sub(_rat(-1), Sqrt(_rat(-3))), _rat(2)),
+        Div(Add(minus_one, sqrt_minus_three), two),
+        Div(Sub(minus_one, sqrt_minus_three), two),
     )
-    unit_values = (
-        mp.mpf(1),
-        mp.mpc(mp.mpf(-1) / 2, sqrt3_half),
-        mp.mpc(mp.mpf(-1) / 2, -sqrt3_half),
-    )
-    b_num = _mpf_from_fraction(b)
-    delta0_num = _mpf_from_fraction(delta0)
-    roots: list[_ClosedRoot] = []
-    for unit_tree, unit_value in zip(unit_trees, unit_values):
-        branch = unit_value * big_c
+    third, b_tree, delta0_tree = _rat(Fraction(-1, 3)), Rational(b), Rational(delta0)
+    roots: list[_Form] = []
+    for unit_tree in unit_trees:
         branch_tree = big_c_tree if unit_tree is None else Mul(unit_tree, big_c_tree)
-        value = -(b_num + branch + delta0_num / branch) / 3
-        tree = Mul(
-            _rat(Fraction(-1, 3)),
-            Add(Rational(b), Add(branch_tree, Div(Rational(delta0), branch_tree))),
+        roots.append(
+            Mul(third, Add(b_tree, Add(branch_tree, Div(delta0_tree, branch_tree))))
         )
-        roots.append((value, tree))
     return roots
 
 
 def _solve_quartic(
-    c0: Fraction, c1: Fraction, c2: Fraction, c3: Fraction, c4: Fraction
-) -> list[_ClosedRoot]:
+    c0: Fraction, c1: Fraction, c2: Fraction, c3: Fraction, c4: Fraction, memo: dict
+) -> list[_Form]:
     """Ferrari's method via the resolvent cubic of the depressed quartic."""
     b = c3 / c4
     c = c2 / c4
@@ -544,129 +559,101 @@ def _solve_quartic(
     p = c - 3 * b * b / 8
     q = d - b * c / 2 + b**3 / 8
     r = e - b * d / 4 + b * b * c / 16 - 3 * b**4 / 256
-    shift_num = _mpf_from_fraction(shift)
 
-    roots: list[_ClosedRoot] = []
+    roots: list[_Form] = []
+    shift_tree = Rational(shift)
     if q == 0:
         # Biquadratic: y^2 solves a plain quadratic.
-        for z_value, z_form in _solve_quadratic(r, p, Fraction(1)):
+        for z_form in _solve_quadratic(r, p, Fraction(1)):
             if isinstance(z_form, Fraction):
                 exact = _sqrt_fraction(z_form)
                 if exact is not None:
-                    for sign in (-1, 1):
-                        mu = sign * exact - shift
-                        roots.append((_mpf_from_fraction(mu), mu))
+                    roots.extend(sign * exact - shift for sign in (-1, 1))
                     continue
-                y_tree: RadicalExpr = Sqrt(Rational(z_form))
-            else:
-                y_tree = Sqrt(z_form)
-            if isinstance(z_value, mp.mpc) or z_value < 0:
-                y_value = mp.sqrt(mp.mpc(z_value))
-            else:
-                y_value = mp.sqrt(z_value)
-            roots.append((y_value - shift_num, Sub(y_tree, Rational(shift))))
-            roots.append((-y_value - shift_num, Sub(_neg(y_tree), Rational(shift))))
+                z_form = Rational(z_form)
+            y_tree = Sqrt(z_form)
+            roots.append(Sub(y_tree, shift_tree))
+            roots.append(Sub(_neg(y_tree), shift_tree))
         return roots
 
     # Resolvent cubic u^3 + 2p u^2 + (p^2 - 4r) u - q^2; its roots are the
     # squared pair-sums of the depressed roots, so for a real spectrum they
     # are nonnegative and their square roots combine into the quartic roots.
-    resolvent = _solve_cubic(-q * q, p * p - 4 * r, 2 * p, Fraction(1))
-    sqrt_items: list[tuple[object, RadicalExpr]] = []
-    for u_value, u_form in resolvent:
+    sqrt_trees: list[RadicalExpr] = []
+    for u_form in _solve_cubic(-q * q, p * p - 4 * r, 2 * p, Fraction(1), memo):
         if isinstance(u_form, Fraction):
             exact = _sqrt_fraction(u_form)
             if exact is not None:
-                sqrt_items.append((_mpf_from_fraction(exact), Rational(exact)))
+                sqrt_trees.append(Rational(exact))
                 continue
-            tree: RadicalExpr = Sqrt(Rational(u_form))
-            base = u_value
-        else:
-            tree = Sqrt(u_form)
-            base = u_value
-        if isinstance(base, mp.mpc) or base < 0:
-            value = mp.sqrt(mp.mpc(base))
-        else:
-            value = mp.sqrt(base)
-        sqrt_items.append((value, tree))
+            u_form = Rational(u_form)
+        sqrt_trees.append(Sqrt(u_form))
 
     # Fix the overall sign so that s1*s2*s3 = -q.
-    product = sqrt_items[0][0] * sqrt_items[1][0] * sqrt_items[2][0]
+    s1, s2, s3 = (tree._value(memo) for tree in sqrt_trees)
+    product = s1 * s2 * s3
     target = _mpf_from_fraction(-q)
     if abs(product - target) > abs(product + target):
-        flip_value, flip_tree = sqrt_items[2]
-        sqrt_items[2] = (-flip_value, _neg(flip_tree))
+        sqrt_trees[2] = _neg(sqrt_trees[2])
 
-    (s1, t1), (s2, t2), (s3, t3) = sqrt_items
-    combos = (
-        (s1 + s2 + s3, Add(Add(t1, t2), t3)),
-        (s1 - s2 - s3, Sub(Sub(t1, t2), t3)),
-        (-s1 + s2 - s3, Sub(Sub(t2, t1), t3)),
-        (-s1 - s2 + s3, Sub(t3, Add(t1, t2))),
-    )
-    for y_value, y_tree in combos:
-        mu_tree = Sub(Div(y_tree, _rat(2)), Rational(shift))
-        roots.append((y_value / 2 - shift_num, mu_tree))
+    t1, t2, t3 = sqrt_trees
+    two = _rat(2)
+    for y_tree in (
+        Add(Add(t1, t2), t3),
+        Sub(Sub(t1, t2), t3),
+        Sub(Sub(t2, t1), t3),
+        Sub(t3, Add(t1, t2)),
+    ):
+        roots.append(Sub(Div(y_tree, two), shift_tree))
     return roots
-
-
-def _deflate_integer_root(poly: IntPolynomial, root: int) -> IntPolynomial:
-    """Exact synthetic division of an integer polynomial by (x - root)."""
-    descending = list(reversed(poly.coefficients))
-    quotient: list[int] = []
-    acc = 0
-    for coefficient in descending:
-        acc = acc * root + coefficient
-        quotient.append(acc)
-    remainder = quotient.pop()
-    if remainder != 0:
-        raise InternalConsistencyError(
-            f"{root} is not an exact root; deflation left remainder {remainder}"
-        )
-    return IntPolynomial.from_coefficients(reversed(quotient))
 
 
 def _detect_integer_roots(poly: IntPolynomial, approximations) -> list[int]:
     """Integer roots confirmed by exact evaluation near numeric approximations."""
     found: list[int] = []
     for value in approximations:
-        if isinstance(value, mp.mpc):
-            value = value.real
-        candidate = int(mp.nint(value))
+        candidate = int(mp.nint(mp.re(value)))
         if candidate not in found and poly.evaluate(candidate) == 0:
             found.append(candidate)
     return found
 
 
-def _closed_mu_roots(mu_poly: IntPolynomial, precision: int) -> list[_ClosedRoot]:
-    """All roots of an integer mu-polynomial of degree <= 4 in closed form."""
+def _closed_mu_roots(mu_poly: IntPolynomial) -> list[_ClosedRoot]:
+    """All roots of an integer mu-polynomial of degree <= 4 in closed form,
+    each paired with its value at the working precision.
+
+    A tree's value is the tree's own evaluation; the memo, owned by this
+    call, evaluates a subtree that several roots share once.
+    """
     degree = mu_poly.degree
     if degree == 0:
         return []
-    coefficients = [Fraction(c) for c in mu_poly.coefficients]
-    if degree == 1:
-        return _solve_linear(*coefficients)
-    if degree == 2:
-        return _solve_quadratic(*coefficients)
     if degree > 4:
         raise InvalidInputError(
             f"mu-degree {degree} exceeds the closed-form limit of 4; "
             "use the numeric path"
         )
-    solver = _solve_cubic if degree == 3 else _solve_quartic
-    raw = solver(*coefficients)
+    coefficients = [Fraction(c) for c in mu_poly.coefficients]
+    memo: dict = {}
+    if degree <= 2:
+        forms = (_solve_linear if degree == 1 else _solve_quadratic)(*coefficients)
+    else:
+        forms = (_solve_cubic if degree == 3 else _solve_quartic)(*coefficients, memo)
+    raw = [
+        (_mpf_from_fraction(form) if isinstance(form, Fraction) else form._value(memo), form)
+        for form in forms
+    ]
     # A monic integer polynomial can only have integer rational roots; peel
     # those off exactly so they keep their exact form and the leftover factor
     # gets the simplest possible radicals.
-    if abs(mu_poly.leading_coefficient) == 1:
+    if degree > 2 and abs(mu_poly.leading_coefficient) == 1:
         integer_roots = _detect_integer_roots(mu_poly, [value for value, _ in raw])
         if integer_roots:
-            reduced = mu_poly
-            peeled: list[_ClosedRoot] = []
+            reduced = list(mu_poly.coefficients)
             for root in integer_roots:
-                reduced = _deflate_integer_root(reduced, root)
-                peeled.append((mp.mpf(root), Fraction(root)))
-            return peeled + _closed_mu_roots(reduced, precision)
+                reduced = _exact_quotient(reduced, [-root, 1])
+            peeled = [(mp.mpf(root), Fraction(root)) for root in integer_roots]
+            return peeled + _closed_mu_roots(IntPolynomial(tuple(reduced)))
     return raw
 
 
@@ -983,6 +970,16 @@ def _finalize_mu_roots(
     return finalized
 
 
+def _pm_pair(positive, count: int, exactness: Exactness, plus_tree=None):
+    """The eigenvalues -positive and +positive; the negative one's form is
+    -plus_tree."""
+    minus_tree = None if plus_tree is None else _neg(plus_tree)
+    return [
+        Eigenvalue(-positive, count, exactness, minus_tree),
+        Eigenvalue(positive, count, exactness, plus_tree),
+    ]
+
+
 def _poly_eigenvalues(
     p: IntPolynomial, precision: int, numeric_path: bool
 ) -> list[Eigenvalue]:
@@ -999,7 +996,7 @@ def _poly_eigenvalues(
         if numeric_path:
             raw = _numeric_mu_roots(mu_poly, precision)
         else:
-            raw = _closed_mu_roots(mu_poly, precision)
+            raw = _closed_mu_roots(mu_poly)
         mu_roots = _finalize_mu_roots(mu_poly, raw, precision)
 
         eigenvalues: list[Eigenvalue] = []
@@ -1014,42 +1011,21 @@ def _poly_eigenvalues(
                 continue
             positive = _round_to(mp.sqrt(value), precision)
             if form is None:
-                eigenvalues.append(Eigenvalue(-positive, 1, Exactness.NUMERIC))
-                eigenvalues.append(Eigenvalue(positive, 1, Exactness.NUMERIC))
+                eigenvalues += _pm_pair(positive, 1, Exactness.NUMERIC)
             else:
-                plus_tree = Sqrt(form)
-                eigenvalues.append(
-                    Eigenvalue(-positive, 1, Exactness.RADICAL, _neg(plus_tree))
-                )
-                eigenvalues.append(
-                    Eigenvalue(positive, 1, Exactness.RADICAL, plus_tree)
-                )
+                eigenvalues += _pm_pair(positive, 1, Exactness.RADICAL, Sqrt(form))
         for mu_value, count in rational_counts.items():
             exact_root = _sqrt_fraction(mu_value)
             if exact_root is not None:
                 positive = _round_to(_mpf_from_fraction(exact_root), precision)
-                eigenvalues.append(
-                    Eigenvalue(-positive, count, Exactness.EXACT_RATIONAL)
-                )
-                eigenvalues.append(
-                    Eigenvalue(positive, count, Exactness.EXACT_RATIONAL)
-                )
+                eigenvalues += _pm_pair(positive, count, Exactness.EXACT_RATIONAL)
             else:
-                positive = _round_to(mp.sqrt(_mpf_from_fraction(mu_value)), precision)
                 plus_tree = Sqrt(Rational(mu_value))
-                eigenvalues.append(
-                    Eigenvalue(-positive, count, Exactness.RADICAL, _neg(plus_tree))
-                )
-                eigenvalues.append(
-                    Eigenvalue(positive, count, Exactness.RADICAL, plus_tree)
-                )
+                positive = _round_to(plus_tree._value({}), precision)
+                eigenvalues += _pm_pair(positive, count, Exactness.RADICAL, plus_tree)
         if zero_multiplicity:
             eigenvalues.append(
-                Eigenvalue(
-                    _round_to(mp.mpf(0), precision),
-                    zero_multiplicity,
-                    Exactness.EXACT_RATIONAL,
-                )
+                Eigenvalue(mp.mpf(0), zero_multiplicity, Exactness.EXACT_RATIONAL)
             )
     eigenvalues.sort(key=lambda e: e.value)
     return eigenvalues
@@ -1162,11 +1138,7 @@ def spectrum(j, precision: int = DEFAULT_PRECISION) -> SpectrumReport:
                     eigenvalues.append(eigen)
         if zero_multiplicity:
             eigenvalues.append(
-                Eigenvalue(
-                    _round_to(mp.mpf(0), precision),
-                    zero_multiplicity,
-                    Exactness.EXACT_RATIONAL,
-                )
+                Eigenvalue(mp.mpf(0), zero_multiplicity, Exactness.EXACT_RATIONAL)
             )
     else:
         if poly_a != poly_b:

@@ -17,6 +17,10 @@ from .errors import InternalConsistencyError, InvalidInputError
 
 DEFAULT_PRECISION = 34
 MIN_PRECISION = 15
+# The cheapest run, ``evolve --j 1/2 --t-max 1 --steps 2``, took 0.19 s at
+# 12 800 digits, 0.44 s at 25 600 and 1.9 s at 51 200 (about 4x per
+# doubling; 4.8 s for j = 1), so 10^5 digits keeps it near ten seconds.
+MAX_PRECISION = 100_000
 
 
 def _require_precision(precision: int) -> int:
@@ -26,6 +30,12 @@ def _require_precision(precision: int) -> int:
             f"got {precision!r}"
         )
     return precision
+
+
+def _mpf_from_fraction(value: Fraction):
+    """An exact rational as an mpf at the working precision: the numerator
+    rounded, then divided by the exact denominator."""
+    return mp.mpf(value.numerator) / value.denominator
 
 
 @dataclass(frozen=True, order=True)

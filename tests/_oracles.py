@@ -13,12 +13,14 @@ included, against which the package's sparse-aware product is checked.
 matrix, the reference for the package's Euclidean resultant.
 ``aberth_mu_roots`` is the complex Aberth-Ehrlich root finder, the reference
 for the package's Sturm-isolated real roots.
-The ``object_*`` functions are the per-point dynamics written with mpmath
-number objects, the references for the raw-libmp kernels.
+The ``object_*`` functions are the per-point dynamics and the integer
+Horner loop written with mpmath number objects, the references for the
+raw-libmp kernels.
 """
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
@@ -389,6 +391,15 @@ def aberth_mu_roots(mu_poly: IntPolynomial, precision: int):
 # The bodies below are the package's per-point dynamics as they were written
 # with mpmath number objects, before countertwist._kernels replaced their
 # inner loops; the kernels must reproduce them bit for bit.
+
+
+def object_int_horner(poly: IntPolynomial, x):
+    """The generic Horner loop of ``IntPolynomial.evaluate``, the reference
+    for its libmp route at an mpf."""
+    acc = 0 * x if not isinstance(x, (int, Fraction)) else 0
+    for c in reversed(poly.coefficients):
+        acc = acc * x + c
+    return acc
 
 
 def object_gram_defect(matrix):

@@ -261,8 +261,8 @@ def test_degeneracy_matches_spin_parity(twoj):
     assert report.degenerate == (twoj % 2 == 1)
     if twoj % 2 == 1:
         assert report.discriminant_block != 0  # simple within each chain
-    # The block factorization agrees with the Sylvester route on the full
-    # polynomial.
+    # The block factorization agrees with the Euclidean resultant on the
+    # full polynomial.
     assert report.discriminant_full == discriminant(char_poly_exact(HalfInt(twoj)))
 
 

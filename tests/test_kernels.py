@@ -9,10 +9,11 @@ import functools
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import fzero
+from mpmath.libmp import fzero, mpf_pos
 
 from countertwist import DenseOperator, HalfInt, build_h_ta, spectrum
 from countertwist import _kernels, evolution
+from countertwist.charpoly import block_polynomials, strip_lambda_power, to_mu_polynomial
 from countertwist.cli import _flip_first_coupling
 from countertwist.errors import NumericFailureError
 from countertwist.evolution import (
@@ -29,6 +30,7 @@ from countertwist.evolution import (
 from _oracles import (
     build_h_f,
     object_gram_defect,
+    object_int_horner,
     object_moments,
     object_spectral_entries,
     object_taylor_entries,
@@ -214,3 +216,46 @@ def test_mirrored_halves_equal_computed_ones(twoj):
                 assert mirrored == planes
         if setup.twin:
             assert tuple(map(_kernels.mirror, full[0])) == full[1]
+
+
+HORNER_PRECISIONS = (15, 34, 50, 120)
+HORNER_POINTS = ("0", "1", "-1", "0.7", "-2.5", "3.3e-5", "17.25", "-123.456", "9876.5")
+
+
+def _horner_polynomials():
+    """Every chain polynomial with 2j <= 40, its derivative and its
+    mu-polynomial."""
+    for twoj in range(41):
+        for poly in block_polynomials(HalfInt(twoj)):
+            yield poly
+            yield poly.derivative()
+            yield to_mu_polynomial(strip_lambda_power(poly)[1])
+
+
+def _horner_mismatches():
+    mismatches = 0
+    for precision in HORNER_PRECISIONS:
+        with mp.workdps(precision):
+            points = [mp.mpf(x) for x in HORNER_POINTS]
+            for poly in _horner_polynomials():
+                for x in points:
+                    got, want = poly.evaluate(x), object_int_horner(poly, x)
+                    assert type(got) is type(want) is mp.mpf
+                    mismatches += got._mpf_ != want._mpf_
+    return mismatches
+
+
+def test_int_polynomial_evaluate_matches_object_horner():
+    assert _horner_mismatches() == 0
+
+
+def test_horner_comparison_catches_rounded_coefficients(monkeypatch):
+    # Mutant: the coefficients are rounded to the working precision before
+    # the loop, where ``mpf + int`` adds them exactly.
+    original = _kernels.int_horner
+
+    def rounded_coefficients(coefficients, x, prec, rnd):
+        return original([mpf_pos(c, prec, rnd) for c in coefficients], x, prec, rnd)
+
+    monkeypatch.setattr(_kernels, "int_horner", rounded_coefficients)
+    assert _horner_mismatches()

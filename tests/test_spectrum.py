@@ -30,6 +30,7 @@ from countertwist import (
     to_mu_polynomial,
 )
 from countertwist.charpoly import SolvabilityCategory
+from countertwist.spin_algebra import MAX_PRECISION, MIN_PRECISION
 from countertwist.spectrum import (
     Add,
     Cbrt,
@@ -119,6 +120,26 @@ def test_division_by_zero_raises():
 def test_evaluate_real_rejects_genuinely_complex():
     with pytest.raises(InternalConsistencyError):
         Sqrt(Rational(Fraction(-3))).evaluate_real(30)
+
+
+@pytest.mark.parametrize("j", ["7", "15/2"])
+def test_each_cube_root_is_evaluated_once(j, monkeypatch):
+    # Cardano's cube root is shared by the three roots of the cubic (and,
+    # through the resolvent, by Ferrari's four); the memo of each
+    # closed-form solve evaluates it once.  Distinct solves build distinct
+    # nodes, so counting over one spectrum covers every solve.
+    evaluated = []
+    original = Cbrt._eval
+
+    def counting_eval(self, memo):
+        evaluated.append(self)  # holds the node, so no id is reused
+        return original(self, memo)
+
+    monkeypatch.setattr(Cbrt, "_eval", counting_eval)
+    report = spectrum(j, PRECISION)
+    assert evaluated
+    assert len({id(node) for node in evaluated}) == len(evaluated)
+    assert any("cbrt" in str(e.radical_form) for e in report.eigenvalues)
 
 
 def test_tree_string_forms():
@@ -654,3 +675,54 @@ def test_json_rejects_an_eigenvalue_entry_that_is_not_an_object():
     payload["eigenvalues"][0] = "1.5"
     with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
         spectrum_from_json(json.dumps(payload))
+
+
+def _spin_two_document(**changes):
+    payload = json.loads(spectrum_to_json(spectrum(2, PRECISION), PRECISION))
+    payload.update(changes)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("j", [2, 2.5, None, ["2"], "-2", "-1/2", "0", "7/3"])
+def test_json_rejects_a_spin_that_is_not_a_half_integer_string_of_at_least_one_half(j):
+    with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
+        spectrum_from_json(_spin_two_document(j=j))
+
+
+@pytest.mark.parametrize(
+    "precision", [0, -5, 3, MIN_PRECISION - 1, 20.7, True, "34", None, MAX_PRECISION + 1]
+)
+def test_json_rejects_a_precision_outside_the_accepted_range(precision):
+    with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
+        spectrum_from_json(_spin_two_document(precision=precision))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_json_rejects_a_value_that_is_not_finite(value):
+    payload = json.loads(_spin_two_document())
+    payload["eigenvalues"][0]["value"] = value
+    with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
+        spectrum_from_json(json.dumps(payload))
+
+
+def _drop_first(entries):
+    del entries[0]
+
+
+def _raise_first(entries):
+    entries[0]["multiplicity"] += 1
+
+
+@pytest.mark.parametrize("edit", [_drop_first, _raise_first])
+def test_json_rejects_multiplicities_that_do_not_sum_to_the_dimension(edit):
+    payload = json.loads(_spin_two_document())
+    edit(payload["eigenvalues"])
+    with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
+        spectrum_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("twoj", [1, 2, 7, 16, 25])
+def test_json_round_trips_at_the_lowest_precision(twoj):
+    report = spectrum(HalfInt(twoj), MIN_PRECISION)
+    text = spectrum_to_json(report, MIN_PRECISION)
+    assert spectrum_from_json(text) == report

@@ -177,6 +177,8 @@ def to_mu_polynomial(p: IntPolynomial) -> IntPolynomial:
 class BlockDecomposition:
     """The two zero-diagonal tridiagonal chains hiding inside the Hamiltonian.
 
+    Every chain fact (polynomials, twins, palindromes, factors) is read here.
+
     :param j: spin magnitude.
     :param labels_a: m-chain containing +j (size ceil((2j+1)/2)), descending.
     :param labels_b: the complementary chain, descending.
@@ -190,15 +192,53 @@ class BlockDecomposition:
     block_a: tuple[Fraction, ...]
     block_b: tuple[Fraction, ...]
 
+    @functools.cached_property
+    def polynomials(self) -> tuple[IntPolynomial, IntPolynomial]:
+        """Monic characteristic polynomials det(lambda*I - T) of chains a, b."""
+        return (
+            _chain_polynomial(self.block_a, len(self.labels_a)),
+            _chain_polynomial(self.block_b, len(self.labels_b)),
+        )
 
+    @property
+    def twin(self) -> bool:
+        """Chain b is chain a reversed: equal sizes, reversed coupling squares."""
+        return (
+            len(self.labels_a) == len(self.labels_b)
+            and self.block_b == self.block_a[::-1]
+        )
+
+    @property
+    def palindromes(self) -> tuple[bool, bool]:
+        """Whether each chain is its own twin (its coupling squares a palindrome)."""
+        return tuple(block == block[::-1] for block in (self.block_a, self.block_b))
+
+    @property
+    def factors(self) -> tuple[tuple[IntPolynomial, int], ...]:
+        """The distinct chain polynomials, chain a's first, each with the
+        number of chains carrying it: ((pa, 2),) for twins, else
+        ((pa, 1), (pb, 1)); a half-integer spin's chains must be twins."""
+        pa, pb = self.polynomials
+        if self.twin:
+            return ((pa, 2),)
+        if not self.j.is_integer:
+            raise InternalConsistencyError(
+                f"the chains of the half-integer spin {self.j} must be twins"
+            )
+        return ((pa, 1), (pb, 1))
+
+
+@functools.lru_cache(maxsize=32)
 def block_decompose(j: HalfInt) -> BlockDecomposition:
     """Split spin j's Hamiltonian (over chi) into its two m-chains.
 
     Chain a starts at m = +j and descends in steps of two; chain b holds the
     remaining labels. The squared coupling between consecutive chain members
     m+2 and m is (1/4)(j(j+1)-m(m+1))(j(j+1)-(m+1)(m+2)), an exact rational.
+
+    Memoised: every layer asks for the same spin more than once.
     """
-    _require_spin(j)
+    j = _require_spin(j)
     tj = j.twice_value
     labels_a = tuple(HalfInt(tm) for tm in range(tj, -tj - 1, -4))
     labels_b = tuple(HalfInt(tm) for tm in range(tj - 2, -tj - 1, -4))
@@ -243,18 +283,9 @@ def _chain_polynomial(couplings: tuple[Fraction, ...], size: int) -> IntPolynomi
     return IntPolynomial.from_coefficients(int(c) for c in cur)
 
 
-@functools.lru_cache(maxsize=32)
 def block_polynomials(j: HalfInt) -> tuple[IntPolynomial, IntPolynomial]:
-    """Monic characteristic polynomials det(lambda*I - T) of the two chains.
-
-    Memoised: the polynomials are frozen, and ``charpoly``, ``spectrum`` and
-    the dynamics set-up each ask for the same spin more than once.
-    """
-    decomp = block_decompose(j)
-    return (
-        _chain_polynomial(decomp.block_a, len(decomp.labels_a)),
-        _chain_polynomial(decomp.block_b, len(decomp.labels_b)),
-    )
+    """Monic characteristic polynomials det(lambda*I - T) of the two chains."""
+    return block_decompose(j).polynomials
 
 
 def char_poly_exact(j: HalfInt) -> IntPolynomial:

@@ -369,7 +369,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     """Full eigenvalue report for one spin."""
     report = spectrum(cfg.j, cfg.precision)
     if cfg.format == "json":
-        _emit(cfg, spectrum_to_json(report, cfg.precision))
+        _emit(cfg, spectrum_to_json(report))
         return 0
     digits = significant_digits(cfg.precision)
     lines = [

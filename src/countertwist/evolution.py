@@ -22,7 +22,7 @@ from mpmath import mp
 from mpmath.libmp import fone, fzero, mpc_exp, mpc_pos, mpf_mul, mpf_neg, mpf_sub
 
 from . import _kernels
-from .charpoly import block_polynomials
+from .charpoly import block_decompose
 from .errors import (
     IllConditionedError,
     InternalConsistencyError,
@@ -40,7 +40,6 @@ from .spin_algebra import (
     _require_precision,
     _require_spin,
     _two_step_entries,
-    two_step_coupling_squared,
 )
 
 __all__ = [
@@ -374,14 +373,10 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
     The interpolation nodes must carry the full working precision — the
     assembled propagator is far more sensitive to node error than to any
     other rounding — so the reported eigenvalues are treated as seeds and
-    sharpened on the exact integer characteristic factors of the two chains
-    (each distinct eigenvalue is a simple root of one of them).
+    sharpened on the distinct exact chain polynomials, chain a's first (each
+    distinct eigenvalue is a simple root of one of them).
     """
-    chain_a, chain_b = block_polynomials(j)
-    polys = [chain_a]
-    if chain_b.coefficients != chain_a.coefficients:
-        polys.append(chain_b)
-    pairs = [(poly, poly.derivative()) for poly in polys]
+    pairs = [(poly, poly.derivative()) for poly, _ in block_decompose(j).factors]
     polished = []
     tol = mp.mpf(10) ** (-precision + 2)
     for seed in seeds:
@@ -422,23 +417,6 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
     return polished
 
 
-def _chain_coupling_squares(j: HalfInt) -> tuple[list, list]:
-    """Exact integer coupling squares of the even-index and odd-index chains."""
-    squares = [
-        two_step_coupling_squared(j, m) for m in BasisOrdering.for_spin(j).labels[2:]
-    ]
-    return squares[0::2], squares[1::2]
-
-
-def _twin_chains(j: HalfInt) -> bool:
-    """True when the odd-index chain is the even-index chain's twin: both
-    have the same length and the odd chain's coupling squares are the even
-    chain's in reverse order."""
-    n = j.n_states
-    even, odd = _chain_coupling_squares(j)
-    return len(range(0, n, 2)) == len(range(1, n, 2)) and odd == even[::-1]
-
-
 @dataclass(frozen=True)
 class _SeriesSetup:
     """What every grid point of one spectral series shares at one working
@@ -463,6 +441,7 @@ def _series_setup(j: HalfInt, seeds: tuple, precision: int, wp: int) -> _SeriesS
     so a cached value is the one a fresh computation would give.
     """
     n = j.n_states
+    chains = block_decompose(j)
     with mp.workdps(wp):
         prec, rnd = mp._prec_rounding
         # The propagator is far more sensitive to coupling error than to any
@@ -485,8 +464,8 @@ def _series_setup(j: HalfInt, seeds: tuple, precision: int, wp: int) -> _SeriesS
         nodes=nodes,
         gaps=gaps,
         ups=tuple(tuple(im for _, im in upper[start : n - 2 : 2]) for start in (0, 1)),
-        twin=_twin_chains(j),
-        palindromes=tuple(sq == sq[::-1] for sq in _chain_coupling_squares(j)),
+        twin=chains.twin,
+        palindromes=chains.palindromes,
     )
 
 

@@ -12,8 +12,9 @@ polynomials into eigenvalues:
   Newton on the exact polynomial with a certified residual bound, used
   beyond the radical range and as a second route for cross-checking.
 
-Multiplicities are always structural — twin-chain doubling for half-integer
-spins and stripped lambda powers — never inferred from numerical clustering.
+Multiplicities are always structural — the number of chains carrying a
+factor (two for the twin chains of a half-integer spin) and stripped lambda
+powers — never inferred from numerical clustering.
 
 Reports round-trip through JSON without loss (:func:`spectrum_to_json`).
 """
@@ -32,9 +33,8 @@ from mpmath import mp
 from ._version import __version__
 from .charpoly import (
     IntPolynomial,
-    SolvabilityCategory,
     SolvabilityClass,
-    block_polynomials,
+    block_decompose,
     classify_solvability,
     strip_lambda_power,
     to_mu_polynomial,
@@ -272,24 +272,41 @@ class Eigenvalue:
 class SpectrumReport:
     """Complete spectrum of one spin's countertwisting matrix (over chi).
 
+    Everything else a report states is derived from these three fields.
+
     :param j: spin magnitude.
     :param eigenvalues: sorted ascending by value.
-    :param degenerate: True iff some multiplicity exceeds one (for this matrix
-        family: exactly the half-integer spins, whose twin chains coincide).
-    :param solvability: closed-form reachability class of the spin.
-    :param pairing_verified: the multiset of eigenvalues was checked to be
-        invariant under lambda -> -lambda, multiplicities included.
+    :param precision: decimal digits the values carry.
     """
 
     j: HalfInt
     eigenvalues: tuple[Eigenvalue, ...]
-    degenerate: bool
-    solvability: SolvabilityClass
-    pairing_verified: bool
+    precision: int
 
     @property
     def dimension(self) -> int:
         return sum(e.multiplicity for e in self.eigenvalues)
+
+    @property
+    def degenerate(self) -> bool:
+        """Some multiplicity exceeds one (exactly the half-integer spins)."""
+        return any(e.multiplicity > 1 for e in self.eigenvalues)
+
+    @property
+    def solvability(self) -> SolvabilityClass:
+        return classify_solvability(self.j)
+
+    @property
+    def pairing_verified(self) -> bool:
+        """The multiset of eigenvalues is invariant under lambda -> -lambda,
+        multiplicities included, to 10^(5-precision)."""
+        with mp.workdps(self.precision):
+            tolerance = mp.mpf(10) ** (5 - self.precision)
+            return all(
+                a.multiplicity == b.multiplicity
+                and abs(a.value + b.value) <= tolerance * max(1, abs(a.value))
+                for a, b in zip(self.eigenvalues, reversed(self.eigenvalues))
+            )
 
 
 # --------------------------------------------------- lossless JSON round trip
@@ -335,14 +352,27 @@ def _radical_from_obj(obj: dict) -> RadicalExpr:
     return node_type(*children)
 
 
-def spectrum_to_json(report: SpectrumReport, precision: int) -> str:
+def _derived_fields(report: SpectrumReport) -> dict:
+    """The document fields that restate what the report derives."""
+    return {
+        "dimension": report.dimension,
+        "degenerate": report.degenerate,
+        "pairing_verified": report.pairing_verified,
+        "solvability": {
+            "category": report.solvability.category.name,
+            "mu_degree": report.solvability.mu_degree,
+        },
+    }
+
+
+def spectrum_to_json(report: SpectrumReport) -> str:
     """Serialize a spectrum report so that parsing recovers it exactly.
 
     Eigenvalues are printed with enough decimal digits (precision + 6) that
-    re-rounding the text at the same working precision reproduces the
-    original binary values bit for bit.
+    re-rounding the text at the report's precision reproduces the original
+    binary values bit for bit.
     """
-    digits = precision + 6
+    digits = report.precision + 6
     eigenvalues = []
     for ev in report.eigenvalues:
         entry: dict = {
@@ -359,31 +389,46 @@ def spectrum_to_json(report: SpectrumReport, precision: int) -> str:
         "version": __version__,
         "kind": "spectrum-report",
         "j": str(report.j),
-        "precision": precision,
-        "dimension": report.dimension,
-        "degenerate": report.degenerate,
-        "pairing_verified": report.pairing_verified,
-        "solvability": {
-            "category": report.solvability.category.name,
-            "mu_degree": report.solvability.mu_degree,
-        },
+        "precision": report.precision,
+        **_derived_fields(report),
         "eigenvalues": eigenvalues,
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _parse_eigenvalue(entry, precision: int) -> Eigenvalue:
+    """One eigenvalue entry, at the working precision ``precision``."""
+    radical = _json_object(entry, "eigenvalue entry").get("radical_form")
+    if not isinstance(entry["value"], str):
+        raise ValueError(f"eigenvalue {entry['value']!r} is not a string")
+    value = mp.mpf(entry["value"])
+    if not mp.isfinite(value):
+        raise ValueError(f"eigenvalue {entry['value']!r} is not finite")
+    multiplicity = entry["multiplicity"]
+    if type(multiplicity) is not int:
+        raise ValueError(f"multiplicity {multiplicity!r} is not an integer")
+    form = _radical_from_obj(radical) if radical is not None else None
+    if entry.get("radical_text") != (None if form is None else str(form)):
+        raise ValueError(f"radical_text {entry.get('radical_text')!r} does not spell its tree")
+    if form is not None:
+        error = abs(value - form.evaluate_real(precision))
+        if error > abs(value) * mp.mpf(10) ** (1 - precision):
+            raise ValueError(f"eigenvalue {entry['value']!r} is not its tree's value")
+    return Eigenvalue(value, multiplicity, Exactness[entry["exactness"]], form)
 
 
 def spectrum_from_json(text: str) -> SpectrumReport:
     """Inverse of :func:`spectrum_to_json` (ignores tool/version metadata).
 
     :raises InvalidInputError: the text is not a document that
-        :func:`spectrum_to_json` writes; among the checks, j must be text
-        naming a half-integer >= 1/2, the precision an integer from
-        MIN_PRECISION to MAX_PRECISION (checked before any parsing at it),
-        every value finite, and the multiplicities must sum to 2j + 1.
+        :func:`spectrum_to_json` writes: a field of the wrong JSON type or
+        out of range, values not strictly ascending, a RADICAL value or
+        radical_text its tree does not reproduce, multiplicities that do not
+        sum to 2j + 1, or a stated field that differs from the derived one.
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInputError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidInputError(
@@ -407,40 +452,27 @@ def spectrum_from_json(text: str) -> SpectrumReport:
                 f"precision {precision!r} is not an integer from {MIN_PRECISION} "
                 f"to {MAX_PRECISION}"
             )
-        solvability = SolvabilityClass(
-            category=SolvabilityCategory[payload["solvability"]["category"]],
-            mu_degree=int(payload["solvability"]["mu_degree"]),
-        )
-        eigenvalues = []
         with mp.workdps(precision):
-            for entry in payload["eigenvalues"]:
-                radical = _json_object(entry, "eigenvalue entry").get("radical_form")
-                value = mp.mpf(entry["value"])
-                if not mp.isfinite(value):
-                    raise ValueError(f"eigenvalue {entry['value']!r} is not finite")
-                eigenvalues.append(
-                    Eigenvalue(
-                        value=value,
-                        multiplicity=int(entry["multiplicity"]),
-                        exactness=Exactness[entry["exactness"]],
-                        radical_form=(
-                            _radical_from_obj(radical) if radical is not None else None
-                        ),
-                    )
-                )
+            eigenvalues = tuple(
+                _parse_eigenvalue(entry, precision) for entry in payload["eigenvalues"]
+            )
+        if any(b.value <= a.value for a, b in zip(eigenvalues, eigenvalues[1:])):
+            raise ValueError("eigenvalues are not strictly ascending")
         total = sum(ev.multiplicity for ev in eigenvalues)
         if total != j.n_states:
             raise ValueError(
                 f"multiplicities sum to {total}, not 2j + 1 = {j.n_states}"
             )
-        return SpectrumReport(
-            j=j,
-            eigenvalues=tuple(eigenvalues),
-            degenerate=bool(payload["degenerate"]),
-            solvability=solvability,
-            pairing_verified=bool(payload["pairing_verified"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        report = SpectrumReport(j=j, eigenvalues=eigenvalues, precision=precision)
+        # Compared as JSON text, so 1, 1.0 and true differ.
+        for key, derived in _derived_fields(report).items():
+            if json.dumps(payload[key], sort_keys=True) != json.dumps(derived, sort_keys=True):
+                raise ValueError(f"{key} {payload[key]!r} is not the derived {derived!r}")
+        return report
+    # A tree that is not real or nests too deeply is malformed input, not a bug.
+    except (
+        KeyError, TypeError, ValueError, InternalConsistencyError, RecursionError
+    ) as exc:
         raise InvalidInputError(f"malformed spectrum-report document: {exc}") from exc
 
 
@@ -1089,67 +1121,28 @@ def roots_numeric(
     return _poly_eigenvalues(p, precision, numeric_path=True)
 
 
-def _pairing_holds(eigenvalues: list[Eigenvalue], precision: int) -> bool:
-    """Check multiset invariance under lambda -> -lambda on a sorted list."""
-    tolerance = mp.mpf(10) ** (-(precision - 5))
-    count = len(eigenvalues)
-    for i in range(count):
-        a = eigenvalues[i]
-        b = eigenvalues[count - 1 - i]
-        if a.multiplicity != b.multiplicity:
-            return False
-        if abs(a.value + b.value) > tolerance * max(mp.mpf(1), abs(a.value)):
-            return False
-    return True
-
-
 def spectrum(j, precision: int = DEFAULT_PRECISION) -> SpectrumReport:
     """Full spectrum of the countertwisting matrix (over chi) for spin j.
 
     Routes through the radical path when every chain factor has mu-degree
     <= 4 and through certified numerics otherwise; hypergeometric-class spins
-    keep their classification but are evaluated numerically.  Multiplicities
-    come from twin-chain doubling (half-integer j) and stripped lambda
-    powers, never from clustering.
+    keep their classification but are evaluated numerically.  Each distinct
+    chain polynomial of :attr:`BlockDecomposition.factors` is solved once and
+    its multiplicities scaled by the number of chains carrying it (two for
+    twin chains); stripped lambda powers give the rest, never clustering.
 
     :param j: spin magnitude >= 1/2 (HalfInt, string like "7/2", or number).
     :param precision: decimal digits for the eigenvalues (>= 15).
     """
     jj = _require_spin(j)
     _require_precision(precision)
-    solvability = classify_solvability(jj)
-    numeric_path = solvability.category in (
-        SolvabilityCategory.HYPERGEOMETRIC,
-        SolvabilityCategory.NUMERIC_ONLY,
-    )
-    poly_a, poly_b = block_polynomials(jj)
-    if jj.is_integer:
-        parts = [
-            _poly_eigenvalues(poly, precision, numeric_path)
-            for poly in (poly_a, poly_b)
-        ]
-        zero_multiplicity = 0
-        eigenvalues: list[Eigenvalue] = []
-        for part in parts:
-            for eigen in part:
-                if eigen.value == 0:
-                    zero_multiplicity += eigen.multiplicity
-                else:
-                    eigenvalues.append(eigen)
-        if zero_multiplicity:
-            eigenvalues.append(
-                Eigenvalue(mp.mpf(0), zero_multiplicity, Exactness.EXACT_RATIONAL)
-            )
-    else:
-        if poly_a != poly_b:
-            raise InternalConsistencyError(
-                "the twin chains of a half-integer spin must carry identical "
-                "polynomials"
-            )
-        eigenvalues = [
-            replace(eigen, multiplicity=2 * eigen.multiplicity)
-            for eigen in _poly_eigenvalues(poly_a, precision, numeric_path)
-        ]
+    # Hypergeometric and numeric-only spins (mu-degree >= 5) go numeric.
+    numeric_path = classify_solvability(jj).mu_degree > 4
+    eigenvalues = [
+        replace(eigen, multiplicity=count * eigen.multiplicity)
+        for poly, count in block_decompose(jj).factors
+        for eigen in _poly_eigenvalues(poly, precision, numeric_path)
+    ]
     eigenvalues.sort(key=lambda e: e.value)
 
     total = sum(e.multiplicity for e in eigenvalues)
@@ -1157,14 +1150,8 @@ def spectrum(j, precision: int = DEFAULT_PRECISION) -> SpectrumReport:
         raise InternalConsistencyError(
             f"multiplicities sum to {total}, expected {jj.n_states}"
         )
-    if jj.is_integer and not any(e.value == 0 for e in eigenvalues):
+    if jj.n_states % 2 and not any(e.value == 0 for e in eigenvalues):
         raise InternalConsistencyError(
             "an odd-dimensional spectrum must contain the zero eigenvalue"
         )
-    return SpectrumReport(
-        j=jj,
-        eigenvalues=tuple(eigenvalues),
-        degenerate=not jj.is_integer,
-        solvability=solvability,
-        pairing_verified=_pairing_holds(eigenvalues, precision),
-    )
+    return SpectrumReport(j=jj, eigenvalues=tuple(eigenvalues), precision=precision)

@@ -1,13 +1,23 @@
 """Exact characteristic polynomials, discriminants, and solvability classes."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
-from countertwist import HalfInt, InvalidInputError, NotAvailableError
+from countertwist import (
+    HalfInt,
+    InternalConsistencyError,
+    InvalidInputError,
+    NotAvailableError,
+    evolution,
+    propagator_spectral,
+    spectrum,
+)
 from countertwist.charpoly import (
+    BlockDecomposition,
     IntPolynomial,
     SolvabilityCategory,
     block_decompose,
@@ -386,3 +396,55 @@ def test_reference_degeneracy_markers():
 def test_reference_out_of_range():
     with pytest.raises(NotAvailableError):
         table1_reference(HalfInt(24))
+
+
+# ------------------------------------------------------------ the chain model
+
+
+@pytest.mark.parametrize("twoj", range(0, 62))
+def test_factors_are_the_distinct_chain_polynomials_with_their_counts(twoj):
+    chains = block_decompose(HalfInt(twoj))
+    pa, pb = chains.polynomials
+    if twoj % 2:
+        assert chains.factors == ((pa, 2),)
+        assert pa == pb
+    else:
+        assert chains.factors == ((pa, 1), (pb, 1))
+        assert pa != pb
+
+
+@pytest.mark.parametrize("twoj", [0, 1, 2, 7, 22, 41])
+def test_block_polynomials_read_the_memoised_chain_model(twoj):
+    j = HalfInt(twoj)
+    assert block_decompose(j) is block_decompose(j)
+    assert block_polynomials(j) == block_decompose(j).polynomials
+
+
+def _non_twin_half_integer_chains(monkeypatch, twoj):
+    """Make the spectrum and the dynamics see spin twoj/2 with a chain b
+    that is no longer chain a's twin."""
+    chains = block_decompose(HalfInt(twoj))
+    broken = BlockDecomposition(
+        j=chains.j,
+        labels_a=chains.labels_a,
+        labels_b=chains.labels_b,
+        block_a=chains.block_a,
+        block_b=(chains.block_b[0] + 1,) + chains.block_b[1:],
+    )
+    assert not broken.twin
+    # The package exports a function named spectrum, so the module that holds
+    # it is taken from sys.modules.
+    for module in ("countertwist.evolution", "countertwist.spectrum"):
+        monkeypatch.setattr(sys.modules[module], "block_decompose", lambda j: broken)
+    # Bypass the set-up memo, which may hold this spin from an earlier test.
+    monkeypatch.setattr(evolution, "_series_setup", evolution._series_setup.__wrapped__)
+
+
+@pytest.mark.parametrize("twoj", [3, 9])
+def test_half_integer_chains_that_are_not_twins_are_refused(twoj, monkeypatch):
+    report = spectrum(HalfInt(twoj))
+    _non_twin_half_integer_chains(monkeypatch, twoj)
+    with pytest.raises(InternalConsistencyError, match="must be twins"):
+        spectrum(HalfInt(twoj))
+    with pytest.raises(InternalConsistencyError, match="must be twins"):
+        propagator_spectral(report, 0.7)

@@ -296,7 +296,7 @@ class TestSpectrumCommand:
         assert code == 0
         report = spectrum_from_json(out)
         assert report == spectrum(HalfInt(8), 50)
-        assert spectrum_to_json(report, 50) == out
+        assert spectrum_to_json(report) == out
 
     def test_serialization_is_stable(self, capsys):
         first = _run(capsys, "spectrum", "--j", "7/2", "--format", "json")

@@ -336,7 +336,6 @@ class TestPropagatorSpectral:
         tight = dataclasses.replace(
             report,
             eigenvalues=report.eigenvalues[:-1] + (squeezed,),
-            pairing_verified=False,
         )
         with pytest.raises(IllConditionedError):
             propagator_spectral(tight, 0.1)
@@ -359,7 +358,7 @@ class TestPropagatorSpectral:
     @pytest.mark.parametrize("twoj", [4, 7, 20])
     def test_report_is_the_whole_input(self, twoj):
         report = spectrum(_spin(twoj))
-        parsed = spectrum_from_json(spectrum_to_json(report, DEFAULT_PRECISION))
+        parsed = spectrum_from_json(spectrum_to_json(report))
         direct = propagator_spectral(report, 0.83).matrix.entries
         assert propagator_spectral(parsed, 0.83).matrix.entries == direct
 

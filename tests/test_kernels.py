@@ -13,15 +13,18 @@ from mpmath.libmp import fzero, mpf_pos
 
 from countertwist import DenseOperator, HalfInt, build_h_ta, spectrum
 from countertwist import _kernels, evolution
-from countertwist.charpoly import block_polynomials, strip_lambda_power, to_mu_polynomial
+from countertwist.charpoly import (
+    block_decompose,
+    block_polynomials,
+    strip_lambda_power,
+    to_mu_polynomial,
+)
 from countertwist.cli import _flip_first_coupling
 from countertwist.errors import NumericFailureError
 from countertwist.evolution import (
     Propagator,
     PropagatorMethod,
-    _chain_coupling_squares,
     _series_setup,
-    _twin_chains,
     coherent_initial_state,
     heisenberg_expectations,
     propagator_spectral,
@@ -176,16 +179,19 @@ def test_certificate_failure_matches_object_code():
 
 @pytest.mark.parametrize("twoj", range(1, 62, 2))
 def test_half_integer_chains_are_twins(twoj):
-    even, odd = _chain_coupling_squares(HalfInt(twoj))
+    chains = block_decompose(HalfInt(twoj))
+    even, odd = chains.block_a, chains.block_b
     assert odd == even[::-1]
-    assert _twin_chains(HalfInt(twoj))
+    assert chains.twin
 
 
 @pytest.mark.parametrize("twoj", range(0, 62, 2))
 def test_integer_chains_are_palindromes_not_twins(twoj):
-    even, odd = _chain_coupling_squares(HalfInt(twoj))
+    chains = block_decompose(HalfInt(twoj))
+    even, odd = chains.block_a, chains.block_b
     assert even == even[::-1] and odd == odd[::-1]
-    assert not _twin_chains(HalfInt(twoj))
+    assert chains.palindromes == (True, True)
+    assert not chains.twin
 
 
 @pytest.mark.parametrize("twoj", [5, 6, 15, 16])
@@ -194,7 +200,7 @@ def test_twin_path_runs_only_for_twin_chains(twoj, monkeypatch):
     original = _kernels.mirror
     monkeypatch.setattr(_kernels, "mirror", lambda plane: calls.append(1) or original(plane))
     propagator_spectral(_report(twoj, 34), mp.mpf("0.7"), 34)
-    assert bool(calls) == _twin_chains(HalfInt(twoj))
+    assert bool(calls) == block_decompose(HalfInt(twoj)).twin
 
 
 @pytest.mark.parametrize("twoj", [3, 4, 11, 12])

@@ -6,12 +6,15 @@ couplings, high-precision polynomial root isolation (sympy), or the package's
 own second code path (closed form versus iterative numerics).
 """
 
+import functools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from countertwist import (
@@ -22,7 +25,6 @@ from countertwist import (
     SpectralConsistencyError,
     block_decompose,
     block_polynomials,
-    classify_solvability,
     roots_even_poly,
     roots_numeric,
     spectrum,
@@ -598,9 +600,7 @@ def _every_kind_report():
             Eigenvalue(-value, 1, Exactness.RADICAL, negative),
             Eigenvalue(value, 1, Exactness.RADICAL, tree),
         ),
-        degenerate=False,
-        solvability=classify_solvability(HalfInt(1)),
-        pairing_verified=True,
+        precision=PRECISION,
     )
 
 
@@ -611,7 +611,7 @@ def _radical_kinds(obj):
 
 def test_json_round_trip_covers_every_node_kind():
     report = _every_kind_report()
-    text = spectrum_to_json(report, PRECISION)
+    text = spectrum_to_json(report)
     top = json.loads(text)["eigenvalues"][1]["radical_form"]
     assert _radical_kinds(top) == {
         "rational", "add", "sub", "mul", "div", "sqrt", "cbrt"
@@ -621,11 +621,11 @@ def test_json_round_trip_covers_every_node_kind():
     assert list(top["left"]["right"]) == ["kind", "operand"]
     parsed = spectrum_from_json(text)
     assert parsed == report
-    assert spectrum_to_json(parsed, PRECISION) == text
+    assert spectrum_to_json(parsed) == text
 
 
 def _edited_first_form(edit):
-    payload = json.loads(spectrum_to_json(_every_kind_report(), PRECISION))
+    payload = json.loads(spectrum_to_json(_every_kind_report()))
     edit(payload["eigenvalues"][0]["radical_form"])
     return json.dumps(payload)
 
@@ -664,21 +664,21 @@ def test_json_rejects_a_document_that_is_not_an_object(text):
 
 @pytest.mark.parametrize("form", ["sqrt", 12, ["kind", "sqrt"]])
 def test_json_rejects_a_radical_form_that_is_not_an_object(form):
-    payload = json.loads(spectrum_to_json(_every_kind_report(), PRECISION))
+    payload = json.loads(spectrum_to_json(_every_kind_report()))
     payload["eigenvalues"][0]["radical_form"] = form
     with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
         spectrum_from_json(json.dumps(payload))
 
 
 def test_json_rejects_an_eigenvalue_entry_that_is_not_an_object():
-    payload = json.loads(spectrum_to_json(_every_kind_report(), PRECISION))
+    payload = json.loads(spectrum_to_json(_every_kind_report()))
     payload["eigenvalues"][0] = "1.5"
     with pytest.raises(InvalidInputError, match="malformed spectrum-report"):
         spectrum_from_json(json.dumps(payload))
 
 
 def _spin_two_document(**changes):
-    payload = json.loads(spectrum_to_json(spectrum(2, PRECISION), PRECISION))
+    payload = json.loads(spectrum_to_json(spectrum(2, PRECISION)))
     payload.update(changes)
     return json.dumps(payload)
 
@@ -724,5 +724,160 @@ def test_json_rejects_multiplicities_that_do_not_sum_to_the_dimension(edit):
 @pytest.mark.parametrize("twoj", [1, 2, 7, 16, 25])
 def test_json_round_trips_at_the_lowest_precision(twoj):
     report = spectrum(HalfInt(twoj), MIN_PRECISION)
-    text = spectrum_to_json(report, MIN_PRECISION)
+    text = spectrum_to_json(report)
     assert spectrum_from_json(text) == report
+
+
+def _set(*path, value):
+    def edit(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
+
+    return edit
+
+
+def _reverse_eigenvalues(payload):
+    payload["eigenvalues"].reverse()
+
+
+def _set_first_radical(**changes):
+    def edit(payload):
+        entry = next(e for e in payload["eigenvalues"] if e["exactness"] == "RADICAL")
+        assert entry["radical_text"] == "-sqrt(12)"
+        entry.update(changes)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("pairing_verified", value="no"),
+        _set("degenerate", value="false"),
+        _set("degenerate", value=True),
+        _set("dimension", value=99),
+        _set("solvability", "category", value="NUMERIC_ONLY"),
+        _set("solvability", "mu_degree", value=1.5),
+        _set("eigenvalues", 0, "multiplicity", value=1.9),
+        _set("eigenvalues", 0, "multiplicity", value="1"),
+        _set("eigenvalues", 0, "multiplicity", value=True),
+        _reverse_eigenvalues,
+        _set_first_radical(value="5.0"),
+        _set_first_radical(radical_text="-sqrt(13)"),
+    ],
+    ids=[
+        "pairing-string", "degenerate-string", "degenerate-true", "dimension",
+        "category", "mu-degree-float", "multiplicity-float",
+        "multiplicity-string", "multiplicity-bool", "reversed",
+        "radical-value", "radical-text",
+    ],
+)
+def test_json_rejects_a_document_that_spectrum_never_writes(edit):
+    payload = json.loads(_spin_two_document())
+    edit(payload)
+    with pytest.raises(InvalidInputError, match="malformed spectrum-report document: "):
+        spectrum_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("depth", [600, 2000])
+def test_json_rejects_a_radical_form_nested_too_deeply_to_walk(depth):
+    payload = json.loads(_spin_two_document())
+    payload["eigenvalues"][0]["radical_form"] = "NESTED"
+    nested = '{"kind": "sqrt", "operand": ' * depth + '{"kind": "rational", "value": "1"}'
+    text = json.dumps(payload).replace('"NESTED"', nested + "}" * depth)
+    with pytest.raises(InvalidInputError):
+        spectrum_from_json(text)
+
+
+@pytest.mark.parametrize("precision", [15, 20, 34, 50, 80])
+@pytest.mark.parametrize("twoj", range(1, 18))
+def test_json_round_trips_every_radical_spin(twoj, precision):
+    report = spectrum(HalfInt(twoj), precision)
+    text = spectrum_to_json(report)
+    assert spectrum_from_json(text) == report
+    assert spectrum_to_json(spectrum_from_json(text)) == text
+
+
+# ------------------------------------------------ edits at the JSON boundary
+
+
+@functools.lru_cache(maxsize=None)
+def _written_document(twoj, precision):
+    return spectrum_to_json(spectrum(HalfInt(twoj), precision))
+
+
+def _json_paths(node, path=()):
+    """The path to every value below ``node`` in a parsed JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _retyped(value, choice):
+    """``value`` as another JSON type: bool <-> string, int -> float, string
+    or bool, object -> list."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return (float(value), str(value), bool(value))[choice % 3]
+    if isinstance(value, str):
+        return choice % 2 == 0
+    return list(value.values())
+
+
+@st.composite
+def edited_documents(draw):
+    """(unedited text, text after one edit from the menu)."""
+    twoj = draw(st.integers(1, 12))
+    text = _written_document(twoj, draw(st.sampled_from((15, 34))))
+    payload = json.loads(text)
+    entries = payload["eigenvalues"]
+    edit = draw(st.sampled_from(("retype", "drop", "swap", "negate")))
+    if edit == "retype":
+        paths = [
+            path for path in _json_paths(payload)
+            if isinstance(_at(payload, path), (bool, int, str, dict))
+        ]
+        path = draw(st.sampled_from(paths))
+        parent = _at(payload, path[:-1])
+        parent[path[-1]] = _retyped(parent[path[-1]], draw(st.integers(0, 2)))
+    elif edit == "drop":
+        paths = [
+            path for path in _json_paths(payload)
+            if isinstance(_at(payload, path[:-1]), dict)
+        ]
+        path = draw(st.sampled_from(paths))
+        del _at(payload, path[:-1])[path[-1]]
+    elif edit == "swap":
+        first = draw(st.integers(0, len(entries) - 1))
+        second = draw(st.integers(0, len(entries) - 1))
+        entries[first], entries[second] = entries[second], entries[first]
+    else:
+        entry = draw(st.sampled_from(entries))
+        value = entry["value"]
+        entry["value"] = value[1:] if value.startswith("-") else "-" + value
+    return text, json.dumps(payload)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(edited_documents())
+def test_an_edited_document_is_refused_or_parses_to_the_same_report(case):
+    text, edited = case
+    try:
+        parsed = spectrum_from_json(edited)
+    except InvalidInputError:
+        return
+    assert parsed == spectrum_from_json(text)

@@ -119,9 +119,9 @@ def test_mu_roots_agree_with_the_aberth_oracle(twoj):
 
 @pytest.mark.parametrize("twoj", [12, 24, 33, 41, 44, 60])
 def test_spectrum_json_equals_the_aberth_route(twoj, monkeypatch):
-    text = spectrum_to_json(spectrum(HalfInt(twoj), PRECISION), PRECISION)
+    text = spectrum_to_json(spectrum(HalfInt(twoj), PRECISION))
     monkeypatch.setattr(spectrum_module, "_numeric_mu_roots", aberth_mu_roots)
-    assert spectrum_to_json(spectrum(HalfInt(twoj), PRECISION), PRECISION) == text
+    assert spectrum_to_json(spectrum(HalfInt(twoj), PRECISION)) == text
 
 
 def test_spin_fifty_matches_dense_diagonalization():

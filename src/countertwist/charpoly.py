@@ -202,7 +202,8 @@ class BlockDecomposition:
 
     @property
     def twin(self) -> bool:
-        """Chain b is chain a reversed: equal sizes, reversed coupling squares."""
+        """Chain b is chain a reversed: equal sizes (not implied by the
+        squares at j = 0, where both blocks are empty), reversed squares."""
         return (
             len(self.labels_a) == len(self.labels_b)
             and self.block_b == self.block_a[::-1]

@@ -411,7 +411,10 @@ def _parse_eigenvalue(entry, precision: int) -> Eigenvalue:
     if entry.get("radical_text") != (None if form is None else str(form)):
         raise ValueError(f"radical_text {entry.get('radical_text')!r} does not spell its tree")
     if form is not None:
-        error = abs(value - form.evaluate_real(precision))
+        try:  # a tree that is not real or divides by zero is malformed input
+            error = abs(value - form.evaluate_real(precision))
+        except InternalConsistencyError as exc:
+            raise ValueError(str(exc)) from exc
         if error > abs(value) * mp.mpf(10) ** (1 - precision):
             raise ValueError(f"eigenvalue {entry['value']!r} is not its tree's value")
     return Eigenvalue(value, multiplicity, Exactness[entry["exactness"]], form)
@@ -422,7 +425,7 @@ def spectrum_from_json(text: str) -> SpectrumReport:
 
     :raises InvalidInputError: the text is not a document that
         :func:`spectrum_to_json` writes: a field of the wrong JSON type or
-        out of range, values not strictly ascending, a RADICAL value or
+        out of range, values not in ascending order, a RADICAL value or
         radical_text its tree does not reproduce, multiplicities that do not
         sum to 2j + 1, or a stated field that differs from the derived one.
     """
@@ -456,23 +459,20 @@ def spectrum_from_json(text: str) -> SpectrumReport:
             eigenvalues = tuple(
                 _parse_eigenvalue(entry, precision) for entry in payload["eigenvalues"]
             )
-        if any(b.value <= a.value for a, b in zip(eigenvalues, eigenvalues[1:])):
-            raise ValueError("eigenvalues are not strictly ascending")
+        # Equal neighbours occur: two chains' roots can round to one value.
+        if any(b.value < a.value for a, b in zip(eigenvalues, eigenvalues[1:])):
+            raise ValueError("eigenvalues are not in ascending order")
         total = sum(ev.multiplicity for ev in eigenvalues)
         if total != j.n_states:
-            raise ValueError(
-                f"multiplicities sum to {total}, not 2j + 1 = {j.n_states}"
-            )
+            raise ValueError(f"multiplicities sum to {total}, not 2j + 1 = {j.n_states}")
         report = SpectrumReport(j=j, eigenvalues=eigenvalues, precision=precision)
         # Compared as JSON text, so 1, 1.0 and true differ.
         for key, derived in _derived_fields(report).items():
             if json.dumps(payload[key], sort_keys=True) != json.dumps(derived, sort_keys=True):
                 raise ValueError(f"{key} {payload[key]!r} is not the derived {derived!r}")
         return report
-    # A tree that is not real or nests too deeply is malformed input, not a bug.
-    except (
-        KeyError, TypeError, ValueError, InternalConsistencyError, RecursionError
-    ) as exc:
+    # A tree nesting too deeply or a rational over zero is malformed input.
+    except (KeyError, TypeError, ValueError, RecursionError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"malformed spectrum-report document: {exc}") from exc
 
 

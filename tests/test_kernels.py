@@ -21,6 +21,7 @@ from countertwist.charpoly import (
 )
 from countertwist.cli import _flip_first_coupling
 from countertwist.errors import NumericFailureError
+from countertwist.spin_algebra import BasisOrdering, two_step_coupling_squared
 from countertwist.evolution import (
     Propagator,
     PropagatorMethod,
@@ -192,6 +193,18 @@ def test_integer_chains_are_palindromes_not_twins(twoj):
     assert even == even[::-1] and odd == odd[::-1]
     assert chains.palindromes == (True, True)
     assert not chains.twin
+
+
+@pytest.mark.parametrize("twoj", range(1, 62))
+def test_chain_squares_are_the_propagator_coupling_squares(twoj):
+    # The twin and palindrome shortcuts act on couplings built from
+    # two_step_coupling_squared at every label below the top two; chain a
+    # takes the even-index ones, chain b the odd.
+    j = HalfInt(twoj)
+    chains = block_decompose(j)
+    squares = [two_step_coupling_squared(j, m) for m in BasisOrdering.for_spin(j).labels[2:]]
+    assert [4 * w for w in chains.block_a] == squares[0::2]
+    assert [4 * w for w in chains.block_b] == squares[1::2]
 
 
 @pytest.mark.parametrize("twoj", [5, 6, 15, 16])

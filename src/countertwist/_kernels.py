@@ -6,17 +6,27 @@ run the same arithmetic on the raw values instead: an mpf is a tuple
 (sign, mantissa, exponent, bitcount) and a complex value is a pair (re, im)
 of them.  Each kernel repeats, rounding for rounding, the object expression
 named in its docstring, so its results are bit-identical to that
-expression's.  Three facts carry that over where a kernel does less work
+expression's.  Four facts carry that over where a kernel does less work
 than the expression:
 
 * round-to-nearest commutes with negation, and mpmath has no negative zero,
   so the rounded product with a negated factor is the negated rounded
   product, and a value may be negated after rounding instead of before;
 * ``mpc_mul`` forms its four real products exactly and rounds once per
-  component, so a factor whose real part is exactly zero leaves one rounded
-  real product per component;
+  component, so a factor with an exactly zero part leaves one rounded real
+  product per component, and a product with an exact-zero factor adds
+  nothing to it;
+* ``mpf_add`` of an exact zero and a value already rounded at ``prec``
+  returns that value, so an entry only ever added to exact zeros is the
+  value itself, and an exact zero may be left out of a sum of two;
 * ``mpf_sum`` adds exactly and rounds once, skipping zero mantissas, so it
-  is symmetric under negating every term; only its term order matters.
+  is symmetric under negating every term, and zero terms may be left out;
+  only the order of the other terms matters.
+
+The Taylor kernels work on sparse rows: a pair (re, im) of dicts, one per
+plane, from column to nonzero mpf.  An absent column is an exact zero, so
+the zero planes of a real matrix, and the cross-chain zeros of a chain
+Hamiltonian's powers, cost nothing.
 
 ``prec`` is a binary precision and ``rnd`` a rounding mode, both read from
 ``mp._prec_rounding`` inside the caller's ``workdps`` block.
@@ -26,11 +36,11 @@ from mpmath.libmp import (
     fone,
     from_int,
     fzero,
-    mpc_add,
     mpc_div_mpf,
     mpc_mul,
     mpc_sub,
     mpf_add,
+    mpf_div,
     mpf_gt,
     mpf_hypot,
     mpf_lt,
@@ -167,16 +177,25 @@ def gram_defect(columns, prec, check_prec, rnd):
     and their maximum, for a <= b only: (U†U)[b][a] is made of the
     conjugated products, so its sums are the conjugates of (U†U)[a][b]'s and
     its deviation the same.  An empty sum is fsum's mpf zero, whose
-    deviation equals mpf_hypot's with a zero imaginary part.
+    deviation equals mpf_hypot's with a zero imaginary part.  Of the pairs
+    a < b, only those whose columns share a row are formed: the others sum
+    nothing, and their zero deviation never raises the maximum.  Every
+    a == b is formed, since an empty column deviates by 1.
     """
     conj = [
         [(k, (x_re, mpf_neg(x_im, prec, rnd))) for k, (x_re, x_im) in col]
         for col in columns
     ]
     lookup = [dict(col) for col in columns]
+    # The columns with a nonzero entry in each row.
+    holders = {}
+    for b, col in enumerate(columns):
+        for k, _ in col:
+            holders.setdefault(k, []).append(b)
     worst = fzero
     for a, col_a in enumerate(conj):
-        for b in range(a, len(columns)):
+        partners = {b for k, _ in col_a for b in holders[k] if b > a}
+        for b in (a, *sorted(partners)):
             col_b = lookup[b]
             sum_re, sum_im = [], []
             for k, x in col_a:
@@ -195,85 +214,120 @@ def gram_defect(columns, prec, check_prec, rnd):
 
 
 def series_term(generator, term, k, prec, rnd):
-    """The next Taylor term B·term / k, as rows of mpc pairs.
+    """The next Taylor term B·term / k, as sparse rows.
 
     ``generator[a]`` lists (b, v) over row a's nonzero entries of B in
-    column order.  Repeats, per row,
+    column order, v an mpc pair; ``term`` is a list of sparse rows.
+    Repeats, per row,
 
         acc = [v * x for x in term[b]];  acc = [s + v * x ...] for each
         further (b, v);  [s / k for s in acc]
 
-    and an all-zero row for a row of B without nonzero entries.
+    leaving out every product with an exact-zero factor.  A real v scales
+    each plane of term[b] by one rounded product and an imaginary v swaps
+    the planes, as ``mpc_mul`` rounds them; a v with two nonzero parts takes
+    ``mpc_mul``'s own rounded planes, scaled by an exact one.  A product
+    for an absent entry of acc is stored as it is.
     """
-    n = len(term)
     kf = from_int(k)
+    mul, add = mpf_mul, mpf_add
     rows = []
     for nz in generator:
-        if not nz:
-            rows.append([ZERO] * n)
-            continue
-        (b, v), *rest = nz
-        acc = [mpc_mul(v, x, prec, rnd) for x in term[b]]
-        for b, v in rest:
-            acc = [
-                mpc_add(s, mpc_mul(v, x, prec, rnd), prec, rnd)
-                for s, x in zip(acc, term[b])
-            ]
-        rows.append([mpc_div_mpf(s, kf, prec, rnd) for s in acc])
+        acc_re, acc_im = {}, {}
+        for b, v in nz:
+            v_re, v_im = v
+            x_re, x_im = term[b]
+            if v_im == fzero:
+                scaled = ((acc_re, v_re, x_re), (acc_im, v_re, x_im))
+            elif v_re == fzero:
+                scaled = ((acc_re, mpf_neg(v_im), x_im), (acc_im, v_im, x_re))
+            else:
+                products = {
+                    c: mpc_mul(v, (x_re.get(c, fzero), x_im.get(c, fzero)), prec, rnd)
+                    for c in x_re.keys() | x_im.keys()
+                }
+                scaled = tuple(
+                    (acc, fone, {c: pair[plane] for c, pair in products.items()})
+                    for plane, acc in enumerate((acc_re, acc_im))
+                )
+            for acc, factor, plane in scaled:
+                for c, x in plane.items():
+                    p = mul(factor, x, prec, rnd)
+                    s = acc.get(c)
+                    acc[c] = p if s is None else add(s, p, prec, rnd)
+        rows.append(tuple(
+            {c: mpf_div(s, kf, prec, rnd) for c, s in acc.items() if s != fzero}
+            for acc in (acc_re, acc_im)
+        ))
     return rows
 
 
 def all_below(rows, tol, prec, rnd):
-    """Repeats ``max(abs(x) for x in rows) < tol`` (abs at prec)."""
+    """Repeats ``max(abs(x) for x in rows) < tol`` (abs at prec) over
+    sparse rows; an absent entry has abs zero, below any positive tol."""
     return all(
-        mpf_lt(mpf_hypot(x_re, x_im, prec, rnd), tol)
-        for row in rows
-        for x_re, x_im in row
+        mpf_lt(mpf_hypot(re.get(c, fzero), im.get(c, fzero), prec, rnd), tol)
+        for re, im in rows
+        for c in re.keys() | im.keys()
     )
 
 
 def added(rows, other, prec, rnd):
-    """Repeats the entrywise sum ``x + y`` of two matrices of mpc pairs."""
-    return [
-        [mpc_add(x, y, prec, rnd) for x, y in zip(row, other_row)]
-        for row, other_row in zip(rows, other)
-    ]
+    """Repeats the entrywise sum ``x + y`` of two matrices of sparse rows.
+
+    An entry present in one matrix only is kept as it is, and a sum that
+    cancels to an exact zero is dropped.
+    """
+    out = []
+    for row, other_row in zip(rows, other):
+        planes = []
+        for plane, other_plane in zip(row, other_row):
+            plane = dict(plane)
+            for c, y in other_plane.items():
+                x = plane.get(c)
+                plane[c] = y if x is None else mpf_add(x, y, prec, rnd)
+            planes.append({c: x for c, x in plane.items() if x != fzero})
+        out.append(tuple(planes))
+    return out
 
 
 def squared(rows, prec, rnd):
-    """The matrix product rows·rows, each entry as ``mp.fdot`` forms it.
+    """The matrix product rows·rows of sparse rows, each entry as
+    ``mp.fdot`` forms it.
 
     Repeats ``fdot((x, col[k]) for k, x in nonzero entries of the row)``: the
     exact products re·re, −(im·im) and re·im, im·re of each pair, summed by
-    one ``mpf_sum`` per plane.  A pair whose column entry is an exact zero
-    adds only zero products, which ``mpf_sum`` skips, so each entry sums
-    over the pairs with a nonzero column entry alone, in the same order.
-    fdot over no pairs returns an mpf zero, not an mpc: such a row is
-    returned as None, and a None row stands for a row of those zeros on
-    input too.
+    one ``mpf_sum`` per plane in ascending k.  A product with an exact-zero
+    factor is zero, which ``mpf_sum`` skips, so each entry sums the nonzero
+    products alone, in the same order.  fdot over no pairs returns an mpf
+    zero, not an mpc: such a row is returned as None, and a None row stands
+    for a row of those zeros on input too.
     """
-    n = len(rows)
     mul = mpf_mul
-    nonzero = [
-        [] if row is None else [(c, y) for c, y in enumerate(row) if y != ZERO]
-        for row in rows
-    ]
+    planes = [({}, {}) if row is None else row for row in rows]
     out = []
-    for support in nonzero:
+    for x_re, x_im in planes:
+        support = sorted(x_re.keys() | x_im.keys())
         if not support:
             out.append(None)
             continue
-        sum_re = [[] for _ in range(n)]
-        sum_im = [[] for _ in range(n)]
-        for k, (x_re, x_im) in support:
-            for c, (y_re, y_im) in nonzero[k]:
-                terms_re, terms_im = sum_re[c], sum_im[c]
-                terms_re.append(mul(x_re, y_re))
-                terms_re.append(mpf_neg(mul(x_im, y_im)))
-                terms_im.append(mul(x_re, y_im))
-                terms_im.append(mul(x_im, y_re))
-        out.append([
-            (mpf_sum(terms_re, prec, rnd), mpf_sum(terms_im, prec, rnd))
-            for terms_re, terms_im in zip(sum_re, sum_im)
-        ])
+        sum_re, sum_im = {}, {}
+        for k in support:
+            y_re, y_im = planes[k]
+            x = x_re.get(k)
+            if x is not None:
+                for c, y in y_re.items():
+                    sum_re.setdefault(c, []).append(mul(x, y))
+                for c, y in y_im.items():
+                    sum_im.setdefault(c, []).append(mul(x, y))
+            x = x_im.get(k)
+            if x is not None:
+                for c, y in y_im.items():
+                    sum_re.setdefault(c, []).append(mpf_neg(mul(x, y)))
+                for c, y in y_re.items():
+                    sum_im.setdefault(c, []).append(mul(x, y))
+        out.append(tuple(
+            {c: s for c, terms in sums.items() if (s := mpf_sum(terms, prec, rnd)) != fzero}
+            for sums in (sum_re, sum_im)
+        ))
     return out

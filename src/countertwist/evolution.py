@@ -224,20 +224,22 @@ class ObservableSet:
     cov_yz: object
     corr_xz: object
 
+    # Each variance is formed once; cached_property writes the instance
+    # __dict__, which this frozen dataclass without slots has.
     def _variance(self, second, mean):
         with mp.workdps(self.precision):
             v = second - mean * mean
             return v if v > 0 else mp.mpf(0)
 
-    @property
+    @functools.cached_property
     def var_jx(self):
         return self._variance(self.second_jx, self.mean_jx)
 
-    @property
+    @functools.cached_property
     def var_jy(self):
         return self._variance(self.second_jy, self.mean_jy)
 
-    @property
+    @functools.cached_property
     def var_jz(self):
         return self._variance(self.second_jz, self.mean_jz)
 
@@ -601,10 +603,8 @@ def propagator_taylor(
         nz = [[(b, v) for b, v in enumerate(row) if v != _kernels.ZERO] for row in b_rows]
         tol = (mp.mpf(10) ** (-wp - 3))._mpf_
 
-        total = [
-            [(fone, fzero) if a == b else _kernels.ZERO for b in range(n)]
-            for a in range(n)
-        ]
+        # Sparse rows: one dict per plane, column -> nonzero mpf.
+        total = [({a: fone}, {}) for a in range(n)]
         term = total
         k = 0
         while True:
@@ -619,8 +619,6 @@ def propagator_taylor(
                     "exponential series failed to converge"
                 )
 
-        # fdot skips exact zeros: summing each squared entry over the nonzero
-        # entries of its left row only changes no bit.
         for _ in range(squarings):
             total = _kernels.squared(total, prec, rnd)
 
@@ -629,7 +627,10 @@ def propagator_taylor(
         # A None row holds the mpf zeros fdot returns for a sum of no terms.
         entries = tuple(
             (mp.mpf(0),) * n if row is None
-            else tuple(mp.make_mpc(mpc_pos(x, prec, rnd)) for x in row)
+            else tuple(
+                mp.make_mpc(mpc_pos((row[0].get(b, fzero), row[1].get(b, fzero)), prec, rnd))
+                for b in range(n)
+            )
             for row in total
         )
         tau_out = +tau

@@ -19,9 +19,13 @@ from countertwist.charpoly import (
     strip_lambda_power,
     to_mu_polynomial,
 )
-from countertwist.cli import _flip_first_coupling
+from countertwist.cli import VERIFY_SAMPLE_TIME, _flip_first_coupling
 from countertwist.errors import NumericFailureError
-from countertwist.spin_algebra import BasisOrdering, two_step_coupling_squared
+from countertwist.spin_algebra import (
+    BasisOrdering,
+    build_cartesian,
+    two_step_coupling_squared,
+)
 from countertwist.evolution import (
     Propagator,
     PropagatorMethod,
@@ -71,22 +75,43 @@ def test_spectral_propagator_matches_object_code(twoj):
             _assert_same_propagator(u, entries, tau)
 
 
-def _taylor_cases():
+def _small_taylor_cases():
     for twoj in (2, 3, 4, 5, 8):
         for precision, chi_t in zip(PRECISIONS + PRECISIONS[:2], TIMES):
-            yield twoj, precision, chi_t
+            yield twoj, precision, mp.mpf(chi_t)
 
 
-@pytest.mark.parametrize("kind", ["h_ta", "h_f"])
+def _taylor_cases():
+    yield from _small_taylor_cases()
+    # The spins, precision and sample time of the verify benchmark's calls.
+    for twoj in (20, 21, 24):
+        yield twoj, 34, VERIFY_SAMPLE_TIME
+
+
+def _taylor_h(kind, j, precision):
+    if kind == "h_ta":
+        return build_h_ta(j, mp.mpf(2) / 3, precision)
+    if kind == "h_f":
+        return build_h_f(j, 1, mp.mpf("0.8"), precision)
+    # A generic Hermitian h: the Jx and Jy terms give entries whose real and
+    # imaginary parts are both nonzero.
+    h = build_h_ta(j, mp.mpf(2) / 3, precision)
+    jx, jy, _ = build_cartesian(j, precision)
+    with mp.workdps(precision):
+        entries = h.add(jx.scaled(mp.mpf("0.3"))).add(jy.scaled(mp.mpf("0.2"))).entries
+    return DenseOperator(
+        basis=h.basis, entries=entries, precision=precision, scale=h.scale, hermitian=True
+    )
+
+
+@pytest.mark.parametrize("kind", ["h_ta", "h_f", "h_xy"])
 def test_taylor_propagator_matches_object_code(kind):
-    for twoj, precision, chi_t in _taylor_cases():
-        j = HalfInt(twoj)
-        if kind == "h_ta":
-            h = build_h_ta(j, mp.mpf(2) / 3, precision)
-        else:
-            h = build_h_f(j, 1, mp.mpf("0.8"), precision)
-        u = propagator_taylor(h, mp.mpf(chi_t), precision)
-        entries, tau = object_taylor_entries(h, mp.mpf(chi_t), precision)
+    # The verify benchmark never builds h_xy, whose large cases are slow.
+    cases = _small_taylor_cases() if kind == "h_xy" else _taylor_cases()
+    for twoj, precision, chi_t in cases:
+        h = _taylor_h(kind, HalfInt(twoj), precision)
+        u = propagator_taylor(h, chi_t, precision)
+        entries, tau = object_taylor_entries(h, chi_t, precision)
         _assert_same_propagator(u, entries, tau)
 
 
@@ -96,11 +121,11 @@ def test_taylor_propagator_of_a_faulted_h_matches_object_code(monkeypatch):
     monkeypatch.setattr(evolution, "Propagator", lambda matrix, chi_t, method: (matrix, chi_t))
     for twoj, precision, chi_t in _taylor_cases():
         h = _flip_first_coupling(build_h_ta(HalfInt(twoj), 1, precision))
-        matrix, tau = propagator_taylor(h, mp.mpf(chi_t), precision)
-        entries, want_tau = object_taylor_entries(h, mp.mpf(chi_t), precision)
+        matrix, tau = propagator_taylor(h, chi_t, precision)
+        entries, want_tau = object_taylor_entries(h, chi_t, precision)
         assert _raw(matrix.entries) == _raw(entries)
         assert tau._mpf_ == want_tau._mpf_
-        if chi_t != "0":
+        if chi_t != 0:
             with pytest.raises(NumericFailureError) as got:
                 Propagator(matrix=matrix, chi_t=tau, method=PropagatorMethod.TAYLOR_ORACLE)
             with pytest.raises(NumericFailureError) as want:
@@ -108,31 +133,50 @@ def test_taylor_propagator_of_a_faulted_h_matches_object_code(monkeypatch):
             assert str(got.value) == str(want.value)
 
 
+def _taylor_mismatches(kind):
+    mismatches = 0
+    for twoj, precision, chi_t in _small_taylor_cases():
+        h = _taylor_h(kind, HalfInt(twoj), precision)
+        try:
+            u = propagator_taylor(h, chi_t, precision)
+        except NumericFailureError:
+            mismatches += 1
+            continue
+        entries, _ = object_taylor_entries(h, chi_t, precision)
+        mismatches += _raw(u.matrix.entries) != _raw(entries)
+    return mismatches
+
+
 def test_taylor_comparison_catches_a_wrong_zero_skip(monkeypatch):
     # Mutant: the squarings treat every entry with a zero imaginary part as
-    # an exact zero, as a skip test on the wrong component would.  The
+    # an exact zero, as a skip test on the wrong plane would.  The
     # generator of h_ta is real, so the mutant drops every product.
     original = _kernels.squared
 
     def wrong_skip(rows, prec, rnd):
         masked = [
-            None if row is None else [y if y[1] != fzero else _kernels.ZERO for y in row]
+            None if row is None else ({c: x for c, x in row[0].items() if c in row[1]}, row[1])
             for row in rows
         ]
         return original(masked, prec, rnd)
 
     monkeypatch.setattr(_kernels, "squared", wrong_skip)
-    mismatches = 0
-    for twoj, precision, chi_t in _taylor_cases():
-        h = build_h_ta(HalfInt(twoj), mp.mpf(2) / 3, precision)
-        try:
-            u = propagator_taylor(h, mp.mpf(chi_t), precision)
-        except NumericFailureError:
-            mismatches += 1
-            continue
-        entries, _ = object_taylor_entries(h, mp.mpf(chi_t), precision)
-        mismatches += _raw(u.matrix.entries) != _raw(entries)
-    assert mismatches
+    assert _taylor_mismatches("h_ta")
+
+
+def test_taylor_comparison_catches_a_dropped_imaginary_factor(monkeypatch):
+    # Mutant: the series terms take every generator entry as real, dropping
+    # its imaginary part.  h_ta's generator is real, so only h_f, whose Jz
+    # term puts imaginary entries on the diagonal, can show it.
+    original = _kernels.series_term
+
+    def real_only(generator, term, k, prec, rnd):
+        real = [[(b, (v[0], fzero)) for b, v in nz] for nz in generator]
+        return original(real, term, k, prec, rnd)
+
+    monkeypatch.setattr(_kernels, "series_term", real_only)
+    assert _taylor_mismatches("h_f")
+    assert not _taylor_mismatches("h_ta")
 
 
 @pytest.mark.parametrize("twoj", [1, 4, 9, 16])

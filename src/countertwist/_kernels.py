@@ -177,25 +177,16 @@ def gram_defect(columns, prec, check_prec, rnd):
     and their maximum, for a <= b only: (U†U)[b][a] is made of the
     conjugated products, so its sums are the conjugates of (U†U)[a][b]'s and
     its deviation the same.  An empty sum is fsum's mpf zero, whose
-    deviation equals mpf_hypot's with a zero imaginary part.  Of the pairs
-    a < b, only those whose columns share a row are formed: the others sum
-    nothing, and their zero deviation never raises the maximum.  Every
-    a == b is formed, since an empty column deviates by 1.
+    deviation equals mpf_hypot's with a zero imaginary part.
     """
     conj = [
         [(k, (x_re, mpf_neg(x_im, prec, rnd))) for k, (x_re, x_im) in col]
         for col in columns
     ]
     lookup = [dict(col) for col in columns]
-    # The columns with a nonzero entry in each row.
-    holders = {}
-    for b, col in enumerate(columns):
-        for k, _ in col:
-            holders.setdefault(k, []).append(b)
     worst = fzero
     for a, col_a in enumerate(conj):
-        partners = {b for k, _ in col_a for b in holders[k] if b > a}
-        for b in (a, *sorted(partners)):
+        for b in range(a, len(columns)):
             col_b = lookup[b]
             sum_re, sum_im = [], []
             for k, x in col_a:
@@ -224,10 +215,9 @@ def series_term(generator, term, k, prec, rnd):
         further (b, v);  [s / k for s in acc]
 
     leaving out every product with an exact-zero factor.  A real v scales
-    each plane of term[b] by one rounded product and an imaginary v swaps
-    the planes, as ``mpc_mul`` rounds them; a v with two nonzero parts takes
-    ``mpc_mul``'s own rounded planes, scaled by an exact one.  A product
-    for an absent entry of acc is stored as it is.
+    each plane of term[b] by one rounded product, as ``mpc_mul`` rounds it;
+    any other v takes ``mpc_mul``'s own rounded planes.  A product for an
+    absent entry of acc is stored as it is.
     """
     kf = from_int(k)
     mul, add = mpf_mul, mpf_add
@@ -238,21 +228,20 @@ def series_term(generator, term, k, prec, rnd):
             v_re, v_im = v
             x_re, x_im = term[b]
             if v_im == fzero:
-                scaled = ((acc_re, v_re, x_re), (acc_im, v_re, x_im))
-            elif v_re == fzero:
-                scaled = ((acc_re, mpf_neg(v_im), x_im), (acc_im, v_im, x_re))
+                products = (
+                    {c: mul(v_re, x, prec, rnd) for c, x in x_re.items()},
+                    {c: mul(v_re, x, prec, rnd) for c, x in x_im.items()},
+                )
             else:
-                products = {
+                pairs = {
                     c: mpc_mul(v, (x_re.get(c, fzero), x_im.get(c, fzero)), prec, rnd)
                     for c in x_re.keys() | x_im.keys()
                 }
-                scaled = tuple(
-                    (acc, fone, {c: pair[plane] for c, pair in products.items()})
-                    for plane, acc in enumerate((acc_re, acc_im))
+                products = tuple(
+                    {c: pair[plane] for c, pair in pairs.items()} for plane in (0, 1)
                 )
-            for acc, factor, plane in scaled:
-                for c, x in plane.items():
-                    p = mul(factor, x, prec, rnd)
+            for acc, plane in zip((acc_re, acc_im), products):
+                for c, p in plane.items():
                     s = acc.get(c)
                     acc[c] = p if s is None else add(s, p, prec, rnd)
         rows.append(tuple(

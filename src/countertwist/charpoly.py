@@ -228,6 +228,13 @@ class BlockDecomposition:
             )
         return ((pa, 1), (pb, 1))
 
+    @functools.cached_property
+    def _newton_pairs(self) -> tuple[tuple[IntPolynomial, IntPolynomial], ...]:
+        """Each of ``factors``' polynomials with its derivative, for Newton
+        steps: built once per spin, with the derivative's exact coefficient
+        conversion, rather than once per grid point."""
+        return tuple((poly, poly.derivative()) for poly, _ in self.factors)
+
 
 @functools.lru_cache(maxsize=32)
 def block_decompose(j: HalfInt) -> BlockDecomposition:

@@ -378,7 +378,7 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
     sharpened on the distinct exact chain polynomials, chain a's first (each
     distinct eigenvalue is a simple root of one of them).
     """
-    pairs = [(poly, poly.derivative()) for poly, _ in block_decompose(j).factors]
+    pairs = block_decompose(j)._newton_pairs
     polished = []
     tol = mp.mpf(10) ** (-precision + 2)
     for seed in seeds:

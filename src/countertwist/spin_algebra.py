@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import fzero
 
 from .errors import InternalConsistencyError, InvalidInputError
 
@@ -235,20 +236,42 @@ class DenseOperator:
             raise InvalidInputError("operator dimensions do not match")
         n = self.dim
         with mp.workdps(max(self.precision, other.precision)):
-            # fsum skips exact zeros: summing over each left row's nonzero
-            # entries changes no bit (an all-zero row still gives mpc zeros).
-            zero = mp.mpc(0)
+            # fsum skips exact zeros: summing over the products of each left
+            # row's nonzero entries with the nonzero entries of the right
+            # rows they meet changes no bit, in the same ascending k.  fsum
+            # returns an mpc when any of its terms is one, zero or not, so a
+            # sum is made an mpc where an mpc factor met it (an all-zero left
+            # row still gives mpc zeros).  Truth tests stand for ``!= 0``:
+            # they agree on every mpf and mpc, without converting the 0.
+            zero, real_zero = mp.mpc(0), mp.mpf(0)
+            right = [[(b, y) for b, y in enumerate(row) if y] for row in other.entries]
+            right_mpc = [
+                {b for b, y in enumerate(row) if isinstance(y, mp.mpc)} for row in other.entries
+            ]
             rows = []
             for left in self.entries:
-                nonzero = [(k, x) for k, x in enumerate(left) if x != 0]
-                rows.append(
-                    tuple(
-                        mp.fsum(x * other.entries[k][b] for k, x in nonzero)
-                        if nonzero
-                        else zero
-                        for b in range(n)
-                    )
-                )
+                nonzero = [(k, x) for k, x in enumerate(left) if x]
+                if not nonzero:
+                    rows.append((zero,) * n)
+                    continue
+                if any(isinstance(x, mp.mpc) for _, x in nonzero):
+                    mpc_cols = range(n)
+                else:
+                    mpc_cols = set().union(*(right_mpc[k] for k, _ in nonzero))
+                terms = [[] for _ in range(n)]
+                for k, x in nonzero:
+                    for b, y in right[k]:
+                        terms[b].append(x * y)
+                row = []
+                for b, t in enumerate(terms):
+                    if not t:
+                        row.append(zero if b in mpc_cols else real_zero)
+                        continue
+                    s = mp.fsum(t)
+                    if b in mpc_cols and isinstance(s, mp.mpf):
+                        s = mp.make_mpc((s._mpf_, fzero))
+                    row.append(s)
+                rows.append(tuple(row))
         return DenseOperator(
             basis=self.basis, entries=tuple(rows), precision=self.precision
         )

@@ -6,10 +6,22 @@ rounding anywhere shows up as a mismatch; entry types are compared too.
 """
 
 import functools
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_pos
+from mpmath.libmp import (
+    fzero,
+    mpc_mul,
+    mpf_add,
+    mpf_mul,
+    mpf_pos,
+    mpf_sub,
+    round_floor,
+    round_nearest,
+)
 
 from countertwist import DenseOperator, HalfInt, build_h_ta, spectrum
 from countertwist import _kernels, evolution
@@ -20,7 +32,7 @@ from countertwist.charpoly import (
     to_mu_polynomial,
 )
 from countertwist.cli import VERIFY_SAMPLE_TIME, _flip_first_coupling
-from countertwist.errors import NumericFailureError
+from countertwist.errors import InternalConsistencyError, NumericFailureError
 from countertwist.spin_algebra import (
     BasisOrdering,
     build_cartesian,
@@ -65,14 +77,27 @@ def _assert_same_propagator(u, reference_entries, reference_tau):
     assert u.unitarity_defect._mpf_ == defect._mpf_
 
 
-@pytest.mark.parametrize("twoj", range(1, 17))
+# The curve_large benchmark's seed-0 grids: ``evolve --t-max T --steps 11
+# --precision 34`` at j = 10 (T = 12/5) and j = 21/2 (T = 11/5).  With
+# chi = 1 the grid's chi_t is t_max·i/10, formed as time_series forms it.
+CURVE_LARGE_T_MAX = {20: Fraction(12, 5), 21: Fraction(11, 5)}
+
+
+def _spectral_cases(twoj):
+    if twoj not in CURVE_LARGE_T_MAX:
+        return [(precision, mp.mpf(chi_t)) for precision in PRECISIONS for chi_t in TIMES]
+    t_end = evolution._as_dimensionless_time(CURVE_LARGE_T_MAX[twoj], 34)
+    with mp.workdps(34 + 10):
+        return [(34, t_end * i / 10) for i in range(11)]
+
+
+@pytest.mark.parametrize("twoj", [*range(1, 17), *CURVE_LARGE_T_MAX])
 def test_spectral_propagator_matches_object_code(twoj):
-    for precision in PRECISIONS:
+    for precision, chi_t in _spectral_cases(twoj):
         report = _report(twoj, precision)
-        for chi_t in TIMES:
-            u = propagator_spectral(report, mp.mpf(chi_t), precision)
-            entries, tau = object_spectral_entries(report, mp.mpf(chi_t), precision)
-            _assert_same_propagator(u, entries, tau)
+        u = propagator_spectral(report, chi_t, precision)
+        entries, tau = object_spectral_entries(report, chi_t, precision)
+        _assert_same_propagator(u, entries, tau)
 
 
 def _small_taylor_cases():
@@ -322,3 +347,128 @@ def test_horner_comparison_catches_rounded_coefficients(monkeypatch):
 
     monkeypatch.setattr(_kernels, "int_horner", rounded_coefficients)
     assert _horner_mismatches()
+
+
+# ---------------------------------------------------------------------------
+# The integer core against libmp
+# ---------------------------------------------------------------------------
+
+CORE_PRECISIONS = (53, 113, 150, 300)
+
+
+@st.composite
+def _mantissas(draw, prec):
+    """An odd mantissa of a shape the rounding treats specially: narrow,
+    about prec bits, wider than prec up to an exact 1000-bit coefficient,
+    an exact tie at prec bits (either parity of the kept part), or a tie
+    of all ones that carries into the next power of two."""
+    shape = draw(st.sampled_from(("random", "tie", "carry")))
+    if shape == "tie":
+        kept = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+        return 2 * kept + 1
+    if shape == "carry":
+        return (1 << (prec + draw(st.integers(1, 3)))) - 1
+    width = draw(st.sampled_from((1, 2, 3, prec // 2, prec - 1, prec, prec + 1, 2 * prec, 1000)))
+    return (1 << (width - 1)) | draw(st.integers(0, (1 << (width - 1)) - 1)) | 1
+
+
+@st.composite
+def _operands(draw, count):
+    """``count`` raw mpfs and a precision; some zero, exponents from a
+    common base with gaps from none to far beyond mpf_add's 100 bits."""
+    prec = draw(st.sampled_from(CORE_PRECISIONS))
+    base = draw(st.integers(-1200, 1200))
+    values = []
+    for _ in range(count):
+        if draw(st.integers(0, 9)) == 0:
+            values.append(fzero)
+            continue
+        man = draw(_mantissas(prec)) * draw(st.sampled_from((1, -1)))
+        gap = draw(st.one_of(st.integers(-3, 3), st.integers(-1300, 1300)))
+        values.append(_kernels._mpf((man, base + gap)))
+    return prec, values
+
+
+def _assert_core_matches_libmp(prec, x, y):
+    cx, cy = _kernels._pair(x), _kernels._pair(y)
+    assert _kernels._mpf(cx) == x and _kernels._mpf(cy) == y
+    for core, libmp in ((_kernels._mul, mpf_mul), (_kernels._add, mpf_add), (_kernels._sub, mpf_sub)):
+        assert _kernels._mpf(core(cx, cy, prec)) == libmp(x, y, prec, round_nearest), libmp
+    # Cancellation to an exact zero.
+    assert _kernels._sub(cx, cx, prec) == _kernels._pair(mpf_sub(x, x, prec, round_nearest))
+
+
+def _tie(kept, exp):
+    return _kernels._mpf((2 * kept + 1, exp))
+
+
+# A 1000-bit x one unit above a tie at 53 bits, and a 300-bit y whose last
+# bit is 150 below x's: mpf_add only perturbs x by the sign of y, which
+# rounds up, while the exact sum falls below the tie and rounds down.
+_PERTURBED = (
+    _kernels._mpf(((((1 << 53) + 1) << 946) + 1, 0)),
+    _kernels._mpf((-((1 << 300) - 1), -150)),
+)
+
+
+def test_core_repeats_mpf_add_perturbed_sum():
+    x, y = _PERTURBED
+    exact = _kernels._mpf(_kernels._rounded(
+        (_kernels._pair(x)[0] << 150) + _kernels._pair(y)[0], -150, 53
+    ))
+    want = mpf_add(x, y, 53, round_nearest)
+    assert want != exact
+    assert _kernels._mpf(_kernels._add(_kernels._pair(x), _kernels._pair(y), 53)) == want
+
+
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(_operands(2))
+# An exact tie whose kept part is odd (rounds up) and even (rounds down),
+# plus zero; a tie of all ones carrying into 2^prec.
+@example((53, [_tie((1 << 52) + 1, -7), fzero]))
+@example((53, [_tie(1 << 52, -7), fzero]))
+@example((113, [_kernels._mpf(((1 << 114) - 1, 0)), _kernels._mpf((1, 0))]))
+# mpf_add's perturbed sum where it is not the rounded exact sum.
+@example((53, list(_PERTURBED)))
+def test_core_matches_libmp(case):
+    prec, (x, y) = case
+    _assert_core_matches_libmp(prec, x, y)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_operands(4))
+def test_core_complex_product_matches_mpc_mul(case):
+    prec, (a, b, c, d) = case
+    got = _kernels._cmul(
+        (_kernels._pair(a), _kernels._pair(b)), (_kernels._pair(c), _kernels._pair(d)), prec
+    )
+    assert tuple(map(_kernels._mpf, got)) == mpc_mul((a, b), (c, d), prec, round_nearest)
+
+
+def test_core_comparison_catches_ties_away_from_zero(monkeypatch):
+    # Mutant: ties round away from zero instead of to even, in the rounding
+    # step and in the product's inlined copy of it.
+    def away(m, e, prec):
+        n = m.bit_length() - prec
+        if n > 0:
+            half = 1 << (n - 1)
+            m, e = ((abs(m) + half) >> n) * (1 if m > 0 else -1), e + n
+        if not m:
+            return _kernels._NIL
+        z = (m & -m).bit_length() - 1
+        return m >> z, e + z
+
+    monkeypatch.setattr(_kernels, "_rounded", away)
+    monkeypatch.setattr(_kernels, "_mul", lambda x, y, prec: away(x[0] * y[0], x[1] + y[1], prec))
+    with pytest.raises(AssertionError):
+        test_core_matches_libmp()
+
+
+def test_core_kernels_refuse_other_rounding_modes():
+    x = mp.mpf(3)._mpf_
+    with pytest.raises(InternalConsistencyError):
+        _kernels.int_horner([x, x], x, 53, round_floor)
+    with pytest.raises(InternalConsistencyError):
+        _kernels.chain_horner([(x, fzero)] * 2, [x, x], [x], 53, round_floor)
+    with pytest.raises(InternalConsistencyError):
+        _kernels.gram_defect([[(0, (x, fzero))]], 53, 86, round_floor)

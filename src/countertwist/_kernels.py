@@ -24,19 +24,21 @@ than the expression:
   only the order of the other terms matters.
 
 The spectral route's kernels (:func:`int_horner`, :func:`chain_horner` with
-:func:`mirror`, and :func:`gram_defect`) run on a smaller integer core.  A
-core value is a pair (m, e) standing for m·2^e: the mpf without its sign
-and bit count, m a signed int that is odd, or (0, 0) for zero, so that a
-pair and its mpf name the same canonical value.  The core has one rounding
-rule, libmp's round-to-nearest with ties to even at ``prec`` bits, applied
-once per product, sum or difference exactly where ``mpf_mul``,
-``mpf_add``, ``mpf_sub`` and ``mpc_mul`` apply it, bit counts coming from
-``int.bit_length``.  A kernel converts its mpf arguments to pairs on entry
-and its results to mpf tuples on return, so its signature is unchanged.  A
-sum rounded once over many terms stays with ``mpf_sum``: it drops a term
-more than 2·prec bits away from the running sum, a rule that depends on
-the order of the terms, so its terms go back to mpf tuples first.  Any
-rounding mode other than to-nearest raises InternalConsistencyError.
+:func:`mirror`, and :func:`gram_defect`) and the moments of
+:func:`moments` run on a smaller integer core.  A core value is a pair
+(m, e) standing for m·2^e: the mpf without its sign and bit count, m a
+signed int that is odd, or (0, 0) for zero, so that a pair and its mpf
+name the same canonical value.  The core has one rounding rule, libmp's
+round-to-nearest with ties to even at ``prec`` bits, applied once per
+product, sum or difference exactly where ``mpf_mul``, ``mpf_add``,
+``mpf_sub``, ``mpc_mul`` and ``mpf_sum`` apply it, bit counts coming from
+``int.bit_length``.  ``mpf_sum`` drops a term more than 2·prec bits away
+from its running sum, a rule that depends on the order of the terms, so
+:func:`_sum` repeats that rule too, term by term, and is given the terms
+in the order ``mpf_sum`` would see them.  A kernel converts its mpf
+arguments to pairs on entry and its results to mpf tuples on return, so
+its signature is unchanged.  Any rounding mode other than to-nearest
+raises InternalConsistencyError.
 
 The Taylor kernels and :func:`newton_coefficients` stay on libmp, so that
 the oracle ``verify`` compares the spectral propagator against shares no
@@ -48,6 +50,8 @@ chain Hamiltonian's powers, cost nothing.
 ``prec`` is a binary precision and ``rnd`` a rounding mode, both read from
 ``mp._prec_rounding`` inside the caller's ``workdps`` block.
 """
+
+import functools
 
 from mpmath.libmp import (
     fone,
@@ -183,6 +187,35 @@ def _sub(x, y, prec):
     return _add(x, (-y[0], y[1]), prec)
 
 
+def _sum(terms, prec):
+    """``mpf_sum(terms, prec, round_nearest)`` on core values.
+
+    Accumulates exactly from man = exp = 0 in the given order, skipping zero
+    terms, and rounds once.  ``mpf_sum``'s rule for a term more than 2·prec
+    bits away from the running sum is repeated as it is, because it depends
+    on the order of the terms: a term that far above a zero sum, or above
+    the sum's top bit, replaces the sum; a term whose top bit lies that far
+    below the sum's last bit is dropped, unless the sum is zero.
+    """
+    limit = 2 * prec
+    man = exp = 0
+    for m, e in terms:
+        if m:
+            delta = e - exp
+            if delta >= 0:
+                if delta > limit and (not man or delta - man.bit_length() > limit):
+                    man, exp = m, e
+                else:
+                    man += m << delta
+            elif -delta - m.bit_length() > limit:
+                if not man:
+                    man, exp = m, e
+            else:
+                man = (man << -delta) + m
+                exp = e
+    return _rounded(man, exp, prec)
+
+
 def _cmul(x, y, prec):
     """``mpc_mul(x, y, prec, round_nearest)`` on pairs (re, im) of core values.
 
@@ -251,7 +284,11 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
 
     After t updates M is banded, |i − c| <= t: outside the band every
     operand is an exact zero and so is the result, which is left in place.
-    With ``mirrored`` (``ups`` a palindrome) the chain is its own twin, and
+    Inside it, :func:`_band_plans` leaves out every product with a
+    structural zero operand: an entry outside the last band, the missing
+    neighbour at a chain end, or a zero node.  Such a product is an exact
+    zero, and ``_add`` of an exact zero and a value already rounded at prec
+    returns that value.  With ``mirrored`` (``ups`` a palindrome) the chain is its own twin, and
     the lower rows of each M are :func:`mirror`'s image of the upper ones.
     Runs on the integer core.
     """
@@ -260,46 +297,87 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
     ups = [_pair(u) for u in ups]
     neg = [_neg(u) for u in ups]
     # Row i's down factors (re, im planes), then its up factors; an exact
-    # zero stands for the missing neighbour at either end of the chain.
+    # zero, never multiplied, stands for the missing neighbour at either end
+    # of the chain.
     down_re = [_NIL] + ups
     down_im = [_NIL] + neg
     up_re = neg + [_NIL]
     up_im = ups + [_NIL]
     computed = (size + 1) // 2 if mirrored else size
+    last = size - 1
     c_re, c_im = map(_pair, coeffs[-1])
     re = [[c_re if i == c else _NIL for c in range(size)] for i in range(size)]
     im = [[c_im if i == c else _NIL for c in range(size)] for i in range(size)]
-    pad = [_NIL] * size
     mul, add = _mul, _add
     for band, k in enumerate(range(len(coeffs) - 2, -1, -1), 1):
         shift = _neg(_pair(nodes[k]))
         c_re, c_im = map(_pair, coeffs[k])
-        re_pad = [pad] + re + [pad]
-        im_pad = [pad] + im + [pad]
         new_re, new_im = [], []
-        for i in range(computed):
-            lo, hi = max(0, i - band), min(size, i + band + 1)
-            dr, di, ur, ui = down_re[i], down_im[i], up_re[i], up_im[i]
-            row_re = [
-                add(add(mul(dr, p1, prec), mul(ur, p2, prec), prec),
-                    mul(xa, shift, prec), prec)
-                for p1, p2, xa in zip(im_pad[i][lo:hi], im_pad[i + 2][lo:hi], re[i][lo:hi])
-            ]
-            row_im = [
-                add(add(mul(di, q1, prec), mul(ui, q2, prec), prec),
-                    mul(xa, shift, prec), prec)
-                for q1, q2, xa in zip(re_pad[i][lo:hi], re_pad[i + 2][lo:hi], im[i][lo:hi])
-            ]
-            row_re[i - lo] = add(row_re[i - lo], c_re, prec)
-            row_im[i - lo] = add(row_im[i - lo], c_im, prec)
-            outside = [_NIL] * (size - hi)
-            new_re.append(pad[:lo] + row_re + outside)
-            new_im.append(pad[:lo] + row_im + outside)
+        for i, plan in zip(range(computed), _band_plans(size, band, shift[0] != 0)):
+            for new, own, other, down, up, c in (
+                (new_re, re[i], im, down_re[i], up_re[i], c_re),
+                (new_im, im[i], re, down_im[i], up_im[i], c_im),
+            ):
+                row = [_NIL] * plan[0][0] if plan else []
+                for lo, hi, terms in plan:
+                    if len(terms) == 3:
+                        row += [
+                            add(add(mul(down, x, prec), mul(up, y, prec), prec), mul(shift, z, prec), prec)
+                            for x, y, z in zip(other[i - 1][lo:hi], other[i + 1][lo:hi], own[lo:hi])
+                        ]
+                        continue
+                    factors = (down, up, shift)
+                    sources = (other[i - 1], other[i + 1] if i < last else None, own)
+                    if len(terms) == 2:
+                        s, t = terms
+                        f, g, xs, ys = factors[s], factors[t], sources[s], sources[t]
+                        if hi - lo == 1:
+                            row.append(add(mul(f, xs[lo], prec), mul(g, ys[lo], prec), prec))
+                        else:
+                            row += [add(mul(f, x, prec), mul(g, y, prec), prec)
+                                    for x, y in zip(xs[lo:hi], ys[lo:hi])]
+                    elif terms:
+                        f, xs = factors[terms[0]], sources[terms[0]]
+                        if hi - lo == 1:
+                            row.append(mul(f, xs[lo], prec))
+                        else:
+                            row += [mul(f, x, prec) for x in xs[lo:hi]]
+                    else:
+                        row += [_NIL] * (hi - lo)
+                row += [_NIL] * (size - len(row))
+                row[i] = add(row[i], c, prec)
+                new.append(row)
         if mirrored:
             new_re += [_flipped(new_re[size - 1 - i], i, _neg) for i in range(computed, size)]
             new_im += [_flipped(new_im[size - 1 - i], i, _neg) for i in range(computed, size)]
         re, im = new_re, new_im
     return tuple([list(map(_mpf, row)) for row in plane] for plane in (re, im))
+
+
+@functools.lru_cache(maxsize=1024)
+def _band_plans(size, band, shifted):
+    """Each row i of :func:`chain_horner`'s update number ``band``, as runs
+    of columns (lo, hi, terms) covering the row's new band.  ``terms``
+    lists, in the order they are added, the products whose operands may be
+    nonzero throughout the run: 0 for the row below, 1 for the row above
+    and 2 for the shift.  A product is left out where its neighbour is
+    missing, where the shift is zero (``shifted`` false) and where its
+    operand lies outside the last band, |i − c| < band."""
+    plans = []
+    for i in range(size):
+        ranges = []
+        if i:
+            ranges.append((0, max(0, i - band), min(size, i + band - 1)))
+        if i < size - 1:
+            ranges.append((1, max(0, i - band + 2), min(size, i + band + 1)))
+        if shifted:
+            ranges.append((2, max(0, i - band + 1), min(size, i + band)))
+        cuts = sorted({x for _, lo, hi in ranges if lo < hi for x in (lo, hi)})
+        plans.append(tuple(
+            (lo, hi, tuple(t for t, a, b in ranges if a <= lo and hi <= b))
+            for lo, hi in zip(cuts, cuts[1:])
+        ))
+    return tuple(plans)
 
 
 def mirror(plane):
@@ -335,9 +413,8 @@ def gram_defect(columns, prec, check_prec, rnd):
     conjugated products, so its sums are the conjugates of (U†U)[a][b]'s and
     its deviation the same.  An empty sum is fsum's mpf zero, whose
     deviation equals mpf_hypot's with a zero imaginary part.  The products
-    run on the integer core, forming none with an exact-zero factor, and
-    the zero components they leave are not summed; the sums and deviations
-    stay on libmp.
+    and sums run on the integer core, forming no product with an exact-zero
+    factor; the deviations stay on libmp.
     """
     _require_nearest(rnd)
     lookup = [{k: (_pair(x_re), _pair(x_im)) for k, (x_re, x_im) in col} for col in columns]
@@ -355,17 +432,133 @@ def gram_defect(columns, prec, check_prec, rnd):
                 y = col_b.get(k)
                 if y is not None:
                     g_re, g_im = _cmul(x, y, prec)
-                    if g_re[0]:
-                        sum_re.append(_mpf(g_re))
-                    if g_im[0]:
-                        sum_im.append(_mpf(g_im))
-            g_re = mpf_sum(sum_re, prec, rnd)
+                    sum_re.append(g_re)
+                    sum_im.append(g_im)
+            g_re = _mpf(_sum(sum_re, prec))
             if a == b:
                 g_re = mpf_sub(g_re, fone, check_prec, rnd)
-            deviation = mpf_hypot(g_re, mpf_sum(sum_im, prec, rnd), check_prec, rnd)
+            deviation = mpf_hypot(g_re, _mpf(_sum(sum_im, prec)), check_prec, rnd)
             if mpf_gt(deviation, worst):
                 worst = deviation
     return worst
+
+
+def moments(rows, amplitudes, halves, labels, prec, rnd):
+    """The spin moments of φ = U·ψ₀, as ``heisenberg_expectations`` forms
+    them with ``mp.fdot`` and ``mp.fsum``.
+
+    ``rows`` are U's rows and ``amplitudes`` ψ₀, their entries mpc pairs;
+    ``halves[i]`` is the halved ladder amplitude w linking basis states i
+    and i + 1, and ``labels[a]`` the exact label m of state a, both mpfs.
+    Repeats
+
+        φ[a]    = fdot(U[a][k], ψ₀[k] over k)
+        vx[a]   = fdot(w, φ[b] over b = a − 1, a + 1 in the basis)
+        vy[a]   = fdot(−i·d·w, φ[b] over the same b), d = b − a
+        vz[a]   = fdot(m_a, φ[a])
+        ⟨J⟩     = fdot(conj φ[a], v[a] over a)       for v = vx, vy, vz
+        ⟨J²⟩    = fsum(|v[a]|² over a)               for v = vx, vy, vz
+        cov_yz  = re fdot(conj vy[a], vz[a] over a) − re⟨Jy⟩·re⟨Jz⟩
+        corr_xz = 2·re fdot(conj vx[a], vz[a] over a)
+
+    fdot forms the exact products re·re and −(im·im) for the real part and
+    re·im, im·re for the imaginary one, pair by pair, and sums each part
+    with one ``mpf_sum``.  A product with an exact-zero factor is zero,
+    which the sum skips, so a real factor, or −i·d·w's zero real part,
+    leaves the same terms in the same order; a fdot of one pair is its
+    rounded product.  |x| is ``mpf_hypot`` and its square one rounded
+    product, as ``mpf_pow_int(·, 2)`` rounds it.  Runs on the integer core.
+
+    Returns raw mpfs: the three means as (re, im) pairs, the three second
+    moments, cov_yz and corr_xz.
+    """
+    _require_nearest(rnd)
+    amplitudes = [_pair(re) + _pair(im) for re, im in amplitudes]
+    phi = []
+    for row in rows:
+        # U[a][k] = a + bi times ψ₀[k] = c + di: a·c, −(b·d) for the real
+        # part and a·d, b·c for the imaginary one, none with a zero factor.
+        re_terms, im_terms = [], []
+        for ((sa, a, ae, _), (sb, b, be, _)), (c, ce, d, de) in zip(row, amplitudes):
+            if a:
+                if sa:
+                    a = -a
+                if c:
+                    re_terms.append((a * c, ae + ce))
+                if d:
+                    im_terms.append((a * d, ae + de))
+            if b:
+                if sb:
+                    b = -b
+                if d:
+                    re_terms.append((-b * d, be + de))
+                if c:
+                    im_terms.append((b * c, be + ce))
+        phi.append((_sum(re_terms, prec), _sum(im_terms, prec)))
+
+    vx, vy, vz = [], [], []
+    last = len(phi) - 1
+    for i, (p_re, p_im) in enumerate(phi):
+        # The exact products w·φ[b] for the neighbour b below a, then the
+        # one above: vx sums them as they are, and vy's factor −i·d·w puts
+        # the imaginary ones with sign d into its real part and the real
+        # ones with sign −d into its imaginary part.
+        lo_re, lo_im = _scaled(halves[i - 1], phi[i - 1]) if i else (_NIL, _NIL)
+        up_re, up_im = _scaled(halves[i], phi[i + 1]) if i < last else (_NIL, _NIL)
+        vx.append((_sum((lo_re, up_re), prec), _sum((lo_im, up_im), prec)))
+        vy.append((_sum((_neg(lo_im), up_im), prec), _sum((lo_re, _neg(up_re)), prec)))
+        m = _pair(labels[i])
+        vz.append((_mul(m, p_re, prec), _mul(m, p_im, prec)))
+
+    means = []
+    for v in (vx, vy, vz):
+        re_terms, im_terms = [], []
+        for ((pr, pe), (pi, pie)), ((vr, ve), (vi, vie)) in zip(phi, v):
+            # conj φ = (pr, −pi): re·re, −((−im)·im) and re·im, (−im)·re.
+            re_terms += (pr * vr, pe + ve), (pi * vi, pie + vie)
+            im_terms += (pr * vi, pe + vie), (-pi * vr, pie + ve)
+        means.append((_sum(re_terms, prec), _sum(im_terms, prec)))
+
+    seconds = []
+    for v in (vx, vy, vz):
+        terms = []
+        for x_re, x_im in v:
+            # mpf_hypot of a part and an exact zero is the part's abs, which
+            # rounding at prec leaves as it is.
+            if not x_im[0]:
+                h = x_re
+            elif not x_re[0]:
+                h = x_im
+            else:
+                h = _pair(mpf_hypot(_mpf(x_re), _mpf(x_im), prec, rnd))
+            terms.append(_mul(h, h, prec))
+        seconds.append(_sum(terms, prec))
+
+    def cross_re(v, z):
+        # re fdot(conj v, z): re·re, −((−im)·im) per pair.
+        terms = []
+        for ((vr, ve), (vi, vie)), ((zr, ze), (zi, zie)) in zip(v, z):
+            terms += (vr * zr, ve + ze), (vi * zi, vie + zie)
+        return _sum(terms, prec)
+
+    mean_y, mean_z = means[1][0], means[2][0]
+    cov_yz = _sub(cross_re(vy, vz), _mul(mean_y, mean_z, prec), prec)
+    m, e = cross_re(vx, vz)
+    corr_xz = (m, e + 1) if m else _NIL
+    return (
+        [(_mpf(re), _mpf(im)) for re, im in means],
+        [_mpf(x) for x in seconds],
+        _mpf(cov_yz),
+        _mpf(corr_xz),
+    )
+
+
+def _scaled(w, z):
+    """The exact products w·re(z) and w·im(z) of a raw mpf w and a complex
+    core value z."""
+    m, e = _pair(w)
+    (r, r_exp), (s, s_exp) = z
+    return (m * r, e + r_exp), (m * s, e + s_exp)
 
 
 def series_term(generator, term, k, prec, rnd):

@@ -19,7 +19,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpc_exp, mpc_pos, mpf_mul, mpf_neg, mpf_sub
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpc_exp,
+    mpc_pos,
+    mpf_abs,
+    mpf_gt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_sub,
+)
 
 from . import _kernels
 from .charpoly import block_decompose
@@ -224,8 +235,9 @@ class ObservableSet:
     cov_yz: object
     corr_xz: object
 
-    # Each variance is formed once; cached_property writes the instance
-    # __dict__, which this frozen dataclass without slots has.
+    # Each variance, and the mean-spin check the squeezing parameters share,
+    # is formed once; cached_property writes the instance __dict__, which
+    # this frozen dataclass without slots has.
     def _variance(self, second, mean):
         with mp.workdps(self.precision):
             v = second - mean * mean
@@ -242,6 +254,15 @@ class ObservableSet:
     @functools.cached_property
     def var_jz(self):
         return self._variance(self.second_jz, self.mean_jz)
+
+    @functools.cached_property
+    def _defined_mean_spin(self):
+        """|⟨Jx⟩| if above the definedness threshold, else None."""
+        with mp.workdps(self.precision):
+            magnitude = abs(self.mean_jx)
+            if magnitude <= mp.mpf(10) ** (-(self.precision // 2)):
+                return None
+            return magnitude
 
     @property
     def casimir(self):
@@ -670,13 +691,28 @@ def coherent_initial_state(j, precision: int = DEFAULT_PRECISION) -> StateVector
 
 
 @functools.lru_cache(maxsize=32)
-def _ladder_halves(j: HalfInt, wp: int) -> tuple:
-    """The halved ladder amplitudes sqrt((j-m)(j+m+1))/2 at wp, m = j-1 .. -j."""
-    with mp.workdps(wp):
-        return tuple(
-            mp.sqrt(mp.mpf(_ladder_amplitude_squared(j, m))) / 2
-            for m in BasisOrdering.for_spin(j).labels[1:]
+def _moment_constants(j: HalfInt, precision: int) -> tuple:
+    """What every moment computation at (j, precision) shares, as raw mpfs at
+    the working precision: the halved ladder amplitudes
+    sqrt((j-m)(j+m+1))/2 for m = j-1 .. -j, the exact labels m = j .. -j,
+    and the tolerance on the means' imaginary parts."""
+    with mp.workdps(precision + 10):
+        labels = BasisOrdering.for_spin(j).labels
+        halves = tuple(
+            (mp.sqrt(mp.mpf(_ladder_amplitude_squared(j, m))) / 2)._mpf_
+            for m in labels[1:]
         )
+        exact_labels = tuple((mp.mpf(m.twice_value) / 2)._mpf_ for m in labels)
+        tol = mp.mpf(10) ** (-precision + 5) * (1 + mp.mpf(j.twice_value) / 2)
+        return halves, exact_labels, tol._mpf_
+
+
+def _fdot_pair(x):
+    """The raw (re, im) pair of a scalar as ``mp.fdot`` takes it: a value
+    that is not an mpmath number goes through ``mp.convert`` first."""
+    if type(x) not in (mp.mpf, mp.mpc):
+        x = mp.convert(x)
+    return _as_pair(x)
 
 
 def heisenberg_expectations(
@@ -700,73 +736,49 @@ def heisenberg_expectations(
         raise InvalidInputError(
             f"propagator is for j={u.matrix.basis.j}, state for j={j}"
         )
-    n = j.n_states
-    labels = state.basis.labels
     wp = precision + 10
+    halves, labels, tol = _moment_constants(j, precision)
     with mp.workdps(wp):
-        # Jx and Jy couple neighbouring labels through the halved ladder
-        # amplitudes w (Jy: -iw above the diagonal, +iw below); Jz is the
-        # diagonal of m.  Each fdot takes one row's nonzero entries in order.
-        halves = _ladder_halves(j, wp)
-        # fdot skips exact zeros, so φ = U·ψ₀ sums each row's nonzero entries
-        # only; a row without any keeps its terms, and so fdot's result type.
-        amplitudes = state.amplitudes
-        phi = [
-            mp.fdot([(x, s) for x, s in zip(row, amplitudes) if x] or zip(row, amplitudes))
-            for row in u.matrix.entries
-        ]
-        links = [
-            [(halves[min(a, b)], phi[b], b - a) for b in (a - 1, a + 1) if 0 <= b < n]
-            for a in range(n)
-        ]
-        vx = [mp.fdot((w, x) for w, x, _ in row) for row in links]
-        vy = [mp.fdot((mp.mpc(0, -d * w), x) for w, x, d in row) for row in links]
-        vz = [mp.fdot([(mp.mpf(m.twice_value) / 2, x)]) for m, x in zip(labels, phi)]
-        phi_c = [mp.conj(x) for x in phi]
-        means = [mp.fdot(zip(phi_c, v)) for v in (vx, vy, vz)]
-        seconds = [mp.fsum(abs(x) ** 2 for x in v) for v in (vx, vy, vz)]
-        cross_yz = mp.fdot(zip(map(mp.conj, vy), vz))
-        cross_xz = mp.fdot(zip(map(mp.conj, vx), vz))
-
-        tol = mp.mpf(10) ** (-precision + 5) * (1 + mp.mpf(j.twice_value) / 2)
-        for label, value in zip("xyz", means):
-            if abs(mp.im(value)) > tol:
+        prec, rnd = mp._prec_rounding
+        means, seconds, cov_yz, corr_xz = _kernels.moments(
+            [[_fdot_pair(x) for x in row] for row in u.matrix.entries],
+            [_fdot_pair(x) for x in state.amplitudes],
+            halves,
+            labels,
+            prec,
+            rnd,
+        )
+        for label, (_, im) in zip("xyz", means):
+            if mpf_gt(mpf_abs(im, prec, rnd), tol):
                 raise InternalConsistencyError(
                     f"mean of J{label} has imaginary part "
-                    f"{mp.nstr(mp.im(value), 5)}"
+                    f"{mp.nstr(mp.make_mpf(im), 5)}"
                 )
-        mean_x, mean_y, mean_z = (mp.re(v) for v in means)
-        cov_yz = mp.re(cross_yz) - mean_y * mean_z
-        corr_xz = 2 * mp.re(cross_xz)
 
     with mp.workdps(precision):
+        prec, rnd = mp._prec_rounding
+
+        def rounded(x):
+            return mp.make_mpf(mpf_pos(x, prec, rnd))
+
         return ObservableSet(
             j=j,
             chi_t=+mp.mpf(u.chi_t),
             precision=precision,
-            mean_jx=+mean_x,
-            mean_jy=+mean_y,
-            mean_jz=+mean_z,
-            second_jx=+seconds[0],
-            second_jy=+seconds[1],
-            second_jz=+seconds[2],
-            cov_yz=+cov_yz,
-            corr_xz=+corr_xz,
+            mean_jx=rounded(means[0][0]),
+            mean_jy=rounded(means[1][0]),
+            mean_jz=rounded(means[2][0]),
+            second_jx=rounded(seconds[0]),
+            second_jy=rounded(seconds[1]),
+            second_jz=rounded(seconds[2]),
+            cov_yz=rounded(cov_yz),
+            corr_xz=rounded(corr_xz),
         )
-
-
-def _mean_spin_defined(obs: ObservableSet):
-    """|⟨Jx⟩| if above the definedness threshold, else None."""
-    with mp.workdps(obs.precision):
-        magnitude = abs(obs.mean_jx)
-        if magnitude <= mp.mpf(10) ** (-(obs.precision // 2)):
-            return None
-        return magnitude
 
 
 def _xi_from_variance(obs: ObservableSet, variance):
     """Wineland parameter sqrt(2j · variance) / |⟨Jx⟩|, None when undefined."""
-    mean = _mean_spin_defined(obs)
+    mean = obs._defined_mean_spin
     if mean is None:
         return None
     with mp.workdps(obs.precision):
@@ -795,7 +807,7 @@ def optimal_xi(obs: ObservableSet):
     when ⟨Jx⟩ vanishes.  An isotropic covariance leaves the angle free and is
     reported as 0.
     """
-    mean = _mean_spin_defined(obs)
+    mean = obs._defined_mean_spin
     if mean is None:
         return None
     with mp.workdps(obs.precision):

@@ -583,21 +583,18 @@ def object_taylor_entries(h, chi_t, precision=DEFAULT_PRECISION):
     return entries, tau_out
 
 
-def object_moments(state, u, precision=DEFAULT_PRECISION):
-    """heisenberg_expectations formed with mpc objects and no set-up cache."""
-    _require_precision(precision)
+def object_moment_sums(state, u, precision=DEFAULT_PRECISION):
+    """The moments of heisenberg_expectations at its working precision,
+    formed with mpc objects and no set-up cache, before the imaginary-part
+    check and the rounding to ``precision``: the three means (mpf or mpc),
+    the three second moments, cov_yz and corr_xz."""
     j = state.basis.j
-    if u.matrix.basis.j != j:
-        raise InvalidInputError(
-            f"propagator is for j={u.matrix.basis.j}, state for j={j}"
-        )
     n = j.n_states
     labels = state.basis.labels
-    wp = precision + 10
-    with mp.workdps(wp):
+    with mp.workdps(precision + 10):
         # Jx and Jy couple neighbouring labels through the halved ladder
         # amplitudes w (Jy: -iw above the diagonal, +iw below); Jz is the
-        # diagonal of m.  Each fdot takes one row's nonzero entries in order.
+        # diagonal of m.
         squares = (_ladder_amplitude_squared(j, m) for m in labels[1:])
         halves = [mp.sqrt(mp.mpf(x)) / 2 for x in squares]
         phi = [mp.fdot(zip(row, state.amplitudes)) for row in u.matrix.entries]
@@ -613,7 +610,21 @@ def object_moments(state, u, precision=DEFAULT_PRECISION):
         seconds = [mp.fsum(abs(x) ** 2 for x in v) for v in (vx, vy, vz)]
         cross_yz = mp.fdot(zip(map(mp.conj, vy), vz))
         cross_xz = mp.fdot(zip(map(mp.conj, vx), vz))
+        cov_yz = mp.re(cross_yz) - mp.re(means[1]) * mp.re(means[2])
+        corr_xz = 2 * mp.re(cross_xz)
+    return means, seconds, cov_yz, corr_xz
 
+
+def object_moments(state, u, precision=DEFAULT_PRECISION):
+    """heisenberg_expectations formed with mpc objects and no set-up cache."""
+    _require_precision(precision)
+    j = state.basis.j
+    if u.matrix.basis.j != j:
+        raise InvalidInputError(
+            f"propagator is for j={u.matrix.basis.j}, state for j={j}"
+        )
+    means, seconds, cov_yz, corr_xz = object_moment_sums(state, u, precision)
+    with mp.workdps(precision + 10):
         tol = mp.mpf(10) ** (-precision + 5) * (1 + mp.mpf(j.twice_value) / 2)
         for label, value in zip("xyz", means):
             if abs(mp.im(value)) > tol:
@@ -622,8 +633,6 @@ def object_moments(state, u, precision=DEFAULT_PRECISION):
                     f"{mp.nstr(mp.im(value), 5)}"
                 )
         mean_x, mean_y, mean_z = (mp.re(v) for v in means)
-        cov_yz = mp.re(cross_yz) - mean_y * mean_z
-        corr_xz = 2 * mp.re(cross_xz)
 
     with mp.workdps(precision):
         return ObservableSet(

@@ -19,6 +19,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_pos,
     mpf_sub,
+    mpf_sum,
     round_floor,
     round_nearest,
 )
@@ -36,6 +37,7 @@ from countertwist.errors import InternalConsistencyError, NumericFailureError
 from countertwist.spin_algebra import (
     BasisOrdering,
     build_cartesian,
+    chiral_operator,
     two_step_coupling_squared,
 )
 from countertwist.evolution import (
@@ -51,6 +53,7 @@ from _oracles import (
     build_h_f,
     object_gram_defect,
     object_int_horner,
+    object_moment_sums,
     object_moments,
     object_spectral_entries,
     object_taylor_entries,
@@ -204,16 +207,94 @@ def test_taylor_comparison_catches_a_dropped_imaginary_factor(monkeypatch):
     assert not _taylor_mismatches("h_ta")
 
 
-@pytest.mark.parametrize("twoj", [1, 4, 9, 16])
+MOMENT_FIELDS = ("chi_t", "mean_jx", "mean_jy", "mean_jz", "second_jx",
+                 "second_jy", "second_jz", "cov_yz", "corr_xz")
+
+
+def _assert_same_moments(state, u, precision):
+    # The kernel's sums at the working precision, ten digits beyond what
+    # the rounded ObservableSet keeps, then the set itself.
+    halves, labels, _ = evolution._moment_constants(state.basis.j, precision)
+    with mp.workdps(precision + 10):
+        prec, rnd = mp._prec_rounding
+        means, seconds, cov_yz, corr_xz = _kernels.moments(
+            [[evolution._fdot_pair(x) for x in row] for row in u.matrix.entries],
+            [evolution._fdot_pair(x) for x in state.amplitudes],
+            halves, labels, prec, rnd,
+        )
+    want = object_moment_sums(state, u, precision)
+    assert means == [evolution._as_pair(x) for x in want[0]]
+    assert seconds == [x._mpf_ for x in want[1]]
+    assert (cov_yz, corr_xz) == (want[2]._mpf_, want[3]._mpf_)
+
+    got = heisenberg_expectations(state, u, precision)
+    want = object_moments(state, u, precision)
+    for name in MOMENT_FIELDS:
+        value = getattr(got, name)
+        assert type(value) is type(getattr(want, name)), name
+        assert value._mpf_ == getattr(want, name)._mpf_, name
+
+
+def _moment_cases(twoj):
+    """Each of the five sample times once, the precisions in turn."""
+    return [(PRECISIONS[k % 3], mp.mpf(chi_t)) for k, chi_t in enumerate(TIMES, twoj)]
+
+
+@pytest.mark.parametrize("twoj", range(1, 25))
 def test_moments_match_object_code(twoj):
-    for precision, chi_t in zip(PRECISIONS, TIMES[2:]):
-        state = coherent_initial_state(HalfInt(twoj), precision)
-        u = propagator_spectral(_report(twoj, precision), mp.mpf(chi_t), precision)
-        got = heisenberg_expectations(state, u, precision)
-        want = object_moments(state, u, precision)
-        for name in ("chi_t", "mean_jx", "mean_jy", "mean_jz", "second_jx",
-                     "second_jy", "second_jz", "cov_yz", "corr_xz"):
-            assert getattr(got, name)._mpf_ == getattr(want, name)._mpf_, name
+    j = HalfInt(twoj)
+    for precision, chi_t in _moment_cases(twoj):
+        state = coherent_initial_state(j, precision)
+        _assert_same_moments(state, propagator_spectral(_report(twoj, precision), chi_t, precision), precision)
+        h = build_h_ta(j, 1, precision)
+        _assert_same_moments(state, propagator_taylor(h, chi_t, precision), precision)
+
+
+def _real_state(j, precision, kind):
+    """The coherent state with mpf amplitudes, or |j, m = j> with int ones."""
+    if kind == "int":
+        amplitudes = (1,) + (0,) * (j.n_states - 1)
+    else:
+        amplitudes = tuple(x.real for x in coherent_initial_state(j, precision).amplitudes)
+    return evolution.StateVector(
+        basis=BasisOrdering.for_spin(j), amplitudes=amplitudes, precision=precision
+    )
+
+
+def _with_real_entries(u, precision):
+    """u with its exact-zero entries, or every entry of the chiral operator
+    (a real signed antidiagonal) for chi_t = 0, as mpfs."""
+    if u.chi_t == 0:
+        with mp.workdps(precision):
+            rows = [[x.real for x in row] for row in chiral_operator(u.matrix.basis.j, precision).entries]
+    else:
+        rows = [[x if x else mp.mpf(0) for x in row] for row in u.matrix.entries]
+    matrix = DenseOperator(basis=u.matrix.basis, entries=tuple(map(tuple, rows)), precision=precision)
+    return Propagator(matrix=matrix, chi_t=u.chi_t, method=u.method)
+
+
+@pytest.mark.parametrize("twoj", [1, 2, 5, 8, 13])
+@pytest.mark.parametrize("kind", ["mpf", "int"])
+def test_moments_of_real_amplitudes_and_entries_match_object_code(twoj, kind):
+    j = HalfInt(twoj)
+    for precision, chi_t in _moment_cases(twoj):
+        state = _real_state(j, precision, kind)
+        u = propagator_spectral(_report(twoj, precision), chi_t, precision)
+        _assert_same_moments(state, u, precision)
+        _assert_same_moments(state, _with_real_entries(u, precision), precision)
+
+
+def test_moments_comparison_catches_rounded_products(monkeypatch):
+    # Mutant: each product is rounded before the sum, as a sum of mpc
+    # products would round it, where fdot sums the exact products.
+    original = _kernels._sum
+
+    def rounded_terms(terms, prec):
+        return original([_kernels._rounded(m, e, prec) for m, e in terms], prec)
+
+    monkeypatch.setattr(_kernels, "_sum", rounded_terms)
+    with pytest.raises(AssertionError):
+        test_moments_match_object_code(4)
 
 
 def _edited(u, edit):
@@ -445,6 +526,51 @@ def test_core_complex_product_matches_mpc_mul(case):
     assert tuple(map(_kernels._mpf, got)) == mpc_mul((a, b), (c, d), prec, round_nearest)
 
 
+@st.composite
+def _sum_terms(draw):
+    return draw(_operands(draw(st.integers(0, 8))))
+
+
+# x and y more than 2·prec bits apart at every core precision: summed as x,
+# y, -x, mpf_sum drops y (much smaller than x) and returns zero; as y, x,
+# -x, x replaces y (much larger) with the same result; as x, -x, y it keeps
+# y, the exact sum of all three.
+_FAR_X = _kernels._mpf((3, 700))
+_FAR_Y = _kernels._mpf((-5, 0))
+_NEG_X = _kernels._mpf((-3, 700))
+_WIDE = _kernels._mpf((((1 << 999) | 12345) * 2 + 1, -40))
+
+
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(_sum_terms())
+@example((53, [_FAR_X, _FAR_Y, _NEG_X]))
+@example((300, [_FAR_Y, _FAR_X, _NEG_X]))
+@example((113, [fzero, _FAR_X, _NEG_X, _FAR_Y, fzero]))
+@example((150, [fzero, fzero, _WIDE, _FAR_Y, fzero]))
+@example((53, [_WIDE, _kernels._mpf((-1, -1100)), _kernels._mpf((1, 1100))]))
+def test_core_sum_matches_mpf_sum(case):
+    # Both orders: mpf_sum's result depends on the order of the terms.
+    prec, terms = case
+    for order in (terms, terms[::-1]):
+        got = _kernels._sum([_kernels._pair(x) for x in order], prec)
+        assert _kernels._mpf(got) == mpf_sum(order, prec, round_nearest)
+
+
+def test_sum_comparison_catches_a_missing_drop_rule(monkeypatch):
+    # Mutant: the exact sum of every term, rounded once, with no term
+    # dropped for being far from the running sum.
+    def exact(terms, prec):
+        terms = [(m, e) for m, e in terms if m]
+        if not terms:
+            return _kernels._NIL
+        low = min(e for _, e in terms)
+        return _kernels._rounded(sum(m << (e - low) for m, e in terms), low, prec)
+
+    monkeypatch.setattr(_kernels, "_sum", exact)
+    with pytest.raises(AssertionError):
+        test_core_sum_matches_mpf_sum()
+
+
 def test_core_comparison_catches_ties_away_from_zero(monkeypatch):
     # Mutant: ties round away from zero instead of to even, in the rounding
     # step and in the product's inlined copy of it.
@@ -472,3 +598,5 @@ def test_core_kernels_refuse_other_rounding_modes():
         _kernels.chain_horner([(x, fzero)] * 2, [x, x], [x], 53, round_floor)
     with pytest.raises(InternalConsistencyError):
         _kernels.gram_defect([[(0, (x, fzero))]], 53, 86, round_floor)
+    with pytest.raises(InternalConsistencyError):
+        _kernels.moments([[(x, fzero)]], [(x, fzero)], [], [x], 53, round_floor)

@@ -322,7 +322,8 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
                 for lo, hi, terms in plan:
                     if len(terms) == 3:
                         row += [
-                            add(add(mul(down, x, prec), mul(up, y, prec), prec), mul(shift, z, prec), prec)
+                            add(add(mul(down, x, prec), mul(up, y, prec), prec),
+                                mul(shift, z, prec), prec)
                             for x, y, z in zip(other[i - 1][lo:hi], other[i + 1][lo:hi], own[lo:hi])
                         ]
                         continue

@@ -245,17 +245,23 @@ def test_moments_match_object_code(twoj):
     j = HalfInt(twoj)
     for precision, chi_t in _moment_cases(twoj):
         state = coherent_initial_state(j, precision)
-        _assert_same_moments(state, propagator_spectral(_report(twoj, precision), chi_t, precision), precision)
-        h = build_h_ta(j, 1, precision)
-        _assert_same_moments(state, propagator_taylor(h, chi_t, precision), precision)
+        spectral = propagator_spectral(_report(twoj, precision), chi_t, precision)
+        _assert_same_moments(state, spectral, precision)
+        taylor = propagator_taylor(build_h_ta(j, 1, precision), chi_t, precision)
+        _assert_same_moments(state, taylor, precision)
 
 
-def _real_state(j, precision, kind):
-    """The coherent state with mpf amplitudes, or |j, m = j> with int ones."""
-    if kind == "int":
-        amplitudes = (1,) + (0,) * (j.n_states - 1)
-    else:
-        amplitudes = tuple(x.real for x in coherent_initial_state(j, precision).amplitudes)
+def _state(j, precision, kind):
+    """The coherent state with mpf amplitudes, or with complex ones (each
+    turned by its own phase), or |j, m = j> with int amplitudes."""
+    amplitudes = coherent_initial_state(j, precision).amplitudes
+    with mp.workdps(precision):
+        if kind == "int":
+            amplitudes = (1,) + (0,) * (j.n_states - 1)
+        elif kind == "mpf":
+            amplitudes = tuple(x.real for x in amplitudes)
+        else:
+            amplitudes = tuple(x * mp.expjpi(mp.mpf(k) / 7) for k, x in enumerate(amplitudes))
     return evolution.StateVector(
         basis=BasisOrdering.for_spin(j), amplitudes=amplitudes, precision=precision
     )
@@ -266,19 +272,22 @@ def _with_real_entries(u, precision):
     (a real signed antidiagonal) for chi_t = 0, as mpfs."""
     if u.chi_t == 0:
         with mp.workdps(precision):
-            rows = [[x.real for x in row] for row in chiral_operator(u.matrix.basis.j, precision).entries]
+            chiral = chiral_operator(u.matrix.basis.j, precision)
+            rows = [[x.real for x in row] for row in chiral.entries]
     else:
         rows = [[x if x else mp.mpf(0) for x in row] for row in u.matrix.entries]
-    matrix = DenseOperator(basis=u.matrix.basis, entries=tuple(map(tuple, rows)), precision=precision)
+    matrix = DenseOperator(
+        basis=u.matrix.basis, entries=tuple(map(tuple, rows)), precision=precision
+    )
     return Propagator(matrix=matrix, chi_t=u.chi_t, method=u.method)
 
 
 @pytest.mark.parametrize("twoj", [1, 2, 5, 8, 13])
-@pytest.mark.parametrize("kind", ["mpf", "int"])
-def test_moments_of_real_amplitudes_and_entries_match_object_code(twoj, kind):
+@pytest.mark.parametrize("kind", ["mpf", "int", "complex"])
+def test_moments_of_other_amplitudes_and_real_entries_match_object_code(twoj, kind):
     j = HalfInt(twoj)
     for precision, chi_t in _moment_cases(twoj):
-        state = _real_state(j, precision, kind)
+        state = _state(j, precision, kind)
         u = propagator_spectral(_report(twoj, precision), chi_t, precision)
         _assert_same_moments(state, u, precision)
         _assert_same_moments(state, _with_real_entries(u, precision), precision)

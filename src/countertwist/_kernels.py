@@ -288,9 +288,9 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
     structural zero operand: an entry outside the last band, the missing
     neighbour at a chain end, or a zero node.  Such a product is an exact
     zero, and ``_add`` of an exact zero and a value already rounded at prec
-    returns that value.  With ``mirrored`` (``ups`` a palindrome) the chain is its own twin, and
-    the lower rows of each M are :func:`mirror`'s image of the upper ones.
-    Runs on the integer core.
+    returns that value.  With ``mirrored`` (``ups`` a palindrome) the chain
+    is its own twin, and the lower rows of each M are :func:`mirror`'s
+    image of the upper ones.  Runs on the integer core.
     """
     _require_nearest(rnd)
     size = len(ups) + 1
@@ -313,12 +313,12 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
         shift = _neg(_pair(nodes[k]))
         c_re, c_im = map(_pair, coeffs[k])
         new_re, new_im = [], []
-        for i, plan in zip(range(computed), _band_plans(size, band, shift[0] != 0)):
+        for i, plan in enumerate(_band_plans(size, band, shift[0] != 0)[:computed]):
             for new, own, other, down, up, c in (
                 (new_re, re[i], im, down_re[i], up_re[i], c_re),
                 (new_im, im[i], re, down_im[i], up_im[i], c_im),
             ):
-                row = [_NIL] * plan[0][0] if plan else []
+                row = []
                 for lo, hi, terms in plan:
                     if len(terms) == 3:
                         row += [
@@ -345,7 +345,6 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
                             row += [mul(f, x, prec) for x in xs[lo:hi]]
                     else:
                         row += [_NIL] * (hi - lo)
-                row += [_NIL] * (size - len(row))
                 row[i] = add(row[i], c, prec)
                 new.append(row)
         if mirrored:
@@ -358,12 +357,12 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
 @functools.lru_cache(maxsize=1024)
 def _band_plans(size, band, shifted):
     """Each row i of :func:`chain_horner`'s update number ``band``, as runs
-    of columns (lo, hi, terms) covering the row's new band.  ``terms``
-    lists, in the order they are added, the products whose operands may be
-    nonzero throughout the run: 0 for the row below, 1 for the row above
-    and 2 for the shift.  A product is left out where its neighbour is
-    missing, where the shift is zero (``shifted`` false) and where its
-    operand lies outside the last band, |i − c| < band."""
+    of columns (lo, hi, terms) covering the row.  ``terms`` lists, in the
+    order they are added, the products whose operands may be nonzero
+    throughout the run: 0 for the row below, 1 for the row above and 2 for
+    the shift.  A product is left out where its neighbour is missing, where
+    the shift is zero (``shifted`` false) and where its operand lies
+    outside the last band, |i − c| < band."""
     plans = []
     for i in range(size):
         ranges = []
@@ -373,7 +372,7 @@ def _band_plans(size, band, shifted):
             ranges.append((1, max(0, i - band + 2), min(size, i + band + 1)))
         if shifted:
             ranges.append((2, max(0, i - band + 1), min(size, i + band)))
-        cuts = sorted({x for _, lo, hi in ranges if lo < hi for x in (lo, hi)})
+        cuts = sorted({0, size} | {x for _, lo, hi in ranges if lo < hi for x in (lo, hi)})
         plans.append(tuple(
             (lo, hi, tuple(t for t, a, b in ranges if a <= lo and hi <= b))
             for lo, hi in zip(cuts, cuts[1:])

@@ -550,7 +550,7 @@ _NEG_X = _kernels._mpf((-3, 700))
 _WIDE = _kernels._mpf((((1 << 999) | 12345) * 2 + 1, -40))
 
 
-@settings(derandomize=True, max_examples=800, deadline=None)
+@settings(derandomize=True, max_examples=400, deadline=None)
 @given(_sum_terms())
 @example((53, [_FAR_X, _FAR_Y, _NEG_X]))
 @example((300, [_FAR_Y, _FAR_X, _NEG_X]))

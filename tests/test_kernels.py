@@ -267,15 +267,20 @@ def _state(j, precision, kind):
     )
 
 
-def _with_real_entries(u, precision):
-    """u with its exact-zero entries, or every entry of the chiral operator
-    (a real signed antidiagonal) for chi_t = 0, as mpfs."""
-    if u.chi_t == 0:
-        with mp.workdps(precision):
+def _with_entries(u, precision, kind):
+    """u with other entries: its exact zeros as mpfs, or for chi_t = 0
+    every entry of the chiral operator (a real signed antidiagonal) as an
+    mpf; or every entry turned by one phase, so that U, real in exact
+    arithmetic, has imaginary parts of the size of its real ones."""
+    with mp.workdps(precision):
+        if kind == "phased":
+            phase = mp.expjpi(mp.mpf(1) / 5)
+            rows = [[x * phase for x in row] for row in u.matrix.entries]
+        elif u.chi_t == 0:
             chiral = chiral_operator(u.matrix.basis.j, precision)
             rows = [[x.real for x in row] for row in chiral.entries]
-    else:
-        rows = [[x if x else mp.mpf(0) for x in row] for row in u.matrix.entries]
+        else:
+            rows = [[x if x else mp.mpf(0) for x in row] for row in u.matrix.entries]
     matrix = DenseOperator(
         basis=u.matrix.basis, entries=tuple(map(tuple, rows)), precision=precision
     )
@@ -284,13 +289,14 @@ def _with_real_entries(u, precision):
 
 @pytest.mark.parametrize("twoj", [1, 2, 5, 8, 13])
 @pytest.mark.parametrize("kind", ["mpf", "int", "complex"])
-def test_moments_of_other_amplitudes_and_real_entries_match_object_code(twoj, kind):
+def test_moments_of_other_amplitudes_and_entries_match_object_code(twoj, kind):
     j = HalfInt(twoj)
     for precision, chi_t in _moment_cases(twoj):
         state = _state(j, precision, kind)
         u = propagator_spectral(_report(twoj, precision), chi_t, precision)
         _assert_same_moments(state, u, precision)
-        _assert_same_moments(state, _with_real_entries(u, precision), precision)
+        for entries in ("real", "phased"):
+            _assert_same_moments(state, _with_entries(u, precision, entries), precision)
 
 
 def test_moments_comparison_catches_rounded_products(monkeypatch):

@@ -359,10 +359,10 @@ def _band_plans(size, band, shifted):
     """Each row i of :func:`chain_horner`'s update number ``band``, as runs
     of columns (lo, hi, terms) covering the row.  ``terms`` lists, in the
     order they are added, the products whose operands may be nonzero
-    throughout the run: 0 for the row below, 1 for the row above and 2 for
-    the shift.  A product is left out where its neighbour is missing, where
-    the shift is zero (``shifted`` false) and where its operand lies
-    outside the last band, |i − c| < band."""
+    throughout the run: 0 for row i − 1's, 1 for row i + 1's and 2 for the
+    shift's product with row i.  A product is left out where its neighbour
+    is missing, where the shift is zero (``shifted`` false) and where its
+    operand lies outside the last band, |i − c| < band."""
     plans = []
     for i in range(size):
         ranges = []

@@ -332,17 +332,11 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
                     if len(terms) == 2:
                         s, t = terms
                         f, g, xs, ys = factors[s], factors[t], sources[s], sources[t]
-                        if hi - lo == 1:
-                            row.append(add(mul(f, xs[lo], prec), mul(g, ys[lo], prec), prec))
-                        else:
-                            row += [add(mul(f, x, prec), mul(g, y, prec), prec)
-                                    for x, y in zip(xs[lo:hi], ys[lo:hi])]
+                        row += [add(mul(f, x, prec), mul(g, y, prec), prec)
+                                for x, y in zip(xs[lo:hi], ys[lo:hi])]
                     elif terms:
                         f, xs = factors[terms[0]], sources[terms[0]]
-                        if hi - lo == 1:
-                            row.append(mul(f, xs[lo], prec))
-                        else:
-                            row += [mul(f, x, prec) for x in xs[lo:hi]]
+                        row += [mul(f, x, prec) for x in xs[lo:hi]]
                     else:
                         row += [_NIL] * (hi - lo)
                 row[i] = add(row[i], c, prec)

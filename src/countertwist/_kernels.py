@@ -70,9 +70,10 @@ from mpmath.libmp import (
     mpf_sub,
     mpf_sum,
     round_nearest,
+    to_str,
 )
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, InvalidInputError
 
 ZERO = (fzero, fzero)
 
@@ -91,6 +92,19 @@ def _pair(x):
     """A raw mpf as a core value."""
     sign, man, exp, _ = x
     return (-man if sign else man), exp
+
+
+def _finite_pair(x):
+    """A raw mpf as a core value, refusing nan and the infinities: their
+    mantissa is zero, so :func:`_pair` would read them as an exact zero."""
+    sign, man, exp, _ = x
+    if not man and exp:
+        _refuse(x)
+    return (-man if sign else man), exp
+
+
+def _refuse(x):
+    raise InvalidInputError(f"the integer core takes finite values only, not {to_str(x, 5)}")
 
 
 def _mpf(v):
@@ -461,19 +475,23 @@ def moments(rows, amplitudes, halves, labels, prec, rnd):
     which the sum skips, so a real factor, or −i·d·w's zero real part,
     leaves the same terms in the same order; a fdot of one pair is its
     rounded product.  |x| is ``mpf_hypot`` and its square one rounded
-    product, as ``mpf_pow_int(·, 2)`` rounds it.  Runs on the integer core.
+    product, as ``mpf_pow_int(·, 2)`` rounds it.  Runs on the integer core,
+    which would read the zero mantissa of a nan or an infinity as an exact
+    zero: such an entry or amplitude, which fdot would carry into the
+    moments, raises InvalidInputError.
 
     Returns raw mpfs: the three means as (re, im) pairs, the three second
     moments, cov_yz and corr_xz.
     """
     _require_nearest(rnd)
-    amplitudes = [_pair(re) + _pair(im) for re, im in amplitudes]
+    amplitudes = [_finite_pair(re) + _finite_pair(im) for re, im in amplitudes]
     phi = []
     for row in rows:
         # U[a][k] = a + bi times ψ₀[k] = c + di: a·c, −(b·d) for the real
         # part and a·d, b·c for the imaginary one, none with a zero factor.
+        # A zero mantissa with a nonzero exponent is nan or an infinity.
         re_terms, im_terms = [], []
-        for ((sa, a, ae, _), (sb, b, be, _)), (c, ce, d, de) in zip(row, amplitudes):
+        for ((sa, a, ae, abc), (sb, b, be, bbc)), (c, ce, d, de) in zip(row, amplitudes):
             if a:
                 if sa:
                     a = -a
@@ -481,6 +499,8 @@ def moments(rows, amplitudes, halves, labels, prec, rnd):
                     re_terms.append((a * c, ae + ce))
                 if d:
                     im_terms.append((a * d, ae + de))
+            elif ae:
+                _refuse((sa, a, ae, abc))
             if b:
                 if sb:
                     b = -b
@@ -488,6 +508,8 @@ def moments(rows, amplitudes, halves, labels, prec, rnd):
                     re_terms.append((-b * d, be + de))
                 if c:
                     im_terms.append((b * c, be + ce))
+            elif be:
+                _refuse((sb, b, be, bbc))
         phi.append((_sum(re_terms, prec), _sum(im_terms, prec)))
 
     vx, vy, vz = [], [], []

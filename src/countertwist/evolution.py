@@ -150,7 +150,8 @@ class StateVector:
             )
         with mp.workdps(self.precision):
             norm = mp.sqrt(mp.fsum(abs(a) ** 2 for a in self.amplitudes))
-            if abs(norm - 1) > mp.mpf(10) ** (-self.precision + 5):
+            # Negated, so that a nan norm fails the check too.
+            if not abs(norm - 1) <= mp.mpf(10) ** (-self.precision + 5):
                 raise InternalConsistencyError(
                     f"state norm deviates from 1 by {mp.nstr(abs(norm - 1), 5)}"
                 )
@@ -726,7 +727,8 @@ def heisenberg_expectations(
     evaluated as moments of φ = U·state.  All means are certified real to
     10^(-precision+5) scaled by the spin magnitude.
 
-    :raises InvalidInputError: state and propagator are for different spins.
+    :raises InvalidInputError: state and propagator are for different spins,
+        or an amplitude or propagator entry is nan or infinite.
     :raises InternalConsistencyError: a mean develops a non-negligible
         imaginary part (would indicate a broken propagator or operator).
     """

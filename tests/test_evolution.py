@@ -163,6 +163,12 @@ class TestStateVector:
                 basis=basis, amplitudes=(mp.mpc(1), mp.mpc(1)), precision=34
             )
 
+    def test_nan_amplitude_refused(self):
+        # Its norm is nan, which no tolerance bounds.
+        basis = BasisOrdering.for_spin(HalfInt(1))
+        with pytest.raises(InternalConsistencyError):
+            StateVector(basis=basis, amplitudes=(mp.nan, mp.mpc(1)), precision=34)
+
     def test_length_enforced(self):
         basis = BasisOrdering.for_spin(HalfInt(1))
         with pytest.raises(InternalConsistencyError):

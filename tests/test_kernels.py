@@ -33,7 +33,7 @@ from countertwist.charpoly import (
     to_mu_polynomial,
 )
 from countertwist.cli import VERIFY_SAMPLE_TIME, _flip_first_coupling
-from countertwist.errors import InternalConsistencyError, NumericFailureError
+from countertwist.errors import InternalConsistencyError, InvalidInputError, NumericFailureError
 from countertwist.spin_algebra import (
     BasisOrdering,
     build_cartesian,
@@ -310,6 +310,31 @@ def test_moments_comparison_catches_rounded_products(monkeypatch):
     monkeypatch.setattr(_kernels, "_sum", rounded_terms)
     with pytest.raises(AssertionError):
         test_moments_match_object_code(4)
+
+
+@pytest.mark.parametrize("special", ["nan", "inf", "-inf"])
+def test_moments_refuse_non_finite_values(special):
+    # The core would read the zero mantissa of nan or an infinity as an
+    # exact zero, where fdot carries it into the moments.
+    bad, x = mp.mpf(special)._mpf_, mp.mpf(3)._mpf_
+    halves, labels, _ = evolution._moment_constants(HalfInt(1), 34)
+    rows = [[(x, fzero), (fzero, fzero)], [(fzero, fzero), (x, fzero)]]
+    amplitudes = [(x, fzero), (fzero, fzero)]
+    for k in range(4):
+        bad_rows = [list(row) for row in rows]
+        bad_amplitudes = list(amplitudes)
+        if k < 2:
+            bad_amplitudes[1] = (bad, fzero) if k == 0 else (fzero, bad)
+        else:
+            bad_rows[0][1] = (bad, fzero) if k == 2 else (fzero, bad)
+        with pytest.raises(InvalidInputError, match="finite values only"):
+            _kernels.moments(bad_rows, bad_amplitudes, halves, labels, 53, round_nearest)
+
+    state = coherent_initial_state(HalfInt(1), 34)
+    object.__setattr__(state, "amplitudes", (mp.mpf(special),) + state.amplitudes[1:])
+    u = propagator_spectral(_report(1, 34), mp.mpf("0.7"), 34)
+    with pytest.raises(InvalidInputError):
+        heisenberg_expectations(state, u, 34)
 
 
 def _edited(u, edit):

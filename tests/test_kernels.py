@@ -243,7 +243,10 @@ def _moment_cases(twoj):
 @pytest.mark.parametrize("twoj", range(1, 25))
 def test_moments_match_object_code(twoj):
     j = HalfInt(twoj)
-    for precision, chi_t in _moment_cases(twoj):
+    # The sample times in turn, and at every 2j the pairs (20, 0.7),
+    # (34, -2.3) and (50, 4.5).
+    fixed = [(precision, mp.mpf(chi_t)) for precision, chi_t in zip(PRECISIONS, TIMES[2:])]
+    for precision, chi_t in dict.fromkeys(_moment_cases(twoj) + fixed):
         state = coherent_initial_state(j, precision)
         spectral = propagator_spectral(_report(twoj, precision), chi_t, precision)
         _assert_same_moments(state, spectral, precision)

@@ -47,6 +47,28 @@ one per plane, from column to nonzero mpf.  An absent column is an exact
 zero, so the zero planes of a real matrix, and the cross-chain zeros of a
 chain Hamiltonian's powers, cost nothing.
 
+The reflection m → −m maps basis index i to n−1−i.  A matrix of size n is
+*reflected* when U[n−1−i][n−1−c] = ε_i·ε_c·U[i][c] bit for bit, with
+ε_i = (−1)^⌊i/2⌋; ε_i·ε_c = −1 exactly when bit 1 of i and of c differ.
+The countertwisting generator and its propagators are reflected, and
+:func:`reflects` checks it on the raw values, so that three kernels form
+each mirror pair once and take the other member from it:
+
+* a reflected generator with at most two nonzero entries per row gives a
+  reflected Taylor term: each product of the reflected row is ε_a·ε_c
+  times one of row a, and a sum of two rounded products, ``mpf_add``'s
+  single rounding, does not depend on their order; so the series works on
+  rows i <= n−1−i and :func:`reflected` completes the rest;
+* the reflected entry of a square sums the same exact products over the
+  rows k in reverse, so :func:`squared` sums each list forward and in
+  reverse, since ``mpf_sum``'s drop rule depends on term order;
+* in :func:`gram_defect` the Gram entry of (n−1−b, n−1−a) sums ε_a·ε_b
+  times the conjugates of (a, b)'s rounded products, in reverse row order,
+  and has the same deviation as that sum; this takes an exact conjugation,
+  one whose imaginary parts fit in prec bits.
+
+Where a check fails, the kernels form every entry as before.
+
 ``prec`` is a binary precision and ``rnd`` a rounding mode, both read from
 ``mp._prec_rounding`` inside the caller's ``workdps`` block.
 """
@@ -290,7 +312,11 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
         M <- [[down*x1 + up*x2 - shift*xa ...] ...];  M[i][i] += c_k
 
     from M = coeffs[-1]·I, for k = len(coeffs) - 2 down to 0, where x1, x2
-    and xa are the entries of column c in rows i-1, i+1 and i.  Both
+    and xa are the entries of column c in rows i-1, i+1 and i.  Trailing
+    exact-zero coefficients leave M an exact zero until the last nonzero
+    one, c_K, is added to it, which rounds c_K once: the loop starts from
+    M = c_K·I, so that at χt = 0, where only c_0 is nonzero, it forms no
+    product.  Both
     couplings have a zero real part, so each product is one rounded real
     product per plane: down*x1 = (u·im(x1), −u·re(x1)) with u = ups[i-1],
     and up*x2 = (−v·im(x2), v·re(x2)) with v = ups[i].  The subtraction is
@@ -319,11 +345,16 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
     up_im = ups + [_NIL]
     computed = (size + 1) // 2 if mirrored else size
     last = size - 1
-    c_re, c_im = map(_pair, coeffs[-1])
+    top = len(coeffs) - 1
+    while top and coeffs[top] == ZERO:
+        top -= 1
+    c_re, c_im = map(_pair, coeffs[top])
+    if top < len(coeffs) - 1:
+        c_re, c_im = _add(_NIL, c_re, prec), _add(_NIL, c_im, prec)
     re = [[c_re if i == c else _NIL for c in range(size)] for i in range(size)]
     im = [[c_im if i == c else _NIL for c in range(size)] for i in range(size)]
     mul, add = _mul, _add
-    for band, k in enumerate(range(len(coeffs) - 2, -1, -1), 1):
+    for band, k in enumerate(range(top - 1, -1, -1), 1):
         shift = _neg(_pair(nodes[k]))
         c_re, c_im = map(_pair, coeffs[k])
         new_re, new_im = [], []
@@ -407,6 +438,36 @@ def _flipped(row, i, negate):
     return [negate(x) if (i + c) % 2 else x for c, x in enumerate(reversed(row))]
 
 
+def reflects(lines, negate):
+    """Whether a matrix is reflected (see the module docstring), bit for bit.
+
+    ``lines[i]`` maps c to the pair (re, im) U[i][c] over the nonzero
+    entries of row i, or of column i: the relation reads the same on the
+    transpose.  ``negate`` negates one part exactly.
+    """
+    n = len(lines)
+    return all(
+        lines[n - 1 - i] == {
+            n - 1 - c: (negate(re), negate(im)) if (i ^ c) & 2 else (re, im)
+            for c, (re, im) in line.items()
+        }
+        for i, line in enumerate(lines)
+    )
+
+
+def reflected(rows, n):
+    """The sparse rows of a reflected n×n matrix, completed from its rows
+    i <= n−1−i (all of them for an unreflected matrix, which is returned
+    as it is)."""
+    return rows + [
+        tuple(
+            {n - 1 - c: mpf_neg(x) if (i ^ c) & 2 else x for c, x in plane.items()}
+            for plane in rows[i]
+        )
+        for i in range(n - len(rows) - 1, -1, -1)
+    ]
+
+
 def gram_defect(columns, prec, check_prec, rnd):
     """max |(U†U)[a][b] − δ_ab| as a raw mpf.
 
@@ -422,18 +483,29 @@ def gram_defect(columns, prec, check_prec, rnd):
     its deviation the same.  An empty sum is fsum's mpf zero, whose
     deviation equals mpf_hypot's with a zero imaginary part.  The products
     and sums run on the integer core, forming no product with an exact-zero
-    factor; the deviations stay on libmp.
+    factor; the deviations stay on libmp.  A nan or infinite entry, which
+    the core would read as an exact zero, raises InvalidInputError.
+
+    Where U is reflected and its conjugation exact, each orbit
+    {(a, b), (n−1−b, n−1−a)} is formed once, from the pair with
+    a + b <= n−1: the partner's deviation is that of the same products
+    summed in reverse (module docstring).
     """
     _require_nearest(rnd)
-    lookup = [{k: (_pair(x_re), _pair(x_im)) for k, (x_re, x_im) in col} for col in columns]
+    lookup = [{k: (_finite_pair(x_re), _finite_pair(x_im)) for k, (x_re, x_im) in col}
+              for col in columns]
     # conj rounds the negated imaginary part at prec, as mpf_neg does.
     conj = [
         [(k, (x_re, _rounded(-x_im[0], x_im[1], prec))) for k, (x_re, x_im) in col.items()]
         for col in lookup
     ]
+    n = len(columns)
+    mirrored = reflects(lookup, _neg) and all(
+        im[0].bit_length() <= prec for col in lookup for _, im in col.values()
+    )
     worst = fzero
     for a, col_a in enumerate(conj):
-        for b in range(a, len(columns)):
+        for b in range(a, n - a if mirrored else n):
             col_b = lookup[b]
             sum_re, sum_im = [], []
             for k, x in col_a:
@@ -442,12 +514,20 @@ def gram_defect(columns, prec, check_prec, rnd):
                     g_re, g_im = _cmul(x, y, prec)
                     sum_re.append(g_re)
                     sum_im.append(g_im)
-            g_re = _mpf(_sum(sum_re, prec))
-            if a == b:
-                g_re = mpf_sub(g_re, fone, check_prec, rnd)
-            deviation = mpf_hypot(g_re, _mpf(_sum(sum_im, prec)), check_prec, rnd)
-            if mpf_gt(deviation, worst):
-                worst = deviation
+            g = _sum(sum_re, prec), _sum(sum_im, prec)
+            sums = [g]
+            if mirrored and a + b < n - 1:
+                # The partner's sums; equal ones have the same deviation.
+                partner = _sum(reversed(sum_re), prec), _sum(reversed(sum_im), prec)
+                if partner != g:
+                    sums.append(partner)
+            for g_re, g_im in sums:
+                g_re = _mpf(g_re)
+                if a == b:
+                    g_re = mpf_sub(g_re, fone, check_prec, rnd)
+                deviation = mpf_hypot(g_re, _mpf(g_im), check_prec, rnd)
+                if mpf_gt(deviation, worst):
+                    worst = deviation
     return worst
 
 
@@ -653,7 +733,7 @@ def added(rows, other, prec, rnd):
     return out
 
 
-def squared(rows, prec, rnd):
+def squared(rows, prec, rnd, mirrored=False):
     """The matrix product rows·rows of sparse rows, each entry as
     ``mp.fdot`` forms it.
 
@@ -664,14 +744,22 @@ def squared(rows, prec, rnd):
     products alone, in the same order.  fdot over no pairs returns an mpf
     zero, not an mpc: such a row is returned as None, and a None row stands
     for a row of those zeros on input too.
+
+    With ``mirrored`` (the rows reflected) and real rows, row n−1−a is
+    formed with row a: entry (n−1−a, n−1−c) is ε_a·ε_c times the sum of
+    (a, c)'s products in reverse.  A complex row may hold two products of
+    one k in a sum, which the reversed list would swap; complex rows are
+    formed one by one.
     """
     mul = mpf_mul
     planes = [({}, {}) if row is None else row for row in rows]
-    out = []
-    for x_re, x_im in planes:
+    n = len(planes)
+    mirrored = mirrored and not any(im for _, im in planes)
+    out = [None] * n
+    for a in range((n + 1) // 2 if mirrored else n):
+        x_re, x_im = planes[a]
         support = sorted(x_re.keys() | x_im.keys())
         if not support:
-            out.append(None)
             continue
         sum_re, sum_im = {}, {}
         for k in support:
@@ -688,8 +776,15 @@ def squared(rows, prec, rnd):
                     sum_re.setdefault(c, []).append(mpf_neg(mul(x, y)))
                 for c, y in y_re.items():
                     sum_im.setdefault(c, []).append(mul(x, y))
-        out.append(tuple(
+        out[a] = tuple(
             {c: s for c, terms in sums.items() if (s := mpf_sum(terms, prec, rnd)) != fzero}
             for sums in (sum_re, sum_im)
-        ))
+        )
+        if mirrored and a < n - 1 - a:
+            partner = {}
+            for c, terms in sum_re.items():
+                s = mpf_sum(terms[::-1], prec, rnd)
+                if s != fzero:
+                    partner[n - 1 - c] = mpf_neg(s) if (a ^ c) & 2 else s
+            out[n - 1 - a] = (partner, {})
     return out

@@ -182,7 +182,11 @@ class Propagator:
 
     Each Gram entry (U†U)[a][b] is an exactly rounded sum at precision p over
     the rows k where U[k][a] and U[k][b] are both nonzero; it is formed for
-    a <= b only, (U†U)[b][a] being its bitwise conjugate.
+    a <= b only, (U†U)[b][a] being its bitwise conjugate.  Where U is
+    reflected under m → −m (U[n−1−i][n−1−c] = ε_i·ε_c·U[i][c] bit for bit,
+    ε_i = (−1)^⌊i/2⌋, checked on the entries), the entries of
+    (n−1−b, n−1−a) are formed from the same products as (a, b)'s, summed in
+    reverse.  A nan or infinite entry raises InvalidInputError.
     """
 
     matrix: DenseOperator
@@ -399,12 +403,25 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
     other rounding — so the reported eigenvalues are treated as seeds and
     sharpened on the distinct exact chain polynomials, chain a's first (each
     distinct eigenvalue is a simple root of one of them).
+
+    The chain polynomials are even or odd, and Horner's rounded steps
+    commute with negation, so the Newton steps from −x are those from x
+    negated, bit for bit: a seed whose exact negation was polished before
+    it takes that result negated.  Each seed of a pair fails the checks
+    exactly when its twin does, so the first failure is the one the seed
+    order gives.
     """
     pairs = block_decompose(j)._newton_pairs
     polished = []
+    done = {}
     tol = mp.mpf(10) ** (-precision + 2)
     for seed in seeds:
         x = mp.mpf(seed)
+        twin = done.get(mpf_neg(x._mpf_))
+        if twin is not None:
+            polished.append(mp.make_mpf(mpf_neg(twin)))
+            continue
+        start = x._mpf_
         best = None
         for poly, deriv in pairs:
             slope = deriv.evaluate(x)
@@ -430,6 +447,7 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
                 "spectrum report values are not eigenvalues of this "
                 "Hamiltonian"
             )
+        done[start] = x._mpf_
         polished.append(x)
     ordered = sorted(polished)
     if any(
@@ -600,6 +618,14 @@ def propagator_taylor(
     convergence at guarded precision, then squares back up.  Kept as a
     cross-validation oracle for :func:`propagator_spectral`.
 
+    Where the generator is reflected under m → −m (bit for bit, checked
+    here; see ``_kernels``) and has at most two nonzero entries per row,
+    as the countertwisting one does, every series term and square is
+    reflected too: rows a <= n−1−a are formed and the others are their
+    mirror images, the same bits a full computation gives.  Any other
+    generator, such as one with a z field or a flipped coupling, is
+    summed row by row.
+
     :param h: Hamiltonian matrix; divided by its recorded scale, so chi_t
         carries the full dimensionless time.
     :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, or h has zero
@@ -624,25 +650,33 @@ def propagator_taylor(
         # Nonzero generator entries per row (diagonal included), in column order.
         nz = [[(b, v) for b, v in enumerate(row) if v != _kernels.ZERO] for row in b_rows]
         tol = (mp.mpf(10) ** (-wp - 3))._mpf_
+        # Every term of a reflected generator with at most two entries per
+        # row is reflected: the series forms rows a <= n-1-a only.
+        mirrored = all(len(row) <= 2 for row in nz) and _kernels.reflects(
+            [dict(row) for row in nz], mpf_neg
+        )
+        computed = nz[: (n + 1) // 2] if mirrored else nz
 
         # Sparse rows: one dict per plane, column -> nonzero mpf.
-        total = [({a: fone}, {}) for a in range(n)]
-        term = total
+        term = [({a: fone}, {}) for a in range(n)]
+        total = term[: len(computed)]
         k = 0
         while True:
             k += 1
-            term = _kernels.series_term(nz, term, k, prec, rnd)
-            converged = _kernels.all_below(term, tol, prec, rnd)
-            total = _kernels.added(total, term, prec, rnd)
+            part = _kernels.series_term(computed, term, k, prec, rnd)
+            converged = _kernels.all_below(part, tol, prec, rnd)
+            total = _kernels.added(total, part, prec, rnd)
             if converged:
                 break
             if k > 40 * wp:
                 raise NumericFailureError(
                     "exponential series failed to converge"
                 )
+            term = _kernels.reflected(part, n)
 
+        total = _kernels.reflected(total, n)
         for _ in range(squarings):
-            total = _kernels.squared(total, prec, rnd)
+            total = _kernels.squared(total, prec, rnd, mirrored)
 
     with mp.workdps(precision):
         prec, rnd = mp._prec_rounding

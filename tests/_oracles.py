@@ -13,9 +13,10 @@ included, against which the package's sparse-aware product is checked.
 matrix, the reference for the package's Euclidean resultant.
 ``aberth_mu_roots`` is the complex Aberth-Ehrlich root finder, the reference
 for the package's Sturm-isolated real roots.
-The ``object_*`` functions are the per-point dynamics and the integer
-Horner loop written with mpmath number objects, the references for the
-raw-libmp kernels.
+The ``object_*`` functions are the per-point dynamics, the node polishing
+and the integer Horner loop written with mpmath number objects, one entry
+at a time, the references for the raw-libmp kernels and their mirror
+shortcuts.
 """
 
 import math
@@ -33,7 +34,7 @@ from countertwist import (
     build_cartesian,
     build_h_ta,
 )
-from countertwist.charpoly import IntPolynomial
+from countertwist.charpoly import IntPolynomial, block_decompose
 from countertwist.errors import (
     IllConditionedError,
     InternalConsistencyError,
@@ -45,7 +46,6 @@ from countertwist.evolution import (
     _dimensionless_hamiltonian,
     _interpolation_guard_digits,
     _leja_order,
-    _polish_nodes,
     _propagation_time,
 )
 from countertwist.spectrum import _as_real, _newton_polish
@@ -402,6 +402,49 @@ def object_int_horner(poly: IntPolynomial, x):
     return acc
 
 
+def object_polish_nodes(j, seeds, precision, gap_floor):
+    """The Newton refinement of ``evolution._polish_nodes``, one seed after
+    the other, with the generic Horner loop: the reference for its reuse
+    of a polished twin."""
+    pairs = [(poly, poly.derivative()) for poly, _ in block_decompose(j).factors]
+    polished = []
+    tol = mp.mpf(10) ** (-precision + 2)
+    for seed in seeds:
+        x = mp.mpf(seed)
+        best = None
+        for poly, deriv in pairs:
+            slope = object_int_horner(deriv, x)
+            if slope == 0:
+                continue
+            step = object_int_horner(poly, x) / slope
+            if best is None or abs(step) < abs(best[2]):
+                best = (poly, deriv, step)
+        if best is None:
+            raise InvalidInputError(
+                "spectrum report value is not near a simple root of either "
+                "chain polynomial"
+            )
+        poly, deriv, step = best
+        for _ in range(3):
+            x = x - step
+            slope = object_int_horner(deriv, x)
+            if slope == 0:
+                break
+            step = object_int_horner(poly, x) / slope
+        if abs(step) > tol * (1 + abs(x)):
+            raise InvalidInputError(
+                "spectrum report values are not eigenvalues of this "
+                "Hamiltonian"
+            )
+        polished.append(x)
+    ordered = sorted(polished)
+    if any(b - a < gap_floor for a, b in zip(ordered, ordered[1:])):
+        raise InvalidInputError(
+            "spectrum report values collapse onto the same eigenvalue"
+        )
+    return polished
+
+
 def object_gram_defect(matrix):
     """||U†U - I||_max of a DenseOperator as the certificate formed it."""
     p = matrix.precision
@@ -467,7 +510,7 @@ def object_spectral_entries(report, chi_t, precision=DEFAULT_PRECISION):
         # The propagator is far more sensitive to coupling error than to any
         # other rounding: the couplings come from their exact integer squares.
         upper = _two_step_entries(j, 1)
-        polished = _polish_nodes(
+        polished = object_polish_nodes(
             j, distinct, precision, mp.mpf(10) ** (-(precision // 2))
         )
         order = _leja_order(distinct)

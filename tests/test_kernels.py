@@ -13,10 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import (
+    fone,
+    from_man_exp,
     fzero,
     mpc_mul,
     mpf_add,
     mpf_mul,
+    mpf_neg,
     mpf_pos,
     mpf_sub,
     mpf_sum,
@@ -55,6 +58,7 @@ from _oracles import (
     object_int_horner,
     object_moment_sums,
     object_moments,
+    object_polish_nodes,
     object_spectral_entries,
     object_taylor_entries,
 )
@@ -181,12 +185,12 @@ def test_taylor_comparison_catches_a_wrong_zero_skip(monkeypatch):
     # generator of h_ta is real, so the mutant drops every product.
     original = _kernels.squared
 
-    def wrong_skip(rows, prec, rnd):
+    def wrong_skip(rows, *args):
         masked = [
             None if row is None else ({c: x for c, x in row[0].items() if c in row[1]}, row[1])
             for row in rows
         ]
-        return original(masked, prec, rnd)
+        return original(masked, *args)
 
     monkeypatch.setattr(_kernels, "squared", wrong_skip)
     assert _taylor_mismatches("h_ta")
@@ -369,6 +373,310 @@ def test_certificate_failure_matches_object_code():
     with pytest.raises(NumericFailureError) as want:
         object_gram_defect(matrix)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("special", ["nan", "inf", "-inf"])
+def test_propagator_refuses_non_finite_entries(special):
+    # The core would read the zero mantissa of nan or an infinity as an
+    # exact zero and certify the identity below with a zero defect.
+    one, zero, bad = mp.mpf(1), mp.mpf(0), mp.mpf(special)
+    for x in (bad, mp.mpc(0, bad)):
+        matrix = DenseOperator(
+            basis=BasisOrdering.for_spin(HalfInt(1)), entries=((one, x), (zero, one)), precision=34
+        )
+        with pytest.raises(InvalidInputError, match="finite values only"):
+            Propagator(matrix=matrix, chi_t=mp.mpf(0), method=PropagatorMethod.SPECTRAL)
+
+
+def _outcome(f):
+    """f's result, or the message of the error it raises."""
+    try:
+        return f()
+    except (InvalidInputError, NumericFailureError) as error:
+        return type(error), str(error)
+
+
+def _certificate_matches(matrix):
+    got = _outcome(lambda: Propagator(
+        matrix=matrix, chi_t=mp.mpf(0), method=PropagatorMethod.SPECTRAL
+    ).unitarity_defect._mpf_)
+    return got == _outcome(lambda: object_gram_defect(matrix)._mpf_)
+
+
+def _corner_nudged(rows):
+    # One entry of the reflected half: its mirror image keeps its value.
+    rows[-1][-1] += mp.mpf("1e-31")
+
+
+def _pair_nudged(rows):
+    # An entry and its mirror image, alike: U stays reflected, not unitary.
+    n = len(rows)
+    rows[0][2] += mp.mpf("1e-30")
+    rows[n - 1][n - 3] = -rows[0][2]
+
+
+def _widened(rows):
+    # Reflected, with imaginary parts wider than prec, which the conjugation
+    # rounds: the partners' products are not the conjugates any more.
+    with mp.workdps(60):
+        for row in rows:
+            row[:] = [x * mp.mpc(1, mp.mpf(1) / 3) for x in row]
+
+
+CERTIFICATE_EDITS = {"corner": _corner_nudged, "pair": _pair_nudged, "wide": _widened}
+
+
+def _gram_deviations(columns, prec, check_prec, monkeypatch):
+    """gram_defect's result and every deviation it forms, not only the
+    largest: a wrong partner sum need not be the largest."""
+    seen = set()
+    original = _kernels.mpf_hypot
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            _kernels, "mpf_hypot", lambda *args: seen.add(original(*args)) or original(*args)
+        )
+        worst = _kernels.gram_defect(columns, prec, check_prec, round_nearest)
+    return worst, seen
+
+
+def _deviations_match_the_full_computation(matrix, monkeypatch):
+    columns = [
+        [(k, evolution._as_pair(row[a])) for k, row in enumerate(matrix.entries) if row[a] != 0]
+        for a in range(matrix.dim)
+    ]
+    with mp.workdps(matrix.precision):
+        prec = mp.prec
+    with mp.workdps(matrix.precision + 10):
+        check_prec = mp.prec
+    mirrored = _gram_deviations(columns, prec, check_prec, monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "reflects", lambda lines, negate: False)
+        return mirrored == _gram_deviations(columns, prec, check_prec, monkeypatch)
+
+
+@pytest.mark.parametrize("edit", CERTIFICATE_EDITS)
+@pytest.mark.parametrize("twoj", [6, 7])
+def test_certificate_of_edited_reflections_matches_object_code(twoj, edit, monkeypatch):
+    for chi_t in ("0.013", "0.7"):
+        u = propagator_spectral(_report(twoj, 34), mp.mpf(chi_t), 34)
+        edited = _edited(u, CERTIFICATE_EDITS[edit])
+        for matrix in (u.matrix, edited):
+            assert _certificate_matches(matrix)
+            assert _deviations_match_the_full_computation(matrix, monkeypatch)
+
+
+def test_certificate_comparison_catches_an_assumed_reflection(monkeypatch):
+    # Mutant: U is taken as reflected without a look at its entries.  Near
+    # the identity the nudged corner's own Gram entry, which the mutant
+    # takes from the unedited (0, 0), holds the largest deviation.
+    monkeypatch.setattr(_kernels, "reflects", lambda lines, negate: True)
+    u = propagator_spectral(_report(6, 34), mp.mpf("0.013"), 34)
+    assert _certificate_matches(u.matrix)
+    assert not _certificate_matches(_edited(u, _corner_nudged))
+
+
+def _power(e, sign=1):
+    return from_man_exp(sign, e)
+
+
+# Two real reflected 5×5 matrices, by their rows a <= 4 - a, whose mirror
+# pairs hold sums that depend on the order of their terms at prec 53: a
+# term 2p bits below the others, then two that cancel.  mpf_sum drops the
+# small term when it comes first and keeps it when it comes last.
+_P = 53
+_SQUARE_HALF = [
+    ({0: fone, 2: _power(3 * _P), 4: _power(2 * _P)}, {}),
+    ({1: fone}, {}),
+    ({0: _power(_P, -1), 2: fone, 4: _power(_P)}, {}),
+]
+_GRAM_HALF = [
+    ({0: _power(-2 * _P), 2: _power(_P), 4: _power(_P)}, {}),
+    ({1: fone}, {}),
+    ({0: _power(_P), 2: _power(_P), 4: _power(_P, -1)}, {}),
+]
+
+
+# A complex reflected 3×3 matrix: entry (0, 0) sums t², −s² from k = 0,
+# then s² from k = 2; the partner (2, 2) sums s², then t², −s², which a
+# reversed list would give as s², −s², t².
+_COMPLEX_HALF = [
+    ({0: _power(-2 * _P)}, {0: _power(_P), 2: _power(_P)}),
+    ({1: fone}, {}),
+]
+
+
+def _lines(rows):
+    return [
+        {c: (re.get(c, fzero), im.get(c, fzero)) for c in re.keys() | im.keys()}
+        for re, im in rows
+    ]
+
+
+def test_mirrored_square_sums_partners_in_reverse():
+    rows = _kernels.reflected(_SQUARE_HALF, 5)
+    assert _kernels.reflects(_lines(rows), mpf_neg)
+    full = _kernels.squared(rows, _P, round_nearest)
+    assert _kernels.squared(rows, _P, round_nearest, True) == full
+    # (0, 0) sums 1, 2^4p, -2^4p; its partner (4, 4) the same in reverse.
+    assert 0 not in full[0][0] and full[4][0][4] == fone
+
+
+def test_mirrored_square_of_a_complex_matrix_is_formed_row_by_row():
+    rows = _kernels.reflected(_COMPLEX_HALF, 3)
+    assert _kernels.reflects(_lines(rows), mpf_neg)
+    full = _kernels.squared(rows, _P, round_nearest)
+    assert _kernels.squared(rows, _P, round_nearest, True) == full
+    assert 0 not in full[0][0] and 2 not in full[2][0]
+
+
+def test_mirrored_certificate_sums_partners_in_reverse(monkeypatch):
+    rows = _kernels.reflected(_GRAM_HALF, 5)
+    assert _kernels.reflects(_lines(rows), mpf_neg)
+    columns = [[(k, (row[0][a], fzero)) for k, row in enumerate(rows) if a in row[0]]
+               for a in range(5)]
+    # The diagonal holds the largest deviation here.
+    mirrored = _gram_deviations(columns, _P, _P + 33, monkeypatch)
+    monkeypatch.setattr(_kernels, "reflects", lambda lines, negate: False)
+    assert mirrored == _gram_deviations(columns, _P, _P + 33, monkeypatch)
+    # (0, 2) sums 2^-p, 2^2p, -2^2p: 0; its partner (2, 4) keeps 2^-p.
+    assert {fzero, _power(-_P)} <= mirrored[1]
+
+
+def _reflected_half_broken(j, precision):
+    """h_ta with the last coupling scaled: only rows n-3 and n-1 change,
+    both in the reflected half from 2j = 6 on; h stays Hermitian."""
+    h = build_h_ta(j, mp.mpf(2) / 3, precision)
+    rows = [list(row) for row in h.entries]
+    n = len(rows)
+    with mp.workdps(precision):
+        rows[n - 1][n - 3] *= mp.mpf("1.001")
+        rows[n - 3][n - 1] *= mp.mpf("1.001")
+    return DenseOperator(basis=h.basis, entries=tuple(map(tuple, rows)), precision=precision,
+                         scale=h.scale, hermitian=True)
+
+
+def _with_z_squared(j, precision):
+    """h_ta + 0.3·Jz²: reflected, with three nonzero entries per row."""
+    h = build_h_ta(j, mp.mpf(2) / 3, precision)
+    _, _, jz = build_cartesian(j, precision)
+    with mp.workdps(precision):
+        entries = h.add(jz.matmul(jz).scaled(mp.mpf("0.3"))).entries
+    return DenseOperator(basis=h.basis, entries=entries, precision=precision, scale=h.scale,
+                         hermitian=True)
+
+
+def _reflection_cases():
+    for twoj in (6, 9, 12):
+        for precision, chi_t in zip(PRECISIONS, TIMES[2:]):
+            yield HalfInt(twoj), precision, mp.mpf(chi_t)
+
+
+def _taylor_reflection_mismatches(build):
+    mismatches = 0
+    for j, precision, chi_t in _reflection_cases():
+        h = build(j, precision)
+        u = _outcome(lambda: propagator_taylor(h, chi_t, precision))
+        if isinstance(u, tuple):
+            mismatches += 1
+            continue
+        entries, _ = object_taylor_entries(h, chi_t, precision)
+        mismatches += _raw(u.matrix.entries) != _raw(entries)
+    return mismatches
+
+
+@pytest.mark.parametrize("build", [_reflected_half_broken, _with_z_squared])
+def test_taylor_of_other_generators_matches_object_code(build, monkeypatch):
+    # Both generators fail a check, so every row is formed: a three-term
+    # sum depends on its order, but seldom in the entries rounded from the
+    # guarded precision, so the rows given to series_term are counted too.
+    sizes = []
+    original = _kernels.series_term
+    monkeypatch.setattr(
+        _kernels, "series_term", lambda generator, *args: sizes.append(len(generator))
+        or original(generator, *args)
+    )
+    assert _taylor_reflection_mismatches(build) == 0
+    assert set(sizes) == {7, 10, 13}
+
+
+def test_taylor_comparison_catches_an_assumed_reflection(monkeypatch):
+    # Mutant: the generator is taken as reflected without a look at it.
+    monkeypatch.setattr(_kernels, "reflects", lambda lines, negate: True)
+    assert _taylor_reflection_mismatches(_reflected_half_broken)
+
+
+@pytest.mark.parametrize("twoj", [4, 5, 20, 21])
+def test_benchmark_propagators_take_the_mirror_shortcuts(twoj, monkeypatch):
+    # The checks pass on the spectral and Taylor propagators and on h_ta's
+    # generator, so the shortcuts run where the time goes.
+    seen = []
+    original = _kernels.reflects
+    monkeypatch.setattr(
+        _kernels, "reflects", lambda lines, negate: seen.append(original(lines, negate)) or seen[-1]
+    )
+    propagator_spectral(_report(twoj, 34), mp.mpf("0.7"), 34)
+    propagator_taylor(build_h_ta(HalfInt(twoj), 1, 34), VERIFY_SAMPLE_TIME, 34)
+    assert seen == [True] * 3
+
+
+def _seed_sets(seeds, precision):
+    with mp.workdps(precision):
+        near, far = (seeds[-1] * (1 + mp.mpf(10) ** -k) for k in (6, 2))
+    return {
+        "all": seeds,
+        "no lowest": seeds[1:],
+        "no highest": seeds[:-1],
+        "nonnegative": [x for x in seeds if x >= 0],
+        "descending": seeds[::-1],
+        "highest nudged": seeds[:-1] + [near],
+        "highest moved": seeds[:-1] + [far],
+    }
+
+
+@pytest.mark.parametrize("twoj", [1, 2, 3, 8, 9, 20, 21, 40])
+def test_polishing_matches_object_code(twoj):
+    # Seed sets closed under negation and not: a twin's result is reused
+    # only where the exact negation was polished.
+    j = HalfInt(twoj)
+    for precision in (20, 34):
+        seeds = [ev.value for ev in _report(twoj, precision).eigenvalues]
+        for name, chosen in _seed_sets(seeds, precision).items():
+            with mp.workdps(precision + 25):
+                gap = mp.mpf(10) ** (-(precision // 2))
+                got = _outcome(lambda: [
+                    x._mpf_ for x in evolution._polish_nodes(j, chosen, precision, gap)
+                ])
+                want = _outcome(lambda: [
+                    x._mpf_ for x in object_polish_nodes(j, chosen, precision, gap)
+                ])
+            assert got == want, (precision, name)
+
+
+def test_chain_horner_starts_from_the_last_nonzero_coefficient(monkeypatch):
+    # Trailing zero coefficients leave M zero until the last nonzero one is
+    # added to it, rounded once; at chi_t = 0 only c_0 is left.
+    report = _report(8, 34)
+    setup = _series_setup(HalfInt(8), tuple(ev.value for ev in report.eigenvalues), 34, 60)
+    ups = setup.ups[0]
+    with mp.workdps(60):
+        prec, rnd = mp._prec_rounding
+        coeffs = [(mp.mpc(k + 1, -k) / 7)._mpc_ for k in range(4)]
+        with mp.workdps(120):
+            wide = (mp.mpc(5, -3) / 7)._mpc_
+        rounded = (mp.mpc(5, -3) / 7)._mpc_
+    zeros = [_kernels.ZERO] * (len(setup.nodes) - 4)
+
+    def horner(cs):
+        return _kernels.chain_horner(cs, setup.nodes, ups, prec, rnd)
+
+    assert horner(coeffs + zeros) == horner(coeffs)
+    assert horner(coeffs[:3] + [wide] + zeros) == horner(coeffs[:3] + [rounded])
+    assert horner(coeffs[:3] + [wide]) != horner(coeffs[:3] + [rounded])
+    calls = []
+    original = _kernels._mul
+    monkeypatch.setattr(_kernels, "_mul", lambda *args: calls.append(1) or original(*args))
+    assert horner(coeffs[:1] + [_kernels.ZERO] * 3 + zeros) == horner(coeffs[:1])
+    assert not calls
 
 
 @pytest.mark.parametrize("twoj", range(1, 62, 2))

@@ -42,10 +42,12 @@ raises InternalConsistencyError.
 
 The Taylor kernels and :func:`newton_coefficients` stay on libmp, so that
 the oracle ``verify`` compares the spectral propagator against shares no
-arithmetic with it.  They work on sparse rows: a pair (re, im) of dicts,
-one per plane, from column to nonzero mpf.  An absent column is an exact
-zero, so the zero planes of a real matrix, and the cross-chain zeros of a
-chain Hamiltonian's powers, cost nothing.
+arithmetic with it.  The generator they exponentiate, −iτH/2^s with
+H = −iK and K real, is real, and so is every series term and square: they
+work on sparse real rows, one dict per row from column to nonzero mpf, the
+real part of an mpc entry whose imaginary part is an exact zero.  An absent
+column is an exact zero, so the cross-chain zeros of a chain Hamiltonian's
+powers cost nothing.
 
 The reflection m → −m maps basis index i to n−1−i.  A matrix of size n is
 *reflected* when U[n−1−i][n−1−c] = ε_i·ε_c·U[i][c] bit for bit, with
@@ -80,8 +82,8 @@ from mpmath.libmp import (
     from_int,
     fzero,
     mpc_div_mpf,
-    mpc_mul,
     mpc_sub,
+    mpf_abs,
     mpf_add,
     mpf_div,
     mpf_gt,
@@ -302,7 +304,7 @@ def newton_coefficients(values, gaps, prec, rnd):
     return coeffs
 
 
-def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
+def chain_horner(coeffs, nodes, ups, prec, rnd):
     """Newton-form polynomial of one chain block, as (re, im) planes.
 
     The chain's generator has A[i][i+1] = i·ups[i] and A[i+1][i] = −i·ups[i]
@@ -328,12 +330,13 @@ def chain_horner(coeffs, nodes, ups, prec, rnd, mirrored=False):
     structural zero operand: an entry outside the last band, the missing
     neighbour at a chain end, or a zero node.  Such a product is an exact
     zero, and ``_add`` of an exact zero and a value already rounded at prec
-    returns that value.  With ``mirrored`` (``ups`` a palindrome) the chain
-    is its own twin, and the lower rows of each M are :func:`mirror`'s
+    returns that value.  Where ``ups`` is a palindrome, bit for bit, the
+    chain is its own twin, and the lower rows of each M are :func:`mirror`'s
     image of the upper ones.  Runs on the integer core.
     """
     _require_nearest(rnd)
     size = len(ups) + 1
+    mirrored = ups == ups[::-1]
     ups = [_pair(u) for u in ups]
     neg = [_neg(u) for u in ups]
     # Row i's down factors (re, im planes), then its up factors; an exact
@@ -441,15 +444,14 @@ def _flipped(row, i, negate):
 def reflects(lines, negate):
     """Whether a matrix is reflected (see the module docstring), bit for bit.
 
-    ``lines[i]`` maps c to the pair (re, im) U[i][c] over the nonzero
-    entries of row i, or of column i: the relation reads the same on the
-    transpose.  ``negate`` negates one part exactly.
+    ``lines[i]`` maps c to U[i][c] over the nonzero entries of row i, or of
+    column i: the relation reads the same on the transpose.  ``negate``
+    negates one entry exactly.
     """
     n = len(lines)
     return all(
         lines[n - 1 - i] == {
-            n - 1 - c: (negate(re), negate(im)) if (i ^ c) & 2 else (re, im)
-            for c, (re, im) in line.items()
+            n - 1 - c: negate(x) if (i ^ c) & 2 else x for c, x in line.items()
         }
         for i, line in enumerate(lines)
     )
@@ -460,10 +462,7 @@ def reflected(rows, n):
     i <= n−1−i (all of them for an unreflected matrix, which is returned
     as it is)."""
     return rows + [
-        tuple(
-            {n - 1 - c: mpf_neg(x) if (i ^ c) & 2 else x for c, x in plane.items()}
-            for plane in rows[i]
-        )
+        {n - 1 - c: mpf_neg(x) if (i ^ c) & 2 else x for c, x in rows[i].items()}
         for i in range(n - len(rows) - 1, -1, -1)
     ]
 
@@ -500,7 +499,7 @@ def gram_defect(columns, prec, check_prec, rnd):
         for col in lookup
     ]
     n = len(columns)
-    mirrored = reflects(lookup, _neg) and all(
+    mirrored = reflects(lookup, lambda x: (_neg(x[0]), _neg(x[1]))) and all(
         im[0].bit_length() <= prec for col in lookup for _, im in col.values()
     )
     worst = fzero
@@ -660,58 +659,37 @@ def _scaled(w, z):
 def series_term(generator, term, k, prec, rnd):
     """The next Taylor term B·term / k, as sparse rows.
 
-    ``generator[a]`` lists (b, v) over row a's nonzero entries of B in
-    column order, v an mpc pair; ``term`` is a list of sparse rows.
-    Repeats, per row,
+    ``generator[a]`` lists (b, v) over row a's nonzero entries of the real B
+    in column order, v a raw mpf; ``term`` is a list of sparse rows.
+    Repeats, per row, with mpc objects whose imaginary parts are exact zeros,
 
         acc = [v * x for x in term[b]];  acc = [s + v * x ...] for each
         further (b, v);  [s / k for s in acc]
 
-    leaving out every product with an exact-zero factor.  A real v scales
-    each plane of term[b] by one rounded product, as ``mpc_mul`` rounds it;
-    any other v takes ``mpc_mul``'s own rounded planes.  A product for an
-    absent entry of acc is stored as it is.
+    leaving out every product with an exact-zero factor.  ``mpc_mul`` of
+    two such values is one rounded real product.  A product for an absent
+    entry of acc is stored as it is.
     """
     kf = from_int(k)
     mul, add = mpf_mul, mpf_add
     rows = []
     for nz in generator:
-        acc_re, acc_im = {}, {}
+        acc = {}
         for b, v in nz:
-            v_re, v_im = v
-            x_re, x_im = term[b]
-            if v_im == fzero:
-                products = (
-                    {c: mul(v_re, x, prec, rnd) for c, x in x_re.items()},
-                    {c: mul(v_re, x, prec, rnd) for c, x in x_im.items()},
-                )
-            else:
-                pairs = {
-                    c: mpc_mul(v, (x_re.get(c, fzero), x_im.get(c, fzero)), prec, rnd)
-                    for c in x_re.keys() | x_im.keys()
-                }
-                products = tuple(
-                    {c: pair[plane] for c, pair in pairs.items()} for plane in (0, 1)
-                )
-            for acc, plane in zip((acc_re, acc_im), products):
-                for c, p in plane.items():
-                    s = acc.get(c)
-                    acc[c] = p if s is None else add(s, p, prec, rnd)
-        rows.append(tuple(
-            {c: mpf_div(s, kf, prec, rnd) for c, s in acc.items() if s != fzero}
-            for acc in (acc_re, acc_im)
-        ))
+            for c, x in term[b].items():
+                p = mul(v, x, prec, rnd)
+                s = acc.get(c)
+                acc[c] = p if s is None else add(s, p, prec, rnd)
+        rows.append({c: mpf_div(s, kf, prec, rnd) for c, s in acc.items() if s != fzero})
     return rows
 
 
 def all_below(rows, tol, prec, rnd):
-    """Repeats ``max(abs(x) for x in rows) < tol`` (abs at prec) over
-    sparse rows; an absent entry has abs zero, below any positive tol."""
-    return all(
-        mpf_lt(mpf_hypot(re.get(c, fzero), im.get(c, fzero), prec, rnd), tol)
-        for re, im in rows
-        for c in re.keys() | im.keys()
-    )
+    """Repeats ``max(abs(x) for x in rows) < tol`` (abs at prec) over sparse
+    real rows: the abs of an entry with an exactly zero imaginary part is
+    that of its real part, and an absent entry has abs zero, below any
+    positive tol."""
+    return all(mpf_lt(mpf_abs(x, prec, rnd), tol) for row in rows for x in row.values())
 
 
 def added(rows, other, prec, rnd):
@@ -722,69 +700,48 @@ def added(rows, other, prec, rnd):
     """
     out = []
     for row, other_row in zip(rows, other):
-        planes = []
-        for plane, other_plane in zip(row, other_row):
-            plane = dict(plane)
-            for c, y in other_plane.items():
-                x = plane.get(c)
-                plane[c] = y if x is None else mpf_add(x, y, prec, rnd)
-            planes.append({c: x for c, x in plane.items() if x != fzero})
-        out.append(tuple(planes))
+        row = dict(row)
+        for c, y in other_row.items():
+            x = row.get(c)
+            row[c] = y if x is None else mpf_add(x, y, prec, rnd)
+        out.append({c: x for c, x in row.items() if x != fzero})
     return out
 
 
 def squared(rows, prec, rnd, mirrored=False):
-    """The matrix product rows·rows of sparse rows, each entry as
+    """The matrix product rows·rows of sparse real rows, each entry as
     ``mp.fdot`` forms it.
 
     Repeats ``fdot((x, col[k]) for k, x in nonzero entries of the row)``: the
-    exact products re·re, −(im·im) and re·im, im·re of each pair, summed by
-    one ``mpf_sum`` per plane in ascending k.  A product with an exact-zero
-    factor is zero, which ``mpf_sum`` skips, so each entry sums the nonzero
-    products alone, in the same order.  fdot over no pairs returns an mpf
-    zero, not an mpc: such a row is returned as None, and a None row stands
-    for a row of those zeros on input too.
+    exact products of each pair, summed by one ``mpf_sum`` in ascending k.
+    fdot's products of the exactly zero imaginary parts, and every product
+    with an exact-zero factor, are zeros, which ``mpf_sum`` skips, so each
+    entry sums the nonzero real products alone, in the same order.  fdot
+    over no pairs returns an mpf zero, not an mpc: such a row is returned as
+    None, and a None row stands for a row of those zeros on input too.
 
-    With ``mirrored`` (the rows reflected) and real rows, row n−1−a is
-    formed with row a: entry (n−1−a, n−1−c) is ε_a·ε_c times the sum of
-    (a, c)'s products in reverse.  A complex row may hold two products of
-    one k in a sum, which the reversed list would swap; complex rows are
-    formed one by one.
+    With ``mirrored`` (the rows reflected), row n−1−a is formed with row a:
+    entry (n−1−a, n−1−c) is ε_a·ε_c times the sum of (a, c)'s products in
+    reverse.
     """
     mul = mpf_mul
-    planes = [({}, {}) if row is None else row for row in rows]
-    n = len(planes)
-    mirrored = mirrored and not any(im for _, im in planes)
+    n = len(rows)
     out = [None] * n
     for a in range((n + 1) // 2 if mirrored else n):
-        x_re, x_im = planes[a]
-        support = sorted(x_re.keys() | x_im.keys())
-        if not support:
+        row = rows[a]
+        if not row:
             continue
-        sum_re, sum_im = {}, {}
-        for k in support:
-            y_re, y_im = planes[k]
-            x = x_re.get(k)
-            if x is not None:
-                for c, y in y_re.items():
-                    sum_re.setdefault(c, []).append(mul(x, y))
-                for c, y in y_im.items():
-                    sum_im.setdefault(c, []).append(mul(x, y))
-            x = x_im.get(k)
-            if x is not None:
-                for c, y in y_im.items():
-                    sum_re.setdefault(c, []).append(mpf_neg(mul(x, y)))
-                for c, y in y_re.items():
-                    sum_im.setdefault(c, []).append(mul(x, y))
-        out[a] = tuple(
-            {c: s for c, terms in sums.items() if (s := mpf_sum(terms, prec, rnd)) != fzero}
-            for sums in (sum_re, sum_im)
-        )
+        sums = {}
+        for k in sorted(row):
+            x = row[k]
+            for c, y in (rows[k] or {}).items():
+                sums.setdefault(c, []).append(mul(x, y))
+        out[a] = {c: s for c, terms in sums.items() if (s := mpf_sum(terms, prec, rnd)) != fzero}
         if mirrored and a < n - 1 - a:
             partner = {}
-            for c, terms in sum_re.items():
+            for c, terms in sums.items():
                 s = mpf_sum(terms[::-1], prec, rnd)
                 if s != fzero:
                     partner[n - 1 - c] = mpf_neg(s) if (a ^ c) & 2 else s
-            out[n - 1 - a] = (partner, {})
+            out[n - 1 - a] = partner
     return out

@@ -463,16 +463,12 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
 class _SeriesSetup:
     """What every grid point of one spectral series shares at one working
     precision: the polished nodes in Leja order, the rounded node gaps
-    ``gaps[k][i] = nodes[i] - nodes[i - k]``, the imaginary parts of the
-    two chains' couplings (their real parts are exact zeros), whether the
-    odd chain is the even one's twin, and whether each chain is its own
-    twin (its coupling squares a palindrome)."""
+    ``gaps[k][i] = nodes[i] - nodes[i - k]`` and the imaginary parts of the
+    two chains' couplings (their real parts are exact zeros)."""
 
     nodes: tuple
     gaps: tuple
     ups: tuple
-    twin: bool
-    palindromes: tuple
 
 
 @functools.lru_cache(maxsize=32)
@@ -483,7 +479,6 @@ def _series_setup(j: HalfInt, seeds: tuple, precision: int, wp: int) -> _SeriesS
     so a cached value is the one a fresh computation would give.
     """
     n = j.n_states
-    chains = block_decompose(j)
     with mp.workdps(wp):
         prec, rnd = mp._prec_rounding
         # The propagator is far more sensitive to coupling error than to any
@@ -506,8 +501,6 @@ def _series_setup(j: HalfInt, seeds: tuple, precision: int, wp: int) -> _SeriesS
         nodes=nodes,
         gaps=gaps,
         ups=tuple(tuple(im for _, im in upper[start : n - 2 : 2]) for start in (0, 1)),
-        twin=chains.twin,
-        palindromes=chains.palindromes,
     )
 
 
@@ -577,16 +570,14 @@ def propagator_spectral(
         ]
         coeffs = _kernels.newton_coefficients(values, setup.gaps, prec, rnd)
         # Horner evaluation M <- (A - x_k) M + c_k I on each chain block; the
-        # entries between the chains are exact zeros.
-        planes_a = _kernels.chain_horner(
-            coeffs, setup.nodes, setup.ups[0], prec, rnd, setup.palindromes[0]
-        )
-        if setup.twin:
+        # entries between the chains are exact zeros.  A chain whose
+        # couplings are the other's reversed, bit for bit, is its twin.
+        ups_a, ups_b = setup.ups
+        planes_a = _kernels.chain_horner(coeffs, setup.nodes, ups_a, prec, rnd)
+        if ups_b == ups_a[::-1]:
             planes_b = tuple(map(_kernels.mirror, planes_a))
         else:
-            planes_b = _kernels.chain_horner(
-                coeffs, setup.nodes, setup.ups[1], prec, rnd, setup.palindromes[1]
-            )
+            planes_b = _kernels.chain_horner(coeffs, setup.nodes, ups_b, prec, rnd)
 
     n = j.n_states
     with mp.workdps(precision):
@@ -618,25 +609,60 @@ def propagator_taylor(
     convergence at guarded precision, then squares back up.  Kept as a
     cross-validation oracle for :func:`propagator_spectral`.
 
-    Where the generator is reflected under m → −m (bit for bit, checked
-    here; see ``_kernels``) and has at most two nonzero entries per row,
-    as the countertwisting one does, every series term and square is
-    reflected too: rows a <= n−1−a are formed and the others are their
-    mirror images, the same bits a full computation gives.  Any other
-    generator, such as one with a z field or a flipped coupling, is
-    summed row by row.
+    h/scale must be imaginary, H = −iK with K real, as the countertwisting
+    Hamiltonian is: the scaled generator −iτH/2^s is then real, and the
+    series and the squarings run on real entries.  Any sparsity is taken;
+    exact zeros cost nothing.  Where the generator is reflected under
+    m → −m (bit for bit, checked here; see ``_kernels``) and has at most two
+    nonzero entries per row, as the countertwisting one does, every series
+    term and square is reflected too: rows a <= n−1−a are formed and the
+    others are their mirror images, the same bits a full computation gives.
+    Any other generator, such as one with a flipped coupling, is summed row
+    by row.
 
     :param h: Hamiltonian matrix; divided by its recorded scale, so chi_t
         carries the full dimensionless time.
-    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, or h has zero
-        scale.
+    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, h has zero
+        scale, or an entry of h/scale has a nonzero real part.
+    :raises NumericFailureError: the series does not converge, or the
+        result fails the unitarity certificate.
     """
     _require_precision(precision)
     tau = _propagation_time(chi_t, precision + 15)
     n = h.dim
+    total = _taylor_rows(h, tau, precision)
+    with mp.workdps(precision):
+        prec, rnd = mp._prec_rounding
+        # A None row holds the mpf zeros fdot returns for a sum of no terms.
+        entries = tuple(
+            (mp.mpf(0),) * n if row is None
+            else tuple(
+                mp.make_mpc((mpf_pos(row.get(b, fzero), prec, rnd), fzero)) for b in range(n)
+            )
+            for row in total
+        )
+        tau_out = +tau
+    matrix = DenseOperator(
+        basis=h.basis, entries=entries, precision=precision
+    )
+    return Propagator(
+        matrix=matrix, chi_t=tau_out, method=PropagatorMethod.TAYLOR_ORACLE
+    )
 
+
+def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
+    """exp(−iτ·h/scale) at :func:`propagator_taylor`'s guarded working
+    precision, before rounding: the real parts of its rows as sparse rows
+    (``_kernels``), or None for a row of fdot's mpf zeros."""
+    n = h.dim
     with mp.workdps(precision + 15):
         a_rows = _dimensionless_hamiltonian(h, precision + 15)
+        a_pairs = [[_as_pair(x) for x in row] for row in a_rows]
+        if any(re != fzero for row in a_pairs for re, _ in row):
+            raise InvalidInputError(
+                "the Taylor oracle takes an imaginary h/scale (H = -iK with K "
+                "real); an entry has a nonzero real part"
+            )
         norm = max(
             mp.fsum(abs(x) for x in row) for row in a_rows
         ) * abs(tau)
@@ -645,10 +671,12 @@ def propagator_taylor(
 
     with mp.workdps(wp):
         prec, rnd = mp._prec_rounding
-        factor = mp.mpc(0, -1) * mp.mpf(tau) / (1 << squarings)
-        b_rows = [[(factor * x)._mpc_ for x in row] for row in a_rows]
-        # Nonzero generator entries per row (diagonal included), in column order.
-        nz = [[(b, v) for b, v in enumerate(row) if v != _kernels.ZERO] for row in b_rows]
+        # B = -i·tau·(h/scale)/2^s: the real part of mpc_mul's product with
+        # an imaginary entry is one rounded real product.
+        step = (mp.mpf(tau) / (1 << squarings))._mpf_
+        b_rows = [[mpf_mul(step, im, prec, rnd) for _, im in row] for row in a_pairs]
+        # Nonzero generator entries per row, in column order.
+        nz = [[(b, v) for b, v in enumerate(row) if v != fzero] for row in b_rows]
         tol = (mp.mpf(10) ** (-wp - 3))._mpf_
         # Every term of a reflected generator with at most two entries per
         # row is reflected: the series forms rows a <= n-1-a only.
@@ -657,8 +685,7 @@ def propagator_taylor(
         )
         computed = nz[: (n + 1) // 2] if mirrored else nz
 
-        # Sparse rows: one dict per plane, column -> nonzero mpf.
-        term = [({a: fone}, {}) for a in range(n)]
+        term = [{a: fone} for a in range(n)]
         total = term[: len(computed)]
         k = 0
         while True:
@@ -677,25 +704,7 @@ def propagator_taylor(
         total = _kernels.reflected(total, n)
         for _ in range(squarings):
             total = _kernels.squared(total, prec, rnd, mirrored)
-
-    with mp.workdps(precision):
-        prec, rnd = mp._prec_rounding
-        # A None row holds the mpf zeros fdot returns for a sum of no terms.
-        entries = tuple(
-            (mp.mpf(0),) * n if row is None
-            else tuple(
-                mp.make_mpc(mpc_pos((row[0].get(b, fzero), row[1].get(b, fzero)), prec, rnd))
-                for b in range(n)
-            )
-            for row in total
-        )
-        tau_out = +tau
-    matrix = DenseOperator(
-        basis=h.basis, entries=entries, precision=precision
-    )
-    return Propagator(
-        matrix=matrix, chi_t=tau_out, method=PropagatorMethod.TAYLOR_ORACLE
-    )
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ operators directly with numpy floating arithmetic so that agreement between
 the two routes is a genuine cross-check.  ``wigner_rotation_y`` is the
 general mpmath d-matrix rotation about y; the package only needs its
 beta = -pi case (the chiral operator) and builds that directly.
-``build_h_f`` adds a z field to the countertwisting Hamiltonian, a variant
-the package does not model; the chiral operator still anticommutes with it.
+``build_h_f`` adds a field along z (or another axis) to the countertwisting
+Hamiltonian, a variant the package does not model; the chiral operator
+still anticommutes with it for a z field.  The Taylor oracle refuses a
+Hamiltonian with a real part, such as the z or x field; a y field is
+imaginary, and the oracle takes it.
 ``dense_matmul`` is the product summed over every term, exact zeros
 included, against which the package's sparse-aware product is checked.
 ``_sylvester_resultant`` is the Bareiss determinant of the Sylvester
@@ -197,19 +200,20 @@ def build_h_f(
     chi: float = 1.0,
     omega: float = 0.0,
     precision: int = DEFAULT_PRECISION,
+    axis: str = "z",
 ) -> DenseOperator:
-    """Countertwisting Hamiltonian with an external field along z.
+    """Countertwisting Hamiltonian with an external field along an axis.
 
-    Equals build_h_ta(j, chi) + omega * Jz; still anticommutes with the
-    chiral operator.
+    Equals build_h_ta(j, chi) + omega * J_axis; with the z field it still
+    anticommutes with the chiral operator.
     """
     h_ta = build_h_ta(j, chi, precision)
-    _, _, jz = build_cartesian(j, precision)
+    field = build_cartesian(j, precision)["xyz".index(axis)]
     with mp.workdps(precision):
         omega_mp = mp.mpf(omega)
         if not mp.isfinite(omega_mp):
             raise InvalidInputError(f"omega must be finite, got {omega!r}")
-        combined = h_ta.add(jz.scaled(omega_mp))
+        combined = h_ta.add(field.scaled(omega_mp))
     return DenseOperator(
         basis=h_ta.basis,
         entries=combined.entries,
@@ -565,6 +569,16 @@ def object_taylor_entries(h, chi_t, precision=DEFAULT_PRECISION):
     """(entries, chi_t) of propagator_taylor formed with mpc objects."""
     _require_precision(precision)
     tau = _propagation_time(chi_t, precision + 15)
+    total = object_taylor_rows(h, tau, precision)
+    with mp.workdps(precision):
+        entries = tuple(tuple(+x for x in row) for row in total)
+        tau_out = +tau
+    return entries, tau_out
+
+
+def object_taylor_rows(h, tau, precision=DEFAULT_PRECISION):
+    """The rows of exp(-i tau h/scale) that object_taylor_entries rounds,
+    at the Taylor oracle's guarded working precision."""
     n = h.dim
 
     with mp.workdps(precision + 15):
@@ -619,11 +633,7 @@ def object_taylor_entries(h, chi_t, precision=DEFAULT_PRECISION):
             total = [
                 [mp.fdot((x, col[k]) for k, x in nz) for col in cols] for nz in support
             ]
-
-    with mp.workdps(precision):
-        entries = tuple(tuple(+x for x in row) for row in total)
-        tau_out = +tau
-    return entries, tau_out
+    return total
 
 
 def object_moment_sums(state, u, precision=DEFAULT_PRECISION):

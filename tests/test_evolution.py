@@ -36,6 +36,7 @@ from countertwist import (
     xi_y,
     xi_z,
 )
+from countertwist.cli import _closed_form_rows_j2
 from countertwist.spectrum import spectrum_from_json, spectrum_to_json
 from _oracles import build_h_f, wigner_rotation_y
 
@@ -403,22 +404,17 @@ class TestPropagatorTaylor:
         with pytest.raises(InvalidInputError, match="chi_t"):
             propagator_taylor(build_h_ta(HalfInt(4), 1.0), huge)
 
-    def test_diagonal_generator(self):
+    def test_y_rotation_matches_wigner_d_matrix(self):
+        # Jy is imaginary, so the oracle takes it: exp(-i tau Jy) is the
+        # d-matrix of wigner_rotation_y at -tau.
         j = HalfInt(5)
-        _, _, jz = build_cartesian(j)
+        _, jy, _ = build_cartesian(j)
         tau = mp.mpf("0.7")
-        u = propagator_taylor(jz, tau)
-        for a, m in enumerate(jz.basis.labels):
-            for b in range(u.dim):
-                expected = (
-                    mp.exp(mp.mpc(0, -1) * mp.mpf(m.twice_value) / 2 * tau)
-                    if a == b
-                    else 0
-                )
-                assert abs(u.matrix.entries[a][b] - expected) < mp.mpf("1e-30")
+        u = propagator_taylor(jy, tau)
+        assert u.matrix.max_abs_diff(wigner_rotation_y(j, -tau)) < mp.mpf("1e-32")
 
-    def test_field_hamiltonian_matches_expm(self):
-        h = build_h_f(HalfInt(5), 1.0, 0.8)
+    def test_y_field_hamiltonian_matches_expm(self):
+        h = build_h_f(HalfInt(5), 1.0, 0.3, axis="y")
         tau = mp.mpf("0.7")
         u = propagator_taylor(h, tau)
         reference = mp.expm(mp.mpc(0, -1) * tau * mp.matrix(h.entries))
@@ -428,6 +424,20 @@ class TestPropagatorTaylor:
             for b in range(u.dim)
         )
         assert dev < mp.mpf("1e-30")
+
+    @pytest.mark.parametrize("kind", ["jz", "h_f", "h_xy"])
+    def test_real_part_rejected(self, kind):
+        # The oracle runs on the real generator -i tau H: H = -iK, K real.
+        j = HalfInt(5)
+        _, jy, jz = build_cartesian(j)
+        if kind == "jz":
+            h = jz
+        elif kind == "h_f":
+            h = build_h_f(j, 1.0, 0.8)
+        else:
+            h = build_h_f(j, 1.0, 0.3, axis="x").add(jy.scaled(mp.mpf("0.2")))
+        with pytest.raises(InvalidInputError, match="nonzero real part"):
+            propagator_taylor(h, mp.mpf("0.7"))
 
 
 ORACLE_TIME_COUNTS = {twoj: 20 for twoj in range(1, 11)}
@@ -450,6 +460,21 @@ def test_spectral_agrees_with_taylor(twoj):
         worst = max(worst, u.matrix.max_abs_diff(oracle.matrix))
     assert worst < mp.mpf("1e-10")
     assert worst < mp.mpf("1e-28")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="chi_t is rounded to precision + 15 digits before the phases are formed",
+)
+def test_spectral_propagator_keeps_its_accuracy_at_long_times():
+    # The certificate passes, but at chi_t = 10^30 + 1/3 the rounded time
+    # moves U by about 1e-20 (ROADMAP item 6).
+    chi_t = Fraction(10**30) + Fraction(1, 3)
+    u = propagator_spectral(spectrum(HalfInt(4), 34), chi_t, 34)
+    reference = _closed_form_rows_j2(chi_t, 1500)
+    with mp.workdps(1510):
+        dev = max(abs(u.matrix.entries[a][b] - reference[a][b]) for a in range(5) for b in range(5))
+    assert dev < mp.mpf("1e-32")
 
 
 # ---------------------------------------------------------------------------

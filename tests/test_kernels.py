@@ -39,7 +39,7 @@ from countertwist.cli import VERIFY_SAMPLE_TIME, _flip_first_coupling
 from countertwist.errors import InternalConsistencyError, InvalidInputError, NumericFailureError
 from countertwist.spin_algebra import (
     BasisOrdering,
-    build_cartesian,
+    _two_step_entries,
     chiral_operator,
     two_step_coupling_squared,
 )
@@ -61,6 +61,7 @@ from _oracles import (
     object_polish_nodes,
     object_spectral_entries,
     object_taylor_entries,
+    object_taylor_rows,
 )
 
 PRECISIONS = (20, 34, 50)
@@ -123,25 +124,32 @@ def _taylor_cases():
 def _taylor_h(kind, j, precision):
     if kind == "h_ta":
         return build_h_ta(j, mp.mpf(2) / 3, precision)
-    if kind == "h_f":
-        return build_h_f(j, 1, mp.mpf("0.8"), precision)
-    # A generic Hermitian h: the Jx and Jy terms give entries whose real and
-    # imaginary parts are both nonzero.
-    h = build_h_ta(j, mp.mpf(2) / 3, precision)
-    jx, jy, _ = build_cartesian(j, precision)
-    with mp.workdps(precision):
-        entries = h.add(jx.scaled(mp.mpf("0.3"))).add(jy.scaled(mp.mpf("0.2"))).entries
-    return DenseOperator(
-        basis=h.basis, entries=entries, precision=precision, scale=h.scale, hermitian=True
-    )
+    # h_ta + 0.3·Jy: imaginary, up to four entries per row, not reflected.
+    return build_h_f(j, mp.mpf(2) / 3, mp.mpf("0.3"), precision, axis="y")
 
 
-@pytest.mark.parametrize("kind", ["h_ta", "h_f", "h_xy"])
+def _working_rows(rows, n):
+    """The Taylor kernel's unrounded rows as the object code's entries: a
+    real part with an exactly zero imaginary part, or fdot's mpf zeros."""
+    return [
+        [(mp.mpf, fzero)] * n if row is None
+        else [(mp.mpc, (row.get(c, fzero), fzero)) for c in range(n)]
+        for row in rows
+    ]
+
+
+def _assert_same_taylor_rows(h, chi_t, precision):
+    tau = evolution._propagation_time(chi_t, precision + 15)
+    got = evolution._taylor_rows(h, tau, precision)
+    assert _working_rows(got, h.dim) == _raw(object_taylor_rows(h, tau, precision))
+
+
+@pytest.mark.parametrize("kind", ["h_ta", "h_y"])
 def test_taylor_propagator_matches_object_code(kind):
-    # The verify benchmark never builds h_xy, whose large cases are slow.
-    cases = _small_taylor_cases() if kind == "h_xy" else _taylor_cases()
-    for twoj, precision, chi_t in cases:
+    # Before and after the rounding to the requested precision.
+    for twoj, precision, chi_t in _taylor_cases():
         h = _taylor_h(kind, HalfInt(twoj), precision)
+        _assert_same_taylor_rows(h, chi_t, precision)
         u = propagator_taylor(h, chi_t, precision)
         entries, tau = object_taylor_entries(h, chi_t, precision)
         _assert_same_propagator(u, entries, tau)
@@ -153,6 +161,7 @@ def test_taylor_propagator_of_a_faulted_h_matches_object_code(monkeypatch):
     monkeypatch.setattr(evolution, "Propagator", lambda matrix, chi_t, method: (matrix, chi_t))
     for twoj, precision, chi_t in _taylor_cases():
         h = _flip_first_coupling(build_h_ta(HalfInt(twoj), 1, precision))
+        _assert_same_taylor_rows(h, chi_t, precision)
         matrix, tau = propagator_taylor(h, chi_t, precision)
         entries, want_tau = object_taylor_entries(h, chi_t, precision)
         assert _raw(matrix.entries) == _raw(entries)
@@ -180,35 +189,16 @@ def _taylor_mismatches(kind):
 
 
 def test_taylor_comparison_catches_a_wrong_zero_skip(monkeypatch):
-    # Mutant: the squarings treat every entry with a zero imaginary part as
-    # an exact zero, as a skip test on the wrong plane would.  The
-    # generator of h_ta is real, so the mutant drops every product.
+    # Mutant: the squarings test the sign field of an entry instead of its
+    # mantissa, treating every positive entry as an exact zero.
     original = _kernels.squared
 
     def wrong_skip(rows, *args):
-        masked = [
-            None if row is None else ({c: x for c, x in row[0].items() if c in row[1]}, row[1])
-            for row in rows
-        ]
+        masked = [None if row is None else {c: x for c, x in row.items() if x[0]} for row in rows]
         return original(masked, *args)
 
     monkeypatch.setattr(_kernels, "squared", wrong_skip)
     assert _taylor_mismatches("h_ta")
-
-
-def test_taylor_comparison_catches_a_dropped_imaginary_factor(monkeypatch):
-    # Mutant: the series terms take every generator entry as real, dropping
-    # its imaginary part.  h_ta's generator is real, so only h_f, whose Jz
-    # term puts imaginary entries on the diagonal, can show it.
-    original = _kernels.series_term
-
-    def real_only(generator, term, k, prec, rnd):
-        real = [[(b, (v[0], fzero)) for b, v in nz] for nz in generator]
-        return original(real, term, k, prec, rnd)
-
-    monkeypatch.setattr(_kernels, "series_term", real_only)
-    assert _taylor_mismatches("h_f")
-    assert not _taylor_mismatches("h_ta")
 
 
 MOMENT_FIELDS = ("chi_t", "mean_jx", "mean_jy", "mean_jz", "second_jx",
@@ -485,54 +475,38 @@ def _power(e, sign=1):
 # small term when it comes first and keeps it when it comes last.
 _P = 53
 _SQUARE_HALF = [
-    ({0: fone, 2: _power(3 * _P), 4: _power(2 * _P)}, {}),
-    ({1: fone}, {}),
-    ({0: _power(_P, -1), 2: fone, 4: _power(_P)}, {}),
+    {0: fone, 2: _power(3 * _P), 4: _power(2 * _P)},
+    {1: fone},
+    {0: _power(_P, -1), 2: fone, 4: _power(_P)},
 ]
 _GRAM_HALF = [
-    ({0: _power(-2 * _P), 2: _power(_P), 4: _power(_P)}, {}),
-    ({1: fone}, {}),
-    ({0: _power(_P), 2: _power(_P), 4: _power(_P, -1)}, {}),
+    {0: _power(-2 * _P), 2: _power(_P), 4: _power(_P)},
+    {1: fone},
+    {0: _power(_P), 2: _power(_P), 4: _power(_P, -1)},
 ]
-
-
-# A complex reflected 3×3 matrix: entry (0, 0) sums t², −s² from k = 0,
-# then s² from k = 2; the partner (2, 2) sums s², then t², −s², which a
-# reversed list would give as s², −s², t².
-_COMPLEX_HALF = [
-    ({0: _power(-2 * _P)}, {0: _power(_P), 2: _power(_P)}),
-    ({1: fone}, {}),
-]
-
-
-def _lines(rows):
-    return [
-        {c: (re.get(c, fzero), im.get(c, fzero)) for c in re.keys() | im.keys()}
-        for re, im in rows
-    ]
 
 
 def test_mirrored_square_sums_partners_in_reverse():
     rows = _kernels.reflected(_SQUARE_HALF, 5)
-    assert _kernels.reflects(_lines(rows), mpf_neg)
+    assert _kernels.reflects(rows, mpf_neg)
     full = _kernels.squared(rows, _P, round_nearest)
     assert _kernels.squared(rows, _P, round_nearest, True) == full
     # (0, 0) sums 1, 2^4p, -2^4p; its partner (4, 4) the same in reverse.
-    assert 0 not in full[0][0] and full[4][0][4] == fone
+    assert 0 not in full[0] and full[4][4] == fone
 
 
-def test_mirrored_square_of_a_complex_matrix_is_formed_row_by_row():
-    rows = _kernels.reflected(_COMPLEX_HALF, 3)
-    assert _kernels.reflects(_lines(rows), mpf_neg)
-    full = _kernels.squared(rows, _P, round_nearest)
-    assert _kernels.squared(rows, _P, round_nearest, True) == full
-    assert 0 not in full[0][0] and 2 not in full[2][0]
+def test_square_of_an_empty_row_is_none():
+    # fdot over no pairs returns an mpf zero, not an mpc: such a row comes
+    # back as None, and a None row stands for it on input.
+    want = [{0: fone, 1: fone}, None]
+    for empty in ({}, None):
+        assert _kernels.squared([{0: fone, 1: fone}, empty], _P, round_nearest) == want
 
 
 def test_mirrored_certificate_sums_partners_in_reverse(monkeypatch):
     rows = _kernels.reflected(_GRAM_HALF, 5)
-    assert _kernels.reflects(_lines(rows), mpf_neg)
-    columns = [[(k, (row[0][a], fzero)) for k, row in enumerate(rows) if a in row[0]]
+    assert _kernels.reflects(rows, mpf_neg)
+    columns = [[(k, (row[a], fzero)) for k, row in enumerate(rows) if a in row]
                for a in range(5)]
     # The diagonal holds the largest deviation here.
     mirrored = _gram_deviations(columns, _P, _P + 33, monkeypatch)
@@ -555,14 +529,20 @@ def _reflected_half_broken(j, precision):
                          scale=h.scale, hermitian=True)
 
 
-def _with_z_squared(j, precision):
-    """h_ta + 0.3·Jz²: reflected, with three nonzero entries per row."""
+def _with_four_step_couplings(j, precision):
+    """h_ta plus imaginary Hermitian couplings g_k at (k, k + 4), g_k the
+    imaginary unit times 0.1·(n − 5 − 2k): reflected, since
+    g_(n−5−k) = −g_k and ε_k·ε_(k+4) = 1, with up to four nonzero entries
+    per row."""
     h = build_h_ta(j, mp.mpf(2) / 3, precision)
-    _, _, jz = build_cartesian(j, precision)
+    rows = [list(row) for row in h.entries]
+    n = len(rows)
     with mp.workdps(precision):
-        entries = h.add(jz.matmul(jz).scaled(mp.mpf("0.3"))).entries
-    return DenseOperator(basis=h.basis, entries=entries, precision=precision, scale=h.scale,
-                         hermitian=True)
+        for i in range(n - 4):
+            g = mp.mpc(0, mp.mpf("0.1") * (n - 5 - 2 * i))
+            rows[i][i + 4], rows[i + 4][i] = g, mp.conj(g)
+    return DenseOperator(basis=h.basis, entries=tuple(map(tuple, rows)), precision=precision,
+                         scale=h.scale, hermitian=True)
 
 
 def _reflection_cases():
@@ -584,11 +564,22 @@ def _taylor_reflection_mismatches(build):
     return mismatches
 
 
-@pytest.mark.parametrize("build", [_reflected_half_broken, _with_z_squared])
+def test_four_step_couplings_are_reflected():
+    for j, precision, _ in _reflection_cases():
+        h = _with_four_step_couplings(j, precision)
+        lines = [{c: x._mpc_ for c, x in enumerate(row) if x} for row in h.entries]
+        assert _kernels.reflects(lines, lambda x: (mpf_neg(x[0]), mpf_neg(x[1])))
+        assert max(map(len, lines)) >= 3
+
+
+@pytest.mark.parametrize("build", [_reflected_half_broken, _with_four_step_couplings])
 def test_taylor_of_other_generators_matches_object_code(build, monkeypatch):
-    # Both generators fail a check, so every row is formed: a three-term
-    # sum depends on its order, but seldom in the entries rounded from the
-    # guarded precision, so the rows given to series_term are counted too.
+    # Both generators fail a check, so every row is formed.  A sum of three
+    # terms depends on their order, but seldom in the entries rounded from
+    # the guarded precision: the unrounded rows are compared too, and the
+    # rows given to series_term are counted.
+    for j, precision, chi_t in _reflection_cases():
+        _assert_same_taylor_rows(build(j, precision), chi_t, precision)
     sizes = []
     original = _kernels.series_term
     monkeypatch.setattr(
@@ -717,6 +708,14 @@ def test_twin_path_runs_only_for_twin_chains(twoj, monkeypatch):
     assert bool(calls) == block_decompose(HalfInt(twoj)).twin
 
 
+class _NeverPalindrome(tuple):
+    """Couplings that equal no sequence, their reverse included, so that
+    chain_horner forms every row."""
+
+    def __eq__(self, other):
+        return False
+
+
 @pytest.mark.parametrize("twoj", [3, 4, 11, 12])
 def test_mirrored_halves_equal_computed_ones(twoj):
     j = HalfInt(twoj)
@@ -727,15 +726,28 @@ def test_mirrored_halves_equal_computed_ones(twoj):
         prec, rnd = mp._prec_rounding
         coeffs = [(mp.mpc(k + 1, -k) / 7)._mpc_ for k in range(len(setup.nodes))]
         full = [
-            _kernels.chain_horner(coeffs, setup.nodes, ups, prec, rnd)
+            _kernels.chain_horner(coeffs, setup.nodes, _NeverPalindrome(ups), prec, rnd)
             for ups in setup.ups
         ]
-        for ups, planes, palindrome in zip(setup.ups, full, setup.palindromes):
-            if palindrome:
-                mirrored = _kernels.chain_horner(coeffs, setup.nodes, ups, prec, rnd, True)
-                assert mirrored == planes
-        if setup.twin:
+        for ups, planes in zip(setup.ups, full):
+            assert _kernels.chain_horner(coeffs, setup.nodes, ups, prec, rnd) == planes
+        if block_decompose(j).twin:
             assert tuple(map(_kernels.mirror, full[0])) == full[1]
+
+
+@pytest.mark.parametrize("wp", [49, 70])
+def test_coupling_checks_equal_the_chain_model(wp):
+    # The mirror shortcuts follow the couplings' raw values, built as
+    # _series_setup builds them; block_decompose reads the exact squares.
+    for twoj in range(1, 41):
+        j = HalfInt(twoj)
+        n = j.n_states
+        with mp.workdps(wp):
+            upper = [z._mpc_[1] for z in _two_step_entries(j, 1)]
+        ups_a, ups_b = (tuple(upper[start : n - 2 : 2]) for start in (0, 1))
+        chains = block_decompose(j)
+        assert (ups_a == ups_a[::-1], ups_b == ups_b[::-1]) == chains.palindromes
+        assert (ups_b == ups_a[::-1]) == chains.twin
 
 
 HORNER_PRECISIONS = (15, 34, 50, 120)

@@ -177,7 +177,7 @@ def to_mu_polynomial(p: IntPolynomial) -> IntPolynomial:
 class BlockDecomposition:
     """The two zero-diagonal tridiagonal chains hiding inside the Hamiltonian.
 
-    Every chain fact (polynomials, twins, palindromes, factors) is read here.
+    Every chain fact (polynomials, twins, factors) is read here.
 
     :param j: spin magnitude.
     :param labels_a: m-chain containing +j (size ceil((2j+1)/2)), descending.
@@ -208,11 +208,6 @@ class BlockDecomposition:
             len(self.labels_a) == len(self.labels_b)
             and self.block_b == self.block_a[::-1]
         )
-
-    @property
-    def palindromes(self) -> tuple[bool, bool]:
-        """Whether each chain is its own twin (its coupling squares a palindrome)."""
-        return tuple(block == block[::-1] for block in (self.block_a, self.block_b))
 
     @property
     def factors(self) -> tuple[tuple[IntPolynomial, int], ...]:

@@ -50,7 +50,6 @@ from .spin_algebra import (
     _mpf_from_fraction,
     _require_precision,
     _require_spin,
-    _two_step_entries,
 )
 
 __all__ = [
@@ -459,37 +458,25 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
     return polished
 
 
-@dataclass(frozen=True)
-class _SeriesSetup:
-    """What every grid point of one spectral series shares at one working
-    precision: the polished nodes in Leja order, the rounded node gaps
-    ``gaps[k][i] = nodes[i] - nodes[i - k]`` and the imaginary parts of the
-    two chains' couplings (their real parts are exact zeros)."""
-
-    nodes: tuple
-    gaps: tuple
-    ups: tuple
-
-
-@functools.lru_cache(maxsize=32)
-def _series_setup(j: HalfInt, seeds: tuple, precision: int, wp: int) -> _SeriesSetup:
-    """The wp-dependent set-up of :func:`propagator_spectral`, once per key.
-
-    A function of its arguments alone (seeds are the report's eigenvalues),
-    so a cached value is the one a fresh computation would give.
-    """
-    n = j.n_states
+def _series_setup(j: HalfInt, seeds: tuple, order: list, precision: int, wp: int) -> tuple:
+    """What every time of one spectral series shares at one working precision:
+    the seeds (the report's eigenvalues) polished and taken in the Leja
+    ``order``, the rounded node gaps ``gaps[k][i] = nodes[i] - nodes[i - k]``
+    and the two chains' couplings, the imaginary parts −√(4w)/2 of H/χ's
+    entries (their real parts are exact zeros), as (nodes, gaps, ups)."""
+    chains = block_decompose(j)
     with mp.workdps(wp):
         prec, rnd = mp._prec_rounding
         # The propagator is far more sensitive to coupling error than to any
-        # other rounding: the couplings come from their exact integer squares.
-        upper = [z._mpc_ for z in _two_step_entries(j, 1)]
-        if any(re != fzero for re, _ in upper):
-            raise InternalConsistencyError("chain couplings must be imaginary")
+        # other rounding: the couplings come from their exact squares w.
+        ups = tuple(
+            tuple((-mp.sqrt(mp.mpf(int(4 * w))) / 2)._mpf_ for w in block)
+            for block in (chains.block_a, chains.block_b)
+        )
         polished = _polish_nodes(
             j, seeds, precision, mp.mpf(10) ** (-(precision // 2))
         )
-        nodes = tuple(polished[i]._mpf_ for i in _leja_order(seeds))
+        nodes = tuple(polished[i]._mpf_ for i in order)
         gaps = tuple(
             tuple(
                 mpf_sub(nodes[i], nodes[i - k], prec, rnd) if i >= k else None
@@ -497,48 +484,15 @@ def _series_setup(j: HalfInt, seeds: tuple, precision: int, wp: int) -> _SeriesS
             )
             for k in range(len(nodes))
         )
-    return _SeriesSetup(
-        nodes=nodes,
-        gaps=gaps,
-        ups=tuple(tuple(im for _, im in upper[start : n - 2 : 2]) for start in (0, 1)),
-    )
+    return nodes, gaps, ups
 
 
-def propagator_spectral(
-    report: SpectrumReport, chi_t, precision: int = DEFAULT_PRECISION
-) -> Propagator:
-    """Propagator U = exp(-i H t) by interpolation over the exact spectrum.
-
-    Writes exp as the unique polynomial agreeing with it on the distinct
-    eigenvalues (the confluent reduction valid for any Hermitian matrix),
-    evaluated in Newton form with Leja-ordered nodes and a cancellation guard,
-    separately on the two chains (even and odd basis index) that the
-    Hamiltonian's Delta m = 2 couplings never connect.  The report is the
-    whole input: its spin fixes the couplings, rebuilt from their exact
-    integer squares, and its eigenvalues seed a Newton refinement on the
-    exact chain polynomials at working precision, so the report's own
-    precision does not limit the result.
-
-    :param report: spectrum of the dimensionless Hamiltonian H/chi.
-    :param chi_t: dimensionless time, the full product of coupling and
-        physical time.
-    :param precision: decimal digits of the result.
-    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, or the report's
-        values are not the eigenvalues of the Hamiltonian for its spin.
-    :raises IllConditionedError: distinct eigenvalues closer than
-        10^(-precision/2), where the interpolation weights blow up.
-    :raises NumericFailureError: the assembled matrix fails the unitarity
-        certificate.
-    """
-    _require_precision(precision)
+def _spectral_series(report: SpectrumReport, precision: int):
+    """:func:`propagator_spectral` set up once for a series of times: the
+    report is checked and ordered here, each working precision's set-up is
+    built at its first use.  Returns the function from a checked τ to U."""
     j = report.j
-    if report.dimension != j.n_states:
-        raise InvalidInputError(
-            "spectrum report multiplicities do not sum to 2j+1"
-        )
-    tau = _propagation_time(chi_t, precision + 15)
-
-    distinct = [ev.value for ev in report.eigenvalues]
+    distinct = tuple(ev.value for ev in report.eigenvalues)
     n_nodes = len(distinct)
     min_gap = 1.0
     if n_nodes >= 2:
@@ -556,47 +510,88 @@ def propagator_spectral(
             min_gap = float(smallest)
 
     span = float(distinct[-1] - distinct[0]) if n_nodes >= 2 else 0.0
-    guard = _interpolation_guard_digits(span, float(tau), n_nodes, min_gap)
-    wp = precision + guard
-    setup = _series_setup(j, tuple(distinct), precision, wp)
-
-    with mp.workdps(wp):
-        prec, rnd = mp._prec_rounding
-        tau_w = mp.mpf(tau)._mpf_
-        # exp(-i x tau) at each node, in Newton form on the Leja-ordered nodes.
-        values = [
-            mpc_exp((fzero, mpf_mul(mpf_neg(x), tau_w, prec, rnd)), prec, rnd)
-            for x in setup.nodes
-        ]
-        coeffs = _kernels.newton_coefficients(values, setup.gaps, prec, rnd)
-        # Horner evaluation M <- (A - x_k) M + c_k I on each chain block; the
-        # entries between the chains are exact zeros.  A chain whose
-        # couplings are the other's reversed, bit for bit, is its twin.
-        ups_a, ups_b = setup.ups
-        planes_a = _kernels.chain_horner(coeffs, setup.nodes, ups_a, prec, rnd)
-        if ups_b == ups_a[::-1]:
-            planes_b = tuple(map(_kernels.mirror, planes_a))
-        else:
-            planes_b = _kernels.chain_horner(coeffs, setup.nodes, ups_b, prec, rnd)
-
+    order = _leja_order(distinct)
+    basis = BasisOrdering.for_spin(j)
     n = j.n_states
-    with mp.workdps(precision):
-        prec, rnd = mp._prec_rounding
-        zero = mp.mpc(0)
-        rows = [[zero] * n for _ in range(n)]
-        for start, (re, im) in enumerate((planes_a, planes_b)):
-            for a, row_re, row_im in zip(range(start, n, 2), re, im):
-                rows[a][start::2] = [
-                    mp.make_mpc(mpc_pos(x, prec, rnd)) for x in zip(row_re, row_im)
-                ]
-        entries = tuple(map(tuple, rows))
-        tau_out = +tau
-    matrix = DenseOperator(
-        basis=BasisOrdering.for_spin(j), entries=entries, precision=precision
-    )
-    return Propagator(
-        matrix=matrix, chi_t=tau_out, method=PropagatorMethod.SPECTRAL
-    )
+    setups = {}
+
+    def at(tau) -> Propagator:
+        wp = precision + _interpolation_guard_digits(span, float(tau), n_nodes, min_gap)
+        if wp not in setups:
+            setups[wp] = _series_setup(j, distinct, order, precision, wp)
+        nodes, gaps, (ups_a, ups_b) = setups[wp]
+
+        with mp.workdps(wp):
+            prec, rnd = mp._prec_rounding
+            tau_w = mp.mpf(tau)._mpf_
+            # exp(-i x tau) at each node, in Newton form on the Leja-ordered nodes.
+            values = [
+                mpc_exp((fzero, mpf_mul(mpf_neg(x), tau_w, prec, rnd)), prec, rnd)
+                for x in nodes
+            ]
+            coeffs = _kernels.newton_coefficients(values, gaps, prec, rnd)
+            # Horner evaluation M <- (A - x_k) M + c_k I on each chain block;
+            # the entries between the chains are exact zeros.  A chain whose
+            # couplings are the other's reversed, bit for bit, is its twin.
+            planes_a = _kernels.chain_horner(coeffs, nodes, ups_a, prec, rnd)
+            if ups_b == ups_a[::-1]:
+                planes_b = tuple(map(_kernels.mirror, planes_a))
+            else:
+                planes_b = _kernels.chain_horner(coeffs, nodes, ups_b, prec, rnd)
+
+        with mp.workdps(precision):
+            prec, rnd = mp._prec_rounding
+            zero = mp.mpc(0)
+            rows = [[zero] * n for _ in range(n)]
+            for start, (re, im) in enumerate((planes_a, planes_b)):
+                for a, row_re, row_im in zip(range(start, n, 2), re, im):
+                    rows[a][start::2] = [
+                        mp.make_mpc(mpc_pos(x, prec, rnd)) for x in zip(row_re, row_im)
+                    ]
+            entries = tuple(map(tuple, rows))
+            tau_out = +tau
+        matrix = DenseOperator(basis=basis, entries=entries, precision=precision)
+        return Propagator(
+            matrix=matrix, chi_t=tau_out, method=PropagatorMethod.SPECTRAL
+        )
+
+    return at
+
+
+def propagator_spectral(
+    report: SpectrumReport, chi_t, precision: int = DEFAULT_PRECISION
+) -> Propagator:
+    """Propagator U = exp(-i H t) by interpolation over the exact spectrum.
+
+    Writes exp as the unique polynomial agreeing with it on the distinct
+    eigenvalues (the confluent reduction valid for any Hermitian matrix),
+    evaluated in Newton form with Leja-ordered nodes and a cancellation guard,
+    separately on the two chains (even and odd basis index) that the
+    Hamiltonian's Delta m = 2 couplings never connect.  The report is the
+    whole input: its spin fixes the couplings, taken from the chain model's
+    exact squares, and its eigenvalues seed a Newton refinement on the
+    exact chain polynomials at working precision, so the report's own
+    precision does not limit the result.  :func:`time_series` sets this
+    route up once for all its grid points.
+
+    :param report: spectrum of the dimensionless Hamiltonian H/chi.
+    :param chi_t: dimensionless time, the full product of coupling and
+        physical time.
+    :param precision: decimal digits of the result.
+    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, or the report's
+        values are not the eigenvalues of the Hamiltonian for its spin.
+    :raises IllConditionedError: distinct eigenvalues closer than
+        10^(-precision/2), where the interpolation weights blow up.
+    :raises NumericFailureError: the assembled matrix fails the unitarity
+        certificate.
+    """
+    _require_precision(precision)
+    if report.dimension != report.j.n_states:
+        raise InvalidInputError(
+            "spectrum report multiplicities do not sum to 2j+1"
+        )
+    tau = _propagation_time(chi_t, precision + 15)
+    return _spectral_series(report, precision)(tau)
 
 
 def propagator_taylor(
@@ -885,10 +880,12 @@ def time_series(
 ) -> TimeSeries:
     """Squeezing observables on a uniform time grid from a fresh start point.
 
-    Evolves the coherent +x state; every grid point rebuilds its propagator
+    Evolves the coherent +x state; every grid point forms its propagator
     directly at that time from the exact spectrum (no stepping, no error
-    accumulation), so rows are independent and order-insensitive.  Every
-    column of TIME_SERIES_COLUMNS is filled.
+    accumulation), so rows are independent and order-insensitive.  The
+    spectral route is set up once for the series: the report's checks and
+    node order once, the polished nodes and couplings once per working
+    precision.  Every column of TIME_SERIES_COLUMNS is filled.
 
     :param chi: coupling strength; the grid reports chi·t (or t itself when
         chi = 0, where the dynamics is constant).
@@ -908,6 +905,7 @@ def time_series(
 
     report = spectrum(j, precision)
     state = coherent_initial_state(j, precision)
+    propagator = _spectral_series(report, precision)
 
     grid = []
     rows = []
@@ -917,7 +915,7 @@ def time_series(
             chi_t_i = chi_value * t_i
         with mp.workdps(precision):
             grid.append(+(chi_t_i if chi_value != 0 else t_i))
-        u = propagator_spectral(report, chi_t_i, precision)
+        u = propagator(_propagation_time(chi_t_i, precision + 15))
         obs = heisenberg_expectations(state, u, precision)
         xi_opt, opt_angle = optimal_xi(obs) or (None, None)
         rows.append(

@@ -12,7 +12,6 @@ from countertwist import (
     InternalConsistencyError,
     InvalidInputError,
     NotAvailableError,
-    evolution,
     propagator_spectral,
     spectrum,
 )
@@ -436,8 +435,6 @@ def _non_twin_half_integer_chains(monkeypatch, twoj):
     # it is taken from sys.modules.
     for module in ("countertwist.evolution", "countertwist.spectrum"):
         monkeypatch.setattr(sys.modules[module], "block_decompose", lambda j: broken)
-    # Bypass the set-up memo, which may hold this spin from an earlier test.
-    monkeypatch.setattr(evolution, "_series_setup", evolution._series_setup.__wrapped__)
 
 
 @pytest.mark.parametrize("twoj", [3, 9])

@@ -46,6 +46,7 @@ from countertwist.spin_algebra import (
 from countertwist.evolution import (
     Propagator,
     PropagatorMethod,
+    _leja_order,
     _series_setup,
     coherent_initial_state,
     heisenberg_expectations,
@@ -646,19 +647,18 @@ def test_polishing_matches_object_code(twoj):
 def test_chain_horner_starts_from_the_last_nonzero_coefficient(monkeypatch):
     # Trailing zero coefficients leave M zero until the last nonzero one is
     # added to it, rounded once; at chi_t = 0 only c_0 is left.
-    report = _report(8, 34)
-    setup = _series_setup(HalfInt(8), tuple(ev.value for ev in report.eigenvalues), 34, 60)
-    ups = setup.ups[0]
+    seeds = tuple(ev.value for ev in _report(8, 34).eigenvalues)
+    nodes, _, (ups, _) = _series_setup(HalfInt(8), seeds, _leja_order(seeds), 34, 60)
     with mp.workdps(60):
         prec, rnd = mp._prec_rounding
         coeffs = [(mp.mpc(k + 1, -k) / 7)._mpc_ for k in range(4)]
         with mp.workdps(120):
             wide = (mp.mpc(5, -3) / 7)._mpc_
         rounded = (mp.mpc(5, -3) / 7)._mpc_
-    zeros = [_kernels.ZERO] * (len(setup.nodes) - 4)
+    zeros = [_kernels.ZERO] * (len(nodes) - 4)
 
     def horner(cs):
-        return _kernels.chain_horner(cs, setup.nodes, ups, prec, rnd)
+        return _kernels.chain_horner(cs, nodes, ups, prec, rnd)
 
     assert horner(coeffs + zeros) == horner(coeffs)
     assert horner(coeffs[:3] + [wide] + zeros) == horner(coeffs[:3] + [rounded])
@@ -683,7 +683,6 @@ def test_integer_chains_are_palindromes_not_twins(twoj):
     chains = block_decompose(HalfInt(twoj))
     even, odd = chains.block_a, chains.block_b
     assert even == even[::-1] and odd == odd[::-1]
-    assert chains.palindromes == (True, True)
     assert not chains.twin
 
 
@@ -721,32 +720,37 @@ def test_mirrored_halves_equal_computed_ones(twoj):
     j = HalfInt(twoj)
     report = _report(twoj, 34)
     seeds = tuple(ev.value for ev in report.eigenvalues)
-    setup = _series_setup(j, seeds, 34, 60)
+    nodes, _, chain_ups = _series_setup(j, seeds, _leja_order(seeds), 34, 60)
     with mp.workdps(60):
         prec, rnd = mp._prec_rounding
-        coeffs = [(mp.mpc(k + 1, -k) / 7)._mpc_ for k in range(len(setup.nodes))]
+        coeffs = [(mp.mpc(k + 1, -k) / 7)._mpc_ for k in range(len(nodes))]
         full = [
-            _kernels.chain_horner(coeffs, setup.nodes, _NeverPalindrome(ups), prec, rnd)
-            for ups in setup.ups
+            _kernels.chain_horner(coeffs, nodes, _NeverPalindrome(ups), prec, rnd)
+            for ups in chain_ups
         ]
-        for ups, planes in zip(setup.ups, full):
-            assert _kernels.chain_horner(coeffs, setup.nodes, ups, prec, rnd) == planes
+        for ups, planes in zip(chain_ups, full):
+            assert _kernels.chain_horner(coeffs, nodes, ups, prec, rnd) == planes
         if block_decompose(j).twin:
             assert tuple(map(_kernels.mirror, full[0])) == full[1]
 
 
 @pytest.mark.parametrize("wp", [49, 70])
 def test_coupling_checks_equal_the_chain_model(wp):
-    # The mirror shortcuts follow the couplings' raw values, built as
-    # _series_setup builds them; block_decompose reads the exact squares.
+    # The series reads its couplings from the chain model's exact squares;
+    # they are the imaginary parts of H/chi's entries bit for bit, and the
+    # mirror shortcuts their raw values follow are the chain model's facts.
     for twoj in range(1, 41):
         j = HalfInt(twoj)
         n = j.n_states
+        seeds = tuple(ev.value for ev in _report(twoj, 34).eigenvalues)
+        _, _, (ups_a, ups_b) = _series_setup(j, seeds, _leja_order(seeds), 34, wp)
         with mp.workdps(wp):
             upper = [z._mpc_[1] for z in _two_step_entries(j, 1)]
-        ups_a, ups_b = (tuple(upper[start : n - 2 : 2]) for start in (0, 1))
+        assert (ups_a, ups_b) == tuple(tuple(upper[start : n - 2 : 2]) for start in (0, 1))
         chains = block_decompose(j)
-        assert (ups_a == ups_a[::-1], ups_b == ups_b[::-1]) == chains.palindromes
+        assert (ups_a == ups_a[::-1], ups_b == ups_b[::-1]) == tuple(
+            block == block[::-1] for block in (chains.block_a, chains.block_b)
+        )
         assert (ups_b == ups_a[::-1]) == chains.twin
 
 

@@ -297,6 +297,7 @@ def char_poly_exact(j: HalfInt) -> IntPolynomial:
     Product of the two chain polynomials with the (-1)^(2j+1) leading-sign
     convention.
     """
+    j = _require_spin(j)
     pa, pb = block_polynomials(j)
     sign = -1 if (j.twice_value + 1) % 2 else 1
     return (pa * pb).scaled(sign)
@@ -387,7 +388,7 @@ def degeneracy_report(j: HalfInt) -> DegeneracyReport:
     degree 2j+1.  At j = 0 the second chain is empty: its polynomial is the
     constant 1 and its discriminant the empty product 1.
     """
-    _require_spin(j)
+    j = _require_spin(j)
     pa, pb = block_polynomials(j)
     block = discriminant(pa) * (discriminant(pb) if pb.degree else 1)
     full = block * _resultant(pa, pb) ** 2
@@ -419,7 +420,7 @@ class SolvabilityClass:
 
 def classify_solvability(j: HalfInt) -> SolvabilityClass:
     """Classify how the spectrum of spin j can be obtained analytically."""
-    _require_spin(j)
+    j = _require_spin(j)
     if j.twice_value < 1:
         raise InvalidInputError("solvability classification needs j >= 1/2")
     mu_degree = 0
@@ -665,7 +666,7 @@ def table1_reference(j: HalfInt) -> Table1Row:
     corrected candidate (the computed block factorization, which for 2j = 22
     equals the printed digits with the missing '+' restored).
     """
-    _require_spin(j)
+    j = _require_spin(j)
     tj = j.twice_value
     if not 1 <= tj <= 22:
         raise NotAvailableError(f"no reference row for j={j}; rows cover 1/2..11")

@@ -59,6 +59,7 @@ from .errors import (
     SpectralConsistencyError,
 )
 from .evolution import (
+    MAX_STEPS,
     TIME_SERIES_COLUMNS,
     PropagatorMethod,
     coherent_initial_state,
@@ -79,11 +80,9 @@ from .spin_algebra import (
     chiral_operator,
 )
 
-# Resource caps, checked before any arithmetic (MAX_PRECISION is set beside
-# MIN_PRECISION in ``spin_algebra``).  A grid point at j = 1/2 and 34 digits
-# takes about 0.46 ms and keeps eight values, so 10^5 points take under a
-# minute and some hundred megabytes.
-MAX_STEPS = 100_000
+# Resource caps, checked before any arithmetic: MAX_PRECISION is set beside
+# MIN_PRECISION in ``spin_algebra``, MAX_STEPS beside ``time_series``.  The
+# library refuses values past them too.
 
 # Verification tolerances: structural identities at 1e-12, conserved
 # quantities at 1e-10 (scaled by the magnitude of the reference value; the
@@ -552,7 +551,13 @@ def _closed_form_rows_j2(chi_t, precision: int):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    """Run the property suite; report PASS/FAIL per property."""
+    """Run the property suite; report PASS/FAIL per property.
+
+    A property that fails prints FAIL and exits 1.  A numeric limit is not a
+    property failure: when the spectral propagator needs more precision
+    (IllConditionedError), nothing is printed and the error propagates to
+    exit 3, as in ``evolve``.
+    """
     j, precision = cfg.j, cfg.precision
     with mp.workdps(precision):
         chi_value = _mpf_from_fraction(cfg.chi)
@@ -616,6 +621,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                 f"at chi*t = {VERIFY_SAMPLE_TIME}",
             )
         )
+    except IllConditionedError:
+        raise
     except CountertwistError as exc:
         results.append(("unitarity", False, f"no unitary propagator: {exc}"))
 

@@ -578,8 +578,10 @@ def propagator_spectral(
     :param chi_t: dimensionless time, the full product of coupling and
         physical time.
     :param precision: decimal digits of the result.
-    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, or the report's
-        values are not the eigenvalues of the Hamiltonian for its spin.
+    :raises InvalidInputError: precision outside MIN_PRECISION ..
+        MAX_PRECISION, multiplicities not summing to 2j+1, |chi_t| above
+        MAX_ABS_CHI_T, or report values that are not the eigenvalues of
+        the Hamiltonian for its spin (checked in that order).
     :raises IllConditionedError: distinct eigenvalues closer than
         10^(-precision/2), where the interpolation weights blow up.
     :raises NumericFailureError: the assembled matrix fails the unitarity
@@ -871,6 +873,12 @@ def optimal_xi(obs: ObservableSet):
 # ---------------------------------------------------------------------------
 
 
+#: Most grid points :func:`time_series` takes.  A grid point at j = 1/2 and
+#: 34 digits takes about 0.46 ms and keeps eight values, so 10^5 points take
+#: under a minute and some hundred megabytes.
+MAX_STEPS = 100_000
+
+
 def time_series(
     j,
     chi,
@@ -890,7 +898,12 @@ def time_series(
     :param chi: coupling strength; the grid reports chi·t (or t itself when
         chi = 0, where the dynamics is constant).
     :param t_max: endpoint of the grid, > 0; the grid includes 0 and t_max.
-    :param steps: number of grid points, at least 2.
+    :param steps: number of grid points, 2 to MAX_STEPS.
+    :param precision: decimal digits, MIN_PRECISION to MAX_PRECISION.
+    :raises InvalidInputError: an argument out of range (before any
+        arithmetic), or |chi·t| above MAX_ABS_CHI_T at some grid point.
+    :raises IllConditionedError: the spectrum's distinct eigenvalues are
+        closer than 10^(-precision/2).
     """
     j = _require_spin(j)
     _require_precision(precision)
@@ -898,6 +911,8 @@ def time_series(
         raise InvalidInputError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise InvalidInputError(f"steps must be at least 2, got {steps}")
+    if steps > MAX_STEPS:
+        raise InvalidInputError(f"steps must be at most {MAX_STEPS}, got {steps}")
     t_end = _as_dimensionless_time(t_max, precision)
     if not t_end > 0:
         raise InvalidInputError(f"t_max must be positive, got {t_max!r}")

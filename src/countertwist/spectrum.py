@@ -1076,7 +1076,7 @@ def roots_even_poly(
     root back to the pair lambda = +-sqrt(mu) with its expression tree.
 
     :param q: even polynomial in lambda with integer coefficients.
-    :param precision: working precision in decimal digits (>= 15).
+    :param precision: working precision in decimal digits, 15 to MAX_PRECISION.
     :raises InvalidInputError: odd polynomial, zero polynomial, or mu-degree
         beyond the radical limit.
     :raises SpectralConsistencyError: a mu root is negative or non-real
@@ -1132,7 +1132,7 @@ def spectrum(j, precision: int = DEFAULT_PRECISION) -> SpectrumReport:
     twin chains); stripped lambda powers give the rest, never clustering.
 
     :param j: spin magnitude >= 1/2 (HalfInt, string like "7/2", or number).
-    :param precision: decimal digits for the eigenvalues (>= 15).
+    :param precision: decimal digits for the eigenvalues, 15 to MAX_PRECISION.
     """
     jj = _require_spin(j)
     _require_precision(precision)

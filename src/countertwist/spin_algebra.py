@@ -25,10 +25,17 @@ MAX_PRECISION = 100_000
 
 
 def _require_precision(precision: int) -> int:
+    """Refuse a precision that is not an integer from MIN_PRECISION to
+    MAX_PRECISION, the bounds the command line enforces too; the library's
+    entry points call this before any arithmetic at that precision."""
     if not isinstance(precision, int) or precision < MIN_PRECISION:
         raise InvalidInputError(
             f"precision must be an integer >= {MIN_PRECISION} decimal digits, "
             f"got {precision!r}"
+        )
+    if precision > MAX_PRECISION:
+        raise InvalidInputError(
+            f"precision must be at most {MAX_PRECISION} decimal digits, got {precision}"
         )
     return precision
 
@@ -68,7 +75,10 @@ class HalfInt:
 
     @classmethod
     def from_value(cls, value: int | Fraction) -> "HalfInt":
-        doubled = Fraction(value) * 2
+        try:
+            doubled = Fraction(value) * 2
+        except (ValueError, OverflowError) as exc:  # nan, inf, unparsable text
+            raise InvalidInputError(f"{value!r} is not a finite number") from exc
         if doubled.denominator != 1:
             raise InvalidInputError(
                 f"{value} is neither an integer nor a half-odd-integer"
@@ -136,7 +146,7 @@ class BasisOrdering:
 
     @classmethod
     def for_spin(cls, j: HalfInt) -> "BasisOrdering":
-        _require_spin(j)
+        j = _require_spin(j)
         labels = tuple(
             HalfInt(j.twice_value - 2 * i) for i in range(j.n_states)
         )
@@ -336,7 +346,7 @@ def build_ladder(
     :param precision: decimal digits for the square-root entries.
     :returns: (Jplus, Jminus).
     """
-    _require_spin(j)
+    j = _require_spin(j)
     _require_precision(precision)
     basis = BasisOrdering.for_spin(j)
     n = j.n_states
@@ -371,6 +381,7 @@ def build_cartesian(
     Jx = (J+ + J-)/2, Jy = (J+ - J-)/(2i), Jz diagonal with the m labels
     descending.
     """
+    j = _require_spin(j)
     jplus, jminus = build_ladder(j, precision)
     basis = jplus.basis
     n = j.n_states
@@ -429,12 +440,15 @@ def build_h_ta(
     :param chi: coupling strength (either sign, recorded in ``scale``).
     :param precision: decimal digits for entries.
     """
-    _require_spin(j)
+    j = _require_spin(j)
     _require_precision(precision)
     basis = BasisOrdering.for_spin(j)
     n = j.n_states
     with mp.workdps(precision):
-        chi_mp = mp.mpf(chi)
+        try:
+            chi_mp = mp.mpf(chi)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"chi must be a real number, got {chi!r}") from exc
         if not mp.isfinite(chi_mp):
             raise InvalidInputError(f"chi must be finite, got {chi!r}")
         zero = mp.mpc(0)
@@ -458,7 +472,7 @@ def chiral_operator(j: HalfInt, precision: int = DEFAULT_PRECISION) -> DenseOper
     half-integer j.
     """
     _require_precision(precision)
-    _require_spin(j)
+    j = _require_spin(j)
     basis = BasisOrdering.for_spin(j)
     n = j.n_states
     with mp.workdps(precision):

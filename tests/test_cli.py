@@ -545,6 +545,18 @@ class TestVerifyCommand:
         assert "unitarity: FAIL" in out
         assert "RESULT: FAIL" in out
 
+    def test_tight_spectrum_reports_numeric_failure(self, capsys):
+        # At j = 27 and 34 digits two distinct eigenvalues lie 1.9e-18 apart,
+        # below the spectral route's 1e-17 floor: a numeric limit, not a
+        # failed property, so verify exits 3 with evolve's message.
+        code, out, err = _run(capsys, "verify", "--j", "27")
+        _, _, evolve_err = _run(
+            capsys, "evolve", "--j", "27", "--t-max", "1", "--steps", "2"
+        )
+        assert (code, out) == (3, "")
+        assert err == evolve_err
+        assert "retry at higher precision" in err
+
     def test_fault_needs_a_coupling(self, capsys):
         code, _, _ = _run(capsys, "verify", "--j", "1/2", "--inject-fault")
         assert code == 2

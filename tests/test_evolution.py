@@ -36,6 +36,7 @@ from countertwist import (
     xi_y,
     xi_z,
 )
+from countertwist import evolution
 from countertwist.cli import _closed_form_rows_j2
 from countertwist.spectrum import spectrum_from_json, spectrum_to_json
 from _oracles import build_h_f, wigner_rotation_y
@@ -875,6 +876,27 @@ class TestTimeSeries:
             )
             row = tuple(series.columns[name][i] for name in TIME_SERIES_COLUMNS)
             assert row == expected
+
+    def test_one_set_up_per_working_precision(self, monkeypatch):
+        # The guard digits, and so the working precision, depend on chi_t;
+        # the series polishes its nodes once for each working precision its
+        # grid needs, however many points share it.
+        guards, polished = [], []
+        guard_digits, polish_nodes = evolution._interpolation_guard_digits, evolution._polish_nodes
+
+        def counted_guard(*args):
+            guards.append(guard_digits(*args))
+            return guards[-1]
+
+        def counted_polish(*args):
+            polished.append(args)
+            return polish_nodes(*args)
+
+        monkeypatch.setattr(evolution, "_interpolation_guard_digits", counted_guard)
+        monkeypatch.setattr(evolution, "_polish_nodes", counted_polish)
+        time_series(HalfInt(4), 1, Fraction(23, 10), 201, 34)
+        assert len(guards) == 201
+        assert 1 < len(polished) == len(set(guards)) < 201
 
     @pytest.mark.parametrize("steps", [1, 0, -2, True, 2.0])
     def test_bad_steps_rejected(self, steps):

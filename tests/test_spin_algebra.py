@@ -1,6 +1,7 @@
 """Operator constructors: ladder/Cartesian operators, Hamiltonians, rotations."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +17,24 @@ from countertwist import (
     build_h_ta,
     build_ladder,
     chiral_operator,
+    coherent_initial_state,
+    heisenberg_expectations,
     propagator_spectral,
     propagator_taylor,
     spectrum,
+    time_series,
 )
+from countertwist import cli
+from countertwist.charpoly import (
+    block_decompose,
+    char_poly_exact,
+    classify_solvability,
+    degeneracy_report,
+    table1_reference,
+)
+from countertwist.evolution import MAX_STEPS
+from countertwist.spectrum import roots_even_poly, roots_numeric
+from countertwist.spin_algebra import MAX_PRECISION
 from _oracles import (
     build_h_f,
     dense_matmul,
@@ -63,6 +78,83 @@ def test_halfint_basics():
     assert HalfInt.from_value(1.5).twice_value == 3  # exactly representable
     with pytest.raises(InvalidInputError):
         HalfInt.from_value(0.3)  # not a half-integer
+
+
+_SPIN_ENTRY_POINTS = {
+    "BasisOrdering.for_spin": BasisOrdering.for_spin,
+    "block_decompose": block_decompose,
+    "build_cartesian": build_cartesian,
+    "build_h_ta": build_h_ta,
+    "build_ladder": build_ladder,
+    "char_poly_exact": char_poly_exact,
+    "chiral_operator": chiral_operator,
+    "classify_solvability": classify_solvability,
+    "coherent_initial_state": coherent_initial_state,
+    "degeneracy_report": degeneracy_report,
+    "spectrum": spectrum,
+    "table1_reference": table1_reference,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPIN_ENTRY_POINTS))
+def test_spin_is_coerced_where_it_is_checked(name):
+    entry = _SPIN_ENTRY_POINTS[name]
+    expected = entry(HalfInt(5))
+    for spin in ("5/2", Fraction(5, 2), 2.5):
+        assert entry(spin) == expected, spin
+    for spin in (float("nan"), float("inf"), "x"):
+        with pytest.raises(InvalidInputError):
+            entry(spin)
+
+
+@pytest.mark.parametrize("chi", ["x", None, [1]])
+def test_h_ta_refuses_a_coupling_that_is_not_a_number(chi):
+    with pytest.raises(InvalidInputError, match="chi must be a real number"):
+        build_h_ta(HalfInt(4), chi)
+
+
+def _past_the_caps():
+    """Each entry point called one past the precision cap, and time_series
+    one past the grid cap, with what they need built at a valid precision."""
+    j, over = HalfInt(4), MAX_PRECISION + 1
+    report = spectrum(j)
+    h = build_h_ta(j)
+    state = coherent_initial_state(j)
+    u = propagator_spectral(report, 0.5)
+    radical = next(ev.radical_form for ev in report.eigenvalues if ev.radical_form)
+    pa = block_decompose(j).polynomials[0]
+    return {
+        "spectrum": lambda: spectrum(j, over),
+        "time_series": lambda: time_series(j, 1, 1, 3, over),
+        "time_series steps": lambda: time_series(j, 1, 1, MAX_STEPS + 1),
+        "propagator_spectral": lambda: propagator_spectral(report, 0.5, over),
+        "propagator_taylor": lambda: propagator_taylor(h, 0.5, over),
+        "coherent_initial_state": lambda: coherent_initial_state(j, over),
+        "heisenberg_expectations": lambda: heisenberg_expectations(state, u, over),
+        "build_h_ta": lambda: build_h_ta(j, 1, over),
+        "build_ladder": lambda: build_ladder(j, over),
+        "build_cartesian": lambda: build_cartesian(j, over),
+        "chiral_operator": lambda: chiral_operator(j, over),
+        "RadicalExpr.evaluate": lambda: radical.evaluate(over),
+        "RadicalExpr.evaluate_real": lambda: radical.evaluate_real(over),
+        "roots_even_poly": lambda: roots_even_poly(pa, over),
+        "roots_numeric": lambda: roots_numeric(pa, over),
+    }
+
+
+def test_library_enforces_the_command_line_caps(monkeypatch):
+    # Every computation at a working precision enters mp.workdps, so with it
+    # disabled a call that reached arithmetic fails with AssertionError.
+    assert cli.MAX_STEPS == MAX_STEPS and cli.MAX_PRECISION == MAX_PRECISION
+    calls = _past_the_caps()
+
+    def no_arithmetic(*args, **kwargs):
+        raise AssertionError("arithmetic started before the refusal")
+
+    monkeypatch.setattr(mp, "workdps", no_arithmetic)
+    for name, call in calls.items():
+        with pytest.raises(InvalidInputError, match="at most"):
+            call()
 
 
 def test_basis_ordering():

@@ -113,9 +113,10 @@ def test_h_ta_refuses_a_coupling_that_is_not_a_number(chi):
         build_h_ta(HalfInt(4), chi)
 
 
-def _past_the_caps():
-    """Each entry point called one past the precision cap, and time_series
-    one past the grid cap, with what they need built at a valid precision."""
+def test_library_enforces_the_command_line_caps(monkeypatch):
+    # Each entry point one past the precision cap, and time_series one past
+    # the grid cap, with what they need built at a valid precision first.
+    assert cli.MAX_STEPS == MAX_STEPS and cli.MAX_PRECISION == MAX_PRECISION
     j, over = HalfInt(4), MAX_PRECISION + 1
     report = spectrum(j)
     h = build_h_ta(j)
@@ -123,36 +124,31 @@ def _past_the_caps():
     u = propagator_spectral(report, 0.5)
     radical = next(ev.radical_form for ev in report.eigenvalues if ev.radical_form)
     pa = block_decompose(j).polynomials[0]
-    return {
-        "spectrum": lambda: spectrum(j, over),
-        "time_series": lambda: time_series(j, 1, 1, 3, over),
-        "time_series steps": lambda: time_series(j, 1, 1, MAX_STEPS + 1),
-        "propagator_spectral": lambda: propagator_spectral(report, 0.5, over),
-        "propagator_taylor": lambda: propagator_taylor(h, 0.5, over),
-        "coherent_initial_state": lambda: coherent_initial_state(j, over),
-        "heisenberg_expectations": lambda: heisenberg_expectations(state, u, over),
-        "build_h_ta": lambda: build_h_ta(j, 1, over),
-        "build_ladder": lambda: build_ladder(j, over),
-        "build_cartesian": lambda: build_cartesian(j, over),
-        "chiral_operator": lambda: chiral_operator(j, over),
-        "RadicalExpr.evaluate": lambda: radical.evaluate(over),
-        "RadicalExpr.evaluate_real": lambda: radical.evaluate_real(over),
-        "roots_even_poly": lambda: roots_even_poly(pa, over),
-        "roots_numeric": lambda: roots_numeric(pa, over),
-    }
+    calls = (
+        lambda: spectrum(j, over),
+        lambda: time_series(j, 1, 1, 3, over),
+        lambda: time_series(j, 1, 1, MAX_STEPS + 1),
+        lambda: propagator_spectral(report, 0.5, over),
+        lambda: propagator_taylor(h, 0.5, over),
+        lambda: coherent_initial_state(j, over),
+        lambda: heisenberg_expectations(state, u, over),
+        lambda: build_h_ta(j, 1, over),
+        lambda: build_ladder(j, over),
+        lambda: build_cartesian(j, over),
+        lambda: chiral_operator(j, over),
+        lambda: radical.evaluate(over),
+        lambda: radical.evaluate_real(over),
+        lambda: roots_even_poly(pa, over),
+        lambda: roots_numeric(pa, over),
+    )
 
-
-def test_library_enforces_the_command_line_caps(monkeypatch):
     # Every computation at a working precision enters mp.workdps, so with it
     # disabled a call that reached arithmetic fails with AssertionError.
-    assert cli.MAX_STEPS == MAX_STEPS and cli.MAX_PRECISION == MAX_PRECISION
-    calls = _past_the_caps()
-
     def no_arithmetic(*args, **kwargs):
         raise AssertionError("arithmetic started before the refusal")
 
     monkeypatch.setattr(mp, "workdps", no_arithmetic)
-    for name, call in calls.items():
+    for call in calls:
         with pytest.raises(InvalidInputError, match="at most"):
             call()
 

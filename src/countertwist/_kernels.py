@@ -47,7 +47,10 @@ H = −iK and K real, is real, and so is every series term and square: they
 work on sparse real rows, one dict per row from column to nonzero mpf, the
 real part of an mpc entry whose imaginary part is an exact zero.  An absent
 column is an exact zero, so the cross-chain zeros of a chain Hamiltonian's
-powers cost nothing.
+powers cost nothing, and a row of zeros is an empty dict.  :func:`gram_defect`
+and :func:`moments` take a propagator's rows as ``Propagator`` holds them,
+``rows[a]`` listing (column, (re, im)) over row a's nonzero entries in
+ascending column.
 
 The reflection m → −m maps basis index i to n−1−i.  A matrix of size n is
 *reflected* when U[n−1−i][n−1−c] = ε_i·ε_c·U[i][c] bit for bit, with
@@ -467,11 +470,11 @@ def reflected(rows, n):
     ]
 
 
-def gram_defect(columns, prec, check_prec, rnd):
+def gram_defect(rows, prec, check_prec, rnd):
     """max |(U†U)[a][b] − δ_ab| as a raw mpf.
 
-    ``columns[a]`` lists (k, U[k][a]) over the nonzero entries of column a in
-    ascending k, the entry as an mpc pair.  Repeats
+    ``rows[k]`` lists (a, U[k][a]) over the nonzero entries of row k in
+    ascending a, the entry as an mpc pair.  Repeats
 
         g = fsum(conj(x) * y over the rows k holding both x = U[k][a] and
                  y = U[k][b], ascending)          at prec
@@ -491,14 +494,16 @@ def gram_defect(columns, prec, check_prec, rnd):
     summed in reverse (module docstring).
     """
     _require_nearest(rnd)
-    lookup = [{k: (_finite_pair(x_re), _finite_pair(x_im)) for k, (x_re, x_im) in col}
-              for col in columns]
+    n = len(rows)
+    lookup = [{} for _ in range(n)]
+    for k, row in enumerate(rows):
+        for a, (x_re, x_im) in row:
+            lookup[a][k] = _finite_pair(x_re), _finite_pair(x_im)
     # conj rounds the negated imaginary part at prec, as mpf_neg does.
     conj = [
         [(k, (x_re, _rounded(-x_im[0], x_im[1], prec))) for k, (x_re, x_im) in col.items()]
         for col in lookup
     ]
-    n = len(columns)
     mirrored = reflects(lookup, lambda x: (_neg(x[0]), _neg(x[1]))) and all(
         im[0].bit_length() <= prec for col in lookup for _, im in col.values()
     )
@@ -534,10 +539,10 @@ def moments(rows, amplitudes, halves, labels, prec, rnd):
     """The spin moments of φ = U·ψ₀, as ``heisenberg_expectations`` forms
     them with ``mp.fdot`` and ``mp.fsum``.
 
-    ``rows`` are U's rows and ``amplitudes`` ψ₀, their entries mpc pairs;
-    ``halves[i]`` is the halved ladder amplitude w linking basis states i
-    and i + 1, and ``labels[a]`` the exact label m of state a, both mpfs.
-    Repeats
+    ``rows[a]`` lists (k, U[a][k]) over U's nonzero entries in ascending k
+    and ``amplitudes`` is ψ₀, entries as mpc pairs; ``halves[i]`` is the
+    halved ladder amplitude w linking basis states i and i + 1, and
+    ``labels[a]`` the exact label m of state a, both mpfs.  Repeats
 
         φ[a]    = fdot(U[a][k], ψ₀[k] over k)
         vx[a]   = fdot(w, φ[b] over b = a − 1, a + 1 in the basis)
@@ -570,7 +575,8 @@ def moments(rows, amplitudes, halves, labels, prec, rnd):
         # part and a·d, b·c for the imaginary one, none with a zero factor.
         # A zero mantissa with a nonzero exponent is nan or an infinity.
         re_terms, im_terms = [], []
-        for ((sa, a, ae, abc), (sb, b, be, bbc)), (c, ce, d, de) in zip(row, amplitudes):
+        for k, ((sa, a, ae, abc), (sb, b, be, bbc)) in row:
+            c, ce, d, de = amplitudes[k]
             if a:
                 if sa:
                     a = -a
@@ -716,9 +722,8 @@ def squared(rows, prec, rnd, mirrored=False):
     exact products of each pair, summed by one ``mpf_sum`` in ascending k.
     fdot's products of the exactly zero imaginary parts, and every product
     with an exact-zero factor, are zeros, which ``mpf_sum`` skips, so each
-    entry sums the nonzero real products alone, in the same order.  fdot
-    over no pairs returns an mpf zero, not an mpc: such a row is returned as
-    None, and a None row stands for a row of those zeros on input too.
+    entry sums the nonzero real products alone, in the same order.  A row
+    with no nonzero entry, which only a singular matrix has, stays empty.
 
     With ``mirrored`` (the rows reflected), row n−1−a is formed with row a:
     entry (n−1−a, n−1−c) is ε_a·ε_c times the sum of (a, c)'s products in
@@ -729,12 +734,10 @@ def squared(rows, prec, rnd, mirrored=False):
     out = [None] * n
     for a in range((n + 1) // 2 if mirrored else n):
         row = rows[a]
-        if not row:
-            continue
         sums = {}
         for k in sorted(row):
             x = row[k]
-            for c, y in (rows[k] or {}).items():
+            for c, y in rows[k].items():
                 sums.setdefault(c, []).append(mul(x, y))
         out[a] = {c: s for c, terms in sums.items() if (s := mpf_sum(terms, prec, rnd)) != fzero}
         if mirrored and a < n - 1 - a:

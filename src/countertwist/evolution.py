@@ -17,6 +17,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -116,8 +117,11 @@ def _propagation_time(chi_t, precision: int):
     return value
 
 
-def _as_pair(x):
-    """The raw (re, im) pair of an mpmath complex or real scalar."""
+def _fdot_pair(x):
+    """The raw (re, im) pair of a scalar as ``mp.fdot`` takes it: a value
+    that is not an mpmath number goes through ``mp.convert`` first."""
+    if type(x) not in (mp.mpf, mp.mpc):
+        x = mp.convert(x)
     return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
 
 
@@ -171,40 +175,40 @@ class PropagatorMethod(enum.Enum):
 class Propagator:
     """Unitary time-evolution operator U = exp(-i H t).
 
-    :param matrix: the dense unitary matrix.
+    :param basis: basis ordering (m descending).
+    :param rows: ``rows[a]`` lists (column, (re, im)) over row a's nonzero
+        entries in ascending column, raw mpf pairs at ``precision``.
+    :param precision: decimal digits the entries carry.
     :param chi_t: dimensionless time (coupling times physical time).
     :param method: construction route.
     :ivar unitarity_defect: the achieved ||U†U - I||_max, set at construction.
 
-    Invariant: ||U†U - I||_max < 10^(-p+5) at the matrix precision p
-    (checked at construction; violation raises NumericFailureError).
-
-    Each Gram entry (U†U)[a][b] is an exactly rounded sum at precision p over
-    the rows k where U[k][a] and U[k][b] are both nonzero; it is formed for
-    a <= b only, (U†U)[b][a] being its bitwise conjugate.  Where U is
-    reflected under m → −m (U[n−1−i][n−1−c] = ε_i·ε_c·U[i][c] bit for bit,
-    ε_i = (−1)^⌊i/2⌋, checked on the entries), the entries of
-    (n−1−b, n−1−a) are formed from the same products as (a, b)'s, summed in
-    reverse.  A nan or infinite entry raises InvalidInputError.
+    Invariant: ||U†U - I||_max < 10^(-p+5) at precision p (checked at
+    construction by ``_kernels.gram_defect``; violation raises
+    NumericFailureError).  ``matrix`` is the dense form, built on first read.
     """
 
-    matrix: DenseOperator
+    basis: BasisOrdering
+    rows: tuple
+    precision: int
     chi_t: object
     method: PropagatorMethod
     unitarity_defect: object = field(init=False)
 
     def __post_init__(self) -> None:
-        p = self.matrix.precision
-        columns = [[] for _ in range(self.matrix.dim)]
-        for k, row in enumerate(self.matrix.entries):
-            for a, pair in enumerate(map(_as_pair, row)):
-                if pair != _kernels.ZERO:
-                    columns[a].append((k, pair))
+        n = self.basis.j.n_states
+        if len(self.rows) != n or not all(
+            a < b for row in self.rows for a, b in pairwise((-1, *(c for c, _ in row), n))
+        ):
+            raise InternalConsistencyError(
+                f"a propagator for j={self.basis.j} needs {n} rows of ascending columns in 0..{n - 1}"
+            )
+        p = self.precision
         with mp.workdps(p):
             prec, rnd = mp._prec_rounding
         with mp.workdps(p + 10):
             check_prec = mp.prec
-            worst = mp.make_mpf(_kernels.gram_defect(columns, prec, check_prec, rnd))
+            worst = mp.make_mpf(_kernels.gram_defect(self.rows, prec, check_prec, rnd))
             if worst > mp.mpf(10) ** (-p + 5):
                 raise NumericFailureError(
                     f"propagator fails unitarity: ||U†U - I||_max = "
@@ -212,9 +216,19 @@ class Propagator:
                 )
         object.__setattr__(self, "unitarity_defect", worst)
 
+    @functools.cached_property
+    def matrix(self) -> DenseOperator:
+        """U with mpc entries, an exact mpc zero where a row has none."""
+        entries = [[mp.mpc(0)] * self.dim for _ in self.rows]
+        for dense, row in zip(entries, self.rows):
+            for c, pair in row:
+                dense[c] = mp.make_mpc(pair)
+        entries = tuple(map(tuple, entries))
+        return DenseOperator(basis=self.basis, entries=entries, precision=self.precision)
+
     @property
     def dim(self) -> int:
-        return self.matrix.dim
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -541,19 +555,15 @@ def _spectral_series(report: SpectrumReport, precision: int):
 
         with mp.workdps(precision):
             prec, rnd = mp._prec_rounding
-            zero = mp.mpc(0)
-            rows = [[zero] * n for _ in range(n)]
+            rows = [None] * n
             for start, (re, im) in enumerate((planes_a, planes_b)):
-                for a, row_re, row_im in zip(range(start, n, 2), re, im):
-                    rows[a][start::2] = [
-                        mp.make_mpc(mpc_pos(x, prec, rnd)) for x in zip(row_re, row_im)
-                    ]
-            entries = tuple(map(tuple, rows))
+                columns = range(start, n, 2)
+                for a, row_re, row_im in zip(columns, re, im):
+                    pairs = zip(columns, zip(row_re, row_im))
+                    rows[a] = tuple((c, mpc_pos(x, prec, rnd)) for c, x in pairs if x != _kernels.ZERO)
             tau_out = +tau
-        matrix = DenseOperator(basis=basis, entries=entries, precision=precision)
-        return Propagator(
-            matrix=matrix, chi_t=tau_out, method=PropagatorMethod.SPECTRAL
-        )
+        return Propagator(basis=basis, rows=tuple(rows), precision=precision,
+                          chi_t=tau_out, method=PropagatorMethod.SPECTRAL)
 
     return at
 
@@ -626,35 +636,26 @@ def propagator_taylor(
     """
     _require_precision(precision)
     tau = _propagation_time(chi_t, precision + 15)
-    n = h.dim
     total = _taylor_rows(h, tau, precision)
     with mp.workdps(precision):
         prec, rnd = mp._prec_rounding
-        # A None row holds the mpf zeros fdot returns for a sum of no terms.
-        entries = tuple(
-            (mp.mpf(0),) * n if row is None
-            else tuple(
-                mp.make_mpc((mpf_pos(row.get(b, fzero), prec, rnd), fzero)) for b in range(n)
-            )
+        rows = tuple(
+            tuple((b, (mpf_pos(row[b], prec, rnd), fzero)) for b in sorted(row))
             for row in total
         )
         tau_out = +tau
-    matrix = DenseOperator(
-        basis=h.basis, entries=entries, precision=precision
-    )
-    return Propagator(
-        matrix=matrix, chi_t=tau_out, method=PropagatorMethod.TAYLOR_ORACLE
-    )
+    return Propagator(basis=h.basis, rows=rows, precision=precision,
+                      chi_t=tau_out, method=PropagatorMethod.TAYLOR_ORACLE)
 
 
 def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
     """exp(−iτ·h/scale) at :func:`propagator_taylor`'s guarded working
     precision, before rounding: the real parts of its rows as sparse rows
-    (``_kernels``), or None for a row of fdot's mpf zeros."""
+    (``_kernels``)."""
     n = h.dim
     with mp.workdps(precision + 15):
         a_rows = _dimensionless_hamiltonian(h, precision + 15)
-        a_pairs = [[_as_pair(x) for x in row] for row in a_rows]
+        a_pairs = [[_fdot_pair(x) for x in row] for row in a_rows]
         if any(re != fzero for row in a_pairs for re, _ in row):
             raise InvalidInputError(
                 "the Taylor oracle takes an imaginary h/scale (H = -iK with K "
@@ -748,14 +749,6 @@ def _moment_constants(j: HalfInt, precision: int) -> tuple:
         return halves, exact_labels, tol._mpf_
 
 
-def _fdot_pair(x):
-    """The raw (re, im) pair of a scalar as ``mp.fdot`` takes it: a value
-    that is not an mpmath number goes through ``mp.convert`` first."""
-    if type(x) not in (mp.mpf, mp.mpc):
-        x = mp.convert(x)
-    return _as_pair(x)
-
-
 def heisenberg_expectations(
     state: StateVector,
     u: Propagator,
@@ -774,16 +767,16 @@ def heisenberg_expectations(
     """
     _require_precision(precision)
     j = state.basis.j
-    if u.matrix.basis.j != j:
+    if u.basis.j != j:
         raise InvalidInputError(
-            f"propagator is for j={u.matrix.basis.j}, state for j={j}"
+            f"propagator is for j={u.basis.j}, state for j={j}"
         )
     wp = precision + 10
     halves, labels, tol = _moment_constants(j, precision)
     with mp.workdps(wp):
         prec, rnd = mp._prec_rounding
         means, seconds, cov_yz, corr_xz = _kernels.moments(
-            [[_fdot_pair(x) for x in row] for row in u.matrix.entries],
+            u.rows,
             [_fdot_pair(x) for x in state.amplitudes],
             halves,
             labels,

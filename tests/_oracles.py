@@ -19,7 +19,8 @@ for the package's Sturm-isolated real roots.
 The ``object_*`` functions are the per-point dynamics, the node polishing
 and the integer Horner loop written with mpmath number objects, one entry
 at a time, the references for the raw-libmp kernels and their mirror
-shortcuts.
+shortcuts.  ``operator_rows`` turns a DenseOperator into the sparse raw
+rows a ``Propagator`` holds, so that a test can certify any matrix.
 """
 
 import math
@@ -28,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import fzero
 
 from countertwist import (
     DEFAULT_PRECISION,
@@ -447,6 +449,21 @@ def object_polish_nodes(j, seeds, precision, gap_floor):
             "spectrum report values collapse onto the same eigenvalue"
         )
     return polished
+
+
+def operator_rows(matrix):
+    """The rows of a DenseOperator as the propagator routes write them:
+    (column, (re, im)) raw pairs over each row's nonzero entries, in
+    ascending column, a value that is not an mpmath number converted as
+    ``mp.fdot`` converts it."""
+    rows = []
+    for row in matrix.entries:
+        pairs = (
+            (c, x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero))
+            for c, x in enumerate(map(mp.convert, row))
+        )
+        rows.append(tuple((c, pair) for c, pair in pairs if pair != (fzero, fzero)))
+    return tuple(rows)
 
 
 def object_gram_defect(matrix):

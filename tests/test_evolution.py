@@ -39,7 +39,7 @@ from countertwist import (
 from countertwist import evolution
 from countertwist.cli import _closed_form_rows_j2
 from countertwist.spectrum import spectrum_from_json, spectrum_to_json
-from _oracles import build_h_f, wigner_rotation_y
+from _oracles import build_h_f, operator_rows, wigner_rotation_y
 
 SEED = 20260825
 
@@ -185,7 +185,11 @@ class TestPropagatorType:
         )
         with pytest.raises(NumericFailureError):
             Propagator(
-                matrix=matrix, chi_t=mp.mpf(0), method=PropagatorMethod.SPECTRAL
+                basis=basis,
+                rows=operator_rows(matrix),
+                precision=34,
+                chi_t=mp.mpf(0),
+                method=PropagatorMethod.SPECTRAL,
             )
 
     def test_method_labels(self):

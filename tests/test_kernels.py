@@ -63,6 +63,7 @@ from _oracles import (
     object_spectral_entries,
     object_taylor_entries,
     object_taylor_rows,
+    operator_rows,
 )
 
 PRECISIONS = (20, 34, 50)
@@ -72,6 +73,12 @@ TIMES = ("0", "0.013", "0.7", "-2.3", "4.5")
 @functools.lru_cache(maxsize=None)
 def _report(twoj, precision):
     return spectrum(HalfInt(twoj), precision)
+
+
+def _propagator(matrix, chi_t=mp.mpf(0), method=PropagatorMethod.SPECTRAL):
+    """A Propagator certified on the rows of a DenseOperator."""
+    return Propagator(basis=matrix.basis, rows=operator_rows(matrix), precision=matrix.precision,
+                      chi_t=chi_t, method=method)
 
 
 def _raw(entries):
@@ -131,9 +138,10 @@ def _taylor_h(kind, j, precision):
 
 def _working_rows(rows, n):
     """The Taylor kernel's unrounded rows as the object code's entries: a
-    real part with an exactly zero imaginary part, or fdot's mpf zeros."""
+    real part with an exactly zero imaginary part, or, for an empty row,
+    the mpf zeros of fdot over no pairs."""
     return [
-        [(mp.mpf, fzero)] * n if row is None
+        [(mp.mpf, fzero)] * n if not row
         else [(mp.mpc, (row.get(c, fzero), fzero)) for c in range(n)]
         for row in rows
     ]
@@ -158,20 +166,22 @@ def test_taylor_propagator_matches_object_code(kind):
 
 def test_taylor_propagator_of_a_faulted_h_matches_object_code(monkeypatch):
     # The flipped coupling makes exp(-i h t) non-unitary: the certificate
-    # raises, so the entries are taken before it runs.
-    monkeypatch.setattr(evolution, "Propagator", lambda matrix, chi_t, method: (matrix, chi_t))
+    # raises, so the propagator is taken with it switched off.
     for twoj, precision, chi_t in _taylor_cases():
         h = _flip_first_coupling(build_h_ta(HalfInt(twoj), 1, precision))
         _assert_same_taylor_rows(h, chi_t, precision)
-        matrix, tau = propagator_taylor(h, chi_t, precision)
+        with monkeypatch.context() as patch:
+            patch.setattr(Propagator, "__post_init__", lambda self: None)
+            u = propagator_taylor(h, chi_t, precision)
         entries, want_tau = object_taylor_entries(h, chi_t, precision)
-        assert _raw(matrix.entries) == _raw(entries)
-        assert tau._mpf_ == want_tau._mpf_
+        assert _raw(u.matrix.entries) == _raw(entries)
+        assert u.chi_t._mpf_ == want_tau._mpf_
         if chi_t != 0:
             with pytest.raises(NumericFailureError) as got:
-                Propagator(matrix=matrix, chi_t=tau, method=PropagatorMethod.TAYLOR_ORACLE)
+                Propagator(basis=u.basis, rows=u.rows, precision=u.precision, chi_t=u.chi_t,
+                           method=PropagatorMethod.TAYLOR_ORACLE)
             with pytest.raises(NumericFailureError) as want:
-                object_gram_defect(matrix)
+                object_gram_defect(u.matrix)
             assert str(got.value) == str(want.value)
 
 
@@ -195,7 +205,7 @@ def test_taylor_comparison_catches_a_wrong_zero_skip(monkeypatch):
     original = _kernels.squared
 
     def wrong_skip(rows, *args):
-        masked = [None if row is None else {c: x for c, x in row.items() if x[0]} for row in rows]
+        masked = [{c: x for c, x in row.items() if x[0]} for row in rows]
         return original(masked, *args)
 
     monkeypatch.setattr(_kernels, "squared", wrong_skip)
@@ -213,12 +223,12 @@ def _assert_same_moments(state, u, precision):
     with mp.workdps(precision + 10):
         prec, rnd = mp._prec_rounding
         means, seconds, cov_yz, corr_xz = _kernels.moments(
-            [[evolution._fdot_pair(x) for x in row] for row in u.matrix.entries],
+            u.rows,
             [evolution._fdot_pair(x) for x in state.amplitudes],
             halves, labels, prec, rnd,
         )
     want = object_moment_sums(state, u, precision)
-    assert means == [evolution._as_pair(x) for x in want[0]]
+    assert means == [evolution._fdot_pair(x) for x in want[0]]
     assert seconds == [x._mpf_ for x in want[1]]
     assert (cov_yz, corr_xz) == (want[2]._mpf_, want[3]._mpf_)
 
@@ -282,7 +292,7 @@ def _with_entries(u, precision, kind):
     matrix = DenseOperator(
         basis=u.matrix.basis, entries=tuple(map(tuple, rows)), precision=precision
     )
-    return Propagator(matrix=matrix, chi_t=u.chi_t, method=u.method)
+    return _propagator(matrix, u.chi_t, u.method)
 
 
 @pytest.mark.parametrize("twoj", [1, 2, 5, 8, 13])
@@ -316,7 +326,7 @@ def test_moments_refuse_non_finite_values(special):
     # exact zero, where fdot carries it into the moments.
     bad, x = mp.mpf(special)._mpf_, mp.mpf(3)._mpf_
     halves, labels, _ = evolution._moment_constants(HalfInt(1), 34)
-    rows = [[(x, fzero), (fzero, fzero)], [(fzero, fzero), (x, fzero)]]
+    rows = [[(0, (x, fzero))], [(1, (x, fzero))]]
     amplitudes = [(x, fzero), (fzero, fzero)]
     for k in range(4):
         bad_rows = [list(row) for row in rows]
@@ -324,7 +334,7 @@ def test_moments_refuse_non_finite_values(special):
         if k < 2:
             bad_amplitudes[1] = (bad, fzero) if k == 0 else (fzero, bad)
         else:
-            bad_rows[0][1] = (bad, fzero) if k == 2 else (fzero, bad)
+            bad_rows[0].append((1, (bad, fzero) if k == 2 else (fzero, bad)))
         with pytest.raises(InvalidInputError, match="finite values only"):
             _kernels.moments(bad_rows, bad_amplitudes, halves, labels, 53, round_nearest)
 
@@ -350,7 +360,7 @@ def test_certificate_of_real_and_perturbed_entries_matches_object_code():
         rows[3][5] += mp.mpf("1e-40")
 
     matrix = _edited(propagator_spectral(_report(6, 34), mp.mpf("0.7"), 34), edit)
-    u = Propagator(matrix=matrix, chi_t=mp.mpf(0), method=PropagatorMethod.SPECTRAL)
+    u = _propagator(matrix)
     assert u.unitarity_defect._mpf_ == object_gram_defect(matrix)._mpf_
 
 
@@ -360,7 +370,7 @@ def test_certificate_failure_matches_object_code():
 
     matrix = _edited(propagator_spectral(_report(6, 34), mp.mpf("0.7"), 34), edit)
     with pytest.raises(NumericFailureError) as got:
-        Propagator(matrix=matrix, chi_t=mp.mpf(0), method=PropagatorMethod.SPECTRAL)
+        _propagator(matrix)
     with pytest.raises(NumericFailureError) as want:
         object_gram_defect(matrix)
     assert str(got.value) == str(want.value)
@@ -376,7 +386,7 @@ def test_propagator_refuses_non_finite_entries(special):
             basis=BasisOrdering.for_spin(HalfInt(1)), entries=((one, x), (zero, one)), precision=34
         )
         with pytest.raises(InvalidInputError, match="finite values only"):
-            Propagator(matrix=matrix, chi_t=mp.mpf(0), method=PropagatorMethod.SPECTRAL)
+            _propagator(matrix)
 
 
 def _outcome(f):
@@ -388,9 +398,7 @@ def _outcome(f):
 
 
 def _certificate_matches(matrix):
-    got = _outcome(lambda: Propagator(
-        matrix=matrix, chi_t=mp.mpf(0), method=PropagatorMethod.SPECTRAL
-    ).unitarity_defect._mpf_)
+    got = _outcome(lambda: _propagator(matrix).unitarity_defect._mpf_)
     return got == _outcome(lambda: object_gram_defect(matrix)._mpf_)
 
 
@@ -417,7 +425,7 @@ def _widened(rows):
 CERTIFICATE_EDITS = {"corner": _corner_nudged, "pair": _pair_nudged, "wide": _widened}
 
 
-def _gram_deviations(columns, prec, check_prec, monkeypatch):
+def _gram_deviations(rows, prec, check_prec, monkeypatch):
     """gram_defect's result and every deviation it forms, not only the
     largest: a wrong partner sum need not be the largest."""
     seen = set()
@@ -426,23 +434,20 @@ def _gram_deviations(columns, prec, check_prec, monkeypatch):
         patch.setattr(
             _kernels, "mpf_hypot", lambda *args: seen.add(original(*args)) or original(*args)
         )
-        worst = _kernels.gram_defect(columns, prec, check_prec, round_nearest)
+        worst = _kernels.gram_defect(rows, prec, check_prec, round_nearest)
     return worst, seen
 
 
 def _deviations_match_the_full_computation(matrix, monkeypatch):
-    columns = [
-        [(k, evolution._as_pair(row[a])) for k, row in enumerate(matrix.entries) if row[a] != 0]
-        for a in range(matrix.dim)
-    ]
+    rows = operator_rows(matrix)
     with mp.workdps(matrix.precision):
         prec = mp.prec
     with mp.workdps(matrix.precision + 10):
         check_prec = mp.prec
-    mirrored = _gram_deviations(columns, prec, check_prec, monkeypatch)
+    mirrored = _gram_deviations(rows, prec, check_prec, monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "reflects", lambda lines, negate: False)
-        return mirrored == _gram_deviations(columns, prec, check_prec, monkeypatch)
+        return mirrored == _gram_deviations(rows, prec, check_prec, monkeypatch)
 
 
 @pytest.mark.parametrize("edit", CERTIFICATE_EDITS)
@@ -496,23 +501,21 @@ def test_mirrored_square_sums_partners_in_reverse():
     assert 0 not in full[0] and full[4][4] == fone
 
 
-def test_square_of_an_empty_row_is_none():
-    # fdot over no pairs returns an mpf zero, not an mpc: such a row comes
-    # back as None, and a None row stands for it on input.
-    want = [{0: fone, 1: fone}, None]
-    for empty in ({}, None):
-        assert _kernels.squared([{0: fone, 1: fone}, empty], _P, round_nearest) == want
+def test_square_of_an_empty_row_is_empty():
+    # A row with no nonzero entry, which only a singular matrix has, stays
+    # an empty row.
+    want = [{0: fone, 1: fone}, {}]
+    assert _kernels.squared([{0: fone, 1: fone}, {}], _P, round_nearest) == want
 
 
 def test_mirrored_certificate_sums_partners_in_reverse(monkeypatch):
     rows = _kernels.reflected(_GRAM_HALF, 5)
     assert _kernels.reflects(rows, mpf_neg)
-    columns = [[(k, (row[a], fzero)) for k, row in enumerate(rows) if a in row]
-               for a in range(5)]
+    pairs = [[(c, (row[c], fzero)) for c in sorted(row)] for row in rows]
     # The diagonal holds the largest deviation here.
-    mirrored = _gram_deviations(columns, _P, _P + 33, monkeypatch)
+    mirrored = _gram_deviations(pairs, _P, _P + 33, monkeypatch)
     monkeypatch.setattr(_kernels, "reflects", lambda lines, negate: False)
-    assert mirrored == _gram_deviations(columns, _P, _P + 33, monkeypatch)
+    assert mirrored == _gram_deviations(pairs, _P, _P + 33, monkeypatch)
     # (0, 2) sums 2^-p, 2^2p, -2^2p: 0; its partner (2, 4) keeps 2^-p.
     assert {fzero, _power(-_P)} <= mirrored[1]
 

@@ -10,7 +10,8 @@ polynomials into eigenvalues:
   Newton-polished on the exact polynomial, give the certified values;
 * any mu-degree: exact Sturm isolation of every real root, then bracketed
   Newton on the exact polynomial with a certified residual bound, used
-  beyond the radical range and as a second route for cross-checking.
+  beyond the radical range (the tests also run it inside that range, as a
+  second route to the closed forms).
 
 Multiplicities are always structural — the number of chains carrying a
 factor (two for the twin chains of a half-integer spin) and stripped lambda

@@ -59,7 +59,8 @@ class HalfInt:
     twice_value: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twice_value, int):
+        # A bool is an int, but True is not the spin 1/2.
+        if isinstance(self.twice_value, bool) or not isinstance(self.twice_value, int):
             raise InvalidInputError(
                 f"twice_value must be an integer, got {self.twice_value!r}"
             )
@@ -75,6 +76,8 @@ class HalfInt:
 
     @classmethod
     def from_value(cls, value: int | Fraction) -> "HalfInt":
+        if isinstance(value, bool):
+            raise InvalidInputError(f"{value!r} is a bool, not a number")
         try:
             doubled = Fraction(value) * 2
         except (ValueError, OverflowError) as exc:  # nan, inf, unparsable text
@@ -180,6 +183,7 @@ class DenseOperator:
     hermitian: bool = False
 
     def __post_init__(self) -> None:
+        _require_precision(self.precision)
         n = len(self.entries)
         if n != self.basis.j.n_states or any(len(row) != n for row in self.entries):
             raise InternalConsistencyError("entries must form a (2j+1) square matrix")

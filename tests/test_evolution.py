@@ -192,6 +192,36 @@ class TestPropagatorType:
                 method=PropagatorMethod.SPECTRAL,
             )
 
+    def test_matrix_is_a_cached_view_of_the_rows(self):
+        for u in (_spectral(5, 0.7), propagator_taylor(build_h_ta(HalfInt(5), 1.0), 0.7)):
+            assert u.matrix is u.matrix
+            assert operator_rows(u.matrix) == u.rows
+            assert all(type(x) is mp.mpc for row in u.matrix.entries for x in row)
+
+    @pytest.mark.parametrize("defect", ["count", "range", "negative", "descending", "repeated"])
+    def test_malformed_rows_rejected(self, defect):
+        u = _spectral(4, 0.3)
+        rows = list(u.rows)
+        (c, x), *rest = rows[1]
+        if defect == "count":
+            rows.pop()
+        elif defect == "range":
+            rows[1] = rows[1] + ((u.dim, x),)
+        elif defect == "negative":
+            rows[1] = ((-1, x),) + rows[1]
+        elif defect == "descending":
+            rows[1] = tuple(reversed(rows[1]))
+        else:
+            rows[1] = ((c, x), (c, x), *rest)
+        with pytest.raises(InternalConsistencyError):
+            Propagator(
+                basis=u.basis,
+                rows=tuple(rows),
+                precision=u.precision,
+                chi_t=u.chi_t,
+                method=u.method,
+            )
+
     def test_method_labels(self):
         assert PropagatorMethod.SPECTRAL.value == "spectral"
         assert PropagatorMethod.TAYLOR_ORACLE.value == "taylor_oracle"
@@ -880,6 +910,19 @@ class TestTimeSeries:
             )
             row = tuple(series.columns[name][i] for name in TIME_SERIES_COLUMNS)
             assert row == expected
+
+    def test_builds_no_dense_operator(self, monkeypatch):
+        # Each grid point's propagator stays in its rows; only a read of
+        # .matrix builds the dense operator.
+        built = []
+        original = DenseOperator.__post_init__
+        monkeypatch.setattr(
+            DenseOperator, "__post_init__", lambda self: built.append(self.dim) or original(self)
+        )
+        time_series(2, 1, Fraction(5, 2), 201)
+        assert built == []
+        _spectral(4, 0.3).matrix
+        assert built == [5]
 
     def test_one_set_up_per_working_precision(self, monkeypatch):
         # The guard digits, and so the working precision, depend on chi_t;

@@ -34,7 +34,7 @@ from countertwist.charpoly import (
 )
 from countertwist.evolution import MAX_STEPS
 from countertwist.spectrum import roots_even_poly, roots_numeric
-from countertwist.spin_algebra import MAX_PRECISION
+from countertwist.spin_algebra import MAX_PRECISION, MIN_PRECISION
 from _oracles import (
     build_h_f,
     dense_matmul,
@@ -107,6 +107,26 @@ def test_spin_is_coerced_where_it_is_checked(name):
             entry(spin)
 
 
+_BOOLEAN_SPINS = {
+    "HalfInt": lambda: HalfInt(True),
+    "HalfInt.from_value": lambda: HalfInt.from_value(True),
+    "spectrum": lambda: spectrum(True),
+    "char_poly_exact": lambda: char_poly_exact(False),
+    "coherent_initial_state": lambda: coherent_initial_state(True),
+    "block_decompose": lambda: block_decompose(True),
+    "time_series": lambda: time_series(True, 1, 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOOLEAN_SPINS))
+def test_booleans_are_refused_as_spins(name):
+    # True is the integer 1 to Python, but not a spin or a label.
+    with pytest.raises(InvalidInputError):
+        _BOOLEAN_SPINS[name]()
+    assert HalfInt(2).twice_value == 2
+    assert HalfInt.from_value(1).twice_value == 2
+
+
 @pytest.mark.parametrize("chi", ["x", None, [1]])
 def test_h_ta_refuses_a_coupling_that_is_not_a_number(chi):
     with pytest.raises(InvalidInputError, match="chi must be a real number"):
@@ -151,6 +171,22 @@ def test_library_enforces_the_command_line_caps(monkeypatch):
     for call in calls:
         with pytest.raises(InvalidInputError, match="at most"):
             call()
+
+
+def test_operators_enforce_the_precision_caps():
+    basis = BasisOrdering.for_spin(HalfInt(1))
+    one, zero = mp.mpc(1), mp.mpc(0)
+    builds = {
+        "identity": lambda p: DenseOperator.identity(basis, p),
+        "from_rows": lambda p: DenseOperator.from_rows(basis, [[1, 0], [0, 1]], p),
+        "direct": lambda p: DenseOperator(basis=basis, entries=((one, zero), (zero, one)), precision=p),
+    }
+    for name, build in builds.items():
+        for p in (MIN_PRECISION, MAX_PRECISION):
+            assert build(p).precision == p, name
+        for p in (MIN_PRECISION - 1, MAX_PRECISION + 1):
+            with pytest.raises(InvalidInputError, match="precision must be"):
+                build(p)
 
 
 def test_basis_ordering():

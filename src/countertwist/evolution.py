@@ -185,7 +185,9 @@ class Propagator:
 
     Invariant: ||U†U - I||_max < 10^(-p+5) at precision p (checked at
     construction by ``_kernels.gram_defect``; violation raises
-    NumericFailureError).  ``matrix`` is the dense form, built on first read.
+    NumericFailureError, a nan or infinite entry InvalidInputError, and
+    malformed rows InternalConsistencyError).  ``matrix`` is the dense
+    form, built on first read.
     """
 
     basis: BasisOrdering

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import marshal
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
@@ -870,8 +873,114 @@ def optimal_xi(obs: ObservableSet):
 
 #: Most grid points :func:`time_series` takes.  A grid point at j = 1/2 and
 #: 34 digits takes about 0.46 ms and keeps eight values, so 10^5 points take
-#: under a minute and some hundred megabytes.
+#: under a minute and some hundred megabytes.  The estimate holds per
+#: process: a series split across CPUs gives each process only its block's
+#: time, and the calling process also holds the other blocks' values.
 MAX_STEPS = 100_000
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the blocks a time series splits into."""
+    return len(os.sched_getaffinity(0))
+
+
+def _raw(x):
+    """An mpf's raw tuple, None kept; anything else is refused."""
+    if x is None:
+        return None
+    if type(x) is not mp.mpf:
+        raise TypeError(f"cannot send {type(x).__name__} between processes")
+    return x._mpf_
+
+
+def _start_block(point, block):
+    """Fork a child that computes ``point(i)``, a tuple of mpf values or
+    None, for i in ``block`` and writes them as raw mpf tuples, marshalled,
+    to a pipe.  Returns
+    (pid, read end), or None when no child could be made.  The child leaves
+    through os._exit, so it never runs the caller's clean-up or flushes
+    the stdio buffers it inherited."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = marshal.dumps([tuple(map(_raw, point(i))) for i in block])
+            view = memoryview(payload)
+            while view:
+                view = view[os.write(write_fd, view):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect_block(read_fd, block):
+    """The results a child wrote for ``block``, or None unless its payload
+    is complete."""
+    chunks = []
+    while chunk := os.read(read_fd, 1 << 16):
+        chunks.append(chunk)
+    try:
+        raw = marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError, TypeError):
+        return None
+    if not isinstance(raw, list) or len(raw) != len(block):
+        return None
+
+    def value(x):
+        return None if x is None else mp.make_mpf(x)
+
+    return [tuple(map(value, values)) for values in raw]
+
+
+def _points_in_blocks(point, count: int) -> list:
+    """``[point(i) for i in range(count)]``, split across this process's CPUs.
+
+    The range is cut into contiguous blocks, one per CPU and at most one per
+    point, the longer ones first.  This process computes the first block;
+    each other block runs in a forked child, started only when this process
+    has a single thread.  A child whose payload is incomplete, because its
+    block raised or it died, has its block computed here, so an error is
+    raised at the same first point as by the plain loop.  The children are
+    killed and reaped before this returns or raises.
+    """
+    n_blocks = min(count, _cpu_count() if threading.active_count() == 1 else 1)
+    bounds = [-(-count * k // n_blocks) for k in range(n_blocks + 1)]
+    first, *rest = (range(a, b) for a, b in pairwise(bounds))
+    children = []
+    try:
+        for block in rest:
+            children.append((block, _start_block(point, block)))
+        results = [point(i) for i in first]
+        for block, child in children:
+            collected = child and _collect_block(child[1], block)
+            results += collected or [point(i) for i in block]
+        return results
+    finally:
+        if any(child for _, child in children):
+            # Imported here: the interpreter does not load signal at start-up.
+            import signal
+
+            for _, child in children:
+                if child:
+                    pid, read_fd = child
+                    os.close(read_fd)
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+                    except (ProcessLookupError, ChildProcessError):
+                        pass  # reaped already, as when SIGCHLD is ignored
 
 
 def time_series(
@@ -889,6 +998,16 @@ def time_series(
     spectral route is set up once for the series: the report's checks and
     node order once, the polished nodes and couplings once per working
     precision.  Every column of TIME_SERIES_COLUMNS is filled.
+
+    The grid is cut into contiguous blocks, one per CPU this process may
+    run on (``os.sched_getaffinity``) and at most one per point.  This
+    process computes the first block; every other block runs in a child
+    made by ``os.fork`` (only from a single-threaded process), which sends
+    its values back as raw mpf tuples, so each bit is the one a single
+    process computes.  A block whose child fails or dies is computed here,
+    so an error is raised at the same first point as without the split.
+    There is no option for this: on one CPU there is one block and no
+    fork.  Each process sets up its own working precisions.
 
     :param chi: coupling strength; the grid reports chi·t (or t itself when
         chi = 0, where the dynamics is constant).
@@ -917,34 +1036,33 @@ def time_series(
     state = coherent_initial_state(j, precision)
     propagator = _spectral_series(report, precision)
 
-    grid = []
-    rows = []
-    for i in range(steps):
+    def point(i):
         with mp.workdps(precision + 10):
             t_i = t_end * i / (steps - 1)
             chi_t_i = chi_value * t_i
         with mp.workdps(precision):
-            grid.append(+(chi_t_i if chi_value != 0 else t_i))
+            grid_value = +(chi_t_i if chi_value != 0 else t_i)
         u = propagator(_propagation_time(chi_t_i, precision + 15))
         obs = heisenberg_expectations(state, u, precision)
         xi_opt, opt_angle = optimal_xi(obs) or (None, None)
-        rows.append(
-            (
-                obs.mean_jx,
-                obs.var_jy,
-                obs.var_jz,
-                xi_y(obs),
-                xi_z(obs),
-                obs.corr_xz,
-                xi_opt,
-                opt_angle,
-            )
+        # The grid value, then one value per TIME_SERIES_COLUMNS entry.
+        return (
+            grid_value,
+            obs.mean_jx,
+            obs.var_jy,
+            obs.var_jz,
+            xi_y(obs),
+            xi_z(obs),
+            obs.corr_xz,
+            xi_opt,
+            opt_angle,
         )
 
+    grid, *columns = zip(*_points_in_blocks(point, steps))
     return TimeSeries(
         j=j,
         chi=chi_value,
         precision=precision,
-        grid=tuple(grid),
-        columns=dict(zip(TIME_SERIES_COLUMNS, zip(*rows))),
+        grid=grid,
+        columns=dict(zip(TIME_SERIES_COLUMNS, columns)),
     )

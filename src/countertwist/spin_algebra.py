@@ -211,6 +211,7 @@ class DenseOperator:
     @classmethod
     def identity(cls, basis: BasisOrdering, precision: int) -> "DenseOperator":
         n = basis.j.n_states
+        _require_precision(precision)
         with mp.workdps(precision):
             one, zero = mp.mpc(1), mp.mpc(0)
             rows = tuple(
@@ -227,6 +228,7 @@ class DenseOperator:
         scale: object = 1,
         hermitian: bool = False,
     ) -> "DenseOperator":
+        _require_precision(precision)
         with mp.workdps(precision):
             entries = tuple(tuple(mp.mpc(x) for x in row) for row in rows)
         return cls(

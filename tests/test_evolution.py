@@ -1,8 +1,12 @@
 """Tests for propagators, evolved observables, and squeezing measures."""
 
 import dataclasses
+import marshal
 import math
+import os
 import random
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -941,6 +945,8 @@ class TestTimeSeries:
 
         monkeypatch.setattr(evolution, "_interpolation_guard_digits", counted_guard)
         monkeypatch.setattr(evolution, "_polish_nodes", counted_polish)
+        # The counts are kept in this process: a forked block's calls are not.
+        monkeypatch.setattr(evolution, "_cpu_count", lambda: 1)
         time_series(HalfInt(4), 1, Fraction(23, 10), 201, 34)
         assert len(guards) == 201
         assert 1 < len(polished) == len(set(guards)) < 201
@@ -1038,3 +1044,128 @@ class TestTimeSeries:
 
         series = time_series(HalfInt(4), Fraction(1, 2), Fraction(2), 3)
         assert abs(series.grid[-1] - 1) < mp.mpf("1e-33")
+
+
+def _raw_series(series):
+    """The grid and every column as raw mpf tuples, None kept."""
+    def raw(values):
+        return [None if v is None else (type(v), v._mpf_) for v in values]
+
+    return raw(series.grid), {name: raw(v) for name, v in series.columns.items()}
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(evolution, "_cpu_count", lambda: count)
+
+
+def _failing_from(index, steps, t_max, in_child=None):
+    """heisenberg_expectations that raises NumericFailureError at grid points
+    index and later (chi = 1, so chi_t is the grid time), and runs
+    ``in_child`` first in a forked process."""
+    parent, original = os.getpid(), evolution.heisenberg_expectations
+    start = mp.mpf(t_max) * (index - 0.5) / (steps - 1)
+
+    def failing(state, u, precision):
+        if in_child is not None and os.getpid() != parent:
+            in_child()
+        if u.chi_t >= start:
+            raise NumericFailureError(f"injected at chi_t = {float(u.chi_t):.6g}")
+        return original(state, u, precision)
+
+    return failing
+
+
+class TestTimeSeriesSplit:
+    """The grid split across CPUs, one forked child per block after the first."""
+
+    @pytest.mark.parametrize("twoj", range(1, 13))
+    def test_every_bit_kept_on_one_two_and_three_cpus(self, monkeypatch, twoj):
+        for steps in (2, 3, 11):
+            results = []
+            for count in (1, 2, 3):
+                _cpus(monkeypatch, count)
+                series = time_series(_spin(twoj), Fraction(-2, 3), Fraction(12, 5), steps, 34)
+                results.append(_raw_series(series))
+            assert results[0] == results[1] == results[2], steps
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("index", [7, 10])
+    def test_failure_in_a_child_raises_as_on_one_cpu(self, monkeypatch, count, index):
+        monkeypatch.setattr(evolution, "heisenberg_expectations", _failing_from(index, 11, 3))
+        raised = []
+        for cpus in (1, count):
+            _cpus(monkeypatch, cpus)
+            with pytest.raises(NumericFailureError) as info:
+                time_series(HalfInt(4), 1, 3, 11)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][1] == f"injected at chi_t = {3 * index / 10:.6g}"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_in_the_first_block_leaves_no_child(self, monkeypatch):
+        # The child's block would take a minute; the first block fails at
+        # once, and the child is killed and reaped before the error leaves.
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(
+            evolution, "heisenberg_expectations", _failing_from(2, 11, 3, lambda: time.sleep(60))
+        )
+        start = time.monotonic()
+        with pytest.raises(NumericFailureError, match="injected at chi_t = 0.6"):
+            time_series(HalfInt(4), 1, 3, 11)
+        assert time.monotonic() - start < 20
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_without_payload_gives_the_sequential_result(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        expected = _raw_series(time_series(_spin(5), 1, 3, 11))
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(
+            evolution, "heisenberg_expectations", _failing_from(11, 11, 3, lambda: os._exit(0))
+        )
+        assert _raw_series(time_series(_spin(5), 1, 3, 11)) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_incomplete_payload_is_refused(self):
+        payload = marshal.dumps([(mp.mpf(1)._mpf_,) + (None,) * 8] * 2)
+        for cut, length in ((len(payload) - 3, 2), (len(payload), 3)):
+            read_fd, write_fd = os.pipe()
+            os.write(write_fd, payload[:cut])
+            os.close(write_fd)
+            try:
+                assert evolution._collect_block(read_fd, range(length)) is None
+            finally:
+                os.close(read_fd)
+
+    def test_no_fork_on_one_cpu_or_with_a_second_thread(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        expected = _raw_series(time_series(_spin(3), 1, 2, 5))
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _raw_series(time_series(_spin(3), 1, 2, 5)) == expected
+        _cpus(monkeypatch, 2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert _raw_series(time_series(_spin(3), 1, 2, 5)) == expected
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+
+    def test_failed_fork_computes_the_block_here(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        expected = _raw_series(time_series(_spin(3), 1, 2, 5))
+        _cpus(monkeypatch, 2)
+
+        def failed_fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", failed_fork)
+        assert _raw_series(time_series(_spin(3), 1, 2, 5)) == expected

@@ -173,7 +173,7 @@ def test_library_enforces_the_command_line_caps(monkeypatch):
             call()
 
 
-def test_operators_enforce_the_precision_caps():
+def test_operators_enforce_the_precision_caps(monkeypatch):
     basis = BasisOrdering.for_spin(HalfInt(1))
     one, zero = mp.mpc(1), mp.mpc(0)
     builds = {
@@ -184,6 +184,15 @@ def test_operators_enforce_the_precision_caps():
     for name, build in builds.items():
         for p in (MIN_PRECISION, MAX_PRECISION):
             assert build(p).precision == p, name
+
+    # As in test_library_enforces_the_command_line_caps: with mp.workdps
+    # disabled, a constructor that reached arithmetic fails with
+    # AssertionError instead of the refusal.
+    def no_arithmetic(*args, **kwargs):
+        raise AssertionError("arithmetic started before the refusal")
+
+    monkeypatch.setattr(mp, "workdps", no_arithmetic)
+    for name, build in builds.items():
         for p in (MIN_PRECISION - 1, MAX_PRECISION + 1):
             with pytest.raises(InvalidInputError, match="precision must be"):
                 build(p)

@@ -17,7 +17,8 @@ import functools
 import marshal
 import math
 import os
-import threading
+import sys
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
@@ -879,27 +880,67 @@ def optimal_xi(obs: ObservableSet):
 MAX_STEPS = 100_000
 
 
+#: Where a process reads its own cgroup's CPU quota, as a container mounts
+#: it: cgroup v2's "quota period" line, else v1's quota and period files.
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+#: A child's block is computed by the calling process instead when the child
+#: has not sent it by three times the calling process's own block time plus
+#: this many seconds, counted from the fork.  Healthy children send theirs
+#: at about one block time, as their blocks are no longer.
+_CHILD_GRACE_S = 1.0
+
+
+def _cpu_quota():
+    """CPUs the cgroup's CPU quota allows, rounded up; None without a quota."""
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            words = []
+            for path in paths:
+                with open(path) as text:
+                    words += text.read().split()
+            quota, period = map(int, words)
+        except (OSError, ValueError):  # absent, "max" (no quota) or malformed
+            continue
+        return -(-quota // period) if quota > 0 and period > 0 else None
+    return None
+
+
 def _cpu_count() -> int:
-    """CPUs this process may run on: the blocks a time series splits into."""
-    return len(os.sched_getaffinity(0))
+    """CPUs this process may run on: the blocks a time series splits into.
+
+    The affinity mask, capped by the cgroup's CPU quota (a container held to
+    2 CPUs on a larger host sees all of the host's CPUs in its mask); 1 where
+    the platform has no affinity call.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None:
+        return 1
+    return min(len(affinity(0)), _cpu_quota() or math.inf)
 
 
-def _raw(x):
-    """An mpf's raw tuple, None kept; anything else is refused."""
-    if x is None:
-        return None
-    if type(x) is not mp.mpf:
-        raise TypeError(f"cannot send {type(x).__name__} between processes")
-    return x._mpf_
+def _may_fork() -> bool:
+    """Whether a time series may fork: only on Linux (a fork without exec is
+    unsafe on macOS, and Windows has none), and only from a process with one
+    thread at the OS level, native threads such as a BLAS pool included."""
+    if sys.platform != "linux":
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
 
 
 def _start_block(point, block):
     """Fork a child that computes ``point(i)``, a tuple of mpf values or
     None, for i in ``block`` and writes them as raw mpf tuples, marshalled,
-    to a pipe.  Returns
-    (pid, read end), or None when no child could be made.  The child leaves
-    through os._exit, so it never runs the caller's clean-up or flushes
-    the stdio buffers it inherited."""
+    to a pipe.  Returns (pid, read end), or None when no child could be
+    made.  The child leaves through os._exit, so it never runs the caller's
+    clean-up or flushes the stdio buffers it inherited; a value that is not
+    an mpf fails it (no ``_mpf_``, or marshal refuses it)."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -914,7 +955,9 @@ def _start_block(point, block):
         status = 1
         try:
             os.close(read_fd)
-            payload = marshal.dumps([tuple(map(_raw, point(i))) for i in block])
+            payload = marshal.dumps(
+                [tuple(None if x is None else x._mpf_ for x in point(i)) for i in block]
+            )
             view = memoryview(payload)
             while view:
                 view = view[os.write(write_fd, view):]
@@ -925,12 +968,22 @@ def _start_block(point, block):
     return pid, read_fd
 
 
-def _collect_block(read_fd, block):
+def _collect_block(read_fd, block, deadline):
     """The results a child wrote for ``block``, or None unless its payload
-    is complete."""
+    is complete by ``deadline`` (a ``time.monotonic`` reading)."""
+    # Imported here: the interpreter does not load select at start-up.
+    import select
+
+    poller = select.poll()
+    poller.register(read_fd, select.POLLIN)
     chunks = []
-    while chunk := os.read(read_fd, 1 << 16):
+    while poller.poll(math.ceil(max(0.0, deadline - time.monotonic()) * 1000)):
+        chunk = os.read(read_fd, 1 << 16)
+        if not chunk:
+            break
         chunks.append(chunk)
+    else:
+        return None  # still running at the deadline: stalled or starved
     try:
         raw = marshal.loads(b"".join(chunks))
     except (EOFError, ValueError, TypeError):
@@ -949,22 +1002,25 @@ def _points_in_blocks(point, count: int) -> list:
 
     The range is cut into contiguous blocks, one per CPU and at most one per
     point, the longer ones first.  This process computes the first block;
-    each other block runs in a forked child, started only when this process
-    has a single thread.  A child whose payload is incomplete, because its
-    block raised or it died, has its block computed here, so an error is
-    raised at the same first point as by the plain loop.  The children are
-    killed and reaped before this returns or raises.
+    each other block runs in a forked child, started only when
+    :func:`_may_fork` allows it.  A child whose payload is incomplete,
+    because its block raised, it died or it missed its deadline
+    (``_CHILD_GRACE_S``), has its block computed here, so an error is raised
+    at the same first point as by the plain loop.  The children are killed
+    and reaped before this returns or raises.
     """
-    n_blocks = min(count, _cpu_count() if threading.active_count() == 1 else 1)
+    n_blocks = min(count, _cpu_count()) if _may_fork() else 1
     bounds = [-(-count * k // n_blocks) for k in range(n_blocks + 1)]
     first, *rest = (range(a, b) for a, b in pairwise(bounds))
     children = []
     try:
+        started = time.monotonic()
         for block in rest:
             children.append((block, _start_block(point, block)))
         results = [point(i) for i in first]
+        deadline = started + 3 * (time.monotonic() - started) + _CHILD_GRACE_S
         for block, child in children:
-            collected = child and _collect_block(child[1], block)
+            collected = child and _collect_block(child[1], block, deadline)
             results += collected or [point(i) for i in block]
         return results
     finally:
@@ -999,15 +1055,18 @@ def time_series(
     node order once, the polished nodes and couplings once per working
     precision.  Every column of TIME_SERIES_COLUMNS is filled.
 
-    The grid is cut into contiguous blocks, one per CPU this process may
-    run on (``os.sched_getaffinity``) and at most one per point.  This
-    process computes the first block; every other block runs in a child
-    made by ``os.fork`` (only from a single-threaded process), which sends
-    its values back as raw mpf tuples, so each bit is the one a single
-    process computes.  A block whose child fails or dies is computed here,
-    so an error is raised at the same first point as without the split.
-    There is no option for this: on one CPU there is one block and no
-    fork.  Each process sets up its own working precisions.
+    On Linux the grid is cut into contiguous blocks, one per CPU this
+    process may run on (``os.sched_getaffinity``, capped by a cgroup CPU
+    quota) and at most one per point.  This process computes the first
+    block; every other block runs in a child made by ``os.fork``, only
+    from a process with a single OS thread, which sends its values back
+    as raw mpf tuples, so each bit is the one a single process computes.
+    A block whose child fails, dies or has not finished well after this
+    process's own block is computed here, so an error is raised at the
+    same first point as without the split.  There is no option for this:
+    on one CPU, elsewhere than Linux or in a threaded process there is
+    one block and no fork.  Each process sets up its own working
+    precisions.
 
     :param chi: coupling strength; the grid reports chi·t (or t itself when
         chi = 0, where the dynamics is constant).

@@ -5,7 +5,8 @@ import marshal
 import math
 import os
 import random
-import threading
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -1055,7 +1056,22 @@ def _raw_series(series):
 
 
 def _cpus(monkeypatch, count):
+    # The fork check is passed too: this process may hold native threads
+    # (a BLAS pool once numpy is loaded), which make the real one refuse.
     monkeypatch.setattr(evolution, "_cpu_count", lambda: count)
+    monkeypatch.setattr(evolution, "_may_fork", lambda: True)
+
+
+def _counting_forks(monkeypatch):
+    """Wrap os.fork; the returned list holds one entry per fork made."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 def _failing_from(index, steps, t_max, in_child=None):
@@ -1080,12 +1096,15 @@ class TestTimeSeriesSplit:
 
     @pytest.mark.parametrize("twoj", range(1, 13))
     def test_every_bit_kept_on_one_two_and_three_cpus(self, monkeypatch, twoj):
+        forks = _counting_forks(monkeypatch)
         for steps in (2, 3, 11):
             results = []
             for count in (1, 2, 3):
                 _cpus(monkeypatch, count)
+                forks.clear()
                 series = time_series(_spin(twoj), Fraction(-2, 3), Fraction(12, 5), steps, 34)
                 results.append(_raw_series(series))
+                assert len(forks) == min(count, steps) - 1
             assert results[0] == results[1] == results[2], steps
 
     @pytest.mark.parametrize("count", [2, 3])
@@ -1135,11 +1154,27 @@ class TestTimeSeriesSplit:
             os.write(write_fd, payload[:cut])
             os.close(write_fd)
             try:
-                assert evolution._collect_block(read_fd, range(length)) is None
+                deadline = time.monotonic() + 10
+                assert evolution._collect_block(read_fd, range(length), deadline) is None
             finally:
                 os.close(read_fd)
 
-    def test_no_fork_on_one_cpu_or_with_a_second_thread(self, monkeypatch):
+    def test_stalled_child_gives_the_sequential_result(self, monkeypatch):
+        # The child blocks for a minute; past its deadline it is killed and
+        # its block computed here.
+        _cpus(monkeypatch, 1)
+        expected = _raw_series(time_series(_spin(5), 1, 3, 11))
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(
+            evolution, "heisenberg_expectations", _failing_from(11, 11, 3, lambda: time.sleep(60))
+        )
+        start = time.monotonic()
+        assert _raw_series(time_series(_spin(5), 1, 3, 11)) == expected
+        assert time.monotonic() - start < 20
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_on_one_cpu(self, monkeypatch):
         _cpus(monkeypatch, 1)
         expected = _raw_series(time_series(_spin(3), 1, 2, 5))
 
@@ -1148,16 +1183,72 @@ class TestTimeSeriesSplit:
 
         monkeypatch.setattr(os, "fork", no_fork)
         assert _raw_series(time_series(_spin(3), 1, 2, 5)) == expected
-        _cpus(monkeypatch, 2)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            assert _raw_series(time_series(_spin(3), 1, 2, 5)) == expected
-        finally:
-            release.set()
-            waiter.join(timeout=10)
-        assert not waiter.is_alive()
+
+    def test_no_affinity_or_fork_call_runs_one_block(self, monkeypatch):
+        # As on Windows, which has neither call.
+        _cpus(monkeypatch, 1)
+        expected = _raw_series(time_series(_spin(3), 1, 2, 5))
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(sys, "platform", "win32")
+        assert evolution._cpu_count() == 1
+        assert not evolution._may_fork()
+        assert _raw_series(time_series(_spin(3), 1, 2, 5)) == expected
+
+    def test_fork_only_from_a_single_os_thread(self):
+        # A fresh interpreter, the same claiming to be macOS, then a Python
+        # thread, then a native one (faulthandler's watchdog), which
+        # threading does not count.
+        script = (
+            "import faulthandler, sys, threading\n"
+            "from countertwist import evolution\n"
+            "print(evolution._may_fork())\n"
+            "platform, sys.platform = sys.platform, 'darwin'\n"
+            "print(evolution._may_fork())\n"
+            "sys.platform = platform\n"
+            "release = threading.Event()\n"
+            "waiter = threading.Thread(target=release.wait)\n"
+            "waiter.start()\n"
+            "print(evolution._may_fork())\n"
+            "release.set()\n"
+            "waiter.join()\n"
+            "faulthandler.dump_traceback_later(600)\n"
+            "print(threading.active_count(), evolution._may_fork())\n"
+        )
+        src = os.path.dirname(os.path.dirname(evolution.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        linux = sys.platform == "linux"
+        assert done.stdout.split() == [str(linux), "False", "False", "1", "False"]
+
+    @pytest.mark.parametrize(
+        "files, cpus",
+        [
+            ((("max 100000",), ()), None),
+            ((("150000 100000",), ()), 2),
+            ((("200000 100000\n",), ()), 2),
+            (((), ("-1", "100000")), None),
+            (((), ("300000", "100000")), 3),
+            (((), ("50000", "100000")), 1),
+            (((), ()), None),
+            ((("garbage",), ("100000", "100000")), 1),
+        ],
+    )
+    def test_cgroup_quota_caps_the_cpu_count(self, monkeypatch, tmp_path, files, cpus):
+        paths = []
+        for version, texts in enumerate(files):
+            names = [tmp_path / f"v{version}_{k}" for k in range(2 - (version == 0))]
+            for name, text in zip(names, texts):
+                name.write_text(text)
+            paths.append(tuple(str(name) for name in names))
+        monkeypatch.setattr(evolution, "_CPU_QUOTA_FILES", tuple(paths))
+        assert evolution._cpu_quota() == cpus
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert evolution._cpu_count() == (cpus or 64)
 
     def test_failed_fork_computes_the_block_here(self, monkeypatch):
         _cpus(monkeypatch, 1)

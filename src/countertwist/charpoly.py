@@ -2,10 +2,10 @@
 
 The countertwisting Hamiltonian only couples basis states two m-steps apart,
 so (divided by the coupling chi) it splits into two Hermitian tridiagonal
-chains with zero diagonal. The characteristic polynomial of each chain
-follows from a three-term recurrence over exact rationals, and the full
-polynomial is the product of the two block polynomials with integer
-coefficients. Degeneracy is decided by the exact discriminant; analytic
+chains with zero diagonal and integer squared couplings. The characteristic
+polynomial of each chain follows from a three-term recurrence over the
+integers, and the full polynomial is the product of the two block
+polynomials. Degeneracy is decided by the exact discriminant; analytic
 solvability is classified by the block degrees in mu = lambda^2.
 """
 
@@ -182,15 +182,15 @@ class BlockDecomposition:
     :param j: spin magnitude.
     :param labels_a: m-chain containing +j (size ceil((2j+1)/2)), descending.
     :param labels_b: the complementary chain, descending.
-    :param block_a: exact squared couplings (units of chi^2) along chain a.
-    :param block_b: squared couplings along chain b.
+    :param block_a: integer squared couplings (units of chi^2) along chain a.
+    :param block_b: integer squared couplings along chain b.
     """
 
     j: HalfInt
     labels_a: tuple[HalfInt, ...]
     labels_b: tuple[HalfInt, ...]
-    block_a: tuple[Fraction, ...]
-    block_b: tuple[Fraction, ...]
+    block_a: tuple[int, ...]
+    block_b: tuple[int, ...]
 
     @functools.cached_property
     def polynomials(self) -> tuple[IntPolynomial, IntPolynomial]:
@@ -237,7 +237,8 @@ def block_decompose(j: HalfInt) -> BlockDecomposition:
 
     Chain a starts at m = +j and descends in steps of two; chain b holds the
     remaining labels. The squared coupling between consecutive chain members
-    m+2 and m is (1/4)(j(j+1)-m(m+1))(j(j+1)-(m+1)(m+2)), an exact rational.
+    m+2 and m is (j-m)(j-m-1)(j+m+1)(j+m+2)/4, an integer: each pair of
+    factors is a product of consecutive integers, so even (checked here).
 
     Memoised: every layer asks for the same spin more than once.
     """
@@ -246,11 +247,11 @@ def block_decompose(j: HalfInt) -> BlockDecomposition:
     labels_a = tuple(HalfInt(tm) for tm in range(tj, -tj - 1, -4))
     labels_b = tuple(HalfInt(tm) for tm in range(tj - 2, -tj - 1, -4))
 
-    def couplings(labels: tuple[HalfInt, ...]) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(two_step_coupling_squared(j, lower), 4)
-            for lower in labels[1:]
-        )
+    def couplings(labels: tuple[HalfInt, ...]) -> tuple[int, ...]:
+        pairs = [divmod(two_step_coupling_squared(j, lower), 4) for lower in labels[1:]]
+        if any(remainder for _, remainder in pairs):
+            raise InternalConsistencyError(f"a squared coupling of j={j} is not divisible by 4")
+        return tuple(w for w, _ in pairs)
 
     return BlockDecomposition(
         j=j,
@@ -261,29 +262,23 @@ def block_decompose(j: HalfInt) -> BlockDecomposition:
     )
 
 
-def _chain_polynomial(couplings: tuple[Fraction, ...], size: int) -> IntPolynomial:
+def _chain_polynomial(couplings: tuple[int, ...], size: int) -> IntPolynomial:
     """det(lambda*I - T) for a zero-diagonal tridiagonal chain of ``size`` sites.
 
     Three-term recurrence p_0 = 1, p_1 = lambda,
-    p_k = lambda*p_(k-1) - w_(k-1)*p_(k-2), over exact rationals; the
-    coefficients must come out integral.
+    p_k = lambda*p_(k-1) - w_(k-1)*p_(k-2), over the integers.
     """
     if size == 0:
         return IntPolynomial((1,))
-    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    prev, cur = [1], [0, 1]
     for w in couplings:
-        nxt = [Fraction(0)] + cur
+        nxt = [0] + cur
         for i, c in enumerate(prev):
             nxt[i] -= w * c
         prev, cur = cur, nxt
     if len(cur) != size + 1:
         raise InternalConsistencyError("chain polynomial degree does not match size")
-    for c in cur:
-        if c.denominator != 1:
-            raise InternalConsistencyError(
-                f"expected integer coefficient, got {c} (non-integral denominator)"
-            )
-    return IntPolynomial.from_coefficients(int(c) for c in cur)
+    return IntPolynomial(tuple(cur))
 
 
 def block_polynomials(j: HalfInt) -> tuple[IntPolynomial, IntPolynomial]:

@@ -343,18 +343,6 @@ class TimeSeries:
 # ---------------------------------------------------------------------------
 
 
-def _dimensionless_hamiltonian(h: DenseOperator, precision: int):
-    """Rows of h divided by its recorded scale (coupling-independent form)."""
-    with mp.workdps(precision):
-        scale = mp.mpf(h.scale)
-        if scale == 0:
-            raise InvalidInputError(
-                "Hamiltonian has zero scale; build it with coupling 1 and "
-                "carry the physics in chi_t (zero coupling means chi_t = 0)"
-            )
-        return [[x / scale for x in row] for row in h.entries]
-
-
 def _leja_order(values):
     """Order interpolation nodes for numerically stable Newton products.
 
@@ -414,14 +402,15 @@ def _interpolation_guard_digits(
     return guard + max(0, math.ceil(worst))
 
 
-def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
+def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor, extra_steps: int):
     """Newton-refine eigenvalue seeds against the exact chain polynomials.
 
     The interpolation nodes must carry the full working precision — the
     assembled propagator is far more sensitive to node error than to any
     other rounding — so the reported eigenvalues are treated as seeds and
     sharpened on the distinct exact chain polynomials, chain a's first (each
-    distinct eigenvalue is a simple root of one of them).
+    distinct eigenvalue is a simple root of one of them) by three Newton
+    steps, then up to ``extra_steps`` more while a step exceeds the tolerance.
 
     The chain polynomials are even or odd, and Horner's rounded steps
     commute with negation, so the Newton steps from −x are those from x
@@ -455,12 +444,14 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
                 "chain polynomial"
             )
         poly, deriv, step = best
-        for _ in range(3):
+        taken = 0
+        while taken < 3 or (taken < 3 + extra_steps and abs(step) > tol * (1 + abs(x))):
             x = x - step
             slope = deriv.evaluate(x)
             if slope == 0:
                 break
             step = poly.evaluate(x) / slope
+            taken += 1
         if abs(step) > tol * (1 + abs(x)):
             raise InvalidInputError(
                 "spectrum report values are not eigenvalues of this "
@@ -478,23 +469,25 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor):
     return polished
 
 
-def _series_setup(j: HalfInt, seeds: tuple, order: list, precision: int, wp: int) -> tuple:
+def _series_setup(j: HalfInt, seeds: tuple, order: list, precision: int, wp: int,
+                  seed_precision: int) -> tuple:
     """What every time of one spectral series shares at one working precision:
-    the seeds (the report's eigenvalues) polished and taken in the Leja
-    ``order``, the rounded node gaps ``gaps[k][i] = nodes[i] - nodes[i - k]``
-    and the two chains' couplings, the imaginary parts −√(4w)/2 of H/χ's
-    entries (their real parts are exact zeros), as (nodes, gaps, ups)."""
+    the seeds (a report's eigenvalues, at ``seed_precision`` digits) polished
+    and in the Leja ``order``, the rounded node gaps
+    ``gaps[k][i] = nodes[i] - nodes[i - k]`` and the couplings −√w, the
+    imaginary parts of H/χ's (imaginary) entries, as (nodes, gaps, ups)."""
     chains = block_decompose(j)
     with mp.workdps(wp):
         prec, rnd = mp._prec_rounding
         # The propagator is far more sensitive to coupling error than to any
-        # other rounding: the couplings come from their exact squares w.
+        # other rounding: the couplings come from their exact integer squares.
         ups = tuple(
-            tuple((-mp.sqrt(mp.mpf(int(4 * w))) / 2)._mpf_ for w in block)
+            tuple((-mp.sqrt(mp.mpf(w)))._mpf_ for w in block)
             for block in (chains.block_a, chains.block_b)
         )
+        doublings = max(0, math.ceil(math.log2(wp / seed_precision)))
         polished = _polish_nodes(
-            j, seeds, precision, mp.mpf(10) ** (-(precision // 2))
+            j, seeds, precision, mp.mpf(10) ** (-(precision // 2)), doublings
         )
         nodes = tuple(polished[i]._mpf_ for i in order)
         gaps = tuple(
@@ -538,7 +531,7 @@ def _spectral_series(report: SpectrumReport, precision: int):
     def at(tau) -> Propagator:
         wp = precision + _interpolation_guard_digits(span, float(tau), n_nodes, min_gap)
         if wp not in setups:
-            setups[wp] = _series_setup(j, distinct, order, precision, wp)
+            setups[wp] = _series_setup(j, distinct, order, precision, wp, report.precision)
         nodes, gaps, (ups_a, ups_b) = setups[wp]
 
         with mp.workdps(wp):
@@ -624,19 +617,20 @@ def propagator_taylor(
 
     h/scale must be imaginary, H = −iK with K real, as the countertwisting
     Hamiltonian is: the scaled generator −iτH/2^s is then real, and the
-    series and the squarings run on real entries.  Any sparsity is taken;
-    exact zeros cost nothing.  Where the generator is reflected under
-    m → −m (bit for bit, checked here; see ``_kernels``) and has at most two
-    nonzero entries per row, as the countertwisting one does, every series
-    term and square is reflected too: rows a <= n−1−a are formed and the
-    others are their mirror images, the same bits a full computation gives.
-    Any other generator, such as one with a flipped coupling, is summed row
-    by row.
+    series and the squarings run on real entries.  Only h's nonzero
+    entries are read, so exact zeros cost nothing.  Where the generator is
+    reflected under m → −m (bit for bit, checked here; see ``_kernels``) and
+    has at most two nonzero entries per row, as the countertwisting one
+    does, every series term and square is reflected too: rows a <= n−1−a
+    are formed and the others are their mirror images, the same bits a full
+    computation gives.  Any other generator, such as one with a flipped
+    coupling, is summed row by row.
 
     :param h: Hamiltonian matrix; divided by its recorded scale, so chi_t
         carries the full dimensionless time.
     :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, h has zero
-        scale, or an entry of h/scale has a nonzero real part.
+        scale, or an entry of h/scale has a nonzero real part (checked in
+        that order).
     :raises NumericFailureError: the series does not converge, or the
         result fails the unitarity certificate.
     """
@@ -660,16 +654,21 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
     (``_kernels``)."""
     n = h.dim
     with mp.workdps(precision + 15):
-        a_rows = _dimensionless_hamiltonian(h, precision + 15)
-        a_pairs = [[_fdot_pair(x) for x in row] for row in a_rows]
-        if any(re != fzero for row in a_pairs for re, _ in row):
+        scale = mp.mpf(h.scale)
+        if scale == 0:
+            raise InvalidInputError(
+                "Hamiltonian has zero scale; build it with coupling 1 and "
+                "carry the physics in chi_t (zero coupling means chi_t = 0)"
+            )
+        # h/scale over h's nonzero entries, by column: the others divide to
+        # exact zeros, unless the scale is nan (0/nan is nan).
+        a_rows = [[(b, x / scale) for b, x in enumerate(row) if x != 0] for row in h.entries]
+        if mp.isnan(scale) or any(_fdot_pair(x)[0] != fzero for row in a_rows for _, x in row):
             raise InvalidInputError(
                 "the Taylor oracle takes an imaginary h/scale (H = -iK with K "
                 "real); an entry has a nonzero real part"
             )
-        norm = max(
-            mp.fsum(abs(x) for x in row) for row in a_rows
-        ) * abs(tau)
+        norm = max(mp.fsum(abs(x) for _, x in row) for row in a_rows) * abs(tau)
     squarings = max(0, int(math.ceil(math.log2(float(norm))))) if norm > 1 else 0
     wp = precision + 10 + squarings
 
@@ -678,9 +677,9 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
         # B = -i·tau·(h/scale)/2^s: the real part of mpc_mul's product with
         # an imaginary entry is one rounded real product.
         step = (mp.mpf(tau) / (1 << squarings))._mpf_
-        b_rows = [[mpf_mul(step, im, prec, rnd) for _, im in row] for row in a_pairs]
+        b_rows = [[(b, mpf_mul(step, _fdot_pair(x)[1], prec, rnd)) for b, x in row] for row in a_rows]
         # Nonzero generator entries per row, in column order.
-        nz = [[(b, v) for b, v in enumerate(row) if v != fzero] for row in b_rows]
+        nz = [[(b, v) for b, v in row if v != fzero] for row in b_rows]
         tol = (mp.mpf(10) ** (-wp - 3))._mpf_
         # Every term of a reflected generator with at most two entries per
         # row is reflected: the series forms rows a <= n-1-a only.
@@ -766,12 +765,17 @@ def heisenberg_expectations(
     evaluated as moments of φ = U·state.  All means are certified real to
     10^(-precision+5) scaled by the spin magnitude.
 
-    :raises InvalidInputError: state and propagator are for different spins,
-        or an amplitude or propagator entry is nan or infinite.
+    :raises InvalidInputError: precision out of range or above the state's
+        or the propagator's, different spins, or a nan or infinite value.
     :raises InternalConsistencyError: a mean develops a non-negligible
         imaginary part (would indicate a broken propagator or operator).
     """
     _require_precision(precision)
+    if precision > min(state.precision, u.precision):
+        raise InvalidInputError(
+            f"precision {precision} exceeds the {state.precision} digits of the "
+            f"state or the {u.precision} of the propagator"
+        )
     j = state.basis.j
     if u.basis.j != j:
         raise InvalidInputError(

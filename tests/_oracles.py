@@ -48,7 +48,6 @@ from countertwist.errors import (
 )
 from countertwist.evolution import (
     ObservableSet,
-    _dimensionless_hamiltonian,
     _interpolation_guard_digits,
     _leja_order,
     _propagation_time,
@@ -408,10 +407,11 @@ def object_int_horner(poly: IntPolynomial, x):
     return acc
 
 
-def object_polish_nodes(j, seeds, precision, gap_floor):
+def object_polish_nodes(j, seeds, precision, gap_floor, extra_steps):
     """The Newton refinement of ``evolution._polish_nodes``, one seed after
     the other, with the generic Horner loop: the reference for its reuse
-    of a polished twin."""
+    of a polished twin.  Three steps, then up to ``extra_steps`` more while
+    a step is above the tolerance."""
     pairs = [(poly, poly.derivative()) for poly, _ in block_decompose(j).factors]
     polished = []
     tol = mp.mpf(10) ** (-precision + 2)
@@ -431,7 +431,9 @@ def object_polish_nodes(j, seeds, precision, gap_floor):
                 "chain polynomial"
             )
         poly, deriv, step = best
-        for _ in range(3):
+        for taken in range(3 + extra_steps):
+            if taken >= 3 and abs(step) <= tol * (1 + abs(x)):
+                break
             x = x - step
             slope = object_int_horner(deriv, x)
             if slope == 0:
@@ -531,8 +533,9 @@ def object_spectral_entries(report, chi_t, precision=DEFAULT_PRECISION):
         # The propagator is far more sensitive to coupling error than to any
         # other rounding: the couplings come from their exact integer squares.
         upper = _two_step_entries(j, 1)
+        doublings = max(0, math.ceil(math.log2(wp / report.precision)))
         polished = object_polish_nodes(
-            j, distinct, precision, mp.mpf(10) ** (-(precision // 2))
+            j, distinct, precision, mp.mpf(10) ** (-(precision // 2)), doublings
         )
         order = _leja_order(distinct)
         nodes = [polished[i] for i in order]
@@ -599,7 +602,10 @@ def object_taylor_rows(h, tau, precision=DEFAULT_PRECISION):
     n = h.dim
 
     with mp.workdps(precision + 15):
-        a_rows = _dimensionless_hamiltonian(h, precision + 15)
+        scale = mp.mpf(h.scale)
+        if scale == 0:
+            raise InvalidInputError("Hamiltonian has zero scale")
+        a_rows = [[x / scale for x in row] for row in h.entries]
         norm = max(
             mp.fsum(abs(x) for x in row) for row in a_rows
         ) * abs(tau)

@@ -153,6 +153,9 @@ def test_block_couplings_match_matrix_entries():
             row = (9 - upper.twice_value) // 2
             entry = h[row, row + 2]
             assert abs(abs(entry) ** 2 - float(w)) < 1e-12
+    for twoj in range(241):
+        decomp = block_decompose(HalfInt(twoj))
+        assert all(type(w) is int for w in decomp.block_a + decomp.block_b)
 
 
 # ---------------------------------------------------------------- char poly
@@ -417,6 +420,15 @@ def test_block_polynomials_read_the_memoised_chain_model(twoj):
     j = HalfInt(twoj)
     assert block_decompose(j) is block_decompose(j)
     assert block_polynomials(j) == block_decompose(j).polynomials
+
+
+def test_a_coupling_square_not_divisible_by_4_is_refused(monkeypatch):
+    charpoly = sys.modules["countertwist.charpoly"]
+    square = charpoly.two_step_coupling_squared
+    monkeypatch.setattr(charpoly, "two_step_coupling_squared", lambda j, m: square(j, m) + 2)
+    block_decompose.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="not divisible by 4"):
+        block_decompose(HalfInt(4))
 
 
 def _non_twin_half_integer_chains(monkeypatch, twoj):

@@ -402,6 +402,13 @@ class TestPropagatorSpectral:
         second = _spectral(9, 1.234)
         assert first.matrix.entries == second.matrix.entries
 
+    def test_report_precision_does_not_limit_the_result(self):
+        # The 15-digit seeds take Newton steps beyond the first three.
+        u = propagator_spectral(spectrum(5, 15), "0.7", 200)
+        want = propagator_spectral(spectrum(5, 200), "0.7", 200)
+        with mp.workdps(200):
+            assert u.matrix.max_abs_diff(want.matrix) < mp.mpf(10) ** -195
+
     @pytest.mark.parametrize("twoj", [4, 7, 20])
     def test_report_is_the_whole_input(self, twoj):
         report = spectrum(_spin(twoj))
@@ -662,6 +669,17 @@ class TestHeisenbergExpectations:
         u = _spectral(4, 0.5)
         with pytest.raises(InvalidInputError):
             heisenberg_expectations(state, u)
+
+    def test_precision_above_the_inputs_refused(self):
+        # The state and U carry 20 digits: 60 would report rounding noise.
+        state = coherent_initial_state(2, 20)
+        u = propagator_spectral(spectrum(2, 20), "0.7", 20)
+        for wider_state in (state, coherent_initial_state(2, 60)):
+            with pytest.raises(InvalidInputError, match="exceeds"):
+                heisenberg_expectations(wider_state, u, 60)
+        with pytest.raises(InvalidInputError, match="exceeds"):
+            heisenberg_expectations(state, propagator_spectral(spectrum(2, 60), "0.7", 60), 60)
+        assert heisenberg_expectations(state, u, 20).precision == 20
 
     def test_means_are_real_scalars(self):
         j = HalfInt(5)

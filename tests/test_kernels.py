@@ -639,10 +639,10 @@ def test_polishing_matches_object_code(twoj):
             with mp.workdps(precision + 25):
                 gap = mp.mpf(10) ** (-(precision // 2))
                 got = _outcome(lambda: [
-                    x._mpf_ for x in evolution._polish_nodes(j, chosen, precision, gap)
+                    x._mpf_ for x in evolution._polish_nodes(j, chosen, precision, gap, 1)
                 ])
                 want = _outcome(lambda: [
-                    x._mpf_ for x in object_polish_nodes(j, chosen, precision, gap)
+                    x._mpf_ for x in object_polish_nodes(j, chosen, precision, gap, 1)
                 ])
             assert got == want, (precision, name)
 
@@ -651,7 +651,7 @@ def test_chain_horner_starts_from_the_last_nonzero_coefficient(monkeypatch):
     # Trailing zero coefficients leave M zero until the last nonzero one is
     # added to it, rounded once; at chi_t = 0 only c_0 is left.
     seeds = tuple(ev.value for ev in _report(8, 34).eigenvalues)
-    nodes, _, (ups, _) = _series_setup(HalfInt(8), seeds, _leja_order(seeds), 34, 60)
+    nodes, _, (ups, _) = _series_setup(HalfInt(8), seeds, _leja_order(seeds), 34, 60, 34)
     with mp.workdps(60):
         prec, rnd = mp._prec_rounding
         coeffs = [(mp.mpc(k + 1, -k) / 7)._mpc_ for k in range(4)]
@@ -723,7 +723,7 @@ def test_mirrored_halves_equal_computed_ones(twoj):
     j = HalfInt(twoj)
     report = _report(twoj, 34)
     seeds = tuple(ev.value for ev in report.eigenvalues)
-    nodes, _, chain_ups = _series_setup(j, seeds, _leja_order(seeds), 34, 60)
+    nodes, _, chain_ups = _series_setup(j, seeds, _leja_order(seeds), 34, 60, 34)
     with mp.workdps(60):
         prec, rnd = mp._prec_rounding
         coeffs = [(mp.mpc(k + 1, -k) / 7)._mpc_ for k in range(len(nodes))]
@@ -746,7 +746,7 @@ def test_coupling_checks_equal_the_chain_model(wp):
         j = HalfInt(twoj)
         n = j.n_states
         seeds = tuple(ev.value for ev in _report(twoj, 34).eigenvalues)
-        _, _, (ups_a, ups_b) = _series_setup(j, seeds, _leja_order(seeds), 34, wp)
+        _, _, (ups_a, ups_b) = _series_setup(j, seeds, _leja_order(seeds), 34, wp, 34)
         with mp.workdps(wp):
             upper = [z._mpc_[1] for z in _two_step_entries(j, 1)]
         assert (ups_a, ups_b) == tuple(tuple(upper[start : n - 2 : 2]) for start in (0, 1))

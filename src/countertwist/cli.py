@@ -62,10 +62,10 @@ from .evolution import (
     MAX_STEPS,
     TIME_SERIES_COLUMNS,
     PropagatorMethod,
+    _taylor_in_child,
     coherent_initial_state,
     heisenberg_expectations,
     propagator_spectral,
-    propagator_taylor,
     time_series,
 )
 from .spectrum import SpectrumReport, spectrum, spectrum_to_json
@@ -550,23 +550,9 @@ def _closed_form_rows_j2(chi_t, precision: int):
         )
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    """Run the property suite; report PASS/FAIL per property.
-
-    A property that fails prints FAIL and exits 1.  A numeric limit is not a
-    property failure: when the spectral propagator needs more precision
-    (IllConditionedError), nothing is printed and the error propagates to
-    exit 3, as in ``evolve``.
-    """
-    j, precision = cfg.j, cfg.precision
-    with mp.workdps(precision):
-        chi_value = _mpf_from_fraction(cfg.chi)
-    if chi_value == 0:
-        raise InvalidInputError("coupling chi must be nonzero for verification")
-    h = build_h_ta(j, chi_value, precision)
-    if cfg.inject_fault:
-        h = _flip_first_coupling(h)
-
+def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, taylor) -> list:
+    """(name, passed, detail) per property of ``verify``; ``taylor()``
+    returns the Taylor oracle's propagator of h at VERIFY_SAMPLE_TIME."""
     results: list[tuple[str, bool, str]] = []
     tol_structure = mp.mpf(TOL_STRUCTURE)
     tol_conservation = mp.mpf(TOL_CONSERVATION)
@@ -612,7 +598,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         if report is not None:
             u = propagator_spectral(report, VERIFY_SAMPLE_TIME, precision)
         else:
-            u = propagator_taylor(h, VERIFY_SAMPLE_TIME, precision)
+            u = taylor()
         results.append(
             (
                 "unitarity",
@@ -668,7 +654,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # The two propagator routes must agree entrywise.
     if u is not None and u.method is PropagatorMethod.SPECTRAL:
         try:
-            oracle = propagator_taylor(h, VERIFY_SAMPLE_TIME, precision)
+            oracle = taylor()
             with mp.workdps(precision + 10):
                 oracle_dev = u.matrix.max_abs_diff(oracle.matrix)
             results.append(
@@ -707,6 +693,35 @@ def cmd_verify(cfg: RunConfig) -> int:
             results.append(
                 ("closed-form entries", False, "skipped: no propagator available")
             )
+    return results
+
+
+def cmd_verify(cfg: RunConfig) -> int:
+    """Run the property suite; report PASS/FAIL per property.
+
+    A property that fails prints FAIL and exits 1.  A numeric limit is not a
+    property failure: when the spectral propagator needs more precision
+    (IllConditionedError), nothing is printed and the error propagates to
+    exit 3, as in ``evolve``.
+
+    The Taylor oracle needs only h, so its series starts in a forked child
+    as soon as h is built (fault included) and runs on a second CPU while
+    this process checks the chiral and pairing properties and builds the
+    spectral propagator.  Its rows are certified here, where they are
+    used; with one CPU, elsewhere than Linux, or when the child fails or
+    stalls, this process computes them itself at that point.  Every byte
+    printed and every exit code is the same either way.
+    """
+    j, precision = cfg.j, cfg.precision
+    with mp.workdps(precision):
+        chi_value = _mpf_from_fraction(cfg.chi)
+    if chi_value == 0:
+        raise InvalidInputError("coupling chi must be nonzero for verification")
+    h = build_h_ta(j, chi_value, precision)
+    if cfg.inject_fault:
+        h = _flip_first_coupling(h)
+    with _taylor_in_child(h, VERIFY_SAMPLE_TIME, precision) as taylor:
+        results = _verify_results(j, precision, chi_value, h, taylor)
 
     all_passed = all(passed for _, passed, _ in results)
     lines = [

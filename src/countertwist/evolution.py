@@ -12,13 +12,13 @@ precision; every propagator is certified unitary at construction.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import marshal
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
@@ -626,14 +626,26 @@ def propagator_taylor(
     computation gives.  Any other generator, such as one with a flipped
     coupling, is summed row by row.
 
+    The series and the rounding of its rows, everything but the unitarity
+    certificate, are one step that ``verify`` runs in a forked child beside
+    its other checks (:func:`_taylor_in_child`); the certificate runs in the
+    calling process either way.
+
     :param h: Hamiltonian matrix; divided by its recorded scale, so chi_t
         carries the full dimensionless time.
-    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, h has zero
-        scale, or an entry of h/scale has a nonzero real part (checked in
-        that order).
+    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, h's scale is
+        nan or infinite, h has zero scale, or an entry of h/scale has a
+        nonzero real part (checked in that order).
     :raises NumericFailureError: the series does not converge, or the
         result fails the unitarity certificate.
     """
+    return _taylor_propagator(h, precision, _taylor_rounded(h, chi_t, precision))
+
+
+def _taylor_rounded(h: DenseOperator, chi_t, precision: int) -> tuple:
+    """:func:`propagator_taylor` before its certificate: the rows rounded to
+    ``precision`` as raw mpf pairs, and the rounded time as a raw mpf, so
+    that ``marshal`` can carry them."""
     _require_precision(precision)
     tau = _propagation_time(chi_t, precision + 15)
     total = _taylor_rows(h, tau, precision)
@@ -643,9 +655,24 @@ def propagator_taylor(
             tuple((b, (mpf_pos(row[b], prec, rnd), fzero)) for b in sorted(row))
             for row in total
         )
-        tau_out = +tau
+        return rows, (+tau)._mpf_
+
+
+def _taylor_propagator(h: DenseOperator, precision: int, rounded: tuple) -> Propagator:
+    """The certified propagator from :func:`_taylor_rounded`'s result."""
+    rows, tau = rounded
     return Propagator(basis=h.basis, rows=rows, precision=precision,
-                      chi_t=tau_out, method=PropagatorMethod.TAYLOR_ORACLE)
+                      chi_t=mp.make_mpf(tau), method=PropagatorMethod.TAYLOR_ORACLE)
+
+
+@contextlib.contextmanager
+def _taylor_in_child(h: DenseOperator, chi_t, precision: int):
+    """Start ``propagator_taylor(h, chi_t, precision)``'s series in a forked
+    child (:func:`_forked`) and yield a function that returns that
+    propagator, certified in this process.  Errors are raised where the
+    function is called, with the text :func:`propagator_taylor` gives."""
+    with _forked(functools.partial(_taylor_rounded, h, chi_t, precision)) as rounded:
+        yield lambda: _taylor_propagator(h, precision, rounded())
 
 
 def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
@@ -655,15 +682,19 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
     n = h.dim
     with mp.workdps(precision + 15):
         scale = mp.mpf(h.scale)
+        if not mp.isfinite(scale):
+            raise InvalidInputError(
+                f"Hamiltonian scale must be finite, got {mp.nstr(scale, 5)}"
+            )
         if scale == 0:
             raise InvalidInputError(
                 "Hamiltonian has zero scale; build it with coupling 1 and "
                 "carry the physics in chi_t (zero coupling means chi_t = 0)"
             )
         # h/scale over h's nonzero entries, by column: the others divide to
-        # exact zeros, unless the scale is nan (0/nan is nan).
+        # exact zeros.
         a_rows = [[(b, x / scale) for b, x in enumerate(row) if x != 0] for row in h.entries]
-        if mp.isnan(scale) or any(_fdot_pair(x)[0] != fzero for row in a_rows for _, x in row):
+        if any(_fdot_pair(x)[0] != fzero for row in a_rows for _, x in row):
             raise InvalidInputError(
                 "the Taylor oracle takes an imaginary h/scale (H = -iK with K "
                 "real); an entry has a nonzero real part"
@@ -891,10 +922,11 @@ _CPU_QUOTA_FILES = (
     ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
 )
 
-#: A child's block is computed by the calling process instead when the child
-#: has not sent it by three times the calling process's own block time plus
-#: this many seconds, counted from the fork.  Healthy children send theirs
-#: at about one block time, as their blocks are no longer.
+#: The calling process stops waiting for a forked child, kills it and does
+#: its work itself once the child has used no CPU time for this many
+#: seconds (hung, or starved of CPU).  A child that keeps computing is
+#: waited for however long it takes: it runs the code the calling process
+#: would run, so waiting for it is never slower than computing again.
 _CHILD_GRACE_S = 1.0
 
 
@@ -927,7 +959,7 @@ def _cpu_count() -> int:
 
 
 def _may_fork() -> bool:
-    """Whether a time series may fork: only on Linux (a fork without exec is
+    """Whether this process may fork: only on Linux (a fork without exec is
     unsafe on macOS, and Windows has none), and only from a process with one
     thread at the OS level, native threads such as a BLAS pool included."""
     if sys.platform != "linux":
@@ -938,13 +970,24 @@ def _may_fork() -> bool:
         return False
 
 
-def _start_block(point, block):
-    """Fork a child that computes ``point(i)``, a tuple of mpf values or
-    None, for i in ``block`` and writes them as raw mpf tuples, marshalled,
-    to a pipe.  Returns (pid, read end), or None when no child could be
-    made.  The child leaves through os._exit, so it never runs the caller's
-    clean-up or flushes the stdio buffers it inherited; a value that is not
-    an mpf fails it (no ``_mpf_``, or marshal refuses it)."""
+def _child_cpu_ticks(pid: int):
+    """A child's user plus system CPU time in clock ticks, None where it
+    cannot be read.  The fields of ``/proc/<pid>/stat`` are counted after
+    the last ")", as the command name before it may hold any character."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            fields = stat.read().rpartition(")")[2].split()
+        return int(fields[11]) + int(fields[12])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _fork(work):
+    """Fork a child that writes ``marshal.dumps(work())`` to a pipe.  Returns
+    (pid, read end), or None when no child could be made.  The child leaves
+    through os._exit, so it never runs the caller's clean-up or flushes the
+    stdio buffers it inherited; if work raises, or its result is not
+    marshallable, the child writes nothing."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -959,10 +1002,7 @@ def _start_block(point, block):
         status = 1
         try:
             os.close(read_fd)
-            payload = marshal.dumps(
-                [tuple(None if x is None else x._mpf_ for x in point(i)) for i in block]
-            )
-            view = memoryview(payload)
+            view = memoryview(marshal.dumps(work()))
             while view:
                 view = view[os.write(write_fd, view):]
             status = 0
@@ -972,33 +1012,68 @@ def _start_block(point, block):
     return pid, read_fd
 
 
-def _collect_block(read_fd, block, deadline):
-    """The results a child wrote for ``block``, or None unless its payload
-    is complete by ``deadline`` (a ``time.monotonic`` reading)."""
+def _payload(pid: int, read_fd: int):
+    """What the child ``pid`` wrote to ``read_fd``, unmarshalled; None unless
+    the payload is complete.  Waits while the child's CPU time advances, and
+    gives up once it has not advanced for ``_CHILD_GRACE_S``."""
     # Imported here: the interpreter does not load select at start-up.
     import select
 
     poller = select.poll()
     poller.register(read_fd, select.POLLIN)
-    chunks = []
-    while poller.poll(math.ceil(max(0.0, deadline - time.monotonic()) * 1000)):
-        chunk = os.read(read_fd, 1 << 16)
-        if not chunk:
-            break
-        chunks.append(chunk)
-    else:
-        return None  # still running at the deadline: stalled or starved
+    chunks, ticks = [], _child_cpu_ticks(pid)
+    while True:
+        if poller.poll(math.ceil(_CHILD_GRACE_S * 1000)):
+            chunk = os.read(read_fd, 1 << 16)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            continue
+        ticks, before = _child_cpu_ticks(pid), ticks
+        if ticks is None or ticks == before:
+            return None  # no progress: hung, or starved of CPU
     try:
-        raw = marshal.loads(b"".join(chunks))
+        return marshal.loads(b"".join(chunks))
     except (EOFError, ValueError, TypeError):
-        return None
-    if not isinstance(raw, list) or len(raw) != len(block):
-        return None
+        return None  # cut short: the child raised or died while writing
 
-    def value(x):
-        return None if x is None else mp.make_mpf(x)
 
-    return [tuple(map(value, values)) for values in raw]
+@contextlib.contextmanager
+def _forked(work):
+    """Run ``work()`` in a forked child while the caller goes on; yields a
+    function, to be called at most once, that returns work()'s result.
+
+    ``work`` takes no arguments and returns what ``marshal`` carries (raw
+    mpf tuples, not mpf objects), never None.  A child is forked only when
+    this process may run on more than one CPU (:func:`_cpu_count`) and may
+    fork (:func:`_may_fork`).  The function returns the child's result,
+    unmarshalled.  Where there is no child, because none was forked or the
+    fork failed, or its payload is incomplete, because work raised, the
+    child died or its CPU time stood still for ``_CHILD_GRACE_S``, it
+    returns ``work()`` computed here: any error is raised here, as without
+    the fork.  The child is killed and reaped when the block is left,
+    normally or by an exception.
+    """
+    child = _fork(work) if _cpu_count() > 1 and _may_fork() else None
+
+    def result():
+        payload = None if child is None else _payload(*child)
+        return work() if payload is None else payload
+
+    try:
+        yield result
+    finally:
+        if child is not None:
+            # Imported here: the interpreter does not load signal at start-up.
+            import signal
+
+            pid, read_fd = child
+            os.close(read_fd)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped already, as when SIGCHLD is ignored
 
 
 def _points_in_blocks(point, count: int) -> list:
@@ -1006,41 +1081,26 @@ def _points_in_blocks(point, count: int) -> list:
 
     The range is cut into contiguous blocks, one per CPU and at most one per
     point, the longer ones first.  This process computes the first block;
-    each other block runs in a forked child, started only when
-    :func:`_may_fork` allows it.  A child whose payload is incomplete,
-    because its block raised, it died or it missed its deadline
-    (``_CHILD_GRACE_S``), has its block computed here, so an error is raised
-    at the same first point as by the plain loop.  The children are killed
-    and reaped before this returns or raises.
+    each other block is :func:`_forked`, its values sent back as raw mpf
+    tuples, and is computed here where it has no child or its child's
+    payload is incomplete, so an error is raised at the same first point as
+    by the plain loop.
     """
-    n_blocks = min(count, _cpu_count()) if _may_fork() else 1
+    n_blocks = min(count, _cpu_count())
     bounds = [-(-count * k // n_blocks) for k in range(n_blocks + 1)]
     first, *rest = (range(a, b) for a, b in pairwise(bounds))
-    children = []
-    try:
-        started = time.monotonic()
-        for block in rest:
-            children.append((block, _start_block(point, block)))
-        results = [point(i) for i in first]
-        deadline = started + 3 * (time.monotonic() - started) + _CHILD_GRACE_S
-        for block, child in children:
-            collected = child and _collect_block(child[1], block, deadline)
-            results += collected or [point(i) for i in block]
-        return results
-    finally:
-        if any(child for _, child in children):
-            # Imported here: the interpreter does not load signal at start-up.
-            import signal
 
-            for _, child in children:
-                if child:
-                    pid, read_fd = child
-                    os.close(read_fd)
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                        os.waitpid(pid, 0)
-                    except (ProcessLookupError, ChildProcessError):
-                        pass  # reaped already, as when SIGCHLD is ignored
+    def raw_block(block):
+        return [tuple(None if x is None else x._mpf_ for x in point(i)) for i in block]
+
+    with contextlib.ExitStack() as children:
+        pending = [children.enter_context(_forked(functools.partial(raw_block, block)))
+                   for block in rest]
+        results = [point(i) for i in first]
+        for block_values in pending:
+            results += [tuple(None if x is None else mp.make_mpf(x) for x in values)
+                        for values in block_values()]
+    return results
 
 
 def time_series(
@@ -1059,18 +1119,17 @@ def time_series(
     node order once, the polished nodes and couplings once per working
     precision.  Every column of TIME_SERIES_COLUMNS is filled.
 
-    On Linux the grid is cut into contiguous blocks, one per CPU this
-    process may run on (``os.sched_getaffinity``, capped by a cgroup CPU
-    quota) and at most one per point.  This process computes the first
-    block; every other block runs in a child made by ``os.fork``, only
-    from a process with a single OS thread, which sends its values back
-    as raw mpf tuples, so each bit is the one a single process computes.
-    A block whose child fails, dies or has not finished well after this
-    process's own block is computed here, so an error is raised at the
-    same first point as without the split.  There is no option for this:
-    on one CPU, elsewhere than Linux or in a threaded process there is
-    one block and no fork.  Each process sets up its own working
-    precisions.
+    The grid is cut into contiguous blocks, one per CPU this process may
+    run on (``os.sched_getaffinity``, capped by a cgroup CPU quota) and at
+    most one per point.  This process computes the first block; on Linux,
+    from a process with a single OS thread, every other block runs in a
+    child made by ``os.fork`` (``_forked``), which sends its values back as
+    raw mpf tuples, so each bit is the one a single process computes.  A
+    block whose child fails, dies or stops using CPU time is computed here,
+    so an error is raised at the same first point as without the split.
+    There is no option for this: on one CPU there is one block, and
+    elsewhere than Linux or in a threaded process every block is computed
+    here.  Each process sets up its own working precisions.
 
     :param chi: coupling strength; the grid reports chi·t (or t itself when
         chi = 0, where the dynamics is constant).

@@ -472,6 +472,15 @@ class TestPropagatorTaylor:
         )
         assert dev < mp.mpf("1e-30")
 
+    @pytest.mark.parametrize("scale", [mp.inf, -mp.inf, mp.nan])
+    def test_non_finite_scale_rejected(self, scale):
+        # With +inf every entry of h/scale would be an exact zero and the
+        # identity would pass the certificate for a nonzero h; a nan would
+        # be refused as a real part.
+        h = dataclasses.replace(build_h_ta(HalfInt(4), 1.0), scale=scale)
+        with pytest.raises(InvalidInputError, match="scale must be finite"):
+            propagator_taylor(h, mp.mpf("0.7"))
+
     @pytest.mark.parametrize("kind", ["jz", "h_f", "h_xy"])
     def test_real_part_rejected(self, kind):
         # The oracle runs on the real generator -i tau H: H = -iK, K real.
@@ -520,6 +529,22 @@ def test_spectral_propagator_keeps_its_accuracy_at_long_times():
     u = propagator_spectral(spectrum(HalfInt(4), 34), chi_t, 34)
     reference = _closed_form_rows_j2(chi_t, 1500)
     with mp.workdps(1510):
+        dev = max(abs(u.matrix.entries[a][b] - reference[a][b]) for a in range(5) for b in range(5))
+    assert dev < mp.mpf("1e-32")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="h's entries are rounded to its precision before they are exponentiated",
+)
+def test_taylor_propagator_keeps_its_accuracy_at_long_times():
+    # The certificate passes (about 7.5e-37), but at chi_t = 10^6 + 1/3 the
+    # 34-digit couplings of h, multiplied by chi_t, move U by about 5.9e-30
+    # (ROADMAP item 6).
+    chi_t = Fraction(10**6) + Fraction(1, 3)
+    u = propagator_taylor(build_h_ta(HalfInt(4), 1), chi_t, 34)
+    reference = _closed_form_rows_j2(chi_t, 200)
+    with mp.workdps(210):
         dev = max(abs(u.matrix.entries[a][b] - reference[a][b]) for a in range(5) for b in range(5))
     assert dev < mp.mpf("1e-32")
 
@@ -1166,16 +1191,17 @@ class TestTimeSeriesSplit:
             os.waitpid(-1, os.WNOHANG)
 
     def test_incomplete_payload_is_refused(self):
+        # Every cut of a payload is refused, and the whole one read back.
         payload = marshal.dumps([(mp.mpf(1)._mpf_,) + (None,) * 8] * 2)
-        for cut, length in ((len(payload) - 3, 2), (len(payload), 3)):
+        for cut in range(len(payload) + 1):
             read_fd, write_fd = os.pipe()
             os.write(write_fd, payload[:cut])
             os.close(write_fd)
             try:
-                deadline = time.monotonic() + 10
-                assert evolution._collect_block(read_fd, range(length), deadline) is None
+                got = evolution._payload(os.getpid(), read_fd)
             finally:
                 os.close(read_fd)
+            assert got == (marshal.loads(payload) if cut == len(payload) else None)
 
     def test_stalled_child_gives_the_sequential_result(self, monkeypatch):
         # The child blocks for a minute; past its deadline it is killed and
@@ -1192,9 +1218,50 @@ class TestTimeSeriesSplit:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_busy_child_is_waited_for(self, monkeypatch):
+        # The child's last point keeps a CPU busy for 1.5 s, far beyond
+        # three times this process's block plus the (shortened) grace; as
+        # its CPU time advances it is waited for, and this process computes
+        # only its own block, points 0 to 5.
+        _cpus(monkeypatch, 1)
+        expected = _raw_series(time_series(_spin(5), 1, 3, 11))
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(evolution, "_CHILD_GRACE_S", 0.2)
+        parent, original = os.getpid(), evolution.heisenberg_expectations
+        here = []
+
+        def expectations(state, u, precision):
+            if os.getpid() == parent:
+                here.append(u.chi_t)
+            elif u.chi_t > mp.mpf("2.9"):
+                busy_until = time.process_time() + 1.5
+                while time.process_time() < busy_until:
+                    pass
+            return original(state, u, precision)
+
+        monkeypatch.setattr(evolution, "heisenberg_expectations", expectations)
+        start = time.monotonic()
+        assert _raw_series(time_series(_spin(5), 1, 3, 11)) == expected
+        assert time.monotonic() - start > 1.5
+        assert len(here) == 6
+
     def test_no_fork_on_one_cpu(self, monkeypatch):
         _cpus(monkeypatch, 1)
         expected = _raw_series(time_series(_spin(3), 1, 2, 5))
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _raw_series(time_series(_spin(3), 1, 2, 5)) == expected
+
+    def test_no_fork_where_forking_is_unsafe(self, monkeypatch):
+        # Two CPUs, but the fork check refuses (another OS thread, or not
+        # Linux): the second block is computed here.
+        _cpus(monkeypatch, 1)
+        expected = _raw_series(time_series(_spin(3), 1, 2, 5))
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(evolution, "_may_fork", lambda: False)
 
         def no_fork():
             raise AssertionError("forked")

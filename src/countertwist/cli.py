@@ -704,13 +704,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     (IllConditionedError), nothing is printed and the error propagates to
     exit 3, as in ``evolve``.
 
-    The Taylor oracle needs only h, so its series starts in a forked child
-    as soon as h is built (fault included) and runs on a second CPU while
-    this process checks the chiral and pairing properties and builds the
-    spectral propagator.  Its rows are certified here, where they are
-    used; with one CPU, elsewhere than Linux, or when the child fails or
-    stalls, this process computes them itself at that point.  Every byte
-    printed and every exit code is the same either way.
+    The Taylor oracle needs only h, so from 2j + 1 = 14 states on its
+    series starts in a forked child as soon as h is built (fault included)
+    and runs on a second CPU while this process checks the chiral and
+    pairing properties and builds the spectral propagator; a smaller
+    series costs less than the fork.  Its rows are certified here, where
+    they are used; with one CPU, elsewhere than Linux, or when the child
+    fails or stalls, this process computes them itself at that point.
+    Every byte printed and every exit code is the same either way.
     """
     j, precision = cfg.j, cfg.precision
     with mp.workdps(precision):

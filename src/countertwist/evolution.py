@@ -628,8 +628,9 @@ def propagator_taylor(
 
     The series and the rounding of its rows, everything but the unitarity
     certificate, are one step that ``verify`` runs in a forked child beside
-    its other checks (:func:`_taylor_in_child`); the certificate runs in the
-    calling process either way.
+    its other checks where h is large enough to repay the fork
+    (:func:`_taylor_in_child`); the certificate runs in the calling process
+    either way.
 
     :param h: Hamiltonian matrix; divided by its recorded scale, so chi_t
         carries the full dimensionless time.
@@ -665,13 +666,29 @@ def _taylor_propagator(h: DenseOperator, precision: int, rounded: tuple) -> Prop
                       chi_t=mp.make_mpf(tau), method=PropagatorMethod.TAYLOR_ORACLE)
 
 
+#: Fewest states for which :func:`_taylor_in_child` forks.  Below this the
+#: series costs less than making and reaping a child.  One ``verify`` in a
+#: fresh interpreter on a 2-CPU Xeon at 34 digits, 12 interleaved pairs:
+#: at 2j + 1 = 5 it took 11.5 ms in one process and 17.1 ms with the child
+#: (slower in 12 of 12), at 9 states 19.3 against 22.5 ms; 12 to 14 states
+#: were within the runs' spread; from 17 states on the child won 9 to 12 of
+#: 12 (at 25 states 111.6 against 88.1 ms).
+_TAYLOR_FORK_MIN_STATES = 14
+
+
 @contextlib.contextmanager
 def _taylor_in_child(h: DenseOperator, chi_t, precision: int):
     """Start ``propagator_taylor(h, chi_t, precision)``'s series in a forked
-    child (:func:`_forked`) and yield a function that returns that
-    propagator, certified in this process.  Errors are raised where the
-    function is called, with the text :func:`propagator_taylor` gives."""
-    with _forked(functools.partial(_taylor_rounded, h, chi_t, precision)) as rounded:
+    child (:func:`_forked`), where h has at least ``_TAYLOR_FORK_MIN_STATES``
+    states, and yield a function that returns that propagator, certified in
+    this process.  For a smaller h the function is
+    :func:`propagator_taylor` itself.  Errors are raised where the function
+    is called, with the text :func:`propagator_taylor` gives."""
+    if h.dim < _TAYLOR_FORK_MIN_STATES:
+        yield lambda: propagator_taylor(h, chi_t, precision)
+        return
+    work = functools.partial(_taylor_rounded, h, chi_t, precision)
+    with _forked(work, fits=lambda rounded: len(rounded[0]) == h.dim) as rounded:
         yield lambda: _taylor_propagator(h, precision, rounded())
 
 
@@ -1039,7 +1056,7 @@ def _payload(pid: int, read_fd: int):
 
 
 @contextlib.contextmanager
-def _forked(work):
+def _forked(work, fits):
     """Run ``work()`` in a forked child while the caller goes on; yields a
     function, to be called at most once, that returns work()'s result.
 
@@ -1049,7 +1066,8 @@ def _forked(work):
     fork (:func:`_may_fork`).  The function returns the child's result,
     unmarshalled.  Where there is no child, because none was forked or the
     fork failed, or its payload is incomplete, because work raised, the
-    child died or its CPU time stood still for ``_CHILD_GRACE_S``, it
+    child died or its CPU time stood still for ``_CHILD_GRACE_S``, or
+    ``fits(payload)`` is false (a complete payload of the wrong shape), it
     returns ``work()`` computed here: any error is raised here, as without
     the fork.  The child is killed and reaped when the block is left,
     normally or by an exception.
@@ -1058,7 +1076,7 @@ def _forked(work):
 
     def result():
         payload = None if child is None else _payload(*child)
-        return work() if payload is None else payload
+        return payload if payload is not None and fits(payload) else work()
 
     try:
         yield result
@@ -1083,8 +1101,8 @@ def _points_in_blocks(point, count: int) -> list:
     point, the longer ones first.  This process computes the first block;
     each other block is :func:`_forked`, its values sent back as raw mpf
     tuples, and is computed here where it has no child or its child's
-    payload is incomplete, so an error is raised at the same first point as
-    by the plain loop.
+    payload is incomplete or not one value per point, so an error is raised
+    at the same first point as by the plain loop.
     """
     n_blocks = min(count, _cpu_count())
     bounds = [-(-count * k // n_blocks) for k in range(n_blocks + 1)]
@@ -1094,7 +1112,9 @@ def _points_in_blocks(point, count: int) -> list:
         return [tuple(None if x is None else x._mpf_ for x in point(i)) for i in block]
 
     with contextlib.ExitStack() as children:
-        pending = [children.enter_context(_forked(functools.partial(raw_block, block)))
+        pending = [children.enter_context(_forked(
+                       functools.partial(raw_block, block),
+                       fits=lambda values, size=len(block): len(values) == size))
                    for block in rest]
         results = [point(i) for i in first]
         for block_values in pending:

@@ -26,3 +26,32 @@ def _no_child_left():
         left.append(f"unreaped child {pid}")
     if left:
         pytest.fail(f"test left {', '.join(left)} behind")
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """``set_cpus(count)`` makes the fork helper see ``count`` CPUs.
+
+    The fork check is passed too: this process may hold native threads (a
+    BLAS pool once numpy is loaded), which make the real one refuse.
+    """
+    from countertwist import evolution
+
+    def set_count(count):
+        monkeypatch.setattr(evolution, "_cpu_count", lambda: count)
+        monkeypatch.setattr(evolution, "_may_fork", lambda: True)
+
+    return set_count
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Wrap os.fork; the list holds one entry per fork made."""
+    made, fork = [], os.fork
+
+    def counted():
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made

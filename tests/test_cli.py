@@ -576,22 +576,10 @@ class TestVerifyCommand:
         assert code == 0 and "RESULT: PASS" in out
 
 
-def _cpus(monkeypatch, count):
-    # As in test_evolution: the fork check is passed too, since this process
-    # may hold native threads (a BLAS pool once numpy is loaded).
-    monkeypatch.setattr(evolution, "_cpu_count", lambda: count)
-    monkeypatch.setattr(evolution, "_may_fork", lambda: True)
-
-
-def _taylor_calls(monkeypatch, in_child=None):
-    """Count forks and this process's Taylor series; a forked child runs
-    ``in_child`` first, where given.  Returns the two count lists."""
-    forks, here, fork = [], [], os.fork
-    parent, series = os.getpid(), evolution._taylor_rows
-
-    def counted_fork():
-        forks.append(None)
-        return fork()
+def _series_here(monkeypatch, in_child=None):
+    """Count the Taylor series summed in this process; a forked child runs
+    ``in_child`` first, where given.  Returns the count list."""
+    here, parent, series = [], os.getpid(), evolution._taylor_rows
 
     def counted_series(*args):
         if os.getpid() == parent:
@@ -600,9 +588,8 @@ def _taylor_calls(monkeypatch, in_child=None):
             in_child()
         return series(*args)
 
-    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(evolution, "_taylor_rows", counted_series)
-    return forks, here
+    return here
 
 
 VERIFY_CHILD_CHI = ("1", "1/2", "4/3", "-2/3", "5/4", "3/2")
@@ -612,20 +599,22 @@ class TestVerifyChild:
     """verify's Taylor oracle runs in a forked child beside the other checks."""
 
     @pytest.mark.parametrize("twoj", range(1, 25))
-    def test_same_bytes_on_one_and_two_cpus(self, capsys, monkeypatch, twoj):
+    def test_same_bytes_on_one_and_two_cpus(self, capsys, monkeypatch, set_cpus, forks, twoj):
         chi = VERIFY_CHILD_CHI[twoj % len(VERIFY_CHILD_CHI)]
         argv = ["verify", "--j", str(Fraction(twoj, 2)), f"--chi={chi}"]
-        forks, here = _taylor_calls(monkeypatch)
+        here = _series_here(monkeypatch)
+        large = twoj + 1 >= evolution._TAYLOR_FORK_MIN_STATES
         for fault in ([], ["--inject-fault"]) if twoj > 1 else ([],):
             seen = []
             for count in (1, 2):
-                _cpus(monkeypatch, count)
+                set_cpus(count)
                 forks.clear()
                 here.clear()
                 seen.append(_run(capsys, *argv, *fault))
-                # One CPU: no fork, and the series runs here.  Two: one
-                # fork, and the series never runs here.
-                assert (len(forks), len(here)) == (count - 1, 2 - count)
+                # Two CPUs and a large enough h: one fork, and the series
+                # never runs here.  Otherwise no fork, and it runs here.
+                child = count == 2 and large
+                assert (len(forks), len(here)) == (int(child), int(not child))
             assert seen[0] == seen[1]
             assert seen[0][0] == (1 if fault else 0)
 
@@ -635,41 +624,47 @@ class TestVerifyChild:
             pytest.param(lambda: 1 / 0, id="raises"),
             pytest.param(lambda: os._exit(0), id="no-payload"),
             pytest.param("cut", id="cut-payload"),
+            pytest.param("short", id="short-payload"),
             pytest.param("fork", id="fork-fails"),
             pytest.param(lambda: time.sleep(60), id="stalls"),
         ],
     )
-    @pytest.mark.parametrize("argv", [("--j", "2"), ("--j", "10", "--inject-fault")])
-    def test_a_failed_child_gives_the_same_result(self, capsys, monkeypatch, sabotage, argv):
-        _cpus(monkeypatch, 1)
+    @pytest.mark.parametrize("argv", [("--j", "7"), ("--j", "10", "--inject-fault")])
+    def test_a_failed_child_gives_the_same_result(
+        self, capsys, monkeypatch, set_cpus, forks, sabotage, argv
+    ):
+        set_cpus(1)
         expected = _run(capsys, "verify", *argv)
-        _cpus(monkeypatch, 2)
+        set_cpus(2)
         parent = os.getpid()
         if sabotage == "cut":
             monkeypatch.setattr(evolution, "marshal", SimpleNamespace(
                 dumps=lambda value: marshal.dumps(value)[:-7], loads=marshal.loads))
-            forks, here = _taylor_calls(monkeypatch)
+        elif sabotage == "short":
+            # Complete, but one row short.
+            monkeypatch.setattr(evolution, "marshal", SimpleNamespace(
+                dumps=lambda value: marshal.dumps((value[0][:-1], value[1])),
+                loads=marshal.loads))
         elif sabotage == "fork":
             def failed_fork():
+                forks.append(None)
                 raise OSError("no more processes")
 
             monkeypatch.setattr(os, "fork", failed_fork)
-            forks, here = [None], []
-        else:
-            forks, here = _taylor_calls(monkeypatch, sabotage)
+        here = _series_here(monkeypatch, sabotage if callable(sabotage) else None)
         start = time.monotonic()
         assert _run(capsys, "verify", *argv) == expected
         assert time.monotonic() - start < 20
         assert os.getpid() == parent
-        assert len(forks) == 1
+        # One fork, and the series summed again here.
+        assert (len(forks), len(here)) == (1, 1)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_numeric_failure_leaves_no_child(self, capsys, monkeypatch):
+    def test_numeric_failure_leaves_no_child(self, capsys, set_cpus, forks):
         # j = 27 at 34 digits exits 3 from the spectral route while the
         # child is still summing the series: it is killed and reaped.
-        _cpus(monkeypatch, 2)
-        forks, _ = _taylor_calls(monkeypatch)
+        set_cpus(2)
         code, out, _ = _run(capsys, "verify", "--j", "27")
         assert (code, out, len(forks)) == (3, "", 1)
         with pytest.raises(ChildProcessError):

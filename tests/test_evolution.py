@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp
@@ -1098,25 +1099,6 @@ def _raw_series(series):
     return raw(series.grid), {name: raw(v) for name, v in series.columns.items()}
 
 
-def _cpus(monkeypatch, count):
-    # The fork check is passed too: this process may hold native threads
-    # (a BLAS pool once numpy is loaded), which make the real one refuse.
-    monkeypatch.setattr(evolution, "_cpu_count", lambda: count)
-    monkeypatch.setattr(evolution, "_may_fork", lambda: True)
-
-
-def _counting_forks(monkeypatch):
-    """Wrap os.fork; the returned list holds one entry per fork made."""
-    forks, fork = [], os.fork
-
-    def counted():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
 def _failing_from(index, steps, t_max, in_child=None):
     """heisenberg_expectations that raises NumericFailureError at grid points
     index and later (chi = 1, so chi_t is the grid time), and runs
@@ -1138,12 +1120,11 @@ class TestTimeSeriesSplit:
     """The grid split across CPUs, one forked child per block after the first."""
 
     @pytest.mark.parametrize("twoj", range(1, 13))
-    def test_every_bit_kept_on_one_two_and_three_cpus(self, monkeypatch, twoj):
-        forks = _counting_forks(monkeypatch)
+    def test_every_bit_kept_on_one_two_and_three_cpus(self, set_cpus, forks, twoj):
         for steps in (2, 3, 11):
             results = []
             for count in (1, 2, 3):
-                _cpus(monkeypatch, count)
+                set_cpus(count)
                 forks.clear()
                 series = time_series(_spin(twoj), Fraction(-2, 3), Fraction(12, 5), steps, 34)
                 results.append(_raw_series(series))
@@ -1152,11 +1133,11 @@ class TestTimeSeriesSplit:
 
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("index", [7, 10])
-    def test_failure_in_a_child_raises_as_on_one_cpu(self, monkeypatch, count, index):
+    def test_failure_in_a_child_raises_as_on_one_cpu(self, set_cpus, monkeypatch, count, index):
         monkeypatch.setattr(evolution, "heisenberg_expectations", _failing_from(index, 11, 3))
         raised = []
         for cpus in (1, count):
-            _cpus(monkeypatch, cpus)
+            set_cpus(cpus)
             with pytest.raises(NumericFailureError) as info:
                 time_series(HalfInt(4), 1, 3, 11)
             raised.append((type(info.value), str(info.value)))
@@ -1165,10 +1146,10 @@ class TestTimeSeriesSplit:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_failure_in_the_first_block_leaves_no_child(self, monkeypatch):
+    def test_failure_in_the_first_block_leaves_no_child(self, set_cpus, monkeypatch):
         # The child's block would take a minute; the first block fails at
         # once, and the child is killed and reaped before the error leaves.
-        _cpus(monkeypatch, 2)
+        set_cpus(2)
         monkeypatch.setattr(
             evolution, "heisenberg_expectations", _failing_from(2, 11, 3, lambda: time.sleep(60))
         )
@@ -1179,10 +1160,10 @@ class TestTimeSeriesSplit:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_child_without_payload_gives_the_sequential_result(self, monkeypatch):
-        _cpus(monkeypatch, 1)
+    def test_child_without_payload_gives_the_sequential_result(self, set_cpus, monkeypatch):
+        set_cpus(1)
         expected = _raw_series(time_series(_spin(5), 1, 3, 11))
-        _cpus(monkeypatch, 3)
+        set_cpus(3)
         monkeypatch.setattr(
             evolution, "heisenberg_expectations", _failing_from(11, 11, 3, lambda: os._exit(0))
         )
@@ -1190,7 +1171,7 @@ class TestTimeSeriesSplit:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_incomplete_payload_is_refused(self):
+    def test_incomplete_payload_is_refused(self, set_cpus, monkeypatch):
         # Every cut of a payload is refused, and the whole one read back.
         payload = marshal.dumps([(mp.mpf(1)._mpf_,) + (None,) * 8] * 2)
         for cut in range(len(payload) + 1):
@@ -1202,13 +1183,27 @@ class TestTimeSeriesSplit:
             finally:
                 os.close(read_fd)
             assert got == (marshal.loads(payload) if cut == len(payload) else None)
+        # A complete payload of the wrong length is refused too: the child's
+        # block, points 3 and 4, sends one value, and both are computed here.
+        set_cpus(2)
+        monkeypatch.setattr(evolution, "marshal", SimpleNamespace(
+            dumps=lambda values: marshal.dumps(values[:-1]), loads=marshal.loads))
+        parent, here = os.getpid(), []
 
-    def test_stalled_child_gives_the_sequential_result(self, monkeypatch):
+        def point(i):
+            if os.getpid() == parent:
+                here.append(i)
+            return (mp.mpf(i), None)
+
+        assert evolution._points_in_blocks(point, 5) == [(mp.mpf(i), None) for i in range(5)]
+        assert here == [0, 1, 2, 3, 4]
+
+    def test_stalled_child_gives_the_sequential_result(self, set_cpus, monkeypatch):
         # The child blocks for a minute; past its deadline it is killed and
         # its block computed here.
-        _cpus(monkeypatch, 1)
+        set_cpus(1)
         expected = _raw_series(time_series(_spin(5), 1, 3, 11))
-        _cpus(monkeypatch, 2)
+        set_cpus(2)
         monkeypatch.setattr(
             evolution, "heisenberg_expectations", _failing_from(11, 11, 3, lambda: time.sleep(60))
         )
@@ -1218,14 +1213,14 @@ class TestTimeSeriesSplit:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_busy_child_is_waited_for(self, monkeypatch):
+    def test_busy_child_is_waited_for(self, set_cpus, monkeypatch):
         # The child's last point keeps a CPU busy for 1.5 s, far beyond
         # three times this process's block plus the (shortened) grace; as
         # its CPU time advances it is waited for, and this process computes
         # only its own block, points 0 to 5.
-        _cpus(monkeypatch, 1)
+        set_cpus(1)
         expected = _raw_series(time_series(_spin(5), 1, 3, 11))
-        _cpus(monkeypatch, 2)
+        set_cpus(2)
         monkeypatch.setattr(evolution, "_CHILD_GRACE_S", 0.2)
         parent, original = os.getpid(), evolution.heisenberg_expectations
         here = []
@@ -1245,8 +1240,8 @@ class TestTimeSeriesSplit:
         assert time.monotonic() - start > 1.5
         assert len(here) == 6
 
-    def test_no_fork_on_one_cpu(self, monkeypatch):
-        _cpus(monkeypatch, 1)
+    def test_no_fork_on_one_cpu(self, set_cpus, monkeypatch):
+        set_cpus(1)
         expected = _raw_series(time_series(_spin(3), 1, 2, 5))
 
         def no_fork():
@@ -1255,12 +1250,12 @@ class TestTimeSeriesSplit:
         monkeypatch.setattr(os, "fork", no_fork)
         assert _raw_series(time_series(_spin(3), 1, 2, 5)) == expected
 
-    def test_no_fork_where_forking_is_unsafe(self, monkeypatch):
+    def test_no_fork_where_forking_is_unsafe(self, set_cpus, monkeypatch):
         # Two CPUs, but the fork check refuses (another OS thread, or not
         # Linux): the second block is computed here.
-        _cpus(monkeypatch, 1)
+        set_cpus(1)
         expected = _raw_series(time_series(_spin(3), 1, 2, 5))
-        _cpus(monkeypatch, 2)
+        set_cpus(2)
         monkeypatch.setattr(evolution, "_may_fork", lambda: False)
 
         def no_fork():
@@ -1269,9 +1264,9 @@ class TestTimeSeriesSplit:
         monkeypatch.setattr(os, "fork", no_fork)
         assert _raw_series(time_series(_spin(3), 1, 2, 5)) == expected
 
-    def test_no_affinity_or_fork_call_runs_one_block(self, monkeypatch):
+    def test_no_affinity_or_fork_call_runs_one_block(self, set_cpus, monkeypatch):
         # As on Windows, which has neither call.
-        _cpus(monkeypatch, 1)
+        set_cpus(1)
         expected = _raw_series(time_series(_spin(3), 1, 2, 5))
         monkeypatch.undo()
         monkeypatch.delattr(os, "fork")
@@ -1335,10 +1330,10 @@ class TestTimeSeriesSplit:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert evolution._cpu_count() == (cpus or 64)
 
-    def test_failed_fork_computes_the_block_here(self, monkeypatch):
-        _cpus(monkeypatch, 1)
+    def test_failed_fork_computes_the_block_here(self, set_cpus, monkeypatch):
+        set_cpus(1)
         expected = _raw_series(time_series(_spin(3), 1, 2, 5))
-        _cpus(monkeypatch, 2)
+        set_cpus(2)
 
         def failed_fork():
             raise OSError("no more processes")

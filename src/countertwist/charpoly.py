@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -380,13 +381,19 @@ def degeneracy_report(j: HalfInt) -> DegeneracyReport:
     disc(pa*pb) = disc(pa) * disc(pb) * Res(pa, pb)^2 for the monic chain
     polynomials, and the overall sign of char_poly_exact leaves the
     discriminant unchanged, so the full discriminant needs no resultant of
-    degree 2j+1.  At j = 0 the second chain is empty: its polynomial is the
+    degree 2j+1.  Twin chains (half-integer j) share one polynomial: the
+    block discriminant is disc(pa)^2 and the full one 0, from one
+    discriminant.  At j = 0 the second chain is empty: its polynomial is the
     constant 1 and its discriminant the empty product 1.
     """
     j = _require_spin(j)
-    pa, pb = block_polynomials(j)
-    block = discriminant(pa) * (discriminant(pb) if pb.degree else 1)
-    full = block * _resultant(pa, pb) ** 2
+    factors = block_decompose(j).factors
+    block = math.prod(discriminant(poly) ** count for poly, count in factors if poly.degree)
+    if len(factors) == 1:
+        full = 0
+    else:
+        (pa, _), (pb, _) = factors
+        full = block * _resultant(pa, pb) ** 2
     return DegeneracyReport(
         j=j, discriminant_full=full, discriminant_block=block, degenerate=full == 0
     )

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -753,7 +754,10 @@ _DISPATCH: dict[Command, Callable[[RunConfig], int]] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="countertwist",
         description=(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
@@ -859,18 +860,20 @@ def _newton_polish(poly: IntPolynomial, start, precision: int):
         return x
 
 
-def _bracketed_newton(poly: IntPolynomial, derivative: IntPolynomial, lo, hi, rising: bool):
-    """A start for :func:`_newton_polish` inside the bracket (lo, hi) of a
-    simple root, at the working precision.
+def _bracketed_newton(
+    poly: IntPolynomial, derivative: IntPolynomial, lo, hi, rising: bool, x, digits: int
+):
+    """Refine ``x`` toward the simple root in the bracket (lo, hi).
 
-    Each step narrows the bracket by the sign of poly, then takes the Newton
-    step if it stays inside and at most halves the previous step, and
-    bisects otherwise.  ``rising`` says poly is negative at lo.  Returns once
-    a step falls below 10^(-dps/2) relative, from where Newton's quadratic
-    convergence reaches the working precision in one or two steps.
+    ``lo``, ``hi`` and ``x`` are all Python floats or all mpf, and the steps
+    run in that type.  Each step narrows the bracket by the sign of poly,
+    then takes the Newton step if it stays inside and at most halves the
+    previous step, and bisects otherwise.  ``rising`` says poly is negative
+    at lo.  Returns once a step falls below 10^(-digits/2) relative, from
+    where Newton's quadratic convergence reaches ``digits`` in one or two
+    steps.
     """
-    tolerance = mp.mpf(10) ** (-(mp.dps // 2))
-    x = (lo + hi) / 2
+    tolerance = type(x)(10) ** -(digits // 2)
     previous = hi - lo
     for _ in range(4 * mp.prec):
         value = poly.evaluate(x)
@@ -889,6 +892,22 @@ def _bracketed_newton(poly: IntPolynomial, derivative: IntPolynomial, lo, hi, ri
         if previous <= tolerance * max(1, abs(x)):
             break
     return x
+
+
+def _float_start(
+    poly: IntPolynomial, derivative: IntPolynomial, lo: Fraction, hi: Fraction, rising: bool
+):
+    """:func:`_bracketed_newton` run in Python floats inside the exact
+    bracket (lo, hi): a start for the mpf phase, or None when the float
+    arithmetic overflows or its result is not finite and strictly inside
+    the bracket.  Only the number of mpf steps depends on the start."""
+    try:
+        x = _bracketed_newton(
+            poly, derivative, float(lo), float(hi), rising, float((lo + hi) / 2), sys.float_info.dig
+        )
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) and lo < x < hi else None
 
 
 def _isolated_roots(mu_poly: IntPolynomial):
@@ -924,11 +943,14 @@ def _numeric_mu_roots(mu_poly: IntPolynomial, precision: int) -> list[_ClosedRoo
 
     The real roots of each square-free factor a of q are isolated exactly
     (Sturm), then refined by bracketed Newton and :func:`_newton_polish` on
-    a, whose roots are simple.  Every root must meet the residual bound
-    |a(mu)| / |a'(mu)| < 10^(5-p) and lie in its isolating interval widened
-    by that bound; otherwise the refinement is retried with more guard
-    digits.  The polished values are Newton fixed points at the working
-    precision, so they do not depend on where the refinement starts.
+    a, whose roots are simple.  Bracketed Newton runs in Python floats
+    first, and the mpf phase starts from that float when
+    :func:`_float_start` accepts it, else from the midpoint.  Every root
+    must meet the residual bound |a(mu)| / |a'(mu)| < 10^(5-p) and lie in
+    its isolating interval widened by that bound; otherwise the refinement
+    is retried with more guard digits.  The polished values are Newton
+    fixed points at the working precision, so they do not depend on where
+    the refinement starts.
 
     :raises SpectralConsistencyError: q has non-real roots.
     :raises NumericFailureError: no guard setting met both certificates.
@@ -946,7 +968,9 @@ def _numeric_mu_roots(mu_poly: IntPolynomial, precision: int) -> list[_ClosedRoo
                 derivative = poly.derivative()
                 for lo, hi, rising in brackets:
                     lo_value, hi_value = _mpf_from_fraction(lo), _mpf_from_fraction(hi)
-                    start = _bracketed_newton(poly, derivative, lo_value, hi_value, rising)
+                    seed = _float_start(poly, derivative, lo, hi, rising)
+                    seed = (lo_value + hi_value) / 2 if seed is None else mp.mpf(seed)
+                    start = _bracketed_newton(poly, derivative, lo_value, hi_value, rising, seed, digits)
                     root = _newton_polish(poly, start, digits)
                     slope = derivative.evaluate(root)
                     residual = mp.inf if slope == 0 else abs(poly.evaluate(root) / slope)

@@ -1,5 +1,6 @@
 """Exact characteristic polynomials, discriminants, and solvability classes."""
 
+import importlib
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ from countertwist.charpoly import (
 )
 from countertwist.charpoly import _resultant
 from _oracles import _sylvester_resultant, numpy_h_ta, unlimited_str
+
+charpoly_module = importlib.import_module("countertwist.charpoly")
 
 
 def eigenvalue_reconstructed_coefficients(twoj):
@@ -282,6 +285,41 @@ def test_degeneracy_report_examples():
     assert degeneracy_report(HalfInt(2)).degenerate is False
     assert degeneracy_report(HalfInt(21)).degenerate is True
     assert degeneracy_report(HalfInt(1)).degenerate is True
+
+
+def _per_chain_discriminants(twoj):
+    """(full, block) from both chains' own discriminants and their resultant,
+    without reading the twin structure."""
+    pa, pb = block_polynomials(HalfInt(twoj))
+    block = discriminant(pa) * (discriminant(pb) if pb.degree else 1)
+    return block * _resultant(pa, pb) ** 2, block
+
+
+@pytest.mark.parametrize("twoj", range(0, 81))
+def test_degeneracy_report_matches_the_per_chain_route(twoj):
+    report = degeneracy_report(HalfInt(twoj))
+    assert (report.discriminant_full, report.discriminant_block) == _per_chain_discriminants(twoj)
+
+
+@pytest.mark.parametrize("twoj", [0, 1, 2, 3, 15, 16, 41])
+def test_twin_chains_take_one_discriminant(twoj, monkeypatch):
+    calls = []
+
+    def counting(poly):
+        calls.append(poly)
+        return discriminant(poly)
+
+    monkeypatch.setattr(charpoly_module, "discriminant", counting)
+    degeneracy_report(HalfInt(twoj))
+    # j = 0 has one chain polynomial of positive degree; other integer
+    # spins two distinct chains; half-integer spins twins.
+    assert len(calls) == (1 if twoj % 2 or twoj == 0 else 2)
+
+
+def test_spin_zero_chains_are_not_twins():
+    assert not block_decompose(HalfInt(0)).twin
+    report = degeneracy_report(HalfInt(0))
+    assert (report.discriminant_full, report.discriminant_block, report.degenerate) == (1, 1, False)
 
 
 @pytest.mark.parametrize("twoj", range(0, 49))

@@ -809,3 +809,30 @@ class TestParserShape:
         )
         assert version.option_strings == ["--version"]
         assert version.version == "countertwist 0.1.0"
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_run_of_calls_matches_separate_calls(self, capsys):
+        argvs = [
+            ["spectrum"],
+            ["--help"],
+            ["--version"],
+            ["spectrum", "--j", "2", "--format", "text"],
+            ["spectrum"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        together = [run(argv) for argv in argvs]
+        separate = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            separate.append(run(argv))
+        assert [code for code, _, _ in together] == [2, 0, 0, 0, 2]
+        assert together == separate

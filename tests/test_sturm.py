@@ -141,6 +141,70 @@ def test_polished_root_outside_its_interval_fails(monkeypatch):
         _numeric_mu_roots(IntPolynomial((4, -5, 1)), PRECISION)
 
 
+# ------------------------------------------------------------- float start
+
+
+def _bits(eigenvalues):
+    return [(e.value._mpf_, e.multiplicity, e.exactness) for e in eigenvalues]
+
+
+def _float_starts(monkeypatch):
+    """Record what every ``_float_start`` call returns."""
+    taken = []
+    real = spectrum_module._float_start
+
+    def recording(*args):
+        taken.append(real(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(spectrum_module, "_float_start", recording)
+    return taken
+
+
+def _midpoint_start(monkeypatch):
+    monkeypatch.setattr(spectrum_module, "_float_start", lambda *args: None)
+
+
+@pytest.mark.parametrize("precision", [15, 34, 52])
+@pytest.mark.parametrize("twoj", [12, 19, 24, 33, 41, 44, 60, 61])
+def test_eigenvalue_bits_do_not_depend_on_the_float_start(twoj, precision, monkeypatch):
+    taken = _float_starts(monkeypatch)
+    seeded = _bits(spectrum(HalfInt(twoj), precision).eigenvalues)
+    assert None not in taken  # every bracket started from its float
+    _midpoint_start(monkeypatch)
+    assert _bits(spectrum(HalfInt(twoj), precision).eigenvalues) == seeded
+
+
+def _twoj_24_chain():
+    return block_polynomials(HalfInt(24))[0]
+
+
+def test_coefficients_beyond_float_range_start_from_the_midpoint(monkeypatch):
+    poly = _twoj_24_chain().scaled(10**400)
+    taken = _float_starts(monkeypatch)
+    roots = _bits(roots_numeric(poly, PRECISION))
+    assert taken and all(start is None for start in taken)
+    assert roots == _bits(roots_numeric(_twoj_24_chain(), PRECISION))
+    _midpoint_start(monkeypatch)
+    assert _bits(roots_numeric(poly, PRECISION)) == roots
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 1e30])
+def test_a_float_start_that_is_not_finite_or_inside_its_bracket_is_dropped(bad, monkeypatch):
+    expected = _bits(roots_numeric(_twoj_24_chain(), PRECISION))
+    real = spectrum_module._bracketed_newton
+
+    def broken_in_floats(poly, derivative, lo, hi, rising, x, digits):
+        if isinstance(x, float):
+            return bad
+        return real(poly, derivative, lo, hi, rising, x, digits)
+
+    monkeypatch.setattr(spectrum_module, "_bracketed_newton", broken_in_floats)
+    taken = _float_starts(monkeypatch)
+    assert _bits(roots_numeric(_twoj_24_chain(), PRECISION)) == expected
+    assert taken and all(start is None for start in taken)
+
+
 # ------------------------------------------------------- known rational roots
 
 

@@ -23,32 +23,40 @@ than the expression:
   is symmetric under negating every term, and zero terms may be left out;
   only the order of the other terms matters.
 
-The spectral route's kernels (:func:`int_horner`, :func:`chain_horner` with
-:func:`mirror`, and :func:`gram_defect`) and the moments of
-:func:`moments` run on a smaller integer core.  A core value is a pair
-(m, e) standing for m·2^e: the mpf without its sign and bit count, m a
-signed int that is odd, or (0, 0) for zero, so that a pair and its mpf
-name the same canonical value.  The core has one rounding rule, libmp's
-round-to-nearest with ties to even at ``prec`` bits, applied once per
-product, sum or difference exactly where ``mpf_mul``, ``mpf_add``,
-``mpf_sub``, ``mpc_mul`` and ``mpf_sum`` apply it, bit counts coming from
+The kernels of both propagator routes and of the moments run on a smaller
+integer core: the spectral route's (:func:`int_horner`, :func:`chain_horner`
+with :func:`mirror`, and :func:`gram_defect`), :func:`moments`, and the
+Taylor oracle's (:func:`series_term`, :func:`all_below`, :func:`added`,
+:func:`reflected` and :func:`squared`).  A core value is a pair (m, e)
+standing for m·2^e: the mpf without its sign and bit count, m a signed int
+that is odd, or (0, 0) for zero, so that a pair and its mpf name the same
+canonical value.  The core has one rounding rule, libmp's round-to-nearest
+with ties to even at ``prec`` bits, applied once per product, sum,
+difference or quotient exactly where ``mpf_mul``, ``mpf_add``, ``mpf_sub``,
+``mpf_div``, ``mpc_mul`` and ``mpf_sum`` apply it, bit counts coming from
 ``int.bit_length``.  ``mpf_sum`` drops a term more than 2·prec bits away
 from its running sum, a rule that depends on the order of the terms, so
 :func:`_sum` repeats that rule too, term by term, and is given the terms
-in the order ``mpf_sum`` would see them.  A kernel converts its mpf
-arguments to pairs on entry and its results to mpf tuples on return, so
-its signature is unchanged.  Any rounding mode other than to-nearest
-raises InternalConsistencyError.
+in the order ``mpf_sum`` would see them; where the rule cannot fire
+(:func:`_fixed_point_safe`), :func:`squared` sums exactly in fixed point
+instead.  The spectral kernels convert their mpf arguments to pairs on
+entry and their results to mpf tuples on return, so their signatures are
+unchanged; the Taylor kernels take and return sparse rows of core values,
+converted by ``evolution._taylor_rows``.  Any rounding mode other than
+to-nearest raises InternalConsistencyError.
 
-The Taylor kernels and :func:`newton_coefficients` stay on libmp, so that
-the oracle ``verify`` compares the spectral propagator against shares no
-arithmetic with it.  The generator they exponentiate, −iτH/2^s with
-H = −iK and K real, is real, and so is every series term and square: they
-work on sparse real rows, one dict per row from column to nonzero mpf, the
-real part of an mpc entry whose imaginary part is an exact zero.  An absent
-column is an exact zero, so the cross-chain zeros of a chain Hamiltonian's
-powers cost nothing, and a row of zeros is an empty dict.  :func:`gram_defect`
-and :func:`moments` take a propagator's rows as ``Propagator`` holds them,
+The oracle ``verify`` compares the spectral propagator against shares only
+these rounding primitives with it, each pinned bit for bit to libmp's by
+``tests/test_kernels.py``; its algorithm (series, scaling and squaring, no
+eigenvalues) is its own, and the two routes are compared to 1e-10, far
+above any last-bit defect.  :func:`newton_coefficients` stays on libmp.
+The generator the oracle exponentiates, −iτH/2^s with H = −iK and K real,
+is real, and so is every series term and square: they work on sparse real
+rows, one dict per row from column to nonzero core value, the real part of
+an mpc entry whose imaginary part is an exact zero.  An absent column is an
+exact zero, so the cross-chain zeros of a chain Hamiltonian's powers cost
+nothing, and a row of zeros is an empty dict.  :func:`gram_defect` and
+:func:`moments` take a propagator's rows as ``Propagator`` holds them,
 ``rows[a]`` listing (column, (re, im)) over row a's nonzero entries in
 ascending column.
 
@@ -66,7 +74,8 @@ each mirror pair once and take the other member from it:
   rows i <= n−1−i and :func:`reflected` completes the rest;
 * the reflected entry of a square sums the same exact products over the
   rows k in reverse, so :func:`squared` sums each list forward and in
-  reverse, since ``mpf_sum``'s drop rule depends on term order;
+  reverse where ``mpf_sum``'s drop rule may fire, and takes the partner
+  as ε_a·ε_c times the exact sum elsewhere;
 * in :func:`gram_defect` the Gram entry of (n−1−b, n−1−a) sums ε_a·ε_b
   times the conjugates of (a, b)'s rounded products, in reverse row order,
   and has the same deviation as that sum; this takes an exact conjugation,
@@ -82,20 +91,13 @@ import functools
 
 from mpmath.libmp import (
     fone,
-    from_int,
     fzero,
     mpc_div_mpf,
     mpc_sub,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
     mpf_gt,
     mpf_hypot,
-    mpf_lt,
-    mpf_mul,
     mpf_neg,
     mpf_sub,
-    mpf_sum,
     round_nearest,
     to_str,
 )
@@ -460,16 +462,6 @@ def reflects(lines, negate):
     )
 
 
-def reflected(rows, n):
-    """The sparse rows of a reflected n×n matrix, completed from its rows
-    i <= n−1−i (all of them for an unreflected matrix, which is returned
-    as it is)."""
-    return rows + [
-        {n - 1 - c: mpf_neg(x) if (i ^ c) & 2 else x for c, x in rows[i].items()}
-        for i in range(n - len(rows) - 1, -1, -1)
-    ]
-
-
 def gram_defect(rows, prec, check_prec, rnd):
     """max |(U†U)[a][b] − δ_ab| as a raw mpf.
 
@@ -663,60 +655,139 @@ def _scaled(w, z):
 
 
 def series_term(generator, term, k, prec, rnd):
-    """The next Taylor term B·term / k, as sparse rows.
+    """The next Taylor term B·term / k, as sparse rows of core values.
 
     ``generator[a]`` lists (b, v) over row a's nonzero entries of the real B
-    in column order, v a raw mpf; ``term`` is a list of sparse rows.
-    Repeats, per row, with mpc objects whose imaginary parts are exact zeros,
+    in column order; ``term`` is a list of sparse rows.  Repeats, per row,
+    with mpc objects whose imaginary parts are exact zeros,
 
         acc = [v * x for x in term[b]];  acc = [s + v * x ...] for each
         further (b, v);  [s / k for s in acc]
 
     leaving out every product with an exact-zero factor.  ``mpc_mul`` of
-    two such values is one rounded real product.  A product for an absent
-    entry of acc is stored as it is.
+    two such values is one rounded real product, and ``mpc_div`` by the real
+    k one ``mpf_div`` (:func:`_div`).  A product for an absent entry of acc
+    is stored as it is.  Runs on the integer core.
     """
-    kf = from_int(k)
-    mul, add = mpf_mul, mpf_add
+    _require_nearest(rnd)
+    mul, add = _mul, _add
     rows = []
     for nz in generator:
         acc = {}
         for b, v in nz:
             for c, x in term[b].items():
-                p = mul(v, x, prec, rnd)
+                p = mul(v, x, prec)
                 s = acc.get(c)
-                acc[c] = p if s is None else add(s, p, prec, rnd)
-        rows.append({c: mpf_div(s, kf, prec, rnd) for c, s in acc.items() if s != fzero})
+                acc[c] = p if s is None else add(s, p, prec)
+        rows.append({c: _div(s, k, prec) for c, s in acc.items() if s[0]})
     return rows
 
 
-def all_below(rows, tol, prec, rnd):
-    """Repeats ``max(abs(x) for x in rows) < tol`` (abs at prec) over sparse
-    real rows: the abs of an entry with an exactly zero imaginary part is
-    that of its real part, and an absent entry has abs zero, below any
-    positive tol."""
-    return all(mpf_lt(mpf_abs(x, prec, rnd), tol) for row in rows for x in row.values())
+def _div(x, k, prec):
+    """``mpf_div(x, from_int(k), prec, round_nearest)`` for a positive int k
+    and a core value x.
+
+    ``from_int`` keeps k's odd part t and its power of two.  For t = 1 the
+    quotient is x shifted, rounded once.  Otherwise ``mpf_div`` shifts |x|
+    left by at least 5 bits, enough for prec + 4 quotient bits, divides by
+    t, and appends one sticky bit where the division leaves a remainder,
+    so that the single rounding of the quotient is the rounding of the
+    exact one; round-to-nearest commutes with negation.
+    """
+    m, e = x
+    if not m:
+        return _NIL
+    z = (k & -k).bit_length() - 1
+    t = k >> z
+    if t == 1:
+        return _rounded(m, e - z, prec)
+    a = -m if m < 0 else m
+    extra = prec - a.bit_length() + t.bit_length() + 5
+    if extra < 5:
+        extra = 5
+    q, r = divmod(a << extra, t)
+    if r:
+        q = (q << 1) | 1
+        extra += 1
+    q, e = _rounded(q, e - z - extra, prec)
+    return (-q, e) if m < 0 else (q, e)
+
+
+def all_below(rows, tol):
+    """Repeats ``max(abs(x) for x in rows) < tol`` over sparse real rows of
+    core values, tol a positive core value: the abs of an entry with an
+    exactly zero imaginary part is that of its real part, exact for a value
+    already at prec, and an absent entry has abs zero, below any positive
+    tol."""
+    tm, te = tol
+    top = te + tm.bit_length()
+    for row in rows:
+        for m, e in row.values():
+            # Top bits decide, unless they are equal: then the mantissas,
+            # brought to the smaller exponent.  Rows hold no exact zero.
+            d = e + m.bit_length() - top
+            if d > 0:
+                return False
+            if not d:
+                m = -m if m < 0 else m
+                if (m << (e - te) if e > te else m) >= (tm << (te - e) if te > e else tm):
+                    return False
+    return True
 
 
 def added(rows, other, prec, rnd):
-    """Repeats the entrywise sum ``x + y`` of two matrices of sparse rows.
+    """Repeats the entrywise sum ``x + y`` of two matrices of sparse rows of
+    core values.
 
-    An entry present in one matrix only is kept as it is, and a sum that
+    An entry present in one matrix only is kept as it is (``mpf_add`` of an
+    exact zero and a value at prec returns that value), and a sum that
     cancels to an exact zero is dropped.
     """
+    _require_nearest(rnd)
     out = []
     for row, other_row in zip(rows, other):
         row = dict(row)
         for c, y in other_row.items():
             x = row.get(c)
-            row[c] = y if x is None else mpf_add(x, y, prec, rnd)
-        out.append({c: x for c, x in row.items() if x != fzero})
+            row[c] = y if x is None else _add(x, y, prec)
+        out.append({c: x for c, x in row.items() if x[0]})
     return out
 
 
+def reflected(rows, n, negate):
+    """The sparse rows of a reflected n×n matrix, completed from its rows
+    i <= n−1−i (all of them for an unreflected matrix, which is returned as
+    it is); ``negate`` negates one entry exactly, as for :func:`reflects`."""
+    return rows + [
+        {n - 1 - c: negate(x) if (i ^ c) & 2 else x for c, x in rows[i].items()}
+        for i in range(n - len(rows) - 1, -1, -1)
+    ]
+
+
+def _fixed_point_safe(rows, prec):
+    """Whether every sum of :func:`squared` is its exact sum rounded once.
+
+    ``mpf_sum`` adds exactly, but for a term more than 2·prec bits from
+    the running sum it replaces the sum or drops the term (:func:`_sum`).
+    Its running exponent never exceeds the lowest bit of some earlier term,
+    and a nonzero exact sum of products reaches above the lowest bit of
+    each.  Where the nonzero entries' lowest bits lie within prec bits of
+    each other, and their top bits within prec − 1 bits, the products'
+    lowest bits lie within 2·prec and no term comes that far above the
+    sum; a product's lowest bit is at most 2·prec − 3 bits above another
+    product's top bit, so none lies that far below.  Neither rule fires,
+    and the order of the terms is immaterial.
+    """
+    lows = [e for row in rows for _, e in row.values()]
+    if not lows:
+        return True
+    tops = [e + m.bit_length() for row in rows for m, e in row.values()]
+    return max(lows) - min(lows) <= prec and max(tops) - min(tops) <= prec - 1
+
+
 def squared(rows, prec, rnd, mirrored=False):
-    """The matrix product rows·rows of sparse real rows, each entry as
-    ``mp.fdot`` forms it.
+    """The matrix product rows·rows of sparse real rows of core values, each
+    entry as ``mp.fdot`` forms it.
 
     Repeats ``fdot((x, col[k]) for k, x in nonzero entries of the row)``: the
     exact products of each pair, summed by one ``mpf_sum`` in ascending k.
@@ -724,27 +795,47 @@ def squared(rows, prec, rnd, mirrored=False):
     with an exact-zero factor, are zeros, which ``mpf_sum`` skips, so each
     entry sums the nonzero real products alone, in the same order.  A row
     with no nonzero entry, which only a singular matrix has, stays empty.
+    Runs on the integer core.
+
+    Where :func:`_fixed_point_safe` holds, each sum is exact: every entry
+    is brought to the lowest exponent as an int, the products of a row are
+    summed as ints and the sum is rounded once.  Elsewhere each sum runs
+    through :func:`_sum` in ascending k.
 
     With ``mirrored`` (the rows reflected), row n−1−a is formed with row a:
     entry (n−1−a, n−1−c) is ε_a·ε_c times the sum of (a, c)'s products in
-    reverse.
+    reverse, which is the same exact sum where it is order-free.
     """
-    mul = mpf_mul
+    _require_nearest(rnd)
     n = len(rows)
+    computed = (n + 1) // 2 if mirrored else n
+    if _fixed_point_safe(rows, prec):
+        low = min((e for row in rows for _, e in row.values()), default=0)
+        ints = [[(c, m << (e - low)) for c, (m, e) in row.items()] for row in rows]
+        out = []
+        for row in ints[:computed]:
+            sums = {}
+            get = sums.get
+            for k, x in row:
+                for c, y in ints[k]:
+                    sums[c] = get(c, 0) + x * y
+            out.append({c: _rounded(s, 2 * low, prec) for c, s in sums.items() if s})
+        return reflected(out, n, _neg) if mirrored else out
+
     out = [None] * n
-    for a in range((n + 1) // 2 if mirrored else n):
+    for a in range(computed):
         row = rows[a]
         sums = {}
         for k in sorted(row):
-            x = row[k]
-            for c, y in rows[k].items():
-                sums.setdefault(c, []).append(mul(x, y))
-        out[a] = {c: s for c, terms in sums.items() if (s := mpf_sum(terms, prec, rnd)) != fzero}
+            x, xe = row[k]
+            for c, (y, ye) in rows[k].items():
+                sums.setdefault(c, []).append((x * y, xe + ye))
+        out[a] = {c: s for c, terms in sums.items() if (s := _sum(terms, prec))[0]}
         if mirrored and a < n - 1 - a:
             partner = {}
             for c, terms in sums.items():
-                s = mpf_sum(terms[::-1], prec, rnd)
-                if s != fzero:
-                    partner[n - 1 - c] = mpf_neg(s) if (a ^ c) & 2 else s
+                s = _sum(reversed(terms), prec)
+                if s[0]:
+                    partner[n - 1 - c] = _neg(s) if (a ^ c) & 2 else s
             out[n - 1 - a] = partner
     return out

@@ -78,7 +78,6 @@ from .spin_algebra import (
     HalfInt,
     _mpf_from_fraction,
     build_h_ta,
-    chiral_operator,
 )
 
 # Resource caps, checked before any arithmetic: MAX_PRECISION is set beside
@@ -551,6 +550,82 @@ def _closed_form_rows_j2(chi_t, precision: int):
         )
 
 
+def _nonzero_rows(h: DenseOperator) -> list:
+    """h's nonzero entries, row by row, as (column, entry) in ascending
+    column.  A truth test stands for ``!= 0`` on every mpmath number."""
+    return [[(b, x) for b, x in enumerate(row) if x] for row in h.entries]
+
+
+def _chiral_deviation(h_rows: list, chi_value, precision: int) -> tuple:
+    """(max |HR + RH|, max |H|) for H = h/chi, from h's nonzero entries.
+
+    R is the signed antidiagonal of ``chiral_operator``: R[n−1−c][c] =
+    (−1)^c.  So (HR)[a][n−1−k] = (−1)^(n−1−k)·H[a][k] and
+    (RH)[n−1−a][k] = (−1)^a·H[a][k], each entry of HR + RH is the sum of at
+    most two of H's entries, and every other entry is an exact zero.  The
+    values are those of the dense products at ``precision``: H's entries
+    are the rounded c·x of ``DenseOperator.scaled``, with c = 1/chi formed
+    at precision + 10 and rounded to ``precision``; a sign is an exact
+    negation, a product's fsum of one term is that term, and an entry with
+    one term is the sum of that term and an exact zero, the term itself.
+    """
+    n = len(h_rows)
+    with mp.workdps(precision + 10):
+        factor = 1 / chi_value
+    with mp.workdps(precision):
+        c = mp.mpc(factor)
+        scaled = [(a, k, c * x) for a, row in enumerate(h_rows) for k, x in row]
+        hr, rh = {}, {}
+        for a, k, x in scaled:
+            hr[a, n - 1 - k] = x if (n - 1 - k) % 2 == 0 else -x
+            rh[n - 1 - a, k] = x if a % 2 == 0 else -x
+        zero = mp.mpc(0)
+        anti = (hr.get(key, zero) + rh.get(key, zero) for key in hr.keys() | rh.keys())
+        return (max(map(abs, anti), default=mp.mpf(0)),
+                max((abs(x) for _, _, x in scaled), default=mp.mpf(0)))
+
+
+def _energy(h_rows: list, amplitudes: tuple, precision: int):
+    """Re <psi|h|psi>: h·psi by ``mp.fsum`` over each row's nonzero entries,
+    whose products are all the nonzero terms of the dense row's, then
+    ``mp.fdot`` against the conjugated amplitudes at precision + 10."""
+    with mp.workdps(precision):
+        h_amps = tuple(mp.fsum(x * amplitudes[b] for b, x in row) for row in h_rows)
+    with mp.workdps(precision + 10):
+        return mp.re(mp.fdot(h_amps, amplitudes, conjugate=True))
+
+
+def _evolved(rows, amplitudes: tuple, precision: int) -> tuple:
+    """φ = U·ψ from a propagator's rows, each entry by ``mp.fdot`` over the
+    row's nonzero entries at precision + 10.  fdot's sum skips the exact
+    zero products of the dense row, and with one complex pair its result is
+    an mpc, as over the dense row; a unitary U has no empty row."""
+    with mp.workdps(precision + 10):
+        return tuple(
+            mp.fdot((mp.make_mpc(pair), amplitudes[c]) for c, pair in row) for row in rows
+        )
+
+
+def _entries(rows) -> list:
+    """A propagator's rows as dicts from column to mpc entry; an absent
+    column stands for the exact mpc zero of ``Propagator.matrix``."""
+    return [{c: mp.make_mpc(pair) for c, pair in row} for row in rows]
+
+
+def _max_abs_difference(rows, other, precision: int):
+    """max |U − V| over two propagators' rows at ``precision``, as
+    ``DenseOperator.max_abs_diff`` forms it: a column held by neither row is
+    an exact zero in the difference, so only columns held by either are
+    formed."""
+    zero = mp.mpc(0)
+    with mp.workdps(precision):
+        return max(
+            (abs(x.get(c, zero) - y.get(c, zero))
+             for x, y in zip(_entries(rows), _entries(other)) for c in x.keys() | y.keys()),
+            default=mp.mpf(0),
+        )
+
+
 def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, taylor) -> list:
     """(name, passed, detail) per property of ``verify``; ``taylor()``
     returns the Taylor oracle's propagator of h at VERIFY_SAMPLE_TIME."""
@@ -559,12 +634,10 @@ def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, tay
     tol_conservation = mp.mpf(TOL_CONSERVATION)
 
     # Chiral anticommutation: {H, R} = 0 entrywise on the dimensionless matrix.
-    rotation = chiral_operator(j, precision)
+    h_rows = _nonzero_rows(h)
+    anti_dev, h_max = _chiral_deviation(h_rows, chi_value, precision)
     with mp.workdps(precision + 10):
-        dimensionless = h.scaled(1 / chi_value)
-        anti = dimensionless.matmul(rotation).add(rotation.matmul(dimensionless))
-        anti_dev = anti.max_abs()
-        anti_tol = tol_structure * (1 + dimensionless.max_abs())
+        anti_tol = tol_structure * (1 + h_max)
     results.append(
         (
             "chiral anticommutation",
@@ -622,16 +695,9 @@ def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, tay
             casimir_dev = abs(observables.casimir - casimir_ref)
             casimir_tol = tol_conservation * (1 + casimir_ref)
 
-            def energy(amplitudes):
-                h_amps = h.matvec(amplitudes)
-                return mp.re(mp.fdot(h_amps, amplitudes, conjugate=True))
-
-            evolved = tuple(
-                mp.fdot(zip(u.matrix.entries[a], state.amplitudes))
-                for a in range(u.dim)
-            )
-            energy_start = energy(state.amplitudes)
-            energy_dev = abs(energy(evolved) - energy_start)
+            evolved = _evolved(u.rows, state.amplitudes, precision)
+            energy_start = _energy(h_rows, state.amplitudes, precision)
+            energy_dev = abs(_energy(h_rows, evolved, precision) - energy_start)
             energy_tol = tol_conservation * (abs(chi_value) + abs(energy_start))
         results.append(
             (
@@ -655,9 +721,7 @@ def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, tay
     # The two propagator routes must agree entrywise.
     if u is not None and u.method is PropagatorMethod.SPECTRAL:
         try:
-            oracle = taylor()
-            with mp.workdps(precision + 10):
-                oracle_dev = u.matrix.max_abs_diff(oracle.matrix)
+            oracle_dev = _max_abs_difference(u.rows, taylor().rows, precision)
             results.append(
                 (
                     "oracle equivalence",
@@ -677,11 +741,12 @@ def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, tay
     if j == HalfInt(4):
         if u is not None:
             reference = _closed_form_rows_j2(VERIFY_SAMPLE_TIME, precision)
+            zero = mp.mpc(0)
             with mp.workdps(precision + 10):
                 closed_dev = max(
-                    abs(u.matrix.entry(a, b) - reference[a][b])
-                    for a in range(5)
-                    for b in range(5)
+                    abs(row.get(c, zero) - want)
+                    for row, wanted in zip(_entries(u.rows), reference)
+                    for c, want in enumerate(wanted)
                 )
             results.append(
                 (

@@ -25,7 +25,6 @@ from itertools import pairwise
 
 from mpmath import mp
 from mpmath.libmp import (
-    fone,
     fzero,
     mpc_exp,
     mpc_pos,
@@ -191,7 +190,8 @@ class Propagator:
     construction by ``_kernels.gram_defect``; violation raises
     NumericFailureError, a nan or infinite entry InvalidInputError, and
     malformed rows InternalConsistencyError).  ``matrix`` is the dense
-    form, built on first read.
+    form, built on first read; nothing in the package reads it, since
+    ``verify`` and the moments read ``rows``.
     """
 
     basis: BasisOrdering
@@ -613,12 +613,17 @@ def propagator_taylor(
     Independent of the spectral route (no eigenvalues involved): halves the
     generator until its norm is at most one, sums the Taylor series of exp to
     convergence at guarded precision, then squares back up.  Kept as a
-    cross-validation oracle for :func:`propagator_spectral`.
+    cross-validation oracle for :func:`propagator_spectral`.  The two routes
+    share only ``_kernels``' rounding primitives, each pinned bit for bit to
+    libmp's by the tests; the oracle's algorithm is its own, and ``verify``
+    compares the two to 1e-10 (``cli.TOL_ORACLE``), so a defect in a last
+    bit was never this oracle's to catch.
 
     h/scale must be imaginary, H = −iK with K real, as the countertwisting
     Hamiltonian is: the scaled generator −iτH/2^s is then real, and the
-    series and the squarings run on real entries.  Only h's nonzero
-    entries are read, so exact zeros cost nothing.  Where the generator is
+    series and the squarings run on real entries, on ``_kernels``' integer
+    core.  Only h's nonzero entries enter the arithmetic, so exact zeros
+    cost nothing.  Where the generator is
     reflected under m → −m (bit for bit, checked here; see ``_kernels``) and
     has at most two nonzero entries per row, as the countertwisting one
     does, every series term and square is reflected too: rows a <= n−1−a
@@ -634,9 +639,13 @@ def propagator_taylor(
 
     :param h: Hamiltonian matrix; divided by its recorded scale, so chi_t
         carries the full dimensionless time.
-    :raises InvalidInputError: |chi_t| exceeds MAX_ABS_CHI_T, h's scale is
-        nan or infinite, h has zero scale, or an entry of h/scale has a
-        nonzero real part (checked in that order).
+    :param precision: decimal digits of the result, at most ``h.precision``:
+        the series cannot add digits that h's entries do not carry.
+    :raises InvalidInputError: precision outside MIN_PRECISION ..
+        MAX_PRECISION or above h's, |chi_t| exceeds MAX_ABS_CHI_T, h's
+        scale is nan or infinite, h has zero scale, an entry of h/scale has
+        a nonzero real part, or a generator entry is nan or infinite
+        (checked in that order, before any arithmetic at ``precision``).
     :raises NumericFailureError: the series does not converge, or the
         result fails the unitarity certificate.
     """
@@ -648,6 +657,10 @@ def _taylor_rounded(h: DenseOperator, chi_t, precision: int) -> tuple:
     ``precision`` as raw mpf pairs, and the rounded time as a raw mpf, so
     that ``marshal`` can carry them."""
     _require_precision(precision)
+    if precision > h.precision:
+        raise InvalidInputError(
+            f"precision {precision} exceeds the {h.precision} digits of the Hamiltonian"
+        )
     tau = _propagation_time(chi_t, precision + 15)
     total = _taylor_rows(h, tau, precision)
     with mp.workdps(precision):
@@ -668,11 +681,13 @@ def _taylor_propagator(h: DenseOperator, precision: int, rounded: tuple) -> Prop
 
 #: Fewest states for which :func:`_taylor_in_child` forks.  Below this the
 #: series costs less than making and reaping a child.  One ``verify`` in a
-#: fresh interpreter on a 2-CPU Xeon at 34 digits, 12 interleaved pairs:
-#: at 2j + 1 = 5 it took 11.5 ms in one process and 17.1 ms with the child
-#: (slower in 12 of 12), at 9 states 19.3 against 22.5 ms; 12 to 14 states
-#: were within the runs' spread; from 17 states on the child won 9 to 12 of
-#: 12 (at 25 states 111.6 against 88.1 ms).
+#: fresh interpreter on a 2-CPU Xeon at 34 digits, 12 interleaved pairs,
+#: with the series on the integer core: at 2j + 1 = 5 it took 13.7 ms in
+#: one process and 17.9 ms with the child (slower in 11 of 12), at 9 states
+#: 25.7 against 29.0 ms (12 of 12), at 12 states 30.8 against 32.2 ms (11 of
+#: 12); at 13 states the medians were equal (45.5 against 45.3 ms); from 14
+#: states on the child won 11 or 12 of 12 (at 14 states 39.2 against
+#: 37.1 ms, at 25 states 175.5 against 143.4 ms).
 _TAYLOR_FORK_MIN_STATES = 14
 
 
@@ -709,8 +724,9 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
                 "carry the physics in chi_t (zero coupling means chi_t = 0)"
             )
         # h/scale over h's nonzero entries, by column: the others divide to
-        # exact zeros.
-        a_rows = [[(b, x / scale) for b, x in enumerate(row) if x != 0] for row in h.entries]
+        # exact zeros.  A truth test stands for ``!= 0`` on every mpmath and
+        # Python number, without converting the 0.
+        a_rows = [[(b, x / scale) for b, x in enumerate(row) if x] for row in h.entries]
         if any(_fdot_pair(x)[0] != fzero for row in a_rows for _, x in row):
             raise InvalidInputError(
                 "the Taylor oracle takes an imaginary h/scale (H = -iK with K "
@@ -723,26 +739,30 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
     with mp.workdps(wp):
         prec, rnd = mp._prec_rounding
         # B = -i·tau·(h/scale)/2^s: the real part of mpc_mul's product with
-        # an imaginary entry is one rounded real product.
-        step = (mp.mpf(tau) / (1 << squarings))._mpf_
-        b_rows = [[(b, mpf_mul(step, _fdot_pair(x)[1], prec, rnd)) for b, x in row] for row in a_rows]
+        # an imaginary entry is one rounded real product.  The series and
+        # the squarings run on the integer core (``_kernels``).
+        step = _kernels._pair((mp.mpf(tau) / (1 << squarings))._mpf_)
+        b_rows = [
+            [(b, _kernels._mul(step, _kernels._finite_pair(_fdot_pair(x)[1]), prec)) for b, x in row]
+            for row in a_rows
+        ]
         # Nonzero generator entries per row, in column order.
-        nz = [[(b, v) for b, v in row if v != fzero] for row in b_rows]
-        tol = (mp.mpf(10) ** (-wp - 3))._mpf_
+        nz = [[(b, v) for b, v in row if v[0]] for row in b_rows]
+        tol = _kernels._pair((mp.mpf(10) ** (-wp - 3))._mpf_)
         # Every term of a reflected generator with at most two entries per
         # row is reflected: the series forms rows a <= n-1-a only.
         mirrored = all(len(row) <= 2 for row in nz) and _kernels.reflects(
-            [dict(row) for row in nz], mpf_neg
+            [dict(row) for row in nz], _kernels._neg
         )
         computed = nz[: (n + 1) // 2] if mirrored else nz
 
-        term = [{a: fone} for a in range(n)]
+        term = [{a: (1, 0)} for a in range(n)]
         total = term[: len(computed)]
         k = 0
         while True:
             k += 1
             part = _kernels.series_term(computed, term, k, prec, rnd)
-            converged = _kernels.all_below(part, tol, prec, rnd)
+            converged = _kernels.all_below(part, tol)
             total = _kernels.added(total, part, prec, rnd)
             if converged:
                 break
@@ -750,12 +770,12 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
                 raise NumericFailureError(
                     "exponential series failed to converge"
                 )
-            term = _kernels.reflected(part, n)
+            term = _kernels.reflected(part, n, _kernels._neg)
 
-        total = _kernels.reflected(total, n)
+        total = _kernels.reflected(total, n, _kernels._neg)
         for _ in range(squarings):
             total = _kernels.squared(total, prec, rnd, mirrored)
-    return total
+    return [{c: _kernels._mpf(x) for c, x in row.items()} for row in total]
 
 
 # ---------------------------------------------------------------------------

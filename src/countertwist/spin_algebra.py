@@ -248,6 +248,9 @@ class DenseOperator:
         return DenseOperator(basis=self.basis, entries=rows, precision=self.precision)
 
     def matmul(self, other: "DenseOperator") -> "DenseOperator":
+        """The matrix product.  Nothing in the package calls it since
+        ``verify`` checks the chiral anticommutation on h's nonzero entries;
+        it stays public for library users."""
         if self.dim != other.dim:
             raise InvalidInputError("operator dimensions do not match")
         n = self.dim
@@ -293,6 +296,9 @@ class DenseOperator:
         )
 
     def matvec(self, vector: tuple) -> tuple:
+        """The product with a vector, one ``mp.fsum`` per row.  Nothing in
+        the package calls it since ``verify`` forms the energy over h's
+        nonzero entries; it stays public for library users."""
         if len(vector) != self.dim:
             raise InvalidInputError("vector length does not match operator dimension")
         n = self.dim
@@ -329,6 +335,9 @@ class DenseOperator:
             return max(abs(x) for row in self.entries for x in row)
 
     def max_abs_diff(self, other: "DenseOperator") -> mp.mpf:
+        """max |self − other|.  Nothing in the package calls it since
+        ``verify`` reads the propagators' rows; it stays public for library
+        users."""
         return self.sub(other).max_abs()
 
 
@@ -476,6 +485,9 @@ def chiral_operator(j: HalfInt, precision: int = DEFAULT_PRECISION) -> DenseOper
     signed antidiagonal: maps |j, m> to (-1)^(j-m) |j, -m>, so column c holds
     (-1)^c at row 2j-c. Squares to +identity for integer j and -identity for
     half-integer j.
+
+    Nothing in the package calls it: ``verify`` forms HR + RH from h's
+    nonzero entries and R's signs.  It stays public for library users.
     """
     _require_precision(precision)
     j = _require_spin(j)

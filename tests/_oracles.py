@@ -21,6 +21,9 @@ and the integer Horner loop written with mpmath number objects, one entry
 at a time, the references for the raw-libmp kernels and their mirror
 shortcuts.  ``operator_rows`` turns a DenseOperator into the sparse raw
 rows a ``Propagator`` holds, so that a test can certify any matrix.
+The ``dense_*`` functions are ``verify``'s chiral, energy and propagator
+differences formed with the dense operator algebra, the references for its
+checks on h's nonzero entries and the propagators' rows.
 """
 
 import math
@@ -38,6 +41,7 @@ from countertwist import (
     HalfInt,
     build_cartesian,
     build_h_ta,
+    chiral_operator,
 )
 from countertwist.charpoly import IntPolynomial, block_decompose
 from countertwist.errors import (
@@ -724,3 +728,44 @@ def object_moments(state, u, precision=DEFAULT_PRECISION):
             cov_yz=+cov_yz,
             corr_xz=+corr_xz,
         )
+
+
+def dense_chiral_deviation(h, chi_value, precision=DEFAULT_PRECISION):
+    """(max |HR + RH|, max |H|) for H = h/chi, with the dense products of
+    ``verify``'s former check: ``DenseOperator.scaled``, ``matmul`` with
+    ``chiral_operator`` and ``add``."""
+    rotation = chiral_operator(h.basis.j, precision)
+    with mp.workdps(precision + 10):
+        dimensionless = h.scaled(1 / chi_value)
+        anti = dimensionless.matmul(rotation).add(rotation.matmul(dimensionless))
+        return anti.max_abs(), dimensionless.max_abs()
+
+
+def dense_energy(h, amplitudes, precision=DEFAULT_PRECISION):
+    """Re <psi|h|psi> with the dense ``DenseOperator.matvec``."""
+    with mp.workdps(precision + 10):
+        return mp.re(mp.fdot(h.matvec(amplitudes), amplitudes, conjugate=True))
+
+
+def _dense_operator(rows, basis, precision):
+    """A propagator's rows as ``Propagator.matrix`` makes them dense."""
+    entries = [[mp.mpc(0)] * len(rows) for _ in rows]
+    for dense, row in zip(entries, rows):
+        for c, pair in row:
+            dense[c] = mp.make_mpc(pair)
+    return DenseOperator(basis=basis, entries=tuple(map(tuple, entries)), precision=precision)
+
+
+def dense_evolved(rows, basis, amplitudes, precision=DEFAULT_PRECISION):
+    """U·psi by ``mp.fdot`` over the dense rows of U."""
+    matrix = _dense_operator(rows, basis, precision)
+    with mp.workdps(precision + 10):
+        return tuple(mp.fdot(zip(row, amplitudes)) for row in matrix.entries)
+
+
+def dense_oracle_difference(rows, other, basis, precision=DEFAULT_PRECISION):
+    """max |U − V| by ``DenseOperator.max_abs_diff`` of the dense forms."""
+    u = _dense_operator(rows, basis, precision)
+    v = _dense_operator(other, basis, precision)
+    with mp.workdps(precision + 10):
+        return u.max_abs_diff(v)

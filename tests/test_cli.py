@@ -15,10 +15,13 @@ from mpmath import mp
 from countertwist import (
     HalfInt,
     InvalidInputError,
+    build_h_ta,
     char_poly_exact,
+    coherent_initial_state,
     degeneracy_report,
     spectrum,
 )
+from countertwist import _kernels
 from countertwist import cli, evolution
 from countertwist.cli import (
     MAX_PRECISION,
@@ -30,7 +33,13 @@ from countertwist.cli import (
     significant_digits,
 )
 from countertwist.spectrum import spectrum_from_json, spectrum_to_json
-from _oracles import unlimited_str
+from _oracles import (
+    dense_chiral_deviation,
+    dense_energy,
+    dense_evolved,
+    dense_oracle_difference,
+    unlimited_str,
+)
 
 CSV_HEADER = "chi_t,jx_mean,var_jy,var_jz,xi_y,xi_z,corr_xz,xi_opt,opt_angle"
 
@@ -574,6 +583,72 @@ class TestVerifyCommand:
         code, out, _ = _run(capsys, "verify", "--j", "2", f"--chi={chi}")
         assert "energy conservation: PASS" in out
         assert code == 0 and "RESULT: PASS" in out
+
+
+def _raw_values(values):
+    return [(type(x), getattr(x, "_mpc_", None) or x._mpf_) for x in values]
+
+
+def _perturbed(rows):
+    """Rows of a nearby matrix: the last bit of every other entry moved,
+    the first entry dropped from rows 1, 4, 7, ..., and an entry added at
+    a free column of rows 2, 5, 8, ...."""
+    n = len(rows)
+    out = []
+    for a, row in enumerate(rows):
+        row = dict(row)
+        for c in sorted(row)[::2]:
+            m, e = _kernels._pair(row[c][0])
+            row[c] = (_kernels._mpf((m + 2, e)), row[c][1])
+        if a % 3 == 1 and row:
+            del row[min(row)]
+        free = [c for c in range(n) if c not in row]
+        if a % 3 == 2 and free:
+            row[free[0]] = (_kernels._mpf((-3, -200)), _kernels._mpf((1, -190)))
+        out.append(tuple(sorted(row.items())))
+    return tuple(out)
+
+
+SPARSE_CHI = (Fraction(2, 3), Fraction(-3, 4), Fraction(5, 4))
+
+
+class TestVerifySparseChecks:
+    """verify's chiral and energy checks on h's nonzero entries, and its
+    propagator differences on the rows, give the bits that the dense
+    operator algebra of ``_oracles.dense_*`` gives."""
+
+    @pytest.mark.parametrize("twoj", range(1, 41))
+    def test_same_bits_as_the_dense_checks(self, twoj):
+        j = HalfInt(twoj)
+        for k, precision in enumerate((20, 34, 50)):
+            with mp.workdps(precision):
+                chi_value = cli._mpf_from_fraction(SPARSE_CHI[(twoj + k) % 3])
+            h = build_h_ta(j, chi_value, precision)
+            state = coherent_initial_state(j, precision)
+            rows, _ = evolution._taylor_rounded(h, cli.VERIFY_SAMPLE_TIME, precision)
+            phi = cli._evolved(rows, state.amplitudes, precision)
+            assert _raw_values(phi) == _raw_values(
+                dense_evolved(rows, h.basis, state.amplitudes, precision)
+            )
+            for other in (rows, _perturbed(rows)):
+                assert _raw_values([cli._max_abs_difference(rows, other, precision)]) == (
+                    _raw_values([dense_oracle_difference(rows, other, h.basis, precision)])
+                )
+            for hh in (h, cli._flip_first_coupling(h)) if twoj > 1 else (h,):
+                h_rows = cli._nonzero_rows(hh)
+                assert _raw_values(cli._chiral_deviation(h_rows, chi_value, precision)) == (
+                    _raw_values(dense_chiral_deviation(hh, chi_value, precision))
+                )
+                for amplitudes in (state.amplitudes, phi):
+                    assert _raw_values([cli._energy(h_rows, amplitudes, precision)]) == (
+                        _raw_values([dense_energy(hh, amplitudes, precision)])
+                    )
+
+    def test_difference_of_equal_rows_is_zero(self):
+        rows, _ = evolution._taylor_rounded(build_h_ta(HalfInt(6)), cli.VERIFY_SAMPLE_TIME, 34)
+        assert cli._max_abs_difference(rows, rows, 34) == 0 < cli._max_abs_difference(
+            rows, _perturbed(rows), 34
+        )
 
 
 def _series_here(monkeypatch, in_child=None):

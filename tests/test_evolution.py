@@ -482,6 +482,18 @@ class TestPropagatorTaylor:
         with pytest.raises(InvalidInputError, match="scale must be finite"):
             propagator_taylor(h, mp.mpf("0.7"))
 
+    def test_precision_above_h_rejected(self, monkeypatch):
+        # A 15-digit h gave a "50-digit" propagator 1.4e-16 from the 50-digit
+        # spectral one, certified unitary to 5e-52.  It is refused before
+        # any arithmetic; a precision at or below h's is taken.
+        h = build_h_ta(HalfInt(2), 1, 15)
+        with monkeypatch.context() as patch:
+            patch.setattr(evolution, "_propagation_time", None)
+            with pytest.raises(InvalidInputError, match="exceeds the 15 digits"):
+                propagator_taylor(h, "0.7", 50)
+        assert propagator_taylor(h, "0.7", 15).precision == 15
+        assert propagator_taylor(build_h_ta(HalfInt(2), 1, 50), "0.7", 20).precision == 20
+
     @pytest.mark.parametrize("kind", ["jz", "h_f", "h_xy"])
     def test_real_part_rejected(self, kind):
         # The oracle runs on the real generator -i tau H: H = -iK, K real.

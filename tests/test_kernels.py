@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import (
     fone,
+    from_int,
     from_man_exp,
     fzero,
     mpc_mul,
     mpf_add,
+    mpf_div,
     mpf_mul,
     mpf_neg,
     mpf_pos,
@@ -200,12 +202,12 @@ def _taylor_mismatches(kind):
 
 
 def test_taylor_comparison_catches_a_wrong_zero_skip(monkeypatch):
-    # Mutant: the squarings test the sign field of an entry instead of its
-    # mantissa, treating every positive entry as an exact zero.
+    # Mutant: the squarings test the sign of an entry's mantissa instead of
+    # the mantissa, treating every positive entry as an exact zero.
     original = _kernels.squared
 
     def wrong_skip(rows, *args):
-        masked = [{c: x for c, x in row.items() if x[0]} for row in rows]
+        masked = [{c: x for c, x in row.items() if x[0] < 0} for row in rows]
         return original(masked, *args)
 
     monkeypatch.setattr(_kernels, "squared", wrong_skip)
@@ -492,24 +494,32 @@ _GRAM_HALF = [
 ]
 
 
+def _core_rows(rows):
+    return [{c: _kernels._pair(x) for c, x in row.items()} for row in rows]
+
+
 def test_mirrored_square_sums_partners_in_reverse():
-    rows = _kernels.reflected(_SQUARE_HALF, 5)
-    assert _kernels.reflects(rows, mpf_neg)
+    rows = _kernels.reflected(_core_rows(_SQUARE_HALF), 5, _kernels._neg)
+    assert _kernels.reflects(rows, _kernels._neg)
+    # The entries span more than prec bits: the sums run in order.
+    assert not _kernels._fixed_point_safe(rows, _P)
     full = _kernels.squared(rows, _P, round_nearest)
     assert _kernels.squared(rows, _P, round_nearest, True) == full
     # (0, 0) sums 1, 2^4p, -2^4p; its partner (4, 4) the same in reverse.
-    assert 0 not in full[0] and full[4][4] == fone
+    assert 0 not in full[0] and full[4][4] == (1, 0)
 
 
 def test_square_of_an_empty_row_is_empty():
     # A row with no nonzero entry, which only a singular matrix has, stays
-    # an empty row.
-    want = [{0: fone, 1: fone}, {}]
-    assert _kernels.squared([{0: fone, 1: fone}, {}], _P, round_nearest) == want
+    # an empty row, in fixed point (far = 0) and in ordered sums.
+    for far in (0, 3 * _P):
+        rows = [{0: (1, 0), 1: (1, far)}, {}]
+        assert _kernels._fixed_point_safe(rows, _P) == (not far)
+        assert _kernels.squared(rows, _P, round_nearest) == rows
 
 
 def test_mirrored_certificate_sums_partners_in_reverse(monkeypatch):
-    rows = _kernels.reflected(_GRAM_HALF, 5)
+    rows = _kernels.reflected(_GRAM_HALF, 5, mpf_neg)
     assert _kernels.reflects(rows, mpf_neg)
     pairs = [[(c, (row[c], fzero)) for c in sorted(row)] for row in rows]
     # The diagonal holds the largest deviation here.
@@ -598,6 +608,58 @@ def test_taylor_comparison_catches_an_assumed_reflection(monkeypatch):
     # Mutant: the generator is taken as reflected without a look at it.
     monkeypatch.setattr(_kernels, "reflects", lambda lines, negate: True)
     assert _taylor_reflection_mismatches(_reflected_half_broken)
+
+
+def _far_couplings(j, precision):
+    """An imaginary Hermitian generator on the first six states whose
+    couplings are 1, 0.7 and 1e-230, more than 4·prec bits apart at 20 and
+    34 digits.  K[0][1] = K[0][3] = 1, K[0][2] = K[0][4] = 1e-230,
+    K[1][5] = −K[3][5] = 1 and K[2][5] = −K[4][5] = 0.7 commute with the
+    signed swap of states 1 ↔ 3 and 2 ↔ 4 that negates state 5, so the
+    powers' entry (0, 5) vanishes in exact arithmetic: its sums pair large
+    products that cancel around far smaller ones, which mpf_sum drops or
+    keeps by their order."""
+    n = j.n_states
+    with mp.workdps(precision):
+        rows = [[mp.mpc(0)] * n for _ in range(n)]
+        tiny, mid = mp.mpf("1e-230"), mp.mpf("0.7")
+        for a, b, k in ((0, 1, 1), (0, 3, 1), (0, 2, tiny), (0, 4, tiny),
+                        (1, 5, 1), (3, 5, -1), (2, 5, mid), (4, 5, -mid)):
+            rows[a][b], rows[b][a] = mp.mpc(0, k), mp.mpc(0, -k)
+    return DenseOperator(basis=BasisOrdering.for_spin(j), entries=tuple(map(tuple, rows)),
+                         precision=precision, hermitian=True)
+
+
+def _far_coupling_cases():
+    for twoj in (5, 9):
+        for precision, chi_t in ((20, "4.5"), (34, "0.7"), (34, "4.5")):
+            yield HalfInt(twoj), precision, mp.mpf(chi_t)
+
+
+def _far_coupling_mismatches():
+    mismatches = 0
+    for j, precision, chi_t in _far_coupling_cases():
+        h = _far_couplings(j, precision)
+        tau = evolution._propagation_time(chi_t, precision + 15)
+        got = evolution._taylor_rows(h, tau, precision)
+        mismatches += _working_rows(got, h.dim) != _raw(object_taylor_rows(h, tau, precision))
+    return mismatches
+
+
+def test_taylor_of_far_couplings_matches_object_code():
+    # The squares' entries span more than prec bits, so their sums run in
+    # order, as mpf_sum adds them.
+    assert _far_coupling_mismatches() == 0
+    for j, precision, chi_t in _far_coupling_cases():
+        h = _far_couplings(j, precision)
+        entries, tau = object_taylor_entries(h, chi_t, precision)
+        _assert_same_propagator(propagator_taylor(h, chi_t, precision), entries, tau)
+
+
+def test_taylor_comparison_catches_fixed_point_sums_without_the_guard(monkeypatch):
+    # Mutant: every square is summed in fixed point, whatever its entries.
+    monkeypatch.setattr(_kernels, "_fixed_point_safe", lambda rows, prec: True)
+    assert _far_coupling_mismatches() == 6
 
 
 @pytest.mark.parametrize("twoj", [4, 5, 20, 21])
@@ -896,6 +958,21 @@ def test_core_complex_product_matches_mpc_mul(case):
     assert tuple(map(_kernels._mpf, got)) == mpc_mul((a, b), (c, d), prec, round_nearest)
 
 
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_operands(1), st.one_of(st.integers(1, 200), st.sampled_from([1 << e for e in range(8)])))
+# A quotient on a tie at 53 bits: (2^53 + 1)·3 / 6.
+@example((53, [_kernels._mpf((((1 << 53) + 1) * 3, 0))]), 6)
+# 2801/27 and 263327/19: the quotient's bits below the rounding place are a
+# tie until the remainder's sticky bit breaks it.
+@example((53, [_kernels._mpf((2801, 0))]), 27)
+@example((53, [_kernels._mpf((-263327, 5))]), 19)
+@example((113, [fzero]), 7)
+def test_core_quotient_matches_mpf_div(case, k):
+    prec, (x,) = case
+    got = _kernels._div(_kernels._pair(x), k, prec)
+    assert _kernels._mpf(got) == mpf_div(x, from_int(k), prec, round_nearest)
+
+
 @st.composite
 def _sum_terms(draw):
     return draw(_operands(draw(st.integers(0, 8))))
@@ -970,3 +1047,10 @@ def test_core_kernels_refuse_other_rounding_modes():
         _kernels.gram_defect([[(0, (x, fzero))]], 53, 86, round_floor)
     with pytest.raises(InternalConsistencyError):
         _kernels.moments([[(x, fzero)]], [(x, fzero)], [], [x], 53, round_floor)
+    one = [{0: (1, 0)}]
+    with pytest.raises(InternalConsistencyError):
+        _kernels.series_term([[(0, (1, 0))]], one, 1, 53, round_floor)
+    with pytest.raises(InternalConsistencyError):
+        _kernels.added(one, one, 53, round_floor)
+    with pytest.raises(InternalConsistencyError):
+        _kernels.squared(one, 53, round_floor)

@@ -754,12 +754,12 @@ def added(rows, other, prec, rnd):
     return out
 
 
-def reflected(rows, n, negate):
-    """The sparse rows of a reflected n×n matrix, completed from its rows
-    i <= n−1−i (all of them for an unreflected matrix, which is returned as
-    it is); ``negate`` negates one entry exactly, as for :func:`reflects`."""
+def reflected(rows, n):
+    """The sparse rows of core values of a reflected n×n matrix, completed
+    from its rows i <= n−1−i (all of them for an unreflected matrix, which
+    is returned as it is)."""
     return rows + [
-        {n - 1 - c: negate(x) if (i ^ c) & 2 else x for c, x in rows[i].items()}
+        {n - 1 - c: _neg(x) if (i ^ c) & 2 else x for c, x in rows[i].items()}
         for i in range(n - len(rows) - 1, -1, -1)
     ]
 
@@ -820,7 +820,7 @@ def squared(rows, prec, rnd, mirrored=False):
                 for c, y in ints[k]:
                     sums[c] = get(c, 0) + x * y
             out.append({c: _rounded(s, 2 * low, prec) for c, s in sums.items() if s})
-        return reflected(out, n, _neg) if mirrored else out
+        return reflected(out, n) if mirrored else out
 
     out = [None] * n
     for a in range(computed):

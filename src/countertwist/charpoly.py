@@ -175,6 +175,77 @@ def to_mu_polynomial(p: IntPolynomial) -> IntPolynomial:
 
 
 @dataclass(frozen=True)
+class Chain:
+    """One chain: a zero-diagonal tridiagonal matrix T of N sites with
+    integer squared couplings, and its characteristic polynomial.
+
+    The leading principal minors p_k(x) = det(x*I - T_k), k = 0..N, are a
+    Sturm sequence (Givens' bisection; Wilkinson, *The Algebraic Eigenvalue
+    Problem*, 1965, ch. 5): the sign changes along p_0(x), ..., p_N(x),
+    zeros skipped, count the eigenvalues above x.  The couplings are
+    nonzero, so the eigenvalues are real, simple and in +- pairs.
+
+    :param squares: squared couplings w_1..w_(N-1), w_k between sites k and
+        k + 1.
+    :param polynomial: p_N = det(lambda*I - T).
+    """
+
+    squares: tuple[int, ...]
+    polynomial: IntPolynomial
+
+    def sturm_count(self, x: Fraction) -> tuple[int, int]:
+        """(number of eigenvalues above x, P_N) at x = num/den.
+
+        P_k = den^k * p_k(x) by the recurrence on integers P_0 = 1,
+        P_1 = num, P_k = num*P_(k-1) - w_(k-1)*den^2*P_(k-2), so P_k has
+        p_k(x)'s sign and no rounding enters the count.
+        """
+        num, den_squared = x.numerator, x.denominator**2
+        minors = [1, num]
+        for w in self.squares:
+            minors.append(num * minors[-1] - w * den_squared * minors[-2])
+        signs = [p > 0 for p in minors if p]
+        return sum(a != b for a, b in zip(signs, signs[1:])), minors[-1]
+
+    def positive_intervals(self) -> list[tuple[Fraction, Fraction, int]]:
+        """(lo, hi, P_N at lo), ascending: each (lo, hi] holds exactly one
+        positive eigenvalue, and neither end is an eigenvalue unless lo = 0.
+
+        Bisection of (0, B] with B = 2*(isqrt(max w) + 1), beyond
+        Gershgorin's bound 2*sqrt(max w), so no eigenvalue reaches B.  A
+        midpoint where p_N vanishes moves toward lo.
+
+        :raises InternalConsistencyError: the number of positive eigenvalues
+            is not the mu-degree of ``polynomial``.
+        """
+        bound = Fraction(2 * (math.isqrt(max(self.squares, default=0)) + 1))
+        (v_lo, p_lo), (v_hi, _) = self.sturm_count(Fraction(0)), self.sturm_count(bound)
+        mu_degree = strip_lambda_power(self.polynomial)[1].degree // 2
+        if v_lo - v_hi != mu_degree:
+            raise InternalConsistencyError(
+                f"the chain has {v_lo - v_hi} positive eigenvalues, but its "
+                f"polynomial's mu-degree is {mu_degree}"
+            )
+        pending = [(Fraction(0), v_lo, p_lo, bound, v_hi)]
+        intervals = []
+        while pending:
+            lo, v_lo, p_lo, hi, v_hi = pending.pop()
+            if v_lo - v_hi == 1:
+                intervals.append((lo, hi, p_lo))
+                continue
+            mid = (lo + hi) / 2
+            v_mid, p_mid = self.sturm_count(mid)
+            while p_mid == 0:
+                mid = (lo + mid) / 2
+                v_mid, p_mid = self.sturm_count(mid)
+            for part in ((lo, v_lo, p_lo, mid, v_mid), (mid, v_mid, p_mid, hi, v_hi)):
+                if part[1] != part[4]:
+                    pending.append(part)
+        intervals.sort()
+        return intervals
+
+
+@dataclass(frozen=True)
 class BlockDecomposition:
     """The two zero-diagonal tridiagonal chains hiding inside the Hamiltonian.
 
@@ -211,18 +282,25 @@ class BlockDecomposition:
         )
 
     @property
-    def factors(self) -> tuple[tuple[IntPolynomial, int], ...]:
-        """The distinct chain polynomials, chain a's first, each with the
-        number of chains carrying it: ((pa, 2),) for twins, else
-        ((pa, 1), (pb, 1)); a half-integer spin's chains must be twins."""
+    def chains(self) -> tuple[tuple[Chain, int], ...]:
+        """The distinct chains, chain a's first, each with the number of
+        chains carrying its polynomial: ((a, 2),) for twins, else
+        ((a, 1), (b, 1)); a half-integer spin's chains must be twins."""
         pa, pb = self.polynomials
+        a = Chain(self.block_a, pa)
         if self.twin:
-            return ((pa, 2),)
+            return ((a, 2),)
         if not self.j.is_integer:
             raise InternalConsistencyError(
                 f"the chains of the half-integer spin {self.j} must be twins"
             )
-        return ((pa, 1), (pb, 1))
+        return ((a, 1), (Chain(self.block_b, pb), 1))
+
+    @property
+    def factors(self) -> tuple[tuple[IntPolynomial, int], ...]:
+        """:attr:`chains`' polynomials: ((pa, 2),) for twins, else
+        ((pa, 1), (pb, 1))."""
+        return tuple((chain.polynomial, count) for chain, count in self.chains)
 
     @functools.cached_property
     def _newton_pairs(self) -> tuple[tuple[IntPolynomial, IntPolynomial], ...]:

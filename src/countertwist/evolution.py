@@ -732,6 +732,11 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
                 "the Taylor oracle takes an imaginary h/scale (H = -iK with K "
                 "real); an entry has a nonzero real part"
             )
+        # The imaginary parts as core values, which refuses nan and the
+        # infinities before they reach the norm.
+        k_rows = [
+            [(b, _kernels._finite_pair(_fdot_pair(x)[1])) for b, x in row] for row in a_rows
+        ]
         norm = max(mp.fsum(abs(x) for _, x in row) for row in a_rows) * abs(tau)
     squarings = max(0, int(math.ceil(math.log2(float(norm))))) if norm > 1 else 0
     wp = precision + 10 + squarings
@@ -742,10 +747,7 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
         # an imaginary entry is one rounded real product.  The series and
         # the squarings run on the integer core (``_kernels``).
         step = _kernels._pair((mp.mpf(tau) / (1 << squarings))._mpf_)
-        b_rows = [
-            [(b, _kernels._mul(step, _kernels._finite_pair(_fdot_pair(x)[1]), prec)) for b, x in row]
-            for row in a_rows
-        ]
+        b_rows = [[(b, _kernels._mul(step, x, prec)) for b, x in row] for row in k_rows]
         # Nonzero generator entries per row, in column order.
         nz = [[(b, v) for b, v in row if v[0]] for row in b_rows]
         tol = _kernels._pair((mp.mpf(10) ** (-wp - 3))._mpf_)
@@ -770,9 +772,9 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
                 raise NumericFailureError(
                     "exponential series failed to converge"
                 )
-            term = _kernels.reflected(part, n, _kernels._neg)
+            term = _kernels.reflected(part, n)
 
-        total = _kernels.reflected(total, n, _kernels._neg)
+        total = _kernels.reflected(total, n)
         for _ in range(squarings):
             total = _kernels.squared(total, prec, rnd, mirrored)
     return [{c: _kernels._mpf(x) for c, x in row.items()} for row in total]

@@ -8,10 +8,12 @@ polynomials into eigenvalues:
 * mu-degree <= 4: closed-form radical roots (linear, quadratic, Cardano,
   Ferrari) carried as explicit expression trees, whose own evaluations,
   Newton-polished on the exact polynomial, give the certified values;
-* any mu-degree: exact Sturm isolation of every real root, then bracketed
-  Newton on the exact polynomial with a certified residual bound, used
-  beyond the radical range (the tests also run it inside that range, as a
-  second route to the closed forms).
+* any mu-degree: exact isolation of every positive eigenvalue of a chain
+  by the Sturm sequence of its own leading minors
+  (:class:`countertwist.charpoly.Chain`), then bracketed Newton on the
+  exact mu-polynomial with a certified residual bound, used beyond the
+  radical range (the tests also run it inside that range, as a second
+  route to the closed forms).
 
 Multiplicities are always structural — the number of chains carrying a
 factor (two for the twin chains of a half-integer spin) and stripped lambda
@@ -34,6 +36,7 @@ from mpmath import mp
 
 from ._version import __version__
 from .charpoly import (
+    Chain,
     IntPolynomial,
     SolvabilityClass,
     block_decompose,
@@ -70,7 +73,6 @@ __all__ = [
     "Eigenvalue",
     "SpectrumReport",
     "roots_even_poly",
-    "roots_numeric",
     "spectrum",
     "spectrum_from_json",
     "spectrum_to_json",
@@ -652,6 +654,23 @@ def _detect_integer_roots(poly: IntPolynomial, approximations) -> list[int]:
     return found
 
 
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a; by Gauss's lemma the
+    quotient has integer coefficients."""
+    r = a[:]
+    quotient = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quotient) - 1, -1, -1):
+        factor, rest = divmod(r[shift + len(b) - 1], b[-1])
+        if rest:
+            raise InternalConsistencyError("polynomial division left a remainder")
+        quotient[shift] = factor
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+    if any(r):
+        raise InternalConsistencyError("polynomial division left a remainder")
+    return quotient
+
+
 def _closed_mu_roots(mu_poly: IntPolynomial) -> list[_ClosedRoot]:
     """All roots of an integer mu-polynomial of degree <= 4 in closed form,
     each paired with its value at the working precision.
@@ -689,154 +708,6 @@ def _closed_mu_roots(mu_poly: IntPolynomial) -> list[_ClosedRoot]:
             peeled = [(mp.mpf(root), Fraction(root)) for root in integer_roots]
             return peeled + _closed_mu_roots(IntPolynomial(tuple(reduced)))
     return raw
-
-
-# ------------------------------------------------- exact real-root isolation
-#
-# A polynomial here is an ascending list of integer coefficients and a point
-# a Fraction (the bisection points are dyadic).  The sign of p(num/den) is
-# the sign of the integer den^deg * p(num/den), so no rounding enters a
-# root count.
-
-
-def _primitive(coefficients: list[int]) -> list[int]:
-    """Divide out the content; a positive factor keeps every sign."""
-    content = math.gcd(*coefficients)
-    return [c // content for c in coefficients] if content > 1 else coefficients
-
-
-def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of -(m * a mod b) for some integer m > 0.
-
-    Each elimination step scales the running remainder by |lc(b)|, so the
-    result has the signs of -(a mod b) at every point: one step of a Sturm
-    sequence.  Empty when b divides a.
-    """
-    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-    r = a[:]
-    while r and len(r) >= len(b):
-        top = sign * r[-1]
-        shift = len(r) - len(b)
-        r = [scale * c for c in r]
-        for i, c in enumerate(b):
-            r[shift + i] -= top * c
-        while r and r[-1] == 0:
-            r.pop()
-        if r:
-            r = _primitive(r)
-    return [-c for c in r]
-
-
-def _sturm_sequence(coefficients: list[int]) -> list[list[int]]:
-    """p, p', then negated pseudo-remainders; the last entry is gcd(p, p')
-    up to a nonzero constant factor."""
-    derivative = [k * c for k, c in enumerate(coefficients)][1:]
-    sequence = [coefficients, _primitive(derivative)]
-    while True:
-        remainder = _negated_remainder(sequence[-2], sequence[-1])
-        if not remainder:
-            return sequence
-        sequence.append(remainder)
-
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for a primitive b that divides a; by Gauss's lemma the
-    quotient has integer coefficients."""
-    r = a[:]
-    quotient = [0] * (len(a) - len(b) + 1)
-    for shift in range(len(quotient) - 1, -1, -1):
-        factor, rest = divmod(r[shift + len(b) - 1], b[-1])
-        if rest:
-            raise InternalConsistencyError("polynomial division left a remainder")
-        quotient[shift] = factor
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-    if any(r):
-        raise InternalConsistencyError("polynomial division left a remainder")
-    return quotient
-
-
-def _squarefree_factors(coefficients: list[int], gcd: list[int]) -> list[tuple[list[int], int]]:
-    """(a_k, k) with p = c * prod a_k^k, each a_k square-free of degree >= 1.
-
-    ``gcd`` is gcd(p, p').  With g_0 = p and g_(i+1) = gcd(g_i, g_i'), the
-    quotient s_i = g_i / g_(i+1) holds once each root of multiplicity > i,
-    so a_(i+1) = s_i / s_(i+1) holds those of multiplicity exactly i + 1.
-    """
-    gcds = [coefficients, gcd]
-    while len(gcds[-1]) > 1:
-        gcds.append(_sturm_sequence(gcds[-1])[-1])
-    squarefree = [_exact_quotient(g, h) for g, h in zip(gcds, gcds[1:])] + [[1]]
-    factors = []
-    for k, (s, t) in enumerate(zip(squarefree, squarefree[1:]), start=1):
-        factor = _exact_quotient(s, t)
-        if len(factor) > 1:
-            factors.append((factor, k))
-    return factors
-
-
-def _sign_at(coefficients: list[int], point: Fraction) -> int:
-    """Sign of p(point), from den^deg * p(num/den) by integer Horner."""
-    num, den = point.numerator, point.denominator
-    acc, scale = 0, 1
-    for c in reversed(coefficients):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
-
-
-def _sign_changes(sequence: list[list[int]], point: Fraction) -> int:
-    """Sign changes along the Sturm sequence at ``point``, zeros skipped."""
-    changes, last = 0, 0
-    for poly in sequence:
-        sign = _sign_at(poly, point)
-        if sign:
-            changes += last == -sign
-            last = sign
-    return changes
-
-
-def _isolating_intervals(sequence: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
-    """Open intervals, ascending, each holding exactly one real root of the
-    square-free polynomial ``sequence[0]``; no endpoint is a root.
-
-    Sturm's theorem counts the roots in (a, b] as V(a) - V(b).  Bisection
-    starts from +-2^e beyond Fujiwara's bound 2 max_k |c_(d-k) / c_d|^(1/k)
-    and splits every interval holding more than one root.
-
-    :raises SpectralConsistencyError: some roots are not real.
-    """
-    poly = sequence[0]
-    degree = len(poly) - 1
-    lead_bits = abs(poly[-1]).bit_length()
-    exponent = max(
-        -(-(abs(c).bit_length() - lead_bits + 1) // k)
-        for k, c in enumerate(reversed(poly[:-1]), start=1)
-    )
-    bound = Fraction(2) ** (max(exponent, 0) + 2)
-    lo, hi = -bound, bound
-    v_lo, v_hi = _sign_changes(sequence, lo), _sign_changes(sequence, hi)
-    if v_lo - v_hi != degree:
-        raise SpectralConsistencyError(
-            f"{degree - (v_lo - v_hi)} of the {degree} distinct roots are not "
-            "real; the polynomial does not come from a Hermitian matrix"
-        )
-    pending = [(lo, v_lo, hi, v_hi)]
-    intervals = []
-    while pending:
-        lo, v_lo, hi, v_hi = pending.pop()
-        if v_lo - v_hi == 1:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        while _sign_at(poly, mid) == 0:  # keep every endpoint off the roots
-            mid = (lo + mid) / 2
-        v_mid = _sign_changes(sequence, mid)
-        for part in ((lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)):
-            if part[1] != part[3]:
-                pending.append(part)
-    intervals.sort()
-    return intervals
 
 
 # ------------------------------------------------------- certified numerics
@@ -910,73 +781,51 @@ def _float_start(
     return x if math.isfinite(x) and lo < x < hi else None
 
 
-def _isolated_roots(mu_poly: IntPolynomial):
-    """(factor, multiplicity, brackets) for each square-free factor of
-    mu_poly; a bracket is (lo, hi, rising) around one real root.
+def _numeric_mu_roots(chain: Chain, mu_poly: IntPolynomial, precision: int) -> list[_ClosedRoot]:
+    """Certified mu roots of a chain whose polynomial reduces to q = mu_poly.
 
-    :raises SpectralConsistencyError: some roots are not real.
-    """
-    coefficients = list(mu_poly.coefficients)
-    sequence = _sturm_sequence(coefficients)
-    if len(sequence[-1]) == 1:
-        factors = [(coefficients, 1, sequence)]
-    else:
-        factors = [
-            (factor, multiplicity, _sturm_sequence(factor))
-            for factor, multiplicity in _squarefree_factors(coefficients, sequence[-1])
-        ]
-    return [
-        (
-            IntPolynomial(tuple(factor)),
-            multiplicity,
-            [
-                (lo, hi, _sign_at(factor, lo) < 0)
-                for lo, hi in _isolating_intervals(factor_sequence)
-            ],
-        )
-        for factor, multiplicity, factor_sequence in factors
-    ]
-
-
-def _numeric_mu_roots(mu_poly: IntPolynomial, precision: int) -> list[_ClosedRoot]:
-    """Certified real mu roots, each listed as often as its multiplicity.
-
-    The real roots of each square-free factor a of q are isolated exactly
-    (Sturm), then refined by bracketed Newton and :func:`_newton_polish` on
-    a, whose roots are simple.  Bracketed Newton runs in Python floats
+    The chain's own leading minors isolate its positive eigenvalues exactly
+    (:meth:`Chain.positive_intervals`), and each interval (lo, hi] in lambda
+    brackets one simple root of q by (lo^2, hi^2); q rises through it when
+    it is negative at lo^2, which is the sign of p_N(lo) for lo > 0 and of
+    q(0) at lo = 0.  Each root is refined by bracketed Newton and
+    :func:`_newton_polish` on q.  Bracketed Newton runs in Python floats
     first, and the mpf phase starts from that float when
     :func:`_float_start` accepts it, else from the midpoint.  Every root
-    must meet the residual bound |a(mu)| / |a'(mu)| < 10^(5-p) and lie in
-    its isolating interval widened by that bound; otherwise the refinement
-    is retried with more guard digits.  The polished values are Newton
-    fixed points at the working precision, so they do not depend on where
-    the refinement starts.
+    must meet the residual bound |q(mu)| / |q'(mu)| < 10^(5-p) and lie in
+    its bracket widened by that bound; otherwise the refinement is retried
+    with more guard digits.  The polished values are Newton fixed points at
+    the working precision, so they do not depend on where the refinement
+    starts.
 
-    :raises SpectralConsistencyError: q has non-real roots.
+    :raises InternalConsistencyError: the chain's count of positive
+        eigenvalues is not q's degree.
     :raises NumericFailureError: no guard setting met both certificates.
     """
     if mu_poly.degree == 0:
         return []
-    isolated = _isolated_roots(mu_poly)
+    brackets = [
+        (lo * lo, hi * hi, (p_lo if lo else mu_poly.coefficients[0]) < 0)
+        for lo, hi, p_lo in chain.positive_intervals()
+    ]
+    derivative = mu_poly.derivative()
     target = mp.mpf(10) ** (-(precision - 5))
     best_residual = None
     for guard in (10, 30, 60, 120):
         digits = precision + guard
         with mp.workdps(digits):
             roots, worst, contained = [], mp.mpf(0), True
-            for poly, multiplicity, brackets in isolated:
-                derivative = poly.derivative()
-                for lo, hi, rising in brackets:
-                    lo_value, hi_value = _mpf_from_fraction(lo), _mpf_from_fraction(hi)
-                    seed = _float_start(poly, derivative, lo, hi, rising)
-                    seed = (lo_value + hi_value) / 2 if seed is None else mp.mpf(seed)
-                    start = _bracketed_newton(poly, derivative, lo_value, hi_value, rising, seed, digits)
-                    root = _newton_polish(poly, start, digits)
-                    slope = derivative.evaluate(root)
-                    residual = mp.inf if slope == 0 else abs(poly.evaluate(root) / slope)
-                    contained &= lo_value - residual <= root <= hi_value + residual
-                    worst = max(worst, residual)
-                    roots.extend([root] * multiplicity)
+            for lo, hi, rising in brackets:
+                lo_value, hi_value = _mpf_from_fraction(lo), _mpf_from_fraction(hi)
+                seed = _float_start(mu_poly, derivative, lo, hi, rising)
+                seed = (lo_value + hi_value) / 2 if seed is None else mp.mpf(seed)
+                start = _bracketed_newton(mu_poly, derivative, lo_value, hi_value, rising, seed, digits)
+                root = _newton_polish(mu_poly, start, digits)
+                slope = derivative.evaluate(root)
+                residual = mp.inf if slope == 0 else abs(mu_poly.evaluate(root) / slope)
+                contained &= lo_value - residual <= root <= hi_value + residual
+                worst = max(worst, residual)
+                roots.append(root)
             if not contained:
                 continue
             if best_residual is None or worst < best_residual:
@@ -1038,9 +887,11 @@ def _pm_pair(positive, count: int, exactness: Exactness, plus_tree=None):
 
 
 def _poly_eigenvalues(
-    p: IntPolynomial, precision: int, numeric_path: bool
+    p: IntPolynomial, precision: int, chain: Optional[Chain] = None
 ) -> list[Eigenvalue]:
-    """Eigenvalues of one lambda^k * (even polynomial) factor."""
+    """Eigenvalues of one lambda^k * (even polynomial) factor: in closed
+    form, or by the certified numeric route when ``chain``, the chain whose
+    polynomial p is, is given."""
     lam_power, reduced = strip_lambda_power(p)
     if reduced.degree and not reduced.is_even():
         raise InvalidInputError(
@@ -1050,10 +901,10 @@ def _poly_eigenvalues(
     mu_poly = to_mu_polynomial(reduced)
     working = precision + _EVAL_GUARD
     with mp.workdps(working):
-        if numeric_path:
-            raw = _numeric_mu_roots(mu_poly, precision)
-        else:
+        if chain is None:
             raw = _closed_mu_roots(mu_poly)
+        else:
+            raw = _numeric_mu_roots(chain, mu_poly, precision)
         mu_roots = _finalize_mu_roots(mu_poly, raw, precision)
 
         eigenvalues: list[Eigenvalue] = []
@@ -1114,47 +965,19 @@ def roots_even_poly(
         raise InvalidInputError("the zero polynomial has no root set")
     if not q.is_even():
         raise InvalidInputError("polynomial must be even in lambda")
-    return _poly_eigenvalues(q, precision, numeric_path=False)
-
-
-def roots_numeric(
-    p: IntPolynomial, precision: int = DEFAULT_PRECISION
-) -> list[Eigenvalue]:
-    """Certified numeric eigenvalues of a lambda^k * (even) integer polynomial.
-
-    Strips lambda factors, reduces to the mu-polynomial q, isolates every
-    real root of each square-free factor a of q by exact Sturm sign counts,
-    refines it by Newton on a, and certifies it with the residual bound
-    |a(mu)|/|a'(mu)| < 10^(5-p) and by containment in its isolating interval
-    before mapping back to lambda = +-sqrt(mu).  A root of multiplicity k
-    in q is listed k times.  Nonzero eigenvalues are tagged NUMERIC; the
-    structurally exact zero keeps EXACT_RATIONAL.
-
-    The residual quotient is the Newton step, a proximity certificate for the
-    nearest root; the roots of a square-free factor are simple, so the bound
-    is sharp.
-
-    :param p: integer polynomial.
-    :raises SpectralConsistencyError: some mu root is non-real or negative.
-    :raises NumericFailureError: refinement did not reach the certificates.
-    """
-    _require_precision(precision)
-    if not isinstance(p, IntPolynomial):
-        raise InvalidInputError("roots_numeric expects an IntPolynomial")
-    if p.is_zero:
-        raise InvalidInputError("the zero polynomial has no root set")
-    return _poly_eigenvalues(p, precision, numeric_path=True)
+    return _poly_eigenvalues(q, precision)
 
 
 def spectrum(j, precision: int = DEFAULT_PRECISION) -> SpectrumReport:
     """Full spectrum of the countertwisting matrix (over chi) for spin j.
 
     Routes through the radical path when every chain factor has mu-degree
-    <= 4 and through certified numerics otherwise; hypergeometric-class spins
-    keep their classification but are evaluated numerically.  Each distinct
-    chain polynomial of :attr:`BlockDecomposition.factors` is solved once and
-    its multiplicities scaled by the number of chains carrying it (two for
-    twin chains); stripped lambda powers give the rest, never clustering.
+    <= 4 and through certified numerics on each chain's own leading minors
+    otherwise; hypergeometric-class spins keep their classification but are
+    evaluated numerically.  Each distinct chain of
+    :attr:`BlockDecomposition.chains` is solved once and its multiplicities
+    scaled by the number of chains carrying its polynomial (two for twin
+    chains); stripped lambda powers give the rest, never clustering.
 
     :param j: spin magnitude >= 1/2 (HalfInt, string like "7/2", or number).
     :param precision: decimal digits for the eigenvalues, 15 to MAX_PRECISION.
@@ -1165,8 +988,10 @@ def spectrum(j, precision: int = DEFAULT_PRECISION) -> SpectrumReport:
     numeric_path = classify_solvability(jj).mu_degree > 4
     eigenvalues = [
         replace(eigen, multiplicity=count * eigen.multiplicity)
-        for poly, count in block_decompose(jj).factors
-        for eigen in _poly_eigenvalues(poly, precision, numeric_path)
+        for chain, count in block_decompose(jj).chains
+        for eigen in _poly_eigenvalues(
+            chain.polynomial, precision, chain if numeric_path else None
+        )
     ]
     eigenvalues.sort(key=lambda e: e.value)
 

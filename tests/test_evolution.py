@@ -482,6 +482,17 @@ class TestPropagatorTaylor:
         with pytest.raises(InvalidInputError, match="scale must be finite"):
             propagator_taylor(h, mp.mpf("0.7"))
 
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        # An infinite entry made the norm infinite, and the squaring count
+        # log2 of it raised a bare OverflowError.
+        h = build_h_ta(HalfInt(4), 1.0)
+        rows = [list(row) for row in h.entries]
+        rows[0][2], rows[2][0] = mp.mpc(0, bad), mp.mpc(0, -bad)
+        h = dataclasses.replace(h, entries=tuple(map(tuple, rows)))
+        with pytest.raises(InvalidInputError, match="finite values only"):
+            propagator_taylor(h, mp.mpf("0.7"))
+
     def test_precision_above_h_rejected(self, monkeypatch):
         # A 15-digit h gave a "50-digit" propagator 1.4e-16 from the 50-digit
         # spectral one, certified unitary to 5e-52.  It is refused before

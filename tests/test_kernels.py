@@ -499,7 +499,7 @@ def _core_rows(rows):
 
 
 def test_mirrored_square_sums_partners_in_reverse():
-    rows = _kernels.reflected(_core_rows(_SQUARE_HALF), 5, _kernels._neg)
+    rows = _kernels.reflected(_core_rows(_SQUARE_HALF), 5)
     assert _kernels.reflects(rows, _kernels._neg)
     # The entries span more than prec bits: the sums run in order.
     assert not _kernels._fixed_point_safe(rows, _P)
@@ -519,7 +519,11 @@ def test_square_of_an_empty_row_is_empty():
 
 
 def test_mirrored_certificate_sums_partners_in_reverse(monkeypatch):
-    rows = _kernels.reflected(_GRAM_HALF, 5, mpf_neg)
+    # Mpf rows, reflected here: rows 3 and 4 mirror rows 1 and 0.
+    rows = _GRAM_HALF + [
+        {4 - c: mpf_neg(x) if (i ^ c) & 2 else x for c, x in _GRAM_HALF[i].items()}
+        for i in (1, 0)
+    ]
     assert _kernels.reflects(rows, mpf_neg)
     pairs = [[(c, (row[c], fzero)) for c in sorted(row)] for row in rows]
     # The diagonal holds the largest deviation here.

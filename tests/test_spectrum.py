@@ -26,12 +26,11 @@ from countertwist import (
     block_decompose,
     block_polynomials,
     roots_even_poly,
-    roots_numeric,
     spectrum,
     strip_lambda_power,
     to_mu_polynomial,
 )
-from countertwist.charpoly import SolvabilityCategory
+from countertwist.charpoly import Chain, SolvabilityCategory
 from countertwist.spin_algebra import MAX_PRECISION, MIN_PRECISION
 from countertwist.spectrum import (
     Add,
@@ -44,6 +43,7 @@ from countertwist.spectrum import (
     SpectrumReport,
     Sqrt,
     Sub,
+    _poly_eigenvalues,
     spectrum_from_json,
     spectrum_to_json,
 )
@@ -268,8 +268,6 @@ def test_complex_mu_roots_raise_spectral_error():
 def test_zero_polynomial_rejected():
     with pytest.raises(InvalidInputError):
         roots_even_poly(IntPolynomial((0,)), PRECISION)
-    with pytest.raises(InvalidInputError):
-        roots_numeric(IntPolynomial((0,)), PRECISION)
 
 
 def test_low_precision_rejected():
@@ -308,8 +306,7 @@ def test_closed_forms_match_sympy_at_fifty_digits(twoj, which):
     )
     assert len(sympy_roots) == mu_poly.degree
     poly = block_polynomials(HalfInt(twoj))[which]
-    lam_power, reduced = strip_lambda_power(poly)
-    eigen = roots_numeric(poly, 50) if lam_power else roots_even_poly(poly, 50)
+    eigen = _poly_eigenvalues(poly, 50)
     positives = [e for e in eigen if e.value > 0]
     assert len(positives) == mu_poly.degree
     with mp.workdps(60):
@@ -321,21 +318,26 @@ def test_closed_forms_match_sympy_at_fifty_digits(twoj, which):
 # ------------------------------------------------------------- numeric roots
 
 
+def chains_of(twoj):
+    """Chains a and b of spin twoj/2, twins included."""
+    chains = block_decompose(HalfInt(twoj))
+    pa, pb = chains.polynomials
+    return Chain(chains.block_a, pa), Chain(chains.block_b, pb)
+
+
+def numeric_eigenvalues(chain, precision=PRECISION):
+    """The chain's eigenvalues by the certified numeric route."""
+    return _poly_eigenvalues(chain.polynomial, precision, chain)
+
+
 def test_numeric_cubic_shape_polynomial():
-    roots = roots_numeric(IntPolynomial((0, 1, 0, -1)), PRECISION)
-    assert [float(e.value) for e in roots] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-30)
-    tags = {float(e.value): e.exactness for e in roots}
-    assert tags[0.0] is Exactness.EXACT_RATIONAL
-    assert tags[1.0] is Exactness.NUMERIC
+    # Three sites with unit couplings: lambda^3 - 2 lambda.
+    roots = numeric_eigenvalues(Chain((1, 1), IntPolynomial((0, -2, 0, 1))))
+    assert [float(e.value) for e in roots] == pytest.approx([-2**0.5, 0.0, 2**0.5], abs=1e-15)
+    assert [e.exactness for e in roots] == [
+        Exactness.NUMERIC, Exactness.EXACT_RATIONAL, Exactness.NUMERIC
+    ]
     assert all(e.radical_form is None for e in roots)
-
-
-def test_numeric_pure_lambda_square():
-    roots = roots_numeric(IntPolynomial((0, 0, 1)), PRECISION)
-    assert len(roots) == 1
-    assert roots[0].value == 0
-    assert roots[0].multiplicity == 2
-    assert roots[0].exactness is Exactness.EXACT_RATIONAL
 
 
 def test_numeric_sextic_block_reconstructs_coefficients():
@@ -343,7 +345,7 @@ def test_numeric_sextic_block_reconstructs_coefficients():
     exact integer polynomial to the certified relative accuracy."""
     mu_poly = block_mu_poly(22, 0)
     assert mu_poly.degree == 6
-    roots = roots_numeric(block_polynomials(HalfInt(22))[0], PRECISION)
+    roots = numeric_eigenvalues(chains_of(22)[0])
     mus = [e.value**2 for e in roots if e.value > 0]
     assert len(mus) == 6
     with mp.workdps(PRECISION + 10):
@@ -359,42 +361,17 @@ def test_numeric_sextic_block_reconstructs_coefficients():
         assert abs(have - want) <= scale * mp.mpf(10) ** (-(PRECISION - 8))
 
 
-def test_numeric_path_locates_repeated_roots_within_certificate():
-    """(lambda^2-1)^2: the doubled mu root is found as two certified copies;
-    the proximity certificate keeps each within 2x the residual bound."""
-    roots = roots_numeric(IntPolynomial((1, 0, -2, 0, 1)), PRECISION)
-    values = expand_multiset(roots)
-    assert len(values) == 4
-    assert values == pytest.approx([-1.0, -1.0, 1.0, 1.0], abs=1e-25)
-
-
-def test_numeric_rejects_complex_spectrum():
-    with pytest.raises(SpectralConsistencyError):
-        roots_numeric(IntPolynomial((1, 0, 1, 0, 1)), PRECISION)
-
-
 @pytest.mark.parametrize("twoj", range(1, 18))
 def test_radical_and_numeric_paths_agree(twoj):
     """Independent routes to the same chains agree to 10^-(p-8)."""
-    for poly in block_polynomials(HalfInt(twoj)):
-        numeric = roots_numeric(poly, PRECISION)
-        lam_power, _ = strip_lambda_power(poly)
-        if lam_power == 0:
-            closed = roots_even_poly(poly, PRECISION)
-        else:
-            closed = _closed_via_spectrum_block(poly)
+    for chain in chains_of(twoj):
+        numeric = numeric_eigenvalues(chain)
+        closed = _poly_eigenvalues(chain.polynomial, PRECISION)
         values_n = expand_multiset(numeric)
         values_c = expand_multiset(closed)
         assert len(values_n) == len(values_c)
         for a, b in zip(values_n, values_c):
             assert abs(a - b) <= 10.0 ** (-(PRECISION - 8)) * max(1.0, abs(a))
-
-
-def _closed_via_spectrum_block(poly):
-    """Closed-form eigenvalues for an odd chain polynomial (lambda * even)."""
-    from countertwist.spectrum import _poly_eigenvalues
-
-    return _poly_eigenvalues(poly, PRECISION, numeric_path=False)
 
 
 # ------------------------------------------------------------- full spectra

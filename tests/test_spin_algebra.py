@@ -33,7 +33,7 @@ from countertwist.charpoly import (
     table1_reference,
 )
 from countertwist.evolution import MAX_STEPS
-from countertwist.spectrum import roots_even_poly, roots_numeric
+from countertwist.spectrum import roots_even_poly
 from countertwist.spin_algebra import MAX_PRECISION, MIN_PRECISION
 from _oracles import (
     build_h_f,
@@ -159,7 +159,6 @@ def test_library_enforces_the_command_line_caps(monkeypatch):
         lambda: radical.evaluate(over),
         lambda: radical.evaluate_real(over),
         lambda: roots_even_poly(pa, over),
-        lambda: roots_numeric(pa, over),
     )
 
     # Every computation at a working precision enters mp.workdps, so with it

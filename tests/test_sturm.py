@@ -1,8 +1,10 @@
 """The exact real-root core of the numeric spectrum.
 
-Sturm isolation is checked against sympy's root counts, the refined roots
-against the Aberth-Ehrlich oracle and numpy, and ``roots_numeric`` against
-polynomials built from known rational roots (Hypothesis).
+Each chain's eigenvalues are counted by the Sturm sequence of its own
+leading minors (``Chain.sturm_count``) and isolated by bisection
+(``Chain.positive_intervals``).  The counts and intervals are checked
+against sympy's exact root counts, the refined roots against the
+Aberth-Ehrlich oracle and numpy.
 """
 
 import importlib
@@ -11,26 +13,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp
 
 from countertwist import (
     HalfInt,
     IntPolynomial,
+    InternalConsistencyError,
     NumericFailureError,
-    SpectralConsistencyError,
-    block_polynomials,
-    roots_numeric,
+    block_decompose,
     spectrum,
     strip_lambda_power,
     to_mu_polynomial,
 )
+from countertwist.charpoly import Chain
 from countertwist.spectrum import (
-    _isolating_intervals,
     _numeric_mu_roots,
-    _squarefree_factors,
-    _sturm_sequence,
+    _poly_eigenvalues,
     spectrum_to_json,
 )
 from _oracles import aberth_mu_roots, numpy_h_ta
@@ -39,14 +37,28 @@ PRECISION = 34
 spectrum_module = importlib.import_module("countertwist.spectrum")
 
 
-def chain_mu_polynomials(max_twoj):
-    """(2j, mu-polynomial) of every chain with a nonconstant mu part."""
+def both_chains(twoj):
+    """Chains a and b of spin twoj/2, twins included."""
+    chains = block_decompose(HalfInt(twoj))
+    pa, pb = chains.polynomials
+    return Chain(chains.block_a, pa), Chain(chains.block_b, pb)
+
+
+def mu_polynomial(chain):
+    return to_mu_polynomial(strip_lambda_power(chain.polynomial)[1])
+
+
+def chains_with_mu_roots(max_twoj):
+    """(2j, chain) of every chain with a nonconstant mu part."""
     for twoj in range(1, max_twoj + 1):
-        for poly in block_polynomials(HalfInt(twoj)):
-            if poly.degree:
-                mu_poly = to_mu_polynomial(strip_lambda_power(poly)[1])
-                if mu_poly.degree:
-                    yield twoj, mu_poly
+        for chain in both_chains(twoj):
+            if mu_polynomial(chain).degree:
+                yield twoj, chain
+
+
+def numeric_eigenvalues(chain, precision=PRECISION):
+    """The chain's eigenvalues by the certified numeric route."""
+    return _poly_eigenvalues(chain.polynomial, precision, chain)
 
 
 def expand_multiset(eigenvalues):
@@ -56,25 +68,30 @@ def expand_multiset(eigenvalues):
     return sorted(out)
 
 
+def sympy_count_above(chain, x):
+    """Roots of the chain polynomial above x, by sympy's exact count."""
+    poly = sympy.Poly(chain.polynomial.coefficients[::-1], sympy.symbols("x"))
+    return poly.count_roots(x, None) - (poly.eval(x) == 0)
+
+
 # ---------------------------------------------------------------- isolation
 
 
 def test_sturm_counts_match_sympy_for_every_chain_up_to_forty():
     x = sympy.symbols("x")
-    for twoj, mu_poly in chain_mu_polynomials(80):
-        coefficients = list(mu_poly.coefficients)
-        intervals = _isolating_intervals(_sturm_sequence(coefficients))
-        expected = sympy.Poly(coefficients[::-1], x).count_roots()
+    for twoj, chain in chains_with_mu_roots(80):
+        mu_poly = mu_polynomial(chain)
+        intervals = chain.positive_intervals()
+        expected = sympy.Poly(mu_poly.coefficients[::-1], x).count_roots()
         assert len(intervals) == expected == mu_poly.degree, twoj
 
 
 @pytest.mark.parametrize("twoj", [20, 41, 60])
 def test_each_isolating_interval_holds_one_root(twoj):
     x = sympy.symbols("x")
-    for poly in block_polynomials(HalfInt(twoj)):
-        coefficients = list(to_mu_polynomial(strip_lambda_power(poly)[1]).coefficients)
-        sympy_poly = sympy.Poly(coefficients[::-1], x)
-        intervals = _isolating_intervals(_sturm_sequence(coefficients))
+    for chain in both_chains(twoj):
+        sympy_poly = sympy.Poly(mu_polynomial(chain).coefficients[::-1], x)
+        intervals = [(lo * lo, hi * hi) for lo, hi, _ in chain.positive_intervals()]
         for (lo, hi), (next_lo, _) in zip(intervals, intervals[1:]):
             assert hi <= next_lo
         for lo, hi in intervals:
@@ -82,24 +99,47 @@ def test_each_isolating_interval_holds_one_root(twoj):
             assert sympy_poly.count_roots(lo, hi) == 1
 
 
-def test_squarefree_factors_carry_multiplicities():
-    # (x - 1)^3 (x - 2)^2 (x + 5)
-    poly = IntPolynomial((1,))
-    for root, power in ((1, 3), (2, 2), (-5, 1)):
-        for _ in range(power):
-            poly = poly * IntPolynomial((-root, 1))
-    coefficients = list(poly.coefficients)
-    gcd = _sturm_sequence(coefficients)[-1]
-    factors = _squarefree_factors(coefficients, gcd)
-    assert sorted((tuple(f), k) for f, k in factors) == [
-        ((-2, 1), 2), ((-1, 1), 3), ((5, 1), 1)
-    ]
+@pytest.mark.parametrize("twoj", range(1, 31))
+def test_sturm_count_matches_sympy_where_minors_vanish(twoj):
+    # At 0 every odd-size leading minor vanishes, p_N too for an odd chain;
+    # the other points have denominators, so den^2 matters.
+    points = [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4), Fraction(41, 8)]
+    for chain in both_chains(twoj):
+        for x in points:
+            count, p_n = chain.sturm_count(x)
+            assert count == sympy_count_above(chain, x), (chain.squares, x)
+            assert p_n == chain.polynomial.evaluate(x) * x.denominator ** chain.polynomial.degree
 
 
-def test_non_real_roots_are_counted_exactly():
-    # (x^2 + 1)(x - 3): one real root of three, however close the pair.
-    with pytest.raises(SpectralConsistencyError, match="2 of the 3"):
-        _isolating_intervals(_sturm_sequence([-3, 1, -3, 1]))
+@pytest.mark.parametrize(
+    "squares, polynomial, x, above",
+    [
+        ((4,), (-4, 0, 1), 2, 0),  # p_2 = p_N vanishes at 2
+        ((4,), (-4, 0, 1), -2, 1),
+        ((4, 1), (0, -5, 0, 1), 2, 1),  # inner p_2 vanishes; sqrt(5) > 2
+        ((4, 4), (0, -8, 0, 1), 2, 1),  # inner p_2 vanishes; sqrt(8) > 2
+        ((4, 1, 4), (16, 0, -9, 0, 1), 2, 1),  # inner p_2 vanishes
+        ((1, 1, 1, 1), (0, 3, 0, -4, 0, 1), 0, 2),  # p_1, p_3, p_5 vanish
+    ],
+)
+def test_sturm_count_skips_vanishing_minors(squares, polynomial, x, above):
+    chain = Chain(squares, IntPolynomial(polynomial))
+    assert chain.sturm_count(Fraction(x))[0] == above == sympy_count_above(chain, x)
+
+
+def test_midpoints_that_are_roots_move_off_them():
+    # mu^2 - 5 mu + 4 = (mu - 1)(mu - 4): the first midpoints, 2 and then 1,
+    # are both eigenvalues.
+    chain = Chain((2, 1, 2), IntPolynomial((4, 0, -5, 0, 1)))
+    intervals = chain.positive_intervals()
+    assert [(lo < 1 < hi, lo < 2 < hi) for lo, hi, _ in intervals] == [(True, False), (False, True)]
+    assert all(lo not in (1, 2) and hi not in (1, 2) for lo, hi, _ in intervals)
+
+
+def test_a_chain_whose_polynomial_has_another_degree_is_refused():
+    # Three sites have one positive eigenvalue; the polynomial has two.
+    with pytest.raises(InternalConsistencyError, match="1 positive eigenvalues"):
+        Chain((2, 1), IntPolynomial((4, 0, -5, 0, 1))).positive_intervals()
 
 
 # ------------------------------------------------------------ against Aberth
@@ -107,10 +147,10 @@ def test_non_real_roots_are_counted_exactly():
 
 @pytest.mark.parametrize("twoj", [12, 19, 24, 33, 41, 44, 60])
 def test_mu_roots_agree_with_the_aberth_oracle(twoj):
-    for poly in block_polynomials(HalfInt(twoj)):
-        mu_poly = to_mu_polynomial(strip_lambda_power(poly)[1])
+    for chain in both_chains(twoj):
+        mu_poly = mu_polynomial(chain)
         with mp.workdps(PRECISION + 30):
-            mine = sorted(root for root, _ in _numeric_mu_roots(mu_poly, PRECISION))
+            mine = sorted(root for root, _ in _numeric_mu_roots(chain, mu_poly, PRECISION))
             oracle = sorted(root.real for root, _ in aberth_mu_roots(mu_poly, PRECISION))
             assert len(mine) == len(oracle) == mu_poly.degree
             for a, b in zip(mine, oracle):
@@ -120,7 +160,11 @@ def test_mu_roots_agree_with_the_aberth_oracle(twoj):
 @pytest.mark.parametrize("twoj", [12, 24, 33, 41, 44, 60])
 def test_spectrum_json_equals_the_aberth_route(twoj, monkeypatch):
     text = spectrum_to_json(spectrum(HalfInt(twoj), PRECISION))
-    monkeypatch.setattr(spectrum_module, "_numeric_mu_roots", aberth_mu_roots)
+    monkeypatch.setattr(
+        spectrum_module,
+        "_numeric_mu_roots",
+        lambda chain, mu_poly, precision: aberth_mu_roots(mu_poly, precision),
+    )
     assert spectrum_to_json(spectrum(HalfInt(twoj), PRECISION)) == text
 
 
@@ -137,8 +181,9 @@ def test_polished_root_outside_its_interval_fails(monkeypatch):
     # mu^2 - 5 mu + 4: a polisher that always lands on the root 4 passes the
     # residual bound but leaves the interval isolating the root 1.
     monkeypatch.setattr(spectrum_module, "_newton_polish", lambda poly, start, digits: mp.mpf(4))
+    chain = Chain((2, 1, 2), IntPolynomial((4, 0, -5, 0, 1)))
     with pytest.raises(NumericFailureError, match="left its isolating interval"):
-        _numeric_mu_roots(IntPolynomial((4, -5, 1)), PRECISION)
+        _numeric_mu_roots(chain, IntPolynomial((4, -5, 1)), PRECISION)
 
 
 # ------------------------------------------------------------- float start
@@ -176,22 +221,23 @@ def test_eigenvalue_bits_do_not_depend_on_the_float_start(twoj, precision, monke
 
 
 def _twoj_24_chain():
-    return block_polynomials(HalfInt(24))[0]
+    return both_chains(24)[0]
 
 
 def test_coefficients_beyond_float_range_start_from_the_midpoint(monkeypatch):
-    poly = _twoj_24_chain().scaled(10**400)
+    chain = _twoj_24_chain()
+    scaled = Chain(chain.squares, chain.polynomial.scaled(10**400))
     taken = _float_starts(monkeypatch)
-    roots = _bits(roots_numeric(poly, PRECISION))
+    roots = _bits(numeric_eigenvalues(scaled))
     assert taken and all(start is None for start in taken)
-    assert roots == _bits(roots_numeric(_twoj_24_chain(), PRECISION))
+    assert roots == _bits(numeric_eigenvalues(chain))
     _midpoint_start(monkeypatch)
-    assert _bits(roots_numeric(poly, PRECISION)) == roots
+    assert _bits(numeric_eigenvalues(scaled)) == roots
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 1e30])
 def test_a_float_start_that_is_not_finite_or_inside_its_bracket_is_dropped(bad, monkeypatch):
-    expected = _bits(roots_numeric(_twoj_24_chain(), PRECISION))
+    expected = _bits(numeric_eigenvalues(_twoj_24_chain()))
     real = spectrum_module._bracketed_newton
 
     def broken_in_floats(poly, derivative, lo, hi, rising, x, digits):
@@ -201,57 +247,5 @@ def test_a_float_start_that_is_not_finite_or_inside_its_bracket_is_dropped(bad, 
 
     monkeypatch.setattr(spectrum_module, "_bracketed_newton", broken_in_floats)
     taken = _float_starts(monkeypatch)
-    assert _bits(roots_numeric(_twoj_24_chain(), PRECISION)) == expected
+    assert _bits(numeric_eigenvalues(_twoj_24_chain())) == expected
     assert taken and all(start is None for start in taken)
-
-
-# ------------------------------------------------------- known rational roots
-
-
-@st.composite
-def rational_root_polynomials(draw):
-    """(lambda polynomial, {mu root: multiplicity}, lambda power, defect).
-
-    The mu roots are distinct positive rationals; ``defect`` adds a factor
-    with non-real mu roots (mu^2 + 1) or a negative one (mu + 1).
-    """
-    roots = draw(
-        st.dictionaries(
-            st.fractions(min_value=Fraction(1, 9), max_value=40, max_denominator=9),
-            st.integers(1, 3),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    defect = draw(st.sampled_from([None, (1, 0, 1), (1, 1)]))
-    lam_power = draw(st.integers(0, 2))
-    mu_poly = IntPolynomial((1,))
-    for root, multiplicity in roots.items():
-        for _ in range(multiplicity):
-            mu_poly = mu_poly * IntPolynomial((-root.numerator, root.denominator))
-    if defect:
-        mu_poly = mu_poly * IntPolynomial(defect)
-    spread = [0] * (2 * mu_poly.degree + 1)
-    spread[::2] = mu_poly.coefficients
-    return IntPolynomial(tuple(spread)).shifted(lam_power), roots, lam_power, defect
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(rational_root_polynomials())
-def test_roots_numeric_recovers_rational_roots(case):
-    poly, roots, lam_power, defect = case
-    if defect:
-        with pytest.raises(SpectralConsistencyError):
-            roots_numeric(poly, PRECISION)
-        return
-    eigenvalues = roots_numeric(poly, PRECISION)
-    with mp.workdps(PRECISION + 10):
-        expected = [mp.mpf(0)] * lam_power
-        for root, multiplicity in roots.items():
-            positive = mp.sqrt(mp.mpf(root.numerator) / root.denominator)
-            expected += [positive, -positive] * multiplicity
-        expected.sort()
-        got = expand_multiset(eigenvalues)
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert abs(a - b) <= mp.mpf(10) ** (-(PRECISION - 8)) * max(1, abs(b))

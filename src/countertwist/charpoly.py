@@ -176,8 +176,10 @@ def to_mu_polynomial(p: IntPolynomial) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class Chain:
-    """One chain: a zero-diagonal tridiagonal matrix T of N sites with
-    integer squared couplings, and its characteristic polynomial.
+    """One chain: N sites with their m labels, and the zero-diagonal
+    tridiagonal matrix T on them with integer squared couplings.  Every
+    fact of a chain (its polynomial, the derivative its Newton steps use,
+    its eigenvalue counts) is read here.
 
     The leading principal minors p_k(x) = det(x*I - T_k), k = 0..N, are a
     Sturm sequence (Givens' bisection; Wilkinson, *The Algebraic Eigenvalue
@@ -185,13 +187,42 @@ class Chain:
     zeros skipped, count the eigenvalues above x.  The couplings are
     nonzero, so the eigenvalues are real, simple and in +- pairs.
 
-    :param squares: squared couplings w_1..w_(N-1), w_k between sites k and
-        k + 1.
-    :param polynomial: p_N = det(lambda*I - T).
+    :param labels: the sites' m labels, descending.
+    :param squares: squared couplings w_1..w_(N-1) in units of chi^2, w_k
+        between sites k and k + 1.
+    :raises InternalConsistencyError: ``squares`` does not hold one square
+        per pair of neighbouring sites.
     """
 
+    labels: tuple[HalfInt, ...]
     squares: tuple[int, ...]
-    polynomial: IntPolynomial
+
+    def __post_init__(self) -> None:
+        if len(self.squares) != max(len(self.labels) - 1, 0):
+            raise InternalConsistencyError(
+                f"a chain of {len(self.labels)} sites has {len(self.squares)} squares"
+            )
+
+    @functools.cached_property
+    def polynomial(self) -> IntPolynomial:
+        """p_N = det(lambda*I - T), monic of degree N, by the recurrence
+        p_0 = 1, p_1 = lambda, p_k = lambda*p_(k-1) - w_(k-1)*p_(k-2) over
+        the integers."""
+        if not self.labels:
+            return IntPolynomial((1,))
+        prev, cur = [1], [0, 1]
+        for w in self.squares:
+            nxt = [0] + cur
+            for i, c in enumerate(prev):
+                nxt[i] -= w * c
+            prev, cur = cur, nxt
+        return IntPolynomial(tuple(cur))
+
+    @functools.cached_property
+    def derivative(self) -> IntPolynomial:
+        """p_N', for Newton steps: formed once per chain, with its exact
+        coefficient conversion, rather than once per step."""
+        return self.polynomial.derivative()
 
     def sturm_count(self, x: Fraction) -> tuple[int, int]:
         """(number of eigenvalues above x, P_N) at x = num/den.
@@ -249,65 +280,35 @@ class Chain:
 class BlockDecomposition:
     """The two zero-diagonal tridiagonal chains hiding inside the Hamiltonian.
 
-    Every chain fact (polynomials, twins, factors) is read here.
-
     :param j: spin magnitude.
-    :param labels_a: m-chain containing +j (size ceil((2j+1)/2)), descending.
-    :param labels_b: the complementary chain, descending.
-    :param block_a: integer squared couplings (units of chi^2) along chain a.
-    :param block_b: integer squared couplings along chain b.
+    :param a: the chain whose labels descend from m = +j in steps of two
+        (ceil((2j+1)/2) sites).
+    :param b: the chain on the remaining labels.
     """
 
     j: HalfInt
-    labels_a: tuple[HalfInt, ...]
-    labels_b: tuple[HalfInt, ...]
-    block_a: tuple[int, ...]
-    block_b: tuple[int, ...]
-
-    @functools.cached_property
-    def polynomials(self) -> tuple[IntPolynomial, IntPolynomial]:
-        """Monic characteristic polynomials det(lambda*I - T) of chains a, b."""
-        return (
-            _chain_polynomial(self.block_a, len(self.labels_a)),
-            _chain_polynomial(self.block_b, len(self.labels_b)),
-        )
-
-    @property
-    def twin(self) -> bool:
-        """Chain b is chain a reversed: equal sizes (not implied by the
-        squares at j = 0, where both blocks are empty), reversed squares."""
-        return (
-            len(self.labels_a) == len(self.labels_b)
-            and self.block_b == self.block_a[::-1]
-        )
+    a: Chain
+    b: Chain
 
     @property
     def chains(self) -> tuple[tuple[Chain, int], ...]:
         """The distinct chains, chain a's first, each with the number of
-        chains carrying its polynomial: ((a, 2),) for twins, else
-        ((a, 1), (b, 1)); a half-integer spin's chains must be twins."""
-        pa, pb = self.polynomials
-        a = Chain(self.block_a, pa)
-        if self.twin:
+        chains carrying its polynomial: ((a, 2),) when b is a's twin (equal
+        sizes, not implied by the squares at j = 0, where both are empty,
+        and reversed squares), else ((a, 1), (b, 1)).  Twins are decided
+        here and nowhere else.
+
+        :raises InternalConsistencyError: a half-integer spin's chains are
+            not twins.
+        """
+        a, b = self.a, self.b
+        if len(a.labels) == len(b.labels) and b.squares == a.squares[::-1]:
             return ((a, 2),)
         if not self.j.is_integer:
             raise InternalConsistencyError(
                 f"the chains of the half-integer spin {self.j} must be twins"
             )
-        return ((a, 1), (Chain(self.block_b, pb), 1))
-
-    @property
-    def factors(self) -> tuple[tuple[IntPolynomial, int], ...]:
-        """:attr:`chains`' polynomials: ((pa, 2),) for twins, else
-        ((pa, 1), (pb, 1))."""
-        return tuple((chain.polynomial, count) for chain, count in self.chains)
-
-    @functools.cached_property
-    def _newton_pairs(self) -> tuple[tuple[IntPolynomial, IntPolynomial], ...]:
-        """Each of ``factors``' polynomials with its derivative, for Newton
-        steps: built once per spin, with the derivative's exact coefficient
-        conversion, rather than once per grid point."""
-        return tuple((poly, poly.derivative()) for poly, _ in self.factors)
+        return ((a, 1), (b, 1))
 
 
 @functools.lru_cache(maxsize=32)
@@ -323,46 +324,21 @@ def block_decompose(j: HalfInt) -> BlockDecomposition:
     """
     j = _require_spin(j)
     tj = j.twice_value
-    labels_a = tuple(HalfInt(tm) for tm in range(tj, -tj - 1, -4))
-    labels_b = tuple(HalfInt(tm) for tm in range(tj - 2, -tj - 1, -4))
 
-    def couplings(labels: tuple[HalfInt, ...]) -> tuple[int, ...]:
+    def chain(top: int) -> Chain:
+        labels = tuple(HalfInt(tm) for tm in range(top, -tj - 1, -4))
         pairs = [divmod(two_step_coupling_squared(j, lower), 4) for lower in labels[1:]]
         if any(remainder for _, remainder in pairs):
             raise InternalConsistencyError(f"a squared coupling of j={j} is not divisible by 4")
-        return tuple(w for w, _ in pairs)
+        return Chain(labels, tuple(w for w, _ in pairs))
 
-    return BlockDecomposition(
-        j=j,
-        labels_a=labels_a,
-        labels_b=labels_b,
-        block_a=couplings(labels_a),
-        block_b=couplings(labels_b),
-    )
-
-
-def _chain_polynomial(couplings: tuple[int, ...], size: int) -> IntPolynomial:
-    """det(lambda*I - T) for a zero-diagonal tridiagonal chain of ``size`` sites.
-
-    Three-term recurrence p_0 = 1, p_1 = lambda,
-    p_k = lambda*p_(k-1) - w_(k-1)*p_(k-2), over the integers.
-    """
-    if size == 0:
-        return IntPolynomial((1,))
-    prev, cur = [1], [0, 1]
-    for w in couplings:
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= w * c
-        prev, cur = cur, nxt
-    if len(cur) != size + 1:
-        raise InternalConsistencyError("chain polynomial degree does not match size")
-    return IntPolynomial(tuple(cur))
+    return BlockDecomposition(j=j, a=chain(tj), b=chain(tj - 2))
 
 
 def block_polynomials(j: HalfInt) -> tuple[IntPolynomial, IntPolynomial]:
-    """Monic characteristic polynomials det(lambda*I - T) of the two chains."""
-    return block_decompose(j).polynomials
+    """Monic characteristic polynomials det(lambda*I - T) of chains a and b."""
+    decomposition = block_decompose(j)
+    return decomposition.a.polynomial, decomposition.b.polynomial
 
 
 def char_poly_exact(j: HalfInt) -> IntPolynomial:
@@ -465,13 +441,17 @@ def degeneracy_report(j: HalfInt) -> DegeneracyReport:
     constant 1 and its discriminant the empty product 1.
     """
     j = _require_spin(j)
-    factors = block_decompose(j).factors
-    block = math.prod(discriminant(poly) ** count for poly, count in factors if poly.degree)
-    if len(factors) == 1:
+    chains = block_decompose(j).chains
+    block = math.prod(
+        discriminant(chain.polynomial) ** count
+        for chain, count in chains
+        if chain.polynomial.degree
+    )
+    if len(chains) == 1:
         full = 0
     else:
-        (pa, _), (pb, _) = factors
-        full = block * _resultant(pa, pb) ** 2
+        (a, _), (b, _) = chains
+        full = block * _resultant(a.polynomial, b.polynomial) ** 2
     return DegeneracyReport(
         j=j, discriminant_full=full, discriminant_block=block, degenerate=full == 0
     )

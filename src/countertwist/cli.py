@@ -80,9 +80,9 @@ from .spin_algebra import (
     build_h_ta,
 )
 
-# Resource caps, checked before any arithmetic: MAX_PRECISION is set beside
-# MIN_PRECISION in ``spin_algebra``, MAX_STEPS beside ``time_series``.  The
-# library refuses values past them too.
+# Resource caps, checked before any arithmetic: MAX_PRECISION and
+# MAX_TWICE_SPIN are set beside MIN_PRECISION in ``spin_algebra``, MAX_STEPS
+# beside ``time_series``.  The library refuses values past them too.
 
 # Verification tolerances: structural identities at 1e-12, conserved
 # quantities at 1e-10 (scaled by the magnitude of the reference value; the

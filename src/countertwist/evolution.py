@@ -109,14 +109,23 @@ def _as_dimensionless_time(chi_t, precision: int):
         return value
 
 
-def _propagation_time(chi_t, precision: int):
-    """Like _as_dimensionless_time, also rejecting |chi_t| > MAX_ABS_CHI_T."""
-    value = _as_dimensionless_time(chi_t, precision)
-    if abs(value) > MAX_ABS_CHI_T:
+def _require_time_bound(value, *factors) -> None:
+    """Refuse |chi_t| > MAX_ABS_CHI_T for chi_t = ``value``, rounded from the
+    product of ``factors``.  Where each factor is an int, float or Fraction,
+    their exact product is compared instead, so that a time within the bound
+    is not refused because it rounded above it."""
+    exact = all(isinstance(x, (int, float, Fraction)) for x in factors)
+    if abs(math.prod(map(Fraction, factors)) if exact else value) > MAX_ABS_CHI_T:
         raise InvalidInputError(
             f"|chi_t| must be at most {float(MAX_ABS_CHI_T):g}, "
             f"got {mp.nstr(value, 5)}"
         )
+
+
+def _propagation_time(chi_t, precision: int):
+    """Like _as_dimensionless_time, also rejecting |chi_t| > MAX_ABS_CHI_T."""
+    value = _as_dimensionless_time(chi_t, precision)
+    _require_time_bound(value, chi_t)
     return value
 
 
@@ -419,7 +428,7 @@ def _polish_nodes(j: HalfInt, seeds, precision: int, gap_floor, extra_steps: int
     exactly when its twin does, so the first failure is the one the seed
     order gives.
     """
-    pairs = block_decompose(j)._newton_pairs
+    pairs = [(c.polynomial, c.derivative) for c, _ in block_decompose(j).chains]
     polished = []
     done = {}
     tol = mp.mpf(10) ** (-precision + 2)
@@ -474,16 +483,16 @@ def _series_setup(j: HalfInt, seeds: tuple, order: list, precision: int, wp: int
     """What every time of one spectral series shares at one working precision:
     the seeds (a report's eigenvalues, at ``seed_precision`` digits) polished
     and in the Leja ``order``, the rounded node gaps
-    ``gaps[k][i] = nodes[i] - nodes[i - k]`` and the couplings −√w, the
-    imaginary parts of H/χ's (imaginary) entries, as (nodes, gaps, ups)."""
-    chains = block_decompose(j)
+    ``gaps[k][i] = nodes[i] - nodes[i - k]`` and, per distinct chain of
+    :attr:`BlockDecomposition.chains`, the couplings −√w, the imaginary
+    parts of H/χ's (imaginary) entries, as (nodes, gaps, ups)."""
     with mp.workdps(wp):
         prec, rnd = mp._prec_rounding
         # The propagator is far more sensitive to coupling error than to any
         # other rounding: the couplings come from their exact integer squares.
         ups = tuple(
-            tuple((-mp.sqrt(mp.mpf(w)))._mpf_ for w in block)
-            for block in (chains.block_a, chains.block_b)
+            tuple((-mp.sqrt(mp.mpf(w)))._mpf_ for w in chain.squares)
+            for chain, _ in block_decompose(j).chains
         )
         doublings = max(0, math.ceil(math.log2(wp / seed_precision)))
         polished = _polish_nodes(
@@ -532,7 +541,7 @@ def _spectral_series(report: SpectrumReport, precision: int):
         wp = precision + _interpolation_guard_digits(span, float(tau), n_nodes, min_gap)
         if wp not in setups:
             setups[wp] = _series_setup(j, distinct, order, precision, wp, report.precision)
-        nodes, gaps, (ups_a, ups_b) = setups[wp]
+        nodes, gaps, ups = setups[wp]
 
         with mp.workdps(wp):
             prec, rnd = mp._prec_rounding
@@ -543,19 +552,17 @@ def _spectral_series(report: SpectrumReport, precision: int):
                 for x in nodes
             ]
             coeffs = _kernels.newton_coefficients(values, gaps, prec, rnd)
-            # Horner evaluation M <- (A - x_k) M + c_k I on each chain block;
-            # the entries between the chains are exact zeros.  A chain whose
-            # couplings are the other's reversed, bit for bit, is its twin.
-            planes_a = _kernels.chain_horner(coeffs, nodes, ups_a, prec, rnd)
-            if ups_b == ups_a[::-1]:
-                planes_b = tuple(map(_kernels.mirror, planes_a))
-            else:
-                planes_b = _kernels.chain_horner(coeffs, nodes, ups_b, prec, rnd)
+            # Horner evaluation M <- (A - x_k) M + c_k I on each distinct
+            # chain block; the entries between the chains are exact zeros.
+            # Chain b, when it is chain a's twin, is chain a mirrored.
+            planes = [_kernels.chain_horner(coeffs, nodes, u, prec, rnd) for u in ups]
+            if len(planes) == 1:
+                planes.append(tuple(map(_kernels.mirror, planes[0])))
 
         with mp.workdps(precision):
             prec, rnd = mp._prec_rounding
             rows = [None] * n
-            for start, (re, im) in enumerate((planes_a, planes_b)):
+            for start, (re, im) in enumerate(planes):
                 columns = range(start, n, 2)
                 for a, row_re, row_im in zip(columns, re, im):
                     pairs = zip(columns, zip(row_re, row_im))
@@ -1179,7 +1186,8 @@ def time_series(
     :param steps: number of grid points, 2 to MAX_STEPS.
     :param precision: decimal digits, MIN_PRECISION to MAX_PRECISION.
     :raises InvalidInputError: an argument out of range (before any
-        arithmetic), or |chi·t| above MAX_ABS_CHI_T at some grid point.
+        arithmetic), or |chi·t_max| above MAX_ABS_CHI_T, compared exactly
+        where chi and t_max are ints, floats or Fractions.
     :raises IllConditionedError: the spectrum's distinct eigenvalues are
         closer than 10^(-precision/2).
     """
@@ -1195,6 +1203,9 @@ def time_series(
     if not t_end > 0:
         raise InvalidInputError(f"t_max must be positive, got {t_max!r}")
     chi_value = _as_dimensionless_time(chi, precision)
+    with mp.workdps(precision + 10):
+        # |chi·t| is largest at t_max, the grid's last chi_t.
+        _require_time_bound(chi_value * t_end, chi, t_max)
 
     report = spectrum(j, precision)
     state = coherent_initial_state(j, precision)
@@ -1206,7 +1217,7 @@ def time_series(
             chi_t_i = chi_value * t_i
         with mp.workdps(precision):
             grid_value = +(chi_t_i if chi_value != 0 else t_i)
-        u = propagator(_propagation_time(chi_t_i, precision + 15))
+        u = propagator(_as_dimensionless_time(chi_t_i, precision + 15))
         obs = heisenberg_expectations(state, u, precision)
         xi_opt, opt_angle = optimal_xi(obs) or (None, None)
         # The grid value, then one value per TIME_SERIES_COLUMNS entry.

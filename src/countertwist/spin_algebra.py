@@ -22,6 +22,11 @@ MIN_PRECISION = 15
 # 12 800 digits, 0.44 s at 25 600 and 1.9 s at 51 200 (about 4x per
 # doubling; 4.8 s for j = 1), so 10^5 digits keeps it near ten seconds.
 MAX_PRECISION = 100_000
+# ``charpoly``, the slowest command in j, took 3.1 s at 2j = 200, 8.7 s at
+# 240 and 28 s at 300 (``spectrum`` at 34 digits 1.2, 1.8 and 3.0 s; 22 MB
+# peak), so 2j = 240 keeps every command under ten seconds.  Provisional
+# until the range over which large spins are certified is measured.
+MAX_TWICE_SPIN = 240
 
 
 def _require_precision(precision: int) -> int:
@@ -111,7 +116,7 @@ class HalfInt:
 
 
 def _require_spin(j) -> HalfInt:
-    """Coerce j to a non-negative HalfInt (accepts HalfInt, str, or number)."""
+    """Coerce j (HalfInt, str or number) to a HalfInt with 0 <= 2j <= MAX_TWICE_SPIN."""
     if isinstance(j, str):
         j = HalfInt.from_string(j)
     elif not isinstance(j, HalfInt):
@@ -123,6 +128,8 @@ def _require_spin(j) -> HalfInt:
             ) from exc
     if j.twice_value < 0:
         raise InvalidInputError(f"spin must be non-negative, got {j}")
+    if j.twice_value > MAX_TWICE_SPIN:
+        raise InvalidInputError(f"spin must be at most {HalfInt(MAX_TWICE_SPIN)}")
     return j
 
 

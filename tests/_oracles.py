@@ -416,7 +416,10 @@ def object_polish_nodes(j, seeds, precision, gap_floor, extra_steps):
     the other, with the generic Horner loop: the reference for its reuse
     of a polished twin.  Three steps, then up to ``extra_steps`` more while
     a step is above the tolerance."""
-    pairs = [(poly, poly.derivative()) for poly, _ in block_decompose(j).factors]
+    pairs = [
+        (chain.polynomial, chain.polynomial.derivative())
+        for chain, _ in block_decompose(j).chains
+    ]
     polished = []
     tol = mp.mpf(10) ** (-precision + 2)
     for seed in seeds:

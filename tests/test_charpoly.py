@@ -18,6 +18,7 @@ from countertwist import (
 )
 from countertwist.charpoly import (
     BlockDecomposition,
+    Chain,
     IntPolynomial,
     SolvabilityCategory,
     block_decompose,
@@ -111,15 +112,15 @@ def test_parity_and_mu_helpers():
 
 def test_block_decompose_j2():
     decomp = block_decompose(HalfInt(4))
-    assert [m.twice_value for m in decomp.labels_a] == [4, 0, -4]
-    assert [m.twice_value for m in decomp.labels_b] == [2, -2]
-    assert decomp.block_a == (Fraction(6), Fraction(6))
-    assert decomp.block_b == (Fraction(9),)
+    assert [m.twice_value for m in decomp.a.labels] == [4, 0, -4]
+    assert [m.twice_value for m in decomp.b.labels] == [2, -2]
+    assert decomp.a.squares == (Fraction(6), Fraction(6))
+    assert decomp.b.squares == (Fraction(9),)
 
 
 def test_block_decompose_j3_couplings():
     decomp = block_decompose(HalfInt(6))
-    got = {decomp.block_a, decomp.block_b}
+    got = {decomp.a.squares, decomp.b.squares}
     expected = {
         (Fraction(15), Fraction(36), Fraction(15)),
         (Fraction(30), Fraction(30)),
@@ -129,18 +130,18 @@ def test_block_decompose_j3_couplings():
 
 def test_block_decompose_j_half():
     decomp = block_decompose(HalfInt(1))
-    assert len(decomp.labels_a) == len(decomp.labels_b) == 1
-    assert decomp.block_a == decomp.block_b == ()
+    assert len(decomp.a.labels) == len(decomp.b.labels) == 1
+    assert decomp.a.squares == decomp.b.squares == ()
 
 
 @pytest.mark.parametrize("twoj", [1, 2, 3, 4, 5, 8, 13, 22, 30])
 def test_block_sizes(twoj):
     decomp = block_decompose(HalfInt(twoj))
     n = twoj + 1
-    assert len(decomp.labels_a) == (n + 1) // 2
-    assert len(decomp.labels_b) == n // 2
+    assert len(decomp.a.labels) == (n + 1) // 2
+    assert len(decomp.b.labels) == n // 2
     labels = sorted(
-        m.twice_value for m in decomp.labels_a + decomp.labels_b
+        m.twice_value for m in decomp.a.labels + decomp.b.labels
     )
     assert labels == list(range(-twoj, twoj + 1, 2))
 
@@ -148,17 +149,14 @@ def test_block_sizes(twoj):
 def test_block_couplings_match_matrix_entries():
     h = numpy_h_ta(9)
     decomp = block_decompose(HalfInt(9))
-    for labels, ws in (
-        (decomp.labels_a, decomp.block_a),
-        (decomp.labels_b, decomp.block_b),
-    ):
-        for upper, w in zip(labels, ws):
+    for chain in (decomp.a, decomp.b):
+        for upper, w in zip(chain.labels, chain.squares):
             row = (9 - upper.twice_value) // 2
             entry = h[row, row + 2]
             assert abs(abs(entry) ** 2 - float(w)) < 1e-12
     for twoj in range(241):
         decomp = block_decompose(HalfInt(twoj))
-        assert all(type(w) is int for w in decomp.block_a + decomp.block_b)
+        assert all(type(w) is int for w in decomp.a.squares + decomp.b.squares)
 
 
 # ---------------------------------------------------------------- char poly
@@ -204,7 +202,7 @@ def test_char_poly_trace_identities(twoj):
     coeffs = p.coefficients
     assert coeffs[n - 2] == 0  # zero trace
     decomp = block_decompose(HalfInt(twoj))
-    total_w = sum(decomp.block_a) + sum(decomp.block_b)
+    total_w = sum(decomp.a.squares) + sum(decomp.b.squares)
     assert total_w.denominator == 1
     expected = -int(total_w) * (-1) ** (twoj + 1)
     assert coeffs[n - 3] == expected  # encodes tr H^2 = 2 * sum of couplings
@@ -317,7 +315,8 @@ def test_twin_chains_take_one_discriminant(twoj, monkeypatch):
 
 
 def test_spin_zero_chains_are_not_twins():
-    assert not block_decompose(HalfInt(0)).twin
+    decomp = block_decompose(HalfInt(0))
+    assert decomp.chains == ((decomp.a, 1), (decomp.b, 1))
     report = degeneracy_report(HalfInt(0))
     assert (report.discriminant_full, report.discriminant_block, report.degenerate) == (1, 1, False)
 
@@ -443,21 +442,23 @@ def test_reference_out_of_range():
 
 @pytest.mark.parametrize("twoj", range(0, 62))
 def test_factors_are_the_distinct_chain_polynomials_with_their_counts(twoj):
-    chains = block_decompose(HalfInt(twoj))
-    pa, pb = chains.polynomials
+    decomp = block_decompose(HalfInt(twoj))
+    pa, pb = decomp.a.polynomial, decomp.b.polynomial
     if twoj % 2:
-        assert chains.factors == ((pa, 2),)
+        assert decomp.chains == ((decomp.a, 2),)
         assert pa == pb
     else:
-        assert chains.factors == ((pa, 1), (pb, 1))
+        assert decomp.chains == ((decomp.a, 1), (decomp.b, 1))
         assert pa != pb
 
 
 @pytest.mark.parametrize("twoj", [0, 1, 2, 7, 22, 41])
 def test_block_polynomials_read_the_memoised_chain_model(twoj):
     j = HalfInt(twoj)
-    assert block_decompose(j) is block_decompose(j)
-    assert block_polynomials(j) == block_decompose(j).polynomials
+    decomp = block_decompose(j)
+    assert block_decompose(j) is decomp
+    pa, pb = block_polynomials(j)
+    assert pa is decomp.a.polynomial and pb is decomp.b.polynomial
 
 
 def test_a_coupling_square_not_divisible_by_4_is_refused(monkeypatch):
@@ -472,15 +473,15 @@ def test_a_coupling_square_not_divisible_by_4_is_refused(monkeypatch):
 def _non_twin_half_integer_chains(monkeypatch, twoj):
     """Make the spectrum and the dynamics see spin twoj/2 with a chain b
     that is no longer chain a's twin."""
-    chains = block_decompose(HalfInt(twoj))
+    decomp = block_decompose(HalfInt(twoj))
+    b = decomp.b
     broken = BlockDecomposition(
-        j=chains.j,
-        labels_a=chains.labels_a,
-        labels_b=chains.labels_b,
-        block_a=chains.block_a,
-        block_b=(chains.block_b[0] + 1,) + chains.block_b[1:],
+        j=decomp.j,
+        a=decomp.a,
+        b=Chain(b.labels, (b.squares[0] + 1,) + b.squares[1:]),
     )
-    assert not broken.twin
+    with pytest.raises(InternalConsistencyError, match="must be twins"):
+        broken.chains
     # The package exports a function named spectrum, so the module that holds
     # it is taken from sys.modules.
     for module in ("countertwist.evolution", "countertwist.spectrum"):

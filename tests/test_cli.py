@@ -5,6 +5,8 @@ import json
 import marshal
 import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -33,6 +35,7 @@ from countertwist.cli import (
     significant_digits,
 )
 from countertwist.spectrum import spectrum_from_json, spectrum_to_json
+from countertwist.spin_algebra import MAX_TWICE_SPIN
 from _oracles import (
     dense_chiral_deviation,
     dense_energy,
@@ -169,6 +172,33 @@ class TestSpinArgument:
         code, out, _ = _run(capsys, "charpoly", "--j", "21/2")
         assert code == 0
         assert "j = 21/2" in out
+
+    def test_spin_past_cap_exits_invalid_before_any_chain(self):
+        # A fresh interpreter with its address space capped at 1 GiB, so that
+        # a command building labels for j = 1e400 would fail there, not here.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from countertwist import cli\n"
+            "for argv in sys.argv[1:]:\n"
+            "    print(cli.main(argv.split()))\n"
+        )
+        commands = (
+            "spectrum", "charpoly", "classify", "verify",
+            "evolve --t-max 1 --steps 2",
+        )
+        argvs = [f"{command} --j {spin}" for command in commands
+                 for spin in ("1e400", str(HalfInt(MAX_TWICE_SPIN + 1)))]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argvs],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.stdout.split() == ["2"] * len(argvs), done.stderr
+        assert done.stderr.splitlines() == (
+            [f"error: spin must be at most {HalfInt(MAX_TWICE_SPIN)}"] * len(argvs)
+        )
 
 
 # ---------------------------------------------------------------------------

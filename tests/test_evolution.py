@@ -376,6 +376,16 @@ class TestPropagatorSpectral:
         with pytest.raises(InvalidInputError, match="chi_t"):
             propagator_spectral(spectrum(HalfInt(4)), huge)
 
+    def test_the_time_bound_itself_is_accepted(self):
+        # 10**300 rounds above itself at 49 digits; the exact input is
+        # compared with the bound.
+        report, bound = spectrum(HalfInt(4)), evolution.MAX_ABS_CHI_T
+        for chi_t in (bound, -bound, Fraction(bound), float(bound) / 2):
+            propagator_spectral(report, chi_t)
+        for chi_t in (2 * bound, Fraction(bound) + Fraction(1, 10**9), float(bound)):
+            with pytest.raises(InvalidInputError, match="chi_t"):
+                propagator_spectral(report, chi_t)
+
     def test_near_degenerate_report_rejected(self):
         report = spectrum(HalfInt(2))
         squeezed = dataclasses.replace(
@@ -1028,6 +1038,18 @@ class TestTimeSeries:
     def test_bad_t_max_rejected(self, t_max):
         with pytest.raises(InvalidInputError):
             time_series(HalfInt(4), 1.0, t_max, 3)
+
+    def test_the_time_bound_itself_is_accepted(self, monkeypatch):
+        # chi·t_max is compared exactly where both are exact numbers, before
+        # the spectrum is computed; the grid's rounded chi_t may exceed it.
+        bound = evolution.MAX_ABS_CHI_T
+        for chi, t_max in ((Fraction(bound // 10), 10), (1, Fraction(bound)), (-bound, 1)):
+            assert len(time_series(HalfInt(4), chi, t_max, 3)) == 3
+        monkeypatch.setattr(evolution, "spectrum", None)
+        for chi, t_max in ((Fraction(bound // 5), 10), (1, Fraction(bound) + 1),
+                           (mp.mpf(2) * bound, 1)):
+            with pytest.raises(InvalidInputError, match="chi_t"):
+                time_series(HalfInt(4), chi, t_max, 3)
 
     def test_first_row_is_initial_state(self):
         series = time_series(HalfInt(4), 1.0, 2.0, 5)

@@ -741,18 +741,18 @@ def test_chain_horner_starts_from_the_last_nonzero_coefficient(monkeypatch):
 
 @pytest.mark.parametrize("twoj", range(1, 62, 2))
 def test_half_integer_chains_are_twins(twoj):
-    chains = block_decompose(HalfInt(twoj))
-    even, odd = chains.block_a, chains.block_b
+    decomp = block_decompose(HalfInt(twoj))
+    even, odd = decomp.a.squares, decomp.b.squares
     assert odd == even[::-1]
-    assert chains.twin
+    assert decomp.chains == ((decomp.a, 2),)
 
 
 @pytest.mark.parametrize("twoj", range(0, 62, 2))
 def test_integer_chains_are_palindromes_not_twins(twoj):
-    chains = block_decompose(HalfInt(twoj))
-    even, odd = chains.block_a, chains.block_b
+    decomp = block_decompose(HalfInt(twoj))
+    even, odd = decomp.a.squares, decomp.b.squares
     assert even == even[::-1] and odd == odd[::-1]
-    assert not chains.twin
+    assert decomp.chains == ((decomp.a, 1), (decomp.b, 1))
 
 
 @pytest.mark.parametrize("twoj", range(1, 62))
@@ -761,10 +761,10 @@ def test_chain_squares_are_the_propagator_coupling_squares(twoj):
     # two_step_coupling_squared at every label below the top two; chain a
     # takes the even-index ones, chain b the odd.
     j = HalfInt(twoj)
-    chains = block_decompose(j)
+    decomp = block_decompose(j)
     squares = [two_step_coupling_squared(j, m) for m in BasisOrdering.for_spin(j).labels[2:]]
-    assert [4 * w for w in chains.block_a] == squares[0::2]
-    assert [4 * w for w in chains.block_b] == squares[1::2]
+    assert [4 * w for w in decomp.a.squares] == squares[0::2]
+    assert [4 * w for w in decomp.b.squares] == squares[1::2]
 
 
 @pytest.mark.parametrize("twoj", [5, 6, 15, 16])
@@ -773,7 +773,7 @@ def test_twin_path_runs_only_for_twin_chains(twoj, monkeypatch):
     original = _kernels.mirror
     monkeypatch.setattr(_kernels, "mirror", lambda plane: calls.append(1) or original(plane))
     propagator_spectral(_report(twoj, 34), mp.mpf("0.7"), 34)
-    assert bool(calls) == block_decompose(HalfInt(twoj)).twin
+    assert bool(calls) == (len(block_decompose(HalfInt(twoj)).chains) == 1)
 
 
 class _NeverPalindrome(tuple):
@@ -799,28 +799,29 @@ def test_mirrored_halves_equal_computed_ones(twoj):
         ]
         for ups, planes in zip(chain_ups, full):
             assert _kernels.chain_horner(coeffs, nodes, ups, prec, rnd) == planes
-        if block_decompose(j).twin:
-            assert tuple(map(_kernels.mirror, full[0])) == full[1]
+        if len(chain_ups) == 1:  # twins: chain b from its own squares
+            ups_b = tuple((-mp.sqrt(w))._mpf_ for w in block_decompose(j).b.squares)
+            computed = _kernels.chain_horner(coeffs, nodes, _NeverPalindrome(ups_b), prec, rnd)
+            assert tuple(map(_kernels.mirror, full[0])) == computed
 
 
 @pytest.mark.parametrize("wp", [49, 70])
 def test_coupling_checks_equal_the_chain_model(wp):
-    # The series reads its couplings from the chain model's exact squares;
-    # they are the imaginary parts of H/chi's entries bit for bit, and the
-    # mirror shortcuts their raw values follow are the chain model's facts.
+    # The series reads each distinct chain's couplings from its exact
+    # squares; they are the imaginary parts of H/chi's entries bit for bit,
+    # and chain_horner's palindrome shortcut follows the chain's squares.
     for twoj in range(1, 41):
         j = HalfInt(twoj)
         n = j.n_states
         seeds = tuple(ev.value for ev in _report(twoj, 34).eigenvalues)
-        _, _, (ups_a, ups_b) = _series_setup(j, seeds, _leja_order(seeds), 34, wp, 34)
+        _, _, chain_ups = _series_setup(j, seeds, _leja_order(seeds), 34, wp, 34)
         with mp.workdps(wp):
             upper = [z._mpc_[1] for z in _two_step_entries(j, 1)]
-        assert (ups_a, ups_b) == tuple(tuple(upper[start : n - 2 : 2]) for start in (0, 1))
-        chains = block_decompose(j)
-        assert (ups_a == ups_a[::-1], ups_b == ups_b[::-1]) == tuple(
-            block == block[::-1] for block in (chains.block_a, chains.block_b)
-        )
-        assert (ups_b == ups_a[::-1]) == chains.twin
+        chains = block_decompose(j).chains
+        assert len(chain_ups) == len(chains)
+        for start, ups, (chain, _) in zip((0, 1), chain_ups, chains):
+            assert ups == tuple(upper[start : n - 2 : 2])
+            assert (ups == ups[::-1]) == (chain.squares == chain.squares[::-1])
 
 
 HORNER_PRECISIONS = (15, 34, 50, 120)

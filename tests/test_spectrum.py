@@ -320,9 +320,8 @@ def test_closed_forms_match_sympy_at_fifty_digits(twoj, which):
 
 def chains_of(twoj):
     """Chains a and b of spin twoj/2, twins included."""
-    chains = block_decompose(HalfInt(twoj))
-    pa, pb = chains.polynomials
-    return Chain(chains.block_a, pa), Chain(chains.block_b, pb)
+    decomp = block_decompose(HalfInt(twoj))
+    return decomp.a, decomp.b
 
 
 def numeric_eigenvalues(chain, precision=PRECISION):
@@ -332,7 +331,9 @@ def numeric_eigenvalues(chain, precision=PRECISION):
 
 def test_numeric_cubic_shape_polynomial():
     # Three sites with unit couplings: lambda^3 - 2 lambda.
-    roots = numeric_eigenvalues(Chain((1, 1), IntPolynomial((0, -2, 0, 1))))
+    chain = Chain(tuple(map(HalfInt, (4, 0, -4))), (1, 1))
+    assert chain.polynomial == IntPolynomial((0, -2, 0, 1))
+    roots = numeric_eigenvalues(chain)
     assert [float(e.value) for e in roots] == pytest.approx([-2**0.5, 0.0, 2**0.5], abs=1e-15)
     assert [e.exactness for e in roots] == [
         Exactness.NUMERIC, Exactness.EXACT_RATIONAL, Exactness.NUMERIC
@@ -463,8 +464,8 @@ def test_pairing_and_moments(twoj):
     assert report.dimension == twoj + 1
     decomposition = block_decompose(HalfInt(twoj))
     total = 2 * (
-        sum(decomposition.block_a, Fraction(0))
-        + sum(decomposition.block_b, Fraction(0))
+        sum(decomposition.a.squares, Fraction(0))
+        + sum(decomposition.b.squares, Fraction(0))
     )
     with mp.workdps(PRECISION + 10):
         first = mp.fsum([e.value * e.multiplicity for e in report.eigenvalues])
@@ -539,8 +540,8 @@ def test_thirty_spin_moment_oracle_at_high_precision():
     report = spectrum(HalfInt(60), precision=50)
     decomposition = block_decompose(HalfInt(60))
     total = 2 * (
-        sum(decomposition.block_a, Fraction(0))
-        + sum(decomposition.block_b, Fraction(0))
+        sum(decomposition.a.squares, Fraction(0))
+        + sum(decomposition.b.squares, Fraction(0))
     )
     assert total.denominator == 1
     with mp.workdps(60):

@@ -34,7 +34,12 @@ from countertwist.charpoly import (
 )
 from countertwist.evolution import MAX_STEPS
 from countertwist.spectrum import roots_even_poly
-from countertwist.spin_algebra import MAX_PRECISION, MIN_PRECISION
+from countertwist.spin_algebra import (
+    MAX_PRECISION,
+    MAX_TWICE_SPIN,
+    MIN_PRECISION,
+    _require_spin,
+)
 from _oracles import (
     build_h_f,
     dense_matmul,
@@ -102,9 +107,17 @@ def test_spin_is_coerced_where_it_is_checked(name):
     expected = entry(HalfInt(5))
     for spin in ("5/2", Fraction(5, 2), 2.5):
         assert entry(spin) == expected, spin
-    for spin in (float("nan"), float("inf"), "x"):
+    for spin in (float("nan"), float("inf"), "x", HalfInt(MAX_TWICE_SPIN + 1)):
         with pytest.raises(InvalidInputError):
             entry(spin)
+
+
+def test_the_spin_cap_is_checked_before_any_label_exists():
+    assert _require_spin(HalfInt(MAX_TWICE_SPIN)) == HalfInt(MAX_TWICE_SPIN)
+    # No label or chain is built for these, so the refusal is immediate.
+    for spin in ("1e400", 10**400, Fraction(10**400 + 1, 2), HalfInt(2 * 10**5000)):
+        with pytest.raises(InvalidInputError, match="spin must be at most 120"):
+            _require_spin(spin)
 
 
 _BOOLEAN_SPINS = {
@@ -143,7 +156,7 @@ def test_library_enforces_the_command_line_caps(monkeypatch):
     state = coherent_initial_state(j)
     u = propagator_spectral(report, 0.5)
     radical = next(ev.radical_form for ev in report.eigenvalues if ev.radical_form)
-    pa = block_decompose(j).polynomials[0]
+    pa = block_decompose(j).a.polynomial
     calls = (
         lambda: spectrum(j, over),
         lambda: time_series(j, 1, 1, 3, over),

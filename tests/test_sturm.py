@@ -39,9 +39,22 @@ spectrum_module = importlib.import_module("countertwist.spectrum")
 
 def both_chains(twoj):
     """Chains a and b of spin twoj/2, twins included."""
-    chains = block_decompose(HalfInt(twoj))
-    pa, pb = chains.polynomials
-    return Chain(chains.block_a, pa), Chain(chains.block_b, pb)
+    decomp = block_decompose(HalfInt(twoj))
+    return decomp.a, decomp.b
+
+
+def chain_of(squares):
+    """A chain with the given squared couplings, on the labels of chain a
+    of spin j = len(squares): m = j, j - 2, ..., -j."""
+    n = len(squares)
+    return Chain(tuple(HalfInt(tm) for tm in range(2 * n, -2 * n - 1, -4)), squares)
+
+
+def with_polynomial(chain, polynomial):
+    """A copy of ``chain`` whose cached polynomial is ``polynomial``."""
+    planted = Chain(chain.labels, chain.squares)
+    planted.__dict__["polynomial"] = polynomial
+    return planted
 
 
 def mu_polynomial(chain):
@@ -123,23 +136,34 @@ def test_sturm_count_matches_sympy_where_minors_vanish(twoj):
     ],
 )
 def test_sturm_count_skips_vanishing_minors(squares, polynomial, x, above):
-    chain = Chain(squares, IntPolynomial(polynomial))
+    chain = chain_of(squares)
+    assert chain.polynomial == IntPolynomial(polynomial)
     assert chain.sturm_count(Fraction(x))[0] == above == sympy_count_above(chain, x)
 
 
 def test_midpoints_that_are_roots_move_off_them():
     # mu^2 - 5 mu + 4 = (mu - 1)(mu - 4): the first midpoints, 2 and then 1,
     # are both eigenvalues.
-    chain = Chain((2, 1, 2), IntPolynomial((4, 0, -5, 0, 1)))
+    chain = chain_of((2, 1, 2))
+    assert chain.polynomial == IntPolynomial((4, 0, -5, 0, 1))
     intervals = chain.positive_intervals()
     assert [(lo < 1 < hi, lo < 2 < hi) for lo, hi, _ in intervals] == [(True, False), (False, True)]
     assert all(lo not in (1, 2) and hi not in (1, 2) for lo, hi, _ in intervals)
 
 
 def test_a_chain_whose_polynomial_has_another_degree_is_refused():
-    # Three sites have one positive eigenvalue; the polynomial has two.
+    # Three sites have one positive eigenvalue; the planted polynomial has two.
+    chain = with_polynomial(chain_of((2, 1)), IntPolynomial((4, 0, -5, 0, 1)))
     with pytest.raises(InternalConsistencyError, match="1 positive eigenvalues"):
-        Chain((2, 1), IntPolynomial((4, 0, -5, 0, 1))).positive_intervals()
+        chain.positive_intervals()
+
+
+@pytest.mark.parametrize("sites, squares", [(3, (2,)), (3, (2, 1, 2)), (1, (4,)), (0, (4,))])
+def test_a_chain_whose_squares_do_not_match_its_labels_is_refused(sites, squares):
+    labels = tuple(HalfInt(tm) for tm in range(2 * sites - 2, -2 * sites, -4))
+    assert len(labels) == sites
+    with pytest.raises(InternalConsistencyError, match=f"chain of {sites} sites"):
+        Chain(labels, squares)
 
 
 # ------------------------------------------------------------ against Aberth
@@ -181,7 +205,7 @@ def test_polished_root_outside_its_interval_fails(monkeypatch):
     # mu^2 - 5 mu + 4: a polisher that always lands on the root 4 passes the
     # residual bound but leaves the interval isolating the root 1.
     monkeypatch.setattr(spectrum_module, "_newton_polish", lambda poly, start, digits: mp.mpf(4))
-    chain = Chain((2, 1, 2), IntPolynomial((4, 0, -5, 0, 1)))
+    chain = chain_of((2, 1, 2))
     with pytest.raises(NumericFailureError, match="left its isolating interval"):
         _numeric_mu_roots(chain, IntPolynomial((4, -5, 1)), PRECISION)
 
@@ -226,7 +250,7 @@ def _twoj_24_chain():
 
 def test_coefficients_beyond_float_range_start_from_the_midpoint(monkeypatch):
     chain = _twoj_24_chain()
-    scaled = Chain(chain.squares, chain.polynomial.scaled(10**400))
+    scaled = with_polynomial(chain, chain.polynomial.scaled(10**400))
     taken = _float_starts(monkeypatch)
     roots = _bits(numeric_eigenvalues(scaled))
     assert taken and all(start is None for start in taken)

@@ -483,6 +483,13 @@ def classify_solvability(j: HalfInt) -> SolvabilityClass:
     j = _require_spin(j)
     if j.twice_value < 1:
         raise InvalidInputError("solvability classification needs j >= 1/2")
+    return _solvability(j)
+
+
+@functools.lru_cache(maxsize=32)
+def _solvability(j: HalfInt) -> SolvabilityClass:
+    """Memoised, as block_decompose is: a ``spectrum`` command asks for its
+    spin's class once to choose its route and twice more in its report."""
     mu_degree = 0
     for poly in block_polynomials(j):
         _, reduced = strip_lambda_power(poly)

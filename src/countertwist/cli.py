@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import enum
 import functools
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +68,7 @@ from .evolution import (
     propagator_spectral,
     time_series,
 )
-from .spectrum import SpectrumReport, spectrum, spectrum_to_json
+from .spectrum import SpectrumReport, _json_document, spectrum, spectrum_to_json
 from .spin_algebra import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -77,6 +76,7 @@ from .spin_algebra import (
     DenseOperator,
     HalfInt,
     _mpf_from_fraction,
+    _require_decimal_exponent,
     build_h_ta,
 )
 
@@ -108,11 +108,24 @@ class Command(enum.Enum):
 
 
 def _rational(text: str) -> Fraction:
-    """Exact rational argument; a zero denominator is a usage error."""
+    """Exact rational argument; a zero denominator or a decimal exponent
+    beyond the bound of ``spin_algebra._require_decimal_exponent`` is a
+    usage error."""
     try:
+        _require_decimal_exponent(text)
         return Fraction(text)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
+def _spin(text: str) -> HalfInt:
+    """Spin argument; the parse error, not argparse's generic one, is shown."""
+    try:
+        return HalfInt.from_string(text)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Subcommand(NamedTuple):
@@ -255,10 +268,6 @@ def _emit(cfg: RunConfig, text: str) -> None:
         stream.write(text)
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _metadata_pairs(cfg: RunConfig) -> list[tuple[str, str]]:
     return [
         ("version", __version__),
@@ -300,7 +309,7 @@ def cmd_charpoly(cfg: RunConfig) -> int:
             "discriminant": decimal_text(report.discriminant_full),
             "degenerate": report.degenerate,
         }
-        _emit(cfg, _json_dump(payload))
+        _emit(cfg, _json_document(payload))
         return 0
     lines = [
         "countertwist charpoly",
@@ -351,7 +360,7 @@ def cmd_classify(cfg: RunConfig) -> int:
             "mu_degree": solvability.mu_degree,
             "note": _CATEGORY_NOTES[solvability.category],
         }
-        _emit(cfg, _json_dump(payload))
+        _emit(cfg, _json_document(payload))
         return 0
     lines = [
         "countertwist classify",
@@ -837,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, entry in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(command.value, help=entry.help)
         sub.add_argument(
-            "--j", type=HalfInt.from_string, required=command is not Command.TABLE1,
+            "--j", type=_spin, required=command is not Command.TABLE1,
             help="spin magnitude as integer or p/q text (e.g. 3 or 21/2)",
         )
         sub.add_argument(

@@ -30,6 +30,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from mpmath import mp
@@ -322,21 +323,87 @@ _RADICAL_NODES: dict[str, type] = {
     "div": Div, "sqrt": Sqrt, "cbrt": Cbrt,
 }
 _RADICAL_KINDS = {node_type: kind for kind, node_type in _RADICAL_NODES.items()}
+_RADICAL_FIELDS = {
+    kind: tuple(field.name for field in fields(node_type))
+    for kind, node_type in _RADICAL_NODES.items()
+}
 
 
-def _radical_to_obj(expr: RadicalExpr) -> dict:
-    kind = _RADICAL_KINDS.get(type(expr))
+def _json_document(payload: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for the
+    documents the package writes, each radical subtree formatted once.
+
+    Values may be dicts with str keys, lists, str, bool, int and
+    :class:`RadicalExpr` nodes, a node being written as the object of its
+    kind and fields that :func:`spectrum_from_json` reads back.  A node's
+    text is kept by (id(node), indent) for the call, so a subtree that
+    several trees share is formatted once at each depth; every node stays
+    reachable from ``payload`` during the call, so no id is reused.
+    (``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
+    set, and writes a shared subtree out once per reference.)
+
+    :raises InternalConsistencyError: a value or key of any other type.
+    """
+    return _json_value(payload, "\n", {}) + "\n"
+
+
+def _json_value(value, newline: str, memo: dict) -> str:
+    """The text of ``value``, whose own lines start with ``newline`` (a line
+    break and the current indent)."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if isinstance(value, RadicalExpr):
+        key = (id(value), newline)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _radical_json(value, newline, memo)
+        return text
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_json_value(item, inner, memo) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if not all(type(name) is str for name in value):
+            raise InternalConsistencyError("a JSON object key is not a str")
+        items = [
+            encode_basestring_ascii(name) + ": " + _json_value(item, inner, memo)
+            for name, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise InternalConsistencyError(f"no JSON form for a {kind.__name__} value")
+
+
+def _radical_json(node: RadicalExpr, newline: str, memo: dict) -> str:
+    """One node's object: its kind, then each field, a Rational's value as
+    its exact text and every other field a child node."""
+    kind = _RADICAL_KINDS.get(type(node))
     if kind is None:
         raise InternalConsistencyError(
-            f"radical node {type(expr).__name__} has no serialized form"
+            f"radical node {type(node).__name__} has no serialized form"
         )
-    obj = {"kind": kind}
-    for field in fields(expr):
-        child = getattr(expr, field.name)
-        obj[field.name] = (
-            str(child) if isinstance(child, Fraction) else _radical_to_obj(child)
-        )
-    return obj
+    inner = newline + "  "
+    members = [f'"kind": "{kind}"']
+    for name in _RADICAL_FIELDS[kind]:
+        child = getattr(node, name)
+        if isinstance(child, RadicalExpr):
+            text = _json_value(child, inner, memo)
+        elif isinstance(child, Fraction):
+            text = encode_basestring_ascii(str(child))
+        else:
+            raise InternalConsistencyError(
+                f"radical node {kind} holds a {type(child).__name__} field"
+            )
+        members.append(f'"{name}": {text}')
+    return "{" + inner + ("," + inner).join(members) + newline + "}"
 
 
 def _json_object(value, what: str) -> dict:
@@ -352,19 +419,20 @@ def _radical_from_obj(obj: dict) -> RadicalExpr:
         raise InvalidInputError(f"unknown radical node kind {kind!r}")
     if node_type is Rational:
         return Rational(Fraction(obj["value"]))
-    children = (_radical_from_obj(obj[field.name]) for field in fields(node_type))
+    children = (_radical_from_obj(obj[name]) for name in _RADICAL_FIELDS[kind])
     return node_type(*children)
 
 
 def _derived_fields(report: SpectrumReport) -> dict:
     """The document fields that restate what the report derives."""
+    solvability = report.solvability
     return {
         "dimension": report.dimension,
         "degenerate": report.degenerate,
         "pairing_verified": report.pairing_verified,
         "solvability": {
-            "category": report.solvability.category.name,
-            "mu_degree": report.solvability.mu_degree,
+            "category": solvability.category.name,
+            "mu_degree": solvability.mu_degree,
         },
     }
 
@@ -385,7 +453,7 @@ def spectrum_to_json(report: SpectrumReport) -> str:
             "exactness": ev.exactness.name,
         }
         if ev.radical_form is not None:
-            entry["radical_form"] = _radical_to_obj(ev.radical_form)
+            entry["radical_form"] = ev.radical_form
             entry["radical_text"] = str(ev.radical_form)
         eigenvalues.append(entry)
     payload = {
@@ -397,7 +465,7 @@ def spectrum_to_json(report: SpectrumReport) -> str:
         **_derived_fields(report),
         "eigenvalues": eigenvalues,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_document(payload)
 
 
 def _parse_eigenvalue(entry, precision: int) -> Eigenvalue:

@@ -8,6 +8,7 @@ scalars; structural zeros are exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,28 @@ MAX_PRECISION = 100_000
 # peak), so 2j = 240 keeps every command under ten seconds.  Provisional
 # until the range over which large spins are certified is measured.
 MAX_TWICE_SPIN = 240
+# ``Fraction`` builds 10^|e| for decimal text such as "1e-30" before any cap
+# can be checked: "1e4000000" took 3.3 s.  Rational text (spins, chi,
+# t_max) may carry an exponent of at most this magnitude.
+_MAX_DECIMAL_EXPONENT = 1000
+# The exponent field of Fraction's decimal syntax, which ends the text.
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
+def _require_decimal_exponent(text: str) -> None:
+    """Refuse rational text whose decimal exponent exceeds
+    _MAX_DECIMAL_EXPONENT in magnitude, before ``Fraction`` sees it."""
+    match = _DECIMAL_EXPONENT.search(text)
+    if match is None:
+        return
+    digits = match.group(1).replace("_", "").lstrip("0") or "0"
+    # The length test first: int() refuses over 4300 digits.
+    if len(digits) > 6 or int(digits) > _MAX_DECIMAL_EXPONENT:
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise InvalidInputError(
+            f"the decimal exponent of {shown!r} exceeds {_MAX_DECIMAL_EXPONENT} "
+            "in magnitude"
+        )
 
 
 def _require_precision(precision: int) -> int:
@@ -72,7 +95,12 @@ class HalfInt:
 
     @classmethod
     def from_string(cls, text: str) -> "HalfInt":
-        """Parse 'p/q' or plain-integer text ('21/2', '3', '-1') exactly."""
+        """Parse 'p/q' or plain-integer text ('21/2', '3', '-1') exactly.
+
+        Decimal text is read too ('3.5', '7e-1'); an exponent beyond
+        _MAX_DECIMAL_EXPONENT in magnitude is refused before it is expanded.
+        """
+        _require_decimal_exponent(text)
         try:
             value = Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -195,13 +223,22 @@ class DenseOperator:
         if n != self.basis.j.n_states or any(len(row) != n for row in self.entries):
             raise InternalConsistencyError("entries must form a (2j+1) square matrix")
         if self.hermitian:
+            # |x - conj(y)| equals |y - conj(x)| exactly, so each unordered
+            # pair is visited once; a nan would pass the comparison below.
+            entries = self.entries
             with mp.workdps(self.precision):
+                worst = mp.zero
+                for a in range(n):
+                    for b in range(a, n):
+                        x, y = entries[a][b], entries[b][a]
+                        if not (mp.isfinite(x) and mp.isfinite(y)):
+                            where = (a, b) if not mp.isfinite(x) else (b, a)
+                            raise InvalidInputError(
+                                "operator flagged hermitian has a nan or infinite "
+                                f"entry at {where}"
+                            )
+                        worst = max(worst, abs(x - mp.conj(y)))
                 tol = (mp.mpf(10) ** (-self.precision + 1)) * (1 + self.max_abs())
-                worst = max(
-                    abs(self.entries[a][b] - mp.conj(self.entries[b][a]))
-                    for a in range(n)
-                    for b in range(n)
-                )
                 if worst > tol:
                     raise InternalConsistencyError(
                         f"operator flagged hermitian violates conjugate symmetry "

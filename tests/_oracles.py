@@ -24,10 +24,15 @@ rows a ``Propagator`` holds, so that a test can certify any matrix.
 The ``dense_*`` functions are ``verify``'s chiral, energy and propagator
 differences formed with the dense operator algebra, the references for its
 checks on h's nonzero entries and the propagators' rows.
+The ``json_*`` functions build each JSON document as nested dicts, every
+radical tree expanded, and write it with ``json.dumps(payload, indent=2)``:
+the references for the package's one JSON writer.
 """
 
+import json
 import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +48,15 @@ from countertwist import (
     build_h_ta,
     chiral_operator,
 )
-from countertwist.charpoly import IntPolynomial, block_decompose
+from countertwist._version import __version__
+from countertwist.charpoly import (
+    IntPolynomial,
+    block_decompose,
+    char_poly_exact,
+    classify_solvability,
+    decimal_text,
+    degeneracy_report,
+)
 from countertwist.errors import (
     IllConditionedError,
     InternalConsistencyError,
@@ -56,7 +69,17 @@ from countertwist.evolution import (
     _leja_order,
     _propagation_time,
 )
-from countertwist.spectrum import _as_real, _newton_polish
+from countertwist.spectrum import (
+    Add,
+    Cbrt,
+    Div,
+    Mul,
+    Rational,
+    Sqrt,
+    Sub,
+    _as_real,
+    _newton_polish,
+)
 from countertwist.spin_algebra import (
     _ladder_amplitude_squared,
     _require_precision,
@@ -772,3 +795,86 @@ def dense_oracle_difference(rows, other, basis, precision=DEFAULT_PRECISION):
     v = _dense_operator(other, basis, precision)
     with mp.workdps(precision + 10):
         return u.max_abs_diff(v)
+
+
+_RADICAL_KINDS = {
+    Rational: "rational", Add: "add", Sub: "sub", Mul: "mul",
+    Div: "div", Sqrt: "sqrt", Cbrt: "cbrt",
+}
+
+
+def _json_text(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def json_radical_obj(expr):
+    """A radical tree as nested dicts, every shared subtree written out."""
+    obj = {"kind": _RADICAL_KINDS[type(expr)]}
+    for field in fields(expr):
+        child = getattr(expr, field.name)
+        obj[field.name] = str(child) if isinstance(child, Fraction) else json_radical_obj(child)
+    return obj
+
+
+def json_spectrum(report):
+    """The ``spectrum --format json`` document of a report."""
+    eigenvalues = []
+    for ev in report.eigenvalues:
+        entry = {
+            "value": mp.nstr(ev.value, report.precision + 6),
+            "multiplicity": ev.multiplicity,
+            "exactness": ev.exactness.name,
+        }
+        if ev.radical_form is not None:
+            entry["radical_form"] = json_radical_obj(ev.radical_form)
+            entry["radical_text"] = str(ev.radical_form)
+        eigenvalues.append(entry)
+    return _json_text({
+        "tool": "countertwist",
+        "version": __version__,
+        "kind": "spectrum-report",
+        "j": str(report.j),
+        "precision": report.precision,
+        "dimension": report.dimension,
+        "degenerate": report.degenerate,
+        "pairing_verified": report.pairing_verified,
+        "solvability": {
+            "category": report.solvability.category.name,
+            "mu_degree": report.solvability.mu_degree,
+        },
+        "eigenvalues": eigenvalues,
+    })
+
+
+def json_charpoly(j):
+    """The ``charpoly --format json`` document of spin j."""
+    poly, report = char_poly_exact(j), degeneracy_report(j)
+    parity = "odd" if poly.is_odd() else "even" if poly.is_even() else "none"
+    return _json_text({
+        "tool": "countertwist",
+        "version": __version__,
+        "kind": "charpoly-report",
+        "j": str(j),
+        "dimension": j.n_states,
+        "degree": poly.degree,
+        "parity": parity,
+        "leading_coefficient": decimal_text(poly.leading_coefficient),
+        "coefficients": [decimal_text(c) for c in poly.coefficients],
+        "discriminant": decimal_text(report.discriminant_full),
+        "degenerate": report.degenerate,
+    })
+
+
+def json_classify(j, notes):
+    """The ``classify --format json`` document of spin j; ``notes`` maps
+    each category to its sentence."""
+    solvability = classify_solvability(j)
+    return _json_text({
+        "tool": "countertwist",
+        "version": __version__,
+        "kind": "classify-report",
+        "j": str(j),
+        "category": solvability.category.name,
+        "mu_degree": solvability.mu_degree,
+        "note": notes[solvability.category],
+    })

@@ -24,7 +24,7 @@ from countertwist import (
     spectrum,
 )
 from countertwist import _kernels
-from countertwist import cli, evolution
+from countertwist import cli, evolution, spin_algebra
 from countertwist.cli import (
     MAX_PRECISION,
     MAX_STEPS,
@@ -796,6 +796,40 @@ class TestDispatch:
         assert out == ""
         assert "invalid rational value" in err
 
+    @pytest.mark.parametrize("text", ["1e4000000", "1e-4000000"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--j", "TEXT"),
+            ("verify", "--j", "2", "--chi", "TEXT"),
+            ("evolve", "--j", "2", "--t-max", "TEXT", "--steps", "3"),
+        ],
+    )
+    def test_large_decimal_exponent_is_usage_error(self, capsys, monkeypatch, argv, text):
+        # Refused from the text, with the bound named: Fraction never sees it.
+        def fraction(*args):
+            assert text not in args, f"Fraction was called on {text!r}"
+            return Fraction(*args)
+
+        monkeypatch.setattr(cli, "Fraction", fraction)
+        monkeypatch.setattr(spin_algebra, "Fraction", fraction)
+        code, out, err = _run(capsys, *(text if a == "TEXT" else a for a in argv))
+        assert code == 2
+        assert out == ""
+        assert f"the decimal exponent of '{text}' exceeds 1000 in magnitude" in err
+
+    def test_a_decimal_exponent_at_its_bound_is_read(self):
+        assert cli._rational("1e1000") == 10**1000
+        assert cli._rational("-3E-0_1000") == Fraction(-3, 10**1000)
+        with pytest.raises(argparse.ArgumentTypeError, match="exceeds 1000"):
+            cli._rational("1e1001")
+
+    def test_unparsable_spin_names_the_problem(self, capsys):
+        code, out, err = _run(capsys, "classify", "--j", "x")
+        assert code == 2
+        assert out == ""
+        assert "cannot parse 'x' as a half-integer" in err
+
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = _run(capsys)
         assert code == 2
@@ -842,7 +876,7 @@ _CHI = (("--chi",), "chi", "_rational", Fraction(1), False, None, None,
 
 
 def _j(required):
-    return (("--j",), "j", "HalfInt.from_string", None, required, None, None,
+    return (("--j",), "j", "_spin", None, required, None, None,
             "spin magnitude as integer or p/q text (e.g. 3 or 21/2)")
 
 

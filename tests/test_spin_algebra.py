@@ -24,7 +24,7 @@ from countertwist import (
     spectrum,
     time_series,
 )
-from countertwist import cli
+from countertwist import cli, spin_algebra
 from countertwist.charpoly import (
     block_decompose,
     char_poly_exact,
@@ -118,6 +118,32 @@ def test_the_spin_cap_is_checked_before_any_label_exists():
     for spin in ("1e400", 10**400, Fraction(10**400 + 1, 2), HalfInt(2 * 10**5000)):
         with pytest.raises(InvalidInputError, match="spin must be at most 120"):
             _require_spin(spin)
+
+
+def _fraction_refusing(text):
+    """A stand-in for Fraction that fails the test when given ``text``."""
+    def fraction(*args):
+        assert text not in args, f"Fraction was called on {text!r}"
+        return Fraction(*args)
+    return fraction
+
+
+@pytest.mark.parametrize("text", ["1e4000000", "1e-4000000", "5E+1_001"])
+def test_a_decimal_exponent_past_its_bound_is_refused_unexpanded(monkeypatch, text):
+    # Fraction would build 10^4000000 first, for seconds; the text is refused.
+    monkeypatch.setattr(spin_algebra, "Fraction", _fraction_refusing(text))
+    with pytest.raises(InvalidInputError, match="exceeds 1000 in magnitude"):
+        HalfInt.from_string(text)
+    with pytest.raises(InvalidInputError, match="exceeds 1000 in magnitude"):
+        _require_spin(text)
+
+
+def test_a_decimal_exponent_at_its_bound_is_read():
+    assert HalfInt.from_string("5e-1") == HalfInt(1)
+    assert HalfInt.from_string("1e0_3") == HalfInt(2000)
+    for text in ("1e1000", "1E+0001000", "1e-1000"):
+        with pytest.raises(InvalidInputError, match="spin must be|neither an integer"):
+            _require_spin(text)
 
 
 _BOOLEAN_SPINS = {
@@ -481,6 +507,24 @@ def test_hermitian_flag_verified():
             basis, [[0, 1j], [1j, 0]], precision=20, hermitian=True
         )
     DenseOperator.from_rows(basis, [[0, 1j], [-1j, 0]], precision=20, hermitian=True)
+
+
+@pytest.mark.parametrize("value", ["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("cells", [((0, 2), (2, 0)), ((2, 0),), ((3, 3),)])
+def test_hermitian_flag_refuses_non_finite_entries(value, cells):
+    # A nan deviation compares false against the tolerance, and an infinite
+    # entry makes the tolerance infinite, so neither fails the symmetry test.
+    h = build_h_ta(HalfInt(4), 1)
+    rows = [list(row) for row in h.entries]
+    with mp.workdps(h.precision):
+        bad = mp.mpc(0, mp.mpf(value))
+        for sign, (a, b) in zip((1, -1), cells):
+            rows[a][b] = sign * bad
+    with pytest.raises(InvalidInputError, match="nan or infinite entry at"):
+        DenseOperator(
+            basis=h.basis, entries=tuple(map(tuple, rows)), precision=h.precision,
+            scale=h.scale, hermitian=True,
+        )
 
 
 @pytest.mark.parametrize("twoj", [1, 4, 21])

@@ -178,8 +178,8 @@ def to_mu_polynomial(p: IntPolynomial) -> IntPolynomial:
 class Chain:
     """One chain: N sites with their m labels, and the zero-diagonal
     tridiagonal matrix T on them with integer squared couplings.  Every
-    fact of a chain (its polynomial, the derivative its Newton steps use,
-    its eigenvalue counts) is read here.
+    fact of a chain (its polynomial and derivative, its eigenvalue counts,
+    p_N and p_N' at a point for the numeric spectrum) is read here.
 
     The leading principal minors p_k(x) = det(x*I - T_k), k = 0..N, are a
     Sturm sequence (Givens' bisection; Wilkinson, *The Algebraic Eigenvalue
@@ -220,8 +220,9 @@ class Chain:
 
     @functools.cached_property
     def derivative(self) -> IntPolynomial:
-        """p_N', for Newton steps: formed once per chain, with its exact
-        coefficient conversion, rather than once per step."""
+        """p_N', for the propagator's node polishing: formed once per
+        chain, with its exact coefficient conversion, rather than once per
+        step."""
         return self.polynomial.derivative()
 
     def sturm_count(self, x: Fraction) -> tuple[int, int]:
@@ -238,9 +239,33 @@ class Chain:
         signs = [p > 0 for p in minors if p]
         return sum(a != b for a, b in zip(signs, signs[1:])), minors[-1]
 
-    def positive_intervals(self) -> list[tuple[Fraction, Fraction, int]]:
-        """(lo, hi, P_N at lo), ascending: each (lo, hi] holds exactly one
-        positive eigenvalue, and neither end is an eigenvalue unless lo = 0.
+    def dyadic_value(self, m: int, s: int) -> int:
+        """P_N = 2^(sN) * p_N(x) at x = m/2^s, exact: P_0 = 1, P_1 = m,
+        P_k = m*P_(k-1) - (w_(k-1)*P_(k-2)) << 2s.  Its sign is p_N(x)'s."""
+        shift = 2 * s
+        prev, cur = 1, m
+        for w in self.squares:
+            prev, cur = cur, m * cur - (w * prev << shift)
+        return cur
+
+    def dyadic_newton(self, m: int, s: int) -> tuple[int, int]:
+        """(P_N, D_N) at x = m/2^s, exact, with D_N = 2^(s(N-1)) * p_N'(x)
+        from D_0 = 0, D_1 = 1, D_k = P_(k-1) + m*D_(k-1) - (w_(k-1)*D_(k-2)) << 2s,
+        so that the Newton step from x is m/2^s - P_N/(D_N*2^s)."""
+        shift = 2 * s
+        p_prev, p_cur, d_prev, d_cur = 1, m, 0, 1
+        for w in self.squares:
+            p_prev, p_cur, d_prev, d_cur = (
+                p_cur,
+                m * p_cur - (w * p_prev << shift),
+                d_cur,
+                p_cur + m * d_cur - (w * d_prev << shift),
+            )
+        return p_cur, d_cur
+
+    def positive_intervals(self) -> list[tuple[Fraction, Fraction]]:
+        """(lo, hi), ascending: each (lo, hi] holds exactly one positive
+        eigenvalue, and neither end is an eigenvalue unless lo = 0.
 
         Bisection of (0, B] with B = 2*(isqrt(max w) + 1), beyond
         Gershgorin's bound 2*sqrt(max w), so no eigenvalue reaches B.  A
@@ -250,27 +275,27 @@ class Chain:
             is not the mu-degree of ``polynomial``.
         """
         bound = Fraction(2 * (math.isqrt(max(self.squares, default=0)) + 1))
-        (v_lo, p_lo), (v_hi, _) = self.sturm_count(Fraction(0)), self.sturm_count(bound)
+        v_lo, v_hi = self.sturm_count(Fraction(0))[0], self.sturm_count(bound)[0]
         mu_degree = strip_lambda_power(self.polynomial)[1].degree // 2
         if v_lo - v_hi != mu_degree:
             raise InternalConsistencyError(
                 f"the chain has {v_lo - v_hi} positive eigenvalues, but its "
                 f"polynomial's mu-degree is {mu_degree}"
             )
-        pending = [(Fraction(0), v_lo, p_lo, bound, v_hi)]
+        pending = [(Fraction(0), v_lo, bound, v_hi)]
         intervals = []
         while pending:
-            lo, v_lo, p_lo, hi, v_hi = pending.pop()
+            lo, v_lo, hi, v_hi = pending.pop()
             if v_lo - v_hi == 1:
-                intervals.append((lo, hi, p_lo))
+                intervals.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
             v_mid, p_mid = self.sturm_count(mid)
             while p_mid == 0:
                 mid = (lo + mid) / 2
                 v_mid, p_mid = self.sturm_count(mid)
-            for part in ((lo, v_lo, p_lo, mid, v_mid), (mid, v_mid, p_mid, hi, v_hi)):
-                if part[1] != part[4]:
+            for part in ((lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)):
+                if part[1] != part[3]:
                     pending.append(part)
         intervals.sort()
         return intervals

@@ -268,11 +268,19 @@ def _emit(cfg: RunConfig, text: str) -> None:
         stream.write(text)
 
 
+def _fraction_text(value: Fraction) -> str:
+    """str(value), for a numerator and denominator of any length."""
+    numerator = decimal_text(value.numerator)
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{decimal_text(value.denominator)}"
+
+
 def _metadata_pairs(cfg: RunConfig) -> list[tuple[str, str]]:
     return [
         ("version", __version__),
         ("j", str(cfg.j)),
-        ("chi", str(cfg.chi)),
+        ("chi", _fraction_text(cfg.chi)),
         ("omega", "0"),
         ("precision", str(cfg.precision)),
     ]
@@ -802,7 +810,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     all_passed = all(passed for _, passed, _ in results)
     lines = [
         "countertwist verify",
-        f"j = {j}, chi = {cfg.chi}, precision = {precision}"
+        f"j = {j}, chi = {_fraction_text(cfg.chi)}, precision = {precision}"
         + (", fault injected" if cfg.inject_fault else ""),
     ]
     lines.extend(

@@ -10,10 +10,11 @@ polynomials into eigenvalues:
   Newton-polished on the exact polynomial, give the certified values;
 * any mu-degree: exact isolation of every positive eigenvalue of a chain
   by the Sturm sequence of its own leading minors
-  (:class:`countertwist.charpoly.Chain`), then bracketed Newton on the
-  exact mu-polynomial with a certified residual bound, used beyond the
-  radical range (the tests also run it inside that range, as a second
-  route to the closed forms).
+  (:class:`countertwist.charpoly.Chain`), then exact integer Newton on the
+  chain's three-term recurrence with precision doubling, each root
+  certified by the exact signs of the chain polynomial at the ends of its
+  enclosure; used beyond the radical range (the tests also run it inside
+  that range, as a second route to the closed forms).
 
 Multiplicities are always structural — the number of chains carrying a
 factor (two for the twin chains of a half-integer spin) and stripped lambda
@@ -26,14 +27,15 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from dataclasses import dataclass, fields, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from ._version import __version__
 from .charpoly import (
@@ -73,6 +75,7 @@ __all__ = [
     "Exactness",
     "Eigenvalue",
     "SpectrumReport",
+    "certify_spectrum",
     "roots_even_poly",
     "spectrum",
     "spectrum_from_json",
@@ -135,6 +138,20 @@ class RadicalExpr:
     def _eval(self, memo: dict):  # pragma: no cover - overridden by every node type
         raise NotImplementedError
 
+    def __str__(self) -> str:
+        return self._text({})
+
+    def _text(self, memo: dict) -> str:
+        """The spelling; ``memo`` as for :meth:`_value`, so a subtree that
+        several trees share is spelled once per memo."""
+        hit = memo.get(id(self))
+        if hit is None:
+            hit = memo[id(self)] = (self, self._spell(memo))
+        return hit[1]
+
+    def _spell(self, memo: dict) -> str:  # pragma: no cover - overridden by every node type
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Rational(RadicalExpr):
@@ -145,7 +162,7 @@ class Rational(RadicalExpr):
     def _eval(self, memo: dict):
         return _mpf_from_fraction(self.value)
 
-    def __str__(self) -> str:
+    def _spell(self, memo: dict) -> str:
         return str(self.value)
 
 
@@ -157,8 +174,8 @@ class Add(RadicalExpr):
     def _eval(self, memo: dict):
         return self.left._value(memo) + self.right._value(memo)
 
-    def __str__(self) -> str:
-        return f"({self.left} + {self.right})"
+    def _spell(self, memo: dict) -> str:
+        return f"({self.left._text(memo)} + {self.right._text(memo)})"
 
 
 @dataclass(frozen=True)
@@ -169,8 +186,8 @@ class Sub(RadicalExpr):
     def _eval(self, memo: dict):
         return self.left._value(memo) - self.right._value(memo)
 
-    def __str__(self) -> str:
-        return f"({self.left} - {self.right})"
+    def _spell(self, memo: dict) -> str:
+        return f"({self.left._text(memo)} - {self.right._text(memo)})"
 
 
 @dataclass(frozen=True)
@@ -181,10 +198,10 @@ class Mul(RadicalExpr):
     def _eval(self, memo: dict):
         return self.left._value(memo) * self.right._value(memo)
 
-    def __str__(self) -> str:
+    def _spell(self, memo: dict) -> str:
         if self.left == Rational(Fraction(-1)):
-            return f"-{self.right}"
-        return f"({self.left} * {self.right})"
+            return f"-{self.right._text(memo)}"
+        return f"({self.left._text(memo)} * {self.right._text(memo)})"
 
 
 @dataclass(frozen=True)
@@ -198,8 +215,8 @@ class Div(RadicalExpr):
             raise InternalConsistencyError("division by zero in an expression tree")
         return self.left._value(memo) / denominator
 
-    def __str__(self) -> str:
-        return f"({self.left} / {self.right})"
+    def _spell(self, memo: dict) -> str:
+        return f"({self.left._text(memo)} / {self.right._text(memo)})"
 
 
 @dataclass(frozen=True)
@@ -212,8 +229,8 @@ class Sqrt(RadicalExpr):
             value = mp.mpc(value)
         return mp.sqrt(value)
 
-    def __str__(self) -> str:
-        return f"sqrt({self.operand})"
+    def _spell(self, memo: dict) -> str:
+        return f"sqrt({self.operand._text(memo)})"
 
 
 @dataclass(frozen=True)
@@ -226,8 +243,8 @@ class Cbrt(RadicalExpr):
             return mp.power(mp.mpc(value), mp.mpf(1) / 3)
         return mp.cbrt(value)
 
-    def __str__(self) -> str:
-        return f"cbrt({self.operand})"
+    def _spell(self, memo: dict) -> str:
+        return f"cbrt({self.operand._text(memo)})"
 
 
 def _rat(x) -> Rational:
@@ -257,12 +274,17 @@ class Eigenvalue:
     :param radical_form: closed-form expression tree, present exactly when
         ``exactness`` is RADICAL; evaluating it at the same precision
         reproduces ``value`` to one unit in the last place.
+    :param enclosure: (lo, hi), dyadic, for a NUMERIC value that the
+        numeric route computed: exactly one eigenvalue of its chain lies in
+        (lo, hi), by the exact signs of the chain polynomial at both ends,
+        and both ends round to ``value``.  Not serialized and not compared.
     """
 
     value: object
     multiplicity: int
     exactness: Exactness
     radical_form: Optional[RadicalExpr] = None
+    enclosure: Optional[tuple[Fraction, Fraction]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.multiplicity < 1:
@@ -324,7 +346,7 @@ _RADICAL_NODES: dict[str, type] = {
 }
 _RADICAL_KINDS = {node_type: kind for kind, node_type in _RADICAL_NODES.items()}
 _RADICAL_FIELDS = {
-    kind: tuple(field.name for field in fields(node_type))
+    kind: tuple(member.name for member in fields(node_type))
     for kind, node_type in _RADICAL_NODES.items()
 }
 
@@ -446,6 +468,7 @@ def spectrum_to_json(report: SpectrumReport) -> str:
     """
     digits = report.precision + 6
     eigenvalues = []
+    spelled: dict = {}  # a subtree that several trees share is spelled once
     for ev in report.eigenvalues:
         entry: dict = {
             "value": mp.nstr(ev.value, digits),
@@ -454,7 +477,7 @@ def spectrum_to_json(report: SpectrumReport) -> str:
         }
         if ev.radical_form is not None:
             entry["radical_form"] = ev.radical_form
-            entry["radical_text"] = str(ev.radical_form)
+            entry["radical_text"] = ev.radical_form._text(spelled)
         eigenvalues.append(entry)
     payload = {
         "tool": "countertwist",
@@ -799,115 +822,171 @@ def _newton_polish(poly: IntPolynomial, start, precision: int):
         return x
 
 
-def _bracketed_newton(
-    poly: IntPolynomial, derivative: IntPolynomial, lo, hi, rising: bool, x, digits: int
-):
-    """Refine ``x`` toward the simple root in the bracket (lo, hi).
+# The numeric route's constants.  The exact refinement's lowest rung has at
+# most _FLOOR_BITS bits, and it and the float seed stop at a relative step
+# of 2^-_SEED_BITS (about 1e-9, where the float sign of p_N turns to noise
+# at 2j = 60).  A certified enclosure is (m -+ _ENCLOSURE)/2^s.
+_FLOOR_BITS = 64
+_SEED_BITS = 30
+_ENCLOSURE = 4
+_RETRIES = 3
 
-    ``lo``, ``hi`` and ``x`` are all Python floats or all mpf, and the steps
-    run in that type.  Each step narrows the bracket by the sign of poly,
-    then takes the Newton step if it stays inside and at most halves the
-    previous step, and bisects otherwise.  ``rising`` says poly is negative
-    at lo.  Returns once a step falls below 10^(-digits/2) relative, from
-    where Newton's quadratic convergence reaches ``digits`` in one or two
-    steps.
+
+def _float_newton_terms(squares: tuple[int, ...], x: float) -> tuple[float, float]:
+    """p_N(x) and p_N'(x) in floats by the chain's recurrence, both scaled
+    by one positive factor whenever p_k passes 1e150, so that they keep
+    their signs and their ratio at any chain length."""
+    p_prev, p_cur, d_prev, d_cur = 1.0, x, 0.0, 1.0
+    for w in squares:
+        p_prev, p_cur, d_prev, d_cur = (
+            p_cur, x * p_cur - w * p_prev, d_cur, p_cur + x * d_cur - w * d_prev
+        )
+        if abs(p_cur) > 1e150:
+            p_prev, p_cur, d_prev, d_cur = (
+                p_prev * 1e-150, p_cur * 1e-150, d_prev * 1e-150, d_cur * 1e-150
+            )
+    return p_cur, d_cur
+
+
+def _bracketed_newton(terms, quotient, x, lo, hi, rising: bool):
+    """Newton toward the simple root in (lo, hi) from ``x``, in floats or in
+    integers: ``terms(x)`` gives the value and slope, ``quotient`` divides
+    (rounding, for integers).
+
+    Each step narrows the bracket by the sign of the value (``rising``: it
+    is negative below the root), then takes the Newton step if it stays
+    inside and at most halves the previous step, and bisects otherwise.
+    Returns after a Newton step of at most 2^-_SEED_BITS relative.
     """
-    tolerance = type(x)(10) ** -(digits // 2)
     previous = hi - lo
-    for _ in range(4 * mp.prec):
-        value = poly.evaluate(x)
+    for _ in range(4 * _FLOOR_BITS):
+        value, slope = terms(x)
         if value == 0:
             break
         if (value < 0) == rising:
             lo = x
         else:
             hi = x
-        slope = derivative.evaluate(x)
-        step = value / slope if slope else None
+        step = quotient(value, slope) if slope else None
+        if step is not None and abs(step) * 2**_SEED_BITS <= x:
+            return x - step
         if step is None or not (lo < x - step < hi and 2 * abs(step) <= previous):
-            step = x - (lo + hi) / 2
+            step = x - quotient(lo + hi, 2)
         previous = abs(step)
         x -= step
-        if previous <= tolerance * max(1, abs(x)):
-            break
     return x
 
 
-def _float_start(
-    poly: IntPolynomial, derivative: IntPolynomial, lo: Fraction, hi: Fraction, rising: bool
-):
-    """:func:`_bracketed_newton` run in Python floats inside the exact
-    bracket (lo, hi): a start for the mpf phase, or None when the float
-    arithmetic overflows or its result is not finite and strictly inside
-    the bracket.  Only the number of mpf steps depends on the start."""
+def _float_seed(squares: tuple[int, ...], lo: float, hi: float, rising: bool) -> float:
+    """A float start for the exact refinement of the root in (lo, hi):
+    :func:`_bracketed_newton` from the midpoint on
+    :func:`_float_newton_terms`, then one plain Newton step, since near the
+    root the float sign is noise.  The caller checks the result; only the
+    work of the exact phase depends on it."""
+    x = _bracketed_newton(
+        lambda y: _float_newton_terms(squares, y), operator.truediv, (lo + hi) / 2, lo, hi, rising
+    )
+    value, slope = _float_newton_terms(squares, x)
+    return x - value / slope if slope else x
+
+
+def _ladder(precision: int) -> list[int]:
+    """The bits of each Newton step, ascending: planned back from
+    s_final = ceil((p + 10) * log2(10)) + 8 by s -> s // 2 + 4 down to at
+    most _FLOOR_BITS, since each step about doubles the correct bits
+    (Brent and Zimmermann, *Modern Computer Arithmetic*, 2010, section 4.2)."""
+    s = math.ceil((precision + 10) * math.log2(10)) + 8
+    rungs = [s]
+    while s > _FLOOR_BITS:
+        s = s // 2 + 4
+        rungs.append(s)
+    return rungs[::-1]
+
+
+def _newton_quotient(value: int, slope: int) -> int:
+    """round(value / slope) for a nonzero integer slope."""
+    if slope < 0:
+        value, slope = -value, -slope
+    return (2 * value + slope) // (2 * slope)
+
+
+def _newton_step(chain: Chain, m: int, s: int) -> int:
+    """One plain exact Newton step from m/2^s, at s bits."""
+    value, slope = chain.dyadic_newton(m, s)
+    return m - _newton_quotient(value, slope) if slope else m
+
+
+def _refine_root(
+    chain: Chain, lo: Fraction, hi: Fraction, rising: bool, precision: int
+) -> tuple[object, tuple[Fraction, Fraction]]:
+    """The chain's eigenvalue in (lo, hi), rounded to ``precision`` digits,
+    with its certified enclosure.
+
+    Exact Newton on x = m/2^s (:meth:`Chain.dyadic_newton`).  At the lowest
+    rung of :func:`_ladder` the steps are bracketed, starting from
+    :func:`_float_seed` when it is finite and strictly inside the bracket,
+    else (a square or an end beyond float range included) from the
+    midpoint; every higher rung takes one plain step.  The certificate: P_N
+    has opposite exact signs at (m -+ 4)/2^s, both strictly inside
+    (lo, hi), so exactly one eigenvalue lies between them; and both ends
+    round to the same value at the precision, which is then the
+    eigenvalue's correct rounding.  A failed sign or bracket check takes
+    one more step, an undecided rounding one more at twice the bits.
+
+    :raises NumericFailureError: the certificate still fails after
+        _RETRIES more steps.
+    """
+    rungs = _ladder(precision)
+    s = rungs[0]
+    lo_m, hi_m = math.floor(lo * 2**s), math.ceil(hi * 2**s)
     try:
-        x = _bracketed_newton(
-            poly, derivative, float(lo), float(hi), rising, float((lo + hi) / 2), sys.float_info.dig
-        )
-    except OverflowError:
-        return None
-    return x if math.isfinite(x) and lo < x < hi else None
+        seed = _float_seed(chain.squares, float(lo), float(hi), rising)
+    except OverflowError:  # a square or an end beyond float range
+        seed = math.nan
+    m = round(math.ldexp(seed, s)) if math.isfinite(seed) else None
+    if m is None or not lo_m < m < hi_m:
+        m = (lo_m + hi_m) // 2
+    m = _bracketed_newton(
+        lambda x: chain.dyadic_newton(x, s), _newton_quotient, m, lo_m, hi_m, rising
+    )
+    for rung in rungs[1:]:
+        m, s = _newton_step(chain, m << (rung - s), rung), rung
+    prec = dps_to_prec(precision)
+    for _ in range(_RETRIES + 1):
+        low, high = m - _ENCLOSURE, m + _ENCLOSURE
+        inside = lo * 2**s < low and high < hi * 2**s
+        if inside and (chain.dyadic_value(low, s) < 0) != (chain.dyadic_value(high, s) < 0):
+            value = from_man_exp(low, -s, prec, round_nearest)
+            if value == from_man_exp(high, -s, prec, round_nearest):
+                return mp.make_mpf(value), (Fraction(low, 1 << s), Fraction(high, 1 << s))
+            m, s = m << s, 2 * s
+        m = _newton_step(chain, m, s)
+    raise NumericFailureError(
+        f"no certified enclosure of the eigenvalue in ({lo}, {hi}] after "
+        f"{_RETRIES} more Newton steps"
+    )
 
 
-def _numeric_mu_roots(chain: Chain, mu_poly: IntPolynomial, precision: int) -> list[_ClosedRoot]:
-    """Certified mu roots of a chain whose polynomial reduces to q = mu_poly.
+def _numeric_roots(chain: Chain, precision: int) -> list[tuple[object, tuple[Fraction, Fraction]]]:
+    """Each positive eigenvalue of the chain, ascending, rounded to
+    ``precision`` digits, with its certified enclosure.
 
-    The chain's own leading minors isolate its positive eigenvalues exactly
-    (:meth:`Chain.positive_intervals`), and each interval (lo, hi] in lambda
-    brackets one simple root of q by (lo^2, hi^2); q rises through it when
-    it is negative at lo^2, which is the sign of p_N(lo) for lo > 0 and of
-    q(0) at lo = 0.  Each root is refined by bracketed Newton and
-    :func:`_newton_polish` on q.  Bracketed Newton runs in Python floats
-    first, and the mpf phase starts from that float when
-    :func:`_float_start` accepts it, else from the midpoint.  Every root
-    must meet the residual bound |q(mu)| / |q'(mu)| < 10^(5-p) and lie in
-    its bracket widened by that bound; otherwise the refinement is retried
-    with more guard digits.  The polished values are Newton fixed points at
-    the working precision, so they do not depend on where the refinement
-    starts.
+    The chain's own leading minors isolate them exactly
+    (:meth:`Chain.positive_intervals`), and :func:`_refine_root` refines and
+    certifies each on the chain's three-term recurrence.  p_N is positive
+    above the largest eigenvalue and changes sign at each, so it rises
+    through the i-th of n intervals (0-based) when n - 1 - i is even.
 
     :raises InternalConsistencyError: the chain's count of positive
-        eigenvalues is not q's degree.
-    :raises NumericFailureError: no guard setting met both certificates.
+        eigenvalues is not its mu-degree.
+    :raises NumericFailureError: a root's certificate failed.
     """
-    if mu_poly.degree == 0:
-        return []
-    brackets = [
-        (lo * lo, hi * hi, (p_lo if lo else mu_poly.coefficients[0]) < 0)
-        for lo, hi, p_lo in chain.positive_intervals()
+    intervals = chain.positive_intervals()
+    last = len(intervals) - 1
+    return [
+        _refine_root(chain, lo, hi, (last - i) % 2 == 0, precision)
+        for i, (lo, hi) in enumerate(intervals)
     ]
-    derivative = mu_poly.derivative()
-    target = mp.mpf(10) ** (-(precision - 5))
-    best_residual = None
-    for guard in (10, 30, 60, 120):
-        digits = precision + guard
-        with mp.workdps(digits):
-            roots, worst, contained = [], mp.mpf(0), True
-            for lo, hi, rising in brackets:
-                lo_value, hi_value = _mpf_from_fraction(lo), _mpf_from_fraction(hi)
-                seed = _float_start(mu_poly, derivative, lo, hi, rising)
-                seed = (lo_value + hi_value) / 2 if seed is None else mp.mpf(seed)
-                start = _bracketed_newton(mu_poly, derivative, lo_value, hi_value, rising, seed, digits)
-                root = _newton_polish(mu_poly, start, digits)
-                slope = derivative.evaluate(root)
-                residual = mp.inf if slope == 0 else abs(mu_poly.evaluate(root) / slope)
-                contained &= lo_value - residual <= root <= hi_value + residual
-                worst = max(worst, residual)
-                roots.append(root)
-            if not contained:
-                continue
-            if best_residual is None or worst < best_residual:
-                best_residual = worst
-            if worst < target:
-                return [(root, None) for root in roots]
-    detail = "a polished root left its isolating interval" if best_residual is None else (
-        f"best residual {mp.nstr(best_residual, 3)}"
-    )
-    raise NumericFailureError(
-        f"root finding did not reach the certified residual bound "
-        f"{mp.nstr(target, 3)} ({detail}); insufficient precision is the "
-        "usual cause"
-    )
 
 
 # ------------------------------------------------------------ shared assembly
@@ -916,7 +995,7 @@ def _numeric_mu_roots(chain: Chain, mu_poly: IntPolynomial, precision: int) -> l
 def _finalize_mu_roots(
     mu_poly: IntPolynomial, raw_roots, precision: int
 ) -> list[_ClosedRoot]:
-    """Certify realness and nonnegativity, polish inexact values, and sort."""
+    """Certify realness and nonnegativity, polish tree values, and sort."""
     tolerance = mp.mpf(10) ** (-(precision - 5))
     finalized: list[_ClosedRoot] = []
     for value, form in raw_roots:
@@ -928,9 +1007,7 @@ def _finalize_mu_roots(
                 )
             finalized.append((_mpf_from_fraction(form), form))
             continue
-        value = _as_real(value, precision)
-        if form is not None:
-            value = _newton_polish(mu_poly, value, mp.dps)
+        value = _newton_polish(mu_poly, _as_real(value, precision), mp.dps)
         if value < 0:
             if value < -tolerance:
                 raise SpectralConsistencyError(
@@ -944,22 +1021,19 @@ def _finalize_mu_roots(
     return finalized
 
 
-def _pm_pair(positive, count: int, exactness: Exactness, plus_tree=None):
+def _pm_pair(positive, count: int, exactness: Exactness, plus_tree=None, enclosure=None):
     """The eigenvalues -positive and +positive; the negative one's form is
-    -plus_tree."""
+    -plus_tree and its enclosure the mirror of ``enclosure``."""
     minus_tree = None if plus_tree is None else _neg(plus_tree)
+    minus_enclosure = None if enclosure is None else (-enclosure[1], -enclosure[0])
     return [
-        Eigenvalue(-positive, count, exactness, minus_tree),
-        Eigenvalue(positive, count, exactness, plus_tree),
+        Eigenvalue(-positive, count, exactness, minus_tree, minus_enclosure),
+        Eigenvalue(positive, count, exactness, plus_tree, enclosure),
     ]
 
 
-def _poly_eigenvalues(
-    p: IntPolynomial, precision: int, chain: Optional[Chain] = None
-) -> list[Eigenvalue]:
-    """Eigenvalues of one lambda^k * (even polynomial) factor: in closed
-    form, or by the certified numeric route when ``chain``, the chain whose
-    polynomial p is, is given."""
+def _poly_eigenvalues(p: IntPolynomial, precision: int) -> list[Eigenvalue]:
+    """Eigenvalues of one lambda^k * (even polynomial) factor in closed form."""
     lam_power, reduced = strip_lambda_power(p)
     if reduced.degree and not reduced.is_even():
         raise InvalidInputError(
@@ -969,11 +1043,7 @@ def _poly_eigenvalues(
     mu_poly = to_mu_polynomial(reduced)
     working = precision + _EVAL_GUARD
     with mp.workdps(working):
-        if chain is None:
-            raw = _closed_mu_roots(mu_poly)
-        else:
-            raw = _numeric_mu_roots(chain, mu_poly, precision)
-        mu_roots = _finalize_mu_roots(mu_poly, raw, precision)
+        mu_roots = _finalize_mu_roots(mu_poly, _closed_mu_roots(mu_poly), precision)
 
         eigenvalues: list[Eigenvalue] = []
         zero_multiplicity = lam_power
@@ -986,10 +1056,7 @@ def _poly_eigenvalues(
                 rational_counts[form] = rational_counts.get(form, 0) + 1
                 continue
             positive = _round_to(mp.sqrt(value), precision)
-            if form is None:
-                eigenvalues += _pm_pair(positive, 1, Exactness.NUMERIC)
-            else:
-                eigenvalues += _pm_pair(positive, 1, Exactness.RADICAL, Sqrt(form))
+            eigenvalues += _pm_pair(positive, 1, Exactness.RADICAL, Sqrt(form))
         for mu_value, count in rational_counts.items():
             exact_root = _sqrt_fraction(mu_value)
             if exact_root is not None:
@@ -1003,6 +1070,24 @@ def _poly_eigenvalues(
             eigenvalues.append(
                 Eigenvalue(mp.mpf(0), zero_multiplicity, Exactness.EXACT_RATIONAL)
             )
+    eigenvalues.sort(key=lambda e: e.value)
+    return eigenvalues
+
+
+def _chain_eigenvalues(chain: Chain, precision: int) -> list[Eigenvalue]:
+    """A chain's eigenvalues by the certified numeric route, ascending:
+    each positive root and its negative with their enclosures, and zero
+    with the multiplicity of lambda in the chain polynomial."""
+    roots = _numeric_roots(chain, precision)
+    with mp.workdps(precision):  # where negation is exact
+        eigenvalues = [
+            eigen
+            for positive, enclosure in roots
+            for eigen in _pm_pair(positive, 1, Exactness.NUMERIC, enclosure=enclosure)
+        ]
+    lam_power = strip_lambda_power(chain.polynomial)[0]
+    if lam_power:
+        eigenvalues.append(Eigenvalue(mp.mpf(0), lam_power, Exactness.EXACT_RATIONAL))
     eigenvalues.sort(key=lambda e: e.value)
     return eigenvalues
 
@@ -1057,8 +1142,10 @@ def spectrum(j, precision: int = DEFAULT_PRECISION) -> SpectrumReport:
     eigenvalues = [
         replace(eigen, multiplicity=count * eigen.multiplicity)
         for chain, count in block_decompose(jj).chains
-        for eigen in _poly_eigenvalues(
-            chain.polynomial, precision, chain if numeric_path else None
+        for eigen in (
+            _chain_eigenvalues(chain, precision)
+            if numeric_path
+            else _poly_eigenvalues(chain.polynomial, precision)
         )
     ]
     eigenvalues.sort(key=lambda e: e.value)
@@ -1073,3 +1160,48 @@ def spectrum(j, precision: int = DEFAULT_PRECISION) -> SpectrumReport:
             "an odd-dimensional spectrum must contain the zero eigenvalue"
         )
     return SpectrumReport(j=jj, eigenvalues=tuple(eigenvalues), precision=precision)
+
+
+def certify_spectrum(report: SpectrumReport) -> None:
+    """Check every value and multiplicity of a report, say one read back
+    by :func:`spectrum_from_json`, against its spin's chains, exactly.
+
+    A nonzero value stands for the eigenvalues that round to it at the
+    report's precision: those in its rounding interval, half a unit in the
+    last place to each side (a quarter below a power of two).  The Sturm
+    counts of each chain at the interval's ends (:meth:`Chain.sturm_count`),
+    each chain taken as often as :attr:`BlockDecomposition.chains` counts
+    it, must sum to the value's multiplicity, equal values' multiplicities
+    added.  Zero's multiplicity must be the number of lambda factors of the
+    chain polynomials.
+
+    :raises SpectralConsistencyError: a value or multiplicity that the
+        counts do not certify.
+    """
+    chains = block_decompose(report.j).chains
+    prec = dps_to_prec(report.precision)
+    stated: dict = {}
+    for eigen in report.eigenvalues:
+        stated[eigen.value._mpf_] = stated.get(eigen.value._mpf_, 0) + eigen.multiplicity
+    for (sign, man, exp, bits), multiplicity in stated.items():
+        if not man:
+            counted = sum(
+                count * strip_lambda_power(chain.polynomial)[0] for chain, count in chains
+            )
+        else:
+            half_unit = Fraction(2) ** (exp + bits - prec - 1)
+            magnitude = man * Fraction(2) ** exp
+            low = magnitude - (half_unit / 2 if man == 1 else half_unit)
+            high = magnitude + half_unit
+            if sign:
+                low, high = -high, -low
+            counted = sum(
+                count * (chain.sturm_count(low)[0] - chain.sturm_count(high)[0])
+                for chain, count in chains
+            )
+        if counted != multiplicity:
+            raise SpectralConsistencyError(
+                f"the value {mp.nstr(mp.make_mpf((sign, man, exp, bits)), report.precision)} "
+                f"has multiplicity {multiplicity}, but the chains have "
+                f"{counted} eigenvalues that round to it"
+            )

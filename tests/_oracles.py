@@ -816,6 +816,23 @@ def json_radical_obj(expr):
     return obj
 
 
+_RADICAL_SPELLINGS = {
+    Add: "({} + {})", Sub: "({} - {})", Mul: "({} * {})", Div: "({} / {})",
+    Sqrt: "sqrt({})", Cbrt: "cbrt({})",
+}
+
+
+def radical_text(expr):
+    """A radical tree's spelling, every shared subtree spelled out again:
+    a Rational as its Fraction, a product with -1 as a minus sign."""
+    if isinstance(expr, Rational):
+        return str(expr.value)
+    if isinstance(expr, Mul) and expr.left == Rational(Fraction(-1)):
+        return "-" + radical_text(expr.right)
+    children = [radical_text(getattr(expr, field.name)) for field in fields(expr)]
+    return _RADICAL_SPELLINGS[type(expr)].format(*children)
+
+
 def json_spectrum(report):
     """The ``spectrum --format json`` document of a report."""
     eigenvalues = []
@@ -827,7 +844,7 @@ def json_spectrum(report):
         }
         if ev.radical_form is not None:
             entry["radical_form"] = json_radical_obj(ev.radical_form)
-            entry["radical_text"] = str(ev.radical_form)
+            entry["radical_text"] = radical_text(ev.radical_form)
         eigenvalues.append(entry)
     return _json_text({
         "tool": "countertwist",

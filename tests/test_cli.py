@@ -781,6 +781,44 @@ class TestVerifyChild:
 # ---------------------------------------------------------------------------
 
 
+class TestLongChi:
+    """A chi whose numerator passes Python's int-to-str digit limit (4300)
+    is spelled in full in verify's header and evolve's metadata."""
+
+    CHI = "1" + "0" * 3400 + "e1000"
+
+    def _run_in_a_process(self, *argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = "import sys\nfrom countertwist import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        return subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+
+    def test_verify_spells_the_chi_and_exits_zero(self):
+        done = self._run_in_a_process("verify", "--j", "1", "--chi", self.CHI)
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0, done.stderr
+        header = done.stdout.splitlines()[1]
+        assert header == f"j = 1, chi = 1{'0' * 4400}, precision = 34"
+        assert done.stdout.endswith("RESULT: PASS\n")
+
+    def test_evolve_spells_the_chi_in_its_metadata(self):
+        # chi*t = 10^4400 / 10^4200 stays inside the chi*t bound.
+        t_max = "1/1" + "0" * 4200
+        done = self._run_in_a_process(
+            "evolve", "--j", "1", "--chi", self.CHI, "--t-max", t_max, "--steps", "2"
+        )
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0, done.stderr
+        assert f"# chi = 1{'0' * 4400}\n" in done.stdout
+
+    @pytest.mark.parametrize("chi", ["1/2", "3", "-2/3", "5/4", "-7"])
+    def test_a_short_chi_keeps_its_spelling(self, chi):
+        assert cli._fraction_text(Fraction(chi)) == str(Fraction(chi)) == chi
+
+
 class TestDispatch:
     @pytest.mark.parametrize(
         "argv",

@@ -2,7 +2,8 @@
 writes for the package's documents, radical trees included.
 
 The references in ``_oracles`` build each document as nested dicts, every
-shared radical subtree written out, and hand it to ``json.dumps``.
+shared radical subtree written out and spelled out, and hand it to
+``json.dumps``.
 """
 
 import contextlib
@@ -102,3 +103,34 @@ def test_a_shared_subtree_is_formatted_once_per_depth(monkeypatch):
 def test_other_values_are_refused(value):
     with pytest.raises(InternalConsistencyError):
         _json_document({"value": value})
+
+
+def test_a_shared_subtree_is_spelled_once_per_document(monkeypatch):
+    report = spectrum(HalfInt(14), 34)
+    spelled = []
+    for node_type in {type(node) for node in _nodes(report)}:
+        real = node_type._spell
+
+        def counting(node, memo, real=real):
+            spelled.append(id(node))
+            return real(node, memo)
+
+        monkeypatch.setattr(node_type, "_spell", counting)
+    text = spectrum_to_json(report)
+    assert text == json_spectrum(report)
+    # Each node at most once (a -1 factor is spelled as a sign), against
+    # one spelling per reference before.
+    references = list(_nodes(report))
+    assert len(spelled) == len(set(spelled)) <= len({id(node) for node in references})
+    assert 4 * len(spelled) < len(references)
+
+
+def _nodes(report):
+    """Every node of the report's radical trees, shared ones repeated."""
+    pending = [e.radical_form for e in report.eigenvalues if e.radical_form is not None]
+    while pending:
+        node = pending.pop()
+        yield node
+        pending.extend(
+            child for child in vars(node).values() if isinstance(child, spectrum_module.RadicalExpr)
+        )

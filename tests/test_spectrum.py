@@ -43,6 +43,7 @@ from countertwist.spectrum import (
     SpectrumReport,
     Sqrt,
     Sub,
+    _chain_eigenvalues,
     _poly_eigenvalues,
     spectrum_from_json,
     spectrum_to_json,
@@ -326,7 +327,7 @@ def chains_of(twoj):
 
 def numeric_eigenvalues(chain, precision=PRECISION):
     """The chain's eigenvalues by the certified numeric route."""
-    return _poly_eigenvalues(chain.polynomial, precision, chain)
+    return _chain_eigenvalues(chain, precision)
 
 
 def test_numeric_cubic_shape_polynomial():

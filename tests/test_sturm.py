@@ -1,13 +1,15 @@
 """The exact real-root core of the numeric spectrum.
 
 Each chain's eigenvalues are counted by the Sturm sequence of its own
-leading minors (``Chain.sturm_count``) and isolated by bisection
-(``Chain.positive_intervals``).  The counts and intervals are checked
-against sympy's exact root counts, the refined roots against the
-Aberth-Ehrlich oracle and numpy.
+leading minors (``Chain.sturm_count``), isolated by bisection
+(``Chain.positive_intervals``), and refined and certified by exact integer
+Newton on the chain's recurrence.  The counts and intervals are checked
+against sympy's exact root counts, the refined roots and their enclosures
+against the Aberth-Ehrlich oracle and numpy.
 """
 
 import importlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ import sympy
 from mpmath import mp
 
 from countertwist import (
+    Exactness,
     HalfInt,
     IntPolynomial,
     InternalConsistencyError,
@@ -27,10 +30,15 @@ from countertwist import (
 )
 from countertwist.charpoly import Chain
 from countertwist.spectrum import (
-    _numeric_mu_roots,
-    _poly_eigenvalues,
+    _chain_eigenvalues,
+    _ladder,
+    _numeric_roots,
+    _round_to,
+    certify_spectrum,
+    spectrum_from_json,
     spectrum_to_json,
 )
+from countertwist.errors import SpectralConsistencyError
 from _oracles import aberth_mu_roots, numpy_h_ta
 
 PRECISION = 34
@@ -71,7 +79,7 @@ def chains_with_mu_roots(max_twoj):
 
 def numeric_eigenvalues(chain, precision=PRECISION):
     """The chain's eigenvalues by the certified numeric route."""
-    return _poly_eigenvalues(chain.polynomial, precision, chain)
+    return _chain_eigenvalues(chain, precision)
 
 
 def expand_multiset(eigenvalues):
@@ -104,7 +112,7 @@ def test_each_isolating_interval_holds_one_root(twoj):
     x = sympy.symbols("x")
     for chain in both_chains(twoj):
         sympy_poly = sympy.Poly(mu_polynomial(chain).coefficients[::-1], x)
-        intervals = [(lo * lo, hi * hi) for lo, hi, _ in chain.positive_intervals()]
+        intervals = [(lo * lo, hi * hi) for lo, hi in chain.positive_intervals()]
         for (lo, hi), (next_lo, _) in zip(intervals, intervals[1:]):
             assert hi <= next_lo
         for lo, hi in intervals:
@@ -147,8 +155,8 @@ def test_midpoints_that_are_roots_move_off_them():
     chain = chain_of((2, 1, 2))
     assert chain.polynomial == IntPolynomial((4, 0, -5, 0, 1))
     intervals = chain.positive_intervals()
-    assert [(lo < 1 < hi, lo < 2 < hi) for lo, hi, _ in intervals] == [(True, False), (False, True)]
-    assert all(lo not in (1, 2) and hi not in (1, 2) for lo, hi, _ in intervals)
+    assert [(lo < 1 < hi, lo < 2 < hi) for lo, hi in intervals] == [(True, False), (False, True)]
+    assert all(lo not in (1, 2) and hi not in (1, 2) for lo, hi in intervals)
 
 
 def test_a_chain_whose_polynomial_has_another_degree_is_refused():
@@ -169,12 +177,21 @@ def test_a_chain_whose_squares_do_not_match_its_labels_is_refused(sites, squares
 # ------------------------------------------------------------ against Aberth
 
 
+def aberth_roots(chain, precision):
+    """The chain's positive eigenvalues by the Aberth-Ehrlich oracle, as
+    the numeric route hands them on: rounded to ``precision``, with no
+    enclosure."""
+    with mp.workdps(precision + 30):
+        mus = sorted(root.real for root, _ in aberth_mu_roots(mu_polynomial(chain), precision))
+        return [(_round_to(mp.sqrt(mu), precision), None) for mu in mus]
+
+
 @pytest.mark.parametrize("twoj", [12, 19, 24, 33, 41, 44, 60])
 def test_mu_roots_agree_with_the_aberth_oracle(twoj):
     for chain in both_chains(twoj):
         mu_poly = mu_polynomial(chain)
         with mp.workdps(PRECISION + 30):
-            mine = sorted(root for root, _ in _numeric_mu_roots(chain, mu_poly, PRECISION))
+            mine = [root**2 for root, _ in _numeric_roots(chain, PRECISION)]
             oracle = sorted(root.real for root, _ in aberth_mu_roots(mu_poly, PRECISION))
             assert len(mine) == len(oracle) == mu_poly.degree
             for a, b in zip(mine, oracle):
@@ -183,13 +200,27 @@ def test_mu_roots_agree_with_the_aberth_oracle(twoj):
 
 @pytest.mark.parametrize("twoj", [12, 24, 33, 41, 44, 60])
 def test_spectrum_json_equals_the_aberth_route(twoj, monkeypatch):
-    text = spectrum_to_json(spectrum(HalfInt(twoj), PRECISION))
-    monkeypatch.setattr(
-        spectrum_module,
-        "_numeric_mu_roots",
-        lambda chain, mu_poly, precision: aberth_mu_roots(mu_poly, precision),
-    )
-    assert spectrum_to_json(spectrum(HalfInt(twoj), PRECISION)) == text
+    for precision in (15, 34, 52):
+        text = spectrum_to_json(spectrum(HalfInt(twoj), precision))
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum_module, "_numeric_roots", aberth_roots)
+            assert spectrum_to_json(spectrum(HalfInt(twoj), precision)) == text, precision
+
+
+@pytest.mark.parametrize("twoj", [19, 44, 60])
+def test_each_enclosure_holds_the_aberth_root(twoj):
+    # The oracle runs 20 digits beyond the enclosures' 2^-s.
+    for chain in both_chains(twoj):
+        roots = _numeric_roots(chain, PRECISION)
+        with mp.workdps(PRECISION + 50):
+            oracle = sorted(
+                mp.sqrt(root.real) for root, _ in aberth_mu_roots(mu_polynomial(chain), PRECISION + 20)
+            )
+            assert len(roots) == len(oracle)
+            for (value, (lo, hi)), exact in zip(roots, oracle):
+                assert mp.mpf(lo.numerator) / lo.denominator < exact
+                assert exact < mp.mpf(hi.numerator) / hi.denominator
+                assert _round_to(exact, PRECISION) == value
 
 
 def test_spin_fifty_matches_dense_diagonalization():
@@ -201,45 +232,162 @@ def test_spin_fifty_matches_dense_diagonalization():
     assert np.max(np.abs(mine - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
+# ----------------------------------------------------------- the certificate
+
+
+def _newton_counts(monkeypatch):
+    """Count the exact Newton and sign evaluations of every chain."""
+    counts = {"newton": 0, "value": 0}
+    newton, value = Chain.dyadic_newton, Chain.dyadic_value
+
+    def counting_newton(chain, m, s):
+        counts["newton"] += 1
+        return newton(chain, m, s)
+
+    def counting_value(chain, m, s):
+        counts["value"] += 1
+        return value(chain, m, s)
+
+    monkeypatch.setattr(Chain, "dyadic_newton", counting_newton)
+    monkeypatch.setattr(Chain, "dyadic_value", counting_value)
+    return counts
+
+
+def test_spin_sixty_refines_each_root_once(monkeypatch):
+    # At 2j = 120 the mu-polynomial route refined every root twice; here
+    # each root takes one exact step per rung and two signs.
+    counts = _newton_counts(monkeypatch)
+    report = spectrum(HalfInt(120), PRECISION)
+    roots = sum(1 for e in report.eigenvalues if e.value > 0)
+    assert roots == 60
+    assert counts == {"newton": len(_ladder(PRECISION)) * roots, "value": 2 * roots}
+    mine = np.array([float(v) for v in expand_multiset(report.eigenvalues)])
+    oracle = np.linalg.eigvalsh(numpy_h_ta(120))
+    assert np.max(np.abs(mine - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
 def test_polished_root_outside_its_interval_fails(monkeypatch):
-    # mu^2 - 5 mu + 4: a polisher that always lands on the root 4 passes the
-    # residual bound but leaves the interval isolating the root 1.
-    monkeypatch.setattr(spectrum_module, "_newton_polish", lambda poly, start, digits: mp.mpf(4))
+    # (mu - 1)(mu - 4): a Newton step that always lands on the eigenvalue 2
+    # leaves the interval isolating the eigenvalue 1, so no enclosure there
+    # is certified.
     chain = chain_of((2, 1, 2))
-    with pytest.raises(NumericFailureError, match="left its isolating interval"):
-        _numeric_mu_roots(chain, IntPolynomial((4, -5, 1)), PRECISION)
+    assert chain.polynomial == IntPolynomial((4, 0, -5, 0, 1))
+    real = Chain.dyadic_newton
+
+    def onto_two(self, m, s):
+        _, slope = real(self, m, s)
+        return (m - (2 << s)) * slope, slope
+
+    monkeypatch.setattr(Chain, "dyadic_newton", onto_two)
+    with pytest.raises(NumericFailureError, match=r"no certified enclosure of the eigenvalue in \(1/2, 11/8\]"):
+        _numeric_roots(chain, PRECISION)
 
 
-# ------------------------------------------------------------- float start
+def test_a_corrupted_newton_step_is_refused_by_the_sign_certificate(monkeypatch):
+    chain = both_chains(44)[0]
+    expected = _bits(numeric_eigenvalues(chain))
+    real = Chain.dyadic_newton
+    corrupted = []
+
+    def off_by_a_thousand_units(self, m, s, every=False):
+        value, slope = real(self, m, s)
+        if s == _ladder(PRECISION)[-1] and (every or not corrupted):
+            corrupted.append(m)
+            value += 1000 * slope
+        return value, slope
+
+    # One corrupted last step: the certificate refuses it, one more step
+    # mends it, and the bits are those of the clean route.
+    monkeypatch.setattr(Chain, "dyadic_newton", off_by_a_thousand_units)
+    assert _bits(numeric_eigenvalues(chain)) == expected
+    assert len(corrupted) == 1
+    # Every step corrupted: no enclosure is certified.
+    monkeypatch.setattr(
+        Chain, "dyadic_newton", lambda self, m, s: off_by_a_thousand_units(self, m, s, True)
+    )
+    with pytest.raises(NumericFailureError, match="no certified enclosure"):
+        numeric_eigenvalues(chain)
+
+
+def test_an_undecided_rounding_is_refined_at_twice_the_bits(monkeypatch):
+    # An enclosure 2^51 units wide straddles a rounding boundary at
+    # 15 digits; at twice the bits it is narrow again.
+    chain = both_chains(44)[0]
+    expected = _bits(numeric_eigenvalues(chain, 15))
+    monkeypatch.setattr(spectrum_module, "_ENCLOSURE", 1 << 50)
+    roots = _numeric_roots(chain, 15)
+    assert all(hi - lo == Fraction(1 << 51, 1 << 2 * _ladder(15)[-1]) for _, (lo, hi) in roots)
+    assert _bits(numeric_eigenvalues(chain, 15)) == expected
+
+
+def _doublet_report():
+    """A half-integer spin's report: every eigenvalue a doublet."""
+    report = spectrum(HalfInt(45), PRECISION)
+    assert all(e.multiplicity == 2 for e in report.eigenvalues)
+    assert Exactness.NUMERIC is report.eigenvalues[0].exactness is report.eigenvalues[-1].exactness
+    return report
+
+
+def test_every_printed_eigenvalue_is_certified_by_the_chains():
+    for twoj in [*range(1, 31), 44, 45, 60, 61]:
+        for precision in (15, 34):
+            report = spectrum(HalfInt(twoj), precision)
+            certify_spectrum(report)
+            certify_spectrum(spectrum_from_json(spectrum_to_json(report)))
+
+
+def test_a_corrupted_digit_or_doublet_multiplicity_is_refused():
+    text = spectrum_to_json(_doublet_report())
+    payload = json.loads(text)
+    entries = payload["eigenvalues"]
+    # The last digit within the precision of the largest value, one up:
+    # below the pairing test's 10^(5-p), above the value's rounding.
+    text_value = entries[-1]["value"]
+    place = [i for i, c in enumerate(text_value) if c.isdigit()][PRECISION - 1]
+    digit = str((int(text_value[place]) + 1) % 10)
+    entries[-1]["value"] = text_value[:place] + digit + text_value[place + 1:]
+    with pytest.raises(SpectralConsistencyError, match="has multiplicity 2, but the chains have 0"):
+        certify_spectrum(spectrum_from_json(json.dumps(payload)))
+    # Two doublets, and their mirrors, turned into a single and a triplet:
+    # the dimension, the pairing and every derived field stay as they were.
+    payload = json.loads(text)
+    entries = payload["eigenvalues"]
+    for index, multiplicity in ((0, 1), (1, 3), (-1, 1), (-2, 3)):
+        entries[index]["multiplicity"] = multiplicity
+    with pytest.raises(SpectralConsistencyError, match="has multiplicity 1, but the chains have 2"):
+        certify_spectrum(spectrum_from_json(json.dumps(payload)))
+
+
+# ------------------------------------------------------------- float seed
 
 
 def _bits(eigenvalues):
     return [(e.value._mpf_, e.multiplicity, e.exactness) for e in eigenvalues]
 
 
-def _float_starts(monkeypatch):
-    """Record what every ``_float_start`` call returns."""
+def _float_seeds(monkeypatch):
+    """Record every float seed with its bracket."""
     taken = []
-    real = spectrum_module._float_start
+    real = spectrum_module._float_seed
 
-    def recording(*args):
-        taken.append(real(*args))
-        return taken[-1]
+    def recording(squares, lo, hi, rising):
+        taken.append((lo, real(squares, lo, hi, rising), hi))
+        return taken[-1][1]
 
-    monkeypatch.setattr(spectrum_module, "_float_start", recording)
+    monkeypatch.setattr(spectrum_module, "_float_seed", recording)
     return taken
 
 
 def _midpoint_start(monkeypatch):
-    monkeypatch.setattr(spectrum_module, "_float_start", lambda *args: None)
+    monkeypatch.setattr(spectrum_module, "_float_seed", lambda *args: float("nan"))
 
 
 @pytest.mark.parametrize("precision", [15, 34, 52])
 @pytest.mark.parametrize("twoj", [12, 19, 24, 33, 41, 44, 60, 61])
 def test_eigenvalue_bits_do_not_depend_on_the_float_start(twoj, precision, monkeypatch):
-    taken = _float_starts(monkeypatch)
+    taken = _float_seeds(monkeypatch)
     seeded = _bits(spectrum(HalfInt(twoj), precision).eigenvalues)
-    assert None not in taken  # every bracket started from its float
+    assert all(lo < seed < hi for lo, seed, hi in taken)  # none at radical 2j = 12
     _midpoint_start(monkeypatch)
     assert _bits(spectrum(HalfInt(twoj), precision).eigenvalues) == seeded
 
@@ -249,27 +397,34 @@ def _twoj_24_chain():
 
 
 def test_coefficients_beyond_float_range_start_from_the_midpoint(monkeypatch):
+    # Squares of 10^400 times chain a's scale every eigenvalue by 10^200;
+    # a float seed overflows, and the exact phase starts at the midpoint.
     chain = _twoj_24_chain()
-    scaled = with_polynomial(chain, chain.polynomial.scaled(10**400))
-    taken = _float_starts(monkeypatch)
-    roots = _bits(numeric_eigenvalues(scaled))
-    assert taken and all(start is None for start in taken)
-    assert roots == _bits(numeric_eigenvalues(chain))
+    scaled = Chain(chain.labels, tuple(w * 10**400 for w in chain.squares))
+    roots = numeric_eigenvalues(scaled)
     _midpoint_start(monkeypatch)
-    assert _bits(numeric_eigenvalues(scaled)) == roots
+    assert _bits(numeric_eigenvalues(scaled)) == _bits(roots)
+    with mp.workdps(PRECISION):
+        for big, small in zip(roots, numeric_eigenvalues(chain)):
+            assert abs(big.value / mp.mpf(10) ** 200 - small.value) <= abs(small.value) * mp.mpf(10) ** (2 - PRECISION)
+
+
+def test_the_float_seed_stays_in_range_at_the_largest_spin():
+    # p_N at 2j = 240 is far beyond float range; the rescaled recurrence
+    # seeds every bracket from a finite float inside it.
+    chain = block_decompose(HalfInt(240)).a
+    squares = chain.squares
+    intervals = chain.positive_intervals()
+    for i, (lo, hi) in enumerate(intervals):
+        seed = spectrum_module._float_seed(squares, float(lo), float(hi), (len(intervals) - 1 - i) % 2 == 0)
+        assert float(lo) < seed < float(hi)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 1e30])
 def test_a_float_start_that_is_not_finite_or_inside_its_bracket_is_dropped(bad, monkeypatch):
     expected = _bits(numeric_eigenvalues(_twoj_24_chain()))
-    real = spectrum_module._bracketed_newton
-
-    def broken_in_floats(poly, derivative, lo, hi, rising, x, digits):
-        if isinstance(x, float):
-            return bad
-        return real(poly, derivative, lo, hi, rising, x, digits)
-
-    monkeypatch.setattr(spectrum_module, "_bracketed_newton", broken_in_floats)
-    taken = _float_starts(monkeypatch)
+    monkeypatch.setattr(spectrum_module, "_float_seed", lambda *args: bad)
+    counts = _newton_counts(monkeypatch)
     assert _bits(numeric_eigenvalues(_twoj_24_chain())) == expected
-    assert taken and all(start is None for start in taken)
+    # From the midpoint the lowest rung takes bracketed steps.
+    assert counts["newton"] > len(_ladder(PRECISION)) * len(expected) // 2

@@ -248,6 +248,41 @@ class Chain:
             prev, cur = cur, m * cur - (w * prev << shift)
         return cur
 
+    def dyadic_count(self, m: int, s: int) -> int:
+        """Number of eigenvalues above x = m/2^s, s >= 0: the sign changes
+        along P_0, ..., P_N of :meth:`dyadic_value`'s recurrence, zeros
+        skipped, as :meth:`sturm_count` counts them, with a shift for its
+        multiplication by den^2."""
+        shift = 2 * s
+        prev, cur = 1, m
+        minors = [1, m]
+        for w in self.squares:
+            prev, cur = cur, m * cur - (w * prev << shift)
+            minors.append(cur)
+        signs = [p > 0 for p in minors if p]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    @functools.cached_property
+    def bound(self) -> int:
+        """B = 2*(isqrt(max w) + 1), beyond Gershgorin's bound 2*sqrt(max w):
+        every eigenvalue lies in (-B, B)."""
+        return 2 * (math.isqrt(max(self.squares, default=0)) + 1)
+
+    @functools.cached_property
+    def exponents(self) -> tuple[int, int]:
+        """(lowest, highest): every nonzero eigenvalue's magnitude lies in
+        [2^lowest, 2^highest).  Above, :attr:`bound`.  Below, Cauchy's
+        bound on the reversed polynomial: a root of q = c_0 + ... +
+        c_n*lambda^n, c_0 != 0, has |lambda| >= |c_0|/(|c_0| + max |c_i|),
+        i >= 1; here q is :attr:`polynomial` with its lambda factors
+        stripped.  With no nonzero eigenvalue, (0, highest)."""
+        q = strip_lambda_power(self.polynomial)[1].coefficients
+        lowest = 0
+        if len(q) > 1:
+            c0, rest = abs(q[0]), max(abs(c) for c in q[1:])
+            lowest = c0.bit_length() - 1 - (c0 + rest).bit_length()
+        return lowest, self.bound.bit_length()
+
     def dyadic_newton(self, m: int, s: int) -> tuple[int, int]:
         """(P_N, D_N) at x = m/2^s, exact, with D_N = 2^(s(N-1)) * p_N'(x)
         from D_0 = 0, D_1 = 1, D_k = P_(k-1) + m*D_(k-1) - (w_(k-1)*D_(k-2)) << 2s,
@@ -267,14 +302,13 @@ class Chain:
         """(lo, hi), ascending: each (lo, hi] holds exactly one positive
         eigenvalue, and neither end is an eigenvalue unless lo = 0.
 
-        Bisection of (0, B] with B = 2*(isqrt(max w) + 1), beyond
-        Gershgorin's bound 2*sqrt(max w), so no eigenvalue reaches B.  A
-        midpoint where p_N vanishes moves toward lo.
+        Bisection of (0, B] with B = :attr:`bound`, which no eigenvalue
+        reaches.  A midpoint where p_N vanishes moves toward lo.
 
         :raises InternalConsistencyError: the number of positive eigenvalues
             is not the mu-degree of ``polynomial``.
         """
-        bound = Fraction(2 * (math.isqrt(max(self.squares, default=0)) + 1))
+        bound = Fraction(self.bound)
         v_lo, v_hi = self.sturm_count(Fraction(0))[0], self.sturm_count(bound)[0]
         mu_degree = strip_lambda_power(self.polynomial)[1].degree // 2
         if v_lo - v_hi != mu_degree:

@@ -2,19 +2,15 @@
 
 The characteristic polynomial of the matrix splits into two chain factors,
 each a polynomial in mu = lambda^2 after stripping lambda factors
-(:mod:`countertwist.charpoly`).  This module turns those exact integer
-polynomials into eigenvalues:
-
-* mu-degree <= 4: closed-form radical roots (linear, quadratic, Cardano,
-  Ferrari) carried as explicit expression trees, whose own evaluations,
-  Newton-polished on the exact polynomial, give the certified values;
-* any mu-degree: exact isolation of every positive eigenvalue of a chain
-  by the Sturm sequence of its own leading minors
-  (:class:`countertwist.charpoly.Chain`), then exact integer Newton on the
-  chain's three-term recurrence with precision doubling, each root
-  certified by the exact signs of the chain polynomial at the ends of its
-  enclosure; used beyond the radical range (the tests also run it inside
-  that range, as a second route to the closed forms).
+(:mod:`countertwist.charpoly`).  Every positive eigenvalue of a chain comes
+from one value route: exact isolation by the Sturm sequence of the chain's
+own leading minors (:class:`countertwist.charpoly.Chain`), then exact
+integer Newton on its three-term recurrence with precision doubling, each
+root certified by the exact signs of the chain polynomial at the ends of
+the enclosure the eigenvalue keeps.  For a spin of mu-degree <= 4 the
+closed-form roots (linear, quadratic, Cardano, Ferrari), carried as
+expression trees, label those values; each tree is checked against the
+value it labels and is never a second source of it.
 
 Multiplicities are always structural — the number of chains carrying a
 factor (two for the twin chains of a half-integer spin) and stripped lambda
@@ -76,7 +72,6 @@ __all__ = [
     "Eigenvalue",
     "SpectrumReport",
     "certify_spectrum",
-    "roots_even_poly",
     "spectrum",
     "spectrum_from_json",
     "spectrum_to_json",
@@ -115,14 +110,7 @@ class RadicalExpr:
         principal-branch arithmetic are certified negligible and dropped."""
         _require_precision(precision)
         with mp.workdps(precision + _EVAL_GUARD):
-            raw = self._value({})
-            if isinstance(raw, mp.mpc):
-                scale = max(mp.mpf(1), abs(raw))
-                if abs(raw.imag) > scale * mp.mpf(10) ** (-(precision + 5)):
-                    raise InternalConsistencyError(
-                        f"expression evaluates to the non-real value {raw}"
-                    )
-                raw = raw.real
+            raw = _real_value(self._value({}), precision)
         with mp.workdps(precision):
             return +raw
 
@@ -247,6 +235,23 @@ class Cbrt(RadicalExpr):
         return f"cbrt({self.operand._text(memo)})"
 
 
+def _real_value(raw, precision: int):
+    """A tree's value as a real number, dropping the imaginary residue of
+    principal-branch arithmetic; InternalConsistencyError if that residue
+    exceeds max(1, |raw|)·10^-(precision + 5)."""
+    if not isinstance(raw, mp.mpc):
+        return raw
+    scale = max(mp.mpf(1), abs(raw))
+    if abs(raw.imag) > scale * mp.mpf(10) ** (-(precision + 5)):
+        raise InternalConsistencyError(f"expression evaluates to the non-real value {raw}")
+    return raw.real
+
+
+def _reproduces(value, tree_value, precision: int) -> bool:
+    """A tree's value lies within |value|·10^(1-precision) of ``value``."""
+    return abs(value - tree_value) <= abs(value) * mp.mpf(10) ** (1 - precision)
+
+
 def _rat(x) -> Rational:
     return Rational(Fraction(x))
 
@@ -270,14 +275,15 @@ class Eigenvalue:
 
     :param value: real scalar (``mp.mpf``) rounded to the requested precision.
     :param multiplicity: structural multiplicity (>= 1).
-    :param exactness: how the value is known.
+    :param exactness: what is known of the value's exact form.
     :param radical_form: closed-form expression tree, present exactly when
-        ``exactness`` is RADICAL; evaluating it at the same precision
-        reproduces ``value`` to one unit in the last place.
-    :param enclosure: (lo, hi), dyadic, for a NUMERIC value that the
-        numeric route computed: exactly one eigenvalue of its chain lies in
-        (lo, hi), by the exact signs of the chain polynomial at both ends,
-        and both ends round to ``value``.  Not serialized and not compared.
+        ``exactness`` is RADICAL: a checked label, not the value's source;
+        it reproduces ``value`` to 10^(1-precision) relative.
+    :param enclosure: (lo, hi), dyadic, for every nonzero value that
+        :func:`spectrum` computes: exactly one eigenvalue of its chain lies
+        in (lo, hi), by the exact signs of the chain polynomial at both
+        ends, and both ends round to ``value``.  Not serialized and not
+        compared.
     """
 
     value: object
@@ -507,10 +513,10 @@ def _parse_eigenvalue(entry, precision: int) -> Eigenvalue:
         raise ValueError(f"radical_text {entry.get('radical_text')!r} does not spell its tree")
     if form is not None:
         try:  # a tree that is not real or divides by zero is malformed input
-            error = abs(value - form.evaluate_real(precision))
+            tree_value = form.evaluate_real(precision)
         except InternalConsistencyError as exc:
             raise ValueError(str(exc)) from exc
-        if error > abs(value) * mp.mpf(10) ** (1 - precision):
+        if not _reproduces(value, tree_value, precision):
             raise ValueError(f"eigenvalue {entry['value']!r} is not its tree's value")
     return Eigenvalue(value, multiplicity, Exactness[entry["exactness"]], form)
 
@@ -522,7 +528,10 @@ def spectrum_from_json(text: str) -> SpectrumReport:
         :func:`spectrum_to_json` writes: a field of the wrong JSON type or
         out of range, values not in ascending order, a RADICAL value or
         radical_text its tree does not reproduce, multiplicities that do not
-        sum to 2j + 1, or a stated field that differs from the derived one.
+        sum to 2j + 1, a stated field that differs from the derived one, or,
+        checked last, values that :func:`certify_spectrum` refuses (its
+        SpectralConsistencyError re-raised as this error).  That check's
+        exact counts are most of the parse of a large spin.
     """
     try:
         payload = json.loads(text)
@@ -565,6 +574,10 @@ def spectrum_from_json(text: str) -> SpectrumReport:
         for key, derived in _derived_fields(report).items():
             if json.dumps(payload[key], sort_keys=True) != json.dumps(derived, sort_keys=True):
                 raise ValueError(f"{key} {payload[key]!r} is not the derived {derived!r}")
+        try:  # values that are not the spin's eigenvalues are malformed input
+            certify_spectrum(report)
+        except SpectralConsistencyError as exc:
+            raise ValueError(str(exc)) from exc
         return report
     # A tree nesting too deeply or a rational over zero is malformed input.
     except (KeyError, TypeError, ValueError, RecursionError, ZeroDivisionError) as exc:
@@ -583,28 +596,6 @@ def _sqrt_fraction(fr: Fraction) -> Optional[Fraction]:
     if root_num * root_num == fr.numerator and root_den * root_den == fr.denominator:
         return Fraction(root_num, root_den)
     return None
-
-
-def _round_to(value, precision: int):
-    with mp.workdps(precision):
-        return +value
-
-
-def _as_real(value, precision: int):
-    """Collapse a numerically-real complex value, or report inconsistency.
-
-    The tolerance 10^(5-p) matches the nonnegativity certificate: anything
-    beyond it cannot be roundoff from a Hermitian-origin polynomial.
-    """
-    if not isinstance(value, mp.mpc):
-        return value
-    scale = max(mp.mpf(1), abs(value))
-    if abs(value.imag) > scale * mp.mpf(10) ** (-(precision - 5)):
-        raise SpectralConsistencyError(
-            f"non-real root {value}; the polynomial does not come from a "
-            "Hermitian matrix"
-        )
-    return value.real
 
 
 # ------------------------------------------------- closed-form mu-root solvers
@@ -774,8 +765,7 @@ def _closed_mu_roots(mu_poly: IntPolynomial) -> list[_ClosedRoot]:
         return []
     if degree > 4:
         raise InvalidInputError(
-            f"mu-degree {degree} exceeds the closed-form limit of 4; "
-            "use the numeric path"
+            f"mu-degree {degree} exceeds the closed-form limit of 4"
         )
     coefficients = [Fraction(c) for c in mu_poly.coefficients]
     memo: dict = {}
@@ -802,24 +792,6 @@ def _closed_mu_roots(mu_poly: IntPolynomial) -> list[_ClosedRoot]:
 
 
 # ------------------------------------------------------- certified numerics
-
-
-def _newton_polish(poly: IntPolynomial, start, precision: int):
-    """Newton-polish a simple real root against the exact integer polynomial,
-    working at ``precision`` + 10 guard digits."""
-    derivative = poly.derivative()
-    with mp.workdps(precision + 10):
-        x = mp.mpf(start)
-        threshold = mp.mpf(10) ** (-(precision + 5))
-        for _ in range(8):
-            slope = derivative.evaluate(x)
-            if slope == 0:
-                break
-            step = poly.evaluate(x) / slope
-            x -= step
-            if abs(step) <= threshold * max(mp.mpf(1), abs(x)):
-                break
-        return x
 
 
 # The numeric route's constants.  The exact refinement's lowest rung has at
@@ -992,99 +964,60 @@ def _numeric_roots(chain: Chain, precision: int) -> list[tuple[object, tuple[Fra
 # ------------------------------------------------------------ shared assembly
 
 
-def _finalize_mu_roots(
-    mu_poly: IntPolynomial, raw_roots, precision: int
-) -> list[_ClosedRoot]:
-    """Certify realness and nonnegativity, polish tree values, and sort."""
-    tolerance = mp.mpf(10) ** (-(precision - 5))
-    finalized: list[_ClosedRoot] = []
-    for value, form in raw_roots:
-        if isinstance(form, Fraction):
-            if form < 0:
-                raise SpectralConsistencyError(
-                    f"negative squared eigenvalue {form}; the polynomial does "
-                    "not come from a Hermitian matrix"
-                )
-            finalized.append((_mpf_from_fraction(form), form))
-            continue
-        value = _newton_polish(mu_poly, _as_real(value, precision), mp.dps)
-        if value < 0:
-            if value < -tolerance:
-                raise SpectralConsistencyError(
-                    f"negative squared eigenvalue {value} beyond tolerance "
-                    f"{mp.nstr(tolerance, 3)}; the polynomial does not come "
-                    "from a Hermitian matrix"
-                )
-            value = mp.mpf(0)
-        finalized.append((value, form))
-    finalized.sort(key=lambda item: item[0])
-    return finalized
+def _closed_labels(chain: Chain, roots, precision: int) -> list[tuple[Exactness, Optional[RadicalExpr]]]:
+    """The exactness and tree of each of the chain's positive eigenvalues
+    ``roots`` (ascending, from :func:`_numeric_roots`).
 
-
-def _pm_pair(positive, count: int, exactness: Exactness, plus_tree=None, enclosure=None):
-    """The eigenvalues -positive and +positive; the negative one's form is
-    -plus_tree and its enclosure the mirror of ``enclosure``."""
-    minus_tree = None if plus_tree is None else _neg(plus_tree)
-    minus_enclosure = None if enclosure is None else (-enclosure[1], -enclosure[0])
-    return [
-        Eigenvalue(-positive, count, exactness, minus_tree, minus_enclosure),
-        Eigenvalue(positive, count, exactness, plus_tree, enclosure),
-    ]
-
-
-def _poly_eigenvalues(p: IntPolynomial, precision: int) -> list[Eigenvalue]:
-    """Eigenvalues of one lambda^k * (even polynomial) factor in closed form."""
-    lam_power, reduced = strip_lambda_power(p)
-    if reduced.degree and not reduced.is_even():
-        raise InvalidInputError(
-            "after stripping lambda factors the polynomial must be even in "
-            "lambda; a chi-scaled countertwisting matrix always satisfies this"
-        )
-    mu_poly = to_mu_polynomial(reduced)
-    working = precision + _EVAL_GUARD
-    with mp.workdps(working):
-        mu_roots = _finalize_mu_roots(mu_poly, _closed_mu_roots(mu_poly), precision)
-
-        eigenvalues: list[Eigenvalue] = []
-        zero_multiplicity = lam_power
-        rational_counts: dict[Fraction, int] = {}
-        for value, form in mu_roots:
-            if value == 0:
-                zero_multiplicity += 2
-                continue
-            if isinstance(form, Fraction):
-                rational_counts[form] = rational_counts.get(form, 0) + 1
-                continue
-            positive = _round_to(mp.sqrt(value), precision)
-            eigenvalues += _pm_pair(positive, 1, Exactness.RADICAL, Sqrt(form))
-        for mu_value, count in rational_counts.items():
-            exact_root = _sqrt_fraction(mu_value)
-            if exact_root is not None:
-                positive = _round_to(_mpf_from_fraction(exact_root), precision)
-                eigenvalues += _pm_pair(positive, count, Exactness.EXACT_RATIONAL)
-            else:
-                plus_tree = Sqrt(Rational(mu_value))
-                positive = _round_to(plus_tree._value({}), precision)
-                eigenvalues += _pm_pair(positive, count, Exactness.RADICAL, plus_tree)
-        if zero_multiplicity:
-            eigenvalues.append(
-                Eigenvalue(mp.mpf(0), zero_multiplicity, Exactness.EXACT_RATIONAL)
+    The values :func:`_closed_mu_roots` computed for its forms are sorted
+    and paired with the roots: the counts must be equal, each value real
+    (:func:`_real_value`) and its square root reproduce its root
+    (:func:`_reproduces`), else InternalConsistencyError.  A rational mu
+    with a rational square root is EXACT_RATIONAL, any other form RADICAL
+    with the tree sqrt(form).
+    """
+    mu_poly = to_mu_polynomial(strip_lambda_power(chain.polynomial)[1])
+    labels = []
+    with mp.workdps(precision + _EVAL_GUARD):
+        closed = _closed_mu_roots(mu_poly)
+        if len(closed) != len(roots):
+            raise InternalConsistencyError(
+                f"{len(closed)} closed-form mu-roots for {len(roots)} positive eigenvalues"
             )
-    eigenvalues.sort(key=lambda e: e.value)
-    return eigenvalues
+        closed = sorted(
+            ((_real_value(value, precision), form) for value, form in closed),
+            key=lambda item: item[0],
+        )
+        for (root, _), (mu, form) in zip(roots, closed):
+            if not _reproduces(root, mp.sqrt(mu), precision):
+                raise InternalConsistencyError(
+                    f"the closed form {form} does not reproduce the eigenvalue "
+                    f"{mp.nstr(root, precision)} squared"
+                )
+            if isinstance(form, Fraction):
+                if _sqrt_fraction(form) is not None:
+                    labels.append((Exactness.EXACT_RATIONAL, None))
+                    continue
+                form = Rational(form)
+            labels.append((Exactness.RADICAL, Sqrt(form)))
+    return labels
 
 
-def _chain_eigenvalues(chain: Chain, precision: int) -> list[Eigenvalue]:
-    """A chain's eigenvalues by the certified numeric route, ascending:
-    each positive root and its negative with their enclosures, and zero
+def _chain_eigenvalues(chain: Chain, precision: int, closed_forms: bool = False) -> list[Eigenvalue]:
+    """A chain's eigenvalues, ascending: each simple positive root of
+    :func:`_numeric_roots` and its negative with their enclosures, NUMERIC
+    or, with ``closed_forms``, labelled by :func:`_closed_labels`; and zero
     with the multiplicity of lambda in the chain polynomial."""
     roots = _numeric_roots(chain, precision)
+    if closed_forms:
+        labels = _closed_labels(chain, roots, precision)
+    else:
+        labels = [(Exactness.NUMERIC, None)] * len(roots)
+    eigenvalues = []
     with mp.workdps(precision):  # where negation is exact
-        eigenvalues = [
-            eigen
-            for positive, enclosure in roots
-            for eigen in _pm_pair(positive, 1, Exactness.NUMERIC, enclosure=enclosure)
-        ]
+        for (positive, (lo, hi)), (exactness, tree) in zip(roots, labels):
+            minus_tree = None if tree is None else _neg(tree)
+            eigenvalues.append(Eigenvalue(-positive, 1, exactness, minus_tree, (-hi, -lo)))
+            eigenvalues.append(Eigenvalue(positive, 1, exactness, tree, (lo, hi)))
     lam_power = strip_lambda_power(chain.polynomial)[0]
     if lam_power:
         eigenvalues.append(Eigenvalue(mp.mpf(0), lam_power, Exactness.EXACT_RATIONAL))
@@ -1095,58 +1028,33 @@ def _chain_eigenvalues(chain: Chain, precision: int) -> list[Eigenvalue]:
 # ------------------------------------------------------------ public surface
 
 
-def roots_even_poly(
-    q: IntPolynomial, precision: int = DEFAULT_PRECISION
-) -> list[Eigenvalue]:
-    """Closed-form eigenvalue pairs of an even integer polynomial.
-
-    Substitutes mu = lambda^2, solves the mu-polynomial by radicals
-    (linear/quadratic/Cardano/Ferrari, so mu-degree <= 4), and maps every
-    root back to the pair lambda = +-sqrt(mu) with its expression tree.
-
-    :param q: even polynomial in lambda with integer coefficients.
-    :param precision: working precision in decimal digits, 15 to MAX_PRECISION.
-    :raises InvalidInputError: odd polynomial, zero polynomial, or mu-degree
-        beyond the radical limit.
-    :raises SpectralConsistencyError: a mu root is negative or non-real
-        beyond tolerance 10^(5-p), impossible for a Hermitian origin.
-    """
-    _require_precision(precision)
-    if not isinstance(q, IntPolynomial):
-        raise InvalidInputError("roots_even_poly expects an IntPolynomial")
-    if q.is_zero:
-        raise InvalidInputError("the zero polynomial has no root set")
-    if not q.is_even():
-        raise InvalidInputError("polynomial must be even in lambda")
-    return _poly_eigenvalues(q, precision)
-
-
 def spectrum(j, precision: int = DEFAULT_PRECISION) -> SpectrumReport:
     """Full spectrum of the countertwisting matrix (over chi) for spin j.
 
-    Routes through the radical path when every chain factor has mu-degree
-    <= 4 and through certified numerics on each chain's own leading minors
-    otherwise; hypergeometric-class spins keep their classification but are
-    evaluated numerically.  Each distinct chain of
-    :attr:`BlockDecomposition.chains` is solved once and its multiplicities
-    scaled by the number of chains carrying its polynomial (two for twin
-    chains); stripped lambda powers give the rest, never clustering.
+    Every nonzero value comes from :func:`_numeric_roots`, correctly
+    rounded with its certified enclosure.  For a spin of mu-degree <= 4
+    the closed forms label the values (:func:`_closed_labels`); every
+    other spin's, hypergeometric class included, are NUMERIC.  Each
+    distinct chain of :attr:`BlockDecomposition.chains` is solved once and
+    its multiplicities scaled by the number of chains carrying its
+    polynomial (two for twin chains); stripped lambda powers give the
+    rest, never clustering.
 
     :param j: spin magnitude >= 1/2 (HalfInt, string like "7/2", or number).
     :param precision: decimal digits for the eigenvalues, 15 to MAX_PRECISION.
+    :raises InternalConsistencyError: a closed form does not reproduce the
+        value it labels, or the multiplicities do not add up.
+    :raises NumericFailureError: a root's certificate failed.
     """
     jj = _require_spin(j)
     _require_precision(precision)
-    # Hypergeometric and numeric-only spins (mu-degree >= 5) go numeric.
-    numeric_path = classify_solvability(jj).mu_degree > 4
+    # Per spin, not per chain: beyond the radical range a chain of low
+    # mu-degree stays NUMERIC, as the spin's class says.
+    closed_forms = classify_solvability(jj).mu_degree <= 4
     eigenvalues = [
         replace(eigen, multiplicity=count * eigen.multiplicity)
         for chain, count in block_decompose(jj).chains
-        for eigen in (
-            _chain_eigenvalues(chain, precision)
-            if numeric_path
-            else _poly_eigenvalues(chain.polynomial, precision)
-        )
+        for eigen in _chain_eigenvalues(chain, precision, closed_forms)
     ]
     eigenvalues.sort(key=lambda e: e.value)
 
@@ -1169,17 +1077,22 @@ def certify_spectrum(report: SpectrumReport) -> None:
     A nonzero value stands for the eigenvalues that round to it at the
     report's precision: those in its rounding interval, half a unit in the
     last place to each side (a quarter below a power of two).  The Sturm
-    counts of each chain at the interval's ends (:meth:`Chain.sturm_count`),
-    each chain taken as often as :attr:`BlockDecomposition.chains` counts
-    it, must sum to the value's multiplicity, equal values' multiplicities
-    added.  Zero's multiplicity must be the number of lambda factors of the
-    chain polynomials.
+    counts of each chain at the interval's dyadic ends
+    (:meth:`Chain.dyadic_count`), each chain taken as often as
+    :attr:`BlockDecomposition.chains` counts it, must sum to the value's
+    multiplicity, equal values' multiplicities added; a value outside
+    every chain's :attr:`Chain.exponents` counts none, with no arithmetic,
+    so 1e-1000000000 is refused at once.  Zero's multiplicity must be the
+    number of lambda factors of the chain polynomials.  (2j = 240 at 34
+    digits: about 0.15 s on a 2-core Xeon.)
 
     :raises SpectralConsistencyError: a value or multiplicity that the
         counts do not certify.
     """
     chains = block_decompose(report.j).chains
     prec = dps_to_prec(report.precision)
+    lowest = min(chain.exponents[0] for chain, _ in chains)
+    highest = max(chain.exponents[1] for chain, _ in chains)
     stated: dict = {}
     for eigen in report.eigenvalues:
         stated[eigen.value._mpf_] = stated.get(eigen.value._mpf_, 0) + eigen.multiplicity
@@ -1188,15 +1101,20 @@ def certify_spectrum(report: SpectrumReport) -> None:
             counted = sum(
                 count * strip_lambda_power(chain.polynomial)[0] for chain, count in chains
             )
+        elif exp + bits + 1 <= lowest or exp + bits - 2 >= highest:
+            # In magnitude the interval lies in (2^(exp+bits-2), 2^(exp+bits+1)).
+            counted = 0
         else:
-            half_unit = Fraction(2) ** (exp + bits - prec - 1)
-            magnitude = man * Fraction(2) ** exp
-            low = magnitude - (half_unit / 2 if man == 1 else half_unit)
-            high = magnitude + half_unit
+            # The ends are low/2^s and high/2^s; 2^quarter is a quarter of
+            # a unit in the last place.
+            quarter = exp + bits - prec - 2
+            s = max(0, -exp, -quarter)
+            centre, unit = man << (exp + s), 1 << (quarter + s)
+            low, high = centre - (unit if man == 1 else 2 * unit), centre + 2 * unit
             if sign:
                 low, high = -high, -low
             counted = sum(
-                count * (chain.sturm_count(low)[0] - chain.sturm_count(high)[0])
+                count * (chain.dyadic_count(low, s) - chain.dyadic_count(high, s))
                 for chain, count in chains
             )
         if counted != multiplicity:

@@ -14,8 +14,9 @@ imaginary, and the oracle takes it.
 included, against which the package's sparse-aware product is checked.
 ``_sylvester_resultant`` is the Bareiss determinant of the Sylvester
 matrix, the reference for the package's Euclidean resultant.
-``aberth_mu_roots`` is the complex Aberth-Ehrlich root finder, the reference
-for the package's Sturm-isolated real roots.
+``aberth_mu_roots`` is the complex Aberth-Ehrlich root finder, with its own
+realness check and Newton polish, the reference for the package's
+Sturm-isolated real roots.
 The ``object_*`` functions are the per-point dynamics, the node polishing
 and the integer Horner loop written with mpmath number objects, one entry
 at a time, the references for the raw-libmp kernels and their mirror
@@ -62,6 +63,7 @@ from countertwist.errors import (
     InternalConsistencyError,
     InvalidInputError,
     NumericFailureError,
+    SpectralConsistencyError,
 )
 from countertwist.evolution import (
     ObservableSet,
@@ -77,8 +79,6 @@ from countertwist.spectrum import (
     Rational,
     Sqrt,
     Sub,
-    _as_real,
-    _newton_polish,
 )
 from countertwist.spin_algebra import (
     _ladder_amplitude_squared,
@@ -319,7 +319,40 @@ def _sylvester_resultant(p: IntPolynomial, q: IntPolynomial) -> int:
 #
 # The package's numeric mu-root finder before exact Sturm isolation replaced
 # it: a simultaneous complex iteration from a circle of starting points,
-# Newton polishing and the same residual certificate.
+# Newton polishing and the same residual certificate.  Its realness check
+# and Newton polish are its own, as the package had them then.
+
+
+def _as_real(value, precision: int):
+    """A numerically real complex value's real part: the imaginary part
+    may be at most max(1, |value|)·10^(5-p)."""
+    if not isinstance(value, mp.mpc):
+        return value
+    scale = max(mp.mpf(1), abs(value))
+    if abs(value.imag) > scale * mp.mpf(10) ** (-(precision - 5)):
+        raise SpectralConsistencyError(
+            f"non-real root {value}; the polynomial does not come from a "
+            "Hermitian matrix"
+        )
+    return value.real
+
+
+def _newton_polish(poly: IntPolynomial, start, precision: int):
+    """Newton-polish a simple real root against the exact integer
+    polynomial, working at ``precision`` + 10 guard digits."""
+    derivative = poly.derivative()
+    with mp.workdps(precision + 10):
+        x = mp.mpf(start)
+        threshold = mp.mpf(10) ** (-(precision + 5))
+        for _ in range(8):
+            slope = derivative.evaluate(x)
+            if slope == 0:
+                break
+            step = poly.evaluate(x) / slope
+            x -= step
+            if abs(step) <= threshold * max(mp.mpf(1), abs(x)):
+                break
+        return x
 
 
 def _aberth_iterate(mu_poly: IntPolynomial, digits: int):

@@ -33,7 +33,6 @@ from countertwist.charpoly import (
     table1_reference,
 )
 from countertwist.evolution import MAX_STEPS
-from countertwist.spectrum import roots_even_poly
 from countertwist.spin_algebra import (
     MAX_PRECISION,
     MAX_TWICE_SPIN,
@@ -182,7 +181,6 @@ def test_library_enforces_the_command_line_caps(monkeypatch):
     state = coherent_initial_state(j)
     u = propagator_spectral(report, 0.5)
     radical = next(ev.radical_form for ev in report.eigenvalues if ev.radical_form)
-    pa = block_decompose(j).a.polynomial
     calls = (
         lambda: spectrum(j, over),
         lambda: time_series(j, 1, 1, 3, over),
@@ -197,7 +195,6 @@ def test_library_enforces_the_command_line_caps(monkeypatch):
         lambda: chiral_operator(j, over),
         lambda: radical.evaluate(over),
         lambda: radical.evaluate_real(over),
-        lambda: roots_even_poly(pa, over),
     )
 
     # Every computation at a working precision enters mp.workdps, so with it

@@ -10,18 +10,23 @@ against the Aberth-Ehrlich oracle and numpy.
 
 import importlib
 import json
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from countertwist import (
+    Eigenvalue,
     Exactness,
     HalfInt,
     IntPolynomial,
     InternalConsistencyError,
+    InvalidInputError,
     NumericFailureError,
     block_decompose,
     spectrum,
@@ -33,12 +38,10 @@ from countertwist.spectrum import (
     _chain_eigenvalues,
     _ladder,
     _numeric_roots,
-    _round_to,
     certify_spectrum,
     spectrum_from_json,
     spectrum_to_json,
 )
-from countertwist.errors import SpectralConsistencyError
 from _oracles import aberth_mu_roots, numpy_h_ta
 
 PRECISION = 34
@@ -177,13 +180,31 @@ def test_a_chain_whose_squares_do_not_match_its_labels_is_refused(sites, squares
 # ------------------------------------------------------------ against Aberth
 
 
+def rounded(value, precision):
+    with mp.workdps(precision):
+        return +value
+
+
+def dyadic_rounded(fraction, precision):
+    """A dyadic rational rounded to ``precision`` digits, in one rounding."""
+    shift = fraction.denominator.bit_length() - 1
+    assert fraction.denominator == 1 << shift
+    return mp.make_mpf(from_man_exp(fraction.numerator, -shift, dps_to_prec(precision), round_nearest))
+
+
+def as_fraction(value):
+    man, exp = value.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
 def aberth_roots(chain, precision):
     """The chain's positive eigenvalues by the Aberth-Ehrlich oracle, as
-    the numeric route hands them on: rounded to ``precision``, with no
-    enclosure."""
+    the numeric route hands them on: rounded to ``precision``; the oracle
+    certifies no enclosure, so each value stands as its own."""
     with mp.workdps(precision + 30):
         mus = sorted(root.real for root, _ in aberth_mu_roots(mu_polynomial(chain), precision))
-        return [(_round_to(mp.sqrt(mu), precision), None) for mu in mus]
+        values = [rounded(mp.sqrt(mu), precision) for mu in mus]
+    return [(value, (as_fraction(value), as_fraction(value))) for value in values]
 
 
 @pytest.mark.parametrize("twoj", [12, 19, 24, 33, 41, 44, 60])
@@ -220,7 +241,22 @@ def test_each_enclosure_holds_the_aberth_root(twoj):
             for (value, (lo, hi)), exact in zip(roots, oracle):
                 assert mp.mpf(lo.numerator) / lo.denominator < exact
                 assert exact < mp.mpf(hi.numerator) / hi.denominator
-                assert _round_to(exact, PRECISION) == value
+                assert rounded(exact, PRECISION) == value
+
+
+def test_every_nonzero_eigenvalue_lies_in_its_chains_exponent_window():
+    # Chain.exponents against the certified enclosures, and the dyadic
+    # counts against sympy's at the window's ends.
+    for twoj in range(1, 41):
+        for chain in both_chains(twoj):
+            lowest, highest = chain.exponents
+            for _, (lo, hi) in _numeric_roots(chain, 15):
+                assert Fraction(2) ** lowest <= lo and hi < Fraction(2) ** highest
+            for e in (lowest, highest):
+                m, s = (1 << e, 0) if e >= 0 else (1, -e)
+                for sign in (1, -1):
+                    x = Fraction(sign * m, 1 << s)
+                    assert chain.dyadic_count(sign * m, s) == sympy_count_above(chain, x)
 
 
 def test_spin_fifty_matches_dense_diagonalization():
@@ -329,11 +365,20 @@ def _doublet_report():
 
 
 def test_every_printed_eigenvalue_is_certified_by_the_chains():
+    # Every nonzero value, whatever its exactness, keeps the enclosure
+    # that certified it.
     for twoj in [*range(1, 31), 44, 45, 60, 61]:
         for precision in (15, 34):
             report = spectrum(HalfInt(twoj), precision)
             certify_spectrum(report)
             certify_spectrum(spectrum_from_json(spectrum_to_json(report)))
+            for eigen in report.eigenvalues:
+                if eigen.value:
+                    lo, hi = eigen.enclosure
+                    assert lo < hi
+                    assert dyadic_rounded(lo, precision) == eigen.value == dyadic_rounded(hi, precision)
+                else:
+                    assert eigen.enclosure is None
 
 
 def test_a_corrupted_digit_or_doublet_multiplicity_is_refused():
@@ -346,16 +391,41 @@ def test_a_corrupted_digit_or_doublet_multiplicity_is_refused():
     place = [i for i, c in enumerate(text_value) if c.isdigit()][PRECISION - 1]
     digit = str((int(text_value[place]) + 1) % 10)
     entries[-1]["value"] = text_value[:place] + digit + text_value[place + 1:]
-    with pytest.raises(SpectralConsistencyError, match="has multiplicity 2, but the chains have 0"):
-        certify_spectrum(spectrum_from_json(json.dumps(payload)))
+    with pytest.raises(InvalidInputError, match="has multiplicity 2, but the chains have 0"):
+        spectrum_from_json(json.dumps(payload))
     # Two doublets, and their mirrors, turned into a single and a triplet:
     # the dimension, the pairing and every derived field stay as they were.
     payload = json.loads(text)
     entries = payload["eigenvalues"]
     for index, multiplicity in ((0, 1), (1, 3), (-1, 1), (-2, 3)):
         entries[index]["multiplicity"] = multiplicity
-    with pytest.raises(SpectralConsistencyError, match="has multiplicity 1, but the chains have 2"):
-        certify_spectrum(spectrum_from_json(json.dumps(payload)))
+    with pytest.raises(InvalidInputError, match="has multiplicity 1, but the chains have 2"):
+        spectrum_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("twoj", [1, 6, 9])
+@pytest.mark.parametrize("magnitude", ["1e-1000000000", "1e+1000000000"])
+def test_a_value_far_outside_the_spectrum_is_refused_at_once(twoj, magnitude):
+    # The spin's negative and positive values, each merged into one value
+    # -+magnitude with their multiplicities summed: the order, the sum and
+    # every derived field hold.  Exact, these values have about 3.3 Gbit
+    # and each chain's recurrence at their ends N times that; the exponent
+    # window refuses them before any is formed.
+    report = spectrum(HalfInt(twoj), PRECISION)
+    zero = [e for e in report.eigenvalues if not e.value]
+    half = sum(e.multiplicity for e in report.eigenvalues if e.value > 0)
+    with mp.workdps(PRECISION):
+        far = [
+            Eigenvalue(mp.mpf(sign + magnitude), max(half, 1), Exactness.NUMERIC)
+            for sign in "-+"
+        ]
+    if not half:  # j = 1/2: the double zero becomes a pair
+        zero = []
+    text = spectrum_to_json(replace(report, eigenvalues=(far[0], *zero, far[1])))
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="but the chains have 0 eigenvalues"):
+        spectrum_from_json(text)
+    assert time.perf_counter() - start < 5
 
 
 # ------------------------------------------------------------- float seed

@@ -5,8 +5,9 @@ so (divided by the coupling chi) it splits into two Hermitian tridiagonal
 chains with zero diagonal and integer squared couplings. The characteristic
 polynomial of each chain follows from a three-term recurrence over the
 integers, and the full polynomial is the product of the two block
-polynomials. Degeneracy is decided by the exact discriminant; analytic
-solvability is classified by the block degrees in mu = lambda^2.
+polynomials. Degeneracy is decided by the exact discriminant, formed from
+integer subresultants of the chains' polynomials in mu = lambda^2; analytic
+solvability is classified by the block degrees in mu.
 """
 
 from __future__ import annotations
@@ -225,20 +226,6 @@ class Chain:
         step."""
         return self.polynomial.derivative()
 
-    def sturm_count(self, x: Fraction) -> tuple[int, int]:
-        """(number of eigenvalues above x, P_N) at x = num/den.
-
-        P_k = den^k * p_k(x) by the recurrence on integers P_0 = 1,
-        P_1 = num, P_k = num*P_(k-1) - w_(k-1)*den^2*P_(k-2), so P_k has
-        p_k(x)'s sign and no rounding enters the count.
-        """
-        num, den_squared = x.numerator, x.denominator**2
-        minors = [1, num]
-        for w in self.squares:
-            minors.append(num * minors[-1] - w * den_squared * minors[-2])
-        signs = [p > 0 for p in minors if p]
-        return sum(a != b for a, b in zip(signs, signs[1:])), minors[-1]
-
     def dyadic_value(self, m: int, s: int) -> int:
         """P_N = 2^(sN) * p_N(x) at x = m/2^s, exact: P_0 = 1, P_1 = m,
         P_k = m*P_(k-1) - (w_(k-1)*P_(k-2)) << 2s.  Its sign is p_N(x)'s."""
@@ -251,16 +238,22 @@ class Chain:
     def dyadic_count(self, m: int, s: int) -> int:
         """Number of eigenvalues above x = m/2^s, s >= 0: the sign changes
         along P_0, ..., P_N of :meth:`dyadic_value`'s recurrence, zeros
-        skipped, as :meth:`sturm_count` counts them, with a shift for its
-        multiplication by den^2."""
+        skipped.  P_k = 2^(sk) * p_k(x) has p_k(x)'s sign, so no rounding
+        enters the count."""
+        return self._dyadic_sturm(m, s)[0]
+
+    def _dyadic_sturm(self, m: int, s: int) -> tuple[int, int]:
+        """(:meth:`dyadic_count`, :meth:`dyadic_value`) at m/2^s from one
+        run of the recurrence."""
         shift = 2 * s
         prev, cur = 1, m
-        minors = [1, m]
+        positive, changes = (False, 1) if m < 0 else (True, 0)
         for w in self.squares:
             prev, cur = cur, m * cur - (w * prev << shift)
-            minors.append(cur)
-        signs = [p > 0 for p in minors if p]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
+            if cur and (cur > 0) is not positive:
+                positive = not positive
+                changes += 1
+        return changes, cur
 
     @functools.cached_property
     def bound(self) -> int:
@@ -303,32 +296,34 @@ class Chain:
         eigenvalue, and neither end is an eigenvalue unless lo = 0.
 
         Bisection of (0, B] with B = :attr:`bound`, which no eigenvalue
-        reaches.  A midpoint where p_N vanishes moves toward lo.
+        reaches, at dyadic points m/2^s, each counted as
+        :meth:`dyadic_count` counts.  A midpoint where p_N vanishes moves
+        toward lo.
 
         :raises InternalConsistencyError: the number of positive eigenvalues
             is not the mu-degree of ``polynomial``.
         """
-        bound = Fraction(self.bound)
-        v_lo, v_hi = self.sturm_count(Fraction(0))[0], self.sturm_count(bound)[0]
+        v_lo, v_hi = self.dyadic_count(0, 0), self.dyadic_count(self.bound, 0)
         mu_degree = strip_lambda_power(self.polynomial)[1].degree // 2
         if v_lo - v_hi != mu_degree:
             raise InternalConsistencyError(
                 f"the chain has {v_lo - v_hi} positive eigenvalues, but its "
                 f"polynomial's mu-degree is {mu_degree}"
             )
-        pending = [(Fraction(0), v_lo, bound, v_hi)]
+        # (lo, v_lo, hi, v_hi, s): the interval (lo/2^s, hi/2^s].
+        pending = [(0, v_lo, self.bound, v_hi, 0)]
         intervals = []
         while pending:
-            lo, v_lo, hi, v_hi = pending.pop()
+            lo, v_lo, hi, v_hi, s = pending.pop()
             if v_lo - v_hi == 1:
-                intervals.append((lo, hi))
+                intervals.append((Fraction(lo, 1 << s), Fraction(hi, 1 << s)))
                 continue
-            mid = (lo + hi) / 2
-            v_mid, p_mid = self.sturm_count(mid)
+            lo, mid, hi, s = 2 * lo, lo + hi, 2 * hi, s + 1
+            v_mid, p_mid = self._dyadic_sturm(mid, s)
             while p_mid == 0:
-                mid = (lo + mid) / 2
-                v_mid, p_mid = self.sturm_count(mid)
-            for part in ((lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)):
+                lo, mid, hi, s = 2 * lo, lo + mid, 2 * hi, s + 1
+                v_mid, p_mid = self._dyadic_sturm(mid, s)
+            for part in ((lo, v_lo, mid, v_mid, s), (mid, v_mid, hi, v_hi, s)):
                 if part[1] != part[3]:
                     pending.append(part)
         intervals.sort()
@@ -415,44 +410,115 @@ def char_poly_exact(j: HalfInt) -> IntPolynomial:
 # ------------------------------------------------------------------ resultants
 
 
-def _resultant(p: IntPolynomial, q: IntPolynomial) -> int:
-    """Res(p, q) by Euclid's algorithm over the rationals.
+def _exact_quotient(numerator: int, denominator: int) -> int:
+    """numerator / denominator, which the subresultant theory makes exact.
 
-    Each step uses Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r)
-    * Res(b, r) with r = a mod b, until b is a constant c, where
-    Res(a, c) = c^(deg a).  Equal to the determinant of the Sylvester
-    matrix, at a fraction of the cost.
+    :raises InternalConsistencyError: the division leaves a remainder.
     """
-    a = [Fraction(c) for c in p.coefficients]
-    b = [Fraction(c) for c in q.coefficients]
-    result = Fraction(1)
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise InternalConsistencyError(
+            "a subresultant scalar division is not exact"
+        )
+    return quotient
+
+
+def _primitive(coefficients: list[int]) -> tuple[int, list[int]]:
+    """(content, primitive part) of a nonzero ascending coefficient list
+    without high zeros; the content is positive."""
+    content = math.gcd(*coefficients)
+    if content == 1:
+        return 1, coefficients
+    return content, [c // content for c in coefficients]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, with its high
+    zeros dropped."""
+    lead, degree_b = b[-1], len(b) - 1
+    r = list(a)
+    for shift in range(len(a) - len(b), -1, -1):
+        top = r.pop()
+        r = [lead * c for c in r]
+        for i in range(degree_b):
+            r[shift + i] -= top * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _resultant(p: IntPolynomial, q: IntPolynomial) -> int:
+    """Res(p, q), the determinant of the Sylvester matrix, by the
+    subresultant PRS over the integers (Brown & Traub 1971; Cohen, *A
+    Course in Computational Algebraic Number Theory*, 1993, alg. 3.3.7).
+
+    The sequence starts S_0, S_1 = p, q (the higher degree first) and goes
+    on with S_(i+1) = prem(S_(i-1), S_i)/(g*h^d), d = deg S_(i-1) -
+    deg S_i, where g = lc(S_(i-1)) and h come from the step before (both 1
+    at the first); then g <- lc(S_i) and h <- g^d/h^(d-1).  It ends at a
+    constant S_k, with Res = +-lc(S_k)^(deg S_(k-1)) / h^(deg S_(k-1) - 1),
+    or at a zero remainder, with Res = 0.
+
+    Each S is kept as an integer scalar times its primitive part.  The
+    pseudo-remainders are formed on the primitive parts, their content is
+    divided out at once, and the scalars carry the rest exactly, so the
+    polynomial arithmetic never sees the content that the subresultants
+    accumulate.  Every division of scalars is exact and checked.  A
+    constant p or q gives Res = p_0^(deg q) or q_0^(deg p), so
+    Res((1,), (0,)) = 1.
+    """
+    n, m = p.degree, q.degree
+    if n == 0:
+        return p.coefficients[0] ** m
+    if m == 0:
+        return q.coefficients[0] ** n
+    a, b = list(p.coefficients), list(q.coefficients)
+    sign = 1
+    if n < m:  # Res(p, q) = (-1)^(nm) Res(q, p)
+        a, b = b, a
+        sign = -1 if n * m % 2 else 1
+    # S_(i-1) = alpha*a and S_i = beta*b, a and b primitive.  From the
+    # second step on, g = lc(S_(i-1)) = alpha*a[-1], and alpha cancels
+    # between prem's scalar alpha*beta^(d+1)*gamma and g*h^d; the first
+    # step's g = 1 keeps it.
+    alpha, a = _primitive(a)
+    beta, b = _primitive(b)
+    lead, h = 1, 1
     while len(b) > 1:
-        r = a[:]  # becomes a mod b
-        for shift in range(len(a) - len(b), -1, -1):
-            factor = r[shift + len(b) - 1] / b[-1]
-            for i, c in enumerate(b):
-                r[shift + i] -= factor * c
-        del r[len(b) - 1:]
-        while r and r[-1] == 0:
-            r.pop()
+        degree_a, degree_b = len(a) - 1, len(b) - 1
+        delta = degree_a - degree_b
+        if degree_a * degree_b % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
         if not r:
             return 0
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            result = -result
-        result *= b[-1] ** (len(a) - len(r))
-        a, b = b, r
-    result *= b[0] ** (len(a) - 1)
-    if result.denominator != 1:
-        raise InternalConsistencyError(
-            f"resultant of integer polynomials came out as the non-integer {result}"
-        )
-    return result.numerator
+        gamma, r = _primitive(r)
+        g = beta * b[-1]
+        beta = _exact_quotient(alpha * beta ** (delta + 1) * gamma, lead * h**delta)
+        a, b, alpha, lead = b, r, 1, b[-1]
+        if delta:
+            h = _exact_quotient(g**delta, h ** (delta - 1))
+    degree_a = len(a) - 1
+    return sign * _exact_quotient((beta * b[0]) ** degree_a, h ** (degree_a - 1))
+
+
+def _discriminant(p: IntPolynomial) -> int:
+    """(-1)^(n(n-1)/2) * Res(p, p') / lc(p) for a polynomial of degree
+    n >= 2."""
+    n = p.degree
+    res = _exact_quotient(_resultant(p, p.derivative()), p.leading_coefficient)
+    return -res if (n * (n - 1) // 2) % 2 else res
 
 
 def discriminant(p: IntPolynomial) -> int:
     """Exact discriminant: (-1)^(n(n-1)/2) * Res(p, p') / lc(p).
 
-    Zero exactly when p has a repeated root.
+    Zero exactly when p has a repeated root.  A parity polynomial
+    p = lambda^k * q(lambda^2), q(0) != 0, as every chain polynomial is,
+    takes its discriminant from the mu-polynomial q of degree n:
+    disc(p) = (-4)^n * lc(q) * q(0) * disc(q)^2 * q(0)^(2k) for k <= 1,
+    and 0 for k >= 2, where lambda^2 divides p.  Other polynomials take
+    the resultant of p and p' directly.
     """
     if p.is_zero:
         raise InvalidInputError("the zero polynomial has no discriminant")
@@ -461,13 +527,31 @@ def discriminant(p: IntPolynomial) -> int:
         raise InvalidInputError("discriminant requires degree >= 1")
     if n == 1:
         return 1
-    res = _resultant(p, p.derivative())
-    lc = p.leading_coefficient
-    quotient, remainder = divmod(res, lc)
-    if remainder != 0:
-        raise InternalConsistencyError("resultant not divisible by leading coefficient")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * quotient
+    k, stripped = strip_lambda_power(p)
+    if k >= 2:
+        return 0
+    if not stripped.is_even():
+        return _discriminant(p)
+    q = to_mu_polynomial(stripped)
+    q0 = q.coefficients[0]
+    disc_q = _discriminant(q) if q.degree >= 2 else 1
+    return (-4) ** q.degree * q.leading_coefficient * q0 * disc_q**2 * q0 ** (2 * k)
+
+
+def _resultant_squared(pa: IntPolynomial, pb: IntPolynomial) -> int:
+    """Res(pa, pb)^2 for parity polynomials pa = lambda^ka * qa(lambda^2)
+    and pb = lambda^kb * qb(lambda^2) with qa(0), qb(0) != 0, from the
+    mu-polynomials: Res(qa(lambda^2), qb(lambda^2)) = Res(qa, qb)^2, and
+    each lambda factor of pa contributes pb(0), of pb contributes +-qa(0),
+    so Res(pa, pb)^2 = Res(qa, qb)^4 * pb(0)^(2ka) * qa(0)^(2kb)."""
+    ka, stripped_a = strip_lambda_power(pa)
+    kb, stripped_b = strip_lambda_power(pb)
+    qa, qb = to_mu_polynomial(stripped_a), to_mu_polynomial(stripped_b)
+    return (
+        _resultant(qa, qb) ** 4
+        * pb.coefficients[0] ** (2 * ka)
+        * qa.coefficients[0] ** (2 * kb)
+    )
 
 
 @dataclass(frozen=True)
@@ -494,7 +578,8 @@ def degeneracy_report(j: HalfInt) -> DegeneracyReport:
     disc(pa*pb) = disc(pa) * disc(pb) * Res(pa, pb)^2 for the monic chain
     polynomials, and the overall sign of char_poly_exact leaves the
     discriminant unchanged, so the full discriminant needs no resultant of
-    degree 2j+1.  Twin chains (half-integer j) share one polynomial: the
+    degree 2j+1.  Each factor is taken on the chains' mu-polynomials, of
+    half the degree (:func:`discriminant`, :func:`_resultant_squared`).  Twin chains (half-integer j) share one polynomial: the
     block discriminant is disc(pa)^2 and the full one 0, from one
     discriminant.  At j = 0 the second chain is empty: its polynomial is the
     constant 1 and its discriminant the empty product 1.
@@ -510,7 +595,7 @@ def degeneracy_report(j: HalfInt) -> DegeneracyReport:
         full = 0
     else:
         (a, _), (b, _) = chains
-        full = block * _resultant(a.polynomial, b.polynomial) ** 2
+        full = block * _resultant_squared(a.polynomial, b.polynomial)
     return DegeneracyReport(
         j=j, discriminant_full=full, discriminant_block=block, degenerate=full == 0
     )

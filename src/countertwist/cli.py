@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import enum
 import functools
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,6 +138,13 @@ class _Subcommand(NamedTuple):
     options: tuple[tuple[str, dict], ...] = ()
 
 
+# argparse reads a token that starts with "-" as an option, not as the
+# value of the option before it, unless it looks like "-1" or "-0.5".  Every
+# rational text that starts with "-" (as "--chi=-2/3" or "--t-max=-1e-3"
+# take it) has a digit after the sign or after "-.", so such a token is a
+# value after a space too.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
 _CHI_OPTION = ("--chi", dict(
     type=_rational, default=Fraction(1),
     help="coupling strength as exact rational text (default 1)",
@@ -240,6 +248,10 @@ class RunConfig:
             Command.CHARPOLY, Command.TABLE1
         ):
             raise InvalidInputError(f"{self.command.value} needs j >= 1/2")
+        if self.command is Command.EVOLVE and self.t_max <= 0:
+            raise InvalidInputError(
+                f"t_max must be positive, got {_fraction_text(self.t_max)}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, entry in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(command.value, help=entry.help)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         sub.add_argument(
             "--j", type=_spin, required=command is not Command.TABLE1,
             help="spin magnitude as integer or p/q text (e.g. 3 or 21/2)",

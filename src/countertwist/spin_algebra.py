@@ -23,10 +23,11 @@ MIN_PRECISION = 15
 # 12 800 digits, 0.44 s at 25 600 and 1.9 s at 51 200 (about 4x per
 # doubling; 4.8 s for j = 1), so 10^5 digits keeps it near ten seconds.
 MAX_PRECISION = 100_000
-# ``charpoly``, the slowest command in j, took 3.1 s at 2j = 200, 8.7 s at
-# 240 and 28 s at 300 (``spectrum`` at 34 digits 1.2, 1.8 and 3.0 s; 22 MB
-# peak), so 2j = 240 keeps every command under ten seconds.  Provisional
-# until the range over which large spins are certified is measured.
+# ``charpoly``, the slowest command in j, took 1.1 s at 2j = 200, 2.3 s at
+# 240 and 7.8 s at 300 (``spectrum`` at 34 digits 0.27, 0.37 and 0.79 s;
+# 23 MB peak; 2-core Xeon), so 2j = 240 keeps every command under ten
+# seconds.  Provisional until the range over which large spins are
+# certified is measured.
 MAX_TWICE_SPIN = 240
 # ``Fraction`` builds 10^|e| for decimal text such as "1e-30" before any cap
 # can be checked: "1e4000000" took 3.3 s.  Rational text (spins, chi,

@@ -13,7 +13,9 @@ imaginary, and the oracle takes it.
 ``dense_matmul`` is the product summed over every term, exact zeros
 included, against which the package's sparse-aware product is checked.
 ``_sylvester_resultant`` is the Bareiss determinant of the Sylvester
-matrix, the reference for the package's Euclidean resultant.
+matrix, and ``_euclid_resultant`` Euclid's algorithm over the rationals
+(the package's route before its integer subresultants): the references for
+the package's subresultant resultant and its mu-form discriminants.
 ``aberth_mu_roots`` is the complex Aberth-Ehrlich root finder, with its own
 realness check and Newton polish, the reference for the package's
 Sturm-isolated real roots.
@@ -311,6 +313,46 @@ def _sylvester_resultant(p: IntPolynomial, q: IntPolynomial) -> int:
     for shift in range(n):
         rows.append([0] * shift + qc + [0] * (size - m - 1 - shift))
     return _bareiss_determinant(rows)
+
+
+def _euclid_resultant(p: IntPolynomial, q: IntPolynomial) -> int:
+    """Res(p, q) by Euclid's algorithm over the rationals, in the
+    polynomials' own variable.
+
+    Each step uses Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r)
+    * Res(b, r) with r = a mod b, until b is a constant c, where
+    Res(a, c) = c^(deg a).
+    """
+    a = [Fraction(c) for c in p.coefficients]
+    b = [Fraction(c) for c in q.coefficients]
+    result = Fraction(1)
+    while len(b) > 1:
+        r = a[:]  # becomes a mod b
+        for shift in range(len(a) - len(b), -1, -1):
+            factor = r[shift + len(b) - 1] / b[-1]
+            for i, c in enumerate(b):
+                r[shift + i] -= factor * c
+        del r[len(b) - 1:]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            result = -result
+        result *= b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    result *= b[0] ** (len(a) - 1)
+    assert result.denominator == 1, result
+    return result.numerator
+
+
+def euclid_discriminant(p: IntPolynomial) -> int:
+    """(-1)^(n(n-1)/2) * Res(p, p') / lc(p) from :func:`_euclid_resultant`
+    on p itself, for a polynomial of degree n >= 2."""
+    n = p.degree
+    quotient, remainder = divmod(_euclid_resultant(p, p.derivative()), p.leading_coefficient)
+    assert remainder == 0
+    return -quotient if (n * (n - 1) // 2) % 2 else quotient
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact characteristic polynomials, discriminants, and solvability classes."""
 
 import importlib
+import random
 import sys
 from fractions import Fraction
 
@@ -33,8 +34,14 @@ from countertwist.charpoly import (
     table1_spins,
     to_mu_polynomial,
 )
-from countertwist.charpoly import _resultant
-from _oracles import _sylvester_resultant, numpy_h_ta, unlimited_str
+from countertwist.charpoly import _exact_quotient, _resultant
+from _oracles import (
+    _euclid_resultant,
+    _sylvester_resultant,
+    euclid_discriminant,
+    numpy_h_ta,
+    unlimited_str,
+)
 
 charpoly_module = importlib.import_module("countertwist.charpoly")
 
@@ -348,6 +355,72 @@ def test_resultant_matches_sylvester_determinant(twoj):
 def test_resultant_edge_cases(p, q):
     p, q = IntPolynomial.from_coefficients(p), IntPolynomial.from_coefficients(q)
     assert _resultant(p, q) == _sylvester_resultant(p, q)
+
+
+def _sympy_discriminant(p):
+    x = sympy.Symbol("x")
+    return int(sympy.discriminant(sympy.Poly(p.coefficients[::-1], x)))
+
+
+def _random_parity_polynomials(count, seed=20150929):
+    """c*lambda^k*q(lambda^2) with k = 0, 1, 2, deg q = 0..5, a leading
+    coefficient of any size (often not +-1) and q(0) sometimes 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k, degree = rng.randrange(3), rng.randrange(6)
+        lc = rng.choice((-1, 1)) * rng.randint(1, 9)
+        q = [rng.randint(-60, 60) for _ in range(degree)] + [lc]
+        coefficients = [0] * k
+        for c in q:
+            coefficients += [c, 0]
+        yield IntPolynomial.from_coefficients(coefficients)
+
+
+def test_mu_form_discriminant_matches_sympy():
+    seen = set()
+    for p in _random_parity_polynomials(200):
+        k, stripped = strip_lambda_power(p)
+        seen.add((min(k, 2), to_mu_polynomial(stripped).degree == 0))
+        if p.degree < 1:
+            with pytest.raises(InvalidInputError):
+                discriminant(p)
+            continue
+        assert discriminant(p) == _sympy_discriminant(p), p.coefficients
+    assert seen == {(k, constant) for k in range(3) for constant in (False, True)}
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("lc", [1, -1, 3, -7])
+def test_discriminant_of_a_lambda_power(k, lc):
+    p = IntPolynomial((0,) * k + (lc,))
+    if k == 0:
+        with pytest.raises(InvalidInputError):
+            discriminant(p)
+    else:
+        assert discriminant(p) == _sympy_discriminant(p) == (1 if k == 1 else 0)
+
+
+@pytest.mark.parametrize("twoj", [81, 99, 120])
+def test_degeneracy_report_matches_the_euclid_oracle(twoj):
+    pa, pb = block_polynomials(HalfInt(twoj))
+    block = euclid_discriminant(pa) * euclid_discriminant(pb)
+    report = degeneracy_report(HalfInt(twoj))
+    assert report.discriminant_block == block
+    assert report.discriminant_full == block * _euclid_resultant(pa, pb) ** 2
+
+
+def test_an_inexact_scalar_division_is_refused(monkeypatch):
+    # Left in the primitive parts, the content is missing from the scalars,
+    # and the first division of scalars that needed it is not exact.
+    monkeypatch.setattr(charpoly_module, "_primitive", lambda coefficients: (1, coefficients))
+    with pytest.raises(InternalConsistencyError, match="not exact"):
+        discriminant(block_polynomials(HalfInt(10))[0])
+
+
+def test_exact_quotient_refuses_a_remainder():
+    assert _exact_quotient(-12, 4) == -3
+    with pytest.raises(InternalConsistencyError, match="not exact"):
+        _exact_quotient(7, 2)
 
 
 # ---------------------------------------------------------------- solvability

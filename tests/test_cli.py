@@ -819,6 +819,47 @@ class TestLongChi:
         assert cli._fraction_text(Fraction(chi)) == str(Fraction(chi)) == chi
 
 
+class TestNegativeValues:
+    """A value that starts with "-" is taken after a space as after "="."""
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (("verify", "--j", "1", "--chi"), "-2/3"),
+            (("verify", "--j", "1", "--chi"), "-1e-3"),
+            (("verify", "--j", "1", "--chi"), "-.5"),
+            (("verify", "--j", "1", "--chi"), "-1"),
+            (("evolve", "--j", "1", "--steps", "3", "--chi"), "-3/2"),
+            (("evolve", "--j", "1", "--steps", "3", "--t-max"), "-1/3"),
+            (("verify", "--chi"), "-1/2"),  # then a missing --j
+            (("verify", "--j"), "-1/2"),
+        ],
+    )
+    def test_space_form_prints_what_the_equals_form_prints(self, capsys, argv, value):
+        flag = argv[-1]
+        spaced = _run(capsys, *argv, value)
+        assert spaced == _run(capsys, *argv[:-1], f"{flag}={value}")
+
+    @pytest.mark.parametrize(
+        "t_max, spelled", [("-1/3", "-1/3"), ("-1", "-1"), ("0", "0"), ("-0.5", "-1/2")]
+    )
+    def test_a_t_max_that_is_not_positive_is_spelled_as_text(self, capsys, t_max, spelled):
+        code, out, err = _run(
+            capsys, "evolve", "--j", "1", "--t-max", t_max, "--steps", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: t_max must be positive, got {spelled}\n"
+
+    def test_a_long_negative_t_max_is_spelled_in_full(self):
+        # 4000 + 1000 digits pass the int-to-str limit that repr() would hit.
+        done = TestLongChi()._run_in_a_process(
+            "evolve", "--j", "1", "--t-max", "-1" + "0" * 3999 + "e1000", "--steps", "2"
+        )
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 2
+        assert done.stderr == f"error: t_max must be positive, got -1{'0' * 4999}\n"
+
+
 class TestDispatch:
     @pytest.mark.parametrize(
         "argv",

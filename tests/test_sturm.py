@@ -1,7 +1,7 @@
 """The exact real-root core of the numeric spectrum.
 
-Each chain's eigenvalues are counted by the Sturm sequence of its own
-leading minors (``Chain.sturm_count``), isolated by bisection
+Each chain's eigenvalues are counted at dyadic points by the Sturm sequence
+of its own leading minors (``Chain.dyadic_count``), isolated by bisection
 (``Chain.positive_intervals``), and refined and certified by exact integer
 Newton on the chain's recurrence.  The counts and intervals are checked
 against sympy's exact root counts, the refined roots and their enclosures
@@ -126,13 +126,15 @@ def test_each_isolating_interval_holds_one_root(twoj):
 @pytest.mark.parametrize("twoj", range(1, 31))
 def test_sturm_count_matches_sympy_where_minors_vanish(twoj):
     # At 0 every odd-size leading minor vanishes, p_N too for an odd chain;
-    # the other points have denominators, so den^2 matters.
-    points = [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4), Fraction(41, 8)]
+    # the other points have denominators 2^s, so the shift by 2s matters.
+    points = [(0, 0), (-5, 1), (7, 2), (41, 3)]
     for chain in both_chains(twoj):
-        for x in points:
-            count, p_n = chain.sturm_count(x)
-            assert count == sympy_count_above(chain, x), (chain.squares, x)
-            assert p_n == chain.polynomial.evaluate(x) * x.denominator ** chain.polynomial.degree
+        for m, s in points:
+            x = Fraction(m, 2**s)
+            assert chain.dyadic_count(m, s) == sympy_count_above(chain, x), (chain.squares, x)
+            p_n = chain.polynomial.evaluate(x) * 2 ** (s * chain.polynomial.degree)
+            assert chain.dyadic_value(m, s) == p_n
+            assert chain._dyadic_sturm(m, s) == (chain.dyadic_count(m, s), p_n)
 
 
 @pytest.mark.parametrize(
@@ -149,7 +151,9 @@ def test_sturm_count_matches_sympy_where_minors_vanish(twoj):
 def test_sturm_count_skips_vanishing_minors(squares, polynomial, x, above):
     chain = chain_of(squares)
     assert chain.polynomial == IntPolynomial(polynomial)
-    assert chain.sturm_count(Fraction(x))[0] == above == sympy_count_above(chain, x)
+    assert chain.dyadic_count(x, 0) == above == sympy_count_above(chain, x)
+    # The same point as 4x/2^2: the shift keeps every vanishing minor zero.
+    assert chain.dyadic_count(4 * x, 2) == above
 
 
 def test_midpoints_that_are_roots_move_off_them():

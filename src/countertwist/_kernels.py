@@ -83,6 +83,24 @@ each mirror pair once and take the other member from it:
 
 Where a check fails, the kernels form every entry as before.
 
+A modulus |x + iy| is ``mpf_hypot``, whose square root is the costliest
+step of the per-point work, and two facts about it let the kernels take
+few roots:
+
+* ``mpf_hypot`` is the correctly rounded root of x² + y² summed by
+  ``mpf_add`` at prec + 4 bits, which truncates; so it is non-decreasing in
+  the exact x² + y², up to ties that round alike (:func:`largest_modulus`),
+  and the largest of many moduli is the modulus of the pair with the
+  largest exact x² + y², one root for the lot;
+* a part whose top bit lies more than prec // 2 + 4 bits below the other's
+  is negligible: with both parts at most prec bits wide, the modulus is
+  the larger part's abs, with no root at all (:func:`_dominant`).
+
+:func:`gram_defect` and ``verify``'s propagator difference take the
+largest modulus by the first fact, and :func:`moments` each modulus by the
+second; a real U's imaginary parts are rounding residue, so a time point
+takes at most one root.
+
 ``prec`` is a binary precision and ``rnd`` a rounding mode, both read from
 ``mp._prec_rounding`` inside the caller's ``workdps`` block.
 """
@@ -90,14 +108,11 @@ Where a check fails, the kernels form every entry as before.
 import functools
 
 from mpmath.libmp import (
-    fone,
     fzero,
     mpc_div_mpf,
     mpc_sub,
-    mpf_gt,
     mpf_hypot,
     mpf_neg,
-    mpf_sub,
     round_nearest,
     to_str,
 )
@@ -106,8 +121,9 @@ from .errors import InternalConsistencyError, InvalidInputError
 
 ZERO = (fzero, fzero)
 
-# The core's zero: the pair of fzero = (0, 0, 0, 0).
+# The core's zero: the pair of fzero = (0, 0, 0, 0), and its one.
 _NIL = (0, 0)
+_ONE = (1, 0)
 
 
 def _require_nearest(rnd):
@@ -462,6 +478,108 @@ def reflects(lines, negate):
     )
 
 
+# Bits beyond prec // 2 by which a part's top bit must lie below the other's
+# for _dominant to drop it.  Measured, mpf_hypot returns the larger part
+# from a gap of prec // 2 + 1 on; the margin keeps _dominant's proof short.
+_HYPOT_GUARD_BITS = 4
+
+
+def _dominant(x, y, prec):
+    """The part of x + iy whose magnitude ``mpf_hypot(x, y, prec)`` returns
+    where it returns one, else None; x and y are core values of at most
+    ``prec`` bits each.
+
+    With one part an exact zero, ``mpf_hypot`` returns the other's abs,
+    which rounding at prec leaves as it is.  Otherwise it takes the
+    correctly rounded root of T = ``mpf_add(x², y², prec + 4)``, which
+    truncates.  Where y's top bit lies more than prec // 2 + 4 bits below
+    x's, y²/x² < 2^(−2·(prec//2 + 5) + 2) <= 2^−(prec + 7), so T lies within
+    a relative 2^−(prec + 3) of x² (the truncation, or ``mpf_add``'s
+    perturbation for far operands, moves it by less than a unit of its
+    (prec + 4)-th bit) and √T within as much of |x|.  |x| fits in prec
+    bits, and the nearest rounding boundary lies a relative 2^−(prec + 1)
+    or more from it, so the root rounds to |x|.  The same holds with x and
+    y swapped.  The part may be negative: the caller squares it or takes
+    its abs.
+    """
+    xm, xe = x
+    ym, ye = y
+    if not ym:
+        return x
+    if not xm:
+        return y
+    gap = xe + xm.bit_length() - ye - ym.bit_length()
+    limit = prec // 2 + _HYPOT_GUARD_BITS
+    if gap > limit:
+        return x
+    if gap < -limit:
+        return y
+    return None
+
+
+def _modulus(x, y, prec, rnd):
+    """``mpf_hypot(x, y, prec, rnd)`` up to sign, for core values of at most
+    ``prec`` bits each, as a core value: :func:`_dominant`'s part where there
+    is one, without a square root."""
+    part = _dominant(x, y, prec)
+    if part is None:
+        return _pair(mpf_hypot(_mpf(x), _mpf(y), prec, rnd))
+    return part
+
+
+def largest_modulus(parts, prec, rnd):
+    """max ``mpf_hypot(x, y, prec, rnd)`` over the pairs (x, y) of core
+    values in ``parts``, each of at most ``prec`` bits, as a raw mpf (fzero
+    for none), with at most one square root.
+
+    ``mpf_hypot``'s value is the correctly rounded root of T, which is
+    S = x² + y² truncated to prec + 4 bits or, where y² lies more than
+    prec + 8 bits below x², x² truncated (``mpf_add``'s perturbation): so
+    S − 2u < T <= S, u the unit of S's (prec + 4)-th bit.  Where
+    :func:`_dominant` returns a part, the value is that part's abs, the
+    exact root of its square.  Each pair gets a key, the dominant part's
+    square, else S, exactly, and the pair with the largest key K holds the
+    largest value.  Rounding is monotone, so another pair could only hold a
+    larger value with a T, or a square, above the top pair's T and at most
+    K:
+
+    * where the top pair has a dominant part, its value is √K itself;
+    * where its T is K truncated, no smaller key truncates higher, and a
+      square between the two lies within u of K: the top pair's root then
+      rounds to that square's root, which fits in prec bits and lies at
+      least 2^−(prec + 1) from the nearest rounding boundary;
+    * where its T is perturbed, its parts' top bits lie at least
+      prec // 2 + 4 bits apart, and every root of a value within 2u of K
+      rounds to its larger part's abs, as in :func:`_dominant`.
+
+    Keys compare as (top bit, mantissa shifted to ``width`` bits), exactly,
+    since no key is wider: an S is formed only where the parts' top bits
+    lie within prec // 2 + 4 of each other, so within 3·prec + 9 bits of
+    its lowest bit.
+    """
+    _require_nearest(rnd)
+    width = 4 * prec + 16
+    best = None
+    for x, y in parts:
+        part = _dominant(x, y, prec)
+        if part is None:
+            (xm, xe), (ym, ye) = (x, y) if x[1] <= y[1] else (y, x)
+            m, e = xm * xm + (ym * ym << 2 * (ye - xe)), 2 * xe
+        else:
+            m, e = part[0] * part[0], 2 * part[1]
+        if m:
+            bits = m.bit_length()
+            key = e + bits, m << (width - bits)
+            if best is None or key > best[0]:
+                best = key, x, y, part
+    if best is None:
+        return fzero
+    _, x, y, part = best
+    if part is None:
+        return mpf_hypot(_mpf(x), _mpf(y), prec, rnd)
+    return _mpf((abs(part[0]), part[1]))
+
+
 def gram_defect(rows, prec, check_prec, rnd):
     """max |(U†U)[a][b] − δ_ab| as a raw mpf.
 
@@ -475,17 +593,28 @@ def gram_defect(rows, prec, check_prec, rnd):
     and their maximum, for a <= b only: (U†U)[b][a] is made of the
     conjugated products, so its sums are the conjugates of (U†U)[a][b]'s and
     its deviation the same.  An empty sum is fsum's mpf zero, whose
-    deviation equals mpf_hypot's with a zero imaginary part.  The products
-    and sums run on the integer core, forming no product with an exact-zero
-    factor; the deviations stay on libmp.  A nan or infinite entry, which
-    the core would read as an exact zero, raises InvalidInputError.
-
-    Where U is reflected and its conjugation exact, each orbit
-    {(a, b), (n−1−b, n−1−a)} is formed once, from the pair with
-    a + b <= n−1: the partner's deviation is that of the same products
-    summed in reverse (module docstring).
+    deviation equals mpf_hypot's with a zero imaginary part.
+    :func:`_gram_deviations` forms the parts of g − δ_ab, and
+    :func:`largest_modulus` their largest abs, with one square root where
+    the largest has two parts of comparable size and none otherwise.
     """
-    _require_nearest(rnd)
+    return largest_modulus(_gram_deviations(rows, prec, check_prec), check_prec, rnd)
+
+
+def _gram_deviations(rows, prec, check_prec):
+    """The parts (re, im) of every deviation g − δ_ab that
+    :func:`gram_defect` compares, as core values of at most ``check_prec``
+    bits.
+
+    The products and sums run on the integer core, forming no product with
+    an exact-zero factor, and 1 is subtracted at check_prec as ``mpf_sub``
+    subtracts it.  A nan or infinite entry, which the core would read as an
+    exact zero, raises InvalidInputError.  Where U is reflected and its
+    conjugation exact, each orbit {(a, b), (n−1−b, n−1−a)} is formed once,
+    from the pair with a + b <= n−1: the partner's deviation is that of the
+    same products summed in reverse (module docstring), and is yielded too
+    where its sums differ.
+    """
     n = len(rows)
     lookup = [{} for _ in range(n)]
     for k, row in enumerate(rows):
@@ -499,7 +628,6 @@ def gram_defect(rows, prec, check_prec, rnd):
     mirrored = reflects(lookup, lambda x: (_neg(x[0]), _neg(x[1]))) and all(
         im[0].bit_length() <= prec for col in lookup for _, im in col.values()
     )
-    worst = fzero
     for a, col_a in enumerate(conj):
         for b in range(a, n - a if mirrored else n):
             col_b = lookup[b]
@@ -518,13 +646,9 @@ def gram_defect(rows, prec, check_prec, rnd):
                 if partner != g:
                     sums.append(partner)
             for g_re, g_im in sums:
-                g_re = _mpf(g_re)
                 if a == b:
-                    g_re = mpf_sub(g_re, fone, check_prec, rnd)
-                deviation = mpf_hypot(g_re, _mpf(g_im), check_prec, rnd)
-                if mpf_gt(deviation, worst):
-                    worst = deviation
-    return worst
+                    g_re = _sub(g_re, _ONE, check_prec)
+                yield g_re, g_im
 
 
 def moments(rows, amplitudes, halves, labels, prec, rnd):
@@ -550,14 +674,15 @@ def moments(rows, amplitudes, halves, labels, prec, rnd):
     with one ``mpf_sum``.  A product with an exact-zero factor is zero,
     which the sum skips, so a real factor, or −i·d·w's zero real part,
     leaves the same terms in the same order; a fdot of one pair is its
-    rounded product.  |x| is ``mpf_hypot`` and its square one rounded
-    product, as ``mpf_pow_int(·, 2)`` rounds it.  Runs on the integer core,
-    which would read the zero mantissa of a nan or an infinity as an exact
-    zero: such an entry or amplitude, which fdot would carry into the
-    moments, raises InvalidInputError.
+    rounded product.  |x| is ``mpf_hypot``, taken without a square root
+    where one part is zero or negligible (:func:`_modulus`), and its square
+    one rounded product, as ``mpf_pow_int(·, 2)`` rounds it.  Runs on the
+    integer core, which would read the zero mantissa of a nan or an
+    infinity as an exact zero: such an entry or amplitude, which fdot would
+    carry into the moments, raises InvalidInputError.
 
     Returns raw mpfs: the three means as (re, im) pairs, the three second
-    moments, cov_yz and corr_xz.
+    moments, cov_yz, corr_xz, and φ as (re, im) pairs.
     """
     _require_nearest(rnd)
     amplitudes = [_finite_pair(re) + _finite_pair(im) for re, im in amplitudes]
@@ -616,14 +741,7 @@ def moments(rows, amplitudes, halves, labels, prec, rnd):
     for v in (vx, vy, vz):
         terms = []
         for x_re, x_im in v:
-            # mpf_hypot of a part and an exact zero is the part's abs, which
-            # rounding at prec leaves as it is.
-            if not x_im[0]:
-                h = x_re
-            elif not x_re[0]:
-                h = x_im
-            else:
-                h = _pair(mpf_hypot(_mpf(x_re), _mpf(x_im), prec, rnd))
+            h = _modulus(x_re, x_im, prec, rnd)
             terms.append(_mul(h, h, prec))
         seconds.append(_sum(terms, prec))
 
@@ -643,6 +761,7 @@ def moments(rows, amplitudes, halves, labels, prec, rnd):
         [_mpf(x) for x in seconds],
         _mpf(cov_yz),
         _mpf(corr_xz),
+        [(_mpf(re), _mpf(im)) for re, im in phi],
     )
 
 

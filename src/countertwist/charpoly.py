@@ -12,6 +12,7 @@ solvability is classified by the block degrees in mu.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import functools
 import math
@@ -31,21 +32,70 @@ from .spin_algebra import HalfInt, _require_spin, two_step_coupling_squared
 
 
 _DIGIT_CHUNK = 500  # below 640, the smallest int-to-str limit Python accepts
+# Bits up to which decimal_text splits on powers of ten, above which it
+# builds a Decimal: about 15 000 digits, where the two took about as long
+# on CPython 3.11 (1.5 ms at 40 000 bits; at 80 000, 5.8 ms against 3.9 ms).
+_DECIMAL_BITS = 50_000
+# Bits of the pieces a Decimal is built from, each converted directly.
+_PIECE_BITS = 128
 
 
 def decimal_text(value: int) -> str:
-    """Decimal text of an integer of any length, split on powers of ten.
+    """Decimal text of an integer of any length.
 
     str() alone refuses more digits than the int-to-str limit (4300 by
-    default), which discriminants pass from j = 22 on.
+    default), which discriminants pass from j = 22 on, and CPython's int
+    division and int-to-str take time quadratic in the digits.  Below
+    _DECIMAL_BITS the value is split on powers of ten into chunks that
+    str() takes.  Above, it is split on powers of two and rebuilt as an
+    exact ``decimal.Decimal``, whose multiplication is subquadratic, with
+    Inexact trapped; CPython 3.12's ``_pylong.int_to_decimal_string`` works
+    this way.
     """
     if value < 0:
         return "-" + decimal_text(-value)
+    bits = value.bit_length()
+    if bits > _DECIMAL_BITS:
+        with decimal.localcontext() as context:
+            context.prec = decimal.MAX_PREC
+            context.Emax = decimal.MAX_EMAX
+            context.traps[decimal.Inexact] = True
+            return str(_as_decimal(value, bits, {}))
     if value < 10**_DIGIT_CHUNK:
         return str(value)
-    half = value.bit_length() * 3 // 20  # about half the decimal digits
+    half = bits * 3 // 20  # about half the decimal digits
     high, low = divmod(value, 10**half)
     return decimal_text(high) + decimal_text(low).zfill(half)
+
+
+def _as_decimal(value: int, bits: int, powers: dict) -> decimal.Decimal:
+    """A nonnegative value below 2^bits as an exact Decimal: its low and
+    high halves, split at half the bits, joined by a power of two.
+    ``powers`` keeps each power of two formed, for the other halves."""
+    if bits <= _PIECE_BITS:
+        return decimal.Decimal(value)
+    half = bits >> 1
+    high = value >> half
+    low = value - (high << half)
+    return _as_decimal(low, half, powers) + _as_decimal(high, bits - half, powers) * _power_of_two(
+        half, powers
+    )
+
+
+def _power_of_two(exponent: int, powers: dict) -> decimal.Decimal:
+    """2^exponent as an exact Decimal, kept in ``powers``: from the one
+    below where that is kept, else as the product of two halves."""
+    power = powers.get(exponent)
+    if power is None:
+        if exponent <= _PIECE_BITS:
+            power = decimal.Decimal(1 << exponent)
+        elif exponent - 1 in powers:
+            power = 2 * powers[exponent - 1]
+        else:
+            half = exponent >> 1
+            power = _power_of_two(half, powers) * _power_of_two(exponent - half, powers)
+        powers[exponent] = power
+    return power
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,9 @@ from itertools import zip_longest
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from mpmath import mp
+from mpmath.libmp import mpc_sub
 
+from . import _kernels
 from ._version import __version__
 from .charpoly import (
     IntPolynomial,
@@ -63,9 +65,9 @@ from .evolution import (
     MAX_STEPS,
     TIME_SERIES_COLUMNS,
     PropagatorMethod,
+    _expectations,
     _taylor_in_child,
     coherent_initial_state,
-    heisenberg_expectations,
     propagator_spectral,
     time_series,
 )
@@ -624,17 +626,6 @@ def _energy(h_rows: list, amplitudes: tuple, precision: int):
         return mp.re(mp.fdot(h_amps, amplitudes, conjugate=True))
 
 
-def _evolved(rows, amplitudes: tuple, precision: int) -> tuple:
-    """φ = U·ψ from a propagator's rows, each entry by ``mp.fdot`` over the
-    row's nonzero entries at precision + 10.  fdot's sum skips the exact
-    zero products of the dense row, and with one complex pair its result is
-    an mpc, as over the dense row; a unitary U has no empty row."""
-    with mp.workdps(precision + 10):
-        return tuple(
-            mp.fdot((mp.make_mpc(pair), amplitudes[c]) for c, pair in row) for row in rows
-        )
-
-
 def _entries(rows) -> list:
     """A propagator's rows as dicts from column to mpc entry; an absent
     column stands for the exact mpc zero of ``Propagator.matrix``."""
@@ -643,16 +634,20 @@ def _entries(rows) -> list:
 
 def _max_abs_difference(rows, other, precision: int):
     """max |U − V| over two propagators' rows at ``precision``, as
-    ``DenseOperator.max_abs_diff`` forms it: a column held by neither row is
-    an exact zero in the difference, so only columns held by either are
-    formed."""
-    zero = mp.mpc(0)
+    ``DenseOperator.max_abs_diff`` forms it: each difference by ``mpc_sub``
+    at ``precision``, and the largest ``mpc_abs`` of them, found by
+    ``_kernels.largest_modulus`` from their exact squared moduli with one
+    square root.  A column held by neither row is an exact zero in the
+    difference, so only columns held by either are formed."""
     with mp.workdps(precision):
-        return max(
-            (abs(x.get(c, zero) - y.get(c, zero))
-             for x, y in zip(_entries(rows), _entries(other)) for c in x.keys() | y.keys()),
-            default=mp.mpf(0),
-        )
+        prec, rnd = mp._prec_rounding
+    parts = []
+    for row, other_row in zip(rows, other):
+        x, y = dict(row), dict(other_row)
+        for c in x.keys() | y.keys():
+            re, im = mpc_sub(x.get(c, _kernels.ZERO), y.get(c, _kernels.ZERO), prec, rnd)
+            parts.append((_kernels._pair(re), _kernels._pair(im)))
+    return mp.make_mpf(_kernels.largest_modulus(parts, prec, rnd))
 
 
 def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, taylor) -> list:
@@ -718,13 +713,15 @@ def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, tay
     # Conserved quantities along the evolution.
     if u is not None:
         state = coherent_initial_state(j, precision)
-        observables = heisenberg_expectations(state, u, precision)
+        # φ = U·ψ as the moments form it: mp.fdot over U's rows at
+        # precision + 10.
+        observables, phi = _expectations(state, u, precision)
         with mp.workdps(precision + 10):
             casimir_ref = mp.mpf(j.twice_value) * (j.twice_value + 2) / 4
             casimir_dev = abs(observables.casimir - casimir_ref)
             casimir_tol = tol_conservation * (1 + casimir_ref)
 
-            evolved = _evolved(u.rows, state.amplitudes, precision)
+            evolved = tuple(map(mp.make_mpc, phi))
             energy_start = _energy(h_rows, state.amplitudes, precision)
             energy_dev = abs(_energy(h_rows, evolved, precision) - energy_start)
             energy_tol = tol_conservation * (abs(chi_value) + abs(energy_start))

@@ -25,15 +25,25 @@ from itertools import pairwise
 
 from mpmath import mp
 from mpmath.libmp import (
+    fone,
+    from_int,
     fzero,
     mpc_exp,
     mpc_pos,
     mpf_abs,
+    mpf_add,
+    mpf_atan2,
+    mpf_div,
     mpf_gt,
+    mpf_le,
+    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pos,
+    mpf_pow_int,
+    mpf_sqrt,
     mpf_sub,
+    round_nearest,
 )
 
 from . import _kernels
@@ -196,9 +206,11 @@ class Propagator:
     :ivar unitarity_defect: the achieved ||U†U - I||_max, set at construction.
 
     Invariant: ||U†U - I||_max < 10^(-p+5) at precision p (checked at
-    construction by ``_kernels.gram_defect``; violation raises
-    NumericFailureError, a nan or infinite entry InvalidInputError, and
-    malformed rows InternalConsistencyError).  ``matrix`` is the dense
+    construction by ``_kernels.gram_defect``, which compares the Gram
+    deviations by their exact squared moduli and takes one square root, on
+    the largest, where it has two parts of comparable size; violation
+    raises NumericFailureError, a nan or infinite entry InvalidInputError,
+    and malformed rows InternalConsistencyError).  ``matrix`` is the dense
     form, built on first read; nothing in the package reads it, since
     ``verify`` and the moments read ``rows``.
     """
@@ -270,11 +282,15 @@ class ObservableSet:
 
     # Each variance, and the mean-spin check the squeezing parameters share,
     # is formed once; cached_property writes the instance __dict__, which
-    # this frozen dataclass without slots has.
+    # this frozen dataclass without slots has.  Like the squeezing
+    # parameters, they call the libmp functions that the mpf operators
+    # call inside mp.workdps(self.precision), with its binary precision and
+    # round-to-nearest, on the raw values.
     def _variance(self, second, mean):
-        with mp.workdps(self.precision):
-            v = second - mean * mean
-            return v if v > 0 else mp.mpf(0)
+        prec = _squeezing_constants(self.precision)[0]
+        mean = mean._mpf_
+        v = mpf_sub(second._mpf_, mpf_mul(mean, mean, prec, round_nearest), prec, round_nearest)
+        return mp.make_mpf(v if mpf_gt(v, fzero) else fzero)
 
     @functools.cached_property
     def var_jx(self):
@@ -290,12 +306,10 @@ class ObservableSet:
 
     @functools.cached_property
     def _defined_mean_spin(self):
-        """|⟨Jx⟩| if above the definedness threshold, else None."""
-        with mp.workdps(self.precision):
-            magnitude = abs(self.mean_jx)
-            if magnitude <= mp.mpf(10) ** (-(self.precision // 2)):
-                return None
-            return magnitude
+        """|⟨Jx⟩| as a raw mpf if above the definedness threshold, else None."""
+        prec, floor, _ = _squeezing_constants(self.precision)
+        magnitude = mpf_abs(self.mean_jx._mpf_, prec, round_nearest)
+        return None if mpf_le(magnitude, floor) else magnitude
 
     @property
     def casimir(self):
@@ -847,6 +861,13 @@ def heisenberg_expectations(
     :raises InternalConsistencyError: a mean develops a non-negligible
         imaginary part (would indicate a broken propagator or operator).
     """
+    return _expectations(state, u, precision)[0]
+
+
+def _expectations(state: StateVector, u: Propagator, precision: int) -> tuple:
+    """:func:`heisenberg_expectations` and the evolved state φ = U·state it
+    forms on the way, as raw (re, im) pairs at precision + 10: each entry
+    the value of ``mp.fdot`` over U's row at that precision."""
     _require_precision(precision)
     if precision > min(state.precision, u.precision):
         raise InvalidInputError(
@@ -862,7 +883,7 @@ def heisenberg_expectations(
     halves, labels, tol = _moment_constants(j, precision)
     with mp.workdps(wp):
         prec, rnd = mp._prec_rounding
-        means, seconds, cov_yz, corr_xz = _kernels.moments(
+        means, seconds, cov_yz, corr_xz, phi = _kernels.moments(
             u.rows,
             [_fdot_pair(x) for x in state.amplitudes],
             halves,
@@ -883,7 +904,7 @@ def heisenberg_expectations(
         def rounded(x):
             return mp.make_mpf(mpf_pos(x, prec, rnd))
 
-        return ObservableSet(
+        observables = ObservableSet(
             j=j,
             chi_t=+mp.mpf(u.chi_t),
             precision=precision,
@@ -896,6 +917,30 @@ def heisenberg_expectations(
             cov_yz=rounded(cov_yz),
             corr_xz=rounded(corr_xz),
         )
+    return observables, phi
+
+
+@functools.lru_cache(maxsize=32)
+def _squeezing_constants(precision: int) -> tuple:
+    """What the squeezing columns at ``precision`` share: the binary
+    precision of ``mp.workdps(precision)``, and, formed there once as raw
+    mpfs, the threshold 10^−(p//2) at or below which |⟨Jx⟩| counts as zero
+    and the tolerance 10^−(p−5) on an isotropic covariance's radius."""
+    with mp.workdps(precision):
+        return (
+            mp.prec,
+            (mp.mpf(10) ** (-(precision // 2)))._mpf_,
+            (mp.mpf(10) ** (-precision + 5))._mpf_,
+        )
+
+
+def _wineland(obs: ObservableSet, variance, mean):
+    """sqrt(2j · variance) / |⟨Jx⟩| as ``+(mp.sqrt(mp.mpf(2j) * variance) /
+    mean)`` forms it, on raw mpfs: the int 2j is exact, and the unary plus
+    rounds a value already at prec."""
+    prec = _squeezing_constants(obs.precision)[0]
+    scaled = mpf_mul(from_int(obs.j.twice_value), variance, prec, round_nearest)
+    return mpf_div(mpf_sqrt(scaled, prec, round_nearest), mean, prec, round_nearest)
 
 
 def _xi_from_variance(obs: ObservableSet, variance):
@@ -903,8 +948,7 @@ def _xi_from_variance(obs: ObservableSet, variance):
     mean = obs._defined_mean_spin
     if mean is None:
         return None
-    with mp.workdps(obs.precision):
-        return +(mp.sqrt(mp.mpf(obs.j.twice_value) * variance) / mean)
+    return mp.make_mpf(_wineland(obs, variance._mpf_, mean))
 
 
 def xi_y(obs: ObservableSet):
@@ -932,20 +976,32 @@ def optimal_xi(obs: ObservableSet):
     mean = obs._defined_mean_spin
     if mean is None:
         return None
-    with mp.workdps(obs.precision):
-        v_y, v_z, c = obs.var_jy, obs.var_jz, obs.cov_yz
-        half_sum = (v_y + v_z) / 2
-        half_diff = (v_y - v_z) / 2
-        radius = mp.sqrt(half_diff ** 2 + c ** 2)
-        v_min = half_sum - radius
-        if v_min < 0:
-            v_min = mp.mpf(0)
-        if radius <= mp.mpf(10) ** (-obs.precision + 5) * (1 + half_sum):
-            angle = mp.mpf(0)
-        else:
-            angle = mp.atan2(-c, -half_diff) / 2
-        xi_min = mp.sqrt(mp.mpf(obs.j.twice_value) * v_min) / mean
-        return (+xi_min, +angle)
+    # The expressions of the mpf operators at precision p, on raw values:
+    #   half_sum = (v_y + v_z) / 2;  half_diff = (v_y - v_z) / 2
+    #   radius = sqrt(half_diff ** 2 + c ** 2);  v_min = half_sum - radius,
+    #   0 if negative;  angle = 0 if radius <= 10^-(p-5) * (1 + half_sum),
+    #   else atan2(-c, -half_diff) / 2.
+    prec, _, tolerance = _squeezing_constants(obs.precision)
+    rnd = round_nearest
+    v_y, v_z, c = obs.var_jy._mpf_, obs.var_jz._mpf_, obs.cov_yz._mpf_
+    two = from_int(2)
+    half_sum = mpf_div(mpf_add(v_y, v_z, prec, rnd), two, prec, rnd)
+    half_diff = mpf_div(mpf_sub(v_y, v_z, prec, rnd), two, prec, rnd)
+    radius = mpf_sqrt(
+        mpf_add(mpf_pow_int(half_diff, 2, prec, rnd), mpf_pow_int(c, 2, prec, rnd), prec, rnd),
+        prec, rnd,
+    )
+    v_min = mpf_sub(half_sum, radius, prec, rnd)
+    if mpf_lt(v_min, fzero):
+        v_min = fzero
+    if mpf_le(radius, mpf_mul(tolerance, mpf_add(half_sum, fone, prec, rnd), prec, rnd)):
+        angle = fzero
+    else:
+        angle = mpf_div(
+            mpf_atan2(mpf_neg(c, prec, rnd), mpf_neg(half_diff, prec, rnd), prec, rnd),
+            two, prec, rnd,
+        )
+    return mp.make_mpf(_wineland(obs, v_min, mean)), mp.make_mpf(angle)
 
 
 # ---------------------------------------------------------------------------

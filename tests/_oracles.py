@@ -18,11 +18,17 @@ matrix, and ``_euclid_resultant`` Euclid's algorithm over the rationals
 the package's subresultant resultant and its mu-form discriminants.
 ``aberth_mu_roots`` is the complex Aberth-Ehrlich root finder, with its own
 realness check and Newton polish, the reference for the package's
-Sturm-isolated real roots.
+Sturm-isolated real roots.  ``loop_value_counts`` is ``certify_spectrum``'s
+Sturm counts taken at every value's own interval ends, the reference for
+its counts taken once per magnitude.
 The ``object_*`` functions are the per-point dynamics, the node polishing
 and the integer Horner loop written with mpmath number objects, one entry
 at a time, the references for the raw-libmp kernels and their mirror
-shortcuts.  ``operator_rows`` turns a DenseOperator into the sparse raw
+shortcuts.  ``loop_gram_defect`` and ``hypot_modulus`` are the kernels'
+certificate and moduli as they were with one ``mpf_hypot`` per value, the
+references for the rules that take the largest modulus with one square
+root and drop negligible parts; ``object_squeezing`` is the squeezing
+columns with mpf objects, the reference for their raw-libmp forms.  ``operator_rows`` turns a DenseOperator into the sparse raw
 rows a ``Propagator`` holds, so that a test can certify any matrix.
 The ``dense_*`` functions are ``verify``'s chiral, energy and propagator
 differences formed with the dense operator algebra, the references for its
@@ -40,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import fzero
+from mpmath.libmp import dps_to_prec, fone, fzero, mpf_gt, mpf_hypot, mpf_sub
 
 from countertwist import (
     DEFAULT_PRECISION,
@@ -51,6 +57,7 @@ from countertwist import (
     build_h_ta,
     chiral_operator,
 )
+from countertwist import _kernels
 from countertwist._version import __version__
 from countertwist.charpoly import (
     IntPolynomial,
@@ -59,6 +66,7 @@ from countertwist.charpoly import (
     classify_solvability,
     decimal_text,
     degeneracy_report,
+    strip_lambda_power,
 )
 from countertwist.errors import (
     IllConditionedError,
@@ -602,6 +610,93 @@ def object_gram_defect(matrix):
     return worst
 
 
+def loop_gram_defect(rows, prec, check_prec, rnd):
+    """``_kernels.gram_defect`` as it was with one ``mpf_hypot`` per formed
+    deviation, the maximum taken by ``mpf_gt``: the bit-for-bit reference
+    for the certificate that takes one square root."""
+    n = len(rows)
+    lookup = [{} for _ in range(n)]
+    for k, row in enumerate(rows):
+        for a, (x_re, x_im) in row:
+            lookup[a][k] = _kernels._finite_pair(x_re), _kernels._finite_pair(x_im)
+    conj = [
+        [(k, (x_re, _kernels._rounded(-x_im[0], x_im[1], prec))) for k, (x_re, x_im) in col.items()]
+        for col in lookup
+    ]
+    mirrored = _kernels.reflects(lookup, lambda x: (_kernels._neg(x[0]), _kernels._neg(x[1]))) and all(
+        im[0].bit_length() <= prec for col in lookup for _, im in col.values()
+    )
+    worst = fzero
+    for a, col_a in enumerate(conj):
+        for b in range(a, n - a if mirrored else n):
+            col_b = lookup[b]
+            sum_re, sum_im = [], []
+            for k, x in col_a:
+                y = col_b.get(k)
+                if y is not None:
+                    g_re, g_im = _kernels._cmul(x, y, prec)
+                    sum_re.append(g_re)
+                    sum_im.append(g_im)
+            g = _kernels._sum(sum_re, prec), _kernels._sum(sum_im, prec)
+            sums = [g]
+            if mirrored and a + b < n - 1:
+                partner = _kernels._sum(reversed(sum_re), prec), _kernels._sum(reversed(sum_im), prec)
+                if partner != g:
+                    sums.append(partner)
+            for g_re, g_im in sums:
+                g_re = _kernels._mpf(g_re)
+                if a == b:
+                    g_re = mpf_sub(g_re, fone, check_prec, rnd)
+                deviation = mpf_hypot(g_re, _kernels._mpf(g_im), check_prec, rnd)
+                if mpf_gt(deviation, worst):
+                    worst = deviation
+    return worst
+
+
+def hypot_modulus(x, y, prec, rnd):
+    """|x + iy| of two core values as ``_kernels.moments`` formed it before
+    it dropped negligible parts: ``mpf_hypot`` unless a part is an exact
+    zero.  The reference for ``_kernels._modulus``."""
+    if not y[0]:
+        return x
+    if not x[0]:
+        return y
+    return _kernels._pair(mpf_hypot(_kernels._mpf(x), _kernels._mpf(y), prec, rnd))
+
+
+def loop_value_counts(report):
+    """(value, stated multiplicity, counted eigenvalues) per distinct value
+    of a report, as ``certify_spectrum`` counted them before it took each
+    magnitude once: each chain's Sturm counts at the ends of every value's
+    rounding interval, the negative values' at their own ends."""
+    chains = block_decompose(report.j).chains
+    prec = dps_to_prec(report.precision)
+    lowest = min(chain.exponents[0] for chain, _ in chains)
+    highest = max(chain.exponents[1] for chain, _ in chains)
+    stated = {}
+    for eigen in report.eigenvalues:
+        stated[eigen.value._mpf_] = stated.get(eigen.value._mpf_, 0) + eigen.multiplicity
+    counts = []
+    for (sign, man, exp, bits), multiplicity in stated.items():
+        if not man:
+            counted = sum(count * strip_lambda_power(chain.polynomial)[0] for chain, count in chains)
+        elif exp + bits + 1 <= lowest or exp + bits - 2 >= highest:
+            counted = 0
+        else:
+            quarter = exp + bits - prec - 2
+            s = max(0, -exp, -quarter)
+            centre, unit = man << (exp + s), 1 << (quarter + s)
+            low, high = centre - (unit if man == 1 else 2 * unit), centre + 2 * unit
+            if sign:
+                low, high = -high, -low
+            counted = sum(
+                count * (chain.dyadic_count(low, s) - chain.dyadic_count(high, s))
+                for chain, count in chains
+            )
+        counts.append(((sign, man, exp, bits), multiplicity, counted))
+    return counts
+
+
 def object_spectral_entries(report, chi_t, precision=DEFAULT_PRECISION):
     """(entries, chi_t) of propagator_spectral formed with mpc objects."""
     _require_precision(precision)
@@ -829,6 +924,44 @@ def object_moments(state, u, precision=DEFAULT_PRECISION):
             cov_yz=+cov_yz,
             corr_xz=+corr_xz,
         )
+
+
+def object_squeezing(obs):
+    """The squeezing columns of an ObservableSet formed with mpf objects
+    inside ``mp.workdps(obs.precision)``: the variances of Jx, Jy and Jz,
+    then xi_y, xi_z and optimal_xi's (xi_min, angle), those three None
+    where |<Jx>| is at most 10^-(p//2)."""
+    p = obs.precision
+    with mp.workdps(p):
+
+        def variance(second, mean):
+            v = second - mean * mean
+            return v if v > 0 else mp.mpf(0)
+
+        v_x, v_y, v_z = (
+            variance(second, mean)
+            for second, mean in ((obs.second_jx, obs.mean_jx), (obs.second_jy, obs.mean_jy),
+                                 (obs.second_jz, obs.mean_jz))
+        )
+        mean = abs(obs.mean_jx)
+        if mean <= mp.mpf(10) ** (-(p // 2)):
+            return v_x, v_y, v_z, None, None, None
+
+        def xi(v):
+            return +(mp.sqrt(mp.mpf(obs.j.twice_value) * v) / mean)
+
+        c = obs.cov_yz
+        half_sum = (v_y + v_z) / 2
+        half_diff = (v_y - v_z) / 2
+        radius = mp.sqrt(half_diff ** 2 + c ** 2)
+        v_min = half_sum - radius
+        if v_min < 0:
+            v_min = mp.mpf(0)
+        if radius <= mp.mpf(10) ** (-p + 5) * (1 + half_sum):
+            angle = mp.mpf(0)
+        else:
+            angle = mp.atan2(-c, -half_diff) / 2
+        return v_x, v_y, v_z, xi(v_y), xi(v_z), (xi(v_min), +angle)
 
 
 def dense_chiral_deviation(h, chi_value, precision=DEFAULT_PRECISION):

@@ -1,7 +1,9 @@
 """Exact characteristic polynomials, discriminants, and solvability classes."""
 
 import importlib
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -99,6 +101,31 @@ BIG_INTEGERS = [0, 7, -7, 10**499, 10**500, -(10**500) + 1, 3**20000, -(7**9000)
 )
 def test_decimal_text_matches_str(value):
     assert decimal_text(value) == unlimited_str(value)
+
+
+def test_decimal_text_of_huge_integers_matches_str():
+    # str() of these needs the int-to-str digit limit lifted, which this
+    # process keeps: a subprocess lifts it.  Random ints of up to 200 000
+    # digits, either sign, around the switch to the Decimal route, and
+    # powers of ten with their neighbours.
+    script = (
+        "import random, sys\n"
+        "from countertwist.charpoly import _DECIMAL_BITS, decimal_text\n"
+        "sys.set_int_max_str_digits(0)\n"
+        "rng = random.Random(29)\n"
+        "bits = [_DECIMAL_BITS + k for k in (-1, 0, 1, 2)]\n"
+        "bits += [rng.randint(_DECIMAL_BITS, 664_385) for _ in range(4)] + [664_385]\n"
+        "values = [rng.getrandbits(b) | 1 << (b - 1) for b in bits]\n"
+        "values += [10**d + k for d in (15_050, 60_000) for k in (-1, 0, 1)] + [10**199_999]\n"
+        "for v in values:\n"
+        "    text = str(v)\n"
+        "    assert decimal_text(v) == text and decimal_text(-v) == '-' + text, v.bit_length()\n"
+        "print(len(values))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["16"]
 
 
 def test_parity_and_mu_helpers():

@@ -45,7 +45,7 @@ from countertwist import (
 from countertwist import evolution
 from countertwist.cli import _closed_form_rows_j2
 from countertwist.spectrum import spectrum_from_json, spectrum_to_json
-from _oracles import build_h_f, operator_rows, wigner_rotation_y
+from _oracles import build_h_f, object_squeezing, operator_rows, wigner_rotation_y
 
 SEED = 20260825
 
@@ -954,6 +954,87 @@ class TestOptimalXi:
             xi_min, _ = result
             assert xi_min <= xi_y(obs) + mp.mpf("1e-30")
             assert xi_min <= xi_z(obs) + mp.mpf("1e-30")
+
+
+def _squeezing_bits(values):
+    """Raw bits and types of squeezing columns, None and tuples kept."""
+    if values is None:
+        return None
+    if isinstance(values, tuple):
+        return tuple(map(_squeezing_bits, values))
+    return type(values), values._mpf_
+
+
+def _package_squeezing(obs):
+    return (obs.var_jx, obs.var_jy, obs.var_jz, xi_y(obs), xi_z(obs), optimal_xi(obs))
+
+
+def _observables(precision=34, **values):
+    """An ObservableSet at j = 2 whose fields are the given decimal texts,
+    rounded at ``precision``; unnamed means and cov_yz are zero, second
+    moments one."""
+    fields = dict(mean_jx="1.5", mean_jy="0", mean_jz="0", second_jx="3", second_jy="1",
+                  second_jz="1", cov_yz="0", corr_xz="0")
+    fields.update(values)
+    with mp.workdps(precision):
+        return ObservableSet(j=HalfInt(4), chi_t=mp.mpf("0.5"), precision=precision,
+                             **{name: mp.mpf(text) for name, text in fields.items()})
+
+
+def _mean_floor(precision):
+    with mp.workdps(precision):
+        return mp.nstr(mp.mpf(10) ** (-(precision // 2)), precision + 5)
+
+
+# Each branch of the squeezing columns: |<Jx>| below, at and just above the
+# definedness floor, and negative; an isotropic covariance (radius zero,
+# and nonzero below the tolerance) and one just above it; a covariance
+# that makes v_min negative; a clamped variance; each quadrant of the angle.
+SQUEEZING_EDGES = {
+    "mean_below": dict(mean_jx="1e-20"),
+    "mean_at_floor": dict(mean_jx=_mean_floor(34)),
+    "mean_at_floor_p15": dict(precision=15, mean_jx=_mean_floor(15)),
+    "mean_above_floor": dict(mean_jx="1.0000001e-17"),
+    "mean_negative": dict(mean_jx="-0.75"),
+    "isotropic": dict(second_jy="0.5", second_jz="0.5"),
+    "nearly_isotropic": dict(second_jy="0.5", second_jz="0.5", cov_yz="1e-31"),
+    "just_anisotropic": dict(second_jy="0.5", second_jz="0.5", cov_yz="1e-28"),
+    "v_min_negative": dict(second_jy="1", second_jz="1", cov_yz="2"),
+    "clamped": dict(mean_jy="1", second_jy="0.5"),
+    "quadrant_1": dict(second_jy="0.25", second_jz="0.75", cov_yz="-0.125"),
+    "quadrant_2": dict(second_jy="0.75", second_jz="0.25", cov_yz="-0.125"),
+    "quadrant_3": dict(second_jy="0.75", second_jz="0.25", cov_yz="0.125", precision=50),
+    "quadrant_4": dict(second_jy="0.25", second_jz="0.75", cov_yz="0.125", precision=20),
+}
+
+
+class TestSqueezingColumnsMatchObjectCode:
+    """The variances, xi_y, xi_z and optimal_xi on raw libmp values give the
+    bits the mpf operators give inside mp.workdps (_oracles)."""
+
+    @pytest.mark.parametrize("edge", SQUEEZING_EDGES)
+    def test_edges(self, edge):
+        obs = _observables(**SQUEEZING_EDGES[edge])
+        got = _package_squeezing(obs)
+        assert _squeezing_bits(got) == _squeezing_bits(object_squeezing(obs))
+        if edge.startswith("mean_below") or edge == "mean_at_floor":
+            assert got[3:] == (None, None, None)
+        if edge == "v_min_negative":
+            assert got[5][0] == 0
+        if edge in ("isotropic", "nearly_isotropic", "just_anisotropic"):
+            assert (got[5][1] == 0) is (edge != "just_anisotropic")
+
+    @pytest.mark.parametrize("twoj", [1, 2, 4, 5, 8, 13])
+    def test_evolved_observables(self, twoj):
+        for precision in (15, 20, 34, 50):
+            report = spectrum(_spin(twoj), precision)
+            state = coherent_initial_state(_spin(twoj), precision)
+            for chi_t in ("0", "0.013", "0.7", "-2.3", "4.5"):
+                u = propagator_spectral(report, chi_t, precision)
+                obs = heisenberg_expectations(state, u, precision)
+                assert _squeezing_bits(_package_squeezing(obs)) == _squeezing_bits(
+                    object_squeezing(obs)
+                )
 
 
 # ---------------------------------------------------------------------------

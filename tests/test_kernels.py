@@ -20,6 +20,8 @@ from mpmath.libmp import (
     mpc_mul,
     mpf_add,
     mpf_div,
+    mpf_gt,
+    mpf_hypot,
     mpf_mul,
     mpf_neg,
     mpf_pos,
@@ -57,6 +59,9 @@ from countertwist.evolution import (
 )
 from _oracles import (
     build_h_f,
+    dense_evolved,
+    hypot_modulus,
+    loop_gram_defect,
     object_gram_defect,
     object_int_horner,
     object_moment_sums,
@@ -224,11 +229,13 @@ def _assert_same_moments(state, u, precision):
     halves, labels, _ = evolution._moment_constants(state.basis.j, precision)
     with mp.workdps(precision + 10):
         prec, rnd = mp._prec_rounding
-        means, seconds, cov_yz, corr_xz = _kernels.moments(
+        means, seconds, cov_yz, corr_xz, phi = _kernels.moments(
             u.rows,
             [evolution._fdot_pair(x) for x in state.amplitudes],
             halves, labels, prec, rnd,
         )
+    evolved = dense_evolved(u.rows, u.basis, state.amplitudes, precision)
+    assert phi == [evolution._fdot_pair(x) for x in evolved]
     want = object_moment_sums(state, u, precision)
     assert means == [evolution._fdot_pair(x) for x in want[0]]
     assert seconds == [x._mpf_ for x in want[1]]
@@ -427,15 +434,25 @@ def _widened(rows):
 CERTIFICATE_EDITS = {"corner": _corner_nudged, "pair": _pair_nudged, "wide": _widened}
 
 
-def _gram_deviations(rows, prec, check_prec, monkeypatch):
-    """gram_defect's result and every deviation it forms, not only the
-    largest: a wrong partner sum need not be the largest."""
+def _squared_modulus(x, y):
+    """|x + iy|² of two core values, exactly."""
+    return sum(Fraction(m) ** 2 * Fraction(2) ** (2 * e) for m, e in (x, y))
+
+
+def _squared_moduli(rows, prec, check_prec, monkeypatch):
+    """gram_defect's result and the exact squared modulus of every deviation
+    it forms, not only the largest: a wrong partner sum need not be the
+    largest."""
     seen = set()
-    original = _kernels.mpf_hypot
+    original = _kernels._gram_deviations
+
+    def recorded(*args):
+        for x, y in original(*args):
+            seen.add(_squared_modulus(x, y))
+            yield x, y
+
     with monkeypatch.context() as patch:
-        patch.setattr(
-            _kernels, "mpf_hypot", lambda *args: seen.add(original(*args)) or original(*args)
-        )
+        patch.setattr(_kernels, "_gram_deviations", recorded)
         worst = _kernels.gram_defect(rows, prec, check_prec, round_nearest)
     return worst, seen
 
@@ -446,10 +463,10 @@ def _deviations_match_the_full_computation(matrix, monkeypatch):
         prec = mp.prec
     with mp.workdps(matrix.precision + 10):
         check_prec = mp.prec
-    mirrored = _gram_deviations(rows, prec, check_prec, monkeypatch)
+    mirrored = _squared_moduli(rows, prec, check_prec, monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "reflects", lambda lines, negate: False)
-        return mirrored == _gram_deviations(rows, prec, check_prec, monkeypatch)
+        return mirrored == _squared_moduli(rows, prec, check_prec, monkeypatch)
 
 
 @pytest.mark.parametrize("edit", CERTIFICATE_EDITS)
@@ -527,11 +544,202 @@ def test_mirrored_certificate_sums_partners_in_reverse(monkeypatch):
     assert _kernels.reflects(rows, mpf_neg)
     pairs = [[(c, (row[c], fzero)) for c in sorted(row)] for row in rows]
     # The diagonal holds the largest deviation here.
-    mirrored = _gram_deviations(pairs, _P, _P + 33, monkeypatch)
+    mirrored = _squared_moduli(pairs, _P, _P + 33, monkeypatch)
     monkeypatch.setattr(_kernels, "reflects", lambda lines, negate: False)
-    assert mirrored == _gram_deviations(pairs, _P, _P + 33, monkeypatch)
+    assert mirrored == _squared_moduli(pairs, _P, _P + 33, monkeypatch)
     # (0, 2) sums 2^-p, 2^2p, -2^2p: 0; its partner (2, 4) keeps 2^-p.
-    assert {fzero, _power(-_P)} <= mirrored[1]
+    assert {0, Fraction(1, 2 ** (2 * _P))} <= mirrored[1]
+
+
+# ---------------------------------------------------------------------------
+# One square root per certificate, moduli without negligible parts
+# ---------------------------------------------------------------------------
+
+
+def _moments_of(rows, j, precision):
+    halves, labels, _ = evolution._moment_constants(j, precision)
+    amplitudes = [evolution._fdot_pair(x) for x in coherent_initial_state(j, precision).amplitudes]
+    with mp.workdps(precision + 10):
+        prec, rnd = mp._prec_rounding
+        return _kernels.moments(rows, amplitudes, halves, labels, prec, rnd)
+
+
+def _assert_the_old_loops_agree(rows, j, precision, monkeypatch):
+    """gram_defect and every output of moments equal, bit for bit, those of
+    the loops that take one mpf_hypot per value."""
+    with mp.workdps(precision):
+        prec, rnd = mp._prec_rounding
+    with mp.workdps(precision + 10):
+        check_prec = mp.prec
+    got = _kernels.gram_defect(rows, prec, check_prec, rnd)
+    assert got == loop_gram_defect(rows, prec, check_prec, rnd)
+    moments = _moments_of(rows, j, precision)
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "_modulus", hypot_modulus)
+        assert moments == _moments_of(rows, j, precision)
+
+
+@pytest.mark.parametrize("twoj", range(1, 25))
+def test_one_root_certificate_and_moments_match_the_old_loops(twoj, monkeypatch):
+    for precision in (15, *PRECISIONS):
+        for chi_t in TIMES:
+            u = propagator_spectral(_report(twoj, precision), mp.mpf(chi_t), precision)
+            _assert_the_old_loops_agree(u.rows, HalfInt(twoj), precision, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["h_ta", "h_y", "faulted"])
+def test_taylor_rows_certificate_and_moments_match_the_old_loops(kind, monkeypatch):
+    # h_y's rows are complex, with parts of comparable size; the faulted
+    # h's rows are not unitary, so no Propagator holds them.
+    for twoj, precision, chi_t in _taylor_cases():
+        j = HalfInt(twoj)
+        if kind == "faulted":
+            h = _flip_first_coupling(build_h_ta(j, 1, precision))
+        else:
+            h = _taylor_h(kind, j, precision)
+        rows, _ = evolution._taylor_rounded(h, chi_t, precision)
+        _assert_the_old_loops_agree(rows, j, precision, monkeypatch)
+
+
+def test_certificate_comparison_catches_the_smallest_deviation(monkeypatch):
+    # Mutant: the pair with the smallest key instead of the largest.
+    original = _kernels.largest_modulus
+
+    def smallest(parts, prec, rnd):
+        return min((original([p], prec, rnd) for p in parts), key=lambda x: mp.make_mpf(x))
+
+    monkeypatch.setattr(_kernels, "largest_modulus", smallest)
+    with pytest.raises(AssertionError):
+        test_one_root_certificate_and_moments_match_the_old_loops(6, monkeypatch)
+
+
+def test_evolve_point_takes_at_most_one_square_root(monkeypatch):
+    # The spectral route's U is real up to rounding residue: its Gram
+    # deviations' imaginary parts, and the moments', are negligible.
+    calls, hypot = [], _kernels.mpf_hypot
+    monkeypatch.setattr(evolution, "_may_fork", lambda: False)
+    monkeypatch.setattr(_kernels, "mpf_hypot", lambda *args: calls.append(None) or hypot(*args))
+    steps = 41
+    evolution.time_series(HalfInt(4), 1, Fraction(27, 10), steps, 34)
+    assert len(calls) <= steps
+
+
+# Precisions with either parity, and a part's mantissa: a power of two,
+# all ones, the bit above a power of two set too, or random, each of one
+# to prec bits.
+MODULUS_PRECISIONS = (53, 54, 113, 150, 151, 183)
+
+
+@st.composite
+def _modulus_mantissas(draw, prec):
+    width = draw(st.sampled_from((1, 2, prec // 2, prec - 1, prec)))
+    shape = draw(st.sampled_from(("ones", "next", "random")))
+    if width == 1:
+        return 1
+    if shape == "ones":
+        return (1 << width) - 1
+    if shape == "next":
+        return (1 << (width - 1)) + 1
+    return (1 << (width - 1)) | draw(st.integers(0, (1 << (width - 1)) - 1)) | 1
+
+
+@st.composite
+def _modulus_parts(draw):
+    """A precision and two core values of at most prec bits each whose top
+    bits lie prec // 2 ± 8 bits apart, in either order and sign; or one
+    of them an exact zero."""
+    prec = draw(st.sampled_from(MODULUS_PRECISIONS))
+    x_man = draw(_modulus_mantissas(prec)) * draw(st.sampled_from((1, -1)))
+    y_man = draw(_modulus_mantissas(prec)) * draw(st.sampled_from((1, -1)))
+    top = draw(st.integers(-300, 300))
+    gap = prec // 2 + draw(st.integers(-8, 8))
+    x = (x_man, top - x_man.bit_length())
+    y = (y_man, top - gap - y_man.bit_length())
+    if draw(st.integers(0, 19)) == 0:
+        y = _kernels._NIL
+    return (prec, x, y) if draw(st.booleans()) else (prec, y, x)
+
+
+def _modulus_matches(prec, x, y):
+    want = mpf_hypot(_kernels._mpf(x), _kernels._mpf(y), prec, round_nearest)
+    m, e = _kernels._modulus(x, y, prec, round_nearest)
+    return _kernels._mpf((abs(m), e)) == want
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(_modulus_parts())
+# 2^5 against parts of prec bits prec // 2 + 4 and + 5 bits below: the
+# last gap that takes the root, and the first that does not.
+@example((54, (1, 4), ((1 << 54) - 1, 5 - 31 - 54)))
+@example((54, (1, 4), ((1 << 54) - 1, 5 - 32 - 54)))
+def test_negligible_part_rule_matches_mpf_hypot(case):
+    prec, x, y = case
+    assert _modulus_matches(prec, x, y)
+    assert _kernels.largest_modulus([(x, y)], prec, round_nearest) == mpf_hypot(
+        _kernels._mpf(x), _kernels._mpf(y), prec, round_nearest
+    )
+
+
+def _boundary_mismatches():
+    """Mismatches of the rule on a grid around its boundary: powers of two,
+    parts of exactly prec bits and others, top bits prec // 2 ± 8 apart."""
+    mismatches = 0
+    for prec in MODULUS_PRECISIONS:
+        wide = (1 << prec) - 1
+        for x_man in (1, 3, wide, (1 << (prec - 1)) + 1):
+            for y_man in (1, 3, wide, (1 << (prec // 2)) - 1, (1 << (prec - 1)) + 1):
+                for k in range(-8, 9):
+                    x = (x_man, 5 - x_man.bit_length())
+                    y = (y_man, 5 - prec // 2 - k - y_man.bit_length())
+                    for a, b in ((x, y), (y, _kernels._neg(x))):
+                        mismatches += not _modulus_matches(prec, a, b)
+    return mismatches
+
+
+def test_negligible_part_rule_at_its_boundary():
+    assert not _boundary_mismatches()
+
+
+def test_modulus_comparison_catches_a_looser_guard(monkeypatch):
+    # Mutant: the part is dropped from a gap of prec // 2 on.  mpf_hypot
+    # returns the larger part from a gap of prec // 2 + 1 on, so a guard
+    # looser by up to 4 bits still gives its value everywhere, and 5 is
+    # the least looseness the comparison can see.
+    monkeypatch.setattr(_kernels, "_HYPOT_GUARD_BITS", -1)
+    assert _boundary_mismatches()
+    with pytest.raises(AssertionError):
+        test_negligible_part_rule_matches_mpf_hypot()
+
+
+@st.composite
+def _near_ties(draw):
+    """A precision and a few pairs whose moduli lie within a few units of
+    the (prec + 4)-th bit of each other: one pair, and others with a part
+    moved by a unit or a part of comparable size added."""
+    prec = draw(st.sampled_from(MODULUS_PRECISIONS))
+    x_man = draw(_modulus_mantissas(prec))
+    gap = prec // 2 + draw(st.integers(-3, 6))
+    y_man = draw(_modulus_mantissas(prec))
+    x = (x_man, -x_man.bit_length())
+    y = (y_man, -gap - y_man.bit_length())
+    pairs = [(x, y)]
+    for _ in range(draw(st.integers(1, 4))):
+        dx, dy = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        a = _kernels._rounded(x_man + dx, x[1], prec)
+        b = _kernels._rounded(y_man + dy, y[1], prec)
+        pairs.append((a, b) if draw(st.booleans()) else (b, _kernels._neg(a)))
+    return prec, pairs
+
+
+@settings(derandomize=True, max_examples=800, deadline=None)
+@given(_near_ties())
+def test_largest_modulus_matches_the_largest_mpf_hypot(case):
+    prec, pairs = case
+    want = fzero
+    for x, y in pairs:
+        value = mpf_hypot(_kernels._mpf(x), _kernels._mpf(y), prec, round_nearest)
+        want = value if mpf_gt(value, want) else want
+    assert _kernels.largest_modulus(pairs, prec, round_nearest) == want
 
 
 def _reflected_half_broken(j, precision):

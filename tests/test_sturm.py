@@ -38,11 +38,12 @@ from countertwist.spectrum import (
     _chain_eigenvalues,
     _ladder,
     _numeric_roots,
+    _value_counts,
     certify_spectrum,
     spectrum_from_json,
     spectrum_to_json,
 )
-from _oracles import aberth_mu_roots, numpy_h_ta
+from _oracles import aberth_mu_roots, loop_value_counts, numpy_h_ta
 
 PRECISION = 34
 spectrum_module = importlib.import_module("countertwist.spectrum")
@@ -383,6 +384,23 @@ def test_every_printed_eigenvalue_is_certified_by_the_chains():
                     assert dyadic_rounded(lo, precision) == eigen.value == dyadic_rounded(hi, precision)
                 else:
                     assert eigen.enclosure is None
+
+
+@pytest.mark.parametrize("precision", [15, 34, 50])
+def test_counts_once_per_magnitude_equal_counts_per_value(precision, monkeypatch):
+    # Every value's count, the negative ones' taken from their mirrors,
+    # equals the count at its own interval ends; each chain counts at the
+    # two ends of each magnitude's interval only.
+    calls = []
+    dyadic_count = Chain.dyadic_count
+    monkeypatch.setattr(Chain, "dyadic_count", lambda *args: calls.append(None) or dyadic_count(*args))
+    for twoj in range(1, 81):
+        report = spectrum(HalfInt(twoj), precision)
+        want = loop_value_counts(report)
+        del calls[:]
+        assert list(_value_counts(report)) == want
+        magnitudes = {(man, exp) for (_, man, exp, _), _, _ in want if man}
+        assert len(calls) == 2 * len(magnitudes) * len(block_decompose(HalfInt(twoj)).chains)
 
 
 def test_a_corrupted_digit_or_doublet_multiplicity_is_refused():

@@ -66,9 +66,9 @@ from .evolution import (
     TIME_SERIES_COLUMNS,
     PropagatorMethod,
     _expectations,
-    _taylor_in_child,
     coherent_initial_state,
     propagator_spectral,
+    propagator_taylor,
     time_series,
 )
 from .spectrum import SpectrumReport, _json_document, spectrum, spectrum_to_json
@@ -650,9 +650,10 @@ def _max_abs_difference(rows, other, precision: int):
     return mp.make_mpf(_kernels.largest_modulus(parts, prec, rnd))
 
 
-def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, taylor) -> list:
-    """(name, passed, detail) per property of ``verify``; ``taylor()``
-    returns the Taylor oracle's propagator of h at VERIFY_SAMPLE_TIME."""
+def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator) -> list:
+    """(name, passed, detail) per property of ``verify``.  The Taylor
+    oracle's propagator of h at VERIFY_SAMPLE_TIME is summed only where a
+    check reads it, never when the spectral route raises."""
     results: list[tuple[str, bool, str]] = []
     tol_structure = mp.mpf(TOL_STRUCTURE)
     tol_conservation = mp.mpf(TOL_CONSERVATION)
@@ -696,7 +697,7 @@ def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, tay
         if report is not None:
             u = propagator_spectral(report, VERIFY_SAMPLE_TIME, precision)
         else:
-            u = taylor()
+            u = propagator_taylor(h, VERIFY_SAMPLE_TIME, precision)
         results.append(
             (
                 "unitarity",
@@ -747,7 +748,8 @@ def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator, tay
     # The two propagator routes must agree entrywise.
     if u is not None and u.method is PropagatorMethod.SPECTRAL:
         try:
-            oracle_dev = _max_abs_difference(u.rows, taylor().rows, precision)
+            oracle = propagator_taylor(h, VERIFY_SAMPLE_TIME, precision)
+            oracle_dev = _max_abs_difference(u.rows, oracle.rows, precision)
             results.append(
                 (
                     "oracle equivalence",
@@ -794,16 +796,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     A property that fails prints FAIL and exits 1.  A numeric limit is not a
     property failure: when the spectral propagator needs more precision
     (IllConditionedError), nothing is printed and the error propagates to
-    exit 3, as in ``evolve``.
-
-    The Taylor oracle needs only h, so from 2j + 1 = 14 states on its
-    series starts in a forked child as soon as h is built (fault included)
-    and runs on a second CPU while this process checks the chiral and
-    pairing properties and builds the spectral propagator; a smaller
-    series costs less than the fork.  Its rows are certified here, where
-    they are used; with one CPU, elsewhere than Linux, or when the child
-    fails or stalls, this process computes them itself at that point.
-    Every byte printed and every exit code is the same either way.
+    exit 3, as in ``evolve``.  Every check, the Taylor oracle's series
+    included, runs in this process.
     """
     j, precision = cfg.j, cfg.precision
     with mp.workdps(precision):
@@ -813,8 +807,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     h = build_h_ta(j, chi_value, precision)
     if cfg.inject_fault:
         h = _flip_first_coupling(h)
-    with _taylor_in_child(h, VERIFY_SAMPLE_TIME, precision) as taylor:
-        results = _verify_results(j, precision, chi_value, h, taylor)
+    results = _verify_results(j, precision, chi_value, h)
 
     all_passed = all(passed for _, passed, _ in results)
     lines = [

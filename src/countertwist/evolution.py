@@ -652,12 +652,6 @@ def propagator_taylor(
     computation gives.  Any other generator, such as one with a flipped
     coupling, is summed row by row.
 
-    The series and the rounding of its rows, everything but the unitarity
-    certificate, are one step that ``verify`` runs in a forked child beside
-    its other checks where h is large enough to repay the fork
-    (:func:`_taylor_in_child`); the certificate runs in the calling process
-    either way.
-
     :param h: Hamiltonian matrix; divided by its recorded scale, so chi_t
         carries the full dimensionless time.
     :param precision: decimal digits of the result, at most ``h.precision``:
@@ -670,13 +664,6 @@ def propagator_taylor(
     :raises NumericFailureError: the series does not converge, or the
         result fails the unitarity certificate.
     """
-    return _taylor_propagator(h, precision, _taylor_rounded(h, chi_t, precision))
-
-
-def _taylor_rounded(h: DenseOperator, chi_t, precision: int) -> tuple:
-    """:func:`propagator_taylor` before its certificate: the rows rounded to
-    ``precision`` as raw mpf pairs, and the rounded time as a raw mpf, so
-    that ``marshal`` can carry them."""
     _require_precision(precision)
     if precision > h.precision:
         raise InvalidInputError(
@@ -690,42 +677,9 @@ def _taylor_rounded(h: DenseOperator, chi_t, precision: int) -> tuple:
             tuple((b, (mpf_pos(row[b], prec, rnd), fzero)) for b in sorted(row))
             for row in total
         )
-        return rows, (+tau)._mpf_
-
-
-def _taylor_propagator(h: DenseOperator, precision: int, rounded: tuple) -> Propagator:
-    """The certified propagator from :func:`_taylor_rounded`'s result."""
-    rows, tau = rounded
+        tau_out = +tau
     return Propagator(basis=h.basis, rows=rows, precision=precision,
-                      chi_t=mp.make_mpf(tau), method=PropagatorMethod.TAYLOR_ORACLE)
-
-
-#: Fewest states for which :func:`_taylor_in_child` forks.  Below this the
-#: series costs less than making and reaping a child.  One ``verify`` in a
-#: fresh interpreter on a 2-CPU Xeon at 34 digits, 12 interleaved pairs,
-#: with the series on the integer core: at 2j + 1 = 5 it took 13.7 ms in
-#: one process and 17.9 ms with the child (slower in 11 of 12), at 9 states
-#: 25.7 against 29.0 ms (12 of 12), at 12 states 30.8 against 32.2 ms (11 of
-#: 12); at 13 states the medians were equal (45.5 against 45.3 ms); from 14
-#: states on the child won 11 or 12 of 12 (at 14 states 39.2 against
-#: 37.1 ms, at 25 states 175.5 against 143.4 ms).
-_TAYLOR_FORK_MIN_STATES = 14
-
-
-@contextlib.contextmanager
-def _taylor_in_child(h: DenseOperator, chi_t, precision: int):
-    """Start ``propagator_taylor(h, chi_t, precision)``'s series in a forked
-    child (:func:`_forked`), where h has at least ``_TAYLOR_FORK_MIN_STATES``
-    states, and yield a function that returns that propagator, certified in
-    this process.  For a smaller h the function is
-    :func:`propagator_taylor` itself.  Errors are raised where the function
-    is called, with the text :func:`propagator_taylor` gives."""
-    if h.dim < _TAYLOR_FORK_MIN_STATES:
-        yield lambda: propagator_taylor(h, chi_t, precision)
-        return
-    work = functools.partial(_taylor_rounded, h, chi_t, precision)
-    with _forked(work, fits=lambda rounded: len(rounded[0]) == h.dim) as rounded:
-        yield lambda: _taylor_propagator(h, precision, rounded())
+                      chi_t=tau_out, method=PropagatorMethod.TAYLOR_ORACLE)
 
 
 def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
@@ -1025,7 +979,7 @@ _CPU_QUOTA_FILES = (
 )
 
 #: The calling process stops waiting for a forked child, kills it and does
-#: its work itself once the child has used no CPU time for this many
+#: its block itself once the child has used no CPU time for this many
 #: seconds (hung, or starved of CPU).  A child that keeps computing is
 #: waited for however long it takes: it runs the code the calling process
 #: would run, so waiting for it is never slower than computing again.
@@ -1144,6 +1098,8 @@ def _payload(pid: int, read_fd: int):
 def _forked(work, fits):
     """Run ``work()`` in a forked child while the caller goes on; yields a
     function, to be called at most once, that returns work()'s result.
+    :func:`_points_in_blocks` is its one user: each block after a time
+    series' first is such a ``work``.
 
     ``work`` takes no arguments and returns what ``marshal`` carries (raw
     mpf tuples, not mpf objects), never None.  A child is forked only when

@@ -9,8 +9,8 @@ import pytest
 def _no_child_left():
     """Fail a test that leaves a child process behind, running or unreaped.
 
-    ``time_series`` and ``verify`` fork, and must kill and reap every child
-    before they return or raise; a leaked child would otherwise go unseen.
+    ``time_series`` forks, and must kill and reap every child before it
+    returns or raises; a leaked child would otherwise go unseen.
     Unreaped children are reaped here, so the next test starts clean.
     """
     yield

@@ -2,16 +2,15 @@
 
 import argparse
 import json
-import marshal
 import os
 import re
 import subprocess
 import sys
-import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from countertwist import (
@@ -21,6 +20,7 @@ from countertwist import (
     char_poly_exact,
     coherent_initial_state,
     degeneracy_report,
+    propagator_taylor,
     spectrum,
 )
 from countertwist import _kernels
@@ -28,6 +28,7 @@ from countertwist import cli, evolution, spin_algebra
 from countertwist.cli import (
     MAX_PRECISION,
     MAX_STEPS,
+    MIN_PRECISION,
     Command,
     RunConfig,
     _format_real,
@@ -614,6 +615,62 @@ class TestVerifyCommand:
         assert "energy conservation: PASS" in out
         assert code == 0 and "RESULT: PASS" in out
 
+    def test_every_check_runs_here_on_two_cpus(self, capsys, monkeypatch, set_cpus, forks):
+        # Two CPUs fork nothing and print what one CPU prints.  The Taylor
+        # series is summed once, and not at all where the spectral route
+        # exits 3.
+        series, sums = evolution._taylor_rows, []
+        monkeypatch.setattr(
+            evolution, "_taylor_rows", lambda *args: sums.append(None) or series(*args)
+        )
+        cases = (
+            (("--j", "10"), 0, 1),
+            (("--j", "10", "--inject-fault"), 1, 1),
+            (("--j", "27"), 3, 0),
+        )
+        for argv, code, summed in cases:
+            seen = []
+            for count in (1, 2):
+                set_cpus(count)
+                sums.clear()
+                seen.append(_run(capsys, "verify", *argv))
+                assert (len(sums), len(forks)) == (summed, 0)
+            assert seen[0] == seen[1]
+            assert seen[0][0] == code
+        assert seen[0][1] == ""  # exit 3 prints nothing
+
+    # A sweep over verify's arguments, each refusal included: fractions,
+    # decimal exponents at the bound of 1000, numerators and denominators
+    # of about 4000 digits (Python's int-to-str limit is 4300), zeros,
+    # nan and inf spellings, and empty text.
+    _CHI = st.one_of(
+        st.builds("{}/{}".format, st.integers(-40, 40), st.integers(-3, 40)),
+        st.builds("{}e{}".format, st.integers(-9, 9),
+                  st.sampled_from((-1001, -1000, -999, -17, 0, 17, 999, 1000, 1001))),
+        st.builds("{}{}{}".format, st.sampled_from(("", "-", "3/")),
+                  st.integers(3990, 4400).map(lambda width: "1" + "0" * width),
+                  st.sampled_from(("", "/7", "e-1000", "e1000"))),
+        st.sampled_from(("-0", "0", "+0", "0/3", "0e1000", "nan", "NaN", "-nan", "inf",
+                         "-inf", "Infinity", "", " ", "1/0", "2/-3", "1_0", "0x10")),
+    )
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        twoj=st.sampled_from((*range(13), MAX_TWICE_SPIN + 1)),
+        chi=_CHI,
+        precision=st.integers(MIN_PRECISION - 1, 40),
+        fault=st.booleans(),
+    )
+    def test_arguments_never_raise(self, capsys, set_cpus, forks, twoj, chi, precision, fault):
+        set_cpus(2)
+        argv = ["verify", "--j", str(Fraction(twoj, 2)), f"--chi={chi}",
+                "--precision", str(precision)] + ["--inject-fault"] * fault
+        code, _, err = _run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        assert forks == []
+
 
 def _raw_values(values):
     return [(type(x), getattr(x, "_mpc_", None) or x._mpf_) for x in values]
@@ -655,10 +712,9 @@ class TestVerifySparseChecks:
                 chi_value = cli._mpf_from_fraction(SPARSE_CHI[(twoj + k) % 3])
             h = build_h_ta(j, chi_value, precision)
             state = coherent_initial_state(j, precision)
-            rounded = evolution._taylor_rounded(h, cli.VERIFY_SAMPLE_TIME, precision)
-            rows = rounded[0]
+            u = propagator_taylor(h, cli.VERIFY_SAMPLE_TIME, precision)
+            rows = u.rows
             # φ as verify's energy check reads it, from the moments.
-            u = evolution._taylor_propagator(h, precision, rounded)
             phi = tuple(map(mp.make_mpc, evolution._expectations(state, u, precision)[1]))
             assert _raw_values(phi) == _raw_values(
                 dense_evolved(rows, h.basis, state.amplitudes, precision)
@@ -678,105 +734,10 @@ class TestVerifySparseChecks:
                     )
 
     def test_difference_of_equal_rows_is_zero(self):
-        rows, _ = evolution._taylor_rounded(build_h_ta(HalfInt(6)), cli.VERIFY_SAMPLE_TIME, 34)
+        rows = propagator_taylor(build_h_ta(HalfInt(6)), cli.VERIFY_SAMPLE_TIME, 34).rows
         assert cli._max_abs_difference(rows, rows, 34) == 0 < cli._max_abs_difference(
             rows, _perturbed(rows), 34
         )
-
-
-def _series_here(monkeypatch, in_child=None):
-    """Count the Taylor series summed in this process; a forked child runs
-    ``in_child`` first, where given.  Returns the count list."""
-    here, parent, series = [], os.getpid(), evolution._taylor_rows
-
-    def counted_series(*args):
-        if os.getpid() == parent:
-            here.append(None)
-        elif in_child is not None:
-            in_child()
-        return series(*args)
-
-    monkeypatch.setattr(evolution, "_taylor_rows", counted_series)
-    return here
-
-
-VERIFY_CHILD_CHI = ("1", "1/2", "4/3", "-2/3", "5/4", "3/2")
-
-
-class TestVerifyChild:
-    """verify's Taylor oracle runs in a forked child beside the other checks."""
-
-    @pytest.mark.parametrize("twoj", range(1, 25))
-    def test_same_bytes_on_one_and_two_cpus(self, capsys, monkeypatch, set_cpus, forks, twoj):
-        chi = VERIFY_CHILD_CHI[twoj % len(VERIFY_CHILD_CHI)]
-        argv = ["verify", "--j", str(Fraction(twoj, 2)), f"--chi={chi}"]
-        here = _series_here(monkeypatch)
-        large = twoj + 1 >= evolution._TAYLOR_FORK_MIN_STATES
-        for fault in ([], ["--inject-fault"]) if twoj > 1 else ([],):
-            seen = []
-            for count in (1, 2):
-                set_cpus(count)
-                forks.clear()
-                here.clear()
-                seen.append(_run(capsys, *argv, *fault))
-                # Two CPUs and a large enough h: one fork, and the series
-                # never runs here.  Otherwise no fork, and it runs here.
-                child = count == 2 and large
-                assert (len(forks), len(here)) == (int(child), int(not child))
-            assert seen[0] == seen[1]
-            assert seen[0][0] == (1 if fault else 0)
-
-    @pytest.mark.parametrize(
-        "sabotage",
-        [
-            pytest.param(lambda: 1 / 0, id="raises"),
-            pytest.param(lambda: os._exit(0), id="no-payload"),
-            pytest.param("cut", id="cut-payload"),
-            pytest.param("short", id="short-payload"),
-            pytest.param("fork", id="fork-fails"),
-            pytest.param(lambda: time.sleep(60), id="stalls"),
-        ],
-    )
-    @pytest.mark.parametrize("argv", [("--j", "7"), ("--j", "10", "--inject-fault")])
-    def test_a_failed_child_gives_the_same_result(
-        self, capsys, monkeypatch, set_cpus, forks, sabotage, argv
-    ):
-        set_cpus(1)
-        expected = _run(capsys, "verify", *argv)
-        set_cpus(2)
-        parent = os.getpid()
-        if sabotage == "cut":
-            monkeypatch.setattr(evolution, "marshal", SimpleNamespace(
-                dumps=lambda value: marshal.dumps(value)[:-7], loads=marshal.loads))
-        elif sabotage == "short":
-            # Complete, but one row short.
-            monkeypatch.setattr(evolution, "marshal", SimpleNamespace(
-                dumps=lambda value: marshal.dumps((value[0][:-1], value[1])),
-                loads=marshal.loads))
-        elif sabotage == "fork":
-            def failed_fork():
-                forks.append(None)
-                raise OSError("no more processes")
-
-            monkeypatch.setattr(os, "fork", failed_fork)
-        here = _series_here(monkeypatch, sabotage if callable(sabotage) else None)
-        start = time.monotonic()
-        assert _run(capsys, "verify", *argv) == expected
-        assert time.monotonic() - start < 20
-        assert os.getpid() == parent
-        # One fork, and the series summed again here.
-        assert (len(forks), len(here)) == (1, 1)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_numeric_failure_leaves_no_child(self, capsys, set_cpus, forks):
-        # j = 27 at 34 digits exits 3 from the spectral route while the
-        # child is still summing the series: it is killed and reaped.
-        set_cpus(2)
-        code, out, _ = _run(capsys, "verify", "--j", "27")
-        assert (code, out, len(forks)) == (3, "", 1)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

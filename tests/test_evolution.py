@@ -1311,11 +1311,11 @@ class TestTimeSeriesSplit:
             finally:
                 os.close(read_fd)
             assert got == (marshal.loads(payload) if cut == len(payload) else None)
-        # A complete payload of the wrong length is refused too: the child's
-        # block, points 3 and 4, sends one value, and both are computed here.
+        # Through the fork helper, a child's cut payload and a complete one
+        # of the wrong length are refused too: the child's block, points 3
+        # and 4, sends its values cut short or one value only, and both are
+        # computed here.
         set_cpus(2)
-        monkeypatch.setattr(evolution, "marshal", SimpleNamespace(
-            dumps=lambda values: marshal.dumps(values[:-1]), loads=marshal.loads))
         parent, here = os.getpid(), []
 
         def point(i):
@@ -1323,8 +1323,13 @@ class TestTimeSeriesSplit:
                 here.append(i)
             return (mp.mpf(i), None)
 
-        assert evolution._points_in_blocks(point, 5) == [(mp.mpf(i), None) for i in range(5)]
-        assert here == [0, 1, 2, 3, 4]
+        for dumps in (lambda values: marshal.dumps(values)[:-7],
+                      lambda values: marshal.dumps(values[:-1])):
+            monkeypatch.setattr(evolution, "marshal",
+                                SimpleNamespace(dumps=dumps, loads=marshal.loads))
+            here.clear()
+            assert evolution._points_in_blocks(point, 5) == [(mp.mpf(i), None) for i in range(5)]
+            assert here == [0, 1, 2, 3, 4]
 
     def test_stalled_child_gives_the_sequential_result(self, set_cpus, monkeypatch):
         # The child blocks for a minute; past its deadline it is killed and

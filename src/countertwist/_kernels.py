@@ -42,8 +42,8 @@ in the order ``mpf_sum`` would see them; where the rule cannot fire
 instead.  The spectral kernels convert their mpf arguments to pairs on
 entry and their results to mpf tuples on return, so their signatures are
 unchanged; the Taylor kernels take and return sparse rows of core values,
-converted by ``evolution._taylor_rows``.  Any rounding mode other than
-to-nearest raises InternalConsistencyError.
+converted by ``evolution._taylor_rows``.  mpmath's context always rounds
+to nearest, so the kernels take no rounding mode.
 
 The oracle ``verify`` compares the spectral propagator against shares only
 these rounding primitives with it, each pinned bit for bit to libmp's by
@@ -101,8 +101,8 @@ largest modulus by the first fact, and :func:`moments` each modulus by the
 second; a real U's imaginary parts are rounding residue, so a time point
 takes at most one root.
 
-``prec`` is a binary precision and ``rnd`` a rounding mode, both read from
-``mp._prec_rounding`` inside the caller's ``workdps`` block.
+``prec`` is a binary precision, ``mp.prec`` read inside the caller's
+``workdps`` block.
 """
 
 import functools
@@ -117,20 +117,13 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InvalidInputError
 
 ZERO = (fzero, fzero)
 
 # The core's zero: the pair of fzero = (0, 0, 0, 0), and its one.
 _NIL = (0, 0)
 _ONE = (1, 0)
-
-
-def _require_nearest(rnd):
-    if rnd != round_nearest:
-        raise InternalConsistencyError(
-            f"the integer core rounds to nearest only, not {rnd!r}"
-        )
 
 
 def _pair(x):
@@ -292,13 +285,12 @@ def _cmul(x, y, prec):
     )
 
 
-def int_horner(coefficients, x, prec, rnd):
+def int_horner(coefficients, x, prec):
     """Repeats the generic Horner loop of ``IntPolynomial.evaluate`` at an
     mpf: ``acc = acc * x + c`` from acc = 0, highest coefficient first, each
     ``c`` given as an exact mpf (``from_int``), as ``mpf + int`` converts it.
     Runs on the integer core.  A zero coefficient (every other one of an
     even or odd chain polynomial) adds nothing to the rounded product."""
-    _require_nearest(rnd)
     x = _pair(x)
     acc = _NIL
     for sign, man, exp, _ in reversed(coefficients):
@@ -308,7 +300,7 @@ def int_horner(coefficients, x, prec, rnd):
     return _mpf(acc)
 
 
-def newton_coefficients(values, gaps, prec, rnd):
+def newton_coefficients(values, gaps, prec):
     """Divided differences of ``values`` on Leja-ordered nodes.
 
     Repeats ``coeffs[i] = (coeffs[i] - coeffs[i - 1]) / gaps[k][i]`` with
@@ -319,13 +311,12 @@ def newton_coefficients(values, gaps, prec, rnd):
     for k in range(1, len(coeffs)):
         gap = gaps[k]
         for i in range(len(coeffs) - 1, k - 1, -1):
-            coeffs[i] = mpc_div_mpf(
-                mpc_sub(coeffs[i], coeffs[i - 1], prec, rnd), gap[i], prec, rnd
-            )
+            diff = mpc_sub(coeffs[i], coeffs[i - 1], prec, round_nearest)
+            coeffs[i] = mpc_div_mpf(diff, gap[i], prec, round_nearest)
     return coeffs
 
 
-def chain_horner(coeffs, nodes, ups, prec, rnd):
+def chain_horner(coeffs, nodes, ups, prec):
     """Newton-form polynomial of one chain block, as (re, im) planes.
 
     The chain's generator has A[i][i+1] = i·ups[i] and A[i+1][i] = −i·ups[i]
@@ -355,7 +346,6 @@ def chain_horner(coeffs, nodes, ups, prec, rnd):
     chain is its own twin, and the lower rows of each M are :func:`mirror`'s
     image of the upper ones.  Runs on the integer core.
     """
-    _require_nearest(rnd)
     size = len(ups) + 1
     mirrored = ups == ups[::-1]
     ups = [_pair(u) for u in ups]
@@ -517,18 +507,18 @@ def _dominant(x, y, prec):
     return None
 
 
-def _modulus(x, y, prec, rnd):
-    """``mpf_hypot(x, y, prec, rnd)`` up to sign, for core values of at most
+def _modulus(x, y, prec):
+    """``mpf_hypot(x, y, prec, round_nearest)`` up to sign, for core values of at most
     ``prec`` bits each, as a core value: :func:`_dominant`'s part where there
     is one, without a square root."""
     part = _dominant(x, y, prec)
     if part is None:
-        return _pair(mpf_hypot(_mpf(x), _mpf(y), prec, rnd))
+        return _pair(mpf_hypot(_mpf(x), _mpf(y), prec, round_nearest))
     return part
 
 
-def largest_modulus(parts, prec, rnd):
-    """max ``mpf_hypot(x, y, prec, rnd)`` over the pairs (x, y) of core
+def largest_modulus(parts, prec):
+    """max ``mpf_hypot(x, y, prec, round_nearest)`` over the pairs (x, y) of core
     values in ``parts``, each of at most ``prec`` bits, as a raw mpf (fzero
     for none), with at most one square root.
 
@@ -557,7 +547,6 @@ def largest_modulus(parts, prec, rnd):
     lie within prec // 2 + 4 of each other, so within 3·prec + 9 bits of
     its lowest bit.
     """
-    _require_nearest(rnd)
     width = 4 * prec + 16
     best = None
     for x, y in parts:
@@ -576,11 +565,11 @@ def largest_modulus(parts, prec, rnd):
         return fzero
     _, x, y, part = best
     if part is None:
-        return mpf_hypot(_mpf(x), _mpf(y), prec, rnd)
+        return mpf_hypot(_mpf(x), _mpf(y), prec, round_nearest)
     return _mpf((abs(part[0]), part[1]))
 
 
-def gram_defect(rows, prec, check_prec, rnd):
+def gram_defect(rows, prec, check_prec):
     """max |(U†U)[a][b] − δ_ab| as a raw mpf.
 
     ``rows[k]`` lists (a, U[k][a]) over the nonzero entries of row k in
@@ -598,7 +587,7 @@ def gram_defect(rows, prec, check_prec, rnd):
     :func:`largest_modulus` their largest abs, with one square root where
     the largest has two parts of comparable size and none otherwise.
     """
-    return largest_modulus(_gram_deviations(rows, prec, check_prec), check_prec, rnd)
+    return largest_modulus(_gram_deviations(rows, prec, check_prec), check_prec)
 
 
 def _gram_deviations(rows, prec, check_prec):
@@ -651,7 +640,7 @@ def _gram_deviations(rows, prec, check_prec):
                 yield g_re, g_im
 
 
-def moments(rows, amplitudes, halves, labels, prec, rnd):
+def moments(rows, amplitudes, halves, labels, prec):
     """The spin moments of φ = U·ψ₀, as ``heisenberg_expectations`` forms
     them with ``mp.fdot`` and ``mp.fsum``.
 
@@ -684,7 +673,6 @@ def moments(rows, amplitudes, halves, labels, prec, rnd):
     Returns raw mpfs: the three means as (re, im) pairs, the three second
     moments, cov_yz, corr_xz, and φ as (re, im) pairs.
     """
-    _require_nearest(rnd)
     amplitudes = [_finite_pair(re) + _finite_pair(im) for re, im in amplitudes]
     phi = []
     for row in rows:
@@ -741,7 +729,7 @@ def moments(rows, amplitudes, halves, labels, prec, rnd):
     for v in (vx, vy, vz):
         terms = []
         for x_re, x_im in v:
-            h = _modulus(x_re, x_im, prec, rnd)
+            h = _modulus(x_re, x_im, prec)
             terms.append(_mul(h, h, prec))
         seconds.append(_sum(terms, prec))
 
@@ -773,7 +761,7 @@ def _scaled(w, z):
     return (m * r, e + r_exp), (m * s, e + s_exp)
 
 
-def series_term(generator, term, k, prec, rnd):
+def series_term(generator, term, k, prec):
     """The next Taylor term B·term / k, as sparse rows of core values.
 
     ``generator[a]`` lists (b, v) over row a's nonzero entries of the real B
@@ -788,7 +776,6 @@ def series_term(generator, term, k, prec, rnd):
     k one ``mpf_div`` (:func:`_div`).  A product for an absent entry of acc
     is stored as it is.  Runs on the integer core.
     """
-    _require_nearest(rnd)
     mul, add = _mul, _add
     rows = []
     for nz in generator:
@@ -854,7 +841,7 @@ def all_below(rows, tol):
     return True
 
 
-def added(rows, other, prec, rnd):
+def added(rows, other, prec):
     """Repeats the entrywise sum ``x + y`` of two matrices of sparse rows of
     core values.
 
@@ -862,7 +849,6 @@ def added(rows, other, prec, rnd):
     exact zero and a value at prec returns that value), and a sum that
     cancels to an exact zero is dropped.
     """
-    _require_nearest(rnd)
     out = []
     for row, other_row in zip(rows, other):
         row = dict(row)
@@ -904,7 +890,7 @@ def _fixed_point_safe(rows, prec):
     return max(lows) - min(lows) <= prec and max(tops) - min(tops) <= prec - 1
 
 
-def squared(rows, prec, rnd, mirrored=False):
+def squared(rows, prec, mirrored=False):
     """The matrix product rows·rows of sparse real rows of core values, each
     entry as ``mp.fdot`` forms it.
 
@@ -925,7 +911,6 @@ def squared(rows, prec, rnd, mirrored=False):
     entry (n−1−a, n−1−c) is ε_a·ε_c times the sum of (a, c)'s products in
     reverse, which is the same exact sum where it is order-free.
     """
-    _require_nearest(rnd)
     n = len(rows)
     computed = (n + 1) // 2 if mirrored else n
     if _fixed_point_safe(rows, prec):

@@ -172,10 +172,7 @@ class IntPolynomial:
         bit for bit.
         """
         if isinstance(x, mp.mpf):
-            prec, rnd = mp._prec_rounding
-            return mp.make_mpf(
-                _kernels.int_horner(self._mpf_coefficients, x._mpf_, prec, rnd)
-            )
+            return mp.make_mpf(_kernels.int_horner(self._mpf_coefficients, x._mpf_, mp.prec))
         acc = 0 * x if not isinstance(x, (int, Fraction)) else 0
         for c in reversed(self.coefficients):
             acc = acc * x + c

@@ -530,9 +530,13 @@ def _matrix_spectral_consistency(h: DenseOperator, precision: int) -> None:
 
     :raises SpectralConsistencyError: some product is not a nonnegative real.
     """
-    n = h.dim
+    # An entry absent from h's nonzero rows is the exact zero it stands for.
+    rows = [dict(row) for row in h.nonzero_rows]
+    zero = mp.mpc(0)
     with mp.workdps(precision + 10):
-        products = [h.entry(a, a + 2) * h.entry(a + 2, a) for a in range(n - 2)]
+        products = [
+            rows[a].get(a + 2, zero) * rows[a + 2].get(a, zero) for a in range(h.dim - 2)
+        ]
         scale = max((abs(w) for w in products), default=mp.mpf(0))
         tol = mp.mpf(10) ** (-precision + 8) * (1 + scale)
         for a, w in enumerate(products):
@@ -581,13 +585,7 @@ def _closed_form_rows_j2(chi_t, precision: int):
         )
 
 
-def _nonzero_rows(h: DenseOperator) -> list:
-    """h's nonzero entries, row by row, as (column, entry) in ascending
-    column.  A truth test stands for ``!= 0`` on every mpmath number."""
-    return [[(b, x) for b, x in enumerate(row) if x] for row in h.entries]
-
-
-def _chiral_deviation(h_rows: list, chi_value, precision: int) -> tuple:
+def _chiral_deviation(h_rows: tuple, chi_value, precision: int) -> tuple:
     """(max |HR + RH|, max |H|) for H = h/chi, from h's nonzero entries.
 
     R is the signed antidiagonal of ``chiral_operator``: R[n−1−c][c] =
@@ -616,7 +614,7 @@ def _chiral_deviation(h_rows: list, chi_value, precision: int) -> tuple:
                 max((abs(x) for _, _, x in scaled), default=mp.mpf(0)))
 
 
-def _energy(h_rows: list, amplitudes: tuple, precision: int):
+def _energy(h_rows: tuple, amplitudes: tuple, precision: int):
     """Re <psi|h|psi>: h·psi by ``mp.fsum`` over each row's nonzero entries,
     whose products are all the nonzero terms of the dense row's, then
     ``mp.fdot`` against the conjugated amplitudes at precision + 10."""
@@ -628,14 +626,14 @@ def _energy(h_rows: list, amplitudes: tuple, precision: int):
 
 def _entries(rows) -> list:
     """A propagator's rows as dicts from column to mpc entry; an absent
-    column stands for the exact mpc zero of ``Propagator.matrix``."""
+    column stands for an exact mpc zero."""
     return [{c: mp.make_mpc(pair) for c, pair in row} for row in rows]
 
 
 def _max_abs_difference(rows, other, precision: int):
-    """max |U − V| over two propagators' rows at ``precision``, as
-    ``DenseOperator.max_abs_diff`` forms it: each difference by ``mpc_sub``
-    at ``precision``, and the largest ``mpc_abs`` of them, found by
+    """max |U − V| over two propagators' rows at ``precision``, as the dense
+    difference of their matrices forms it: each difference by ``mpc_sub`` at
+    ``precision``, and the largest ``mpc_abs`` of them, found by
     ``_kernels.largest_modulus`` from their exact squared moduli with one
     square root.  A column held by neither row is an exact zero in the
     difference, so only columns held by either are formed."""
@@ -647,7 +645,7 @@ def _max_abs_difference(rows, other, precision: int):
         for c in x.keys() | y.keys():
             re, im = mpc_sub(x.get(c, _kernels.ZERO), y.get(c, _kernels.ZERO), prec, rnd)
             parts.append((_kernels._pair(re), _kernels._pair(im)))
-    return mp.make_mpf(_kernels.largest_modulus(parts, prec, rnd))
+    return mp.make_mpf(_kernels.largest_modulus(parts, prec))
 
 
 def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator) -> list:
@@ -659,7 +657,7 @@ def _verify_results(j: HalfInt, precision: int, chi_value, h: DenseOperator) -> 
     tol_conservation = mp.mpf(TOL_CONSERVATION)
 
     # Chiral anticommutation: {H, R} = 0 entrywise on the dimensionless matrix.
-    h_rows = _nonzero_rows(h)
+    h_rows = h.nonzero_rows
     anti_dev, h_max = _chiral_deviation(h_rows, chi_value, precision)
     with mp.workdps(precision + 10):
         anti_tol = tol_structure * (1 + h_max)

@@ -210,9 +210,7 @@ class Propagator:
     deviations by their exact squared moduli and takes one square root, on
     the largest, where it has two parts of comparable size; violation
     raises NumericFailureError, a nan or infinite entry InvalidInputError,
-    and malformed rows InternalConsistencyError).  ``matrix`` is the dense
-    form, built on first read; nothing in the package reads it, since
-    ``verify`` and the moments read ``rows``.
+    and malformed rows InternalConsistencyError).
     """
 
     basis: BasisOrdering
@@ -232,26 +230,16 @@ class Propagator:
             )
         p = self.precision
         with mp.workdps(p):
-            prec, rnd = mp._prec_rounding
+            prec = mp.prec
         with mp.workdps(p + 10):
             check_prec = mp.prec
-            worst = mp.make_mpf(_kernels.gram_defect(self.rows, prec, check_prec, rnd))
+            worst = mp.make_mpf(_kernels.gram_defect(self.rows, prec, check_prec))
             if worst > mp.mpf(10) ** (-p + 5):
                 raise NumericFailureError(
                     f"propagator fails unitarity: ||U†U - I||_max = "
                     f"{mp.nstr(worst, 5)} at precision {p}"
                 )
         object.__setattr__(self, "unitarity_defect", worst)
-
-    @functools.cached_property
-    def matrix(self) -> DenseOperator:
-        """U with mpc entries, an exact mpc zero where a row has none."""
-        entries = [[mp.mpc(0)] * self.dim for _ in self.rows]
-        for dense, row in zip(entries, self.rows):
-            for c, pair in row:
-                dense[c] = mp.make_mpc(pair)
-        entries = tuple(map(tuple, entries))
-        return DenseOperator(basis=self.basis, entries=entries, precision=self.precision)
 
     @property
     def dim(self) -> int:
@@ -565,11 +553,11 @@ def _spectral_series(report: SpectrumReport, precision: int):
                 mpc_exp((fzero, mpf_mul(mpf_neg(x), tau_w, prec, rnd)), prec, rnd)
                 for x in nodes
             ]
-            coeffs = _kernels.newton_coefficients(values, gaps, prec, rnd)
+            coeffs = _kernels.newton_coefficients(values, gaps, prec)
             # Horner evaluation M <- (A - x_k) M + c_k I on each distinct
             # chain block; the entries between the chains are exact zeros.
             # Chain b, when it is chain a's twin, is chain a mirrored.
-            planes = [_kernels.chain_horner(coeffs, nodes, u, prec, rnd) for u in ups]
+            planes = [_kernels.chain_horner(coeffs, nodes, u, prec) for u in ups]
             if len(planes) == 1:
                 planes.append(tuple(map(_kernels.mirror, planes[0])))
 
@@ -699,9 +687,8 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
                 "carry the physics in chi_t (zero coupling means chi_t = 0)"
             )
         # h/scale over h's nonzero entries, by column: the others divide to
-        # exact zeros.  A truth test stands for ``!= 0`` on every mpmath and
-        # Python number, without converting the 0.
-        a_rows = [[(b, x / scale) for b, x in enumerate(row) if x] for row in h.entries]
+        # exact zeros.
+        a_rows = [[(b, x / scale) for b, x in row] for row in h.nonzero_rows]
         if any(_fdot_pair(x)[0] != fzero for row in a_rows for _, x in row):
             raise InvalidInputError(
                 "the Taylor oracle takes an imaginary h/scale (H = -iK with K "
@@ -717,7 +704,7 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
     wp = precision + 10 + squarings
 
     with mp.workdps(wp):
-        prec, rnd = mp._prec_rounding
+        prec = mp.prec
         # B = -i·tau·(h/scale)/2^s: the real part of mpc_mul's product with
         # an imaginary entry is one rounded real product.  The series and
         # the squarings run on the integer core (``_kernels``).
@@ -738,9 +725,9 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
         k = 0
         while True:
             k += 1
-            part = _kernels.series_term(computed, term, k, prec, rnd)
+            part = _kernels.series_term(computed, term, k, prec)
             converged = _kernels.all_below(part, tol)
-            total = _kernels.added(total, part, prec, rnd)
+            total = _kernels.added(total, part, prec)
             if converged:
                 break
             if k > 40 * wp:
@@ -751,7 +738,7 @@ def _taylor_rows(h: DenseOperator, tau, precision: int) -> list:
 
         total = _kernels.reflected(total, n)
         for _ in range(squarings):
-            total = _kernels.squared(total, prec, rnd, mirrored)
+            total = _kernels.squared(total, prec, mirrored)
     return [{c: _kernels._mpf(x) for c, x in row.items()} for row in total]
 
 
@@ -843,7 +830,6 @@ def _expectations(state: StateVector, u: Propagator, precision: int) -> tuple:
             halves,
             labels,
             prec,
-            rnd,
         )
         for label, (_, im) in zip("xyz", means):
             if mpf_gt(mpf_abs(im, prec, rnd), tol):

@@ -8,6 +8,7 @@ scalars; structural zeros are exact.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,7 +157,9 @@ def _require_spin(j) -> HalfInt:
                 f"spin must be a HalfInt, text, or number, got {type(j).__name__}"
             ) from exc
     if j.twice_value < 0:
-        raise InvalidInputError(f"spin must be non-negative, got {j}")
+        # str() refuses an int past the int-to-str limit (4300 digits).
+        shown = j if j.twice_value > -(10**100) else "a spin of more than 100 digits"
+        raise InvalidInputError(f"spin must be non-negative, got {shown}")
     if j.twice_value > MAX_TWICE_SPIN:
         raise InvalidInputError(f"spin must be at most {HalfInt(MAX_TWICE_SPIN)}")
     return j
@@ -191,12 +194,6 @@ class BasisOrdering:
         )
         return cls(j=j, labels=labels)
 
-    def index_of(self, m: HalfInt) -> int:
-        offset = self.j.twice_value - m.twice_value
-        if offset % 2 != 0 or not 0 <= offset // 2 < self.j.n_states:
-            raise InvalidInputError(f"m={m} is not a basis label for j={self.j}")
-        return offset // 2
-
 
 @dataclass(frozen=True)
 class DenseOperator:
@@ -225,21 +222,25 @@ class DenseOperator:
             raise InternalConsistencyError("entries must form a (2j+1) square matrix")
         if self.hermitian:
             # |x - conj(y)| equals |y - conj(x)| exactly, so each unordered
-            # pair is visited once; a nan would pass the comparison below.
+            # pair is visited once, in ascending (a, b) with a <= b; a pair
+            # of exact zeros deviates by 0, so only pairs holding a stored
+            # nonzero are visited.  A nan would pass the comparison below.
+            rows = self.nonzero_rows
+            pairs = sorted({(min(a, b), max(a, b)) for a, row in enumerate(rows) for b, _ in row})
             entries = self.entries
             with mp.workdps(self.precision):
                 worst = mp.zero
-                for a in range(n):
-                    for b in range(a, n):
-                        x, y = entries[a][b], entries[b][a]
-                        if not (mp.isfinite(x) and mp.isfinite(y)):
-                            where = (a, b) if not mp.isfinite(x) else (b, a)
-                            raise InvalidInputError(
-                                "operator flagged hermitian has a nan or infinite "
-                                f"entry at {where}"
-                            )
-                        worst = max(worst, abs(x - mp.conj(y)))
-                tol = (mp.mpf(10) ** (-self.precision + 1)) * (1 + self.max_abs())
+                for a, b in pairs:
+                    x, y = entries[a][b], entries[b][a]
+                    if not (mp.isfinite(x) and mp.isfinite(y)):
+                        where = (a, b) if not mp.isfinite(x) else (b, a)
+                        raise InvalidInputError(
+                            "operator flagged hermitian has a nan or infinite "
+                            f"entry at {where}"
+                        )
+                    worst = max(worst, abs(x - mp.conj(y)))
+                largest = max((abs(x) for row in rows for _, x in row), default=mp.zero)
+                tol = (mp.mpf(10) ** (-self.precision + 1)) * (1 + largest)
                 if worst > tol:
                     raise InternalConsistencyError(
                         f"operator flagged hermitian violates conjugate symmetry "
@@ -250,52 +251,21 @@ class DenseOperator:
     def dim(self) -> int:
         return len(self.entries)
 
-    def entry(self, a: int, b: int) -> mp.mpc:
-        return self.entries[a][b]
-
-    @classmethod
-    def identity(cls, basis: BasisOrdering, precision: int) -> "DenseOperator":
-        n = basis.j.n_states
-        _require_precision(precision)
-        with mp.workdps(precision):
-            one, zero = mp.mpc(1), mp.mpc(0)
-            rows = tuple(
-                tuple(one if a == b else zero for b in range(n)) for a in range(n)
-            )
-        return cls(basis=basis, entries=rows, precision=precision, hermitian=True)
-
-    @classmethod
-    def from_rows(
-        cls,
-        basis: BasisOrdering,
-        rows,
-        precision: int,
-        scale: object = 1,
-        hermitian: bool = False,
-    ) -> "DenseOperator":
-        _require_precision(precision)
-        with mp.workdps(precision):
-            entries = tuple(tuple(mp.mpc(x) for x in row) for row in rows)
-        return cls(
-            basis=basis,
-            entries=entries,
-            precision=precision,
-            scale=scale,
-            hermitian=hermitian,
+    @functools.cached_property
+    def nonzero_rows(self) -> tuple:
+        """Per row, the (column, entry) pairs of the stored nonzero entries
+        in ascending column.  A truth test stands for ``!= 0``: it agrees on
+        every mpmath and Python number, and nan and the infinities are
+        nonzero."""
+        return tuple(
+            tuple((b, x) for b, x in enumerate(row) if x) for row in self.entries
         )
-
-    def dagger(self) -> "DenseOperator":
-        n = self.dim
-        with mp.workdps(self.precision):
-            rows = tuple(
-                tuple(mp.conj(self.entries[b][a]) for b in range(n)) for a in range(n)
-            )
-        return DenseOperator(basis=self.basis, entries=rows, precision=self.precision)
 
     def matmul(self, other: "DenseOperator") -> "DenseOperator":
         """The matrix product.  Nothing in the package calls it since
         ``verify`` checks the chiral anticommutation on h's nonzero entries;
-        it stays public for library users."""
+        it stays public for library users and as a traced benchmark
+        target."""
         if self.dim != other.dim:
             raise InvalidInputError("operator dimensions do not match")
         n = self.dim
@@ -305,16 +275,14 @@ class DenseOperator:
             # rows they meet changes no bit, in the same ascending k.  fsum
             # returns an mpc when any of its terms is one, zero or not, so a
             # sum is made an mpc where an mpc factor met it (an all-zero left
-            # row still gives mpc zeros).  Truth tests stand for ``!= 0``:
-            # they agree on every mpf and mpc, without converting the 0.
+            # row still gives mpc zeros).
             zero, real_zero = mp.mpc(0), mp.mpf(0)
-            right = [[(b, y) for b, y in enumerate(row) if y] for row in other.entries]
+            right = other.nonzero_rows
             right_mpc = [
                 {b for b, y in enumerate(row) if isinstance(y, mp.mpc)} for row in other.entries
             ]
             rows = []
-            for left in self.entries:
-                nonzero = [(k, x) for k, x in enumerate(left) if x]
+            for nonzero in self.nonzero_rows:
                 if not nonzero:
                     rows.append((zero,) * n)
                     continue
@@ -340,19 +308,6 @@ class DenseOperator:
             basis=self.basis, entries=tuple(rows), precision=self.precision
         )
 
-    def matvec(self, vector: tuple) -> tuple:
-        """The product with a vector, one ``mp.fsum`` per row.  Nothing in
-        the package calls it since ``verify`` forms the energy over h's
-        nonzero entries; it stays public for library users."""
-        if len(vector) != self.dim:
-            raise InvalidInputError("vector length does not match operator dimension")
-        n = self.dim
-        with mp.workdps(self.precision):
-            return tuple(
-                mp.fsum(self.entries[a][b] * vector[b] for b in range(n))
-                for a in range(n)
-            )
-
     def add(self, other: "DenseOperator") -> "DenseOperator":
         return self._zip_entries(other, lambda x, y: x + y)
 
@@ -374,16 +329,6 @@ class DenseOperator:
                 for ra, rb in zip(self.entries, other.entries)
             )
         return DenseOperator(basis=self.basis, entries=rows, precision=self.precision)
-
-    def max_abs(self) -> mp.mpf:
-        with mp.workdps(self.precision):
-            return max(abs(x) for row in self.entries for x in row)
-
-    def max_abs_diff(self, other: "DenseOperator") -> mp.mpf:
-        """max |self − other|.  Nothing in the package calls it since
-        ``verify`` reads the propagators' rows; it stays public for library
-        users."""
-        return self.sub(other).max_abs()
 
 
 def _ladder_amplitude_squared(j: HalfInt, m: HalfInt) -> int:
@@ -532,7 +477,8 @@ def chiral_operator(j: HalfInt, precision: int = DEFAULT_PRECISION) -> DenseOper
     half-integer j.
 
     Nothing in the package calls it: ``verify`` forms HR + RH from h's
-    nonzero entries and R's signs.  It stays public for library users.
+    nonzero entries and R's signs.  It stays public for library users and
+    as a traced benchmark target.
     """
     _require_precision(precision)
     j = _require_spin(j)

@@ -30,9 +30,11 @@ references for the rules that take the largest modulus with one square
 root and drop negligible parts; ``object_squeezing`` is the squeezing
 columns with mpf objects, the reference for their raw-libmp forms.  ``operator_rows`` turns a DenseOperator into the sparse raw
 rows a ``Propagator`` holds, so that a test can certify any matrix.
-The ``dense_*`` functions are ``verify``'s chiral, energy and propagator
-differences formed with the dense operator algebra, the references for its
-checks on h's nonzero entries and the propagators' rows.
+The ``dense_*`` functions are the dense operator algebra the package no
+longer needs (an identity, an adjoint, a matrix-vector product, a largest
+entry and difference, a propagator's rows as a dense matrix), and
+``verify``'s chiral, energy and propagator differences formed with it, the
+references for its checks on h's nonzero entries and the propagators' rows.
 The ``json_*`` functions build each JSON document as nested dicts, every
 radical tree expanded, and write it with ``json.dumps(payload, indent=2)``:
 the references for the package's one JSON writer.
@@ -46,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, fone, fzero, mpf_gt, mpf_hypot, mpf_sub
+from mpmath.libmp import dps_to_prec, fone, fzero, mpf_gt, mpf_hypot, mpf_sub, round_nearest
 
 from countertwist import (
     DEFAULT_PRECISION,
@@ -610,7 +612,7 @@ def object_gram_defect(matrix):
     return worst
 
 
-def loop_gram_defect(rows, prec, check_prec, rnd):
+def loop_gram_defect(rows, prec, check_prec):
     """``_kernels.gram_defect`` as it was with one ``mpf_hypot`` per formed
     deviation, the maximum taken by ``mpf_gt``: the bit-for-bit reference
     for the certificate that takes one square root."""
@@ -646,14 +648,14 @@ def loop_gram_defect(rows, prec, check_prec, rnd):
             for g_re, g_im in sums:
                 g_re = _kernels._mpf(g_re)
                 if a == b:
-                    g_re = mpf_sub(g_re, fone, check_prec, rnd)
-                deviation = mpf_hypot(g_re, _kernels._mpf(g_im), check_prec, rnd)
+                    g_re = mpf_sub(g_re, fone, check_prec, round_nearest)
+                deviation = mpf_hypot(g_re, _kernels._mpf(g_im), check_prec, round_nearest)
                 if mpf_gt(deviation, worst):
                     worst = deviation
     return worst
 
 
-def hypot_modulus(x, y, prec, rnd):
+def hypot_modulus(x, y, prec):
     """|x + iy| of two core values as ``_kernels.moments`` formed it before
     it dropped negligible parts: ``mpf_hypot`` unless a part is an exact
     zero.  The reference for ``_kernels._modulus``."""
@@ -661,7 +663,7 @@ def hypot_modulus(x, y, prec, rnd):
         return x
     if not x[0]:
         return y
-    return _kernels._pair(mpf_hypot(_kernels._mpf(x), _kernels._mpf(y), prec, rnd))
+    return _kernels._pair(mpf_hypot(_kernels._mpf(x), _kernels._mpf(y), prec, round_nearest))
 
 
 def loop_value_counts(report):
@@ -873,7 +875,7 @@ def object_moment_sums(state, u, precision=DEFAULT_PRECISION):
         # diagonal of m.
         squares = (_ladder_amplitude_squared(j, m) for m in labels[1:])
         halves = [mp.sqrt(mp.mpf(x)) / 2 for x in squares]
-        phi = [mp.fdot(zip(row, state.amplitudes)) for row in u.matrix.entries]
+        phi = [mp.fdot(zip(row, state.amplitudes)) for row in dense_propagator(u).entries]
         links = [
             [(halves[min(a, b)], phi[b], b - a) for b in (a - 1, a + 1) if 0 <= b < n]
             for a in range(n)
@@ -895,9 +897,9 @@ def object_moments(state, u, precision=DEFAULT_PRECISION):
     """heisenberg_expectations formed with mpc objects and no set-up cache."""
     _require_precision(precision)
     j = state.basis.j
-    if u.matrix.basis.j != j:
+    if u.basis.j != j:
         raise InvalidInputError(
-            f"propagator is for j={u.matrix.basis.j}, state for j={j}"
+            f"propagator is for j={u.basis.j}, state for j={j}"
         )
     means, seconds, cov_yz, corr_xz = object_moment_sums(state, u, precision)
     with mp.workdps(precision + 10):
@@ -964,6 +966,51 @@ def object_squeezing(obs):
         return v_x, v_y, v_z, xi(v_y), xi(v_z), (xi(v_min), +angle)
 
 
+def dense_identity(basis, precision):
+    """The identity with exact mpc ones and zeros, flagged hermitian."""
+    n = basis.j.n_states
+    with mp.workdps(precision):
+        one, zero = mp.mpc(1), mp.mpc(0)
+        rows = tuple(tuple(one if a == b else zero for b in range(n)) for a in range(n))
+    return DenseOperator(basis=basis, entries=rows, precision=precision, hermitian=True)
+
+
+def dense_from_rows(basis, rows, precision, scale=1, hermitian=False):
+    """A DenseOperator from rows of any numbers, each made an mpc at
+    ``precision``."""
+    with mp.workdps(precision):
+        entries = tuple(tuple(mp.mpc(x) for x in row) for row in rows)
+    return DenseOperator(
+        basis=basis, entries=entries, precision=precision, scale=scale, hermitian=hermitian
+    )
+
+
+def dense_dagger(op):
+    """The conjugate transpose."""
+    n = op.dim
+    with mp.workdps(op.precision):
+        rows = tuple(tuple(mp.conj(op.entries[b][a]) for b in range(n)) for a in range(n))
+    return DenseOperator(basis=op.basis, entries=rows, precision=op.precision)
+
+
+def dense_matvec(op, vector):
+    """op·vector, one ``mp.fsum`` over every column per row."""
+    n = op.dim
+    with mp.workdps(op.precision):
+        return tuple(mp.fsum(op.entries[a][b] * vector[b] for b in range(n)) for a in range(n))
+
+
+def dense_max_abs(op):
+    """The largest |entry|, exact zeros included."""
+    with mp.workdps(op.precision):
+        return max(abs(x) for row in op.entries for x in row)
+
+
+def dense_max_abs_diff(op, other):
+    """max |op − other| over the entrywise difference ``op.sub(other)``."""
+    return dense_max_abs(op.sub(other))
+
+
 def dense_chiral_deviation(h, chi_value, precision=DEFAULT_PRECISION):
     """(max |HR + RH|, max |H|) for H = h/chi, with the dense products of
     ``verify``'s former check: ``DenseOperator.scaled``, ``matmul`` with
@@ -972,22 +1019,28 @@ def dense_chiral_deviation(h, chi_value, precision=DEFAULT_PRECISION):
     with mp.workdps(precision + 10):
         dimensionless = h.scaled(1 / chi_value)
         anti = dimensionless.matmul(rotation).add(rotation.matmul(dimensionless))
-        return anti.max_abs(), dimensionless.max_abs()
+        return dense_max_abs(anti), dense_max_abs(dimensionless)
 
 
 def dense_energy(h, amplitudes, precision=DEFAULT_PRECISION):
-    """Re <psi|h|psi> with the dense ``DenseOperator.matvec``."""
+    """Re <psi|h|psi> with the dense :func:`dense_matvec`."""
     with mp.workdps(precision + 10):
-        return mp.re(mp.fdot(h.matvec(amplitudes), amplitudes, conjugate=True))
+        return mp.re(mp.fdot(dense_matvec(h, amplitudes), amplitudes, conjugate=True))
 
 
 def _dense_operator(rows, basis, precision):
-    """A propagator's rows as ``Propagator.matrix`` makes them dense."""
+    """A propagator's rows as a dense operator: mpc entries, an exact mpc
+    zero where a row has none."""
     entries = [[mp.mpc(0)] * len(rows) for _ in rows]
     for dense, row in zip(entries, rows):
         for c, pair in row:
             dense[c] = mp.make_mpc(pair)
     return DenseOperator(basis=basis, entries=tuple(map(tuple, entries)), precision=precision)
+
+
+def dense_propagator(u):
+    """U as a dense operator at its own precision."""
+    return _dense_operator(u.rows, u.basis, u.precision)
 
 
 def dense_evolved(rows, basis, amplitudes, precision=DEFAULT_PRECISION):
@@ -998,11 +1051,11 @@ def dense_evolved(rows, basis, amplitudes, precision=DEFAULT_PRECISION):
 
 
 def dense_oracle_difference(rows, other, basis, precision=DEFAULT_PRECISION):
-    """max |U − V| by ``DenseOperator.max_abs_diff`` of the dense forms."""
+    """max |U − V| by :func:`dense_max_abs_diff` of the dense forms."""
     u = _dense_operator(rows, basis, precision)
     v = _dense_operator(other, basis, precision)
     with mp.workdps(precision + 10):
-        return u.max_abs_diff(v)
+        return dense_max_abs_diff(u, v)
 
 
 _RADICAL_KINDS = {

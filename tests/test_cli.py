@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -552,6 +552,15 @@ class TestEvolveCommand:
 # verify command
 # ---------------------------------------------------------------------------
 
+# Rational text of about 4000 digits (Python's int-to-str limit is 4300):
+# signed numerals, fractions either way up, and decimal exponents of 1000.
+_LONG = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(("", "-", "3/")),
+    st.integers(3990, 4400).map(lambda width: "1" + "0" * width),
+    st.sampled_from(("", "/7", "e-1000", "e1000")),
+)
+
 
 class TestVerifyCommand:
     def test_spin_two_all_pass(self, capsys):
@@ -647,9 +656,7 @@ class TestVerifyCommand:
         st.builds("{}/{}".format, st.integers(-40, 40), st.integers(-3, 40)),
         st.builds("{}e{}".format, st.integers(-9, 9),
                   st.sampled_from((-1001, -1000, -999, -17, 0, 17, 999, 1000, 1001))),
-        st.builds("{}{}{}".format, st.sampled_from(("", "-", "3/")),
-                  st.integers(3990, 4400).map(lambda width: "1" + "0" * width),
-                  st.sampled_from(("", "/7", "e-1000", "e1000"))),
+        _LONG,
         st.sampled_from(("-0", "0", "+0", "0/3", "0e1000", "nan", "NaN", "-nan", "inf",
                          "-inf", "Infinity", "", " ", "1/0", "2/-3", "1_0", "0x10")),
     )
@@ -724,7 +731,7 @@ class TestVerifySparseChecks:
                     _raw_values([dense_oracle_difference(rows, other, h.basis, precision)])
                 )
             for hh in (h, cli._flip_first_coupling(h)) if twoj > 1 else (h,):
-                h_rows = cli._nonzero_rows(hh)
+                h_rows = hh.nonzero_rows
                 assert _raw_values(cli._chiral_deviation(h_rows, chi_value, precision)) == (
                     _raw_values(dense_chiral_deviation(hh, chi_value, precision))
                 )
@@ -902,6 +909,82 @@ class TestDispatch:
         )
         assert code == 2
         assert "cannot write output" in err
+
+
+# Spin text: spellings of 2j = -3 .. 12, of the cap's 2j = 241, and
+# refusals.  2j = 240 is accepted and costs seconds, so only 241 is spelled
+# at the cap.
+_SPIN_TEXT = st.one_of(
+    st.builds("{}/2".format, st.integers(-3, 12)),
+    st.builds(str, st.integers(-2, 6)),
+    st.sampled_from((
+        "1.5", "15e-1", "0.05e2", "+3/2", " 2 ", "3.0", "6/4", "-0", "0/5", "1/3", "0.25",
+        "241/2", "120.5", "1205e-1", "121", "\u0663", "\u0665/\u0662", "\uff13",
+        "\u0662\u0664\u0661/\u0662", "1e1000", "1e1001", "-1e1000", "1e-1000", "5e-1001",
+        "", " ", "nan", "-inf", "Infinity", "1/0", "0x2", "0_3", "--1",
+    )),
+    _LONG,
+)
+_STEPS_TEXT = st.one_of(
+    st.integers(-1, 3).map(str),
+    st.sampled_from((str(MAX_STEPS + 1), "1e1", "3.0", "", "\u0663", " 3", "0x3", "nan")),
+)
+_PRECISION_TEXT = st.one_of(
+    st.integers(MIN_PRECISION - 1, 40).map(str),
+    st.sampled_from((str(MAX_PRECISION + 1), "-0", "", "3.4e1", "\u0663\u0664", "1_5")),
+)
+
+
+@st.composite
+def _argv(draw):
+    """One command line of classify, charpoly, table1, spectrum or evolve,
+    with every value in the ``--flag=value`` form.  At most two options
+    take sweep text; the others take a cheap value the command accepts, so
+    that many command lines reach computation."""
+    command = draw(st.sampled_from(("classify", "charpoly", "table1", "spectrum", "evolve")))
+    # chi and t_max take verify's chi text, whose exponents keep an
+    # accepted |chi·t_max| at most about 1e36.
+    options = {
+        "--j": (_SPIN_TEXT, None if command == "table1" else "5/2"),
+        "--precision": (_PRECISION_TEXT, "20"),
+        "--format": (st.sampled_from(("text", "json", "csv", "yaml")), None),
+    }
+    if command == "evolve":
+        options.update({
+            "--chi": (TestVerifyCommand._CHI, "-2/3"),
+            "--t-max": (TestVerifyCommand._CHI, "3"),
+            "--steps": (_STEPS_TEXT, "3"),
+        })
+    swept = draw(st.sets(st.sampled_from(sorted(options)), max_size=2))
+    argv = [command]
+    for flag, (text, accepted) in options.items():
+        value = draw(text) if flag in swept else accepted
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return tuple(argv)
+
+
+class TestArgumentSweep:
+    """The rest of ``verify``'s sweep (TestVerifyCommand): no argument text
+    makes another command raise, and neither does an unwritable
+    ``--output``.  Text that reaches computation stays cheap: 2j <= 12,
+    steps <= 3 and precision <= 40."""
+
+    @settings(derandomize=True, max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_argv(), output=st.sampled_from((None, "", "directory", "missing")))
+    # A negative spin of more digits than the int-to-str limit (4300),
+    # refused with its value in the message.
+    @example(argv=("charpoly", "--j=-1" + "0" * 4000 + "e1000"), output=None)
+    def test_arguments_never_raise(self, capsys, set_cpus, forks, tmp_path, argv, output):
+        set_cpus(1)
+        paths = {"directory": tmp_path, "missing": tmp_path / "absent" / "out.txt"}
+        if output is not None:
+            argv += (f"--output={paths.get(output, output)}",)
+        code, _, err = _run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        assert forks == []
 
 
 # ---------------------------------------------------------------------------

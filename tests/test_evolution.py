@@ -45,7 +45,19 @@ from countertwist import (
 from countertwist import evolution
 from countertwist.cli import _closed_form_rows_j2
 from countertwist.spectrum import spectrum_from_json, spectrum_to_json
-from _oracles import build_h_f, object_squeezing, operator_rows, wigner_rotation_y
+from _oracles import (
+    build_h_f,
+    dense_dagger,
+    dense_from_rows,
+    dense_identity,
+    dense_matvec,
+    dense_max_abs,
+    dense_max_abs_diff,
+    dense_propagator,
+    object_squeezing,
+    operator_rows,
+    wigner_rotation_y,
+)
 
 SEED = 20260825
 
@@ -63,13 +75,13 @@ def _spin(twoj: int) -> HalfInt:
 
 
 def _identity_dev(u: Propagator) -> mp.mpf:
-    ident = DenseOperator.identity(u.matrix.basis, u.matrix.precision)
-    return u.matrix.max_abs_diff(ident)
+    return dense_max_abs_diff(dense_propagator(u), dense_identity(u.basis, u.precision))
 
 
 def _unitarity_dev(u: Propagator) -> mp.mpf:
-    gram = u.matrix.dagger().matmul(u.matrix)
-    n = u.matrix.dim
+    matrix = dense_propagator(u)
+    gram = dense_dagger(matrix).matmul(matrix)
+    n = matrix.dim
     return max(
         abs(gram.entries[a][b] - (1 if a == b else 0))
         for a in range(n)
@@ -186,7 +198,7 @@ class TestStateVector:
 class TestPropagatorType:
     def test_non_unitary_rejected(self):
         basis = BasisOrdering.for_spin(HalfInt(1))
-        matrix = DenseOperator.from_rows(
+        matrix = dense_from_rows(
             basis, [[1, 0], [0, mp.mpf(1) / 2]], precision=34
         )
         with pytest.raises(NumericFailureError):
@@ -198,11 +210,11 @@ class TestPropagatorType:
                 method=PropagatorMethod.SPECTRAL,
             )
 
-    def test_matrix_is_a_cached_view_of_the_rows(self):
+    def test_dense_form_is_a_view_of_the_rows(self):
         for u in (_spectral(5, 0.7), propagator_taylor(build_h_ta(HalfInt(5), 1.0), 0.7)):
-            assert u.matrix is u.matrix
-            assert operator_rows(u.matrix) == u.rows
-            assert all(type(x) is mp.mpc for row in u.matrix.entries for x in row)
+            matrix = dense_propagator(u)
+            assert operator_rows(matrix) == u.rows
+            assert all(type(x) is mp.mpc for row in matrix.entries for x in row)
 
     @pytest.mark.parametrize("defect", ["count", "range", "negative", "descending", "repeated"])
     def test_malformed_rows_rejected(self, defect):
@@ -255,8 +267,9 @@ class TestPropagatorType:
             u = _spectral(11, 0.83)
         else:
             u = propagator_taylor(build_h_ta(HalfInt(11), 1.0), 0.83)
-        p = u.matrix.precision
-        gram = u.matrix.dagger().matmul(u.matrix)
+        matrix = dense_propagator(u)
+        p = matrix.precision
+        gram = dense_dagger(matrix).matmul(matrix)
         with mp.workdps(p + 10):
             dense = max(
                 abs(gram.entries[a][b] - (1 if a == b else 0))
@@ -318,8 +331,9 @@ class TestPropagatorSpectral:
         for s in times:
             u = propagator_spectral(report, s)
             closed = _u_closed_j2(s)
+            entries = dense_propagator(u).entries
             dev = max(
-                abs(u.matrix.entries[a][b] - closed[a][b])
+                abs(entries[a][b] - closed[a][b])
                 for a in range(5)
                 for b in range(5)
             )
@@ -328,11 +342,12 @@ class TestPropagatorSpectral:
     @pytest.mark.parametrize("twoj", [2, 3, 4, 5, 8, 11])
     def test_parity_checkerboard_exact_zeros(self, twoj):
         u = _spectral(twoj, 0.83)
-        n = u.matrix.dim
+        matrix = dense_propagator(u)
+        n = matrix.dim
         for a in range(n):
             for b in range(n):
                 if (a - b) % 2 == 1:
-                    assert u.matrix.entries[a][b] == 0
+                    assert matrix.entries[a][b] == 0
 
     def test_matches_taylor_oracle_example(self):
         j = _spin(7)
@@ -341,7 +356,7 @@ class TestPropagatorSpectral:
         tau = mp.mpf("0.37")
         u = propagator_spectral(report, tau)
         oracle = propagator_taylor(h, tau)
-        assert u.matrix.max_abs_diff(oracle.matrix) < mp.mpf("1e-28")
+        assert dense_max_abs_diff(dense_propagator(u), dense_propagator(oracle)) < mp.mpf("1e-28")
 
     @pytest.mark.parametrize("twoj", [1, 3, 4, 6, 10, 15])
     def test_group_inverse(self, twoj):
@@ -350,9 +365,9 @@ class TestPropagatorSpectral:
         tau = mp.mpf("0.77")
         forward = propagator_spectral(report, tau)
         backward = propagator_spectral(report, -tau)
-        prod = forward.matrix.matmul(backward.matrix)
-        ident = DenseOperator.identity(prod.basis, prod.precision)
-        assert prod.max_abs_diff(ident) < mp.mpf("1e-31")
+        prod = dense_propagator(forward).matmul(dense_propagator(backward))
+        ident = dense_identity(prod.basis, prod.precision)
+        assert dense_max_abs_diff(prod, ident) < mp.mpf("1e-31")
 
     def test_unitarity_explicit(self):
         u = _spectral(13, 1.9)
@@ -411,21 +426,21 @@ class TestPropagatorSpectral:
     def test_deterministic(self):
         first = _spectral(9, 1.234)
         second = _spectral(9, 1.234)
-        assert first.matrix.entries == second.matrix.entries
+        assert dense_propagator(first).entries == dense_propagator(second).entries
 
     def test_report_precision_does_not_limit_the_result(self):
         # The 15-digit seeds take Newton steps beyond the first three.
         u = propagator_spectral(spectrum(5, 15), "0.7", 200)
         want = propagator_spectral(spectrum(5, 200), "0.7", 200)
         with mp.workdps(200):
-            assert u.matrix.max_abs_diff(want.matrix) < mp.mpf(10) ** -195
+            assert dense_max_abs_diff(dense_propagator(u), dense_propagator(want)) < mp.mpf(10) ** -195
 
     @pytest.mark.parametrize("twoj", [4, 7, 20])
     def test_report_is_the_whole_input(self, twoj):
         report = spectrum(_spin(twoj))
         parsed = spectrum_from_json(spectrum_to_json(report))
-        direct = propagator_spectral(report, 0.83).matrix.entries
-        assert propagator_spectral(parsed, 0.83).matrix.entries == direct
+        direct = dense_propagator(propagator_spectral(report, 0.83)).entries
+        assert dense_propagator(propagator_spectral(parsed, 0.83)).entries == direct
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +460,9 @@ class TestPropagatorTaylor:
         h = build_h_ta(HalfInt(7), 1.0)
         forward = propagator_taylor(h, mp.mpf("1.1"))
         backward = propagator_taylor(h, mp.mpf("-1.1"))
-        prod = forward.matrix.matmul(backward.matrix)
-        ident = DenseOperator.identity(prod.basis, prod.precision)
-        assert prod.max_abs_diff(ident) < mp.mpf("1e-31")
+        prod = dense_propagator(forward).matmul(dense_propagator(backward))
+        ident = dense_identity(prod.basis, prod.precision)
+        assert dense_max_abs_diff(prod, ident) < mp.mpf("1e-31")
 
     def test_scale_respected(self):
         j = HalfInt(4)
@@ -455,7 +470,7 @@ class TestPropagatorTaylor:
         plain = build_h_ta(j, 1.0)
         u_doubled = propagator_taylor(doubled, 0.9)
         u_plain = propagator_taylor(plain, 0.9)
-        assert u_doubled.matrix.max_abs_diff(u_plain.matrix) < mp.mpf("1e-32")
+        assert dense_max_abs_diff(dense_propagator(u_doubled), dense_propagator(u_plain)) < mp.mpf("1e-32")
 
     @pytest.mark.parametrize("huge", [mp.mpf("1e400"), Fraction(-(10**301))])
     def test_huge_time_rejected(self, huge):
@@ -469,15 +484,16 @@ class TestPropagatorTaylor:
         _, jy, _ = build_cartesian(j)
         tau = mp.mpf("0.7")
         u = propagator_taylor(jy, tau)
-        assert u.matrix.max_abs_diff(wigner_rotation_y(j, -tau)) < mp.mpf("1e-32")
+        assert dense_max_abs_diff(dense_propagator(u), wigner_rotation_y(j, -tau)) < mp.mpf("1e-32")
 
     def test_y_field_hamiltonian_matches_expm(self):
         h = build_h_f(HalfInt(5), 1.0, 0.3, axis="y")
         tau = mp.mpf("0.7")
         u = propagator_taylor(h, tau)
         reference = mp.expm(mp.mpc(0, -1) * tau * mp.matrix(h.entries))
+        entries = dense_propagator(u).entries
         dev = max(
-            abs(u.matrix.entries[a][b] - reference[a, b])
+            abs(entries[a][b] - reference[a, b])
             for a in range(u.dim)
             for b in range(u.dim)
         )
@@ -549,7 +565,7 @@ def test_spectral_agrees_with_taylor(twoj):
         tau = mp.mpf(rng.uniform(0.01, 1.8))
         u = propagator_spectral(report, tau)
         oracle = propagator_taylor(h, tau)
-        worst = max(worst, u.matrix.max_abs_diff(oracle.matrix))
+        worst = max(worst, dense_max_abs_diff(dense_propagator(u), dense_propagator(oracle)))
     assert worst < mp.mpf("1e-10")
     assert worst < mp.mpf("1e-28")
 
@@ -564,8 +580,9 @@ def test_spectral_propagator_keeps_its_accuracy_at_long_times():
     chi_t = Fraction(10**30) + Fraction(1, 3)
     u = propagator_spectral(spectrum(HalfInt(4), 34), chi_t, 34)
     reference = _closed_form_rows_j2(chi_t, 1500)
+    entries = dense_propagator(u).entries
     with mp.workdps(1510):
-        dev = max(abs(u.matrix.entries[a][b] - reference[a][b]) for a in range(5) for b in range(5))
+        dev = max(abs(entries[a][b] - reference[a][b]) for a in range(5) for b in range(5))
     assert dev < mp.mpf("1e-32")
 
 
@@ -580,8 +597,9 @@ def test_taylor_propagator_keeps_its_accuracy_at_long_times():
     chi_t = Fraction(10**6) + Fraction(1, 3)
     u = propagator_taylor(build_h_ta(HalfInt(4), 1), chi_t, 34)
     reference = _closed_form_rows_j2(chi_t, 200)
+    entries = dense_propagator(u).entries
     with mp.workdps(210):
-        dev = max(abs(u.matrix.entries[a][b] - reference[a][b]) for a in range(5) for b in range(5))
+        dev = max(abs(entries[a][b] - reference[a][b]) for a in range(5) for b in range(5))
     assert dev < mp.mpf("1e-32")
 
 
@@ -601,7 +619,7 @@ def test_unitarity_large_spins(twoj):
         u = _spectral(twoj, tau)
     except IllConditionedError:
         u = _spectral(twoj, tau, precision=50)
-    assert u.matrix.dim == twoj + 1
+    assert u.dim == twoj + 1
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +635,9 @@ def test_chiral_conjugation_reverses_time(twoj):
     forward = propagator_spectral(report, tau)
     backward = propagator_spectral(report, -tau)
     r = chiral_operator(j)
-    conjugated = r.matmul(forward.matrix).matmul(r.dagger())
-    assert conjugated.max_abs_diff(backward.matrix) < mp.mpf("1e-10")
-    assert conjugated.max_abs_diff(backward.matrix) < mp.mpf("1e-29")
+    conjugated = r.matmul(dense_propagator(forward)).matmul(dense_dagger(r))
+    assert dense_max_abs_diff(conjugated, dense_propagator(backward)) < mp.mpf("1e-10")
+    assert dense_max_abs_diff(conjugated, dense_propagator(backward)) < mp.mpf("1e-29")
 
 
 def test_chiral_conjugation_with_field():
@@ -628,7 +646,7 @@ def test_chiral_conjugation_with_field():
     h = build_h_f(j, 1.0, 0.8)
     r = chiral_operator(j)
     anti = h.matmul(r).add(r.matmul(h))
-    assert anti.max_abs() < mp.mpf("1e-32")
+    assert dense_max_abs(anti) < mp.mpf("1e-32")
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +736,10 @@ class TestHeisenbergExpectations:
             u = propagator_spectral(report, tau)
             obs = heisenberg_expectations(state, u)
             assert abs(obs.casimir - casimir_ref) < mp.mpf("1e-30")
-            phi = u.matrix.matvec(state.amplitudes)
+            phi = dense_matvec(dense_propagator(u), state.amplitudes)
             energy = mp.fsum(
                 mp.conj(phi[a]) * x
-                for a, x in enumerate(h.matvec(phi))
+                for a, x in enumerate(dense_matvec(h, phi))
             )
             assert abs(energy) < mp.mpf("1e-30")
 
@@ -769,9 +787,10 @@ def _dense_moments(state, u, j, precision=DEFAULT_PRECISION):
     n = j.n_states
     wp = precision + 10
     operators = build_cartesian(j, wp)
+    entries = dense_propagator(u).entries
     with mp.workdps(wp):
         phi = [
-            mp.fdot(zip(u.matrix.entries[a], state.amplitudes))
+            mp.fdot(zip(entries[a], state.amplitudes))
             for a in range(n)
         ]
         vx, vy, vz = (
@@ -1077,8 +1096,8 @@ class TestTimeSeries:
             assert row == expected
 
     def test_builds_no_dense_operator(self, monkeypatch):
-        # Each grid point's propagator stays in its rows; only a read of
-        # .matrix builds the dense operator.
+        # Each grid point's propagator stays in its rows; only the test's
+        # dense form builds a dense operator.
         built = []
         original = DenseOperator.__post_init__
         monkeypatch.setattr(
@@ -1086,7 +1105,7 @@ class TestTimeSeries:
         )
         time_series(2, 1, Fraction(5, 2), 201)
         assert built == []
-        _spectral(4, 0.3).matrix
+        dense_propagator(_spectral(4, 0.3))
         assert built == [5]
 
     def test_one_set_up_per_working_precision(self, monkeypatch):

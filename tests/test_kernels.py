@@ -27,7 +27,6 @@ from mpmath.libmp import (
     mpf_pos,
     mpf_sub,
     mpf_sum,
-    round_floor,
     round_nearest,
 )
 
@@ -40,7 +39,7 @@ from countertwist.charpoly import (
     to_mu_polynomial,
 )
 from countertwist.cli import VERIFY_SAMPLE_TIME, _flip_first_coupling
-from countertwist.errors import InternalConsistencyError, InvalidInputError, NumericFailureError
+from countertwist.errors import InvalidInputError, NumericFailureError
 from countertwist.spin_algebra import (
     BasisOrdering,
     _two_step_entries,
@@ -60,6 +59,7 @@ from countertwist.evolution import (
 from _oracles import (
     build_h_f,
     dense_evolved,
+    dense_propagator,
     hypot_modulus,
     loop_gram_defect,
     object_gram_defect,
@@ -93,9 +93,9 @@ def _raw(entries):
 
 
 def _assert_same_propagator(u, reference_entries, reference_tau):
-    assert _raw(u.matrix.entries) == _raw(reference_entries)
+    assert _raw(dense_propagator(u).entries) == _raw(reference_entries)
     assert u.chi_t._mpf_ == reference_tau._mpf_
-    defect = object_gram_defect(u.matrix)
+    defect = object_gram_defect(dense_propagator(u))
     assert type(u.unitarity_defect) is type(defect)
     assert u.unitarity_defect._mpf_ == defect._mpf_
 
@@ -181,14 +181,14 @@ def test_taylor_propagator_of_a_faulted_h_matches_object_code(monkeypatch):
             patch.setattr(Propagator, "__post_init__", lambda self: None)
             u = propagator_taylor(h, chi_t, precision)
         entries, want_tau = object_taylor_entries(h, chi_t, precision)
-        assert _raw(u.matrix.entries) == _raw(entries)
+        assert _raw(dense_propagator(u).entries) == _raw(entries)
         assert u.chi_t._mpf_ == want_tau._mpf_
         if chi_t != 0:
             with pytest.raises(NumericFailureError) as got:
                 Propagator(basis=u.basis, rows=u.rows, precision=u.precision, chi_t=u.chi_t,
                            method=PropagatorMethod.TAYLOR_ORACLE)
             with pytest.raises(NumericFailureError) as want:
-                object_gram_defect(u.matrix)
+                object_gram_defect(dense_propagator(u))
             assert str(got.value) == str(want.value)
 
 
@@ -202,7 +202,7 @@ def _taylor_mismatches(kind):
             mismatches += 1
             continue
         entries, _ = object_taylor_entries(h, chi_t, precision)
-        mismatches += _raw(u.matrix.entries) != _raw(entries)
+        mismatches += _raw(dense_propagator(u).entries) != _raw(entries)
     return mismatches
 
 
@@ -228,11 +228,10 @@ def _assert_same_moments(state, u, precision):
     # the rounded ObservableSet keeps, then the set itself.
     halves, labels, _ = evolution._moment_constants(state.basis.j, precision)
     with mp.workdps(precision + 10):
-        prec, rnd = mp._prec_rounding
         means, seconds, cov_yz, corr_xz, phi = _kernels.moments(
             u.rows,
             [evolution._fdot_pair(x) for x in state.amplitudes],
-            halves, labels, prec, rnd,
+            halves, labels, mp.prec,
         )
     evolved = dense_evolved(u.rows, u.basis, state.amplitudes, precision)
     assert phi == [evolution._fdot_pair(x) for x in evolved]
@@ -289,17 +288,18 @@ def _with_entries(u, precision, kind):
     every entry of the chiral operator (a real signed antidiagonal) as an
     mpf; or every entry turned by one phase, so that U, real in exact
     arithmetic, has imaginary parts of the size of its real ones."""
+    entries = dense_propagator(u).entries
     with mp.workdps(precision):
         if kind == "phased":
             phase = mp.expjpi(mp.mpf(1) / 5)
-            rows = [[x * phase for x in row] for row in u.matrix.entries]
+            rows = [[x * phase for x in row] for row in entries]
         elif u.chi_t == 0:
-            chiral = chiral_operator(u.matrix.basis.j, precision)
+            chiral = chiral_operator(u.basis.j, precision)
             rows = [[x.real for x in row] for row in chiral.entries]
         else:
-            rows = [[x if x else mp.mpf(0) for x in row] for row in u.matrix.entries]
+            rows = [[x if x else mp.mpf(0) for x in row] for row in entries]
     matrix = DenseOperator(
-        basis=u.matrix.basis, entries=tuple(map(tuple, rows)), precision=precision
+        basis=u.basis, entries=tuple(map(tuple, rows)), precision=precision
     )
     return _propagator(matrix, u.chi_t, u.method)
 
@@ -345,7 +345,7 @@ def test_moments_refuse_non_finite_values(special):
         else:
             bad_rows[0].append((1, (bad, fzero) if k == 2 else (fzero, bad)))
         with pytest.raises(InvalidInputError, match="finite values only"):
-            _kernels.moments(bad_rows, bad_amplitudes, halves, labels, 53, round_nearest)
+            _kernels.moments(bad_rows, bad_amplitudes, halves, labels, 53)
 
     state = coherent_initial_state(HalfInt(1), 34)
     object.__setattr__(state, "amplitudes", (mp.mpf(special),) + state.amplitudes[1:])
@@ -355,11 +355,11 @@ def test_moments_refuse_non_finite_values(special):
 
 
 def _edited(u, edit):
-    rows = [list(row) for row in u.matrix.entries]
-    with mp.workdps(u.matrix.precision):
+    rows = [list(row) for row in dense_propagator(u).entries]
+    with mp.workdps(u.precision):
         edit(rows)
     return DenseOperator(
-        basis=u.matrix.basis, entries=tuple(map(tuple, rows)), precision=u.matrix.precision
+        basis=u.basis, entries=tuple(map(tuple, rows)), precision=u.precision
     )
 
 
@@ -453,7 +453,7 @@ def _squared_moduli(rows, prec, check_prec, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "_gram_deviations", recorded)
-        worst = _kernels.gram_defect(rows, prec, check_prec, round_nearest)
+        worst = _kernels.gram_defect(rows, prec, check_prec)
     return worst, seen
 
 
@@ -475,7 +475,7 @@ def test_certificate_of_edited_reflections_matches_object_code(twoj, edit, monke
     for chi_t in ("0.013", "0.7"):
         u = propagator_spectral(_report(twoj, 34), mp.mpf(chi_t), 34)
         edited = _edited(u, CERTIFICATE_EDITS[edit])
-        for matrix in (u.matrix, edited):
+        for matrix in (dense_propagator(u), edited):
             assert _certificate_matches(matrix)
             assert _deviations_match_the_full_computation(matrix, monkeypatch)
 
@@ -486,7 +486,7 @@ def test_certificate_comparison_catches_an_assumed_reflection(monkeypatch):
     # takes from the unedited (0, 0), holds the largest deviation.
     monkeypatch.setattr(_kernels, "reflects", lambda lines, negate: True)
     u = propagator_spectral(_report(6, 34), mp.mpf("0.013"), 34)
-    assert _certificate_matches(u.matrix)
+    assert _certificate_matches(dense_propagator(u))
     assert not _certificate_matches(_edited(u, _corner_nudged))
 
 
@@ -520,8 +520,8 @@ def test_mirrored_square_sums_partners_in_reverse():
     assert _kernels.reflects(rows, _kernels._neg)
     # The entries span more than prec bits: the sums run in order.
     assert not _kernels._fixed_point_safe(rows, _P)
-    full = _kernels.squared(rows, _P, round_nearest)
-    assert _kernels.squared(rows, _P, round_nearest, True) == full
+    full = _kernels.squared(rows, _P)
+    assert _kernels.squared(rows, _P, True) == full
     # (0, 0) sums 1, 2^4p, -2^4p; its partner (4, 4) the same in reverse.
     assert 0 not in full[0] and full[4][4] == (1, 0)
 
@@ -532,7 +532,7 @@ def test_square_of_an_empty_row_is_empty():
     for far in (0, 3 * _P):
         rows = [{0: (1, 0), 1: (1, far)}, {}]
         assert _kernels._fixed_point_safe(rows, _P) == (not far)
-        assert _kernels.squared(rows, _P, round_nearest) == rows
+        assert _kernels.squared(rows, _P) == rows
 
 
 def test_mirrored_certificate_sums_partners_in_reverse(monkeypatch):
@@ -560,19 +560,18 @@ def _moments_of(rows, j, precision):
     halves, labels, _ = evolution._moment_constants(j, precision)
     amplitudes = [evolution._fdot_pair(x) for x in coherent_initial_state(j, precision).amplitudes]
     with mp.workdps(precision + 10):
-        prec, rnd = mp._prec_rounding
-        return _kernels.moments(rows, amplitudes, halves, labels, prec, rnd)
+        return _kernels.moments(rows, amplitudes, halves, labels, mp.prec)
 
 
 def _assert_the_old_loops_agree(rows, j, precision, monkeypatch):
     """gram_defect and every output of moments equal, bit for bit, those of
     the loops that take one mpf_hypot per value."""
     with mp.workdps(precision):
-        prec, rnd = mp._prec_rounding
+        prec = mp.prec
     with mp.workdps(precision + 10):
         check_prec = mp.prec
-    got = _kernels.gram_defect(rows, prec, check_prec, rnd)
-    assert got == loop_gram_defect(rows, prec, check_prec, rnd)
+    got = _kernels.gram_defect(rows, prec, check_prec)
+    assert got == loop_gram_defect(rows, prec, check_prec)
     moments = _moments_of(rows, j, precision)
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "_modulus", hypot_modulus)
@@ -608,8 +607,8 @@ def test_certificate_comparison_catches_the_smallest_deviation(monkeypatch):
     # Mutant: the pair with the smallest key instead of the largest.
     original = _kernels.largest_modulus
 
-    def smallest(parts, prec, rnd):
-        return min((original([p], prec, rnd) for p in parts), key=lambda x: mp.make_mpf(x))
+    def smallest(parts, prec):
+        return min((original([p], prec) for p in parts), key=lambda x: mp.make_mpf(x))
 
     monkeypatch.setattr(_kernels, "largest_modulus", smallest)
     with pytest.raises(AssertionError):
@@ -665,7 +664,7 @@ def _modulus_parts(draw):
 
 def _modulus_matches(prec, x, y):
     want = mpf_hypot(_kernels._mpf(x), _kernels._mpf(y), prec, round_nearest)
-    m, e = _kernels._modulus(x, y, prec, round_nearest)
+    m, e = _kernels._modulus(x, y, prec)
     return _kernels._mpf((abs(m), e)) == want
 
 
@@ -678,7 +677,7 @@ def _modulus_matches(prec, x, y):
 def test_negligible_part_rule_matches_mpf_hypot(case):
     prec, x, y = case
     assert _modulus_matches(prec, x, y)
-    assert _kernels.largest_modulus([(x, y)], prec, round_nearest) == mpf_hypot(
+    assert _kernels.largest_modulus([(x, y)], prec) == mpf_hypot(
         _kernels._mpf(x), _kernels._mpf(y), prec, round_nearest
     )
 
@@ -742,7 +741,7 @@ def test_largest_modulus_matches_the_largest_mpf_hypot(case):
     for x, y in pairs:
         value = mpf_hypot(_kernels._mpf(x), _kernels._mpf(y), prec, round_nearest)
         want = value if mpf_gt(value, want) else want
-    assert _kernels.largest_modulus(pairs, prec, round_nearest) == want
+    assert _kernels.largest_modulus(pairs, prec) == want
 
 
 def _reflected_half_broken(j, precision):
@@ -789,7 +788,7 @@ def _taylor_reflection_mismatches(build):
             mismatches += 1
             continue
         entries, _ = object_taylor_entries(h, chi_t, precision)
-        mismatches += _raw(u.matrix.entries) != _raw(entries)
+        mismatches += _raw(dense_propagator(u).entries) != _raw(entries)
     return mismatches
 
 
@@ -930,7 +929,7 @@ def test_chain_horner_starts_from_the_last_nonzero_coefficient(monkeypatch):
     seeds = tuple(ev.value for ev in _report(8, 34).eigenvalues)
     nodes, _, (ups, _) = _series_setup(HalfInt(8), seeds, _leja_order(seeds), 34, 60, 34)
     with mp.workdps(60):
-        prec, rnd = mp._prec_rounding
+        prec = mp.prec
         coeffs = [(mp.mpc(k + 1, -k) / 7)._mpc_ for k in range(4)]
         with mp.workdps(120):
             wide = (mp.mpc(5, -3) / 7)._mpc_
@@ -938,7 +937,7 @@ def test_chain_horner_starts_from_the_last_nonzero_coefficient(monkeypatch):
     zeros = [_kernels.ZERO] * (len(nodes) - 4)
 
     def horner(cs):
-        return _kernels.chain_horner(cs, nodes, ups, prec, rnd)
+        return _kernels.chain_horner(cs, nodes, ups, prec)
 
     assert horner(coeffs + zeros) == horner(coeffs)
     assert horner(coeffs[:3] + [wide] + zeros) == horner(coeffs[:3] + [rounded])
@@ -1002,17 +1001,17 @@ def test_mirrored_halves_equal_computed_ones(twoj):
     seeds = tuple(ev.value for ev in report.eigenvalues)
     nodes, _, chain_ups = _series_setup(j, seeds, _leja_order(seeds), 34, 60, 34)
     with mp.workdps(60):
-        prec, rnd = mp._prec_rounding
+        prec = mp.prec
         coeffs = [(mp.mpc(k + 1, -k) / 7)._mpc_ for k in range(len(nodes))]
         full = [
-            _kernels.chain_horner(coeffs, nodes, _NeverPalindrome(ups), prec, rnd)
+            _kernels.chain_horner(coeffs, nodes, _NeverPalindrome(ups), prec)
             for ups in chain_ups
         ]
         for ups, planes in zip(chain_ups, full):
-            assert _kernels.chain_horner(coeffs, nodes, ups, prec, rnd) == planes
+            assert _kernels.chain_horner(coeffs, nodes, ups, prec) == planes
         if len(chain_ups) == 1:  # twins: chain b from its own squares
             ups_b = tuple((-mp.sqrt(w))._mpf_ for w in block_decompose(j).b.squares)
-            computed = _kernels.chain_horner(coeffs, nodes, _NeverPalindrome(ups_b), prec, rnd)
+            computed = _kernels.chain_horner(coeffs, nodes, _NeverPalindrome(ups_b), prec)
             assert tuple(map(_kernels.mirror, full[0])) == computed
 
 
@@ -1071,8 +1070,8 @@ def test_horner_comparison_catches_rounded_coefficients(monkeypatch):
     # the loop, where ``mpf + int`` adds them exactly.
     original = _kernels.int_horner
 
-    def rounded_coefficients(coefficients, x, prec, rnd):
-        return original([mpf_pos(c, prec, rnd) for c in coefficients], x, prec, rnd)
+    def rounded_coefficients(coefficients, x, prec):
+        return original([mpf_pos(c, prec, round_nearest) for c in coefficients], x, prec)
 
     monkeypatch.setattr(_kernels, "int_horner", rounded_coefficients)
     assert _horner_mismatches()
@@ -1252,21 +1251,3 @@ def test_core_comparison_catches_ties_away_from_zero(monkeypatch):
     with pytest.raises(AssertionError):
         test_core_matches_libmp()
 
-
-def test_core_kernels_refuse_other_rounding_modes():
-    x = mp.mpf(3)._mpf_
-    with pytest.raises(InternalConsistencyError):
-        _kernels.int_horner([x, x], x, 53, round_floor)
-    with pytest.raises(InternalConsistencyError):
-        _kernels.chain_horner([(x, fzero)] * 2, [x, x], [x], 53, round_floor)
-    with pytest.raises(InternalConsistencyError):
-        _kernels.gram_defect([[(0, (x, fzero))]], 53, 86, round_floor)
-    with pytest.raises(InternalConsistencyError):
-        _kernels.moments([[(x, fzero)]], [(x, fzero)], [], [x], 53, round_floor)
-    one = [{0: (1, 0)}]
-    with pytest.raises(InternalConsistencyError):
-        _kernels.series_term([[(0, (1, 0))]], one, 1, 53, round_floor)
-    with pytest.raises(InternalConsistencyError):
-        _kernels.added(one, one, 53, round_floor)
-    with pytest.raises(InternalConsistencyError):
-        _kernels.squared(one, 53, round_floor)
